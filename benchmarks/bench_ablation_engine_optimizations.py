@@ -20,7 +20,7 @@ from repro.core import EngineOptions
 from conftest import BENCH_SCALE, record_result
 
 #: One engine variant per Section 4 knob, plus the generated-simulator fast
-#: path (repro.compiled); the equality assertion below doubles as a
+#: path (repro.codegen); the equality assertion below doubles as a
 #: differential check of the two backends.
 ABLATION_CAMPAIGN = CampaignSpec(
     name="ablation",
@@ -32,7 +32,7 @@ ABLATION_CAMPAIGN = CampaignSpec(
         EngineVariant("no-sorted-transitions", EngineOptions(use_sorted_transitions=False)),
         EngineVariant("two-list-everywhere", EngineOptions(two_list_everywhere=True)),
         EngineVariant("no-decode-cache", EngineOptions(), use_decode_cache=False),
-        EngineVariant("compiled-backend", EngineOptions(backend="compiled")),
+        EngineVariant("generated-backend", EngineOptions(backend="generated")),
     ),
     description="Section 4 ablation: each engine optimisation disabled in turn",
 )

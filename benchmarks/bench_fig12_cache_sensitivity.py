@@ -8,7 +8,7 @@ hierarchy is spec-driven:
 * every registered model runs the two kernels whose working sets overflow
   a small L1 (blowfish, compress) on both engine backends, and the cache
   counters — not just the cycle counts — must be bit-identical between
-  interpreted and compiled execution;
+  interpreted and generated execution;
 * the ``strongarm-c512`` → ``strongarm-c2k`` → ``strongarm-c8k`` sweep
   family shows CPI and data-miss rate falling monotonically with L1
   capacity;
@@ -34,7 +34,7 @@ FIG12_CAMPAIGN = CampaignSpec(
     processors=(ALL,),
     workloads=CACHE_KERNELS,
     scales=(BENCH_SCALE,),
-    engines=("interpreted", "compiled"),
+    engines=("interpreted", "generated"),
     description="Figure 12: CPI and miss rates vs cache geometry, both backends",
 )
 FIG12_PLAN = plan_campaign(FIG12_CAMPAIGN)
@@ -58,12 +58,12 @@ def test_fig12_cache_statistics_agree_across_backends(benchmark, run):
 
     assert result.finish_reason == "halt"
     assert result.memory["dcache"]["accesses"] > 0
-    if run.engine.label == "compiled":
+    if run.engine.label == "generated":
         interpreted = fig12_result(
             next(
                 r
                 for r in FIG12_PLAN.runs
-                if r.run_id == run.run_id.replace("/compiled", "/interpreted")
+                if r.run_id == run.run_id.replace("/generated", "/interpreted")
             )
         )
         assert result.cycles == interpreted.cycles

@@ -50,7 +50,7 @@ def edu4_spec():
 
 
 def main():
-    processor = elaborate(edu4_spec(), backend="compiled")
+    processor = elaborate(edu4_spec(), backend="generated")
     print("model:", processor.net)
     print("generated:", processor.generation_report.summary())
 

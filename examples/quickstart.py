@@ -48,16 +48,16 @@ def main():
     print("r3 (loaded back):", processor.register(3))
     print("data cache:", processor.cache_statistics()["dcache"])
 
-    # The same model can run on the compiled (generated) engine: the model
-    # is partially evaluated into flat closures once, and the statistics
-    # are bit-identical to the interpreted run above.
-    compiled = build_example_processor(backend="compiled")
-    compiled.load_program(program)
-    compiled_stats = compiled.run()
+    # The same model can run on the generated engine: the model is emitted
+    # once as straight-line Python source, and the statistics are
+    # bit-identical to the interpreted run above.
+    generated = build_example_processor(backend="generated")
+    generated.load_program(program)
+    generated_stats = generated.run()
     print()
-    print("compiled backend:", compiled.backend)
-    print("compilation:", compiled.generation_report.compilation)
-    print("cycles match interpreted run:", compiled_stats.cycles == stats.cycles)
+    print("generated backend:", generated.backend)
+    print("compilation:", generated.generation_report.compilation)
+    print("cycles match interpreted run:", generated_stats.cycles == stats.cycles)
 
 
 if __name__ == "__main__":

@@ -12,20 +12,18 @@ Sub-packages
     register hazard model), the static schedule derivation and the
     interpreted reference engine.  :func:`repro.core.generate_simulator`
     is the entry point that turns a validated model into a runnable
-    simulator for either backend.
-``repro.compiled``
-    The paper's simulator *generation* fast path: partial evaluation of a
-    model + schedule into flat per-place step closures (inlined dispatch,
-    specialized guard/capacity checks, active-place worklist, reservation
-    token pooling), selected with ``EngineOptions(backend="compiled")``.
-    Bit-identical statistics to the interpreted engine, higher throughput.
+    simulator for any backend.
 ``repro.codegen``
-    Source-level simulator generation, selected with
+    The paper's simulator *generation*, selected with
     ``EngineOptions(backend="generated")``: the model is emitted as real
     Python source — one straight-line per-cycle ``step()`` with dispatch
     tables, capacity literals and issue gating baked into the text —
     ``exec``'d into a module and disk-cached under the spec fingerprint.
-    Same bit-identical statistics contract, highest throughput.
+    Bit-identical statistics to the interpreted engine, higher throughput.
+``repro.batched``
+    The same emitted source wrapped in a lane loop
+    (``EngineOptions(backend="batched")``), stepping several
+    same-model simulations in lockstep per host dispatch.
 ``repro.describe``
     The declarative pipeline-description layer: ``PipelineSpec`` and
     friends (pure data, validated, content-hashed), the shared ARM
@@ -66,12 +64,12 @@ Sub-packages
     tables, and driven from the ``python -m repro.campaign`` CLI.
 """
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "core",
-    "compiled",
     "codegen",
+    "batched",
     "describe",
     "cpn",
     "isa",

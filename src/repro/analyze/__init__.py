@@ -10,9 +10,9 @@ the same :class:`~repro.analyze.findings.Finding` objects:
   (``AN1xx``).  Pure inspection: nothing is simulated.
 * **verify** — emitted-source verification: the generated/batched
   backends' emitted Python modules are parsed with :mod:`ast` and proven
-  to match the compiled plan (rules ``SV0xx``), and the interpreted and
-  compiled backends' cached schedule/plan are checked against fresh
-  derivations (``SV1xx``).
+  to match the generation plan (rules ``SV0xx``), and the interpreted
+  backend's cached schedule is checked against a fresh derivation
+  (``SV1xx``).
 
 Run from the command line::
 

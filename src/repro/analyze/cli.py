@@ -2,7 +2,7 @@
 
 ``lint`` runs the spec/net structural rules over registered models,
 ``verify`` proves each backend's executable artefact (emitted source,
-compiled plan, cached schedule) matches an independent re-derivation, and
+cached schedule) matches an independent re-derivation, and
 ``rules`` prints the rule catalogue.  Both analysis commands render text
 (one finding per line) or a JSON document suitable for a CI artifact, and
 exit non-zero when findings reach the ``--fail-on`` threshold.
@@ -17,9 +17,7 @@ import sys
 from repro.analyze.findings import RULES, SEVERITIES, exceeds, record_rule_hits
 from repro.analyze.rules import lint_registered
 from repro.analyze.sourcecheck import verify_backend, verify_model
-
-#: Backends ``verify`` accepts; codegen backends get the AST treatment.
-VERIFY_BACKENDS = ("interpreted", "compiled", "generated", "batched")
+from repro.core.engine import ENGINE_BACKENDS, EngineOptions
 
 
 def _split(value):
@@ -104,12 +102,8 @@ def _command_lint(args, out):
 
 def _command_verify(args, out):
     backends = _split(args.backends)
-    unknown = [b for b in backends if b not in VERIFY_BACKENDS]
-    if unknown:
-        raise ValueError(
-            "unknown backend(s) %s; expected a subset of %s"
-            % (", ".join(unknown), ", ".join(VERIFY_BACKENDS))
-        )
+    for backend in backends:
+        EngineOptions(backend=backend)  # raises with a hint on unknown names
     names = _resolve_models(args)
     per_model = {}
     combos = 0
@@ -195,14 +189,14 @@ def build_parser():
 
     verify = commands.add_parser(
         "verify",
-        help="prove backend artefacts (emitted source, plan, schedule) "
+        help="prove backend artefacts (emitted source, schedule) "
         "match a fresh derivation",
     )
     _analysis_arguments(verify)
     verify.add_argument(
         "--backends",
-        default=",".join(VERIFY_BACKENDS),
-        help="comma-separated backends to verify (default: all four)",
+        default=",".join(ENGINE_BACKENDS),
+        help="comma-separated backends to verify (default: all three)",
     )
     verify.add_argument(
         "--trace",

@@ -14,7 +14,7 @@ prefix:
 * ``AN0xx`` — spec-level structural lint (:func:`repro.analyze.rules.lint_spec`);
 * ``AN1xx`` — elaborated-net lint (:func:`repro.analyze.rules.lint_net`);
 * ``SV0xx`` — emitted-source verification (:mod:`repro.analyze.sourcecheck`);
-* ``SV1xx`` — interpreted/compiled backend coherence checks.
+* ``SV1xx`` — interpreted-backend coherence checks.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ _RULE_TABLE = (
     Rule("SV004", "firing-sites", "error",
          "emitted firing-counter sites disagree with the dispatch chains and generators"),
     Rule("SV005", "gate-sites", "error",
-         "emitted issue/advance gate call sites disagree with the compiled guard plan"),
+         "emitted issue/advance gate call sites disagree with the guard/action plan"),
     Rule("SV006", "trace-sites", "error",
          "TRF/TRS trace call sites do not match the requested trace categories"),
     Rule("SV007", "emit-report", "error",
@@ -84,8 +84,6 @@ _RULE_TABLE = (
          "batched module shape (make_step_batched, EMISSION_MODE, LANES) is wrong"),
     Rule("SV101", "schedule-coherent", "error",
          "interpreted backend: cached static schedule disagrees with a fresh derivation"),
-    Rule("SV102", "plan-coherent", "error",
-         "compiled backend: plan summary disagrees with independent reclassification"),
 )
 
 #: Rule id -> :class:`Rule`.

@@ -1,7 +1,7 @@
 """Emitted-source verification: prove the generated module matches its plan.
 
 The generated/batched backends ``exec`` emitted Python and trust it to
-implement the compiled plan.  This pass removes the trust: it parses the
+implement the generation plan.  This pass removes the trust: it parses the
 emitted module with :mod:`ast` and re-derives, from the *text*, the plan
 the module actually implements — the place-segment order, the per-place
 operation-class dispatch branches, every firing-counter site, every
@@ -11,10 +11,8 @@ schedule (:func:`repro.codegen.runtime.guard_plan` /
 :func:`~repro.codegen.runtime.action_plan` and
 :meth:`~repro.core.scheduler.StaticSchedule.transitions_for`).
 
-``verify_backend`` extends the idea to the other backends: the interpreted
-engine's (possibly cache-hydrated) schedule is checked against a fresh
-derivation, and the compiled engine's plan summary against an independent
-reclassification of every dispatched transition.
+``verify_backend`` extends the idea to the interpreted reference: its
+(possibly cache-hydrated) schedule is checked against a fresh derivation.
 """
 
 from __future__ import annotations
@@ -223,7 +221,7 @@ def verify_engine(engine, model=None):
     """AST-verify one generated/batched engine's emitted module.
 
     Returns a list of findings (empty when the source provably matches the
-    compiled plan).  ``engine`` must be a
+    generation plan).  ``engine`` must be a
     :class:`repro.codegen.GeneratedEngine` (or its batched subclass).
     """
     from repro.codegen.cache import codegen_key, emit_trace_categories
@@ -390,8 +388,7 @@ def verify_engine(engine, model=None):
     if not isinstance(report, dict):
         err("SV007", "source:EMIT_REPORT", "missing or non-dict EMIT_REPORT")
     else:
-        from repro.codegen.runtime import guard_plan
-        from repro.compiled.plan import transition_capacity_shape
+        from repro.codegen.runtime import guard_plan, transition_capacity_shape
 
         emitted = {
             name: transition
@@ -441,75 +438,41 @@ def verify_model(name, backend="generated", trace=False, lanes=None):
 
 
 def verify_backend(name, backend):
-    """Coherence checks for the interpreted/compiled backends (SV1xx)."""
+    """Verify one backend: SV101 for interpreted, the AST pass otherwise."""
+    if backend != "interpreted":
+        return verify_model(name, backend=backend)
+    from repro.core.scheduler import place_evaluation_order
     from repro.processors.registry import build_processor
 
-    processor = build_processor(name, backend=backend)
-    engine = processor.engine
+    engine = build_processor(name, backend=backend).engine
     net = engine.net
     findings = []
-    if backend == "interpreted":
-        from repro.core.scheduler import place_evaluation_order
-
-        fresh = [place.name for place in place_evaluation_order(net)]
-        cached = [place.name for place in engine.schedule.order]
-        if cached != fresh:
-            findings.append(finding(
-                "SV101", name, "schedule:order",
-                "cached schedule order %r disagrees with a fresh derivation %r"
-                % (cached, fresh),
-            ))
-        for place in engine.schedule.order:
-            for opclass in net.operation_classes:
-                cached_names = [
-                    t.name for t in engine.schedule.transitions_for(place, opclass)
-                ]
-                subnet = net.subnet_for(opclass)
-                manual = sorted(
-                    (
-                        t for t in net.transitions
-                        if t.source is place and t.subnet is subnet
-                    ),
-                    key=lambda t: t.priority,
-                )
-                if cached_names != [t.name for t in manual]:
-                    findings.append(finding(
-                        "SV101", name,
-                        "schedule:place %r/%s" % (place.name, opclass),
-                        "dispatch %r disagrees with a fresh search %r"
-                        % (cached_names, [t.name for t in manual]),
-                    ))
-    elif backend == "compiled":
-        _dispatch, _generators, occurrences = _expected_plan(net, engine.schedule)
-        from repro.codegen.runtime import guard_plan
-        from repro.compiled.plan import transition_capacity_shape
-
-        emitted = [t for t in net.transitions if occurrences.get(t.name)]
-        kinds = Counter(guard_plan(t)[0] for t in emitted)
-        shapes = Counter(transition_capacity_shape(t)[0] for t in emitted)
-        expected = {
-            "transitions_compiled": len(emitted),
-            "guard_free_transitions": kinds.get("none", 0),
-            "issue_gated_transitions": kinds.get("issue", 0),
-            "capacity_free_transitions": shapes.get("free", 0),
-            "single_stage_capacity_transitions": shapes.get("single", 0),
-            "places_compiled": len(engine.schedule.order),
-            "dispatch_entries": len(engine.schedule.order) * len(net.operation_classes),
-            "nonempty_dispatch_entries": sum(
-                1
-                for place in engine.schedule.order
-                for opclass in net.operation_classes
-                if engine.schedule.transitions_for(place, opclass)
-            ),
-        }
-        summary = engine.compilation_summary()
-        for key, want in expected.items():
-            if summary.get(key) != want:
+    fresh = [place.name for place in place_evaluation_order(net)]
+    cached = [place.name for place in engine.schedule.order]
+    if cached != fresh:
+        findings.append(finding(
+            "SV101", name, "schedule:order",
+            "cached schedule order %r disagrees with a fresh derivation %r"
+            % (cached, fresh),
+        ))
+    for place in engine.schedule.order:
+        for opclass in net.operation_classes:
+            cached_names = [
+                t.name for t in engine.schedule.transitions_for(place, opclass)
+            ]
+            subnet = net.subnet_for(opclass)
+            manual = sorted(
+                (
+                    t for t in net.transitions
+                    if t.source is place and t.subnet is subnet
+                ),
+                key=lambda t: t.priority,
+            )
+            if cached_names != [t.name for t in manual]:
                 findings.append(finding(
-                    "SV102", name, "plan:%s" % key,
-                    "plan summary says %r, reclassification derives %r"
-                    % (summary.get(key), want),
+                    "SV101", name,
+                    "schedule:place %r/%s" % (place.name, opclass),
+                    "dispatch %r disagrees with a fresh search %r"
+                    % (cached_names, [t.name for t in manual]),
                 ))
-    else:
-        findings.extend(verify_model(name, backend=backend))
     return findings

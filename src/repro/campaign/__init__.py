@@ -10,7 +10,7 @@ sharded JSON lines keyed by fingerprint.  Re-running a campaign skips
 every run the store already holds, so campaigns are incremental and
 resumable, and an aggregation API (:mod:`repro.campaign.aggregate`) turns
 stored results into the paper's tables (CPI, per-level cache miss rates,
-throughput, compiled-over-interpreted speedup) plus CSV/JSON exports.
+throughput, generated-over-interpreted speedup) plus CSV/JSON exports.
 
 The layer is fault-tolerant end to end: store appends are locked and
 fsync'd, corrupt lines are quarantined instead of raised, failing runs
@@ -20,7 +20,7 @@ budget runs out, and ``compact``/``fsck`` keep long-lived stores healthy.
 The CLI mirrors the API::
 
     python -m repro.campaign run --processors all --workloads crc,compress \\
-        --engines interpreted,compiled --store campaign-store --max-workers 4
+        --engines interpreted,generated --store campaign-store --max-workers 4
     python -m repro.campaign status --store campaign-store
     python -m repro.campaign report --store campaign-store --csv results.csv
     python -m repro.campaign compact --store campaign-store

@@ -184,11 +184,11 @@ def cache_table(results, by=("processor", "workload", "scale", "engine")):
     return rows
 
 
-def speedup_table(results, baseline="interpreted", against="compiled"):
+def speedup_table(results, baseline="interpreted", against="generated"):
     """Throughput of one engine variant over another, per (processor, workload).
 
     The two variants must have simulated bit-identical cycles — that is the
-    compiled-backend contract — and the table enforces it.
+    backend contract — and the table enforces it.
     """
     groups = group_results(results, by=("processor", "workload", "scale"))
     rows = []

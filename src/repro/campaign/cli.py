@@ -52,9 +52,8 @@ def _grid_arguments(parser):
     parser.add_argument("--scales", default="1", help="comma-separated scale factors")
     parser.add_argument(
         "--engines",
-        default="interpreted,compiled",
-        help="comma-separated engine backends "
-        "(interpreted, compiled, generated, batched)",
+        default="interpreted,generated",
+        help="comma-separated engine backends (interpreted, generated, batched)",
     )
     parser.add_argument("--repeats", type=int, default=1, help="runs per grid point")
     parser.add_argument("--max-cycles", type=int, default=None, help="per-run cycle budget")
@@ -271,11 +270,10 @@ def _command_report(args, out):
     if caches:
         out.write("\ncache behaviour (per-level miss rates):\n")
         out.write(aggregate.render(caches) + "\n")
-    for against in ("compiled", "generated"):
-        speedups = aggregate.speedup_table(results, against=against)
-        if speedups:
-            out.write("\nspeedup (%s over interpreted):\n" % against)
-            out.write(aggregate.render(speedups) + "\n")
+    speedups = aggregate.speedup_table(results)
+    if speedups:
+        out.write("\nspeedup (generated over interpreted):\n")
+        out.write(aggregate.render(speedups) + "\n")
     throughput = aggregate.throughput_table(results)
     if throughput:
         out.write("\nthroughput (batched over generated, rows per host second):\n")

@@ -573,14 +573,11 @@ def _record_generation_metrics(registry, generation):
             "campaign.schedule_cache.%s" % status, "runs with this schedule-cache status"
         ).inc()
     compilation = generation.get("compilation")
-    if isinstance(compilation, dict):
-        for kind in ("codegen_cache", "plan_cache"):
-            status = compilation.get(kind)
-            if status:
-                registry.counter(
-                    "campaign.%s.%s" % (kind, status),
-                    "runs with this %s status" % kind.replace("_", "-"),
-                ).inc()
+    status = compilation.get("codegen_cache") if isinstance(compilation, dict) else None
+    if status:
+        registry.counter(
+            "campaign.codegen_cache.%s" % status, "runs with this codegen-cache status"
+        ).inc()
 
 
 def metrics_path(store):

@@ -22,7 +22,7 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 
 import repro
-from repro.core.engine import ENGINE_BACKENDS, EngineOptions
+from repro.core.engine import EngineOptions
 from repro.describe.spec import PipelineSpec
 
 
@@ -43,7 +43,7 @@ class EngineVariant:
     full :class:`~repro.core.engine.EngineOptions` (``None`` means the
     defaults) and ``use_decode_cache`` is the builder-level decode-cache
     knob the Section 4 ablation sweeps.  The plain backend strings
-    (``"interpreted"``/``"compiled"``/``"generated"``/``"batched"``, see
+    (``"interpreted"``/``"generated"``/``"batched"``, see
     :data:`~repro.core.engine.ENGINE_BACKENDS`) are accepted anywhere a
     variant is and normalise to a variant of that backend with default
     options.
@@ -91,16 +91,11 @@ def engine_variant(value):
     if isinstance(value, EngineOptions):
         return EngineVariant(label=value.backend, options=value)
     if isinstance(value, str):
-        if value not in ENGINE_BACKENDS:
-            import difflib
-
-            close = difflib.get_close_matches(value, ENGINE_BACKENDS, n=1)
-            hint = "; did you mean %r?" % close[0] if close else ""
-            raise CampaignError(
-                "unknown engine backend %r; expected one of %s or an "
-                "EngineVariant%s" % (value, ", ".join(ENGINE_BACKENDS), hint)
-            )
-        return EngineVariant(label=value, options=EngineOptions(backend=value))
+        try:
+            options = EngineOptions(backend=value)
+        except ValueError as error:
+            raise CampaignError(str(error)) from None
+        return EngineVariant(label=value, options=options)
     raise CampaignError("bad engine-axis entry %r" % (value,))
 
 

@@ -69,7 +69,7 @@ class RunResult:
     ``stats`` is the engine's statistics summary (cycles, CPI, stalls,
     retirement counters); ``generation`` is the
     :class:`~repro.core.generator.GenerationReport` summary, which carries
-    the schedule/plan cache hit indicators; ``memory`` is the memory
+    the schedule/codegen cache hit indicators; ``memory`` is the memory
     system's :meth:`~repro.memory.memory_system.MemorySystem.statistics_summary`
     (per-level hit/miss/writeback counters and rates — empty for results
     stored before the field existed).  ``cached`` is transient: it marks

@@ -1,7 +1,6 @@
 """Source-level simulator generation (``EngineOptions(backend="generated")``).
 
-The third engine backend: where :mod:`repro.compiled` partially evaluates
-a model into closures, this package emits the model as real Python
+The fast engine backend: this package emits the model as real Python
 source — a straight-line per-cycle ``step()`` with the dispatch tables,
 capacity literals and issue gating baked into the text — ``exec``s it
 into a module and disk-caches the source under the spec fingerprint.

@@ -5,7 +5,7 @@ it once per process (or once per machine) is enough, because the emitted
 code depends only on
 
 * the spec fingerprint (``net.spec_fingerprint``, the PR 2-5 content-hash
-  plumbing that already keys the schedule and plan caches),
+  plumbing that already keys the schedule cache),
 * the emit-relevant engine options (``use_sorted_transitions``,
   ``two_list_everywhere``, ``collect_utilization``, plus the emission mode
   and ``lanes`` for batched modules — run-length knobs like

@@ -1,7 +1,6 @@
 """Source-level simulator generation: emit one RCPN model as Python code.
 
-Where :mod:`repro.compiled` partially evaluates the model into *closures*,
-this module performs the last step of the paper's generation idea and
+This module performs the last step of the paper's generation idea and
 emits real Python **source**: one straight-line ``step(cycle, stats)``
 function per model in which every static decision is already text —
 
@@ -10,9 +9,8 @@ function per model in which every static decision is already text —
   transition in arc-priority order;
 * capacity checks are literal integer comparisons against the stage
   capacities (``s3._occupancy < 2``), or absent entirely when the
-  compile-time shape analysis (:func:`repro.compiled.plan.
-  transition_capacity_shape`, reused here as the emitter's IR) proves the
-  transition capacity-free;
+  emit-time shape analysis (:func:`repro.codegen.runtime.
+  transition_capacity_shape`) proves the transition capacity-free;
 * token movement is flattened to direct field operations on the
   preallocated place/stage objects (list ``append``/``remove``,
   ``_occupancy`` adjustments) instead of ``Place.deposit``/``remove``
@@ -47,9 +45,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.compiled.plan import transition_capacity_shape
-
-from repro.codegen.runtime import action_plan, guard_plan, structure_digest
+from repro.codegen.runtime import (
+    action_plan,
+    guard_plan,
+    structure_digest,
+    transition_capacity_shape,
+)
 
 #: Bumped whenever the emitted code changes shape; part of the cache key so
 #: stale on-disk modules from older emitters are never loaded.
@@ -59,7 +60,7 @@ CODEGEN_SOURCE_VERSION = 3
 
 @dataclass
 class EmitReport:
-    """Specialisation statistics of one emission (mirrors ``CompiledPlan``)."""
+    """Specialisation statistics of one emission."""
 
     transitions_emitted: int = 0
     guard_free_transitions: int = 0

@@ -7,16 +7,14 @@ in-process memo, the on-disk cache or a fresh emission
 (:func:`repro.codegen.runtime.build_runtime`) and keeps the resulting
 ``step(cycle, stats)`` function.  Everything outside the per-cycle hot
 path — run loop, halt/drain detection, flush and emission services — is
-inherited from :class:`~repro.core.engine.SimulationEngine`, the same
-layering as the compiled backend, and the statistics contract is the
-same: bit-identical to both other backends, only wall-clock time may
-differ.
+inherited from :class:`~repro.core.engine.SimulationEngine`, and the
+statistics are bit-identical to the interpreted reference; only
+wall-clock time may differ.
 
 The emitted step function is straight-line code over preallocated
-objects, so unlike :class:`repro.compiled.CompiledEngine` no active-place
-worklist is needed: an idle place costs one attribute load and a truth
-test.  Reservation-token pooling is kept (the emitted fire bodies draw
-from ``_reservation_pool``).
+objects, so no active-place worklist is needed: an idle place costs one
+attribute load and a truth test.  Reservation tokens are pooled (the
+emitted fire bodies draw from ``_reservation_pool``).
 
 Inspecting the generated code::
 
@@ -74,7 +72,7 @@ class GeneratedEngine(SimulationEngine):
             # The cached module describes a different structure (a net
             # mutated after elaboration poisoned the key, or vice versa):
             # re-emit against *this* net and overwrite the entry, mirroring
-            # the schedule/plan caches' staleness recovery.
+            # the schedule cache's staleness recovery.
             module = self._cache.replace(key, emit())
             self.codegen_status = "stale"
             runtime = build_runtime(self, module)

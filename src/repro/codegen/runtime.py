@@ -3,11 +3,12 @@
 An emitted module (:mod:`repro.codegen.emit`) is *net-object free*: it
 references places, stages, guards and actions by index into flat lists.
 This module is the other half of that contract — it classifies each
-transition's guard/action the same way the emitter does
-(:func:`gate_plan`), builds the index-aligned runtime lists for one engine
-(:func:`build_runtime`) and provides the structural digest
-(:func:`structure_digest`) the emitted module embeds so a cached module is
-never bound to a net with a different shape.
+transition's guard, action and capacity check for the emitter and the
+source verifier (:func:`guard_plan`, :func:`action_plan`,
+:func:`transition_capacity_shape`), builds the index-aligned runtime
+lists for one engine (:func:`build_runtime`) and provides the structural
+digest (:func:`structure_digest`) the emitted module embeds so a cached
+module is never bound to a net with a different shape.
 
 The classification exists because the multi-issue elaborator wraps guards
 and actions with issue/advance gates
@@ -64,6 +65,41 @@ def action_plan(transition):
     return ("plain", action, None, None)
 
 
+def transition_capacity_shape(transition):
+    """Classify one transition's output-capacity check for emission.
+
+    Returns ``("free",)`` (no check needed), ``("single", stage_name)`` (one
+    occupancy comparison) or ``("multi", ((stage_name, count), ...),
+    (capacity_stage_names, ...))`` (the general form).  It mirrors the
+    interpreted ``_output_capacity_available`` with the token-dependent
+    parts resolved statically (in token mode the token is never None).
+    """
+    token_mode = not transition.is_generator
+    source = transition.source
+    source_stage = source.stage if source is not None else None
+    target = transition.target_place
+    if not transition.reservation_outputs and not transition.capacity_stages:
+        if target is not None and not target.is_end:
+            stage = target.stage
+            if stage.capacity is not None and not (token_mode and stage is source_stage):
+                return ("single", stage.name)
+        return ("free",)
+    needed_map = {}
+    if target is not None and not target.is_end:
+        needed_map[target.stage] = needed_map.get(target.stage, 0) + 1
+    for arc in transition.reservation_outputs:
+        place = arc.place
+        if place is not None and not place.is_end:
+            needed_map[place.stage] = needed_map.get(place.stage, 0) + arc.count
+    # A token leaving its current stage frees one slot when it stays
+    # within the same stage; fold that adjustment into the counts.
+    needed = tuple(
+        (stage.name, count - (1 if (token_mode and stage is source_stage) else 0))
+        for stage, count in needed_map.items()
+    )
+    return ("multi", needed, tuple(stage.name for stage in transition.capacity_stages))
+
+
 def gate_signature(net):
     """Name-level summary of the gate classification of every transition.
 
@@ -104,7 +140,7 @@ def build_runtime(engine, module=None):
     against the engine's net first; a mismatch raises
     :class:`CodegenStructureError` so the engine can fall back to a fresh
     emission instead of silently replaying stale code (mirrors the
-    schedule/plan blueprint staleness guards).
+    schedule blueprint's staleness guard).
     """
     net = engine.net
     if module is not None:

@@ -20,28 +20,31 @@ from repro.observe.trace import TraceConfig, build_tracer
 
 
 #: Valid values of :attr:`EngineOptions.backend`.
-ENGINE_BACKENDS = ("interpreted", "compiled", "generated", "batched")
+ENGINE_BACKENDS = ("interpreted", "generated", "batched")
+
+#: Backends that no longer exist, with the message that replaces them.
+_REMOVED_BACKENDS = {
+    "compiled": "the compiled backend was removed; use 'generated' (same statistics, faster)",
+}
 
 
 @dataclass
 class EngineOptions:
     """Knobs of the simulation engine.
 
-    ``backend`` selects the execution strategy:
+    ``backend`` selects the execution strategy (validated on construction
+    and on ``dataclasses.replace``):
 
     * ``"interpreted"`` — :class:`SimulationEngine` walks the static
       schedule each cycle, re-checking guards and capacities through the
       generic enable/fire rules.  This is the reference implementation and
       the ablation substrate.
-    * ``"compiled"`` — :class:`repro.compiled.CompiledEngine` partially
-      evaluates the model into flat per-place closures once and runs those
-      (the paper's simulator generation).  Statistics are bit-identical to
-      the interpreted backend; only wall-clock throughput differs.
     * ``"generated"`` — :class:`repro.codegen.GeneratedEngine` emits the
       model as real Python source (a straight-line per-cycle ``step()``
       with dispatch tables and capacity checks inlined as code), ``exec``s
-      it and disk-caches the source under the spec fingerprint.  Same
-      bit-identical statistics contract as the compiled backend.
+      it and disk-caches the source under the spec fingerprint (the
+      paper's simulator generation).  Statistics are bit-identical to the
+      interpreted backend; only wall-clock throughput differs.
     * ``"batched"`` — :class:`repro.batched.LaneEngine` runs the same
       emitted source, but the emitter wraps the straight-line step body in
       a *lane loop* (``make_step_batched``), so up to ``lanes``
@@ -58,8 +61,8 @@ class EngineOptions:
       loop).
     * ``use_sorted_transitions`` — interpreted only.  It exists so the
       ablation benchmark can price the sorted-dispatch optimisation; the
-      compiled and generated backends always bake the sorted dispatch
-      tables into their closures/source at generation time, so the knob
+      generated and batched backends always bake the sorted dispatch
+      tables into their source at generation time, so the knob
       has no run-time effect there (it still participates in the codegen
       cache key, since it shapes the shared schedule).
 
@@ -97,6 +100,20 @@ class EngineOptions:
     trace: object = None
 
     def __post_init__(self):
+        if self.backend not in ENGINE_BACKENDS:
+            if self.backend in _REMOVED_BACKENDS:
+                raise ValueError(_REMOVED_BACKENDS[self.backend])
+            import difflib
+
+            close = difflib.get_close_matches(str(self.backend), ENGINE_BACKENDS, n=1)
+            raise ValueError(
+                "unknown engine backend %r; expected one of %s%s"
+                % (
+                    self.backend,
+                    ", ".join(ENGINE_BACKENDS),
+                    "; did you mean %r?" % close[0] if close else "",
+                )
+            )
         if isinstance(self.trace, dict):
             # Campaign specs JSON-round-trip engine options through
             # dataclasses.asdict; rebuild the nested config.
@@ -164,11 +181,11 @@ class SimulationEngine:
     """Cycle-accurate simulator executing one RCPN model (interpreted backend).
 
     This engine evaluates the generic enable/fire rules against the static
-    schedule every cycle.  The compiled backend
-    (:class:`repro.compiled.CompiledEngine`) subclasses it, overriding only
-    the per-cycle hot path (``step`` and the deposit/flush internals); the
-    run loop, halt/drain logic and the :class:`EngineContext` services are
-    shared, which is what keeps the two backends drop-in interchangeable.
+    schedule every cycle.  The generated backend
+    (:class:`repro.codegen.GeneratedEngine`) subclasses it, overriding only
+    the per-cycle hot path (``step`` and reservation recycling); the run
+    loop, halt/drain logic and the :class:`EngineContext` services are
+    shared, which is what keeps the backends drop-in interchangeable.
     Anything observable — every counter of
     :class:`~repro.core.statistics.SimulationStatistics` — must be identical
     between backends; the differential tests enforce this.
@@ -241,7 +258,7 @@ class SimulationEngine:
         """Hook for reclaiming a flushed reservation token.
 
         The interpreted engine lets the garbage collector take it; the
-        compiled engine overrides this to return the token to its free
+        generated engine overrides this to return the token to its free
         list.  Keeping the flush logic itself in one place protects the
         backends' bit-identical-statistics contract.
         """

@@ -10,14 +10,11 @@ returns a ready-to-run engine for the backend selected in
 
 * ``backend="interpreted"`` — the derived structures are consulted by the
   generic :class:`~repro.core.engine.SimulationEngine` loop each cycle;
-* ``backend="compiled"`` — the structures are additionally partially
-  evaluated into flat closures by :mod:`repro.compiled` and executed by
-  :class:`~repro.compiled.CompiledEngine` (the paper's generated-simulator
-  fast path);
 * ``backend="generated"`` — the structures are emitted as Python *source*
   by :mod:`repro.codegen`, ``exec``'d into a module (disk-cached under the
   spec fingerprint) and executed by
-  :class:`~repro.codegen.GeneratedEngine`;
+  :class:`~repro.codegen.GeneratedEngine` (the paper's generated-simulator
+  fast path);
 * ``backend="batched"`` — the same source-level emission, but with the
   step body wrapped in a lane loop so up to ``options.lanes``
   same-fingerprint simulations advance per host dispatch
@@ -25,7 +22,7 @@ returns a ready-to-run engine for the backend selected in
   :class:`~repro.batched.LaneBatch`).
 
 :class:`GenerationReport` exposes the derived structures so tests and
-benchmarks can inspect them; for the compiled and generated backends it
+benchmarks can inspect them; for the generated and batched backends it
 also carries the specialisation counters.
 """
 
@@ -33,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.engine import ENGINE_BACKENDS, EngineOptions, SimulationEngine
+from repro.core.engine import EngineOptions, SimulationEngine
 
 
 @dataclass
@@ -47,7 +44,7 @@ class GenerationReport:
     dispatch_entries: int = 0
     nonempty_dispatch_entries: int = 0
     generator_transitions: list = field(default_factory=list)
-    #: Specialisation counters (compiled/generated backends only, else None).
+    #: Specialisation counters (generated/batched backends only, else None).
     compilation: dict = None
     #: Content hash of the pipeline spec (None for hand-built nets).
     spec_fingerprint: str = None
@@ -86,17 +83,7 @@ def generate_simulator(net, options=None):
     :data:`~repro.core.engine.ENGINE_BACKENDS`).
     """
     options = options or EngineOptions()
-    if options.backend not in ENGINE_BACKENDS:
-        raise ValueError(
-            "unknown engine backend %r; expected one of %s"
-            % (options.backend, ", ".join(ENGINE_BACKENDS))
-        )
-    if options.backend == "compiled":
-        # Imported lazily: repro.compiled builds on repro.core.engine.
-        from repro.compiled import CompiledEngine
-
-        engine = CompiledEngine(net, options=options)
-    elif options.backend == "generated":
+    if options.backend == "generated":
         # Imported lazily: repro.codegen builds on repro.core.engine.
         from repro.codegen import GeneratedEngine
 
@@ -122,9 +109,7 @@ def generate_simulator(net, options=None):
         nonempty_dispatch_entries=sum(1 for value in dispatch.values() if value),
         generator_transitions=[t.name for t in schedule.generator_transitions],
         compilation=(
-            engine.compilation_summary()
-            if options.backend in ("compiled", "generated", "batched")
-            else None
+            engine.compilation_summary() if options.backend != "interpreted" else None
         ),
         spec_fingerprint=fingerprint,
         schedule_cache=(

@@ -140,7 +140,7 @@ def structure_signature(net):
 
     Covers stages (capacity/delay), places (stage binding), and transitions
     (endpoints, priority, reservation arcs, capacity stages) — the inputs of
-    the schedule derivation and of the compiled capacity-shape analysis.
+    the schedule derivation and of the emitter's capacity-shape analysis.
     Guards and actions are deliberately excluded: the blueprints never
     encode behaviour, only structure.  Building the signature is O(model
     size), far cheaper than the analyses it validates.
@@ -191,10 +191,9 @@ class ScheduleBlueprint:
 class GenerationCache:
     """Fingerprint-keyed cache of generation-time blueprints, with counters.
 
-    Used once for static-schedule blueprints (:data:`SCHEDULE_CACHE`) and
-    once for compiled-plan blueprints
-    (:data:`repro.compiled.plan.PLAN_CACHE`); both key by the spec content
-    hash so only identical declarative models share entries.  Entries are
+    Holds the static-schedule blueprints (:data:`SCHEDULE_CACHE`), keyed by
+    the spec content hash so only identical declarative models share
+    entries.  Entries are
     evicted least-recently-used beyond ``max_entries`` so design-space
     sweeps over thousands of spec variants cannot grow memory unboundedly.
     """

@@ -8,7 +8,7 @@ hook names through :class:`~repro.describe.semantics.ArmSemantics` — and
 wraps the result in the familiar :class:`~repro.describe.substrate.Processor`
 facade.  The spec's :meth:`~repro.describe.spec.PipelineSpec.fingerprint`
 is stamped onto the net (``net.spec_fingerprint``) so the static-schedule
-and compiled-plan caches can recognise repeated builds of the same model.
+and codegen caches can recognise repeated builds of the same model.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def elaborate(
     """Elaborate ``spec`` and generate its cycle-accurate simulator.
 
     Returns a :class:`~repro.describe.substrate.Processor`; ``backend``
-    selects the engine ("interpreted"/"compiled"/"generated", see
+    selects the engine ("interpreted"/"generated"/"batched", see
     :data:`~repro.core.engine.ENGINE_BACKENDS`), overriding
     ``engine_options.backend`` when given — the same contract as the
     hand-written model builders it replaces.  The stamped

@@ -26,14 +26,14 @@ Hook catalogue (``guard``/``action`` contribution in parentheses):
 ``mul.writeback`` (a)      architectural writeback
 ``mem.issue`` (g+a)        address/store-data readiness, load reservation
 ``mem.agen`` (a)           effective address + base update value
-``mem.access`` (a)         cache access delay, stores performed
-``mem.writeback`` (a)      loads read + written back, base written back
+``mem.access`` (a)         cache access delay, stores performed, loads read
+``mem.writeback`` (a)      loaded value + updated base written back
 ``mem.access_combined``(a) Figure 5 single-transition memory access
 ``mem.writeback_simple``(a) writeback for the combined-access variant
 ``memm.issue`` (g+a)       block-transfer readiness over the register list
 ``memm.agen`` (a)          burst address list + base update value
-``memm.access`` (a)        per-beat delays, stores performed
-``memm.writeback`` (a)     loads written back, PC loads redirect
+``memm.access`` (a)        per-beat delays, stores performed, loads read
+``memm.writeback`` (a)     loaded values written back, PC loads redirect
 ``branch.taken`` (g+a)     resolved-taken arc (stall-style models)
 ``branch.not_taken``(g+a)  resolved-not-taken arc (stall-style models)
 ``branch.resolve`` (g+a)   BTB-predicted resolution with misprediction flush
@@ -181,9 +181,9 @@ class ArmSemantics:
         :meth:`~repro.describe.substrate.IssueControl.may_issue` and the
         action books the slot via ``note_issue`` before the original
         behaviour runs.  The wrapped guard carries an ``issue_gate`` marker
-        so the compiled planner can report how many transitions were gated,
-        plus the unwrapped parts (``base_guard``/``base_action``, the
-        arbiter and the port) so the source-emitting backend
+        (so generation reports can count the gated transitions), plus the
+        unwrapped parts (``base_guard``/``base_action``, the arbiter and
+        the port) so the source-emitting backend
         (:mod:`repro.codegen`) can specialise the gate away at emit time —
         calling the arbiter and the original hook directly instead of
         through this wrapper.
@@ -506,7 +506,13 @@ class ArmSemantics:
                 return
             address = t.annotations["address"]
             t.delay = memory.data_delay(address, is_write=not t.L)
-            if not t.L:
+            if t.L:
+                # Read now, in access order with the stores around it; the
+                # value is published at writeback (see mem_writeback_action).
+                t.annotations["loaded"] = (
+                    memory.read_byte(address) if t.byte else memory.read_word(address)
+                )
+            else:
                 value = t.r.value or 0
                 if t.byte:
                     memory.write_byte(address, value & 0xFF)
@@ -517,8 +523,7 @@ class ArmSemantics:
             if not t.annotations.get("executed"):
                 return
             if t.L:
-                address = t.annotations["address"]
-                value = memory.read_byte(address) if t.byte else memory.read_word(address)
+                value = t.annotations["loaded"]
                 t.r.value = value
                 t.r.writeback()
                 if t.writes_pc:
@@ -613,6 +618,8 @@ class ArmSemantics:
                 latency += memory.data_delay(address, is_write=not t.L)
                 if not t.L:
                     memory.write_word(address, t.regs[index].value or 0)
+            if t.L:
+                t.annotations["loaded"] = [memory.read_word(address) for address in addresses]
             # One transfer per cycle: the block occupies the memory stage
             # for at least one cycle per register.
             t.delay = max(latency, len(addresses))
@@ -622,8 +629,7 @@ class ArmSemantics:
                 return
             if t.L:
                 redirect = None
-                for index, address in enumerate(t.annotations["addresses"]):
-                    value = memory.read_word(address)
+                for index, value in enumerate(t.annotations["loaded"]):
                     reg = t.regs[index]
                     reg.value = value
                     reg.writeback()

@@ -11,7 +11,7 @@ turns the spec into an executable RCPN.
 Because a spec is plain data it can be validated before elaboration
 (:meth:`PipelineSpec.validate`) and hashed into a stable
 :meth:`PipelineSpec.fingerprint` that keys the simulator-generation caches
-(:mod:`repro.core.scheduler`, :mod:`repro.compiled.plan`): rebuilding the
+(:mod:`repro.core.scheduler`, :mod:`repro.codegen.cache`): rebuilding the
 same spec reuses the static analysis of the first build.
 """
 
@@ -637,7 +637,7 @@ class PipelineSpec:
 
         Two specs share a fingerprint exactly when their declarative content
         is identical, so the hash can key caches of structure-derived
-        artefacts (static schedules, compiled-plan blueprints) across
+        artefacts (static schedules, emitted modules) across
         repeated elaborations of the same model.
         """
         canonical = json.dumps(self.describe(), sort_keys=True, default=str)

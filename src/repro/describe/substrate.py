@@ -110,7 +110,7 @@ class IssueControl:
       :meth:`note_fetch`, and squashed tokens fall out of the queue lazily.
 
     All state is cycle-stamped and refreshed lazily from ``ctx.cycle``, so
-    the interpreted and compiled engines (which share guards and actions)
+    every engine backend (they all share guards and actions)
     observe identical arbitration — the bit-identical-statistics contract
     between backends holds with no engine-specific code.
     """
@@ -559,8 +559,8 @@ def resolve_engine_options(engine_options, backend=None):
     """Merge a builder's ``engine_options`` and ``backend`` arguments.
 
     Every model builder accepts both an :class:`EngineOptions` object and a
-    ``backend`` shortcut string (``"interpreted"`` / ``"compiled"`` /
-    ``"generated"``); the shortcut, when given, overrides the backend
+    ``backend`` shortcut string (``"interpreted"`` / ``"generated"`` /
+    ``"batched"``); the shortcut, when given, overrides the backend
     recorded in the options.
     The caller's options object is never mutated.
     """
@@ -592,7 +592,7 @@ class Processor:
 
     @property
     def backend(self):
-        """Execution strategy of the engine ("interpreted"/"compiled"/"generated")."""
+        """Execution strategy of the engine ("interpreted"/"generated"/"batched")."""
         return self.engine.backend
 
     @property
@@ -619,8 +619,8 @@ class Processor:
         """Reset every piece of dynamic state for a bit-reproducible re-run.
 
         Engine state, cache contents/statistics and learned predictor/BTB
-        state are cleared; the generated engine (including the compiled
-        plan, when the compiled backend is selected) is kept.  Call
+        state are cleared; the generated engine (including its emitted
+        step function on the generated/batched backends) is kept.  Call
         :meth:`load_program` afterwards to restore the program image and
         the fetch PC.  The memory system gets a *full* reset — cold tags,
         not just zeroed counters — so a reused processor never starts its

@@ -12,8 +12,8 @@ Design constraints (they shape everything here):
   counter on any backend; the engines only *observe* through the tracer,
   never consult it.  The equivalence suite
   (``tests/integration/test_trace_equivalence.py``) pins traced runs
-  bit-identical to untraced ones on all four backends.
-* **Zero cost when off.**  The interpreted/compiled engines hold
+  bit-identical to untraced ones on every backend.
+* **Zero cost when off.**  The interpreted engine holds
   per-category bound methods that are ``None`` when tracing is off, and
   the codegen emitter only writes trace call sites into the source when a
   category is enabled — the tracing-off emitted module is byte-identical

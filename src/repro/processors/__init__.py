@@ -21,7 +21,7 @@ Each model is a :class:`repro.describe.PipelineSpec` elaborated by
 :class:`~repro.describe.substrate.Processor` facade that knows how to load
 a program, run the generated simulator and report statistics.  The
 :mod:`repro.processors.registry` names them all: use
-``build_processor("xscale", backend="compiled")`` instead of importing
+``build_processor("xscale", backend="generated")`` instead of importing
 builders one by one.
 """
 

@@ -1,4 +1,4 @@
-"""Backend equivalence matrix: interpreted / compiled / generated / batched.
+"""Backend equivalence matrix: interpreted / generated / batched.
 
 Every engine backend is contractually bit-identical in every statistic
 the simulator exposes.  This matrix enforces the contract for **every
@@ -11,12 +11,10 @@ supports, comparing
 * the memory-system counters (per-level accesses/hits/misses **and**
   ``miss_cycles``, which the cache-model bugfix sweep of PR 5 pinned).
 
-It replaces the pairwise interpreted-vs-compiled sweep that lived in
-``test_compiled_differential.py``: one parametrized run per (model,
-kernel) pair now covers all three backends at once.  Backend-specific
-*reset* semantics stay in their per-backend files; the generated
-backend's reset-reuse regression lives here because it is the
-equivalence contract applied to a second run of the same engine.
+One parametrized run per (model, kernel) pair covers all backends at
+once.  The reset tests below apply the same contract to a second run of
+one processor: ``reset()`` must reproduce the first run exactly, keep the
+emitted module, and recover from an interrupted run.
 """
 
 import pytest
@@ -61,7 +59,7 @@ def observable_state(processor, stats):
 
 def test_backend_matrix_covers_all_registered_backends():
     """The matrix below must not silently fall behind the engine registry."""
-    assert set(ENGINE_BACKENDS) == {"interpreted", "compiled", "generated", "batched"}
+    assert set(ENGINE_BACKENDS) == {"interpreted", "generated", "batched"}
 
 
 @pytest.mark.parametrize("model,kernel", MODEL_KERNEL_PAIRS)
@@ -105,3 +103,45 @@ def test_generated_engine_reset_reuses_emitted_module():
     # step function — re-running costs zero re-emissions.
     assert processor.engine._step_fn is step_fn
     assert processor.engine.module is module
+
+
+def test_generated_engine_reset_mid_run_recovers():
+    """Resetting after an interrupted run must leave no stale engine state."""
+    workload = get_workload("crc", scale=1)
+    processor = build_processor("strongarm", backend="generated")
+    processor.load_program(workload.program)
+    partial = processor.run(max_cycles=50)
+    assert partial.finish_reason == "max_cycles"
+
+    processor.reset()
+    processor.load_program(workload.program)
+    stats = processor.run(max_cycles=2_000_000)
+
+    assert observable_state(processor, stats) == observable_state(
+        *run_backend("strongarm", workload, "interpreted")
+    )
+
+
+@pytest.mark.parametrize("backend", ["interpreted", "generated"])
+@pytest.mark.parametrize("kernel", ["crc", "adpcm"])
+@pytest.mark.parametrize("model", ["strongarm", "xscale"])
+def test_processor_reset_is_run_to_run_reproducible(model, kernel, backend):
+    """``Processor.reset()`` must make re-runs bit-reproducible on every backend.
+
+    One processor object, three runs of the same workload with a full reset
+    in between: statistics and architectural state must match exactly (the
+    caches, predictors and engine state all return to their initial state).
+    """
+    workload = get_workload(kernel, scale=1)
+    processor = build_processor(model, backend=backend)
+
+    states = []
+    for _ in range(3):
+        processor.reset()
+        processor.load_program(workload.program)
+        stats = processor.run(max_cycles=2_000_000)
+        states.append(observable_state(processor, stats))
+        assert stats.finish_reason == "halt"
+
+    assert states[1] == states[0]
+    assert states[2] == states[0]

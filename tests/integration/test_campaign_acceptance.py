@@ -22,7 +22,7 @@ ACCEPTANCE = CampaignSpec(
     processors=(ALL,),
     workloads=("blowfish", "compress", "crc"),
     scales=(1,),
-    engines=("interpreted", "compiled"),
+    engines=("interpreted", "generated"),
 )
 
 

@@ -4,14 +4,14 @@ The observability contract has two halves, and this suite pins both:
 
 * **Zero perturbation.**  A traced run produces bit-identical statistics,
   architectural state and memory counters to an untraced run of the same
-  (model, workload) on the same backend — for all four backends, on a
+  (model, workload) on the same backend — for every backend, on a
   plain model and on an L2 model (so the cache category exercises a
   two-level hierarchy).
 * **Trace-content golden.**  The event stream is not merely harmless, it
   is *correct*: per-category event counts equal the statistics counters
   the engines already maintain (firings per transition, stalls, squashes,
   generated tokens, per-level cache traffic), and — after normalising the
-  process-global token sequence numbers — all four backends emit the same
+  process-global token sequence numbers — all backends emit the same
   firing/stall/squash/token event stream.
 """
 

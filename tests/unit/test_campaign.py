@@ -8,6 +8,7 @@ expansion with ISA-subset filtering, JSON-lines persistence, the
 aggregation tables and the command-line interface.
 """
 
+import dataclasses
 import io
 import json
 
@@ -47,7 +48,7 @@ class TestCampaignSpec:
             name="ok",
             processors=("strongarm",),
             workloads=("crc",),
-            engines=("interpreted", "compiled"),
+            engines=("interpreted", "generated"),
         )
         assert spec.validate()
 
@@ -64,7 +65,7 @@ class TestCampaignSpec:
                     name="x",
                     engines=(
                         EngineVariant("same", EngineOptions()),
-                        EngineVariant("same", EngineOptions(backend="compiled")),
+                        EngineVariant("same", EngineOptions(backend="generated")),
                     ),
                 ),
                 "duplicate engine-variant labels",
@@ -131,7 +132,7 @@ class TestPlanner:
             processors=("strongarm", "arm7-mini"),
             workloads=("crc", "compress"),
             scales=(1, 2),
-            engines=("interpreted", "compiled"),
+            engines=("interpreted", "generated"),
             repeats=2,
         )
         assert plan_campaign(spec).run_ids() == plan_campaign(spec).run_ids()
@@ -139,7 +140,7 @@ class TestPlanner:
         assert len(plan_campaign(spec).runs) == 2 * 2 * 2 * 2 * 2
 
     def test_explicit_runs_are_appended(self):
-        extra = RunSpec(processor="xscale", workload="go", scale=3, engine="compiled")
+        extra = RunSpec(processor="xscale", workload="go", scale=3, engine="generated")
         spec = CampaignSpec(
             name="explicit", processors=("strongarm",), workloads=("crc",), runs=(extra,)
         )
@@ -167,9 +168,9 @@ class TestPlanner:
 
 class TestFingerprints:
     def test_fingerprint_is_stable(self):
-        run = RunSpec(processor="strongarm", workload="crc", scale=2, engine="compiled")
+        run = RunSpec(processor="strongarm", workload="crc", scale=2, engine="generated")
         assert run.fingerprint() == run.fingerprint()
-        clone = RunSpec(processor="strongarm", workload="crc", scale=2, engine="compiled")
+        clone = RunSpec(processor="strongarm", workload="crc", scale=2, engine="generated")
         assert clone.fingerprint() == run.fingerprint()
 
     @pytest.mark.parametrize(
@@ -177,7 +178,7 @@ class TestFingerprints:
         [
             dict(workload="compress"),
             dict(scale=2),
-            dict(engine="compiled"),
+            dict(engine="generated"),
             dict(max_cycles=1000),
             dict(max_instructions=1000),
             dict(repeat=1),
@@ -517,9 +518,9 @@ class TestAggregation:
                 fingerprint="b" * 64,
                 cycles=100,
                 wall_seconds=0.25,
-                engine="compiled",
-                backend="compiled",
-                run_id="strongarm/crc@1/compiled",
+                engine="generated",
+                backend="generated",
+                run_id="strongarm/crc@1/generated",
             ),
         ]
 
@@ -609,7 +610,7 @@ class TestAggregation:
 
     def test_cpi_table_shape(self):
         rows = cpi_table(self._results())
-        assert {row["engine"] for row in rows} == {"interpreted", "compiled"}
+        assert {row["engine"] for row in rows} == {"interpreted", "generated"}
         assert all(row["cpi"] == pytest.approx(2.0) for row in rows)
 
     def test_csv_and_json_export(self, tmp_path):
@@ -656,11 +657,26 @@ class TestCli:
         assert cli_main(["status", *self.GRID, "--store", store], out) == 0
         assert "0 pending" in out.getvalue()
 
+        # A row written before the compiled backend was removed must still
+        # load and render.
+        legacy = ResultStore(store)
+        legacy.append(
+            dataclasses.replace(
+                legacy.results()[0],
+                fingerprint="c" * 64,
+                engine="compiled",
+                backend="compiled",
+                run_id="arm7-mini/crc@1/compiled",
+                generation={"schedule_cache": "hit", "compilation": {"plan_cache": "hit"}},
+            )
+        )
+
         out = io.StringIO()
         csv_path = str(tmp_path / "rows.csv")
         assert cli_main(["report", "--store", store, "--csv", csv_path], out) == 0
         assert "arm7-mini" in out.getvalue()
-        assert "processor" in (tmp_path / "rows.csv").read_text()
+        assert "compiled" in out.getvalue()
+        assert "compiled" in (tmp_path / "rows.csv").read_text()
 
     def test_expect_all_cached_distinguishes_cold_and_warm_stores(self, tmp_path):
         store = str(tmp_path / "store")

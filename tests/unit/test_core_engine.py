@@ -354,3 +354,51 @@ def test_statistics_summary_fields():
     assert summary["instructions"] == 2
     assert summary["cycles"] == stats.cycles
     assert stats.cpi == stats.cycles / 2
+
+
+# -- backend selection and the generated backend on hand-built nets ------------------
+
+
+def test_generate_simulator_backend_selection():
+    from repro.codegen import GeneratedEngine
+
+    net, _ = make_linear_net()
+    engine, report = generate_simulator(net, EngineOptions(backend="generated"))
+    assert isinstance(engine, GeneratedEngine)
+    assert report.backend == "generated"
+    assert report.compilation["transitions_compiled"] == 3
+    assert report.compilation["places_compiled"] == len(report.place_order)
+
+    engine2, report2 = generate_simulator(make_linear_net()[0])
+    assert type(engine2) is SimulationEngine
+    assert report2.backend == "interpreted"
+    assert report2.compilation is None
+
+
+@pytest.mark.parametrize("stage_delay", [0, 1, 2])
+def test_generated_matches_interpreted_on_linear_net(stage_delay):
+    results = {}
+    for backend in ("interpreted", "generated"):
+        net, _ = make_linear_net(num_tokens=5, stage_delay=stage_delay)
+        engine, _ = generate_simulator(net, EngineOptions(backend=backend))
+        stats = engine.run(max_cycles=200)
+        results[backend] = (
+            stats.cycles,
+            stats.instructions,
+            stats.stalls,
+            dict(stats.transition_firings),
+            stats.finish_reason,
+        )
+    assert results["generated"] == results["interpreted"]
+    assert results["generated"][4] == "done"
+
+
+def test_generated_flush_stage_squashes_tokens():
+    net, _ = make_linear_net(num_tokens=3)
+    engine, _ = generate_simulator(net, EngineOptions(backend="generated"))
+    engine.step()  # fetch deposits the first token into op.A
+    place_a = net.place("op.A")
+    assert place_a.occupancy() == 1
+    assert engine.flush_stage("A") == 1
+    assert place_a.occupancy() == 0
+    assert engine.stats.squashed == 1

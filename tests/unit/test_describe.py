@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.compiled.plan import PLAN_CACHE
 from repro.core.exceptions import UnknownNameError
 from repro.core.scheduler import SCHEDULE_CACHE
 from repro.describe import (
@@ -156,7 +155,7 @@ def test_mutated_net_does_not_reuse_a_stale_cached_schedule():
         source=net.place("alu.S2"), target=net.place("alu.end"),
         action=semantics.hook("alu.writeback").action,
     )
-    engine, report = generate_simulator(net, EngineOptions(backend="compiled"))
+    engine, report = generate_simulator(net, EngineOptions(backend="generated"))
     assert report.schedule_cache == "miss"
     extra = [t for t in engine.schedule.transitions_for(net.place("alu.S2"), "alu")]
     assert any(t.name == "alu.extra" for t in extra)
@@ -169,13 +168,13 @@ def test_name_preserving_mutation_also_invalidates_cached_schedule():
     from repro.describe import elaborate_net
 
     spec = tiny_spec()
-    elaborate(spec, backend="compiled")  # populate the caches
+    elaborate(spec, backend="generated")  # populate the caches
 
     net, _, _, _, _ = elaborate_net(spec)
     net.transitions[-1].priority += 1
-    _, report = generate_simulator(net, EngineOptions(backend="compiled"))
+    _, report = generate_simulator(net, EngineOptions(backend="generated"))
     assert report.schedule_cache == "miss"
-    assert report.compilation["plan_cache"] == "miss"
+    assert report.compilation["codegen_cache"] == "stale"
 
 
 def test_elaborate_rejects_non_spec():
@@ -280,14 +279,13 @@ def test_fingerprint_distinguishes_models_and_edits():
 
 def test_rebuilding_a_spec_hits_the_generation_caches():
     spec = tiny_spec()
-    first = elaborate(spec, backend="compiled")
-    again = elaborate(spec, backend="compiled")
+    first = elaborate(spec, backend="generated")
+    again = elaborate(spec, backend="generated")
     assert first.generation_report.spec_fingerprint == spec.fingerprint()
     assert again.generation_report.schedule_cache == "hit"
-    assert again.generation_report.compilation["plan_cache"] == "hit"
+    assert again.generation_report.compilation["codegen_cache"] == "memory"
     # The caches expose hit/miss counters for the benchmark harness.
     assert SCHEDULE_CACHE.stats()["hits"] >= 1
-    assert PLAN_CACHE.stats()["hits"] >= 1
 
 
 def test_cached_rebuild_is_bit_identical():
@@ -295,7 +293,7 @@ def test_cached_rebuild_is_bit_identical():
     spec = strongarm_spec()
     runs = []
     for _ in range(2):
-        processor = elaborate(spec, backend="compiled")
+        processor = elaborate(spec, backend="generated")
         processor.load_program(workload.program)
         stats = processor.run()
         runs.append(

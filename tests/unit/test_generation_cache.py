@@ -2,13 +2,13 @@
 
 These pin the contract the campaign subsystem and the benchmark harness
 lean on: rebuilding a spec-defined model is cheap because the static
-schedule and the compiled plan are served from fingerprint-keyed caches —
+schedule and the emitted module are served from fingerprint-keyed caches —
 and those caches must evict least-recently-used, must never replay stale
 analysis against a mutated net, and must report hit/miss through
 :class:`~repro.core.generator.GenerationReport`.
 """
 
-from repro.compiled.plan import PLAN_CACHE
+from repro.codegen import CODEGEN_CACHE
 from repro.core.scheduler import SCHEDULE_CACHE, GenerationCache, StaticSchedule
 from repro.describe import elaborate_net
 from repro.processors import build_processor, strongarm_spec
@@ -90,19 +90,17 @@ class TestStructureSignatureGuard:
 class TestGenerationReportCounters:
     def test_report_records_miss_then_hit_for_both_caches(self):
         SCHEDULE_CACHE.clear()
-        PLAN_CACHE.clear()
+        CODEGEN_CACHE.clear()
 
-        first = build_processor("arm7-mini", backend="compiled").generation_report
+        first = build_processor("arm7-mini", backend="generated").generation_report
         assert first.schedule_cache == "miss"
-        assert first.compilation["plan_cache"] == "miss"
+        assert first.compilation["codegen_cache"] in ("emitted", "disk")
         assert SCHEDULE_CACHE.stats()["misses"] >= 1
-        assert PLAN_CACHE.stats()["misses"] >= 1
 
-        second = build_processor("arm7-mini", backend="compiled").generation_report
+        second = build_processor("arm7-mini", backend="generated").generation_report
         assert second.schedule_cache == "hit"
-        assert second.compilation["plan_cache"] == "hit"
+        assert second.compilation["codegen_cache"] == "memory"
         assert SCHEDULE_CACHE.stats()["hits"] >= 1
-        assert PLAN_CACHE.stats()["hits"] >= 1
         assert second.spec_fingerprint == first.spec_fingerprint
 
     def test_hand_built_nets_report_uncached(self):

@@ -280,7 +280,7 @@ main:
 
 
 @pytest.mark.parametrize("model", ["strongarm-ds", "xscale-ds", "strongarm", "arm7-mini"])
-@pytest.mark.parametrize("backend", ["interpreted", "compiled"])
+@pytest.mark.parametrize("backend", ["interpreted", "generated"])
 def test_deep_redirect_reclaims_wrong_path_branch_stall(model, backend):
     processor = build_processor(model, backend=backend)
     processor.load_program(assemble(JUMP_OVER_TAKEN_BRANCH))
@@ -309,7 +309,7 @@ main:
     mov r0, #42
     halt
 """
-    for backend in ("interpreted", "compiled"):
+    for backend in ("interpreted", "generated"):
         processor = build_processor("strongarm", backend=backend)
         processor.load_program(assemble(source))
         stats = processor.run(max_cycles=10_000)
@@ -374,20 +374,20 @@ def test_engine_reset_clears_issue_control():
     assert not control._program_order
 
 
-# -- compiled plan + reports --------------------------------------------------
+# -- generation reports --------------------------------------------------
 
 
-def test_compiled_plan_reports_issue_gated_transitions():
-    single = build_processor("strongarm", backend="compiled")
+def test_generation_report_counts_issue_gated_transitions():
+    single = build_processor("strongarm", backend="generated")
     assert single.generation_report.compilation["issue_gated_transitions"] == 0
 
-    dual = build_processor("strongarm-ds", backend="compiled")
+    dual = build_processor("strongarm-ds", backend="generated")
     gated = dual.generation_report.compilation["issue_gated_transitions"]
     # alu/mul/mem/memm/system issue + branch.taken/branch.not_taken.
     assert gated == 7
 
     assert (
-        build_processor("xscale-ds", backend="compiled")
+        build_processor("xscale-ds", backend="generated")
         .generation_report.compilation["issue_gated_transitions"]
         > 0
     )

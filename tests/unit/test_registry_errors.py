@@ -1,11 +1,12 @@
-"""Registry ergonomics: did-you-mean suggestions and the deprecated shim."""
+"""Registry ergonomics: did-you-mean suggestions for models, kernels and backends."""
 
-import importlib
-import sys
-import warnings
+import dataclasses
+import io
+import json
 
 import pytest
 
+from repro.core.engine import EngineOptions
 from repro.core.exceptions import UnknownNameError
 from repro.processors.registry import get_entry
 from repro.workloads.kernels import kernel_source
@@ -50,29 +51,60 @@ class TestUnknownNameSuggestions:
             )
 
 
-class TestDeprecatedCommonShim:
-    def test_import_warns_and_reexports(self):
-        sys.modules.pop("repro.processors.common", None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            import repro.processors.common as common
-        deprecations = [
-            entry for entry in caught if issubclass(entry.category, DeprecationWarning)
-        ]
-        assert deprecations, "importing the shim must emit a DeprecationWarning"
-        assert "repro.describe.substrate" in str(deprecations[0].message)
+REMOVED_HINT = "the compiled backend was removed; use 'generated' (same statistics, faster)"
 
-        # The shim stays a faithful re-export of the substrate module.
-        substrate = importlib.import_module("repro.describe.substrate")
-        assert common.__all__
-        for name in common.__all__:
-            assert getattr(common, name) is getattr(substrate, name)
 
-    def test_reload_warns_again(self):
-        sys.modules.pop("repro.processors.common", None)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            import repro.processors.common as common
+class TestBackendNames:
+    def test_removed_backend_names_its_replacement(self):
+        from repro.processors import build_processor
 
-        with pytest.warns(DeprecationWarning, match="deprecated shim"):
-            importlib.reload(common)
+        with pytest.raises(ValueError) as caught:
+            build_processor("strongarm", backend="compiled")
+        assert str(caught.value) == REMOVED_HINT
+
+    def test_unknown_backend_suggests_close_match(self):
+        with pytest.raises(ValueError, match="did you mean 'generated'"):
+            EngineOptions(backend="generatd")
+        with pytest.raises(ValueError, match="unknown engine backend 'jit'") as caught:
+            EngineOptions(backend="jit")
+        assert "did you mean" not in str(caught.value)
+
+    def test_replace_revalidates_the_backend(self):
+        with pytest.raises(ValueError, match="compiled backend was removed"):
+            dataclasses.replace(EngineOptions(), backend="compiled")
+
+    def test_campaign_cli_engines_flag(self, tmp_path):
+        from repro.campaign.cli import main
+
+        out = io.StringIO()
+        code = main(
+            ["run", "--processors", "arm7-mini", "--workloads", "crc",
+             "--engines", "interpreted,compiled", "--store", str(tmp_path / "s")],
+            out=out,
+        )
+        assert code == 1
+        assert REMOVED_HINT in out.getvalue()
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("engine", ["compiled", {"label": "c", "options": {"backend": "compiled"}}])
+    def test_campaign_cli_spec_file(self, tmp_path, engine):
+        from repro.campaign.cli import main
+
+        spec = tmp_path / "campaign.json"
+        spec.write_text(json.dumps(
+            {"name": "legacy", "processors": ["arm7-mini"], "workloads": ["crc"],
+             "engines": [engine]}
+        ))
+        out = io.StringIO()
+        code = main(["run", "--spec", str(spec), "--store", str(tmp_path / "s")], out=out)
+        assert code == 1
+        assert REMOVED_HINT in out.getvalue()
+        assert not (tmp_path / "s").exists()
+
+    def test_analyze_verify_backends_flag(self):
+        from repro.analyze.cli import main
+
+        out = io.StringIO()
+        code = main(["verify", "example", "--backends", "compiled"], out=out)
+        assert code == 1
+        assert out.getvalue() == "error: %s\n" % REMOVED_HINT

@@ -83,7 +83,7 @@ def test_analysis_speedup_returns_zero_for_unmeasurable_baseline():
 def test_speedup_table_zero_baseline_yields_zero_not_inf():
     results = [
         run_result("interpreted", 0.0),
-        run_result("compiled", 0.5),
+        run_result("generated", 0.5),
     ]
     rows = speedup_table(results)
     assert len(rows) == 1
