@@ -10,9 +10,8 @@ that used to be a hand-rolled loop over the registry is now planned by
 :func:`~repro.campaign.execute_run` path, so the figure and a stored
 campaign over the same grid are bit-identical by construction.
 
-The RCPN models appear three times: with the interpreted engine, with
-the generated (source-emitting, ``repro.codegen``) engine and with the
-batched (lane-lockstep, ``repro.batched``) engine, so the table also
+The RCPN models appear twice: with the interpreted engine and with the
+generated (source-emitting, ``repro.codegen``) engine, so the table also
 quantifies the paper's core claim — the generated simulator outrunning
 the interpreted model — on this host.
 ``test_fig10_generated_vs_interpreted_speedup`` measures the gap
@@ -49,7 +48,7 @@ FIG10_CAMPAIGN = CampaignSpec(
     processors=(ALL,),
     workloads=(ALL,),
     scales=(BENCH_SCALE,),
-    engines=("interpreted", "generated", "batched"),
+    engines=("interpreted", "generated"),
     description="Figure 10: simulation throughput of every model on every kernel",
 )
 FIG10_PLAN = plan_campaign(FIG10_CAMPAIGN)
@@ -61,7 +60,7 @@ BASELINES = {
 
 
 def _figure_label(run):
-    # The figure's row labels: rcpn-<model>[-generated|-batched].
+    # The figure's row labels: rcpn-<model>[-generated].
     backend = run.engine.backend
     return "rcpn-%s%s" % (
         run.processor,
@@ -250,4 +249,3 @@ def test_fig10_emit_bench_json(figure_results):
     # The figure's headline claims must hold in the published artifact.
     ratios = payload["speedup_over_interpreted_geomean"]
     assert ratios["generated"] > 1.0
-    assert ratios["batched"] > 1.0

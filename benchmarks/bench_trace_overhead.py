@@ -6,7 +6,7 @@ Two claims, one deterministic and one measured:
   disabled config, or only non-emission categories — the generated
   backend's cache key and emitted module source are exactly what a
   trace-unaware build produces.  This is the strongest possible
-  "zero overhead when off" statement for the generated/batched backends:
+  "zero overhead when off" statement for the generated backend:
   the executed source cannot differ because it is the same text.
 * **Throughput (measured).**  A generated engine built with a *disabled*
   ``TraceConfig`` runs within noise of one built with no config at all,

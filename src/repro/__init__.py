@@ -20,10 +20,6 @@ Sub-packages
     tables, capacity literals and issue gating baked into the text —
     ``exec``'d into a module and disk-cached under the spec fingerprint.
     Bit-identical statistics to the interpreted engine, higher throughput.
-``repro.batched``
-    The same emitted source wrapped in a lane loop
-    (``EngineOptions(backend="batched")``), stepping several
-    same-model simulations in lockstep per host dispatch.
 ``repro.describe``
     The declarative pipeline-description layer: ``PipelineSpec`` and
     friends (pure data, validated, content-hashed), the shared ARM
@@ -64,12 +60,11 @@ Sub-packages
     tables, and driven from the ``python -m repro.campaign`` CLI.
 """
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     "core",
     "codegen",
-    "batched",
     "describe",
     "cpn",
     "isa",

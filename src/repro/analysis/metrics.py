@@ -94,8 +94,8 @@ def run_inorder(workload, config=None, max_cycles=None):
 def run_processor(builder, workload, label=None, max_cycles=None, backend=None, **builder_kwargs):
     """Run a workload on an RCPN model built by ``builder``.
 
-    ``backend`` selects the engine backend (``"interpreted"``,
-    ``"generated"`` or ``"batched"``) and is forwarded to the builder; the
+    ``backend`` selects the engine backend (``"interpreted"`` or
+    ``"generated"``) and is forwarded to the builder; the
     benchmark harness uses it to measure the interpreted-vs-generated gap
     of the paper's Figure 10 without duplicating builder plumbing.
     """

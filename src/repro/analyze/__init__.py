@@ -8,8 +8,8 @@ the same :class:`~repro.analyze.findings.Finding` objects:
   unreachable places, siphon-style deadlocks, issue-width and cache
   geometry smells; rules ``AN0xx``) and on the elaborated RCPN
   (``AN1xx``).  Pure inspection: nothing is simulated.
-* **verify** — emitted-source verification: the generated/batched
-  backends' emitted Python modules are parsed with :mod:`ast` and proven
+* **verify** — emitted-source verification: the generated backend's
+  emitted Python modules are parsed with :mod:`ast` and proven
   to match the generation plan (rules ``SV0xx``), and the interpreted
   backend's cached schedule is checked against a fresh derivation
   (``SV1xx``).
@@ -17,7 +17,7 @@ the same :class:`~repro.analyze.findings.Finding` objects:
 Run from the command line::
 
     python -m repro.analyze lint --all --fail-on warning
-    python -m repro.analyze verify --all --backends generated,batched
+    python -m repro.analyze verify --all --backends interpreted,generated
 """
 
 from repro.analyze.findings import (

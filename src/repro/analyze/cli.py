@@ -112,8 +112,8 @@ def _command_verify(args, out):
         for backend in backends:
             findings.extend(verify_backend(name, backend))
             combos += 1
-            if args.trace and backend in ("generated", "batched"):
-                findings.extend(verify_model(name, backend=backend, trace=True))
+            if args.trace and backend == "generated":
+                findings.extend(verify_model(name, trace=True))
                 combos += 1
         per_model[name] = findings
     _maybe_write_metrics(
@@ -196,12 +196,12 @@ def build_parser():
     verify.add_argument(
         "--backends",
         default=",".join(ENGINE_BACKENDS),
-        help="comma-separated backends to verify (default: all three)",
+        help="comma-separated backends to verify (default: all)",
     )
     verify.add_argument(
         "--trace",
         action="store_true",
-        help="also verify traced emission (TRF/TRS sites) for codegen backends",
+        help="also verify traced emission (TRF/TRS sites) for the generated backend",
     )
     verify.set_defaults(handler=_command_verify)
 

@@ -80,8 +80,6 @@ _RULE_TABLE = (
          "TRF/TRS trace call sites do not match the requested trace categories"),
     Rule("SV007", "emit-report", "error",
          "embedded EMIT_REPORT disagrees with counts recovered from the source"),
-    Rule("SV008", "batched-shape", "error",
-         "batched module shape (make_step_batched, EMISSION_MODE, LANES) is wrong"),
     Rule("SV101", "schedule-coherent", "error",
          "interpreted backend: cached static schedule disagrees with a fresh derivation"),
 )

@@ -1,6 +1,6 @@
 """Emitted-source verification: prove the generated module matches its plan.
 
-The generated/batched backends ``exec`` emitted Python and trust it to
+The generated backend ``exec``s emitted Python and trusts it to
 implement the generation plan.  This pass removes the trust: it parses the
 emitted module with :mod:`ast` and re-derives, from the *text*, the plan
 the module actually implements — the place-segment order, the per-place
@@ -218,11 +218,11 @@ def _expected_stall_sites(dispatch):
 
 
 def verify_engine(engine, model=None):
-    """AST-verify one generated/batched engine's emitted module.
+    """AST-verify one generated engine's emitted module.
 
     Returns a list of findings (empty when the source provably matches the
     generation plan).  ``engine`` must be a
-    :class:`repro.codegen.GeneratedEngine` (or its batched subclass).
+    :class:`repro.codegen.GeneratedEngine`.
     """
     from repro.codegen.cache import codegen_key, emit_trace_categories
     from repro.codegen.runtime import structure_digest
@@ -230,7 +230,6 @@ def verify_engine(engine, model=None):
     net = engine.net
     model = model or net.name
     options = engine.options
-    batched = options.backend == "batched"
     source = engine.source
     module = engine.module
     findings = []
@@ -275,31 +274,15 @@ def verify_engine(engine, model=None):
             % (constants.get("GENERATORS"), expected_generators))
 
     # -- locate the step body ----------------------------------------------
-    maker_name = "make_step_batched" if batched else "make_step"
-    maker = _find_function(tree, maker_name)
+    maker = _find_function(tree, "make_step")
     if maker is None:
-        err("SV008" if batched else "SV001", "source:%s" % maker_name,
-            "emitted module does not define %s" % maker_name)
+        err("SV001", "source:make_step", "emitted module does not define make_step")
         return findings
     step = _find_function(maker, "step")
     if step is None:
-        err("SV008" if batched else "SV001", "source:%s" % maker_name,
-            "emitted %s does not define the inner step function" % maker_name)
+        err("SV001", "source:make_step",
+            "emitted make_step does not define the inner step function")
         return findings
-
-    if batched:
-        arg_names = [arg.arg for arg in step.args.args]
-        if arg_names != ["start", "stride", "active", "done"]:
-            err("SV008", "source:step",
-                "batched step signature is %r, expected (start, stride, active, done)"
-                % (arg_names,))
-        if constants.get("EMISSION_MODE") != "batched":
-            err("SV008", "source:EMISSION_MODE",
-                "batched module does not declare EMISSION_MODE = 'batched'")
-        if constants.get("LANES") != options.lanes:
-            err("SV008", "source:LANES",
-                "module declares %r lanes, engine options say %r"
-                % (constants.get("LANES"), options.lanes))
 
     facts = _StepFacts(step, generator_names=expected_generators)
 
@@ -419,8 +402,8 @@ def verify_engine(engine, model=None):
     return findings
 
 
-def verify_model(name, backend="generated", trace=False, lanes=None):
-    """Build one registered model on a codegen backend and verify its source.
+def verify_model(name, trace=False):
+    """Build one registered model on the generated backend and verify its source.
 
     ``trace=True`` requests firing+stall tracing, so the verifier proves
     the TRF/TRS sites appear; otherwise it proves they are absent.
@@ -428,11 +411,9 @@ def verify_model(name, backend="generated", trace=False, lanes=None):
     from repro.core.engine import EngineOptions
     from repro.processors.registry import build_processor
 
-    option_kwargs = {"backend": backend}
+    option_kwargs = {"backend": "generated"}
     if trace:
         option_kwargs["trace"] = {"categories": ("firing", "stall"), "capacity": 64}
-    if lanes is not None:
-        option_kwargs["lanes"] = lanes
     processor = build_processor(name, engine_options=EngineOptions(**option_kwargs))
     return verify_engine(processor.engine, model=name)
 
@@ -440,7 +421,7 @@ def verify_model(name, backend="generated", trace=False, lanes=None):
 def verify_backend(name, backend):
     """Verify one backend: SV101 for interpreted, the AST pass otherwise."""
     if backend != "interpreted":
-        return verify_model(name, backend=backend)
+        return verify_model(name)
     from repro.core.scheduler import place_evaluation_order
     from repro.processors.registry import build_processor
 

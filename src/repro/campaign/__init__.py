@@ -36,7 +36,6 @@ from repro.campaign.aggregate import (
     result_rows,
     speedup_table,
     summarize,
-    throughput_table,
     to_csv,
     to_json,
 )
@@ -48,7 +47,6 @@ from repro.campaign.planner import (
 from repro.campaign.runner import (
     CampaignReport,
     build_run_processor,
-    execute_batch,
     execute_run,
     run_campaign,
     run_single,
@@ -86,7 +84,6 @@ __all__ = [
     "campaign_processors",
     "cpi_table",
     "engine_variant",
-    "execute_batch",
     "execute_run",
     "failure_rows",
     "group_results",
@@ -98,7 +95,6 @@ __all__ = [
     "shard_index",
     "speedup_table",
     "summarize",
-    "throughput_table",
     "to_csv",
     "to_json",
 ]

@@ -4,9 +4,8 @@ Results come in as :class:`~repro.campaign.store.RunResult`s (from a
 :class:`~repro.campaign.runner.CampaignReport` or straight from a
 :class:`~repro.campaign.store.ResultStore`); this module turns them into
 the shapes the paper's figures need — flat rows, CPI tables, per-level
-cache/miss-rate tables (:func:`cache_table`, the Figure 12 shape), speedup
-and rows-per-host-second throughput tables comparing engine variants —
-and exports them as CSV or JSON.
+cache/miss-rate tables (:func:`cache_table`, the Figure 12 shape) and
+speedup tables comparing engine variants — and exports them as CSV or JSON.
 Rendering goes through :func:`repro.analysis.report.format_table` so
 campaign reports look like the rest of the benchmark output.
 """
@@ -218,63 +217,6 @@ def speedup_table(results, baseline="interpreted", against="generated"):
                     fast.cycles_per_second / base.cycles_per_second
                     if base.cycles_per_second
                     else 0.0
-                ),
-            }
-        )
-    return rows
-
-
-def throughput_table(results, baseline="generated", against="batched"):
-    """Rows per host second of one engine variant over another.
-
-    A *row* is one completed simulation run; this is the campaign-level
-    throughput measure the batched backend exists to improve (many lockstep
-    lanes per host dispatch), as opposed to :func:`speedup_table`'s
-    per-simulation cycles-per-second.  Per (processor, workload, scale) the
-    wall seconds of each variant's runs are summed over repeats, and the
-    two variants must have simulated bit-identical cycles — batching never
-    changes results, only host throughput.
-    """
-    groups = group_results(results, by=("processor", "workload", "scale"))
-    rows = []
-    for (processor, workload, scale), members in sorted(groups.items()):
-        walls, counts, cycles = {}, {}, {}
-        for member in members:
-            if member.engine not in (baseline, against):
-                continue
-            walls[member.engine] = walls.get(member.engine, 0.0) + member.wall_seconds
-            counts[member.engine] = counts.get(member.engine, 0) + 1
-            cycles.setdefault(member.engine, set()).add(member.cycles)
-        if baseline not in walls or against not in walls:
-            continue
-        if cycles[baseline] != cycles[against]:
-            raise ValueError(
-                "engine variants %r and %r disagree on simulated cycles for "
-                "%s/%s@%d (%s vs %s)"
-                % (
-                    baseline,
-                    against,
-                    processor,
-                    workload,
-                    scale,
-                    sorted(cycles[baseline]),
-                    sorted(cycles[against]),
-                )
-            )
-        # Sub-tick wall times (coarse clocks, mocked results) degrade to a
-        # throughput of 0.0 rather than inf so reports and JSON exports
-        # stay finite.
-        base_rps = counts[baseline] / walls[baseline] if walls[baseline] > 0 else 0.0
-        fast_rps = counts[against] / walls[against] if walls[against] > 0 else 0.0
-        rows.append(
-            {
-                "processor": processor,
-                "workload": workload,
-                "scale": scale,
-                "%s_rows_per_sec" % baseline: base_rps,
-                "%s_rows_per_sec" % against: fast_rps,
-                "throughput_ratio": (
-                    fast_rps / base_rps if base_rps else 0.0
                 ),
             }
         )

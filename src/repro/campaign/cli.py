@@ -53,7 +53,7 @@ def _grid_arguments(parser):
     parser.add_argument(
         "--engines",
         default="interpreted,generated",
-        help="comma-separated engine backends (interpreted, generated, batched)",
+        help="comma-separated engine backends (interpreted, generated)",
     )
     parser.add_argument("--repeats", type=int, default=1, help="runs per grid point")
     parser.add_argument("--max-cycles", type=int, default=None, help="per-run cycle budget")
@@ -274,10 +274,6 @@ def _command_report(args, out):
     if speedups:
         out.write("\nspeedup (generated over interpreted):\n")
         out.write(aggregate.render(speedups) + "\n")
-    throughput = aggregate.throughput_table(results)
-    if throughput:
-        out.write("\nthroughput (batched over generated, rows per host second):\n")
-        out.write(aggregate.render(throughput) + "\n")
     lint_lines = _lint_status(results)
     if lint_lines:
         out.write("\nstatic analysis (spec-level lint of the campaigned models):\n")

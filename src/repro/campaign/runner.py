@@ -17,20 +17,8 @@ used unless ``mp_context`` overrides it; under a "spawn" start method the
 orchestrating ``__main__`` must be importable (the standard
 multiprocessing guard), which the CLI and pytest entry points are.
 
-Runs whose engine backend is ``"batched"`` are executed lane-batched:
-pending runs that share an emitted module — same processor fingerprint,
-same emit-relevant engine options, same decode-cache knob — are grouped,
-chunked to at most ``options.lanes`` runs, and each chunk advances in
-lockstep as one :class:`repro.batched.LaneBatch`
-(:func:`execute_batch`).  The per-lane :class:`RunResult`s that come out
-are indistinguishable from scalar ones and land in the store under the
-same fingerprints (which deliberately exclude the batch width).
-
-Failures are first-class, not fatal.  A failing work unit is isolated and
-retried: a multi-lane batch that errors is **re-split into scalar runs**
-(one poisoned lane must not take its siblings down — the re-split does
-not charge anyone's retry budget), and a failing scalar run is retried up
-to ``CampaignSpec.max_retries`` times with exponential backoff
+Failures are first-class, not fatal.  A failing run is isolated and
+retried up to ``CampaignSpec.max_retries`` times with exponential backoff
 (``retry_backoff_seconds * 2**round`` between retry rounds).  A run that
 exhausts its budget becomes a ``"failed"`` record in the store — error
 and traceback included, visible in ``status``/``report`` — and the
@@ -45,16 +33,15 @@ failure row.
 from __future__ import annotations
 
 import contextlib
-import json
 import multiprocessing
 import os
 import sys
 import time
 import traceback
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from repro.campaign.planner import plan_campaign
-from repro.campaign.spec import CampaignError, RunSpec, _processor_fingerprint
+from repro.campaign.spec import CampaignError, RunSpec
 from repro.campaign.store import KIND_FAILED, ResultStore, RunResult
 from repro.observe.metrics import (
     MetricsRegistry,
@@ -128,8 +115,7 @@ def execute_run(run, campaign=""):
     This is the single execution path of the subsystem: the worker pool,
     the in-process fallback and the benchmark harness all call it, which
     is what keeps campaign statistics bit-identical to direct
-    ``run_processor`` calls.  (Batched runs have a second path,
-    :func:`execute_batch`; a batch of one is equivalent to this.)
+    ``run_processor`` calls.
     """
     from repro.workloads.registry import get_workload
 
@@ -142,74 +128,13 @@ def execute_run(run, campaign=""):
     return _result_for(run, processor, wall, campaign)
 
 
-def execute_batch(runs, campaign=""):
-    """Execute same-module batched runs in lockstep; returns their results.
-
-    Every run must use the ``"batched"`` backend and share a batch group
-    key (:func:`_batch_key`) — the caller (:func:`run_campaign`) groups and
-    chunks accordingly.  Each run keeps its own processor, workload and
-    budgets; one :class:`~repro.batched.LaneBatch` advances them together.
-    Per-run ``wall_seconds`` is the batch wall time attributed
-    proportionally to the cycles each lane simulated (the same attribution
-    the engine records in ``stats.wall_time_seconds``).
-    """
-    from repro.batched import LaneBatch
-    from repro.workloads.registry import get_workload
-
-    processors = []
-    for run in runs:
-        processor = build_run_processor(run)
-        workload = get_workload(run.workload, scale=run.scale)
-        processor.load_program(workload.program)
-        processors.append(processor)
-    batch = LaneBatch([processor.engine for processor in processors])
-    start = time.perf_counter()
-    batch.run(
-        max_cycles=[run.max_cycles for run in runs],
-        max_instructions=[run.max_instructions for run in runs],
-    )
-    wall = time.perf_counter() - start
-    total_cycles = sum(processor.stats.cycles for processor in processors)
-    results = []
-    for run, processor in zip(runs, processors):
-        share = (
-            wall * processor.stats.cycles / total_cycles
-            if total_cycles
-            else wall / len(runs)
-        )
-        results.append(_result_for(run, processor, share, campaign))
-    return results
-
-
-def _batch_key(run):
-    """Everything two batched runs must agree on to share one lane batch.
-
-    Mirrors the emitted-module identity: the processor (spec fingerprint),
-    the full engine options (including ``lanes`` — it is part of the
-    codegen key even though run fingerprints exclude it) and the
-    decode-cache knob the builder takes.
-    """
-    options = run.engine.resolved_options()
-    return (
-        _processor_fingerprint(run.processor, run.processor_spec),
-        json.dumps(asdict(options), sort_keys=True, default=str),
-        run.engine.use_decode_cache,
-    )
-
-
 @dataclass
 class _RunFailure:
-    """A worker-side exception, reduced to picklable data.
-
-    ``unit_size`` is how many runs shared the failing work unit: the
-    orchestrator re-splits multi-lane batches into scalar retries instead
-    of charging every sibling's retry budget for one poisoned lane.
-    """
+    """A worker-side exception, reduced to picklable data."""
 
     run_id: str
     error: str
     details: str
-    unit_size: int = 1
 
 
 def _failure_result(run, failure, campaign, attempts):
@@ -245,28 +170,16 @@ def _pool_init(sys_path):
 
 
 def _pool_worker(payload):
-    """Execute one work unit: a single scalar run or one lane batch.
-
-    Always returns a list — of :class:`RunResult`s on success, of one
-    :class:`_RunFailure` per affected run on error (a failing batch takes
-    all its lanes with it; the orchestrator re-splits them into scalar
-    retries so intact siblings still complete).
-    """
-    runs, campaign = payload
+    """Execute one run: its :class:`RunResult`, or a :class:`_RunFailure`."""
+    run, campaign = payload
     try:
-        if runs[0].engine.backend == "batched":
-            return execute_batch(runs, campaign=campaign)
-        return [execute_run(run, campaign=campaign) for run in runs]
+        return execute_run(run, campaign=campaign)
     except Exception as error:  # isolated and retried by run_campaign
-        return [
-            _RunFailure(
-                run_id=run.run_id,
-                error="%s: %s" % (type(error).__name__, error),
-                details=traceback.format_exc(),
-                unit_size=len(runs),
-            )
-            for run in runs
-        ]
+        return _RunFailure(
+            run_id=run.run_id,
+            error="%s: %s" % (type(error).__name__, error),
+            details=traceback.format_exc(),
+        )
 
 
 @dataclass
@@ -327,13 +240,11 @@ def run_campaign(
     holds as a *successful* record are served from it without simulating
     (a stored ``"failed"`` record is retried instead); everything else
     executes on a pool of ``max_workers`` processes (default: one per host
-    CPU, capped by the number of work units — a unit is one scalar run or
-    one lane batch of ``"batched"`` runs; ``1`` stays in-process).
+    CPU, capped by the number of pending runs; ``1`` stays in-process).
     ``progress``, when given, is called as ``progress(result)`` after each
     run completes, fails permanently, or is served from the store.
 
-    Failure policy: failing multi-lane batches are re-split into scalar
-    runs, failing scalar runs are retried up to ``spec.max_retries`` times
+    Failure policy: failing runs are retried up to ``spec.max_retries`` times
     with exponential backoff, and runs that exhaust the budget are
     persisted as ``"failed"`` records before a collected
     :class:`CampaignError` is raised.  ``keep_going=False`` (default)
@@ -373,10 +284,6 @@ def run_campaign(
     retry_counter = registry.counter(
         "campaign.run.retries", "budget-charged re-executions of failing runs"
     )
-    resplit_counter = registry.counter(
-        "campaign.batch.resplit_runs",
-        "runs re-run as scalars because their lane batch failed",
-    )
     failure_counter = registry.counter(
         "campaign.run.failures", "runs that exhausted their retry budget"
     )
@@ -404,28 +311,9 @@ def run_campaign(
             store_misses.inc()
             pending.append((fingerprint, run))
 
-    # One work unit per scalar run; batched runs that share an emitted
-    # module are grouped and chunked to the batch width, so a unit is a
-    # whole lane batch.  Unit order preserves plan order within each kind.
-    units = []
-    batch_groups = {}
-    for _fingerprint, run in pending:
-        if run.engine.backend != "batched":
-            units.append((run,))
-            continue
-        batch_groups.setdefault(_batch_key(run), []).append(run)
-    for runs in batch_groups.values():
-        width = max(1, runs[0].engine.resolved_options().lanes)
-        for index in range(0, len(runs), width):
-            chunk = tuple(runs[index : index + width])
-            units.append(chunk)
-            registry.histogram(
-                "campaign.batch.width", "lanes per batched work unit"
-            ).observe(len(chunk))
-
     if max_workers is None:
-        max_workers = min(len(units), os.cpu_count() or 1) or 1
-    registry.gauge("campaign.units", "work units this invocation").set(len(units))
+        max_workers = min(len(pending), os.cpu_count() or 1) or 1
+    registry.gauge("campaign.units", "runs executed this invocation").set(len(pending))
     registry.gauge("campaign.workers.max", "worker-pool size").set(max_workers)
     fingerprint_of = {run.run_id: fp for fp, run in pending}
     run_by_id = {run.run_id: run for _, run in pending}
@@ -446,11 +334,11 @@ def run_campaign(
     with registry.timer(
         "campaign.phase.execute_seconds", "wall time executing pending runs"
     ):
-        pending_units = units
+        pending_runs = [run for _, run in pending]
         round_index = 0
         stop = False
-        while pending_units and not stop:
-            next_units = []
+        while pending_runs and not stop:
+            next_runs = []
             newly_final = []
 
             def handle(out):
@@ -458,48 +346,39 @@ def run_campaign(
                     record(out)
                     return
                 run = run_by_id[out.run_id]
-                if out.unit_size > 1:
-                    # Failure isolation: the whole batch failed, but only
-                    # one lane may be poisoned.  Re-run every lane as a
-                    # scalar unit without charging anyone's retry budget.
-                    resplit_counter.inc()
-                    next_units.append((run,))
-                    return
                 used = attempts.get(out.run_id, 0)
                 if used < spec.max_retries:
                     attempts[out.run_id] = used + 1
                     retry_counter.inc()
-                    next_units.append((run,))
+                    next_runs.append(run)
                 else:
                     newly_final.append((run, out))
 
-            if max_workers <= 1 or len(pending_units) == 1:
-                for unit in pending_units:
-                    for out in _pool_worker((unit, spec.name)):
-                        handle(out)
+            if max_workers <= 1 or len(pending_runs) == 1:
+                for run in pending_runs:
+                    handle(_pool_worker((run, spec.name)))
                     if newly_final and not keep_going:
                         stop = True
                         break
             else:
                 context = multiprocessing.get_context(mp_context)
-                payloads = [(unit, spec.name) for unit in pending_units]
+                payloads = [(run, spec.name) for run in pending_runs]
                 with context.Pool(
                     processes=max_workers,
                     initializer=_pool_init,
                     initargs=(list(sys.path),),
                 ) as pool:
-                    for outs in pool.imap_unordered(_pool_worker, payloads):
-                        for out in outs:
-                            handle(out)
+                    for out in pool.imap_unordered(_pool_worker, payloads):
+                        handle(out)
                 if newly_final and not keep_going:
                     stop = True
 
             final_failures.extend(newly_final)
-            if stop or not next_units:
+            if stop or not next_runs:
                 break
             if spec.retry_backoff_seconds > 0:
                 time.sleep(spec.retry_backoff_seconds * (2**round_index))
-            pending_units = next_units
+            pending_runs = next_runs
             round_index += 1
 
     if worker_runs:

@@ -17,9 +17,10 @@ incremental and resumable.
 
 from __future__ import annotations
 
+import difflib
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import repro
 from repro.core.engine import EngineOptions
@@ -43,7 +44,7 @@ class EngineVariant:
     full :class:`~repro.core.engine.EngineOptions` (``None`` means the
     defaults) and ``use_decode_cache`` is the builder-level decode-cache
     knob the Section 4 ablation sweeps.  The plain backend strings
-    (``"interpreted"``/``"generated"``/``"batched"``, see
+    (``"interpreted"``/``"generated"``, see
     :data:`~repro.core.engine.ENGINE_BACKENDS`) are accepted anywhere a
     variant is and normalise to a variant of that backend with default
     options.
@@ -66,17 +67,11 @@ class EngineVariant:
 
         The label is deliberately excluded: renaming a variant must not
         invalidate stored results whose simulated behaviour is unchanged.
-        So is ``options.lanes``: the batch width decides how many lockstep
-        lanes share one host dispatch (an execution detail, like
-        ``max_workers``), never the per-lane statistics, and widening a
-        batched campaign must keep yesterday's store fully cached.
-        ``options.trace`` is excluded for the same reason: tracing observes
-        a run without perturbing its statistics (the trace-equivalence
-        suite pins this), so a traced re-run of a stored campaign stays
-        fully cached.
+        So is ``options.trace``: tracing observes a run without perturbing
+        its statistics (the trace-equivalence suite pins this), so a traced
+        re-run of a stored campaign stays fully cached.
         """
         options = asdict(self.options or EngineOptions())
-        options.pop("lanes", None)
         options.pop("trace", None)
         return {
             "options": options,
@@ -91,12 +86,28 @@ def engine_variant(value):
     if isinstance(value, EngineOptions):
         return EngineVariant(label=value.backend, options=value)
     if isinstance(value, str):
-        try:
-            options = EngineOptions(backend=value)
-        except ValueError as error:
-            raise CampaignError(str(error)) from None
-        return EngineVariant(label=value, options=options)
+        return EngineVariant(label=value, options=_engine_options({"backend": value}))
     raise CampaignError("bad engine-axis entry %r" % (value,))
+
+
+def _engine_options(options):
+    """``EngineOptions(**options)`` from campaign data, as a :class:`CampaignError`.
+
+    An unknown key names the closest :class:`EngineOptions` field instead
+    of surfacing as a raw ``TypeError``.
+    """
+    known = [f.name for f in fields(EngineOptions)]
+    for key in options:
+        if key not in known:
+            close = difflib.get_close_matches(str(key), known, n=1)
+            raise CampaignError(
+                "unknown engine option %r; expected one of %s%s"
+                % (key, ", ".join(known), "; did you mean %r?" % close[0] if close else "")
+            )
+    try:
+        return EngineOptions(**options)
+    except ValueError as error:
+        raise CampaignError(str(error)) from None
 
 
 def _workload_digest(name, scale):
@@ -344,13 +355,16 @@ class CampaignSpec:
             if isinstance(entry, str):
                 engines.append(entry)
             elif isinstance(entry, dict):
-                options = entry.get("options") or {}
+                options = dict(entry.get("options") or {})
+                # Spec files written while the lane-batched backend existed
+                # carry its batch width; run fingerprints never included it.
+                options.pop("lanes", None)
                 if "backend" in entry and "backend" not in options:
-                    options = dict(options, backend=entry["backend"])
+                    options["backend"] = entry["backend"]
                 engines.append(
                     EngineVariant(
                         label=entry.get("label") or options.get("backend", "interpreted"),
-                        options=EngineOptions(**options),
+                        options=_engine_options(options),
                         use_decode_cache=entry.get("use_decode_cache", True),
                     )
                 )

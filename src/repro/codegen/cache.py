@@ -7,8 +7,7 @@ code depends only on
 * the spec fingerprint (``net.spec_fingerprint``, the PR 2-5 content-hash
   plumbing that already keys the schedule cache),
 * the emit-relevant engine options (``use_sorted_transitions``,
-  ``two_list_everywhere``, ``collect_utilization``, plus the emission mode
-  and ``lanes`` for batched modules — run-length knobs like
+  ``two_list_everywhere``, ``collect_utilization`` — run-length knobs like
   ``max_cycles``/``stall_limit`` are deliberately excluded),
 * ``repro.__version__`` and the emitter's own
   :data:`~repro.codegen.emit.CODEGEN_SOURCE_VERSION`.
@@ -72,13 +71,10 @@ def codegen_key(fingerprint, options):
 
     Only the options that change the emitted *source* participate; the
     repro version and the emitter version are folded in so upgrading
-    either invalidates every stale entry.  The batched backend emits a
-    different module shape (``make_step_batched`` with a lane loop sized
-    by ``lanes``), so its mode and lane count join the key — scalar and
-    batched modules never alias, and changing the batch width misses the
-    old entry.  Emission-relevant trace categories join the key only when
-    tracing is on (see :func:`emit_trace_categories`), so tracing-off keys
-    are byte-for-byte the pre-tracing ones and warm caches stay warm.
+    either invalidates every stale entry.  Emission-relevant trace
+    categories join the key only when tracing is on (see
+    :func:`emit_trace_categories`), so tracing-off keys are byte-for-byte
+    the pre-tracing ones and warm caches stay warm.
     """
     import repro
     from repro.codegen.emit import CODEGEN_SOURCE_VERSION
@@ -92,8 +88,6 @@ def codegen_key(fingerprint, options):
         "twolist=%r" % options.two_list_everywhere,
         "util=%r" % options.collect_utilization,
     ]
-    if options.backend == "batched":
-        parts.append("batched|lanes=%d" % options.lanes)
     trace_categories = emit_trace_categories(options)
     if trace_categories:
         parts.append("trace=" + ",".join(trace_categories))
@@ -224,11 +218,7 @@ class ModuleCache:
             return None
         if getattr(module, "CODEGEN_KEY", None) != key:
             return None
-        # Scalar modules export make_step, batched ones make_step_batched;
-        # a cached file with neither is not one of ours.
-        if not callable(getattr(module, "make_step", None)) and not callable(
-            getattr(module, "make_step_batched", None)
-        ):
+        if not callable(getattr(module, "make_step", None)):
             return None
         return module
 

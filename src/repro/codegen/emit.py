@@ -123,159 +123,13 @@ def _capacity_conjuncts(net, shape, stage_var):
     return conjuncts
 
 
-def _assemble_batched(
-    out,
-    body,
-    places,
-    stages,
-    options,
-    used_stages,
-    used_guards,
-    used_actions,
-    used_controls,
-    need_pool,
-    need_res,
-    need_deposit,
-    need_entry,
-    need_rbc,
-    traced_firing=False,
-    traced_stall=False,
-):
-    """Write ``make_step_batched(rts)`` around the straight-line step body.
-
-    The scalar emission binds one runtime dict to closure variables once;
-    the batched emission instead prebuilds one flat tuple per lane holding
-    exactly the objects the body names (engine, ctx, places, used stages/
-    guards/actions/controls, ...) and returns
-    ``step(start, stride, active, done)``: one lane-loop iteration unpacks
-    a lane's tuple into locals and advances that lane ``stride`` cycles of
-    the identical body, each followed by an inline halt-drain check; the
-    cycle/idle bookkeeping is kept in locals and written back to the
-    engine once per stride — so the per-lane tuple unpack, the driver
-    dispatch *and* the counter write-back are all amortised over the
-    stride, and per lane-cycle no Python call or attribute-store overhead
-    is left beyond what the body itself does.  A lane whose
-    pipeline drains after a halt request is appended to ``done`` and stops
-    mid-stride; the driver (:class:`repro.batched.LaneBatch`) masks it out
-    of ``active`` and picks strides that never overshoot a lane's cycle
-    budget.
-    """
-    # The lane tuple: (name the body uses, expression building it from rt).
-    entries = [("engine", "_e"), ("ctx", "rt['ctx']")]
-    if need_deposit:
-        entries.append(("deposit", "rt['deposit']"))
-    if need_entry:
-        entries.append(("entry_place_for", "rt['entry_place_for']"))
-    if need_pool:
-        entries.append(("pool", "rt['pool']"))
-    if need_res:
-        entries.append(("RES", "rt['ReservationToken']"))
-    if traced_firing:
-        entries.append(("TRF", "rt['trace_firing']"))
-    if traced_stall:
-        entries.append(("TRS", "rt['trace_stall']"))
-    for index in range(len(places)):
-        entries.append(("p%d" % index, "_P[%d]" % index))
-    stage_binds = False
-    for index, stage in enumerate(stages):
-        if id(stage) in used_stages:
-            entries.append(("s%d" % index, "_S[%d]" % index))
-            stage_binds = True
-    for index in sorted(used_guards):
-        entries.append(("g%d" % index, "_G[%d]" % index))
-    for index in sorted(used_actions):
-        entries.append(("a%d" % index, "_A[%d]" % index))
-    for index in sorted(used_controls):
-        entries.append(("c%d" % index, "_C[%d]" % index))
-    if options.collect_utilization:
-        entries.append(("_STAGES", "tuple(_S)"))
-        stage_binds = True
-
-    out.w(0, "def make_step_batched(rts):")
-    out.w(1, "_L = []")
-    out.w(1, "for rt in rts:")
-    out.w(2, "_e = rt['engine']")
-    out.w(2, "_P = rt['places']")
-    if stage_binds:
-        out.w(2, "_S = rt['stages']")
-    if used_guards:
-        out.w(2, "_G = rt['guards']")
-    if used_actions:
-        out.w(2, "_A = rt['actions']")
-    if used_controls:
-        out.w(2, "_C = rt['controls']")
-    out.w(2, "_L.append((")
-    for _name, expr in entries:
-        out.w(3, expr + ",")
-    out.w(2, "))")
-    out.w(0, "")
-    out.w(1, "def step(start, stride, active, done):")
-    out.w(2, "for _lane in active:")
-    out.w(3, "(")
-    names = [name for name, _expr in entries]
-    for start_index in range(0, len(names), 8):
-        out.w(4, ", ".join(names[start_index : start_index + 8]) + ",")
-    out.w(3, ") = _L[_lane]")
-    out.w(3, "stats = engine.stats")
-    out.w(3, "tf = stats.transition_firings")
-    if need_rbc:
-        out.w(3, "rbc = stats.retired_by_class")
-    out.w(3, "_idle = engine._idle_cycles")
-    out.w(3, "fired = engine._fired_this_cycle")
-    out.w(3, "for cycle in range(start, start + stride):")
-    out.w(4, "fired = 0")
-    # The scalar body verbatim, two indents deeper (inside the lane loop
-    # and the stride loop).
-    out.lines.extend("        " + line if line else "" for line in body.lines)
-    # ``engine.cycle`` must advance every cycle: the describe-layer context
-    # reads it lazily mid-cycle (``ctx.cycle`` stamps the register-file
-    # refresh).  The idle/fired counters and ``stats.cycles`` have no
-    # mid-cycle readers, so their write-back (what GeneratedEngine.step
-    # does around its _step_fn call) happens once per stride below.
-    out.w(4, "engine.cycle = cycle + 1")
-    out.w(4, "if fired:")
-    out.w(5, "_idle = 0")
-    out.w(4, "else:")
-    out.w(5, "_idle += 1")
-    # Halt-drain detection, specialised to a short-circuit emptiness test
-    # over this lane's places (schedule.order covers every place of the
-    # net, so the conjunction equals SimulationEngine.pipeline_empty).
-    # Downstream places come first in the order: while draining they are
-    # the last to empty, so the common non-empty case exits early.
-    terms = []
-    for index, place in enumerate(places):
-        terms.append("p%d.tokens" % index)
-        if place.two_list:
-            terms.append("p%d.pending" % index)
-    out.w(4, "if engine.halt_requested and not (")
-    for start_index in range(0, len(terms), 5):
-        chunk = " or ".join(terms[start_index : start_index + 5])
-        tail = " or" if start_index + 5 < len(terms) else ""
-        out.w(5, chunk + tail)
-    out.w(4, "):")
-    out.w(5, "_nc = cycle + 1")
-    out.w(5, "done.append(_lane)")
-    out.w(5, "break")
-    out.w(3, "else:")
-    out.w(4, "_nc = start + stride")
-    out.w(3, "stats.cycles = _nc")
-    out.w(3, "engine._fired_this_cycle = fired")
-    out.w(3, "engine._idle_cycles = _idle")
-    out.w(0, "")
-    out.w(1, "return step")
-
-
 def emit_module_source(net, schedule, options, key=None):
     """Emit the Python source of one model's generated simulator.
 
-    Returns ``(source, report)``.  For the scalar backends the source
-    defines ``make_step(rt)`` returning the per-cycle
-    ``step(cycle, stats) -> fired`` function; ``rt`` is the binding dict of
-    :func:`repro.codegen.runtime.build_runtime`.  With
-    ``options.backend == "batched"`` the same step body is instead wrapped
-    in a lane loop and the module defines ``make_step_batched(rts)`` over a
-    *list* of runtime dicts (one per lane, same spec fingerprint), stepping
-    every lane listed in ``active`` in lockstep per call.
+    Returns ``(source, report)``.  The source defines ``make_step(rt)``
+    returning the per-cycle ``step(cycle, stats) -> fired`` function;
+    ``rt`` is the binding dict of
+    :func:`repro.codegen.runtime.build_runtime`.
     """
     from repro.codegen.cache import emit_trace_categories
 
@@ -606,7 +460,6 @@ def emit_module_source(net, schedule, options, key=None):
         body.w(indent0 + 1, "_st.occupancy_accumulator += _st._occupancy")
 
     # ---- assemble the module ---------------------------------------------
-    batched = options.backend == "batched"
     out = _Writer()
     out.w(0, '"""Generated simulator step for model %r (repro.codegen).' % net.name)
     out.w(0, "")
@@ -627,79 +480,56 @@ def emit_module_source(net, schedule, options, key=None):
     out.w(0, "GENERATORS = %r" % (
         tuple(t.name for t in schedule.generator_transitions),
     ))
-    if batched:
-        out.w(0, "EMISSION_MODE = 'batched'")
-        out.w(0, "LANES = %d" % options.lanes)
     if trace_categories:
         out.w(0, "TRACE_CATEGORIES = %r" % (trace_categories,))
     out.w(0, "")
     out.w(0, "")
-    if batched:
-        _assemble_batched(
-            out,
-            body,
-            places=places,
-            stages=stages,
-            options=options,
-            used_stages=used_stages,
-            used_guards=used_guards,
-            used_actions=used_actions,
-            used_controls=used_controls,
-            need_pool=need_pool,
-            need_res=need_res,
-            need_deposit=need_deposit,
-            need_entry=need_entry,
-            need_rbc=need_rbc,
-            traced_firing=traced_firing,
-            traced_stall=traced_stall,
-        )
-    else:
-        out.w(0, "def make_step(rt):")
-        out.w(1, "engine = rt['engine']")
-        out.w(1, "ctx = rt['ctx']")
-        if need_deposit:
-            out.w(1, "deposit = rt['deposit']")
-        if need_entry:
-            out.w(1, "entry_place_for = rt['entry_place_for']")
-        if need_pool:
-            out.w(1, "pool = rt['pool']")
-        if need_res:
-            out.w(1, "RES = rt['ReservationToken']")
-        if traced_firing:
-            out.w(1, "TRF = rt['trace_firing']")
-        if traced_stall:
-            out.w(1, "TRS = rt['trace_stall']")
-        out.w(1, "P = rt['places']")
-        out.w(1, "S = rt['stages']")
-        if used_guards:
-            out.w(1, "G = rt['guards']")
-        if used_actions:
-            out.w(1, "A = rt['actions']")
-        if used_controls:
-            out.w(1, "C = rt['controls']")
-        for index in range(len(places)):
-            out.w(1, "p%d = P[%d]" % (index, index))
-        for index, stage in enumerate(stages):
-            if id(stage) in used_stages:
-                out.w(1, "s%d = S[%d]" % (index, index))
-        for index in sorted(used_guards):
-            out.w(1, "g%d = G[%d]" % (index, index))
-        for index in sorted(used_actions):
-            out.w(1, "a%d = A[%d]" % (index, index))
-        for index in sorted(used_controls):
-            out.w(1, "c%d = C[%d]" % (index, index))
-        if options.collect_utilization:
-            out.w(1, "_STAGES = tuple(S)")
-        out.w(0, "")
-        out.w(1, "def step(cycle, stats):")
-        out.w(2, "fired = 0")
-        out.w(2, "tf = stats.transition_firings")
-        if need_rbc:
-            out.w(2, "rbc = stats.retired_by_class")
-        out.lines.extend(body.lines)
-        out.w(2, "return fired")
-        out.w(0, "")
-        out.w(1, "return step")
+    out.w(0, "def make_step(rt):")
+    out.w(1, "engine = rt['engine']")
+    out.w(1, "ctx = rt['ctx']")
+    if need_deposit:
+        out.w(1, "deposit = rt['deposit']")
+    if need_entry:
+        out.w(1, "entry_place_for = rt['entry_place_for']")
+    if need_pool:
+        out.w(1, "pool = rt['pool']")
+    if need_res:
+        out.w(1, "RES = rt['ReservationToken']")
+    if traced_firing:
+        out.w(1, "TRF = rt['trace_firing']")
+    if traced_stall:
+        out.w(1, "TRS = rt['trace_stall']")
+    out.w(1, "P = rt['places']")
+    out.w(1, "S = rt['stages']")
+    if used_guards:
+        out.w(1, "G = rt['guards']")
+    if used_actions:
+        out.w(1, "A = rt['actions']")
+    if used_controls:
+        out.w(1, "C = rt['controls']")
+    for index in range(len(places)):
+        out.w(1, "p%d = P[%d]" % (index, index))
+    for index, stage in enumerate(stages):
+        if id(stage) in used_stages:
+            out.w(1, "s%d = S[%d]" % (index, index))
+    for index in sorted(used_guards):
+        out.w(1, "g%d = G[%d]" % (index, index))
+    for index in sorted(used_actions):
+        out.w(1, "a%d = A[%d]" % (index, index))
+    for index in sorted(used_controls):
+        out.w(1, "c%d = C[%d]" % (index, index))
+    if options.collect_utilization:
+        out.w(1, "_STAGES = tuple(S)")
+    out.w(0, "")
+    out.w(1, "def step(cycle, stats):")
+    out.w(2, "fired = 0")
+    out.w(2, "tf = stats.transition_firings")
+    if need_rbc:
+        out.w(2, "rbc = stats.retired_by_class")
+    out.lines.extend(body.lines)
+    out.w(2, "return fired")
+    out.w(0, "")
+    out.w(1, "return step")
 
     # Embed the specialisation report so cache hits (which skip emission)
     # can still describe the module they loaded.

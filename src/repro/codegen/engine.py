@@ -78,16 +78,6 @@ class GeneratedEngine(SimulationEngine):
             runtime = build_runtime(self, module)
         self.module = module
         self.source = module.__source__
-        self._bind_module(module, runtime)
-
-    def _bind_module(self, module, runtime):
-        """Bind the obtained module to this engine's live objects.
-
-        The scalar generated engine keeps the bound per-cycle step
-        function; :class:`repro.batched.LaneEngine` overrides this to keep
-        the runtime dict instead (lanes are stepped by their batch, which
-        binds all lane runtimes at once via ``make_step_batched``).
-        """
         self._step_fn = module.make_step(runtime)
 
     @staticmethod

@@ -20,11 +20,12 @@ from repro.observe.trace import TraceConfig, build_tracer
 
 
 #: Valid values of :attr:`EngineOptions.backend`.
-ENGINE_BACKENDS = ("interpreted", "generated", "batched")
+ENGINE_BACKENDS = ("interpreted", "generated")
 
 #: Backends that no longer exist, with the message that replaces them.
 _REMOVED_BACKENDS = {
     "compiled": "the compiled backend was removed; use 'generated' (same statistics, faster)",
+    "batched": "the batched backend was removed; use 'generated' (same statistics, same speed)",
 }
 
 
@@ -45,13 +46,6 @@ class EngineOptions:
       it and disk-caches the source under the spec fingerprint (the
       paper's simulator generation).  Statistics are bit-identical to the
       interpreted backend; only wall-clock throughput differs.
-    * ``"batched"`` — :class:`repro.batched.LaneEngine` runs the same
-      emitted source, but the emitter wraps the straight-line step body in
-      a *lane loop* (``make_step_batched``), so up to ``lanes``
-      same-fingerprint simulations advance in lockstep per host dispatch.
-      Each lane keeps private places/statistics/workload; lanes that halt
-      early are masked out until the batch drains.  Statistics stay
-      bit-identical per lane; only host throughput changes.
 
     Which knobs apply to which backend:
 
@@ -61,8 +55,8 @@ class EngineOptions:
       loop).
     * ``use_sorted_transitions`` — interpreted only.  It exists so the
       ablation benchmark can price the sorted-dispatch optimisation; the
-      generated and batched backends always bake the sorted dispatch
-      tables into their source at generation time, so the knob
+      generated backend always bakes the sorted dispatch tables into its
+      source at generation time, so the knob
       has no run-time effect there (it still participates in the codegen
       cache key, since it shapes the shared schedule).
 
@@ -72,20 +66,12 @@ class EngineOptions:
     ``stall_limit`` aborts runs in which nothing fires for that many
     consecutive cycles (a modeling bug, reported as a deadlock).
 
-    ``lanes`` applies to the batched backend only: the maximum number of
-    same-fingerprint simulations one batch steps in lockstep (campaign
-    runners chunk larger groups into batches of at most ``lanes``).  It is
-    a host-scheduling knob, not a simulation parameter — it participates in
-    the codegen cache key (the emitted lane loop depends on it) but is
-    deliberately excluded from campaign run fingerprints, so re-running a
-    stored campaign at a different batch width stays 100% cached.
-
     ``trace`` attaches a cycle-level event tracer
     (:class:`repro.observe.trace.TraceConfig`, or an equivalent dict from a
     JSON round-trip; ``None`` means no tracing).  Tracing observes but never
     perturbs a run: statistics stay bit-identical with tracing on or off,
-    on every backend.  Like ``lanes``, the trace config is a host-side
-    observation knob, excluded from campaign run fingerprints; it enters
+    on every backend.  The trace config is a host-side observation knob,
+    excluded from campaign run fingerprints; it enters
     the codegen cache key only when an emission-relevant category is
     enabled (see :func:`repro.codegen.cache.emit_trace_categories`).
     """
@@ -96,7 +82,6 @@ class EngineOptions:
     collect_utilization: bool = False
     stall_limit: int = 100_000
     backend: str = "interpreted"
-    lanes: int = 8
     trace: object = None
 
     def __post_init__(self):

@@ -14,16 +14,11 @@ returns a ready-to-run engine for the backend selected in
   by :mod:`repro.codegen`, ``exec``'d into a module (disk-cached under the
   spec fingerprint) and executed by
   :class:`~repro.codegen.GeneratedEngine` (the paper's generated-simulator
-  fast path);
-* ``backend="batched"`` — the same source-level emission, but with the
-  step body wrapped in a lane loop so up to ``options.lanes``
-  same-fingerprint simulations advance per host dispatch
-  (:class:`~repro.batched.LaneEngine`, driven in lockstep by
-  :class:`~repro.batched.LaneBatch`).
+  fast path).
 
 :class:`GenerationReport` exposes the derived structures so tests and
-benchmarks can inspect them; for the generated and batched backends it
-also carries the specialisation counters.
+benchmarks can inspect them; for the generated backend it also carries
+the specialisation counters.
 """
 
 from __future__ import annotations
@@ -44,7 +39,7 @@ class GenerationReport:
     dispatch_entries: int = 0
     nonempty_dispatch_entries: int = 0
     generator_transitions: list = field(default_factory=list)
-    #: Specialisation counters (generated/batched backends only, else None).
+    #: Specialisation counters (generated backend only, else None).
     compilation: dict = None
     #: Content hash of the pipeline spec (None for hand-built nets).
     spec_fingerprint: str = None
@@ -88,11 +83,6 @@ def generate_simulator(net, options=None):
         from repro.codegen import GeneratedEngine
 
         engine = GeneratedEngine(net, options=options)
-    elif options.backend == "batched":
-        # Imported lazily: repro.batched builds on repro.codegen.
-        from repro.batched import LaneEngine
-
-        engine = LaneEngine(net, options=options)
     else:
         engine = SimulationEngine(net, options=options)
     schedule = engine.schedule

@@ -168,7 +168,7 @@ def elaborate(
     """Elaborate ``spec`` and generate its cycle-accurate simulator.
 
     Returns a :class:`~repro.describe.substrate.Processor`; ``backend``
-    selects the engine ("interpreted"/"generated"/"batched", see
+    selects the engine ("interpreted"/"generated", see
     :data:`~repro.core.engine.ENGINE_BACKENDS`), overriding
     ``engine_options.backend`` when given — the same contract as the
     hand-written model builders it replaces.  The stamped

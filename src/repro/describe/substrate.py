@@ -559,9 +559,8 @@ def resolve_engine_options(engine_options, backend=None):
     """Merge a builder's ``engine_options`` and ``backend`` arguments.
 
     Every model builder accepts both an :class:`EngineOptions` object and a
-    ``backend`` shortcut string (``"interpreted"`` / ``"generated"`` /
-    ``"batched"``); the shortcut, when given, overrides the backend
-    recorded in the options.
+    ``backend`` shortcut string (``"interpreted"`` / ``"generated"``); the
+    shortcut, when given, overrides the backend recorded in the options.
     The caller's options object is never mutated.
     """
     options = engine_options or EngineOptions()
@@ -592,7 +591,7 @@ class Processor:
 
     @property
     def backend(self):
-        """Execution strategy of the engine ("interpreted"/"generated"/"batched")."""
+        """Execution strategy of the engine ("interpreted"/"generated")."""
         return self.engine.backend
 
     @property
@@ -619,8 +618,8 @@ class Processor:
         """Reset every piece of dynamic state for a bit-reproducible re-run.
 
         Engine state, cache contents/statistics and learned predictor/BTB
-        state are cleared; the generated engine (including its emitted
-        step function on the generated/batched backends) is kept.  Call
+        state are cleared; the engine (including the generated backend's
+        emitted step function) is kept.  Call
         :meth:`load_program` afterwards to restore the program image and
         the fetch PC.  The memory system gets a *full* reset — cold tags,
         not just zeroed counters — so a reused processor never starts its

@@ -6,7 +6,7 @@ explicit, inspectable artifacts:
 * :class:`TraceConfig` / :class:`Tracer` — a cycle-level event tracer
   (transition firings, stalls, squashes with provenance, token creation,
   cache hit/miss/fill/writeback) attached via ``EngineOptions(trace=...)``
-  and shared by all three backends.  Exports JSONL and Chrome
+  and shared by both backends.  Exports JSONL and Chrome
   ``trace_event`` JSON (Perfetto / ``chrome://tracing``).
 * :func:`build_lifetimes` / :func:`render_pipeline` — fold a trace into
   per-instruction fetch→retire records and draw them as a Konata-style

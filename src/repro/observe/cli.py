@@ -133,7 +133,7 @@ def build_parser():
     trace.add_argument(
         "--backend",
         default="interpreted",
-        help="engine backend (interpreted, generated, batched)",
+        help="engine backend (interpreted, generated)",
     )
     trace.add_argument("--max-cycles", type=int, default=None, help="cycle budget")
     trace.add_argument(

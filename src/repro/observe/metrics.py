@@ -3,7 +3,7 @@
 The campaign runner (:func:`repro.campaign.runner.run_campaign`) records
 where wall-time actually goes — per-phase timing (plan vs store-load vs
 execute), result-store hit rates and the host time those hits saved,
-per-worker utilisation, batched-lane occupancy, codegen/schedule cache
+per-worker utilisation, codegen/schedule cache
 statuses — into a :class:`MetricsRegistry`; the snapshot rides on
 ``CampaignReport.metrics``, is persisted as ``metrics.json`` next to the
 result store, and ``python -m repro.campaign report --metrics`` renders it

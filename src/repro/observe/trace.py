@@ -162,9 +162,7 @@ class Tracer:
 
     def cache(self, level, kind, address, latency):
         # Cache accesses happen inside transition actions; ``engine.cycle``
-        # is the in-flight cycle on every backend (the batched lane loop
-        # updates it per cycle precisely so mid-cycle readers like this
-        # stay correct).
+        # is the in-flight cycle on every backend.
         cycle = self._engine.cycle if self._engine is not None else 0
         self._record(("cache", cycle, level, kind, address, latency))
 

@@ -105,7 +105,7 @@ def build_example_processor(
 ):
     """Build the Figure 4/5 example processor and its generated simulator.
 
-    ``backend`` selects the engine ("interpreted"/"generated"/"batched"), overriding
+    ``backend`` selects the engine ("interpreted"/"generated"), overriding
     ``engine_options.backend`` when given.
     """
     return elaborate(

@@ -164,7 +164,7 @@ def build_strongarm_processor(
 ):
     """Build the StrongARM model and generate its cycle-accurate simulator.
 
-    ``backend`` selects the engine ("interpreted"/"generated"/"batched"), overriding
+    ``backend`` selects the engine ("interpreted"/"generated"), overriding
     ``engine_options.backend`` when given.
     """
     return elaborate(

@@ -159,7 +159,7 @@ def build_xscale_processor(
 ):
     """Build the XScale model and generate its cycle-accurate simulator.
 
-    ``backend`` selects the engine ("interpreted"/"generated"/"batched"), overriding
+    ``backend`` selects the engine ("interpreted"/"generated"), overriding
     ``engine_options.backend`` when given.
     """
     return elaborate(

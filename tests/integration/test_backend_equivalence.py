@@ -1,4 +1,4 @@
-"""Backend equivalence matrix: interpreted / generated / batched.
+"""Backend equivalence matrix: interpreted / generated.
 
 Every engine backend is contractually bit-identical in every statistic
 the simulator exposes.  This matrix enforces the contract for **every
@@ -12,8 +12,9 @@ supports, comparing
   ``miss_cycles``, which the cache-model bugfix sweep of PR 5 pinned).
 
 One parametrized run per (model, kernel) pair covers all backends at
-once.  The reset tests below apply the same contract to a second run of
-one processor: ``reset()`` must reproduce the first run exactly, keep the
+once.  The budget test applies the contract to runs cut short by a cycle
+or instruction budget, and the reset tests to a second run of one
+processor: ``reset()`` must reproduce the first run exactly, keep the
 emitted module, and recover from an interrupted run.
 """
 
@@ -59,7 +60,7 @@ def observable_state(processor, stats):
 
 def test_backend_matrix_covers_all_registered_backends():
     """The matrix below must not silently fall behind the engine registry."""
-    assert set(ENGINE_BACKENDS) == {"interpreted", "generated", "batched"}
+    assert set(ENGINE_BACKENDS) == {"interpreted", "generated"}
 
 
 @pytest.mark.parametrize("model,kernel", MODEL_KERNEL_PAIRS)
@@ -75,6 +76,42 @@ def test_all_backends_bit_identical(model, kernel):
     assert reference["finish_reason"] == "halt"
     for backend in ENGINE_BACKENDS[1:]:
         assert states[backend] == reference, backend
+
+
+@pytest.mark.parametrize(
+    "budget,reason",
+    [({"max_instructions": 300}, "max_instructions"), ({"max_cycles": 500}, "max_cycles")],
+)
+@pytest.mark.parametrize(
+    "model", ["example", "strongarm", "strongarm-ds", "strongarm-l2", "xscale", "xscale-ds"]
+)
+def test_budgeted_runs_bit_identical(model, budget, reason):
+    """A run stopped by its budget stops at the same point on every backend."""
+    workload = get_workload("crc", scale=1)
+    states = {}
+    for backend in ENGINE_BACKENDS:
+        processor = build_processor(model, backend=backend)
+        processor.load_program(workload.program)
+        stats = processor.run(**budget)
+        states[backend] = observable_state(processor, stats)
+
+    reference = states["interpreted"]
+    assert reference["finish_reason"] == reason
+    for backend in ENGINE_BACKENDS[1:]:
+        assert states[backend] == reference, backend
+
+
+@pytest.mark.parametrize("backend", ENGINE_BACKENDS)
+def test_finished_run_reruns_as_a_no_op(backend):
+    """Running a halted processor again must not advance it."""
+    workload = get_workload("crc", scale=1)
+    processor = build_processor("strongarm", backend=backend)
+    processor.load_program(workload.program)
+    first = observable_state(processor, processor.run(max_cycles=2_000_000))
+    again = processor.run(max_cycles=2_000_000)
+
+    assert again.finished
+    assert observable_state(processor, again) == first
 
 
 def test_generated_engine_reset_reuses_emitted_module():

@@ -10,7 +10,7 @@ is checked two ways:
   registers, the condition flags and the syscall output must match a
   functional (instruction-set) simulation of the same binary; timing
   models may reorder completion, never results;
-* **backend** — the interpreted, generated and batched engines
+* **backend** — the interpreted and generated engines
   must produce bit-identical statistics (cycles, stalls, squashes,
   per-transition firing counts), the same contract
   ``test_backend_equivalence.py`` enforces on the paper kernels.
@@ -171,8 +171,6 @@ def test_fuzzed_model_matches_functional_and_backends_agree(name, model):
     reference = observable_state(interpreted, istats)
     generated, gstats = run_model(model, name, "generated")
     assert observable_state(generated, gstats) == reference
-    batched, bstats = run_model(model, name, "batched")
-    assert observable_state(batched, bstats) == reference
 
 
 #: A younger store to the address an older load reads.  On a dual-issue
@@ -234,7 +232,7 @@ def test_younger_store_does_not_leak_into_older_load(program, model):
     functional.run(max_instructions=10_000)
     expected = [functional.register(i) for i in range(15)]
 
-    for backend in ("interpreted", "generated", "batched"):
+    for backend in ("interpreted", "generated"):
         processor = build_processor(model, backend=backend)
         processor.load_program(binary)
         stats = processor.run(max_cycles=100_000)

@@ -9,11 +9,14 @@ architectural result is a modeling regression, not noise.
 The golden rows run on both the interpreted reference engine and the
 source-level generated backend (``repro.codegen``): an emitted module
 that drifts from these absolute numbers is a codegen regression even if
-it still agrees with the interpreter of the same build.
+it still agrees with the interpreter of the same build.  The traced
+emission of the generated backend is checked against the same rows.
 """
 
 import pytest
 
+from repro.core.engine import EngineOptions
+from repro.observe.trace import TraceConfig
 from repro.processors import build_processor
 from repro.workloads import get_workload
 
@@ -87,7 +90,7 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("backend", ["interpreted", "generated", "batched"])
+@pytest.mark.parametrize("backend", ["interpreted", "generated"])
 @pytest.mark.parametrize("model,kernel", sorted(GOLDEN))
 def test_golden_statistics_are_unchanged(model, kernel, backend):
     expected_cycles, expected_instructions, expected_stalls, expected_r0 = GOLDEN[
@@ -103,6 +106,30 @@ def test_golden_statistics_are_unchanged(model, kernel, backend):
     assert stats.instructions == expected_instructions
     assert stats.stalls == expected_stalls
     assert processor.register(0) == expected_r0
+
+
+@pytest.mark.parametrize("model,kernel", sorted(GOLDEN))
+def test_traced_generated_run_matches_golden(model, kernel):
+    """The trace-instrumented emission is its own module: pin it to the same rows.
+
+    The ring is deliberately small, so eviction happens on every row and
+    the statistics must still not move.
+    """
+    expected_cycles, expected_instructions, expected_stalls, expected_r0 = GOLDEN[
+        (model, kernel)
+    ]
+    workload = get_workload(kernel, scale=1)
+    options = EngineOptions(backend="generated", trace=TraceConfig(capacity=1024))
+    processor = build_processor(model, engine_options=options)
+    processor.load_program(workload.program)
+    stats = processor.run(max_cycles=2_000_000)
+
+    assert stats.finish_reason == "halt"
+    assert stats.cycles == expected_cycles
+    assert stats.instructions == expected_instructions
+    assert stats.stalls == expected_stalls
+    assert processor.register(0) == expected_r0
+    assert processor.tracer.recorded > 0
 
 
 #: Dual-issue variant -> its single-issue parent.

@@ -4,9 +4,9 @@ The observability contract has two halves, and this suite pins both:
 
 * **Zero perturbation.**  A traced run produces bit-identical statistics,
   architectural state and memory counters to an untraced run of the same
-  (model, workload) on the same backend — for every backend, on a
-  plain model and on an L2 model (so the cache category exercises a
-  two-level hierarchy).
+  (model, workload) on the same backend — for every backend, on
+  single- and dual-issue models of each family and on an L2 model (so
+  the cache category exercises a two-level hierarchy).
 * **Trace-content golden.**  The event stream is not merely harmless, it
   is *correct*: per-category event counts equal the statistics counters
   the engines already maintain (firings per transition, stalls, squashes,
@@ -22,7 +22,7 @@ from repro.observe.trace import TraceConfig
 from repro.processors import build_processor
 from repro.workloads import get_workload
 
-MODELS = ("strongarm", "strongarm-l2")
+MODELS = ("example", "strongarm", "strongarm-ds", "strongarm-l2", "xscale", "xscale-ds")
 KERNEL = "crc"
 MAX_CYCLES = 4_000
 #: Large enough that the ring never evicts (the golden counts need the

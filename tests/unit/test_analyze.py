@@ -385,19 +385,17 @@ VERIFY_MODELS = tuple(processor_names())
 
 
 @pytest.mark.parametrize("model", VERIFY_MODELS)
-@pytest.mark.parametrize("backend", ("generated", "batched"))
-def test_emitted_source_verifies_clean(model, backend):
-    assert verify_model(model, backend=backend) == []
+def test_emitted_source_verifies_clean(model):
+    assert verify_model(model) == []
 
 
-@pytest.mark.parametrize("backend", ("generated", "batched"))
-def test_traced_emission_verifies_clean(backend):
-    assert verify_model("example", backend=backend, trace=True) == []
-    assert verify_model("strongarm", backend=backend, trace=True) == []
+@pytest.mark.parametrize("model", VERIFY_MODELS)
+def test_traced_emission_verifies_clean(model):
+    assert verify_model(model, trace=True) == []
 
 
-def _engine(model="example", backend="generated", trace=False):
-    options = {"backend": backend}
+def _engine(model="example", trace=False):
+    options = {"backend": "generated"}
     if trace:
         options["trace"] = {"categories": ("firing", "stall"), "capacity": 64}
     return build_processor(model, engine_options=EngineOptions(**options)).engine
@@ -487,16 +485,6 @@ def test_sv007_emit_report_tamper_detected():
     assert source != engine.source
     findings = verify_engine(_tampered(engine, source))
     assert "SV007" in rules_of(findings)
-
-
-def test_sv008_batched_mode_tamper_detected():
-    engine = _engine(backend="batched")
-    source = engine.source.replace(
-        "EMISSION_MODE = 'batched'", "EMISSION_MODE = 'scalar'"
-    )
-    assert source != engine.source
-    findings = verify_engine(_tampered(engine, source))
-    assert "SV008" in rules_of(findings)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from repro.campaign import (
     run_campaign,
     speedup_table,
     summarize,
-    throughput_table,
     to_csv,
     to_json,
 )
@@ -222,23 +221,6 @@ class TestFingerprints:
         )
         assert inline.fingerprint() == named.fingerprint()
 
-    def test_batch_width_does_not_change_the_fingerprint(self):
-        """``lanes`` is an execution detail: widening a batched campaign
-        must keep every stored result cached."""
-        narrow = RunSpec(
-            processor="strongarm",
-            workload="crc",
-            engine=EngineVariant("batched", EngineOptions(backend="batched", lanes=2)),
-        )
-        wide = RunSpec(
-            processor="strongarm",
-            workload="crc",
-            engine=EngineVariant("batched", EngineOptions(backend="batched", lanes=16)),
-        )
-        assert narrow.fingerprint() == wide.fingerprint()
-        scalar = RunSpec(processor="strongarm", workload="crc", engine="generated")
-        assert narrow.fingerprint() != scalar.fingerprint()
-
 
 # ---------------------------------------------------------------------------
 # ResultStore
@@ -416,89 +398,6 @@ class TestRunner:
         assert report.results[0].finish_reason != "halt"
 
 
-class TestBatchedCampaigns:
-    GRID = dict(processors=("arm7-mini",), workloads=("crc", "compress"), scales=(1,))
-
-    def test_batched_rows_match_scalar_generated_rows(self):
-        spec = CampaignSpec(name="b", engines=("generated", "batched"), **self.GRID)
-        report = run_campaign(spec, store=None, max_workers=1)
-        rows = {
-            (result.workload, result.engine): result for result in report.results
-        }
-        for workload in self.GRID["workloads"]:
-            generated = rows[(workload, "generated")]
-            batched = rows[(workload, "batched")]
-            assert batched.cycles == generated.cycles
-            assert batched.instructions == generated.instructions
-            assert batched.final_r0 == generated.final_r0
-            assert batched.memory == generated.memory
-            assert batched.stats["retired_by_class"] == (
-                generated.stats["retired_by_class"]
-            )
-
-    def test_same_module_runs_share_one_lane_batch(self, monkeypatch):
-        """Pending batched runs of one model execute as a single batch."""
-        from repro.campaign import runner as runner_module
-
-        batches = []
-        original = runner_module.execute_batch
-
-        def spy(runs, campaign=""):
-            batches.append([run.run_id for run in runs])
-            return original(runs, campaign=campaign)
-
-        monkeypatch.setattr(runner_module, "execute_batch", spy)
-        spec = CampaignSpec(name="b", engines=("batched",), **self.GRID)
-        report = run_campaign(spec, store=None, max_workers=1)
-        assert report.executed == 2
-        assert len(batches) == 1 and len(batches[0]) == 2
-
-    def test_batch_width_chunks_oversized_groups(self, monkeypatch):
-        from repro.campaign import runner as runner_module
-
-        batches = []
-        original = runner_module.execute_batch
-
-        def spy(runs, campaign=""):
-            batches.append(len(runs))
-            return original(runs, campaign=campaign)
-
-        monkeypatch.setattr(runner_module, "execute_batch", spy)
-        narrow = EngineVariant("batched", EngineOptions(backend="batched", lanes=1))
-        spec = CampaignSpec(name="b", engines=(narrow,), **self.GRID)
-        run_campaign(spec, store=None, max_workers=1)
-        assert batches == [1, 1]
-
-    def test_widening_a_batched_campaign_stays_fully_cached(self, tmp_path):
-        narrow = EngineVariant("batched", EngineOptions(backend="batched", lanes=1))
-        cold = run_campaign(
-            CampaignSpec(name="b", engines=(narrow,), **self.GRID),
-            store=tmp_path / "store",
-            max_workers=1,
-        )
-        assert cold.executed == 2 and cold.cached == 0
-        wide = EngineVariant("batched", EngineOptions(backend="batched", lanes=8))
-        warm = run_campaign(
-            CampaignSpec(name="b", engines=(wide,), **self.GRID),
-            store=tmp_path / "store",
-            max_workers=1,
-        )
-        assert warm.executed == 0 and warm.cached == 2
-
-    def test_batched_runs_respect_campaign_budgets(self):
-        spec = CampaignSpec(
-            name="b",
-            engines=("batched",),
-            processors=("arm7-mini",),
-            workloads=("crc", "compress"),
-            max_cycles=50,  # far below the halt point: finish_reason max_cycles
-        )
-        report = run_campaign(spec, store=None, max_workers=1)
-        assert [result.finish_reason for result in report.results] == [
-            "max_cycles",
-            "max_cycles",
-        ]
-
 
 # ---------------------------------------------------------------------------
 # Aggregation
@@ -572,42 +471,6 @@ class TestAggregation:
         with pytest.raises(ValueError, match="disagree on simulated cycles"):
             speedup_table(results)
 
-    def _throughput_results(self):
-        return [
-            _result(
-                fingerprint="a" * 64,
-                cycles=100,
-                wall_seconds=1.0,
-                engine="generated",
-                backend="generated",
-                run_id="strongarm/crc@1/generated",
-            ),
-            _result(
-                fingerprint="b" * 64,
-                cycles=100,
-                wall_seconds=0.5,
-                engine="batched",
-                backend="batched",
-                run_id="strongarm/crc@1/batched",
-            ),
-        ]
-
-    def test_throughput_table_computes_rows_per_host_second(self):
-        rows = throughput_table(self._throughput_results())
-        assert len(rows) == 1
-        assert rows[0]["generated_rows_per_sec"] == pytest.approx(1.0)
-        assert rows[0]["batched_rows_per_sec"] == pytest.approx(2.0)
-        assert rows[0]["throughput_ratio"] == pytest.approx(2.0)
-
-    def test_throughput_table_rejects_cycle_disagreement(self):
-        results = self._throughput_results()
-        results[1].cycles = 999
-        with pytest.raises(ValueError, match="disagree on simulated cycles"):
-            throughput_table(results)
-
-    def test_throughput_table_skips_cells_missing_either_variant(self):
-        assert throughput_table(self._throughput_results()[:1]) == []
-
     def test_cpi_table_shape(self):
         rows = cpi_table(self._results())
         assert {row["engine"] for row in rows} == {"interpreted", "generated"}
@@ -647,7 +510,11 @@ class TestCli:
         "interpreted",
     ]
 
-    def test_run_status_report_round_trip(self, tmp_path):
+    @pytest.mark.parametrize(
+        "legacy_backend,compilation",
+        [("compiled", {"plan_cache": "hit"}), ("batched", {"codegen_cache": "memory"})],
+    )
+    def test_run_status_report_round_trip(self, tmp_path, legacy_backend, compilation):
         store = str(tmp_path / "store")
         out = io.StringIO()
         assert cli_main(["run", *self.GRID, "--store", store, "--max-workers", "1"], out) == 0
@@ -657,17 +524,17 @@ class TestCli:
         assert cli_main(["status", *self.GRID, "--store", store], out) == 0
         assert "0 pending" in out.getvalue()
 
-        # A row written before the compiled backend was removed must still
-        # load and render.
+        # A row written before its backend was removed must still load and
+        # render.
         legacy = ResultStore(store)
         legacy.append(
             dataclasses.replace(
                 legacy.results()[0],
                 fingerprint="c" * 64,
-                engine="compiled",
-                backend="compiled",
-                run_id="arm7-mini/crc@1/compiled",
-                generation={"schedule_cache": "hit", "compilation": {"plan_cache": "hit"}},
+                engine=legacy_backend,
+                backend=legacy_backend,
+                run_id="arm7-mini/crc@1/" + legacy_backend,
+                generation={"schedule_cache": "hit", "compilation": compilation},
             )
         )
 
@@ -675,8 +542,8 @@ class TestCli:
         csv_path = str(tmp_path / "rows.csv")
         assert cli_main(["report", "--store", store, "--csv", csv_path], out) == 0
         assert "arm7-mini" in out.getvalue()
-        assert "compiled" in out.getvalue()
-        assert "compiled" in (tmp_path / "rows.csv").read_text()
+        assert legacy_backend in out.getvalue()
+        assert legacy_backend in (tmp_path / "rows.csv").read_text()
 
     def test_expect_all_cached_distinguishes_cold_and_warm_stores(self, tmp_path):
         store = str(tmp_path / "store")
@@ -793,32 +660,49 @@ class TestCli:
                 "run",
                 "--processors", "strongarm",
                 "--workloads", "crc",
-                "--engines", "batchd",
+                "--engines", "generatd",
                 "--store", str(tmp_path / "store"),
             ],
             out,
         )
         assert code == 1
         message = out.getvalue()
-        assert "unknown engine backend 'batchd'" in message
-        assert "did you mean 'batched'" in message
+        assert "unknown engine backend 'generatd'" in message
+        assert "did you mean 'generated'" in message
         assert "Traceback" not in message
 
-    def test_engines_flag_accepts_batched(self, tmp_path):
+    def _spec_file(self, tmp_path, options):
+        spec_path = tmp_path / "campaign.json"
+        spec_path.write_text(json.dumps({
+            "name": "options",
+            "processors": ["arm7-mini"],
+            "workloads": ["crc"],
+            "engines": [{"label": "interpreted", "options": options}],
+        }))
+        return str(spec_path)
+
+    def test_unknown_engine_option_in_spec_file_fails_with_suggestion(self, tmp_path):
+        spec_path = self._spec_file(tmp_path, {"backend": "interpreted", "stall_limt": 5})
         out = io.StringIO()
-        code = cli_main(
-            [
-                "run",
-                "--processors", "arm7-mini",
-                "--workloads", "crc",
-                "--engines", "batched",
-                "--store", str(tmp_path / "store"),
-                "--max-workers", "1",
-            ],
-            out,
-        )
-        assert code == 0
-        assert "arm7-mini" in out.getvalue()
+        code = cli_main(["run", "--spec", spec_path, "--store", str(tmp_path / "store")], out)
+        assert code == 1
+        message = out.getvalue()
+        assert message.startswith("error: ")
+        assert "unknown engine option 'stall_limt'" in message
+        assert "did you mean 'stall_limit'" in message
+        assert "Traceback" not in message
+        assert not (tmp_path / "store").exists()
+
+    def test_legacy_lanes_option_in_spec_file_is_ignored(self, tmp_path):
+        """Spec files from the lane-batched era carry ``"lanes": 8``."""
+        spec_path = self._spec_file(tmp_path, {"backend": "interpreted", "lanes": 8})
+        store = str(tmp_path / "store")
+        out = io.StringIO()
+        assert cli_main(["status", "--spec", spec_path, "--store", store], out) == 2
+        assert "pending arm7-mini/crc@1/interpreted" in out.getvalue()
+        out = io.StringIO()
+        assert cli_main(["run", "--spec", spec_path, "--store", store, "--max-workers", "1"], out) == 0
+        assert "1 executed" in out.getvalue()
 
     def test_non_integer_scales_fail_cleanly(self, tmp_path):
         out = io.StringIO()

@@ -1,12 +1,10 @@
 """Failure isolation in the campaign runner (and its CLI surface).
 
 Failures are first-class: a failing run is retried with a budget
-(``CampaignSpec.max_retries``), a failing lane batch is re-split into
-scalar runs so one poisoned lane cannot take its siblings down, runs
-that exhaust the budget persist as ``"failed"`` store records (visible
-in ``status``/``report``, never served as cache hits), and
-``keep_going`` finishes the whole grid before the collected
-:class:`CampaignError` is raised.
+(``CampaignSpec.max_retries``), runs that exhaust the budget persist as
+``"failed"`` store records (visible in ``status``/``report``, never
+served as cache hits), and ``keep_going`` finishes the whole grid before
+the collected :class:`CampaignError` is raised.
 """
 
 import io
@@ -161,67 +159,6 @@ class TestKeepGoing:
         rows = failure_rows(ResultStore(tmp_path / "store"))
         assert {row["workload"] for row in rows} == {"crc", "adpcm"}
         assert all(row["error"].startswith("RuntimeError") for row in rows)
-
-
-class TestBatchResplit:
-    def test_poisoned_batch_is_resplit_and_siblings_survive(
-        self, monkeypatch, tmp_path
-    ):
-        """A failing multi-lane batch re-runs as scalars; only the poisoned
-        lane fails, without charging the siblings' retry budget."""
-        real_batch = runner_module.execute_batch
-        batch_sizes = []
-
-        def poisoned_batch(runs, campaign=""):
-            batch_sizes.append(len(runs))
-            if len(runs) > 1:
-                raise RuntimeError("poisoned lane takes the whole batch down")
-            return real_batch(runs, campaign=campaign)
-
-        monkeypatch.setattr(runner_module, "execute_batch", poisoned_batch)
-        spec = CampaignSpec(
-            name="batched-faulty",
-            processors=("arm7-mini",),
-            workloads=("crc", "compress"),
-            engines=("batched",),
-            retry_backoff_seconds=0.0,
-        )
-        report = run_campaign(spec, store=tmp_path / "store", max_workers=1)
-        # One 2-lane batch failed, then two scalar batches succeeded —
-        # with max_retries=0: the re-split is isolation, not a retry.
-        assert batch_sizes == [2, 1, 1]
-        assert report.executed == 2
-        assert all(result.ok for result in report.results)
-        assert (
-            snapshot_value(report.metrics, "campaign.batch.resplit_runs") == 2
-        )
-
-    def test_resplit_scalar_failure_still_respects_the_budget(
-        self, monkeypatch, tmp_path
-    ):
-        real_batch = runner_module.execute_batch
-
-        def poisoned(runs, campaign=""):
-            if any(run.workload == "crc" for run in runs):
-                raise RuntimeError("crc lane is poisoned")
-            return real_batch(runs, campaign=campaign)
-
-        monkeypatch.setattr(runner_module, "execute_batch", poisoned)
-        spec = CampaignSpec(
-            name="batched-faulty",
-            processors=("arm7-mini",),
-            workloads=("crc", "compress"),
-            engines=("batched",),
-            retry_backoff_seconds=0.0,
-        )
-        with pytest.raises(CampaignError, match="crc lane is poisoned"):
-            run_campaign(
-                spec, store=tmp_path / "store", max_workers=1, keep_going=True
-            )
-        store = ResultStore(tmp_path / "store")
-        by_run = {result.run_id: result for result in store.results()}
-        assert by_run["arm7-mini/compress@1/batched"].ok  # sibling survived
-        assert not by_run["arm7-mini/crc@1/batched"].ok
 
 
 class TestSpecKnobs:

@@ -140,20 +140,6 @@ def test_key_ignores_run_length_knobs():
     assert codegen_key("fp", EngineOptions(backend="generated", stall_limit=7)) == base
 
 
-def test_key_depends_on_lanes_for_the_batched_backend():
-    """Batched emission bakes the lane budget in; scalar emission must not.
-
-    A batched module's ``LANES`` constant caps its batch width, so modules
-    emitted for different lane budgets are different artifacts — while for
-    the scalar backends ``lanes`` is inert and must not fragment the cache.
-    """
-    scalar = codegen_key("fp", GENERATED)
-    two = codegen_key("fp", EngineOptions(backend="batched", lanes=2))
-    four = codegen_key("fp", EngineOptions(backend="batched", lanes=4))
-    assert len({scalar, two, four}) == 3
-    assert codegen_key("fp", EngineOptions(backend="generated", lanes=2)) == scalar
-
-
 def test_key_depends_on_the_repro_version(monkeypatch):
     base = codegen_key("fp", GENERATED)
     monkeypatch.setattr(repro, "__version__", repro.__version__ + "+codegen-test")

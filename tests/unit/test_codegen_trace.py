@@ -87,24 +87,6 @@ def test_traced_source_contains_trace_call_sites():
     assert "TRS(cycle, " in traced
 
 
-def test_batched_emission_honours_the_same_contract():
-    net, schedule = net_and_schedule()
-    off = EngineOptions(backend="batched")
-    off_disabled = EngineOptions(backend="batched", trace=TraceConfig(enabled=False))
-    traced = EngineOptions(backend="batched", trace=TraceConfig())
-    sources = {
-        "off": emit_module_source(net, schedule, off)[0],
-        "disabled": emit_module_source(net, schedule, off_disabled)[0],
-        "traced": emit_module_source(net, schedule, traced)[0],
-    }
-    assert sources["off"] == sources["disabled"]
-    assert "TRF(" not in sources["off"]
-    assert "TRF(cycle, " in sources["traced"]
-    assert "TRS(cycle, " in sources["traced"]
-    assert codegen_key(FINGERPRINT, off) == codegen_key(FINGERPRINT, off_disabled)
-    assert codegen_key(FINGERPRINT, off) != codegen_key(FINGERPRINT, traced)
-
-
 def test_engine_options_coerce_trace_dicts():
     """JSON round-trips deliver the trace config as a plain dict."""
     options = EngineOptions(

@@ -51,16 +51,23 @@ class TestUnknownNameSuggestions:
             )
 
 
-REMOVED_HINT = "the compiled backend was removed; use 'generated' (same statistics, faster)"
+#: Backends that no longer exist, with the exact message each must fail with.
+REMOVED_HINTS = {
+    "compiled": "the compiled backend was removed; use 'generated' (same statistics, faster)",
+    "batched": "the batched backend was removed; use 'generated' (same statistics, same speed)",
+}
+
+removed_backends = pytest.mark.parametrize("removed", sorted(REMOVED_HINTS))
 
 
 class TestBackendNames:
-    def test_removed_backend_names_its_replacement(self):
+    @removed_backends
+    def test_removed_backend_names_its_replacement(self, removed):
         from repro.processors import build_processor
 
         with pytest.raises(ValueError) as caught:
-            build_processor("strongarm", backend="compiled")
-        assert str(caught.value) == REMOVED_HINT
+            build_processor("strongarm", backend=removed)
+        assert str(caught.value) == REMOVED_HINTS[removed]
 
     def test_unknown_backend_suggests_close_match(self):
         with pytest.raises(ValueError, match="did you mean 'generated'"):
@@ -69,27 +76,33 @@ class TestBackendNames:
             EngineOptions(backend="jit")
         assert "did you mean" not in str(caught.value)
 
-    def test_replace_revalidates_the_backend(self):
-        with pytest.raises(ValueError, match="compiled backend was removed"):
-            dataclasses.replace(EngineOptions(), backend="compiled")
+    @removed_backends
+    def test_replace_revalidates_the_backend(self, removed):
+        with pytest.raises(ValueError) as caught:
+            dataclasses.replace(EngineOptions(), backend=removed)
+        assert str(caught.value) == REMOVED_HINTS[removed]
 
-    def test_campaign_cli_engines_flag(self, tmp_path):
+    @removed_backends
+    def test_campaign_cli_engines_flag(self, tmp_path, removed):
         from repro.campaign.cli import main
 
         out = io.StringIO()
         code = main(
             ["run", "--processors", "arm7-mini", "--workloads", "crc",
-             "--engines", "interpreted,compiled", "--store", str(tmp_path / "s")],
+             "--engines", "interpreted," + removed, "--store", str(tmp_path / "s")],
             out=out,
         )
         assert code == 1
-        assert REMOVED_HINT in out.getvalue()
+        assert REMOVED_HINTS[removed] in out.getvalue()
+        assert "Traceback" not in out.getvalue()
         assert not (tmp_path / "s").exists()
 
-    @pytest.mark.parametrize("engine", ["compiled", {"label": "c", "options": {"backend": "compiled"}}])
-    def test_campaign_cli_spec_file(self, tmp_path, engine):
+    @removed_backends
+    @pytest.mark.parametrize("as_dict", [False, True], ids=["name", "options"])
+    def test_campaign_cli_spec_file(self, tmp_path, removed, as_dict):
         from repro.campaign.cli import main
 
+        engine = {"label": "old", "options": {"backend": removed}} if as_dict else removed
         spec = tmp_path / "campaign.json"
         spec.write_text(json.dumps(
             {"name": "legacy", "processors": ["arm7-mini"], "workloads": ["crc"],
@@ -98,13 +111,15 @@ class TestBackendNames:
         out = io.StringIO()
         code = main(["run", "--spec", str(spec), "--store", str(tmp_path / "s")], out=out)
         assert code == 1
-        assert REMOVED_HINT in out.getvalue()
+        assert REMOVED_HINTS[removed] in out.getvalue()
+        assert "Traceback" not in out.getvalue()
         assert not (tmp_path / "s").exists()
 
-    def test_analyze_verify_backends_flag(self):
+    @removed_backends
+    def test_analyze_verify_backends_flag(self, removed):
         from repro.analyze.cli import main
 
         out = io.StringIO()
-        code = main(["verify", "example", "--backends", "compiled"], out=out)
+        code = main(["verify", "example", "--backends", removed], out=out)
         assert code == 1
-        assert out.getvalue() == "error: %s\n" % REMOVED_HINT
+        assert out.getvalue() == "error: %s\n" % REMOVED_HINTS[removed]

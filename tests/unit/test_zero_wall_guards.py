@@ -6,13 +6,13 @@ the codebase must treat that as "no measurable throughput" — returning
 ``0.0`` — rather than raising ``ZeroDivisionError`` or leaking ``inf``
 into tables and JSON exports.  This file pins the guard at every site:
 the core statistics properties (which were always guarded), the analysis
-``speedup`` helper, and the campaign aggregation tables.
+``speedup`` helper, and the campaign speedup table.
 """
 
 import math
 
 from repro.analysis.metrics import BenchmarkResult, speedup
-from repro.campaign.aggregate import speedup_table, throughput_table
+from repro.campaign.aggregate import speedup_table
 from repro.campaign.store import RunResult
 from repro.core.statistics import SimulationStatistics
 
@@ -89,26 +89,3 @@ def test_speedup_table_zero_baseline_yields_zero_not_inf():
     assert len(rows) == 1
     assert rows[0]["speedup"] == 0.0
     assert all(math.isfinite(v) for v in rows[0].values() if isinstance(v, float))
-
-
-def test_throughput_table_zero_walls_yield_zero_not_inf():
-    results = [
-        run_result("generated", 0.0),
-        run_result("batched", 0.0),
-    ]
-    rows = throughput_table(results)
-    assert len(rows) == 1
-    assert rows[0]["generated_rows_per_sec"] == 0.0
-    assert rows[0]["batched_rows_per_sec"] == 0.0
-    assert rows[0]["throughput_ratio"] == 0.0
-
-
-def test_throughput_table_zero_baseline_only():
-    results = [
-        run_result("generated", 0.0),
-        run_result("batched", 0.25),
-    ]
-    rows = throughput_table(results)
-    assert rows[0]["generated_rows_per_sec"] == 0.0
-    assert rows[0]["batched_rows_per_sec"] == 4.0
-    assert rows[0]["throughput_ratio"] == 0.0
