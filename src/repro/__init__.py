@@ -60,7 +60,7 @@ Sub-packages
     tables, and driven from the ``python -m repro.campaign`` CLI.
 """
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 __all__ = [
     "core",

@@ -11,27 +11,39 @@ scheme generically:
   class's symbol binder: for each symbol it records whether the symbol is a
   register (and which :class:`~repro.core.operands.Register` object it
   resolves to), a constant, or a plain value;
-* creating a token for a dynamic instance then only instantiates fresh
-  :class:`~repro.core.operands.RegRef` objects over the pre-resolved
-  registers — no field extraction or register lookup is repeated.
+* the plan also picks the token class (:func:`~repro.core.token.token_class`,
+  one slot per symbol), so creating a token for a dynamic instance only
+  instantiates fresh :class:`~repro.core.operands.RegRef` objects over the
+  pre-resolved registers and writes each operand into its slot — no field
+  extraction or register lookup is repeated.
+
+The decoder also numbers the tokens it makes (``token.seq``, fetch order),
+so two runs of one processor number their instructions identically.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from repro.core.operands import RegRef
-from repro.core.token import InstructionToken
+from repro.core.token import token_class
 
 
 class BindingPlan:
-    """Partially evaluated operand binding for one static instruction."""
+    """Partially evaluated operand binding for one static instruction.
 
-    __slots__ = ("entries",)
+    ``token_class`` is the slotted token class for the bound symbols;
+    ``opclass`` names the operation class in symbol errors.
+    """
+
+    __slots__ = ("entries", "token_class")
 
     KIND_REGISTER = 0
     KIND_SHARED = 1  # Const or any immutable operand safe to share across instances
     KIND_REGISTER_LIST = 2  # a list of RegRefs (block transfers)
 
-    def __init__(self, operands):
+    def __init__(self, operands, opclass):
+        self.token_class = token_class(operands, opclass)
         self.entries = []
         for symbol, operand in operands.items():
             if isinstance(operand, RegRef):
@@ -46,19 +58,23 @@ class BindingPlan:
             else:
                 self.entries.append((symbol, self.KIND_SHARED, operand))
 
-    def instantiate(self):
-        """Materialise a fresh operand dictionary for one dynamic instance."""
-        operands = {}
+    def instantiate(self, token):
+        """Write fresh operands for one dynamic instance into ``token``'s slots."""
+        regrefs = []
         for symbol, kind, payload in self.entries:
             if kind == self.KIND_REGISTER:
-                operands[symbol] = RegRef(payload)
+                operand = RegRef(payload, token)
+                regrefs.append(operand)
             elif kind == self.KIND_REGISTER_LIST:
-                operands[symbol] = [
-                    RegRef(item) if hasattr(item, "regfile") else item for item in payload
+                operand = [
+                    RegRef(item, token) if hasattr(item, "regfile") else item for item in payload
                 ]
+                regrefs.extend(item for item in operand if isinstance(item, RegRef))
             else:
-                operands[symbol] = payload
-        return operands
+                operand = payload
+            setattr(token, symbol, operand)
+        token.regrefs = tuple(regrefs)
+        return token
 
 
 class DecodedTemplate:
@@ -101,6 +117,7 @@ class InstructionDecoder:
         self.classify = classify or (lambda instr: instr.operation_class)
         self.use_cache = use_cache
         self._cache = {}
+        self._sequence = itertools.count()
         self.hits = 0
         self.misses = 0
 
@@ -109,7 +126,7 @@ class InstructionDecoder:
         opclass_name = self.classify(instr)
         opclass = self.net.operation_classes[opclass_name]
         operands = opclass.bind(instr, self.context)
-        return DecodedTemplate(word, instr, opclass_name, BindingPlan(operands))
+        return DecodedTemplate(word, instr, opclass_name, BindingPlan(operands, opclass_name))
 
     def decode_word(self, word, pc=0):
         """Decode ``word`` fetched from ``pc`` into an instruction token."""
@@ -125,15 +142,13 @@ class InstructionDecoder:
             self.misses += 1
             template = self._build_template(word)
 
-        token = InstructionToken(
-            instr=template.instr,
-            opclass=template.opclass,
-            pc=pc,
-            operands=template.plan.instantiate(),
-        )
-        for operand in token.register_operands():
-            operand.token = token
-        return token
+        plan = template.plan
+        token = plan.token_class(template.instr, template.opclass, pc, next(self._sequence))
+        return plan.instantiate(token)
+
+    def restart_sequence(self):
+        """Number the next decoded token 0 again (the decode cache is kept)."""
+        self._sequence = itertools.count()
 
     def cache_info(self):
         return {"hits": self.hits, "misses": self.misses, "entries": len(self._cache)}

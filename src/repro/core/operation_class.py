@@ -16,7 +16,7 @@ from __future__ import annotations
 from enum import Enum
 
 from repro.core.exceptions import ModelError
-from repro.core.token import InstructionToken
+from repro.core.token import check_symbols
 
 
 class SymbolKind(Enum):
@@ -36,11 +36,14 @@ class OperationClass:
     callable ``binder(instr, context) -> dict`` mapping symbol names to
     operand objects for a concrete decoded instruction; ``context`` is the
     :class:`DecodeContext` giving access to register objects and units.
+    Symbols become attributes of the decoded tokens, so a symbol named like
+    a token attribute (``pc``, ``type``, ``seq`` ...) is a :class:`ModelError`.
     """
 
     def __init__(self, name, symbols=None, binder=None, description=""):
         self.name = name
         self.symbols = dict(symbols or {})
+        check_symbols(self.symbols, name)
         self.binder = binder
         self.description = description
 
@@ -56,14 +59,6 @@ class OperationClass:
                 % (self.name, ", ".join(sorted(missing)))
             )
         return operands
-
-    def make_token(self, instr, context, pc=0):
-        """Decode ``instr`` into an :class:`InstructionToken` of this class."""
-        operands = self.bind(instr, context)
-        token = InstructionToken(instr=instr, opclass=self.name, pc=pc, operands=operands)
-        for operand in token.register_operands():
-            operand.token = token
-        return token
 
     def __repr__(self):
         return "<OperationClass %s symbols=%s>" % (self.name, sorted(self.symbols))

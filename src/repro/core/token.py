@@ -13,6 +13,11 @@ from __future__ import annotations
 
 import itertools
 
+from repro.core.exceptions import ModelError
+from repro.core.operands import RegRef
+
+#: Numbers reservation tokens and hand-built instruction tokens; the decoder
+#: numbers the instruction tokens it makes.
 _sequence = itertools.count()
 
 
@@ -74,9 +79,15 @@ class InstructionToken(Token):
     :class:`~repro.core.operands.Const`, plain Python values).  Symbols are
     also exposed as attributes so model code can be written exactly like the
     paper's examples: ``t.s1.can_read()``, ``t.d.reserve_write()`` ...
+
+    Tokens the decoder makes are instances of a :func:`token_class`
+    subclass holding each operand in its own slot.  A token built directly
+    from this class keeps its operands in a dictionary and resolves symbols
+    through :meth:`__getattr__`.  ``regrefs`` is the token's RegRefs, with
+    register lists flattened, in symbol order.
     """
 
-    __slots__ = ("instr", "opclass", "pc", "operands", "annotations", "squashed")
+    __slots__ = ("instr", "opclass", "pc", "operands", "regrefs", "annotations", "squashed")
 
     is_instruction = True
 
@@ -86,6 +97,7 @@ class InstructionToken(Token):
         self.opclass = opclass
         self.pc = pc
         self.operands = dict(operands or {})
+        self.regrefs = _flatten_regrefs(self.operands.values())
         self.annotations = {}
         self.squashed = False
 
@@ -118,15 +130,7 @@ class InstructionToken(Token):
         Operands bound to lists (block-transfer register lists) are
         flattened so every RegRef is covered by squash/release handling.
         """
-        from repro.core.operands import RegRef
-
-        found = []
-        for operand in self.operands.values():
-            if isinstance(operand, RegRef):
-                found.append(operand)
-            elif isinstance(operand, (list, tuple)):
-                found.extend(item for item in operand if isinstance(item, RegRef))
-        return found
+        return list(self.regrefs)
 
     def release_reservations(self):
         """Drop any write reservations held by this token's operands.
@@ -134,9 +138,85 @@ class InstructionToken(Token):
         Called when a token is squashed (wrong-path flush) so that younger
         correct-path instructions are not blocked forever.
         """
-        for operand in self.register_operands():
+        for operand in self.regrefs:
             operand.release()
 
     def __repr__(self):
         where = self.place.name if self.place is not None else "limbo"
         return "<InstructionToken #%d %s pc=%#x in %s>" % (self.seq, self.opclass, self.pc, where)
+
+
+def _flatten_regrefs(operands):
+    """The RegRefs among ``operands``, with lists and tuples flattened, as a tuple."""
+    found = []
+    for operand in operands:
+        if isinstance(operand, RegRef):
+            found.append(operand)
+        elif isinstance(operand, (list, tuple)):
+            found.extend(item for item in operand if isinstance(item, RegRef))
+    return tuple(found)
+
+
+#: Names a symbol may not take: it would shadow a token attribute.
+_RESERVED = frozenset(dir(InstructionToken))
+
+
+def check_symbols(symbols, opclass):
+    """Raise :class:`ModelError` unless every symbol can be a token attribute."""
+    for name in symbols:
+        if not isinstance(name, str) or not name.isidentifier():
+            raise ModelError(
+                "operation class %r: symbol %r is not a Python identifier" % (opclass, name)
+            )
+        if name in _RESERVED:
+            raise ModelError(
+                "operation class %r: symbol %r collides with the token attribute of that name"
+                % (opclass, name)
+            )
+
+
+def _init_decoded(self, instr, opclass, pc, seq):
+    # Token and InstructionToken state; the decoder's BindingPlan then fills
+    # the symbol slots and ``regrefs``.
+    self.ready_cycle = 0
+    self.delay_override = None
+    self.place = None
+    self.seq = seq
+    self.instr = instr
+    self.opclass = opclass
+    self.pc = pc
+    self.annotations = {}
+    self.squashed = False
+
+
+def _slot_operands(self):
+    return {name: object.__getattribute__(self, name) for name in type(self).__slots__}
+
+
+_token_classes = {}
+
+
+def token_class(symbols, opclass=None):
+    """The :class:`InstructionToken` subclass with one slot per symbol.
+
+    Memoised on the ``symbols`` tuple, so every decoded word of an operation
+    class shares one class.  Symbol access is then a slot read instead of a
+    failed lookup plus :meth:`InstructionToken.__getattr__`.  ``operands``
+    becomes a read-only dictionary built from the slots.  ``opclass`` only
+    names the operation class in the :class:`ModelError` raised for a symbol
+    that would shadow a token attribute.
+    """
+    symbols = tuple(symbols)
+    cls = _token_classes.get(symbols)
+    if cls is None:
+        check_symbols(symbols, opclass)
+        cls = _token_classes[symbols] = type(
+            "InstructionToken",
+            (InstructionToken,),
+            {
+                "__slots__": symbols,
+                "__init__": _init_decoded,
+                "operands": property(_slot_operands),
+            },
+        )
+    return cls

@@ -623,10 +623,12 @@ class Processor:
         :meth:`load_program` afterwards to restore the program image and
         the fetch PC.  The memory system gets a *full* reset — cold tags,
         not just zeroed counters — so a reused processor never starts its
-        second run with a warm cache.
+        second run with a warm cache.  The decoder numbers instructions from
+        0 again, so a traced re-run records the same events.
         """
         self.engine.reset()
         self.memory.reset()
+        self.decoder.restart_sequence()
         for unit in self.net.units.values():
             if unit is self.memory or unit is self.core:
                 continue  # handled above / by load_program

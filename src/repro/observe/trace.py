@@ -38,7 +38,10 @@ category      a              b       c          d
 
 ``seq``/``opclass``/``pc`` are ``None`` for generator firings (no token
 involved); a ``token`` event's ``a`` is the explicitly requested place or
-``None`` when the token was routed by operation class.
+``None`` when the token was routed by operation class.  ``seq`` is the
+instruction's fetch-order number from the processor's decoder, counted
+from 0 again after ``Processor.reset()``, so re-running a program — on
+either engine — records the same event tuples.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ The observability contract has two halves, and this suite pins both:
 * **Trace-content golden.**  The event stream is not merely harmless, it
   is *correct*: per-category event counts equal the statistics counters
   the engines already maintain (firings per transition, stalls, squashes,
-  generated tokens, per-level cache traffic), and — after normalising the
-  process-global token sequence numbers — all backends emit the same
-  firing/stall/squash/token event stream.
+  generated tokens, per-level cache traffic), and all backends emit the
+  same firing/stall/squash/token event stream — both after renumbering the
+  token sequence numbers and with the raw numbers the decoder assigned.
 """
 
 import pytest
@@ -58,9 +58,9 @@ def observable_state(processor, stats):
 def normalized_events(tracer):
     """Event tuples with token seqs renumbered by first appearance.
 
-    ``Token.seq`` is a process-global counter, so two runs of the same
-    simulation see different absolute sequence numbers; dense renumbering
-    makes the streams comparable across runs and backends.
+    Dense renumbering compares the streams independently of how tokens are
+    numbered; the raw-number tests at the end of this module pin the
+    numbering itself.
     """
     mapping = {}
     rows = []
@@ -149,3 +149,35 @@ def test_reset_clears_trace_and_second_run_matches():
     second_stats = processor.run(max_cycles=MAX_CYCLES)
     assert second_stats.cycles == first_stats.cycles
     assert processor.tracer.counts() == first_counts
+
+
+# -- raw sequence numbers ------------------------------------------------------
+# The decoder numbers the instruction tokens it makes, and
+# ``Processor.reset()`` restarts that numbering, so the raw event tuples —
+# no renumbering — reproduce across re-runs and engines.
+
+
+@pytest.mark.parametrize("backend", ENGINE_BACKENDS)
+def test_rerun_after_reset_records_identical_raw_events(backend):
+    processor, _ = run_once("strongarm-ds", backend, trace=TraceConfig(capacity=CAPACITY))
+    first = processor.tracer.events
+    processor.reset()
+    processor.load_program(get_workload(KERNEL, scale=1).program)
+    processor.run(max_cycles=MAX_CYCLES)
+    second = processor.tracer.events
+    assert any(event[0] == "squash" for event in first)
+    assert second == first
+
+
+@pytest.mark.parametrize("model", ("strongarm", "xscale-ds"))
+def test_engines_record_identical_raw_events(model):
+    config = TraceConfig(capacity=CAPACITY)
+    streams = {
+        backend: run_once(model, backend, trace=config)[0].tracer.events
+        for backend in ENGINE_BACKENDS
+    }
+    reference = streams["interpreted"]
+    first_seq = next(event[3] for event in reference if event[0] == "firing" and event[3] is not None)
+    assert first_seq == 0
+    for backend in ENGINE_BACKENDS[1:]:
+        assert streams[backend] == reference, backend
