@@ -67,12 +67,11 @@ def _best_kcycles(trace):
 def test_tracing_off_emission_is_byte_identical():
     net, _decoder, _core, _memory, _semantics = elaborate_net(get_spec(MODEL))
     schedule = SimulationEngine(net).schedule
-    fingerprint = "bench-overhead"
     keys = set()
     sources = set()
     for trace in OFF_TRACES:
         options = EngineOptions(backend="generated", trace=trace)
-        keys.add(codegen_key(fingerprint, options))
+        keys.add(codegen_key(net, options))
         sources.add(emit_module_source(net, schedule, options)[0])
     assert len(keys) == 1, "tracing-off TraceConfig changed the codegen cache key"
     assert len(sources) == 1, "tracing-off TraceConfig changed the emitted source"

@@ -18,7 +18,8 @@ Sub-packages
     ``EngineOptions(backend="generated")``: the model is emitted as real
     Python source — one straight-line per-cycle ``step()`` with dispatch
     tables, capacity literals and issue gating baked into the text —
-    ``exec``'d into a module and disk-cached under the spec fingerprint.
+    ``exec``'d into a module and memoised in-process under the spec
+    fingerprint and the net's structure digest.
     Bit-identical statistics to the interpreted engine, higher throughput.
 ``repro.describe``
     The declarative pipeline-description layer: ``PipelineSpec`` and
@@ -60,7 +61,7 @@ Sub-packages
     tables, and driven from the ``python -m repro.campaign`` CLI.
 """
 
-__version__ = "1.13.0"
+__version__ = "1.14.0"
 
 __all__ = [
     "core",

@@ -249,7 +249,7 @@ def verify_engine(engine, model=None):
         "PLACES": tuple(place.name for place in schedule.order),
         "STAGES": tuple(net.stages),
         "TRANSITIONS": tuple(t.name for t in net.transitions),
-        "CODEGEN_KEY": codegen_key(getattr(net, "spec_fingerprint", None), options),
+        "CODEGEN_KEY": codegen_key(net, options),
     }
     for name, expected in expected_constants.items():
         if name not in constants:

@@ -3,31 +3,29 @@
 The fast engine backend: this package emits the model as real Python
 source — a straight-line per-cycle ``step()`` with the dispatch tables,
 capacity literals and issue gating baked into the text — ``exec``s it
-into a module and disk-caches the source under the spec fingerprint.
+into a module and memoises the module in-process under the spec
+fingerprint and the net's structure digest.
 
 Layout:
 
 * :mod:`repro.codegen.emit` — the emitter (net + static schedule -> source);
-* :mod:`repro.codegen.cache` — fingerprint-keyed module cache (memory + disk);
+* :mod:`repro.codegen.cache` — in-process module memo;
 * :mod:`repro.codegen.runtime` — binds an emitted module to a live net;
 * :mod:`repro.codegen.engine` — :class:`GeneratedEngine`, the run-time shell.
 """
 
-from repro.codegen.cache import CODEGEN_CACHE, ModuleCache, codegen_key, default_cache_dir
-from repro.codegen.emit import CODEGEN_SOURCE_VERSION, EmitReport, emit_module_source
+from repro.codegen.cache import CODEGEN_CACHE, ModuleCache, codegen_key
+from repro.codegen.emit import EmitReport, emit_module_source
 from repro.codegen.engine import GeneratedEngine
-from repro.codegen.runtime import CodegenStructureError, build_runtime, structure_digest
+from repro.codegen.runtime import build_runtime, structure_digest
 
 __all__ = [
     "CODEGEN_CACHE",
-    "CODEGEN_SOURCE_VERSION",
-    "CodegenStructureError",
     "EmitReport",
     "GeneratedEngine",
     "ModuleCache",
     "build_runtime",
     "codegen_key",
-    "default_cache_dir",
     "emit_module_source",
     "structure_digest",
 ]

@@ -22,9 +22,9 @@ function per model in which every static decision is already text —
 
 The emitted module is net-object free — ``make_step(rt)`` binds the live
 places/stages/guards by index (:func:`repro.codegen.runtime.
-build_runtime`) — so one emitted source is reusable for every rebuild of
-the same spec, which is what makes it disk-cacheable under the spec
-fingerprint (:mod:`repro.codegen.cache`).
+build_runtime`) — so one emitted module is reusable for every rebuild of
+the same spec within a process, memoised under the spec fingerprint and
+the structure digest (:mod:`repro.codegen.cache`).
 
 Observable behaviour is contractually bit-identical to the interpreted
 engine: same statistics counters, same attempt order, same stall
@@ -36,26 +36,22 @@ Tracing (:mod:`repro.observe`) is a *traced emission mode*, not a run-time
 branch: when an emission-relevant trace category is enabled
 (:func:`repro.codegen.cache.emit_trace_categories`) the emitter inlines
 ``TRF``/``TRS`` calls at exactly the interpreted engine's event sites and
-the cache key gains a ``trace=`` part; with tracing off the emitted source
+the memo key gains a ``trace=`` part; with tracing off the emitted source
 is byte-identical to a trace-unaware build and the key is unchanged, so
-the fast path and warm disk caches are untouched.
+the fast path is untouched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.codegen.cache import emit_trace_categories
 from repro.codegen.runtime import (
     action_plan,
     guard_plan,
     structure_digest,
     transition_capacity_shape,
 )
-
-#: Bumped whenever the emitted code changes shape; part of the cache key so
-#: stale on-disk modules from older emitters are never loaded.
-#: 3: DISPATCH/GENERATORS header constants (verified by repro.analyze).
-CODEGEN_SOURCE_VERSION = 3
 
 
 @dataclass
@@ -131,8 +127,6 @@ def emit_module_source(net, schedule, options, key=None):
     ``rt`` is the binding dict of
     :func:`repro.codegen.runtime.build_runtime`.
     """
-    from repro.codegen.cache import emit_trace_categories
-
     trace_categories = emit_trace_categories(options)
     traced_firing = "firing" in trace_categories
     traced_stall = "stall" in trace_categories
@@ -463,12 +457,11 @@ def emit_module_source(net, schedule, options, key=None):
     out = _Writer()
     out.w(0, '"""Generated simulator step for model %r (repro.codegen).' % net.name)
     out.w(0, "")
-    out.w(0, "Auto-generated source: do not edit.  Regenerated whenever the spec")
-    out.w(0, "fingerprint, the emit-relevant engine options, the repro version or")
-    out.w(0, "the codegen source version change (see repro/codegen/cache.py).")
+    out.w(0, "Auto-generated source: do not edit.  Emitted once per process for")
+    out.w(0, "each spec fingerprint, structure digest and set of emit-relevant")
+    out.w(0, "engine options (see repro/codegen/cache.py).")
     out.w(0, '"""')
     out.w(0, "")
-    out.w(0, "CODEGEN_SOURCE_VERSION = %d" % CODEGEN_SOURCE_VERSION)
     out.w(0, "CODEGEN_KEY = %r" % key)
     out.w(0, "MODEL = %r" % net.name)
     out.w(0, "SPEC_FINGERPRINT = %r" % getattr(net, "spec_fingerprint", None))

@@ -2,8 +2,8 @@
 
 :class:`GeneratedEngine` is the run-time shell around an emitted module
 (:mod:`repro.codegen.emit`): construction obtains the module — from the
-in-process memo, the on-disk cache or a fresh emission
-(:mod:`repro.codegen.cache`) — binds it to this net's live objects
+in-process memo or a fresh emission (:mod:`repro.codegen.cache`) — binds
+it to this net's live objects
 (:func:`repro.codegen.runtime.build_runtime`) and keeps the resulting
 ``step(cycle, stats)`` function.  Everything outside the per-cycle hot
 path — run loop, halt/drain detection, flush and emission services — is
@@ -20,16 +20,15 @@ Inspecting the generated code::
 
     engine = processor.engine          # backend="generated"
     print(engine.source)               # the emitted Python module
-    print(engine.source_path)          # its on-disk cache file (or None)
 """
 
 from __future__ import annotations
 
 from repro.core.engine import SimulationEngine
 
-from repro.codegen.cache import CODEGEN_CACHE, codegen_key
+from repro.codegen.cache import CODEGEN_CACHE, codegen_key, exec_module
 from repro.codegen.emit import emit_module_source
-from repro.codegen.runtime import CodegenStructureError, build_runtime
+from repro.codegen.runtime import build_runtime
 
 
 class GeneratedEngine(SimulationEngine):
@@ -39,7 +38,7 @@ class GeneratedEngine(SimulationEngine):
     :data:`~repro.codegen.cache.CODEGEN_CACHE`; tests pass their own
     :class:`~repro.codegen.cache.ModuleCache` to observe cold/warm
     behaviour in isolation.  Nets without a spec fingerprint (hand-built
-    test nets) are emitted fresh each time and never touch the cache.
+    test nets) are emitted fresh each time and never touch the memo.
     """
 
     backend = "generated"
@@ -49,45 +48,22 @@ class GeneratedEngine(SimulationEngine):
         # Captured by the emitted fire bodies; mutate in place, never rebind.
         self._reservation_pool = []
         self._cache = CODEGEN_CACHE if cache is None else cache
-        self.source = None
-        self.source_path = None
         self.codegen_status = "uncached"
 
-        fingerprint = getattr(net, "spec_fingerprint", None)
-        key = codegen_key(fingerprint, self.options) if fingerprint is not None else None
+        key = codegen_key(net, self.options)
 
         def emit():
             source, _report = emit_module_source(net, self.schedule, self.options, key=key)
             return source
 
         if key is None:
-            # Hand-built nets carry no fingerprint: emit fresh, skip caching.
-            module = self._exec_uncached(emit())
+            # Hand-built nets carry no fingerprint: emit fresh, skip the memo.
+            module = exec_module(emit(), "repro_codegen_uncached")
         else:
             module, self.codegen_status = self._cache.module_for(key, emit)
-            self.source_path = self._cache.path_for(key)
-        try:
-            runtime = build_runtime(self, module)
-        except CodegenStructureError:
-            # The cached module describes a different structure (a net
-            # mutated after elaboration poisoned the key, or vice versa):
-            # re-emit against *this* net and overwrite the entry, mirroring
-            # the schedule cache's staleness recovery.
-            module = self._cache.replace(key, emit())
-            self.codegen_status = "stale"
-            runtime = build_runtime(self, module)
         self.module = module
         self.source = module.__source__
-        self._step_fn = module.make_step(runtime)
-
-    @staticmethod
-    def _exec_uncached(source):
-        import types
-
-        module = types.ModuleType("repro_codegen_uncached")
-        module.__source__ = source
-        exec(compile(source, "<repro.codegen>", "exec"), module.__dict__)
-        return module
+        self._step_fn = module.make_step(build_runtime(self))
 
     # -- engine-internal services overridden for the generated backend ------
     def _recycle_reservation(self, token):

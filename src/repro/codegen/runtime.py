@@ -7,8 +7,8 @@ transition's guard, action and capacity check for the emitter and the
 source verifier (:func:`guard_plan`, :func:`action_plan`,
 :func:`transition_capacity_shape`), builds the index-aligned runtime
 lists for one engine (:func:`build_runtime`) and provides the structural
-digest (:func:`structure_digest`) the emitted module embeds so a cached
-module is never bound to a net with a different shape.
+digest (:func:`structure_digest`) that joins the module memo key, so a
+memoised module is never bound to a net with a different shape.
 
 The classification exists because the multi-issue elaborator wraps guards
 and actions with issue/advance gates
@@ -26,10 +26,6 @@ import hashlib
 
 from repro.core.scheduler import structure_signature
 from repro.core.token import ReservationToken
-
-
-class CodegenStructureError(RuntimeError):
-    """A cached module does not describe the net it is being bound to."""
 
 
 def guard_plan(transition):
@@ -133,23 +129,9 @@ def structure_digest(net):
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def build_runtime(engine, module=None):
-    """Build the binding dict an emitted module's ``make_step`` consumes.
-
-    When ``module`` is given its embedded ``STRUCTURE_DIGEST`` is checked
-    against the engine's net first; a mismatch raises
-    :class:`CodegenStructureError` so the engine can fall back to a fresh
-    emission instead of silently replaying stale code (mirrors the
-    schedule blueprint's staleness guard).
-    """
+def build_runtime(engine):
+    """Build the binding dict an emitted module's ``make_step`` consumes."""
     net = engine.net
-    if module is not None:
-        expected = getattr(module, "STRUCTURE_DIGEST", None)
-        if expected != structure_digest(net):
-            raise CodegenStructureError(
-                "cached module %r does not match the structure of net %r"
-                % (getattr(module, "__name__", "?"), net.name)
-            )
     guards = []
     actions = []
     controls = []
@@ -171,8 +153,8 @@ def build_runtime(engine, module=None):
         "guards": guards,
         "actions": actions,
         "controls": controls,
-        # Trace hooks for traced-emission modules; untraced modules (and
-        # modules emitted before tracing existed) simply never read them.
+        # Trace hooks for traced-emission modules; untraced modules never
+        # read them.
         "trace_firing": getattr(engine, "_trace_firing", None),
         "trace_stall": getattr(engine, "_trace_stall", None),
     }

@@ -43,9 +43,10 @@ class EngineOptions:
     * ``"generated"`` — :class:`repro.codegen.GeneratedEngine` emits the
       model as real Python source (a straight-line per-cycle ``step()``
       with dispatch tables and capacity checks inlined as code), ``exec``s
-      it and disk-caches the source under the spec fingerprint (the
-      paper's simulator generation).  Statistics are bit-identical to the
-      interpreted backend; only wall-clock throughput differs.
+      it and memoises the module in-process under the spec fingerprint
+      and structure digest (the paper's simulator generation).
+      Statistics are bit-identical to the interpreted backend; only
+      wall-clock throughput differs.
 
     Which knobs apply to which backend:
 
@@ -56,9 +57,8 @@ class EngineOptions:
     * ``use_sorted_transitions`` — interpreted only.  It exists so the
       ablation benchmark can price the sorted-dispatch optimisation; the
       generated backend always bakes the sorted dispatch tables into its
-      source at generation time, so the knob
-      has no run-time effect there (it still participates in the codegen
-      cache key, since it shapes the shared schedule).
+      source at generation time, so the knob changes neither its emitted
+      source nor its codegen memo key.
 
     ``use_sorted_transitions`` and ``two_list_everywhere`` switch the two
     paper optimisations off/on (Section 4); ``collect_utilization`` samples
@@ -468,7 +468,8 @@ class SimulationEngine:
             if self._idle_cycles >= self.options.stall_limit:
                 raise SimulationError(
                     "no transition fired for %d consecutive cycles at cycle %d; "
-                    "the model is deadlocked" % (self._idle_cycles, self.cycle)
+                    "the model is deadlocked; %s"
+                    % (self._idle_cycles, self.cycle, self._resident_tokens_report())
                 )
             self.step()
         self.stats.wall_time_seconds += time.perf_counter() - start
@@ -478,6 +479,23 @@ class SimulationEngine:
                 for name, stage in self.net.stages.items()
             }
         return self.stats
+
+    def _resident_tokens_report(self, limit=8):
+        """Name the instruction tokens still in the pipeline (deadlock message)."""
+        resident = [
+            "%s pc=%#x opclass=%s seq=%d ready_cycle=%d"
+            % (place.name, token.pc, token.opclass, token.seq, token.ready_cycle)
+            for place in self.net.places.values()
+            for token in place.tokens + place.pending
+            if token.is_instruction
+        ]
+        if not resident:
+            return "no instruction token is resident"
+        more = len(resident) - limit
+        return "resident instruction tokens: %s%s" % (
+            ", ".join(resident[:limit]),
+            " (+%d more)" % more if more > 0 else "",
+        )
 
     def reset(self):
         """Reset dynamic simulation state, keeping the static schedule."""

@@ -11,8 +11,8 @@ returns a ready-to-run engine for the backend selected in
 * ``backend="interpreted"`` — the derived structures are consulted by the
   generic :class:`~repro.core.engine.SimulationEngine` loop each cycle;
 * ``backend="generated"`` — the structures are emitted as Python *source*
-  by :mod:`repro.codegen`, ``exec``'d into a module (disk-cached under the
-  spec fingerprint) and executed by
+  by :mod:`repro.codegen`, ``exec``'d into a module (memoised in-process
+  under the spec fingerprint and structure digest) and executed by
   :class:`~repro.codegen.GeneratedEngine` (the paper's generated-simulator
   fast path).
 

@@ -14,10 +14,11 @@ RCPN structure (Section 4):
 
 Both analyses are pure functions of the model *structure*.  Models built by
 the declarative layer carry a stable content hash (``net.spec_fingerprint``,
-from :meth:`repro.describe.PipelineSpec.fingerprint`), which keys
-:data:`SCHEDULE_CACHE`: rebuilding the same spec re-uses the first build's
-analysis as a name-level :class:`ScheduleBlueprint`, rehydrated against the
-new net's objects instead of being re-derived.
+from :meth:`repro.describe.PipelineSpec.fingerprint`), which together with
+:func:`structure_signature` keys :data:`SCHEDULE_CACHE`: rebuilding the same
+spec re-uses the first build's analysis as a name-level
+:class:`ScheduleBlueprint`, rehydrated against the new net's objects instead
+of being re-derived.
 """
 
 from __future__ import annotations
@@ -136,14 +137,14 @@ def mark_feedback_places(net, order=None):
 
 
 def structure_signature(net):
-    """A cheap digest of everything the cached blueprints depend on.
+    """A cheap, hashable summary of everything the cached blueprints depend on.
 
     Covers stages (capacity/delay), places (stage binding), and transitions
     (endpoints, priority, reservation arcs, capacity stages) — the inputs of
     the schedule derivation and of the emitter's capacity-shape analysis.
     Guards and actions are deliberately excluded: the blueprints never
     encode behaviour, only structure.  Building the signature is O(model
-    size), far cheaper than the analyses it validates.
+    size), far cheaper than the analyses it keys.
     """
     stages = tuple(
         (stage.name, stage.capacity, stage.delay) for stage in net.stages.values()
@@ -176,24 +177,22 @@ class ScheduleBlueprint:
     spec can be rehydrated against any later build of the same spec.
     """
 
-    __slots__ = ("place_order", "feedback_places", "dispatch", "generators", "signature")
+    __slots__ = ("place_order", "feedback_places", "dispatch", "generators")
 
-    def __init__(self, place_order, feedback_places, dispatch, generators, signature):
+    def __init__(self, place_order, feedback_places, dispatch, generators):
         self.place_order = tuple(place_order)
         self.feedback_places = frozenset(feedback_places)
         #: ``(place_name, opclass) -> tuple of transition names``, or None.
         self.dispatch = dispatch
         self.generators = tuple(generators)
-        #: :func:`structure_signature` of the net the blueprint came from.
-        self.signature = signature
 
 
 class GenerationCache:
     """Fingerprint-keyed cache of generation-time blueprints, with counters.
 
     Holds the static-schedule blueprints (:data:`SCHEDULE_CACHE`), keyed by
-    the spec content hash so only identical declarative models share
-    entries.  Entries are
+    the spec content hash and the net's structure signature so only nets
+    of identical structure share entries.  Entries are
     evicted least-recently-used beyond ``max_entries`` so design-space
     sweeps over thousands of spec variants cannot grow memory unboundedly.
     """
@@ -228,7 +227,8 @@ class GenerationCache:
         return {"entries": len(self._entries), "hits": self.hits, "misses": self.misses}
 
 
-#: Process-wide schedule cache keyed by (spec fingerprint, schedule options).
+#: Process-wide schedule cache keyed by (spec fingerprint, structure
+#: signature, schedule options).
 SCHEDULE_CACHE = GenerationCache()
 
 
@@ -245,23 +245,22 @@ class StaticSchedule:
         self.net = net
         self.use_sorted_transitions = use_sorted_transitions
         fingerprint = getattr(net, "spec_fingerprint", None)
+        # The structure signature is part of the key, so a net mutated after
+        # elaboration misses (and gets an entry of its own) instead of
+        # replaying analysis of a structure it no longer has.
         key = (
-            (fingerprint, use_sorted_transitions, two_list_everywhere)
+            (fingerprint, structure_signature(net), use_sorted_transitions, two_list_everywhere)
             if fingerprint is not None
             else None
         )
         blueprint = SCHEDULE_CACHE.lookup(key) if key is not None else None
-        if blueprint is not None and not self._blueprint_matches(net, blueprint):
-            # The net does not have the structure the blueprint describes
-            # (someone mutated an elaborated net, or a mutated net poisoned
-            # the entry): re-derive and overwrite the cached blueprint.
-            blueprint = None
         self.from_cache = blueprint is not None
         if blueprint is not None:
             self._rehydrate(net, blueprint, two_list_everywhere)
         else:
             self._derive(net, use_sorted_transitions, two_list_everywhere)
             if key is not None:
+                # Blueprints name transitions, so rehydration needs unique names.
                 transition_names = [t.name for t in net.transitions]
                 if len(set(transition_names)) == len(transition_names):
                     SCHEDULE_CACHE.store(key, self._to_blueprint())
@@ -270,21 +269,6 @@ class StaticSchedule:
             if blueprint is not None
             else net.generator_transitions()
         )
-
-    @staticmethod
-    def _blueprint_matches(net, blueprint):
-        """Structural sanity check before rehydrating a blueprint.
-
-        The fingerprint describes the *spec*; if the net was mutated after
-        elaboration (extra transitions, changed priorities or capacities,
-        rewired arcs) rehydration would silently replay stale analysis.
-        Comparing :func:`structure_signature` catches every mutation the
-        blueprint encodes.
-        """
-        names = {t.name for t in net.transitions}
-        if len(names) != len(net.transitions):
-            return False
-        return structure_signature(net) == blueprint.signature
 
     # -- fresh derivation ----------------------------------------------------
     def _derive(self, net, use_sorted_transitions, two_list_everywhere):
@@ -321,7 +305,6 @@ class StaticSchedule:
             feedback_places=self.feedback_place_names,
             dispatch=dispatch,
             generators=(t.name for t in self.net.generator_transitions()),
-            signature=structure_signature(self.net),
         )
 
     # -- rehydration from a cached blueprint ---------------------------------

@@ -16,8 +16,6 @@ from repro.describe.elaborate import elaborate_net
 from repro.observe.trace import TraceConfig
 from repro.processors import get_spec
 
-FINGERPRINT = "f" * 40
-
 #: Tracing-off variants that must all emit byte-identical modules.
 OFF_OPTIONS = (
     EngineOptions(backend="generated"),
@@ -48,9 +46,10 @@ def test_emit_trace_categories_only_reports_emission_relevant_ones():
 
 
 def test_codegen_key_unchanged_when_tracing_off():
-    keys = {codegen_key(FINGERPRINT, options) for options in OFF_OPTIONS}
+    net, _schedule = net_and_schedule()
+    keys = {codegen_key(net, options) for options in OFF_OPTIONS}
     assert len(keys) == 1
-    assert codegen_key(FINGERPRINT, TRACED) not in keys
+    assert codegen_key(net, TRACED) not in keys
 
 
 def test_codegen_key_differs_per_emitted_category_set():
@@ -60,9 +59,8 @@ def test_codegen_key_differs_per_emitted_category_set():
     stall_only = EngineOptions(
         backend="generated", trace=TraceConfig(categories=("stall",))
     )
-    keys = {
-        codegen_key(FINGERPRINT, options) for options in (TRACED, firing_only, stall_only)
-    }
+    net, _schedule = net_and_schedule()
+    keys = {codegen_key(net, options) for options in (TRACED, firing_only, stall_only)}
     assert len(keys) == 3
 
 

@@ -45,7 +45,8 @@ def make_linear_net(num_tokens=3, stage_delay=1):
 
     def fetch_action(_t, ctx):
         state["emitted"] += 1
-        ctx.emit(InstructionToken(instr=state["emitted"], opclass="op"))
+        pc = 0x100 + 4 * state["emitted"]
+        ctx.emit(InstructionToken(instr=state["emitted"], opclass="op", pc=pc))
         if state["emitted"] >= num_tokens:
             ctx.stop("done")
 
@@ -300,15 +301,32 @@ def test_flush_stage_squashes_tokens_and_releases_reservations():
     assert regfile.writers[0] is None
 
 
-def test_deadlocked_model_raises_simulation_error():
+@pytest.mark.parametrize("backend", ["interpreted", "generated"])
+def test_deadlocked_model_raises_simulation_error(backend):
     net, _ = make_linear_net(num_tokens=1)
     # Block the B -> end transition forever.
     for transition in net.transitions:
         if transition.name == "bend":
             transition.guard = lambda t, ctx: False
-    engine = SimulationEngine(net, EngineOptions(stall_limit=50))
-    with pytest.raises(SimulationError):
+    engine, _report = generate_simulator(net, EngineOptions(stall_limit=50, backend=backend))
+    with pytest.raises(SimulationError) as excinfo:
         engine.run(max_cycles=10_000)
+    message = str(excinfo.value)
+    assert message.startswith("no transition fired for 50 consecutive cycles at cycle ")
+    # The blocked token explains the deadlock: where it sits and which pc.
+    assert "resident instruction tokens: op.B pc=0x104 opclass=op seq=" in message
+    assert "ready_cycle=" in message
+
+
+def test_deadlock_report_caps_the_resident_token_list():
+    net, _ = make_linear_net(num_tokens=1)
+    engine = SimulationEngine(net)
+    place = net.place("op.B")
+    for pc in range(10):
+        place.deposit(InstructionToken(instr=pc, opclass="op", pc=pc), ready_cycle=0, force=True)
+    report = engine._resident_tokens_report()
+    assert report.count("opclass=op") == 8
+    assert report.endswith(" (+2 more)")
 
 
 def test_max_cycles_limit_reported():
