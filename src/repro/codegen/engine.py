@@ -13,8 +13,12 @@ wall-clock time may differ.
 
 The emitted step function is straight-line code over preallocated
 objects, so no active-place worklist is needed: an idle place costs one
-attribute load and a truth test.  Reservation tokens are pooled (the
-emitted fire bodies draw from ``_reservation_pool``).
+attribute load and a truth test.  A whole idle pipeline costs less still:
+after a step in which nothing fired, the engine jumps to the next cycle in
+which a resident token becomes ready (:meth:`GeneratedEngine._fast_forward`)
+and accounts the skipped cycles' stalls and occupancy in one go.
+Reservation tokens are pooled (the emitted fire bodies draw from
+``_reservation_pool``).
 
 Inspecting the generated code::
 
@@ -64,6 +68,8 @@ class GeneratedEngine(SimulationEngine):
         self.module = module
         self.source = module.__source__
         self._step_fn = module.make_step(build_runtime(self))
+        # Stall count of the last idle step (see _fast_forward).
+        self._idle_stalls = 0
 
     # -- engine-internal services overridden for the generated backend ------
     def _recycle_reservation(self, token):
@@ -78,17 +84,60 @@ class GeneratedEngine(SimulationEngine):
         in reverse-topological order, the generator transitions and the
         optional utilisation sampling; the cycle/idle bookkeeping stays
         here so ``run``'s limit checks see the same state as the other
-        backends.
+        backends.  So do the two facts :meth:`_fast_forward` needs: the
+        idle step's stall count and whether it read ``ctx.cycle``.
         """
         stats = self.stats
+        stalls = stats.stalls
+        self._cycle_read = False
         fired = self._step_fn(self.cycle, stats)
         self.cycle += 1
         stats.cycles = self.cycle
         self._fired_this_cycle = fired
         if fired == 0:
             self._idle_cycles += 1
+            self._idle_stalls = stats.stalls - stalls
         else:
             self._idle_cycles = 0
+
+    def _fast_forward(self, limit):
+        """Skip the cycles that would replay the idle step just taken.
+
+        Nothing fired, so no token moved, was deposited (no two-list place
+        holds ``pending`` tokens) or was emitted, and guards see time only
+        through ``ready_cycle`` — unless one read ``ctx.cycle``, which sets
+        ``_cycle_read`` and rules the skip out.  Every cycle before the
+        earliest ``ready_cycle >= cycle`` of a resident token therefore
+        repeats the idle step exactly: same stalls, same occupancy, nothing
+        fired.  Those k cycles are accounted in one go.
+
+        k is clamped so ``max_cycles`` and the ``stall_limit`` deadlock
+        error trip on the same cycle, with the same text, as stepping
+        would; with no future ``ready_cycle`` the model is deadlocked and
+        the skip runs straight to the clamp.  A run cannot finish in an
+        idle step (halting and draining take firings), so ``finished()``
+        needs no clamp.  Stall tracing records one event per stalled token
+        per cycle, so it turns the skip off.
+        """
+        if self._cycle_read or self._trace_stall is not None:
+            return
+        cycle = self.cycle
+        skip = min(limit - cycle, self.options.stall_limit - self._idle_cycles)
+        for place in self.net.places.values():
+            for token in place.tokens:
+                wait = token.ready_cycle - cycle
+                if 0 <= wait < skip:
+                    skip = wait
+        if skip <= 0:
+            return
+        self.cycle = cycle + skip
+        stats = self.stats
+        stats.cycles = self.cycle
+        stats.stalls += skip * self._idle_stalls
+        self._idle_cycles += skip
+        if self.options.collect_utilization:
+            for stage in self.net.stages.values():
+                stage.occupancy_accumulator += skip * stage._occupancy
 
     def reset(self):
         """Reset dynamic state while keeping the emitted step function.

@@ -112,6 +112,9 @@ class EngineContext:
     engine services a transition may need: emitting new instruction tokens
     (micro-operations), flushing stages on a misprediction, and requesting
     the end of simulation.
+
+    Guards must only read through it: no side effects, and time only via
+    :attr:`cycle` (see :attr:`stats`).
     """
 
     def __init__(self, engine):
@@ -121,10 +124,25 @@ class EngineContext:
 
     @property
     def cycle(self):
-        return self._engine.cycle
+        """The current simulation cycle.
+
+        Reading it marks the engine for this step: a guard that looks at
+        the clock may change its answer from one idle cycle to the next, so
+        the generated engine never fast-forwards over a step that read it
+        (see :meth:`SimulationEngine._fast_forward`).
+        """
+        engine = self._engine
+        engine._cycle_read = True
+        return engine.cycle
 
     @property
     def stats(self):
+        """The engine's statistics.
+
+        ``stats.cycles`` is not a clock for guards: reading it does not mark
+        the step, so the generated engine may skip the idle cycles such a
+        guard is waiting on.  Use :attr:`cycle`.
+        """
         return self._engine.stats
 
     def unit(self, name):
@@ -196,6 +214,7 @@ class SimulationEngine:
         self._emission_queue = []
         self._fired_this_cycle = 0
         self._idle_cycles = 0
+        self._cycle_read = False
         self.tracer = build_tracer(self.options.trace, engine=self)
         self._bind_trace_hooks()
 
@@ -472,6 +491,8 @@ class SimulationEngine:
                     % (self._idle_cycles, self.cycle, self._resident_tokens_report())
                 )
             self.step()
+            if self._fired_this_cycle == 0:
+                self._fast_forward(limit)
         self.stats.wall_time_seconds += time.perf_counter() - start
         if self.options.collect_utilization:
             self.stats.stage_occupancy = {
@@ -479,6 +500,16 @@ class SimulationEngine:
                 for name, stage in self.net.stages.items()
             }
         return self.stats
+
+    def _fast_forward(self, limit):
+        """Hook called by :meth:`run` after a step in which nothing fired.
+
+        An engine may advance straight to the next cycle that can differ
+        from the idle one, provided every statistic and every limit check
+        comes out exactly as if it had stepped cycle by cycle.  The
+        interpreted engine is the cycle-by-cycle oracle, so it does nothing
+        here; :class:`repro.codegen.GeneratedEngine` skips.
+        """
 
     def _resident_tokens_report(self, limit=8):
         """Name the instruction tokens still in the pipeline (deadlock message)."""

@@ -109,7 +109,12 @@ class RCPN:
         capacity_stages=(),
         max_firings_per_cycle=1,
     ):
-        """Add a transition; see :class:`~repro.core.transition.Transition`."""
+        """Add a transition; see :class:`~repro.core.transition.Transition`.
+
+        ``guard`` must be free of side effects and read time only through
+        ``ready_cycle`` or ``ctx.cycle`` (never ``ctx.stats.cycles``), or
+        the generated engine's idle-cycle skip changes the statistics.
+        """
         subnet = subnet if isinstance(subnet, SubNet) else self.subnets[subnet]
         source = self._resolve_place(source)
         if target not in (None, Transition.CONSUME):

@@ -266,6 +266,10 @@ class Const(Operand):
 
     __slots__ = ("_value",)
 
+    #: No backing register: the forwarding helpers of
+    #: :mod:`repro.describe.substrate` treat a constant as always ready.
+    register = None
+
     def __init__(self, value):
         self._value = value
 
@@ -297,15 +301,20 @@ class Const(Operand):
         return "<Const %r>" % (self._value,)
 
 
-def _writer_in_state(writer, state):
-    """True if the writer RegRef's owning token resides in pipeline state ``state``.
+def place_in_state(place, state):
+    """True if ``place`` is pipeline state ``state``.
 
-    ``state`` may be a place name, a stage name or a Place object.
+    ``state`` may be a place name, a stage name or a Place object; a place
+    is in a named state when its own name or its stage's name matches.
     """
-    token = writer.token
-    if token is None or token.place is None:
-        return False
-    place = token.place
     if hasattr(state, "name"):
         return place is state or place.name == state.name or place.stage.name == state.name
     return place.name == state or place.stage.name == state
+
+
+def _writer_in_state(writer, state):
+    """True if the writer RegRef's owning token resides in pipeline state ``state``."""
+    token = writer.token
+    if token is None or token.place is None:
+        return False
+    return place_in_state(token.place, state)

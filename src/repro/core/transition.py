@@ -30,7 +30,11 @@ class Transition:
         class (only meaningful for generator transitions), and the string
         ``"consume"`` destroys the token.
     guard:
-        ``guard(token, ctx) -> bool``; ``None`` means always true.
+        ``guard(token, ctx) -> bool``; ``None`` means always true.  A guard
+        must have no side effects and may see time only through a token's
+        ``ready_cycle`` or ``ctx.cycle``: the generated engine skips idle
+        cycles on that assumption, and ``ctx.stats.cycles`` is not a valid
+        clock inside a guard (reading it does not stop the skip).
     action:
         ``action(token, ctx)``; executed when the transition fires.
     delay:

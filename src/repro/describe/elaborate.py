@@ -13,6 +13,7 @@ and codegen caches can recognise repeated builds of the same model.
 
 from __future__ import annotations
 
+from repro.core.operands import place_in_state
 from repro.describe.semantics import ArmSemantics
 from repro.describe.spec import PipelineSpec
 from repro.describe.substrate import (
@@ -142,6 +143,12 @@ def elaborate_net(spec, memory_config=None, use_decode_cache=True, semantics_cla
                 produces=[places[key] for key in tspec.produces],
                 consumes=[places[key] for key in tspec.consumes],
             )
+
+    semantics.forward_states.update(
+        place
+        for place in net.places.values()
+        if any(place_in_state(place, state) for state in spec.hazards.forward_states)
+    )
 
     fingerprint = spec.fingerprint()
     if semantics_class is not ArmSemantics:

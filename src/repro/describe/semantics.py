@@ -82,7 +82,12 @@ class ArmSemantics:
         self.decoder = decoder
         self.predictor = predictor
         self.issue_control = issue_control
-        self.forward_states = tuple(spec.hazards.forward_states)
+        #: Places whose pending results the bypass network forwards: every
+        #: place whose name or stage name is in ``spec.hazards.forward_states``.
+        #: No place exists yet, so :func:`~repro.describe.elaborate.elaborate_net`
+        #: fills this set in place once the last place is added (the hooks
+        #: capture the set object, not its contents).
+        self.forward_states = set()
         self.front_flush_stages = tuple(spec.hazards.front_flush_stages)
         self.redirect_flush_stages = tuple(spec.hazards.redirect_flush_stages)
         self.s1_forward_state = spec.hazards.s1_forward_state

@@ -206,42 +206,60 @@ class IssueControl:
 # Operand readiness with forwarding
 # ---------------------------------------------------------------------------
 
-def operand_ready(operand, forward_states=()):
+def operand_ready(operand, forward=()):
     """True when an operand can be obtained now.
 
-    Either the architectural register is free of pending writers
-    (``can_read()``) or the pending writer currently resides in one of the
-    ``forward_states`` *and* has already produced its value (the bypass
-    network has something to forward).
+    Either the architectural register is free of pending writers (or this
+    operand is itself the writer), or the pending writer's instruction
+    resides in one of the ``forward`` places *and* has already produced
+    its value (the bypass network has something to forward).  ``forward``
+    is a set of :class:`~repro.core.place.Place` objects — the elaborated
+    form of ``spec.hazards.forward_states`` (see
+    :attr:`~repro.describe.semantics.ArmSemantics.forward_states`) — so the
+    whole check is one writer-slot read and one set lookup.  Constants
+    (``register is None``) are always ready.
     """
-    if operand.can_read():
+    register = operand.register
+    if register is None:
         return True
-    for state in forward_states:
-        if operand.can_read(state):
-            writer = operand.register.writer
-            if writer is not None and writer.has_value:
-                return True
-    return False
+    writer = register.regfile.writers[register.index]
+    if writer is None or writer is operand:
+        return True
+    token = writer.token
+    return token is not None and token.place in forward and writer._has_value
 
 
-def operand_read(operand, forward_states=()):
-    """Latch an operand value, using the bypass path when necessary."""
-    if operand.can_read():
-        return operand.read()
-    for state in forward_states:
-        if operand.can_read(state):
-            writer = operand.register.writer
-            if writer is not None and writer.has_value:
-                return operand.read(state)
+def operand_read(operand, forward=()):
+    """Latch an operand value, using the bypass path when necessary.
+
+    ``forward`` is the place set :func:`operand_ready` takes.  Raises
+    :class:`RuntimeError` when the operand is not ready.
+    """
+    register = operand.register
+    if register is None:
+        return operand._value
+    writer = register.regfile.writers[register.index]
+    if writer is None or writer is operand:
+        value = operand._value = register.regfile.data[register.index]
+        return value
+    token = writer.token
+    if token is not None and token.place in forward and writer._has_value:
+        value = operand._value = writer._value
+        return value
     raise RuntimeError(
         "operand %r was read although operand_ready() is false; "
         "guard the transition with operand_ready()" % (operand,)
     )
 
 
-def operands_ready(operands, forward_states=()):
-    """Readiness of a collection of operands."""
-    return all(operand_ready(op, forward_states) for op in operands)
+def operands_ready(operands, forward=()):
+    """Readiness of a collection of operands (:func:`operand_ready` each)."""
+    # A plain loop, not all() over a generator: this runs in nearly every
+    # issue guard, and building the generator is per-call overhead.
+    for operand in operands:  # noqa: SIM110
+        if not operand_ready(operand, forward):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -460,18 +478,18 @@ def arm_operation_classes():
 # Shared per-class behaviour helpers (used inside transition actions)
 # ---------------------------------------------------------------------------
 
-def condition_holds(token, forward_states=()):
+def condition_holds(token, forward=()):
     """Evaluate the token's condition code, reading flags if needed."""
     if not token.reads_flags:
         return True
-    flags_value = operand_read(token.fl, forward_states)
+    flags_value = operand_read(token.fl, forward)
     return condition_passes(token.cond, unpack_flags(flags_value))
 
 
-def token_flags_ready(token, forward_states=()):
+def token_flags_ready(token, forward=()):
     if not token.reads_flags:
         return True
-    return operand_ready(token.fl, forward_states)
+    return operand_ready(token.fl, forward)
 
 
 _LOGICAL_OPCODES = frozenset(

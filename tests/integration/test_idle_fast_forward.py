@@ -1,0 +1,147 @@
+"""Idle-cycle fast-forward on the generated engine.
+
+After a step in which nothing fired, the generated engine jumps to the next
+cycle in which a resident token becomes ready and accounts the skipped
+cycles in one go.  The interpreted engine steps cycle by cycle and is the
+oracle: every statistic must agree, however a run is cut into ``run()``
+calls, with utilisation sampling on, and when a guard reads ``ctx.cycle``
+(a step that reads the clock is never skipped).  The last tests check that
+the skip really engages, and that stall tracing turns it off.
+"""
+
+import pytest
+
+from repro.core import EngineOptions, InstructionToken, OperationClass, RCPN, generate_simulator
+from repro.core.engine import ENGINE_BACKENDS
+from repro.observe.trace import TraceConfig
+from repro.processors import build_processor
+from repro.workloads import get_workload
+
+#: The miss-heavy small-cache models, where a third of the cycles are idle.
+SMALL_CACHE_MODELS = ("strongarm-c512", "xscale-l2")
+
+
+def clock_gated_net(open_at):
+    """fetch -> A -> B -> end with one token whose ``bend`` waits for ``open_at``.
+
+    The token reaches B early and sits there with a past ``ready_cycle``, so
+    nothing but the ``ctx.cycle`` read tells the engine that the idle cycles
+    differ.
+    """
+    net = RCPN("clock-gated")
+    net.add_stage("A", capacity=1, delay=1)
+    net.add_stage("B", capacity=1, delay=1)
+    net.add_operation_class(OperationClass("op", symbols={}))
+    gen = net.add_subnet("gen")
+    sub = net.add_subnet("op", opclasses=("op",))
+    place_a = net.add_place("A", sub, entry=True)
+    place_b = net.add_place("B", sub)
+    place_end = net.add_place("end", sub)
+    state = {"emitted": 0}
+
+    def fetch_guard(_t, _ctx):
+        return state["emitted"] < 1
+
+    def fetch_action(_t, ctx):
+        state["emitted"] += 1
+        ctx.emit(InstructionToken(instr=1, opclass="op", pc=0x100))
+        ctx.stop("done")
+
+    net.add_transition("fetch", gen, guard=fetch_guard, action=fetch_action, capacity_stages=["A"])
+    net.add_transition("ab", sub, source=place_a, target=place_b)
+    net.add_transition(
+        "bend", sub, source=place_b, target=place_end, guard=lambda t, ctx: ctx.cycle >= open_at
+    )
+    return net
+
+
+@pytest.mark.parametrize("backend", ENGINE_BACKENDS)
+def test_a_step_that_reads_the_clock_is_never_skipped(backend):
+    engine, _report = generate_simulator(clock_gated_net(37), EngineOptions(backend=backend))
+    stats = engine.run(max_cycles=10_000)
+    assert stats.finish_reason == "done"
+    assert stats.cycles == 38
+    assert stats.transition_firings["bend"] == 1
+
+
+def observable(processor, stats):
+    return {
+        "cycles": stats.cycles,
+        "instructions": stats.instructions,
+        "stalls": stats.stalls,
+        "squashed": stats.squashed,
+        "transition_firings": dict(stats.transition_firings),
+        "finish_reason": stats.finish_reason,
+        "memory": processor.memory.statistics_summary(),
+    }
+
+
+def run_whole(model, backend, **options):
+    processor = build_processor(model, engine_options=EngineOptions(backend=backend, **options))
+    processor.load_program(get_workload("blowfish", scale=1).program)
+    stats = processor.run()
+    return processor, stats
+
+
+def run_in_chunks(model, chunk=1000):
+    """A generated run advanced ``chunk`` cycles per ``run()`` call."""
+    processor = build_processor(model, backend="generated")
+    processor.load_program(get_workload("blowfish", scale=1).program)
+    limit = 0
+    while True:
+        limit += chunk
+        stats = processor.run(max_cycles=limit)
+        if stats.finish_reason != "max_cycles":
+            return processor, stats
+        assert stats.cycles == limit
+
+
+@pytest.mark.parametrize("model", SMALL_CACHE_MODELS)
+def test_fast_forward_matches_the_cycle_by_cycle_oracle(model):
+    reference = observable(*run_whole(model, "interpreted"))
+    assert reference["finish_reason"] == "halt"
+    assert observable(*run_whole(model, "generated")) == reference
+    assert observable(*run_in_chunks(model)) == reference
+
+
+@pytest.mark.parametrize("model", SMALL_CACHE_MODELS)
+def test_fast_forward_keeps_stage_utilisation(model):
+    occupancy = {
+        backend: run_whole(model, backend, collect_utilization=True)[1].stage_occupancy
+        for backend in ENGINE_BACKENDS
+    }
+    assert occupancy["generated"] == occupancy["interpreted"]
+    assert any(occupancy["interpreted"].values())
+
+
+def counted_run(trace=None):
+    """A strongarm-c512/blowfish generated run counting emitted-step calls."""
+    processor = build_processor(
+        "strongarm-c512", engine_options=EngineOptions(backend="generated", trace=trace)
+    )
+    processor.load_program(get_workload("blowfish", scale=1).program)
+    engine = processor.engine
+    step_fn = engine._step_fn
+    calls = [0]
+
+    def counting_step(cycle, stats):
+        calls[0] += 1
+        return step_fn(cycle, stats)
+
+    engine._step_fn = counting_step
+    stats = processor.run()
+    return engine, stats, calls[0]
+
+
+def test_the_skip_engages_on_a_miss_heavy_run():
+    _engine, stats, steps = counted_run()
+    assert stats.finish_reason == "halt"
+    assert steps < 0.8 * stats.cycles
+
+
+def test_stall_tracing_turns_the_skip_off():
+    engine, stats, steps = counted_run(TraceConfig(categories=("stall",)))
+    assert steps == stats.cycles
+    assert engine.tracer.recorded == stats.stalls
+    _untraced_engine, untraced, _steps = counted_run()
+    assert (stats.cycles, stats.stalls) == (untraced.cycles, untraced.stalls)
