@@ -20,9 +20,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: The paper's claim: generated at least as fast as SimpleScalar-style.
-#: Raise it as the generated engine gets faster; never lower it.
-FLOOR = 1.0
+#: The paper's claim is generated at least as fast as SimpleScalar-style
+#: (1.0); the floor sits at 1.1 since five 10 s runs on a 2-vCPU x86_64 VM
+#: (Python 3.11.7) read 1.21-1.25.  Raise it as the generated engine gets
+#: faster; never lower it.
+FLOOR = 1.1
 
 #: Seconds of timed simulation the benchmark runs.
 SECONDS = 10

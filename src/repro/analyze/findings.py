@@ -3,7 +3,7 @@
 A :class:`Finding` is one diagnostic: the rule that fired, its severity,
 the model (or spec) it was found in and a location string precise enough
 to act on (``spec:paths[branch]``, ``net:place 'alu.issue'``,
-``source:make_step``).  Findings are plain data — ``to_dict`` round-trips
+``source:make_run_cycles``).  Findings are plain data — ``to_dict`` round-trips
 through JSON — so the CLI, the CI artifact and the campaign report all
 render the same objects.
 
@@ -67,7 +67,8 @@ _RULE_TABLE = (
          "an elaborated place is neither an entry nor any transition's output"),
     # -- emitted-source verification (repro.analyze.sourcecheck) -----------
     Rule("SV001", "module-constants", "error",
-         "emitted module header disagrees with the net (fingerprint, digest, places, transitions)"),
+         "emitted module header disagrees with the net (fingerprint, digest, places, "
+         "transitions), or the module lacks its single run_cycles cycle loop"),
     Rule("SV002", "dispatch-branches", "error",
          "emitted opclass dispatch branches disagree with the static schedule"),
     Rule("SV003", "place-order", "error",

@@ -46,10 +46,10 @@ def _find_function(tree, name):
     return None
 
 
-class _StepFacts:
-    """Everything the verifier reads out of one emitted step function."""
+class _CycleFacts:
+    """Everything the verifier reads out of one emitted cycle body."""
 
-    def __init__(self, function, generator_names=()):
+    def __init__(self, body, generator_names=()):
         #: Place indices in segment order (one per ``_t = pN.tokens``).
         self.segment_order = []
         #: Per segment: list of (opclass, [fired transition names]) chains.
@@ -67,7 +67,7 @@ class _StepFacts:
         self._generator_names = frozenset(generator_names)
 
         events = []
-        for node in ast.walk(function):
+        for node in ast.walk(body):
             event = self._classify(node)
             if event is not None:
                 events.append((node.lineno, node.col_offset, event))
@@ -273,22 +273,29 @@ def verify_engine(engine, model=None):
             "declared generators %r disagree with the schedule's %r"
             % (constants.get("GENERATORS"), expected_generators))
 
-    # -- locate the step body ----------------------------------------------
-    maker = _find_function(tree, "make_step")
+    # -- locate the cycle body ---------------------------------------------
+    maker = _find_function(tree, "make_run_cycles")
     if maker is None:
-        err("SV001", "source:make_step", "emitted module does not define make_step")
+        err("SV001", "source:make_run_cycles",
+            "emitted module does not define make_run_cycles")
         return findings
-    step = _find_function(maker, "step")
-    if step is None:
-        err("SV001", "source:make_step",
-            "emitted make_step does not define the inner step function")
+    run_cycles = _find_function(maker, "run_cycles")
+    if run_cycles is None:
+        err("SV001", "source:make_run_cycles",
+            "emitted make_run_cycles does not define the inner run_cycles function")
+        return findings
+    loops = [node for node in run_cycles.body if isinstance(node, ast.While)]
+    if len(loops) != 1:
+        err("SV001", "source:run_cycles",
+            "emitted run_cycles has %d top-level cycle loops, expected exactly 1"
+            % len(loops))
         return findings
 
-    facts = _StepFacts(step, generator_names=expected_generators)
+    facts = _CycleFacts(loops[0], generator_names=expected_generators)
 
     # -- SV003: place segments appear in schedule order --------------------
     if facts.segment_order != list(range(len(schedule.order))):
-        err("SV003", "source:step",
+        err("SV003", "source:run_cycles",
             "place segments occur as %r, expected the schedule order 0..%d"
             % (facts.segment_order, len(schedule.order) - 1))
 

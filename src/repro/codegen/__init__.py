@@ -1,10 +1,10 @@
 """Source-level simulator generation (``EngineOptions(backend="generated")``).
 
 The fast engine backend: this package emits the model as real Python
-source — a straight-line per-cycle ``step()`` with the dispatch tables,
-capacity literals and issue gating baked into the text — ``exec``s it
-into a module and memoises the module in-process under the spec
-fingerprint and the net's structure digest.
+source — a ``run_cycles(limit)`` loop around one straight-line cycle body
+with the dispatch tables, capacity literals and issue gating baked into
+the text — ``exec``s it into a module and memoises the module in-process
+under the spec fingerprint and the net's structure digest.
 
 Layout:
 

@@ -1,8 +1,9 @@
 """Source-level simulator generation: emit one RCPN model as Python code.
 
 This module performs the last step of the paper's generation idea and
-emits real Python **source**: one straight-line ``step(cycle, stats)``
-function per model in which every static decision is already text —
+emits real Python **source**: one ``run_cycles(limit)`` function per model
+whose cycle loop holds a single straight-line copy of the per-cycle body,
+in which every static decision is already text —
 
 * the static schedule's dispatch tables appear as ``if/elif`` chains on
   the token's operation class, one inlined attempt per candidate
@@ -18,10 +19,20 @@ function per model in which every static decision is already text —
 * issue/port budgets are specialised away: the multi-issue gate wrappers
   are unwrapped at emit time into direct arbiter calls with the port as a
   source literal (see :func:`repro.codegen.runtime.guard_plan`);
-* guard-free transitions fire with no call at all.
+* guard-free transitions fire with no call at all;
+* instruction tokens emitted by actions (fetch) are delivered by the
+  module's ``drain`` closure as field operations, through an
+  opclass → entry-place dict built once per binding.
 
-The emitted module is net-object free — ``make_step(rt)`` binds the live
-places/stages/guards by index (:func:`repro.codegen.runtime.
+``run_cycles(limit)`` also owns the per-cycle bookkeeping: it advances
+``engine.cycle`` and ``stats.cycles`` every cycle and returns after the
+first idle cycle (noting ``engine._idle_stalls`` for the idle
+fast-forward), when ``limit`` is reached, or once a halt is requested —
+exactly the points at which ``SimulationEngine.run``'s checks can change
+their answer, so a whole busy stretch costs one call from the run loop.
+
+The emitted module is net-object free — ``make_run_cycles(rt)`` binds the
+live places/stages/guards by index (:func:`repro.codegen.runtime.
 build_runtime`) — so one emitted module is reusable for every rebuild of
 the same spec within a process, memoised under the spec fingerprint and
 the structure digest (:mod:`repro.codegen.cache`).
@@ -122,9 +133,10 @@ def _capacity_conjuncts(net, shape, stage_var):
 def emit_module_source(net, schedule, options, key=None):
     """Emit the Python source of one model's generated simulator.
 
-    Returns ``(source, report)``.  The source defines ``make_step(rt)``
-    returning the per-cycle ``step(cycle, stats) -> fired`` function;
-    ``rt`` is the binding dict of
+    Returns ``(source, report)``.  The source defines
+    ``make_run_cycles(rt)`` returning ``run_cycles(limit) -> fired``, which
+    simulates cycles until the first idle one, ``limit`` or a halt request
+    and returns the last cycle's firing count; ``rt`` is the binding dict of
     :func:`repro.codegen.runtime.build_runtime`.
     """
     trace_categories = emit_trace_categories(options)
@@ -161,8 +173,6 @@ def emit_module_source(net, schedule, options, key=None):
     used_controls = set()
     need_pool = False
     need_res = False
-    need_deposit = False
-    need_entry = False
     need_rbc = False
 
     def classify(transition):
@@ -226,7 +236,7 @@ def emit_module_source(net, schedule, options, key=None):
         source removal, reservation-input consumption, action, token
         deposit (or retire), reservation-output deposits, emission drain.
         """
-        nonlocal need_pool, need_res, need_deposit, need_entry, need_rbc
+        nonlocal need_pool, need_res, need_rbc
         index = transition_index[id(transition)]
         lines = ["tf[%r] += 1" % transition.name]
         if traced_firing:
@@ -306,21 +316,14 @@ def emit_module_source(net, schedule, options, key=None):
         # Emission drain: identical timing to the interpreted engine, which
         # drains the queue after *every* fire with the firing transition's
         # delay.  The queue is usually empty; the check is one attr load.
-        need_deposit = True
-        need_entry = True
         lines.append("_q = engine._emission_queue")
         lines.append("if _q:")
-        lines.append("    engine._emission_queue = []")
-        lines.append("    for _nt, _dp in _q:")
-        lines.append("        if _dp is None:")
-        lines.append("            _dp = entry_place_for(_nt.opclass)")
-        lines.append("        stats.generated_tokens += 1")
-        lines.append("        deposit(_nt, _dp, %d)" % transition.delay)
+        lines.append("    drain(_q, cycle, %d)" % transition.delay)
         return lines
 
-    # ---- walk the model once to build the per-place step bodies ----------
+    # ---- walk the model once to build the per-place cycle bodies ---------
     body = _Writer()
-    indent0 = 2  # inside `def step` inside `def make_step`
+    indent0 = 3  # inside the cycle loop of `run_cycles` in `make_run_cycles`
 
     # Two-list commits first, exactly like SimulationEngine.step.
     if schedule.two_list_places:
@@ -455,7 +458,7 @@ def emit_module_source(net, schedule, options, key=None):
 
     # ---- assemble the module ---------------------------------------------
     out = _Writer()
-    out.w(0, '"""Generated simulator step for model %r (repro.codegen).' % net.name)
+    out.w(0, '"""Generated simulator cycle loop for model %r (repro.codegen).' % net.name)
     out.w(0, "")
     out.w(0, "Auto-generated source: do not edit.  Emitted once per process for")
     out.w(0, "each spec fingerprint, structure digest and set of emit-relevant")
@@ -477,13 +480,12 @@ def emit_module_source(net, schedule, options, key=None):
         out.w(0, "TRACE_CATEGORIES = %r" % (trace_categories,))
     out.w(0, "")
     out.w(0, "")
-    out.w(0, "def make_step(rt):")
+    out.w(0, "def make_run_cycles(rt):")
     out.w(1, "engine = rt['engine']")
     out.w(1, "ctx = rt['ctx']")
-    if need_deposit:
-        out.w(1, "deposit = rt['deposit']")
-    if need_entry:
-        out.w(1, "entry_place_for = rt['entry_place_for']")
+    out.w(1, "deposit = rt['deposit']")
+    out.w(1, "entry_places = rt['entry_places']")
+    out.w(1, "entry_place_for = rt['entry_place_for']")
     if need_pool:
         out.w(1, "pool = rt['pool']")
     if need_res:
@@ -514,15 +516,59 @@ def emit_module_source(net, schedule, options, key=None):
     if options.collect_utilization:
         out.w(1, "_STAGES = tuple(S)")
     out.w(0, "")
-    out.w(1, "def step(cycle, stats):")
-    out.w(2, "fired = 0")
+    # Token delivery for the emission drain: SimulationEngine._deposit +
+    # Place.deposit as field operations.  End places (retire), unlimited
+    # stages and full stages (CapacityError) take the engine's _deposit.
+    out.w(1, "def drain(queue, cycle, delay):")
+    out.w(2, "engine._emission_queue = []")
+    out.w(2, "stats = engine.stats")
+    out.w(2, "for token, place in queue:")
+    out.w(3, "if place is None:")
+    out.w(4, "place = entry_places.get(token.opclass)")
+    out.w(4, "if place is None:")
+    out.w(5, "place = entry_place_for(token.opclass)  # raises ModelError")
+    out.w(3, "stats.generated_tokens += 1")
+    out.w(3, "stage = place.stage")
+    out.w(3, "capacity = stage.capacity")
+    out.w(3, "if capacity is None or stage._occupancy >= capacity:")
+    out.w(4, "deposit(token, place, delay)")
+    out.w(4, "continue")
+    out.w(3, "residence = token.delay_override")
+    out.w(3, "if residence is None:")
+    out.w(4, "residence = place.delay")
+    out.w(3, "else:")
+    out.w(4, "token.delay_override = None")
+    out.w(3, "token.ready_cycle = cycle + delay + residence")
+    out.w(3, "token.place = place")
+    out.w(3, "stage._occupancy += 1")
+    out.w(3, "if place.two_list:")
+    out.w(4, "place.pending.append(token)")
+    out.w(3, "else:")
+    out.w(4, "place.tokens.append(token)")
+    out.w(0, "")
+    out.w(1, "def run_cycles(limit):")
+    out.w(2, "stats = engine.stats")
     out.w(2, "tf = stats.transition_firings")
     if need_rbc:
         out.w(2, "rbc = stats.retired_by_class")
+    out.w(2, "cycle = engine.cycle")
+    out.w(2, "while True:")
+    out.w(3, "fired = 0")
+    out.w(3, "_stalls = stats.stalls")
+    out.w(3, "engine._cycle_read = False")
     out.lines.extend(body.lines)
-    out.w(2, "return fired")
+    out.w(3, "cycle += 1")
+    out.w(3, "engine.cycle = cycle")
+    out.w(3, "stats.cycles = cycle")
+    out.w(3, "if not fired:")
+    out.w(4, "engine._idle_cycles += 1")
+    out.w(4, "engine._idle_stalls = stats.stalls - _stalls")
+    out.w(4, "return 0")
+    out.w(3, "engine._idle_cycles = 0")
+    out.w(3, "if cycle >= limit or engine.halt_requested:")
+    out.w(4, "return fired")
     out.w(0, "")
-    out.w(1, "return step")
+    out.w(1, "return run_cycles")
 
     # Embed the specialisation report so cache hits (which skip emission)
     # can still describe the module they loaded.

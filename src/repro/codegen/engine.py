@@ -5,17 +5,19 @@
 in-process memo or a fresh emission (:mod:`repro.codegen.cache`) — binds
 it to this net's live objects
 (:func:`repro.codegen.runtime.build_runtime`) and keeps the resulting
-``step(cycle, stats)`` function.  Everything outside the per-cycle hot
-path — run loop, halt/drain detection, flush and emission services — is
-inherited from :class:`~repro.core.engine.SimulationEngine`, and the
-statistics are bit-identical to the interpreted reference; only
-wall-clock time may differ.
+``run_cycles(limit)`` function.  The emitted loop owns the per-cycle
+bookkeeping too (cycle counters, idle accounting), so the shared run loop
+of :class:`~repro.core.engine.SimulationEngine` hands it whole busy
+stretches through :meth:`GeneratedEngine._advance`.  Everything else —
+the run loop's limit checks, halt/drain detection, flush and emission
+services — is inherited, and the statistics are bit-identical to the
+interpreted reference; only wall-clock time may differ.
 
-The emitted step function is straight-line code over preallocated
-objects, so no active-place worklist is needed: an idle place costs one
-attribute load and a truth test.  A whole idle pipeline costs less still:
-after a step in which nothing fired, the engine jumps to the next cycle in
-which a resident token becomes ready (:meth:`GeneratedEngine._fast_forward`)
+The emitted cycle body is straight-line code over preallocated objects,
+so no active-place worklist is needed: an idle place costs one attribute
+load and a truth test.  A whole idle pipeline costs less still: after a
+cycle in which nothing fired, the engine jumps to the next cycle in which
+a resident token becomes ready (:meth:`GeneratedEngine._fast_forward`)
 and accounts the skipped cycles' stalls and occupancy in one go.
 Reservation tokens are pooled (the emitted fire bodies draw from
 ``_reservation_pool``).
@@ -67,9 +69,11 @@ class GeneratedEngine(SimulationEngine):
             module, self.codegen_status = self._cache.module_for(key, emit)
         self.module = module
         self.source = module.__source__
-        self._step_fn = module.make_step(build_runtime(self))
-        # Stall count of the last idle step (see _fast_forward).
+        self._run_cycles = module.make_run_cycles(build_runtime(self))
+        # Stall count of the last idle cycle (see _fast_forward).
         self._idle_stalls = 0
+        # Cycles _fast_forward accounted without running them.
+        self.skipped_cycles = 0
 
     # -- engine-internal services overridden for the generated backend ------
     def _recycle_reservation(self, token):
@@ -77,31 +81,24 @@ class GeneratedEngine(SimulationEngine):
         self._reservation_pool.append(token)
 
     # -- main loop ----------------------------------------------------------
-    def step(self):
-        """One clock cycle: run the emitted straight-line step function.
+    def _advance(self, limit):
+        """Run the emitted loop from the current cycle towards ``limit``.
 
-        The emitted body covers two-list commits, the per-place dispatch
-        in reverse-topological order, the generator transitions and the
-        optional utilisation sampling; the cycle/idle bookkeeping stays
-        here so ``run``'s limit checks see the same state as the other
-        backends.  So do the two facts :meth:`_fast_forward` needs: the
-        idle step's stall count and whether it read ``ctx.cycle``.
+        ``run_cycles`` simulates at least one cycle and returns after the
+        first idle one, on reaching ``limit`` or once a halt is requested,
+        with the last cycle's firing count.  It keeps ``cycle``,
+        ``stats.cycles``, ``_idle_cycles`` and — for :meth:`_fast_forward`
+        — the idle cycle's stall count and ``_cycle_read`` exactly as
+        cycle-by-cycle stepping would.
         """
-        stats = self.stats
-        stalls = stats.stalls
-        self._cycle_read = False
-        fired = self._step_fn(self.cycle, stats)
-        self.cycle += 1
-        stats.cycles = self.cycle
-        self._fired_this_cycle = fired
-        if fired == 0:
-            self._idle_cycles += 1
-            self._idle_stalls = stats.stalls - stalls
-        else:
-            self._idle_cycles = 0
+        self._fired_this_cycle = self._run_cycles(limit)
+
+    def step(self):
+        """One clock cycle of the emitted loop."""
+        self._advance(self.cycle + 1)
 
     def _fast_forward(self, limit):
-        """Skip the cycles that would replay the idle step just taken.
+        """Skip the cycles that would replay the idle cycle just run.
 
         Nothing fired, so no token moved, was deposited (no two-list place
         holds ``pending`` tokens) or was emitted, and guards see time only
@@ -109,7 +106,8 @@ class GeneratedEngine(SimulationEngine):
         ``_cycle_read`` and rules the skip out.  Every cycle before the
         earliest ``ready_cycle >= cycle`` of a resident token therefore
         repeats the idle step exactly: same stalls, same occupancy, nothing
-        fired.  Those k cycles are accounted in one go.
+        fired.  Those k cycles are accounted in one go, and counted in
+        ``skipped_cycles``.
 
         k is clamped so ``max_cycles`` and the ``stall_limit`` deadlock
         error trip on the same cycle, with the same text, as stepping
@@ -130,6 +128,7 @@ class GeneratedEngine(SimulationEngine):
                     skip = wait
         if skip <= 0:
             return
+        self.skipped_cycles += skip
         self.cycle = cycle + skip
         stats = self.stats
         stats.cycles = self.cycle
@@ -140,15 +139,16 @@ class GeneratedEngine(SimulationEngine):
                 stage.occupancy_accumulator += skip * stage._occupancy
 
     def reset(self):
-        """Reset dynamic state while keeping the emitted step function.
+        """Reset dynamic state while keeping the emitted cycle loop.
 
-        The bound step function references places, stages, the context and
-        the reservation pool — all of which survive a reset — so re-running
-        a model costs no re-emission (the generated-backend reset-reuse
-        regression test pins this).
+        The bound ``run_cycles`` references the engine, places, stages, the
+        context and the reservation pool — all of which survive a reset —
+        so re-running a model costs no re-emission (the generated-backend
+        reset-reuse regression test pins this).
         """
         super().reset()
         self._reservation_pool.clear()
+        self.skipped_cycles = 0
 
     def compilation_summary(self):
         """Emission statistics + cache provenance (for reports).

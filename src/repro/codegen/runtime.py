@@ -130,7 +130,7 @@ def structure_digest(net):
 
 
 def build_runtime(engine):
-    """Build the binding dict an emitted module's ``make_step`` consumes."""
+    """Build the binding dict an emitted module's ``make_run_cycles`` consumes."""
     net = engine.net
     guards = []
     actions = []
@@ -146,6 +146,14 @@ def build_runtime(engine):
         "ctx": engine.ctx,
         "deposit": engine._deposit,
         "entry_place_for": net.entry_place_for,
+        # opclass -> entry place, for the emission drain; classes without
+        # one fall back to entry_place_for and its ModelError.
+        "entry_places": {
+            opclass: subnet.entry_place
+            for subnet in net.subnets.values()
+            if subnet.entry_place is not None
+            for opclass in subnet.opclasses
+        },
         "pool": engine._reservation_pool,
         "ReservationToken": ReservationToken,
         "places": list(engine.schedule.order),

@@ -41,10 +41,11 @@ class EngineOptions:
       generic enable/fire rules.  This is the reference implementation and
       the ablation substrate.
     * ``"generated"`` — :class:`repro.codegen.GeneratedEngine` emits the
-      model as real Python source (a straight-line per-cycle ``step()``
-      with dispatch tables and capacity checks inlined as code), ``exec``s
-      it and memoises the module in-process under the spec fingerprint
-      and structure digest (the paper's simulator generation).
+      model as real Python source (a ``run_cycles`` loop around one
+      straight-line cycle body with dispatch tables and capacity checks
+      inlined as code), ``exec``s it and memoises the module in-process
+      under the spec fingerprint and structure digest (the paper's
+      simulator generation).
       Statistics are bit-identical to the interpreted backend; only
       wall-clock throughput differs.
 
@@ -154,7 +155,8 @@ class EngineContext:
         Without ``place`` the token is routed to the entry place of the
         sub-net handling its operation class (the paper's "any sub-net can
         generate an instruction token and send it to its corresponding
-        sub-net").
+        sub-net").  ``place`` may be a :class:`~repro.core.place.Place` or
+        a place name.
         """
         self._engine.queue_emission(token, place)
 
@@ -186,9 +188,10 @@ class SimulationEngine:
     This engine evaluates the generic enable/fire rules against the static
     schedule every cycle.  The generated backend
     (:class:`repro.codegen.GeneratedEngine`) subclasses it, overriding only
-    the per-cycle hot path (``step`` and reservation recycling); the run
-    loop, halt/drain logic and the :class:`EngineContext` services are
-    shared, which is what keeps the backends drop-in interchangeable.
+    the per-cycle hot path (``_advance``/``step``, the idle fast-forward
+    and reservation recycling); the run loop, halt/drain logic and the
+    :class:`EngineContext` services are shared, which is what keeps the
+    backends drop-in interchangeable.
     Anything observable — every counter of
     :class:`~repro.core.statistics.SimulationStatistics` — must be identical
     between backends; the differential tests enforce this.
@@ -237,6 +240,8 @@ class SimulationEngine:
 
     # -- services used by EngineContext -------------------------------------
     def queue_emission(self, token, place=None):
+        if place is not None:
+            place = self.net._resolve_place(place)
         self._emission_queue.append((token, place))
         if self._trace_token is not None:
             self._trace_token(self.cycle, token, place)
@@ -470,7 +475,15 @@ class SimulationEngine:
         return False
 
     def run(self, max_cycles=None, max_instructions=None):
-        """Run until the model requests a halt and drains, or a limit is hit."""
+        """Run until the model requests a halt and drains, or a limit is hit.
+
+        Every check — finished, cycle limit, ``max_instructions``, the
+        ``stall_limit`` deadlock error, then the idle fast-forward — runs
+        between calls to :meth:`_advance`, which may simulate a stretch of
+        cycles but returns whenever one of those checks could change its
+        answer.  With ``max_instructions`` set, each call is held to one
+        cycle, since any firing may retire an instruction.
+        """
         limit = max_cycles if max_cycles is not None else self.options.max_cycles
         start = time.perf_counter()
         while True:
@@ -490,7 +503,7 @@ class SimulationEngine:
                     "the model is deadlocked; %s"
                     % (self._idle_cycles, self.cycle, self._resident_tokens_report())
                 )
-            self.step()
+            self._advance(limit if max_instructions is None else self.cycle + 1)
             if self._fired_this_cycle == 0:
                 self._fast_forward(limit)
         self.stats.wall_time_seconds += time.perf_counter() - start
@@ -501,8 +514,21 @@ class SimulationEngine:
             }
         return self.stats
 
+    def _advance(self, limit):
+        """Simulate from the current cycle towards cycle ``limit``.
+
+        The contract :meth:`run` relies on: simulate at least one cycle,
+        and return no later than the first cycle in which nothing fired,
+        the cycle that reaches ``limit``, or the cycle in which a halt is
+        requested, leaving ``_fired_this_cycle`` at the last cycle's firing
+        count.  The interpreted engine is the cycle-by-cycle oracle and
+        steps exactly once; :class:`repro.codegen.GeneratedEngine` runs
+        the stretch in its emitted loop.
+        """
+        self.step()
+
     def _fast_forward(self, limit):
-        """Hook called by :meth:`run` after a step in which nothing fired.
+        """Hook called by :meth:`run` after a cycle in which nothing fired.
 
         An engine may advance straight to the next cycle that can differ
         from the idle one, provided every statistic and every limit check

@@ -637,7 +637,7 @@ class Processor:
 
         Engine state, cache contents/statistics and learned predictor/BTB
         state are cleared; the engine (including the generated backend's
-        emitted step function) is kept.  Call
+        emitted cycle loop) is kept.  Call
         :meth:`load_program` afterwards to restore the program image and
         the fetch PC.  The memory system gets a *full* reset — cold tags,
         not just zeroed counters — so a reused processor never starts its

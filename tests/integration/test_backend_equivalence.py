@@ -119,8 +119,8 @@ def test_generated_engine_reset_reuses_emitted_module():
 
     ``strongarm-c512`` + blowfish is the sweep point whose working set
     overflows the 512 B L1, so the second run only reproduces the first if
-    ``reset()`` really restores the caches *and* the bound step function
-    (places, stages, reservation pool) survives untouched.
+    ``reset()`` really restores the caches *and* the bound ``run_cycles``
+    loop (places, stages, reservation pool) survives untouched.
     """
     workload = get_workload("blowfish", scale=1)
     processor = build_processor("strongarm-c512", backend="generated")
@@ -128,7 +128,7 @@ def test_generated_engine_reset_reuses_emitted_module():
     first = processor.run(max_cycles=2_000_000)
     first_state = observable_state(processor, first)
     assert first.finish_reason == "halt"
-    step_fn = processor.engine._step_fn
+    run_cycles = processor.engine._run_cycles
     module = processor.engine.module
 
     processor.reset()
@@ -137,8 +137,8 @@ def test_generated_engine_reset_reuses_emitted_module():
 
     assert observable_state(processor, second) == first_state
     # reset() must keep the emitted artefacts: same module, same bound
-    # step function — re-running costs zero re-emissions.
-    assert processor.engine._step_fn is step_fn
+    # run_cycles loop — re-running costs zero re-emissions.
+    assert processor.engine._run_cycles is run_cycles
     assert processor.engine.module is module
 
 

@@ -1,12 +1,13 @@
 """Idle-cycle fast-forward on the generated engine.
 
-After a step in which nothing fired, the generated engine jumps to the next
+After a cycle in which nothing fired, the generated engine jumps to the next
 cycle in which a resident token becomes ready and accounts the skipped
-cycles in one go.  The interpreted engine steps cycle by cycle and is the
-oracle: every statistic must agree, however a run is cut into ``run()``
-calls, with utilisation sampling on, and when a guard reads ``ctx.cycle``
-(a step that reads the clock is never skipped).  The last tests check that
-the skip really engages, and that stall tracing turns it off.
+cycles in one go (``GeneratedEngine.skipped_cycles`` counts them).  The
+interpreted engine steps cycle by cycle and is the oracle: every statistic
+must agree, however a run is cut into ``run()`` calls, with utilisation
+sampling on, and when a guard reads ``ctx.cycle`` (a step that reads the
+clock is never skipped).  The last tests check that the skip really
+engages, and that stall tracing turns it off.
 """
 
 import pytest
@@ -114,34 +115,25 @@ def test_fast_forward_keeps_stage_utilisation(model):
     assert any(occupancy["interpreted"].values())
 
 
-def counted_run(trace=None):
-    """A strongarm-c512/blowfish generated run counting emitted-step calls."""
+def skipping_run(trace=None):
+    """A strongarm-c512/blowfish generated run; the engine counts skipped cycles."""
     processor = build_processor(
         "strongarm-c512", engine_options=EngineOptions(backend="generated", trace=trace)
     )
     processor.load_program(get_workload("blowfish", scale=1).program)
-    engine = processor.engine
-    step_fn = engine._step_fn
-    calls = [0]
-
-    def counting_step(cycle, stats):
-        calls[0] += 1
-        return step_fn(cycle, stats)
-
-    engine._step_fn = counting_step
     stats = processor.run()
-    return engine, stats, calls[0]
+    return processor.engine, stats
 
 
 def test_the_skip_engages_on_a_miss_heavy_run():
-    _engine, stats, steps = counted_run()
+    engine, stats = skipping_run()
     assert stats.finish_reason == "halt"
-    assert steps < 0.8 * stats.cycles
+    assert stats.cycles - engine.skipped_cycles < 0.8 * stats.cycles
 
 
 def test_stall_tracing_turns_the_skip_off():
-    engine, stats, steps = counted_run(TraceConfig(categories=("stall",)))
-    assert steps == stats.cycles
+    engine, stats = skipping_run(TraceConfig(categories=("stall",)))
+    assert engine.skipped_cycles == 0
     assert engine.tracer.recorded == stats.stalls
-    _untraced_engine, untraced, _steps = counted_run()
+    _untraced_engine, untraced = skipping_run()
     assert (stats.cycles, stats.stalls) == (untraced.cycles, untraced.stalls)
