@@ -6,16 +6,20 @@ this package makes *experiments* declarative: a
 scales × engine variants × repeats — which the planner expands into
 content-fingerprinted :class:`RunSpec`s, the runner executes on a
 ``multiprocessing`` worker pool, and the :class:`ResultStore` persists as
-sharded JSON lines keyed by fingerprint.  Re-running a campaign skips
-every run the store already holds, so campaigns are incremental and
-resumable, and an aggregation API (:mod:`repro.campaign.aggregate`) turns
-stored results into the paper's tables (CPI, per-level cache miss rates,
-throughput, generated-over-interpreted speedup) plus CSV/JSON exports.
+one append-only ``results.jsonl`` keyed by fingerprint.  Re-running a
+campaign skips every run the store already holds, so campaigns are
+incremental and resumable, and an aggregation API
+(:mod:`repro.campaign.aggregate`) turns stored results into the paper's
+tables (CPI, per-level cache miss rates, throughput,
+generated-over-interpreted speedup) plus CSV/JSON exports.
 
-The layer is fault-tolerant end to end: store appends are locked and
-fsync'd, corrupt lines are quarantined instead of raised, failing runs
-are retried with backoff and persist as ``"failed"`` records when their
-budget runs out, and ``compact``/``fsck`` keep long-lived stores healthy.
+The layer is fault-tolerant end to end: each store append is one
+``O_APPEND`` write plus ``fsync``, corrupt lines are quarantined instead
+of raised, failing runs are retried with backoff and persist as
+``"failed"`` records when their budget runs out, and ``compact``/``fsck``
+keep long-lived stores healthy (run ``compact`` between campaigns, not
+beside one; it also folds a store written before 1.17 into
+``results.jsonl`` once).
 
 The CLI mirrors the API::
 
@@ -64,7 +68,6 @@ from repro.campaign.store import (
     QuarantinedLine,
     ResultStore,
     RunResult,
-    shard_index,
 )
 
 __all__ = [
@@ -92,7 +95,6 @@ __all__ = [
     "result_rows",
     "run_campaign",
     "run_single",
-    "shard_index",
     "speedup_table",
     "summarize",
     "to_csv",

@@ -7,11 +7,14 @@ CSV/JSON) from a store.  Every command is incremental by construction:
 pointing ``run`` at yesterday's store re-executes only the fingerprints
 that are missing or previously failed.
 
-``compact`` rewrites a store into the clean sharded layout (migrating the
-legacy single-file layout, dropping duplicate-fingerprint lines and
-quarantined garbage atomically), and ``fsck`` reports store health —
-layout, record counts, failure rows, and any corrupt lines the tolerant
-loader quarantined (exit 0 when clean, 2 when quarantined lines exist).
+``compact`` atomically rewrites a store's ``results.jsonl``, dropping
+duplicate-fingerprint lines and quarantined garbage (run it between
+campaigns: an append racing it can be lost); it also folds a store
+written before 1.17 (``shards/*.jsonl``), which every other command
+rejects, into ``results.jsonl`` once.  ``fsck`` reports store health —
+record counts, failure rows, and any corrupt lines the tolerant loader
+quarantined (exit 0 when clean, 2 when quarantined lines exist).  Both
+exit 1 when the store directory does not exist.
 """
 
 from __future__ import annotations
@@ -306,35 +309,35 @@ def _command_report(args, out):
     return 0
 
 
+def _existing_store(path, out):
+    """The store at ``path``, or ``None`` (after saying so) when it does not exist."""
+    if not os.path.isdir(path):
+        out.write("store %s does not exist\n" % path)
+        return None
+    return ResultStore(path)
+
+
 def _command_compact(args, out):
-    store = ResultStore(args.store)
-    report = store.compact(shard_count=args.shards)
+    store = _existing_store(args.store, out)
+    if store is None:
+        return 1
+    report = store.compact()
     out.write(
-        "compacted %s: %d result(s) in %d shard(s); dropped %d duplicate "
-        "line(s) and %d quarantined line(s)%s\n"
-        % (
-            store.path,
-            report.results,
-            report.shards,
-            report.duplicates_dropped,
-            report.quarantined_dropped,
-            "; migrated legacy results.jsonl" if report.migrated_legacy else "",
-        )
+        "compacted %s: %d result(s); dropped %d duplicate line(s) and %d "
+        "quarantined line(s)\n"
+        % (store.path, report.results, report.duplicates_dropped, report.quarantined_dropped)
     )
     return 0
 
 
 def _command_fsck(args, out):
-    store = ResultStore(args.store)
-    if not os.path.isdir(store.path):
-        out.write("store %s does not exist\n" % store.path)
+    store = _existing_store(args.store, out)
+    if store is None:
         return 1
     health = store.health()
     out.write(
-        "store %(path)s: layout %(layout)s, %(shard_files)d shard file(s) "
-        "(of %(shard_count)d), %(results)d record(s) "
-        "(%(ok)d ok, %(failed)d failed), %(quarantined)d quarantined line(s)\n"
-        % health
+        "store %(path)s: %(results)d record(s) (%(ok)d ok, %(failed)d failed), "
+        "%(quarantined)d quarantined line(s)\n" % health
     )
     for line in health["quarantined_lines"]:
         out.write(
@@ -419,21 +422,15 @@ def build_parser():
 
     compact = commands.add_parser(
         "compact",
-        help="rewrite a store as clean shards (migrate legacy layout, drop "
-        "duplicate and quarantined lines)",
+        help="rewrite a store's results.jsonl without duplicate and quarantined "
+        "lines (folds a pre-1.17 sharded store); not beside a running campaign",
     )
     compact.add_argument("--store", required=True, help="result-store directory")
-    compact.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="shard count for the rewritten store (default: keep the store's)",
-    )
     compact.set_defaults(handler=_command_compact)
 
     fsck = commands.add_parser(
         "fsck",
-        help="report store health: layout, record counts, failure rows and "
+        help="report store health: record counts, failure rows and "
         "quarantined corrupt lines (exit 2 when any are present)",
     )
     fsck.add_argument("--store", required=True, help="result-store directory")

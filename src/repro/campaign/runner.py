@@ -16,6 +16,8 @@ the process boundary and any start method works.  The platform default is
 used unless ``mp_context`` overrides it; under a "spawn" start method the
 orchestrating ``__main__`` must be importable (the standard
 multiprocessing guard), which the CLI and pytest entry points are.
+Workers never touch the store: they return results, and only the
+orchestrating process appends them to the store's ``results.jsonl``.
 
 Failures are first-class, not fatal.  A failing run is isolated and
 retried up to ``CampaignSpec.max_retries`` times with exponential backoff
@@ -56,7 +58,6 @@ CUMULATIVE_STORE_METRICS = (
     "campaign.store.hits",
     "campaign.store.misses",
     "campaign.store.saved_wall_seconds",
-    "campaign.store.lock_wait_seconds",
 )
 
 METRICS_FILENAME = "metrics.json"
@@ -255,7 +256,7 @@ def run_campaign(
     :class:`~repro.observe.metrics.MetricsRegistry` to record into (one is
     created otherwise); the snapshot lands on ``CampaignReport.metrics``
     and — when a store is used — is persisted as ``metrics.json`` next to
-    the store's shard files, with the store-level hit/miss/saved/lock-wait
+    the store's ``results.jsonl``, with the store-level hit/miss/saved
     counters kept cumulative across invocations.
     """
     registry = metrics if metrics is not None else MetricsRegistry()
@@ -405,11 +406,8 @@ def run_campaign(
     registry.gauge("campaign.wall_seconds", "total campaign wall time").set(wall)
     if store is not None:
         registry.merge_counters(
-            {
-                "campaign.store.lock_wait_seconds": store.counters["lock_wait_seconds"],
-                "campaign.store.quarantined_lines": len(store.quarantined()),
-            },
-            description="result-store health (lock contention, skipped lines)",
+            {"campaign.store.quarantined_lines": len(store.quarantined())},
+            description="result-store health (skipped lines)",
         )
     snapshot = registry.snapshot()
     if store is not None:
@@ -465,10 +463,10 @@ def metrics_path(store):
 
 
 def _persist_metrics(store, snapshot):
-    """Write ``metrics.json`` next to the store's shard files.
+    """Write ``metrics.json`` next to the store's ``results.jsonl``.
 
     Per-invocation metrics (phase timings, worker utilisation) are simply
-    overwritten; the store-level hit/miss/saved/lock-wait counters are
+    overwritten; the store-level hit/miss/saved counters are
     merged with the previous snapshot so ``report`` can show lifetime
     cache value.  Best-effort: an unwritable store directory loses the
     snapshot, never the campaign.

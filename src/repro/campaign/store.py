@@ -1,30 +1,35 @@
 """Content-addressed, fault-tolerant persistence for campaign results.
 
-A :class:`ResultStore` is a directory of JSON-lines shard files
-(``shards/NNN.jsonl``; the shard is chosen by the fingerprint's leading
-hex digits): one line per completed run, keyed by the run's content
-fingerprint.  Appending is the only write operation, so a store survives
-interrupted campaigns (every line already written is a finished run) and
-re-running a campaign against the same store skips every fingerprint it
-already holds — incremental experiments for free.
+A :class:`ResultStore` is a directory holding one append-only JSON-lines
+file, ``results.jsonl``: one line per completed run, keyed by the run's
+content fingerprint.  Appending is the only write operation, so a store
+survives interrupted campaigns (every line already written is a finished
+run) and re-running a campaign against the same store skips every
+fingerprint it already holds — incremental experiments for free.
 
 The layer is built to survive the failure modes a long-running sweep
 harness actually hits:
 
-* **Torn writes never brick a store.**  Appends go through
-  write + flush + ``fsync`` under a per-shard advisory file lock
-  (``fcntl``/``msvcrt``, with a lockfile spin fallback), and the loader
-  *quarantines* corrupt or truncated lines — skip, count, report via
+* **Torn writes never brick a store.**  Each append is a single
+  ``O_APPEND`` write followed by ``fsync``, and the loader *quarantines*
+  corrupt or truncated lines — skip, count, report via
   :meth:`ResultStore.health` — instead of raising.  A writer killed
-  mid-append loses at most its own last line.
-* **Concurrent writers are safe.**  The per-shard locks serialise
-  appends from multiple processes; duplicate fingerprints (two campaigns
-  racing on the same run) resolve deterministically: the last line wins.
-* **Stores are migratable and compactable.**  The legacy single-file
-  layout (``results.jsonl``) is auto-detected and stays readable;
-  :meth:`ResultStore.compact` rewrites everything into clean shards
-  atomically (temp file + rename, per shard, under the shard's lock),
-  dropping duplicate-fingerprint lines and quarantined garbage.
+  mid-append loses at most its own last line, and the next append seals
+  that torn tail so the junk stays on a line of its own.
+* **Concurrent appends do not interleave.**  On POSIX, ``O_APPEND``
+  places every ``write`` whole at the end of the file, so two campaigns
+  appending to one store at once cannot splice their lines.  Duplicate
+  fingerprints resolve deterministically: the last line wins.
+* **Stores are compactable.**  :meth:`ResultStore.compact` rewrites the
+  file atomically (temp file, ``fsync``, rename), dropping
+  duplicate-fingerprint lines and quarantined garbage.  An append that
+  races a ``compact`` can be lost, so do not compact beside a running
+  campaign; the store caches deterministic runs, so a lost line costs one
+  re-execution, never a wrong result.
+
+A store written before repro 1.17 (``shards/*.jsonl``) fails to load
+with a :class:`ValueError` naming ``compact``, which folds it into
+``results.jsonl`` once.
 
 Failed runs are persisted too: a :class:`RunResult` whose ``kind`` is
 ``"failed"`` carries the error and traceback of a run that exhausted its
@@ -37,29 +42,19 @@ last-line-wins rule.
 from __future__ import annotations
 
 import contextlib
-import hashlib
+import glob
 import json
 import os
-import time
+import shutil
 from dataclasses import asdict, dataclass, field
 
 RESULTS_FILENAME = "results.jsonl"
-SHARDS_DIRNAME = "shards"
-META_FILENAME = "store.json"
-DEFAULT_SHARD_COUNT = 16
+#: Where stores written before repro 1.17 kept their lines (read by ``compact`` only).
+OLD_SHARDS_DIRNAME = "shards"
 
 #: Record kinds a store line may carry.
 KIND_RESULT = "result"
 KIND_FAILED = "failed"
-
-try:  # POSIX advisory locks
-    import fcntl
-except ImportError:  # pragma: no cover - platform dependent
-    fcntl = None
-try:  # Windows advisory locks
-    import msvcrt
-except ImportError:  # pragma: no cover - platform dependent
-    msvcrt = None
 
 
 @dataclass
@@ -152,110 +147,8 @@ class CompactionReport:
     """What :meth:`ResultStore.compact` did."""
 
     results: int
-    shards: int
     duplicates_dropped: int
     quarantined_dropped: int
-    migrated_legacy: bool
-
-
-def shard_index(fingerprint, shard_count):
-    """The shard a fingerprint lives in: its leading hex digits, mod count.
-
-    Campaign fingerprints are sha256 hex, so the prefix is uniform;
-    anything else (hand-written test fingerprints) is re-hashed so every
-    string still lands deterministically in exactly one shard.
-    """
-    try:
-        prefix = int(fingerprint[:8], 16)
-    except (ValueError, TypeError):
-        digest = hashlib.sha256(str(fingerprint).encode("utf-8")).hexdigest()
-        prefix = int(digest[:8], 16)
-    return prefix % shard_count
-
-
-class ShardLock:
-    """An advisory, cross-process exclusive lock on one store file.
-
-    Locking goes through ``fcntl.flock`` (POSIX) or ``msvcrt.locking``
-    (Windows) on a sidecar ``*.lock`` file; when neither is available the
-    sidecar itself is the lock (``O_CREAT | O_EXCL`` spin with a stale
-    timeout).  The elapsed wait is recorded on ``wait_seconds`` so the
-    store can report lock contention as a metric.
-    """
-
-    def __init__(self, path, timeout=30.0, poll_seconds=0.005):
-        self.path = os.fspath(path) + ".lock"
-        self.timeout = timeout
-        self.poll_seconds = poll_seconds
-        self.wait_seconds = 0.0
-        self._fd = None
-        self._exclusive_file = False
-
-    def acquire(self):
-        start = time.perf_counter()
-        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        if fcntl is not None:
-            self._fd = os.open(self.path, os.O_RDWR | os.O_CREAT)
-            fcntl.flock(self._fd, fcntl.LOCK_EX)
-        elif msvcrt is not None:  # pragma: no cover - Windows only
-            self._fd = os.open(self.path, os.O_RDWR | os.O_CREAT)
-            deadline = start + self.timeout
-            while True:
-                try:
-                    os.lseek(self._fd, 0, os.SEEK_SET)
-                    msvcrt.locking(self._fd, msvcrt.LK_NBLCK, 1)
-                    break
-                except OSError:
-                    if time.perf_counter() > deadline:
-                        os.close(self._fd)
-                        self._fd = None
-                        raise TimeoutError("timed out locking %s" % self.path) from None
-                    time.sleep(self.poll_seconds)
-        else:  # pragma: no cover - exercised via _force_fallback in tests
-            self._acquire_fallback(start)
-        self.wait_seconds = time.perf_counter() - start
-        return self
-
-    def _acquire_fallback(self, start):
-        """Lockfile spin: the sidecar's existence is the lock."""
-        deadline = start + self.timeout
-        while True:
-            try:
-                self._fd = os.open(self.path, os.O_RDWR | os.O_CREAT | os.O_EXCL)
-                self._exclusive_file = True
-                return
-            except FileExistsError:
-                if time.perf_counter() > deadline:
-                    # Assume the holder died; break the stale lock.
-                    with contextlib.suppress(OSError):
-                        os.unlink(self.path)
-                    deadline = time.perf_counter() + self.timeout
-                time.sleep(self.poll_seconds)
-
-    def release(self):
-        if self._fd is None:
-            return
-        try:
-            if self._exclusive_file:
-                os.close(self._fd)
-                with contextlib.suppress(OSError):
-                    os.unlink(self.path)
-            elif fcntl is not None:
-                fcntl.flock(self._fd, fcntl.LOCK_UN)
-                os.close(self._fd)
-            elif msvcrt is not None:  # pragma: no cover - Windows only
-                os.lseek(self._fd, 0, os.SEEK_SET)
-                msvcrt.locking(self._fd, msvcrt.LK_UNLCK, 1)
-                os.close(self._fd)
-        finally:
-            self._fd = None
-            self._exclusive_file = False
-
-    def __enter__(self):
-        return self.acquire()
-
-    def __exit__(self, *exc_info):
-        self.release()
 
 
 class ResultStore:
@@ -270,96 +163,30 @@ class ResultStore:
     that contract.
     """
 
-    def __init__(self, path, shard_count=None):
+    def __init__(self, path):
         self.path = os.fspath(path)
         self._index = None
         self._quarantined = ()
-        self._requested_shard_count = shard_count
-        self._shard_count = None
-        #: Cross-process lock bookkeeping, for the campaign metrics snapshot.
-        self.counters = {"lock_wait_seconds": 0.0, "lock_acquisitions": 0}
 
-    # -- layout ---------------------------------------------------------------
     @property
     def results_path(self):
-        """The legacy single-file location (kept readable, never written)."""
         return os.path.join(self.path, RESULTS_FILENAME)
-
-    @property
-    def shards_path(self):
-        return os.path.join(self.path, SHARDS_DIRNAME)
-
-    @property
-    def meta_path(self):
-        return os.path.join(self.path, META_FILENAME)
-
-    @property
-    def shard_count(self):
-        if self._shard_count is None:
-            meta = self._read_meta()
-            if meta and isinstance(meta.get("shard_count"), int) and meta["shard_count"] > 0:
-                self._shard_count = meta["shard_count"]
-            else:
-                self._shard_count = self._requested_shard_count or DEFAULT_SHARD_COUNT
-        return self._shard_count
-
-    def _read_meta(self):
-        try:
-            with open(self.meta_path, encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        return data if isinstance(data, dict) else None
-
-    def _write_meta(self):
-        payload = {"layout_version": 1, "shard_count": self.shard_count}
-        tmp = self.meta_path + ".tmp.%d" % os.getpid()
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, self.meta_path)
-
-    def shard_path(self, fingerprint):
-        """The shard file a fingerprint's record belongs in."""
-        return os.path.join(
-            self.shards_path, "%03d.jsonl" % shard_index(fingerprint, self.shard_count)
-        )
-
-    def _shard_files(self):
-        try:
-            names = sorted(os.listdir(self.shards_path))
-        except FileNotFoundError:
-            return []
-        return [
-            os.path.join(self.shards_path, name)
-            for name in names
-            if name.endswith(".jsonl")
-        ]
-
-    def layout(self):
-        """``"sharded"``, ``"legacy"``, ``"mixed"`` or ``"empty"``."""
-        legacy = os.path.exists(self.results_path)
-        sharded = bool(self._shard_files())
-        if legacy and sharded:
-            return "mixed"
-        if sharded:
-            return "sharded"
-        if legacy:
-            return "legacy"
-        return "empty"
 
     # -- loading --------------------------------------------------------------
     def _load_file(self, path, index, quarantined):
+        """Fold one JSON-lines file into ``index``; returns its non-blank line count."""
         try:
             handle = open(path, encoding="utf-8")
         except FileNotFoundError:
-            return
+            return 0
         relative = os.path.relpath(path, self.path)
+        lines = 0
         with handle:
             for lineno, line in enumerate(handle, start=1):
                 text = line.strip()
                 if not text:
                     continue
+                lines += 1
                 try:
                     data = json.loads(text)
                     if not isinstance(data, dict):
@@ -376,59 +203,62 @@ class ResultStore:
                     )
                     continue
                 index[result.fingerprint] = result
+        return lines
 
     def _ensure_loaded(self):
         if self._index is not None:
             return self._index
+        if os.path.isdir(os.path.join(self.path, OLD_SHARDS_DIRNAME)):
+            raise ValueError(
+                "store %s uses the sharded layout of repro < 1.17; fold it "
+                "into results.jsonl once with `python -m repro.campaign "
+                "compact --store %s`" % (self.path, self.path)
+            )
         index = {}
         quarantined = []
-        # Legacy first, shards after: appends always land in shards, so on
-        # duplicate fingerprints the shard (newer) record wins.
         self._load_file(self.results_path, index, quarantined)
-        for path in self._shard_files():
-            self._load_file(path, index, quarantined)
         self._index = index
         self._quarantined = tuple(quarantined)
         return index
 
     def load(self):
-        """The full fingerprint → :class:`RunResult` index (reads the files once)."""
+        """The full fingerprint → :class:`RunResult` index (reads the file once)."""
         return dict(self._ensure_loaded())
 
     def refresh(self):
-        """Drop the in-memory index; the next access re-reads the files."""
+        """Drop the in-memory index; the next access re-reads the file."""
         self._index = None
         self._quarantined = ()
 
     # -- writing --------------------------------------------------------------
     def append(self, result):
-        """Persist one result as one JSON line, crash- and race-safe.
+        """Persist one result as one JSON line, crash-safe.
 
-        The line goes to the fingerprint's shard under that shard's
-        advisory lock and is flushed and ``fsync``'d before the lock is
-        released, so a concurrent writer can never interleave mid-line
-        and a killed writer can lose only a line the OS never promised.
-        A torn tail left by a killed writer (no trailing newline) is
-        sealed with a newline first, so the junk stays its own
-        quarantined line instead of corrupting this record too.
+        The line goes to ``results.jsonl`` in one ``O_APPEND`` write and is
+        ``fsync``'d before this returns, so a concurrent appender cannot
+        interleave mid-line and a killed writer loses only its own line.
+        A torn tail left by a killed writer (no trailing newline) is sealed
+        with a newline in the same write, so the junk stays its own
+        quarantined line.  A short write raises :class:`OSError` and is
+        never retried: a second write could split the line.
         """
-        os.makedirs(self.shards_path, exist_ok=True)
-        if not os.path.exists(self.meta_path):
-            self._write_meta()
-        path = self.shard_path(result.fingerprint)
-        line = json.dumps(result.to_json_dict(), sort_keys=True) + "\n"
-        with ShardLock(path) as lock, open(path, "ab") as handle:
-            if handle.tell() > 0:
-                with open(path, "rb") as reader:
+        index = self._ensure_loaded()
+        data = (json.dumps(result.to_json_dict(), sort_keys=True) + "\n").encode("utf-8")
+        os.makedirs(self.path, exist_ok=True)
+        fd = os.open(self.results_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            if os.fstat(fd).st_size > 0:
+                with open(self.results_path, "rb") as reader:
                     reader.seek(-1, os.SEEK_END)
                     if reader.read(1) != b"\n":
-                        handle.write(b"\n")
-            handle.write(line.encode("utf-8"))
-            handle.flush()
-            os.fsync(handle.fileno())
-        self.counters["lock_wait_seconds"] += lock.wait_seconds
-        self.counters["lock_acquisitions"] += 1
-        self._ensure_loaded()[result.fingerprint] = result
+                        data = b"\n" + data
+            written = os.write(fd, data)
+            if written != len(data):
+                raise OSError("short write to %s: %d of %d bytes" % (self.results_path, written, len(data)))
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        index[result.fingerprint] = result
 
     # -- health and compaction ------------------------------------------------
     def quarantined(self):
@@ -442,9 +272,6 @@ class ResultStore:
         failed = sum(1 for result in index.values() if not result.ok)
         return {
             "path": self.path,
-            "layout": self.layout(),
-            "shard_count": self.shard_count,
-            "shard_files": len(self._shard_files()),
             "results": len(index),
             "ok": len(index) - failed,
             "failed": failed,
@@ -452,77 +279,47 @@ class ResultStore:
             "quarantined_lines": [asdict(line) for line in self._quarantined],
         }
 
-    def compact(self, shard_count=None):
-        """Rewrite the store as clean shards; returns a :class:`CompactionReport`.
+    def compact(self):
+        """Rewrite ``results.jsonl`` cleanly; returns a :class:`CompactionReport`.
 
-        Compaction migrates a legacy ``results.jsonl`` store to the
-        sharded layout, drops duplicate-fingerprint lines (keeping the
-        last write, like the loader) and sheds quarantined garbage.  Each
-        shard is rewritten atomically — temp file, ``fsync``, rename —
-        under the shard's advisory lock, so concurrent appenders are
-        serialised per shard and a crash mid-compaction leaves only
-        intact files behind.  The surviving index is bit-identical to
-        what :meth:`load` returned before compaction.
+        Compaction drops duplicate-fingerprint lines (keeping the last
+        write, like the loader) and sheds quarantined garbage.  The file
+        is rewritten atomically — temp file, ``fsync``, rename — so a
+        crash mid-compaction leaves only intact files behind, and the
+        surviving index is bit-identical to what :meth:`load` returned
+        before.  An append racing the rename can be lost: do not compact
+        beside a running campaign.
+
+        A store in the pre-1.17 sharded layout is folded here: the old
+        ``results.jsonl`` is read first and ``shards/*.jsonl`` after (so
+        a shard record wins over an older duplicate), then the shards,
+        ``store.json`` and the ``*.lock`` sidecars are removed.
         """
-        self.refresh()
-        raw_lines = self._count_data_lines()
-        index = self._ensure_loaded()
-        quarantined = len(self._quarantined)
-        if shard_count is not None and shard_count > 0:
-            self._shard_count = shard_count
-        migrated = os.path.exists(self.results_path)
+        shards_dir = os.path.join(self.path, OLD_SHARDS_DIRNAME)
+        paths = [self.results_path, *sorted(glob.glob(os.path.join(shards_dir, "*.jsonl")))]
+        index, quarantined = {}, []
+        raw_lines = sum(self._load_file(path, index, quarantined) for path in paths)
 
-        buckets = {}
-        for fingerprint, result in index.items():
-            buckets.setdefault(
-                shard_index(fingerprint, self.shard_count), []
-            ).append(result)
+        os.makedirs(self.path, exist_ok=True)
+        tmp = self.results_path + ".tmp.%d" % os.getpid()
+        with open(tmp, "w", encoding="utf-8") as handle:
+            for result in index.values():
+                handle.write(json.dumps(result.to_json_dict(), sort_keys=True) + "\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, self.results_path)
 
-        os.makedirs(self.shards_path, exist_ok=True)
-        stale = {
-            os.path.join(self.shards_path, name)
-            for name in os.listdir(self.shards_path)
-            if name.endswith(".jsonl")
-        }
-        for idx, results in sorted(buckets.items()):
-            path = os.path.join(self.shards_path, "%03d.jsonl" % idx)
-            tmp = path + ".tmp.%d" % os.getpid()
-            with ShardLock(path):
-                with open(tmp, "w", encoding="utf-8") as handle:
-                    for result in results:
-                        handle.write(
-                            json.dumps(result.to_json_dict(), sort_keys=True) + "\n"
-                        )
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, path)
-            stale.discard(path)
-        for path in sorted(stale):
-            with ShardLock(path), contextlib.suppress(FileNotFoundError):
+        shutil.rmtree(shards_dir, ignore_errors=True)
+        leftovers = glob.glob(os.path.join(self.path, "*.lock"))
+        for path in [os.path.join(self.path, "store.json"), *leftovers]:
+            with contextlib.suppress(FileNotFoundError):
                 os.unlink(path)
-        if migrated:
-            with ShardLock(self.results_path), contextlib.suppress(FileNotFoundError):
-                os.unlink(self.results_path)
-        self._write_meta()
         self.refresh()
         return CompactionReport(
             results=len(index),
-            shards=len(buckets),
-            duplicates_dropped=max(raw_lines - quarantined - len(index), 0),
-            quarantined_dropped=quarantined,
-            migrated_legacy=migrated,
+            duplicates_dropped=max(raw_lines - len(quarantined) - len(index), 0),
+            quarantined_dropped=len(quarantined),
         )
-
-    def _count_data_lines(self):
-        """Non-blank line count across every store file (for compaction stats)."""
-        total = 0
-        for path in [self.results_path, *self._shard_files()]:
-            try:
-                with open(path, encoding="utf-8") as handle:
-                    total += sum(1 for line in handle if line.strip())
-            except FileNotFoundError:
-                continue
-        return total
 
     # -- mapping-style access --------------------------------------------------
     def get(self, fingerprint):

@@ -9,6 +9,7 @@ aggregation tables and the command-line interface.
 """
 
 import dataclasses
+import hashlib
 import io
 import json
 
@@ -272,18 +273,19 @@ class TestResultStore:
         assert reloaded.get("f" * 64).cycles == 200
 
     def test_results_keep_first_position_with_last_wins_values(self, tmp_path):
-        # The documented order contract: duplicate fingerprints update the
-        # record in place (values from the last write) without moving the
-        # fingerprint from its first-appended position.
+        # The documented order contract: a reload returns records in append
+        # order, so report/CSV/JSON rows never depend on fingerprint hashes,
+        # and duplicate fingerprints update the record in place (values from
+        # the last write) without moving it from its first-appended position.
         store = ResultStore(tmp_path / "store")
-        first = _result(fingerprint="a" * 64, cycles=100)
-        second = _result(fingerprint="b" * 64, cycles=200, run_id="other")
-        store.append(first)
-        store.append(second)
-        store.append(_result(fingerprint="a" * 64, cycles=999))
+        fingerprints = [hashlib.sha256(b"r%d" % index).hexdigest() for index in range(6)]
+        for index, fingerprint in enumerate(fingerprints):
+            store.append(_result(fingerprint=fingerprint, cycles=index, run_id="r%d" % index))
+        store.append(_result(fingerprint=fingerprints[0], cycles=999, run_id="r0"))
         reloaded = ResultStore(tmp_path / "store")
-        assert reloaded.fingerprints() == ("a" * 64, "b" * 64)
-        assert [result.cycles for result in reloaded.results()] == [999, 200]
+        assert reloaded.fingerprints() == tuple(fingerprints)
+        assert [result.run_id for result in reloaded.results()] == ["r%d" % index for index in range(6)]
+        assert [result.cycles for result in reloaded.results()] == [999, 1, 2, 3, 4, 5]
 
     def test_missing_directory_reads_as_empty(self, tmp_path):
         store = ResultStore(tmp_path / "nowhere")
@@ -295,9 +297,7 @@ class TestResultStore:
         result = _result()
         result.cached = True
         store.append(result)
-        shards = list((tmp_path / "store" / "shards").glob("*.jsonl"))
-        assert len(shards) == 1
-        assert '"cached"' not in shards[0].read_text()
+        assert '"cached"' not in (tmp_path / "store" / "results.jsonl").read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +331,7 @@ class TestRunner:
 
     def test_store_path_accepts_plain_strings(self, tmp_path):
         report = run_campaign(TINY, store=str(tmp_path / "store"), max_workers=1)
-        assert list((tmp_path / "store" / "shards").glob("*.jsonl"))
+        assert (tmp_path / "store" / "results.jsonl").read_text()
         assert report.store_path == str(tmp_path / "store")
 
     def test_memory_only_campaign_runs_without_a_store(self):

@@ -8,6 +8,7 @@ the collected :class:`CampaignError` is raised.
 """
 
 import io
+import json
 
 import pytest
 
@@ -256,8 +257,7 @@ class TestFailureCli:
             ["run", *self.GRID, "--store", store, "--max-workers", "1"], io.StringIO()
         )
         # Tear a line to simulate a killed writer.
-        shard = next((tmp_path / "store" / "shards").glob("*.jsonl"))
-        with open(shard, "a", encoding="utf-8") as handle:
+        with open(tmp_path / "store" / "results.jsonl", "a", encoding="utf-8") as handle:
             handle.write('{"half a line')
 
         out = io.StringIO()
@@ -286,6 +286,47 @@ class TestFailureCli:
         assert cli_main(["fsck", "--store", str(tmp_path / "nowhere")], out) == 1
         assert "does not exist" in out.getvalue()
 
+    def test_compact_on_a_missing_store_fails_cleanly(self, tmp_path):
+        out = io.StringIO()
+        assert cli_main(["compact", "--store", str(tmp_path / "nowhere")], out) == 1
+        assert "does not exist" in out.getvalue()
+        assert not (tmp_path / "nowhere").exists()
+
+    def test_sharded_store_from_before_1_17_is_refused_then_folded_by_compact(
+        self, tmp_path
+    ):
+        store = tmp_path / "store"
+        cli_main(
+            ["run", *self.GRID, "--store", str(store), "--max-workers", "1"], io.StringIO()
+        )
+        # Rebuild the old layout by hand: the first record also sits, newer,
+        # in shards/000.jsonl, next to the store.json meta and a lock sidecar.
+        lines = (store / "results.jsonl").read_text().splitlines()
+        newer = json.loads(lines[0])
+        newer["wall_seconds"] = 123.0
+        (store / "shards").mkdir()
+        (store / "shards" / "000.jsonl").write_text(json.dumps(newer) + "\n")
+        (store / "shards" / "000.jsonl.lock").write_text("")
+        (store / "store.json").write_text('{"layout_version": 1, "shard_count": 16}\n')
+        assert (store / "metrics.json").exists()
+
+        for command in (["status", *self.GRID], ["run", *self.GRID, "--max-workers", "1"]):
+            out = io.StringIO()
+            assert cli_main([*command, "--store", str(store)], out) == 1
+            assert "compact --store %s" % store in out.getvalue()
+
+        assert cli_main(["compact", "--store", str(store)], io.StringIO()) == 0
+        assert sorted(path.name for path in store.iterdir()) == ["metrics.json", "results.jsonl"]
+        assert len((store / "results.jsonl").read_text().splitlines()) == len(lines)
+        assert ResultStore(store).get(newer["fingerprint"]).wall_seconds == 123.0
+
+        out = io.StringIO()
+        code = cli_main(
+            ["run", *self.GRID, "--store", str(store), "--max-workers", "1", "--expect-all-cached"],
+            out,
+        )
+        assert code == 0
+
     def test_resumed_campaign_after_worker_crash_serves_intact_results(
         self, tmp_path
     ):
@@ -294,15 +335,14 @@ class TestFailureCli:
         cli_main(
             ["run", *self.GRID, "--store", store, "--max-workers", "1"], io.StringIO()
         )
-        # Simulate the orchestrator dying mid-append: truncate one shard's
+        # Simulate the orchestrator dying mid-append: truncate the store's
         # final line so exactly one stored result is lost.
-        shards = sorted((tmp_path / "store" / "shards").glob("*.jsonl"))
-        victim = shards[0]
+        victim = tmp_path / "store" / "results.jsonl"
         text = victim.read_text()
         victim.write_text(text[: len(text) - 20])
 
         survivors = ResultStore(store)
-        assert len(survivors) == 1  # the other shard's result warm-loads
+        assert len(survivors) == 1  # the first line's result warm-loads
         assert len(survivors.quarantined()) == 1
 
         out = io.StringIO()

@@ -1,13 +1,12 @@
-"""Fault tolerance of the sharded :class:`~repro.campaign.store.ResultStore`.
+"""Fault tolerance of the :class:`~repro.campaign.store.ResultStore`.
 
 The store must survive everything a long-running sweep harness throws at
 it: writers killed mid-append (truncated JSON lines), duplicate
-fingerprints from racing campaigns, stores written by the legacy
-single-file layout, and genuinely concurrent writer processes.  The
-contract under test: **loading never raises** (corrupt lines are
-quarantined, counted and reported), appends are serialised by per-shard
-advisory locks, and ``compact`` rewrites any mess into clean shards with
-a bit-identical index.
+fingerprints from racing campaigns, and genuinely concurrent writer
+processes.  The contract under test: **loading never raises** (corrupt
+lines are quarantined, counted and reported), ``O_APPEND`` appends from
+two processes never interleave, and ``compact`` rewrites any mess into a
+clean ``results.jsonl`` with a bit-identical index.
 """
 
 import json
@@ -17,13 +16,10 @@ import os
 import pytest
 
 from repro.campaign.store import (
-    DEFAULT_SHARD_COUNT,
     RESULTS_FILENAME,
     QuarantinedLine,
     ResultStore,
     RunResult,
-    ShardLock,
-    shard_index,
 )
 
 
@@ -50,57 +46,17 @@ def _result(fingerprint, cycles=100, **overrides):
 
 
 def _hex_fingerprint(index):
-    # The leading digits pick the shard, so vary them (zero-pad the tail).
+    # Varied leading digits, zero-padded tail: sha256-shaped, all distinct.
     head = "%016x" % ((index * 0x9E3779B97F4A7C15) % (1 << 64))
     return head + "0" * 48
 
 
 def _legacy_store(path, results):
-    """Write a results.jsonl store the way the pre-sharding code did."""
+    """Write a results.jsonl store by hand, without the append path."""
     os.makedirs(path, exist_ok=True)
     with open(os.path.join(path, RESULTS_FILENAME), "a", encoding="utf-8") as handle:
         for result in results:
             handle.write(json.dumps(result.to_json_dict(), sort_keys=True) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# Sharded layout
-# ---------------------------------------------------------------------------
-
-
-class TestShardedLayout:
-    def test_appends_land_in_the_fingerprint_prefix_shard(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        result = _result("ab" * 32)
-        store.append(result)
-        expected = "%03d.jsonl" % shard_index("ab" * 32, store.shard_count)
-        assert os.path.exists(tmp_path / "store" / "shards" / expected)
-        assert store.layout() == "sharded"
-
-    def test_many_results_spread_over_multiple_shards(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        for index in range(64):
-            store.append(_result(_hex_fingerprint(index + 1)))
-        shard_files = list((tmp_path / "store" / "shards").glob("*.jsonl"))
-        assert len(shard_files) > 1
-        assert len(ResultStore(tmp_path / "store")) == 64
-
-    def test_shard_count_persists_in_store_meta(self, tmp_path):
-        store = ResultStore(tmp_path / "store", shard_count=4)
-        for index in range(16):
-            store.append(_result(_hex_fingerprint(index + 1)))
-        # A reader that asks for a different count still follows the meta
-        # file, so records always map back to the shard they were written to.
-        reopened = ResultStore(tmp_path / "store", shard_count=32)
-        assert reopened.shard_count == 4
-        assert len(reopened) == 16
-
-    def test_default_shard_count(self, tmp_path):
-        assert ResultStore(tmp_path / "store").shard_count == DEFAULT_SHARD_COUNT
-
-    def test_non_hex_fingerprints_still_shard_deterministically(self):
-        assert shard_index("not-hex!", 16) == shard_index("not-hex!", 16)
-        assert 0 <= shard_index("not-hex!", 16) < 16
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +68,15 @@ class TestQuarantine:
     def _truncate_last_line(self, path):
         text = path.read_text()
         assert text.endswith("}\n")
-        path.write_text(text[: len(text) // 2])  # mid-line kill
+        start = text.rfind("\n", 0, len(text) - 1) + 1
+        path.write_text(text[: start + (len(text) - start) // 2])  # mid-line kill
 
     def test_append_after_torn_tail_does_not_merge_lines(self, tmp_path):
-        """Regression: appending to a shard whose last line lost its newline
+        """Regression: appending to a store whose last line lost its newline
         must seal the torn tail, not concatenate the new record onto it."""
-        store = ResultStore(tmp_path / "store", shard_count=1)
+        store = ResultStore(tmp_path / "store")
         store.append(_result("a" * 64, cycles=100))
-        shard = tmp_path / "store" / "shards" / "000.jsonl"
-        self._truncate_last_line(shard)  # torn tail, no trailing newline
+        self._truncate_last_line(tmp_path / "store" / RESULTS_FILENAME)  # torn tail, no newline
 
         fresh = ResultStore(tmp_path / "store")
         fresh.append(_result("b" * 64, cycles=200))
@@ -131,16 +87,27 @@ class TestQuarantine:
         assert index["b" * 64].cycles == 200
         assert len(reloaded.quarantined()) == 1  # the torn junk, alone
 
+    def test_short_write_raises_and_costs_only_its_own_line(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path / "store")
+        store.append(_result("a" * 64))
+        real_write = os.write
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "write", lambda fd, data: real_write(fd, data[:10]))
+            with pytest.raises(OSError, match="short write"):
+                store.append(_result("b" * 64))
+        store.append(_result("c" * 64))
+
+        reloaded = ResultStore(tmp_path / "store")
+        assert reloaded.fingerprints() == ("a" * 64, "c" * 64)
+        assert len(reloaded.quarantined()) == 1
+
     def test_truncated_last_line_is_quarantined_not_fatal(self, tmp_path):
         """Regression: a writer killed mid-append used to brick the store."""
         store = ResultStore(tmp_path / "store")
         intact = [_result(_hex_fingerprint(index + 1)) for index in range(5)]
         for result in intact:
             store.append(result)
-        victim = tmp_path / "store" / "shards" / (
-            "%03d.jsonl" % shard_index(intact[-1].fingerprint, store.shard_count)
-        )
-        self._truncate_last_line(victim)
+        self._truncate_last_line(tmp_path / "store" / RESULTS_FILENAME)
 
         reloaded = ResultStore(tmp_path / "store")
         index = reloaded.load()  # must not raise
@@ -175,10 +142,7 @@ class TestQuarantine:
         store = ResultStore(tmp_path / "store")
         good = _result("ab" * 32)
         store.append(good)
-        shard = tmp_path / "store" / "shards" / (
-            "%03d.jsonl" % shard_index(good.fingerprint, store.shard_count)
-        )
-        with open(shard, "a", encoding="utf-8") as handle:
+        with open(tmp_path / "store" / RESULTS_FILENAME, "a", encoding="utf-8") as handle:
             handle.write(garbage + "\n")
 
         reloaded = ResultStore(tmp_path / "store")
@@ -194,57 +158,11 @@ class TestQuarantine:
     def test_blank_lines_are_not_quarantined(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         store.append(_result("ab" * 32))
-        shard = next((tmp_path / "store" / "shards").glob("*.jsonl"))
-        with open(shard, "a", encoding="utf-8") as handle:
+        with open(tmp_path / "store" / RESULTS_FILENAME, "a", encoding="utf-8") as handle:
             handle.write("\n\n")
         reloaded = ResultStore(tmp_path / "store")
         assert len(reloaded) == 1
         assert reloaded.quarantined() == ()
-
-
-# ---------------------------------------------------------------------------
-# Legacy layout and migration
-# ---------------------------------------------------------------------------
-
-
-class TestLegacyAndMigration:
-    def test_legacy_single_file_store_is_auto_detected_and_readable(self, tmp_path):
-        results = [_result(_hex_fingerprint(index + 1)) for index in range(3)]
-        _legacy_store(tmp_path / "store", results)
-        store = ResultStore(tmp_path / "store")
-        assert store.layout() == "legacy"
-        assert len(store) == 3
-
-    def test_appends_to_a_legacy_store_go_to_shards(self, tmp_path):
-        _legacy_store(tmp_path / "store", [_result("aa" * 32)])
-        store = ResultStore(tmp_path / "store")
-        store.append(_result("bb" * 32))
-        assert store.layout() == "mixed"
-        reloaded = ResultStore(tmp_path / "store")
-        assert len(reloaded) == 2
-
-    def test_shard_record_wins_over_stale_legacy_duplicate(self, tmp_path):
-        # Chronology of a mixed store: the legacy line predates migration,
-        # the shard line is the newer append — last write wins.
-        _legacy_store(tmp_path / "store", [_result("aa" * 32, cycles=100)])
-        store = ResultStore(tmp_path / "store")
-        store.append(_result("aa" * 32, cycles=999))
-        reloaded = ResultStore(tmp_path / "store")
-        assert len(reloaded) == 1
-        assert reloaded.get("aa" * 32).cycles == 999
-
-    def test_compact_migrates_legacy_to_sharded(self, tmp_path):
-        results = [_result(_hex_fingerprint(index + 1)) for index in range(8)]
-        _legacy_store(tmp_path / "store", results)
-        store = ResultStore(tmp_path / "store")
-        before = store.load()
-
-        report = store.compact()
-        assert report.migrated_legacy
-        assert report.results == 8
-        assert not os.path.exists(tmp_path / "store" / RESULTS_FILENAME)
-        assert store.layout() == "sharded"
-        assert ResultStore(tmp_path / "store").load() == before
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +176,7 @@ class TestCompaction:
         store.append(_result("aa" * 32, cycles=100))
         store.append(_result("bb" * 32, cycles=200))
         store.append(_result("aa" * 32, cycles=300))  # duplicate, last wins
-        shard = tmp_path / "store" / "shards" / (
-            "%03d.jsonl" % shard_index("bb" * 32, store.shard_count)
-        )
-        with open(shard, "a", encoding="utf-8") as handle:
+        with open(tmp_path / "store" / RESULTS_FILENAME, "a", encoding="utf-8") as handle:
             handle.write('{"torn...\n')
 
         fresh = ResultStore(tmp_path / "store")
@@ -277,32 +192,7 @@ class TestCompaction:
         assert after.quarantined() == ()
         assert after.health()["quarantined"] == 0
         # Exactly one line per surviving result remains on disk.
-        lines = sum(
-            len(path.read_text().splitlines())
-            for path in (tmp_path / "store" / "shards").glob("*.jsonl")
-        )
-        assert lines == 2
-
-    def test_compact_can_reshard(self, tmp_path):
-        store = ResultStore(tmp_path / "store", shard_count=2)
-        for index in range(32):
-            store.append(_result(_hex_fingerprint(index + 1)))
-        before = store.load()
-        store.compact(shard_count=8)
-        reopened = ResultStore(tmp_path / "store")
-        assert reopened.shard_count == 8
-        assert reopened.load() == before
-        assert len(list((tmp_path / "store" / "shards").glob("*.jsonl"))) > 2
-
-    def test_compact_removes_stale_shard_files(self, tmp_path):
-        store = ResultStore(tmp_path / "store", shard_count=16)
-        for index in range(32):
-            store.append(_result(_hex_fingerprint(index + 1)))
-        before = store.load()
-        store.compact(shard_count=1)  # everything collapses into shard 000
-        shards = list((tmp_path / "store" / "shards").glob("*.jsonl"))
-        assert [path.name for path in shards] == ["000.jsonl"]
-        assert ResultStore(tmp_path / "store").load() == before
+        assert len((tmp_path / "store" / RESULTS_FILENAME).read_text().splitlines()) == 2
 
     def test_compact_of_an_empty_store_is_harmless(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -312,39 +202,7 @@ class TestCompaction:
 
 
 # ---------------------------------------------------------------------------
-# Locks
-# ---------------------------------------------------------------------------
-
-
-class TestLocking:
-    def test_lock_acquire_release_cycle(self, tmp_path):
-        lock = ShardLock(tmp_path / "file.jsonl")
-        with lock:
-            assert lock.wait_seconds >= 0.0
-        with ShardLock(tmp_path / "file.jsonl"):  # re-acquirable after release
-            pass
-
-    def test_lockfile_fallback_without_fcntl_or_msvcrt(self, tmp_path, monkeypatch):
-        from repro.campaign import store as store_module
-
-        monkeypatch.setattr(store_module, "fcntl", None)
-        monkeypatch.setattr(store_module, "msvcrt", None)
-        store = ResultStore(tmp_path / "store")
-        store.append(_result("ab" * 32))
-        assert len(ResultStore(tmp_path / "store")) == 1
-        # The exclusive lockfile is removed on release.
-        assert not list((tmp_path / "store" / "shards").glob("*.lock"))
-
-    def test_append_records_lock_metrics(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        store.append(_result("ab" * 32))
-        store.append(_result("cd" * 32))
-        assert store.counters["lock_acquisitions"] == 2
-        assert store.counters["lock_wait_seconds"] >= 0.0
-
-
-# ---------------------------------------------------------------------------
-# Concurrent writers (two real processes, shard locking)
+# Concurrent writers (two real processes, O_APPEND)
 # ---------------------------------------------------------------------------
 
 
