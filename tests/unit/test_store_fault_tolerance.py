@@ -59,6 +59,98 @@ def _legacy_store(path, results):
             handle.write(json.dumps(result.to_json_dict(), sort_keys=True) + "\n")
 
 
+def _lines(path):
+    return (path / RESULTS_FILENAME).read_text().splitlines()
+
+
+# ---------------------------------------------------------------------------
+# Single-file layout and the append path
+# ---------------------------------------------------------------------------
+
+
+class TestSingleFileLayout:
+    def test_appends_land_in_results_jsonl(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        store.append(_result("ab" * 32))
+        assert os.listdir(tmp_path / "store") == [RESULTS_FILENAME]
+        assert [json.loads(line)["fingerprint"] for line in _lines(tmp_path / "store")] == ["ab" * 32]
+
+    def test_many_results_round_trip_through_one_file(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        appended = [_result(_hex_fingerprint(index + 1), cycles=index) for index in range(64)]
+        for result in appended:
+            store.append(result)
+        assert len(_lines(tmp_path / "store")) == 64
+        reloaded = ResultStore(tmp_path / "store")
+        assert reloaded.results() == tuple(appended)
+
+    def test_non_hex_fingerprints_round_trip(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        store.append(_result("not-hex!", cycles=42))
+        reloaded = ResultStore(tmp_path / "store")
+        assert "not-hex!" in reloaded
+        assert reloaded.get("not-hex!").cycles == 42
+
+    def test_hand_written_single_file_store_is_readable(self, tmp_path):
+        results = [_result(_hex_fingerprint(index + 1)) for index in range(3)]
+        _legacy_store(tmp_path / "store", results)
+        store = ResultStore(tmp_path / "store")
+        assert store.results() == tuple(results)
+        assert store.quarantined() == ()
+
+    def test_appends_to_a_hand_written_store_extend_its_file(self, tmp_path):
+        _legacy_store(tmp_path / "store", [_result("aa" * 32)])
+        store = ResultStore(tmp_path / "store")
+        store.append(_result("bb" * 32))
+        assert os.listdir(tmp_path / "store") == [RESULTS_FILENAME]
+        assert len(_lines(tmp_path / "store")) == 2
+        assert ResultStore(tmp_path / "store").fingerprints() == ("aa" * 32, "bb" * 32)
+
+    def test_each_append_is_one_write_and_one_fsync(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path / "store")
+        writes, syncs = [], []
+        real_write, real_fsync = os.write, os.fsync
+
+        def counting_write(fd, data):
+            writes.append(bytes(data))
+            return real_write(fd, data)
+
+        def counting_fsync(fd):
+            syncs.append(fd)
+            return real_fsync(fd)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "write", counting_write)
+            patch.setattr(os, "fsync", counting_fsync)
+            store.append(_result("aa" * 32))
+            store.append(_result("bb" * 32))
+        assert len(writes) == 2
+        assert len(syncs) == 2
+        assert all(data.endswith(b"}\n") and data.count(b"\n") == 1 for data in writes)
+
+    def test_torn_tail_seal_rides_in_the_same_write(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path / "store")
+        store.append(_result("aa" * 32))
+        with open(tmp_path / "store" / RESULTS_FILENAME, "a", encoding="utf-8") as handle:
+            handle.write('{"torn')  # a killed writer's half line, no newline
+        writes = []
+        real_write = os.write
+
+        def counting_write(fd, data):
+            writes.append(bytes(data))
+            return real_write(fd, data)
+
+        fresh = ResultStore(tmp_path / "store")
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "write", counting_write)
+            fresh.append(_result("bb" * 32))
+        assert len(writes) == 1
+        assert writes[0].startswith(b"\n{")
+        reloaded = ResultStore(tmp_path / "store")
+        assert reloaded.fingerprints() == ("aa" * 32, "bb" * 32)
+        assert [line.sample for line in reloaded.quarantined()] == ['{"torn']
+
+
 # ---------------------------------------------------------------------------
 # Corruption tolerance (the ISSUE 9 regression: truncated final line)
 # ---------------------------------------------------------------------------
@@ -199,6 +291,93 @@ class TestCompaction:
         report = store.compact()
         assert report.results == 0
         assert len(store) == 0
+
+    def test_compact_keeps_first_position_order_and_leaves_no_temp_file(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        for name, cycles in (("aa", 1), ("bb", 2), ("cc", 3), ("aa", 4)):
+            store.append(_result(name * 32, cycles=cycles))
+        store.compact()
+        assert os.listdir(tmp_path / "store") == [RESULTS_FILENAME]
+        on_disk = [json.loads(line) for line in _lines(tmp_path / "store")]
+        assert [(data["fingerprint"], data["cycles"]) for data in on_disk] == [
+            ("aa" * 32, 4),
+            ("bb" * 32, 2),
+            ("cc" * 32, 3),
+        ]
+
+
+# ---------------------------------------------------------------------------
+# Stores in the sharded layout of repro < 1.17
+# ---------------------------------------------------------------------------
+
+
+def _old_sharded_store(path, legacy, shards):
+    """Hand-write a pre-1.17 store: ``results.jsonl``, ``shards/NNN.jsonl``,
+    ``store.json`` and a ``.lock`` sidecar per shard."""
+    _legacy_store(path, legacy)
+    shards_dir = os.path.join(path, "shards")
+    os.makedirs(shards_dir)
+    for number, results in enumerate(shards):
+        name = "%03d.jsonl" % number
+        with open(os.path.join(shards_dir, name), "w", encoding="utf-8") as handle:
+            for result in results:
+                handle.write(json.dumps(result.to_json_dict(), sort_keys=True) + "\n")
+        open(os.path.join(path, name + ".lock"), "w").close()
+    with open(os.path.join(path, "store.json"), "w", encoding="utf-8") as handle:
+        json.dump({"shard_count": 16}, handle)
+
+
+class TestOldShardedLayout:
+    def test_loading_a_sharded_store_raises_with_the_compact_hint(self, tmp_path):
+        _old_sharded_store(tmp_path / "store", [_result("aa" * 32)], [[_result("bb" * 32)]])
+        store = ResultStore(tmp_path / "store")
+        with pytest.raises(ValueError, match="compact --store"):
+            store.load()
+        with pytest.raises(ValueError, match="sharded layout"):
+            len(store)
+
+    def test_shard_record_wins_over_stale_legacy_duplicate(self, tmp_path):
+        # Chronology of an old mixed store: the legacy line predates the
+        # shards, the shard line is the newer append, so it wins the fold.
+        _old_sharded_store(
+            tmp_path / "store",
+            [_result("aa" * 32, cycles=100)],
+            [[_result("aa" * 32, cycles=999)]],
+        )
+        store = ResultStore(tmp_path / "store")
+        report = store.compact()
+        assert report.results == 1
+        assert report.duplicates_dropped == 1
+        reloaded = ResultStore(tmp_path / "store")
+        assert len(reloaded) == 1
+        assert reloaded.get("aa" * 32).cycles == 999
+
+    def test_compact_folds_every_shard_into_results_jsonl(self, tmp_path):
+        legacy = [_result(_hex_fingerprint(index + 1)) for index in range(3)]
+        shards = [
+            [_result(_hex_fingerprint(index + 4)) for index in range(2)],
+            [_result(_hex_fingerprint(index + 6)) for index in range(4)],
+        ]
+        _old_sharded_store(tmp_path / "store", legacy, shards)
+        with open(tmp_path / "store" / "shards" / "001.jsonl", "a", encoding="utf-8") as handle:
+            handle.write('{"torn...\n')
+
+        report = ResultStore(tmp_path / "store").compact()
+        assert report.results == 9
+        assert report.quarantined_dropped == 1
+        reloaded = ResultStore(tmp_path / "store")
+        assert reloaded.results() == tuple(legacy + shards[0] + shards[1])
+        assert reloaded.quarantined() == ()
+
+    def test_compact_removes_stale_shard_files(self, tmp_path):
+        _old_sharded_store(
+            tmp_path / "store",
+            [_result("aa" * 32)],
+            [[_result("bb" * 32)], [_result("cc" * 32)]],
+        )
+        ResultStore(tmp_path / "store").compact()
+        assert os.listdir(tmp_path / "store") == [RESULTS_FILENAME]
+        assert len(_lines(tmp_path / "store")) == 3
 
 
 # ---------------------------------------------------------------------------
