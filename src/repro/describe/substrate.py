@@ -4,12 +4,17 @@ This module provides what every ARM7-family model needs:
 
 * :class:`ProcessorCore` — the non-pipeline "fetch control" unit holding the
   fetch program counter and halt state;
-* flag packing helpers (the CPSR is modeled as a one-entry register file so
-  that flag hazards go through the same RegRef protocol as data hazards);
+* the CPSR as a one-entry register file holding the packed NZCV nibble, so
+  that flag hazards go through the same RegRef protocol as data hazards;
+  the per-class helpers keep flags as that nibble from register to
+  register (:func:`unpack_flags` only serves :meth:`Processor.flags`);
 * operand-readiness helpers combining ``can_read()`` with the forwarding
   interfaces ``can_read(state)`` / ``read(state)``;
 * the six ARM operation classes (alu, mul, mem, memm, branch, system) and
   their symbol binders;
+* the per-class compute helpers, which run the :mod:`repro.isa` datapath
+  (ALU, shifter, condition table and the logical-op flag rule) the
+  functional simulator runs too — there is one copy of each rule;
 * the :class:`Processor` facade that wires a model, its decoder and the
   generated simulation engine together.
 """
@@ -25,23 +30,20 @@ from repro.core.generator import generate_simulator
 from repro.core.operands import Const, RegRef
 from repro.core.operation_class import DecodeContext, OperationClass, SymbolKind
 from repro.isa.alu import alu_operate, apply_shift, multiply, multiply_early_termination_cycles
-from repro.isa.conditions import Condition, condition_passes
+from repro.isa.alu import written_carry_overflow
+from repro.isa.conditions import Condition, condition_passes_nzcv
+from repro.isa.conditions import condition_passes  # noqa: F401  (perfbench/layers.py rebinds it here)
 from repro.isa.encoding import decode as isa_decode
-from repro.isa.flags import ConditionFlags
-from repro.isa.instructions import DataOpcode, DataProcessing, Multiply
+from repro.isa.flags import ConditionFlags, pack_flags
+from repro.isa.instructions import DataOpcode, DataProcessing, Multiply, ShiftType
 from repro.isa.registers import LR, NUM_REGISTERS, PC
 from repro.memory.cache import CacheConfig
 from repro.memory.memory_system import MemorySystem, MemorySystemConfig
 
 
 # ---------------------------------------------------------------------------
-# Flags packing
+# Flags unpacking
 # ---------------------------------------------------------------------------
-
-def pack_flags(n, z, c, v):
-    """Pack the four condition flags into an integer nibble (N Z C V)."""
-    return (8 if n else 0) | (4 if z else 0) | (2 if c else 0) | (1 if v else 0)
-
 
 def unpack_flags(value):
     """Unpack a flags nibble into a :class:`ConditionFlags` object."""
@@ -296,8 +298,10 @@ def _writes_flags(instr):
 def _bind_alu(instr, context):
     op2 = instr.operand2
     if op2.is_immediate:
-        s2 = Const(op2.immediate_value)
-        shift_type, shift_amount = None, 0
+        # imm8 ROR #(2*rotate), so the shared shifter yields a rotated
+        # immediate's carry-out (its bit 31).
+        s2 = Const(op2.immediate & 0xFF)
+        shift_type, shift_amount = ShiftType.ROR, 2 * op2.rotate
     else:
         s2 = RegRef(context.gpr(op2.rm))
         shift_type, shift_amount = op2.shift_type, op2.shift_amount
@@ -482,8 +486,7 @@ def condition_holds(token, forward=()):
     """Evaluate the token's condition code, reading flags if needed."""
     if not token.reads_flags:
         return True
-    flags_value = operand_read(token.fl, forward)
-    return condition_passes(token.cond, unpack_flags(flags_value))
+    return condition_passes_nzcv(token.cond, operand_read(token.fl, forward))
 
 
 def token_flags_ready(token, forward=()):
@@ -492,54 +495,39 @@ def token_flags_ready(token, forward=()):
     return operand_ready(token.fl, forward)
 
 
-_LOGICAL_OPCODES = frozenset(
-    (
-        DataOpcode.AND,
-        DataOpcode.EOR,
-        DataOpcode.TST,
-        DataOpcode.TEQ,
-        DataOpcode.ORR,
-        DataOpcode.MOV,
-        DataOpcode.BIC,
-        DataOpcode.MVN,
-    )
-)
-
-
 def compute_alu(token):
     """Compute an ALU token's result and flags from its latched operands.
 
     Returns ``(result_or_None, flags_nibble_or_None)``.  Flag-setting ALU
     tokens always read the previous flags (the binder forces
     ``reads_flags``), so the carry-in and the preserved overflow bit are
-    available here.
+    available here.  Flags stay a packed NZCV nibble throughout.
     """
-    previous = unpack_flags(token.fl.value) if token.reads_flags else ConditionFlags()
-    carry_in = previous.c
-    s1 = token.s1.value or 0
+    nzcv = token.fl.value if token.reads_flags else 0
+    carry_in = nzcv & 2
     s2 = token.s2.value or 0
     shifter_carry = carry_in
-    if token.shift_type is not None:
+    if token.shift_amount:
         s2, shifter_carry = apply_shift(s2, token.shift_type, token.shift_amount, carry_in)
-    result, n, z, c, v, writes = alu_operate(token.op, s1, s2, carry_in)
+    result, n, z, c, v, writes = alu_operate(token.op, token.s1.value or 0, s2, carry_in)
     flags = None
-    if token.set_flags or not writes:
-        is_logical = token.op in _LOGICAL_OPCODES
-        carry_flag = shifter_carry if is_logical else c
-        overflow = previous.v if is_logical else v
-        flags = pack_flags(n, z, carry_flag, overflow)
+    if token.set_flags:
+        c, v = written_carry_overflow(token.op, c, v, shifter_carry, nzcv & 1)
+        flags = pack_flags(n, z, c, v)
     return (result if writes else None), flags
 
 
 def compute_multiply(token):
     """Compute a multiply token's result; returns (result, flags_or_None, cycles)."""
     accumulator = token.acc.value if not isinstance(token.acc, Const) else 0
-    result = multiply(token.s1.value or 0, token.s2.value or 0, accumulator or 0)
-    cycles = multiply_early_termination_cycles(token.s2.value or 0)
+    s2 = token.s2.value or 0
+    result = multiply(token.s1.value or 0, s2, accumulator or 0)
+    cycles = multiply_early_termination_cycles(s2)
     flags = None
     if token.set_flags:
-        previous = unpack_flags(token.fl.value) if token.reads_flags else ConditionFlags()
-        flags = pack_flags(bool(result & 0x80000000), result == 0, previous.c, previous.v)
+        # N and Z from the result; C and V kept from the previous nibble.
+        previous = token.fl.value if token.reads_flags else 0
+        flags = pack_flags(result > 0x7FFFFFFF, result == 0, previous & 2, previous & 1)
     return result, flags, cycles
 
 
@@ -547,7 +535,7 @@ def compute_memory_address(token, carry_in=False):
     """Effective address and updated base of a load/store token."""
     base = token.base.value or 0
     offset = token.offset.value or 0
-    if token.shift_type is not None:
+    if token.shift_amount:
         offset, _ = apply_shift(offset, token.shift_type, token.shift_amount, carry_in)
     signed = offset if token.up else -offset
     updated = (base + signed) & 0xFFFFFFFF

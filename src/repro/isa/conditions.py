@@ -1,4 +1,10 @@
-"""Condition codes controlling conditional execution of instructions."""
+"""Condition codes controlling conditional execution of instructions.
+
+Evaluation reads a 15x16 truth table indexed by condition and NZCV nibble,
+built once at import from the readable case analysis in :func:`_passes`.
+:func:`condition_passes_nzcv` takes the nibble the RCPN CPSR register
+holds; :func:`condition_passes` takes a :class:`ConditionFlags`.
+"""
 
 from __future__ import annotations
 
@@ -45,10 +51,8 @@ def condition_from_suffix(suffix):
         raise ValueError("unknown condition suffix: %r" % (suffix,)) from None
 
 
-def condition_passes(condition, flags):
-    """Evaluate a condition code against a :class:`ConditionFlags` value."""
-    cond = Condition(condition)
-    n, z, c, v = flags.n, flags.z, flags.c, flags.v
+def _passes(cond, n, z, c, v):
+    """The case analysis of one condition code; the truth table is built from it."""
     if cond is Condition.EQ:
         return z
     if cond is Condition.NE:
@@ -78,3 +82,24 @@ def condition_passes(condition, flags):
     if cond is Condition.LE:
         return z or n != v
     return True  # AL
+
+
+#: ``_TRUTH[cond][nzcv]``: whether ``cond`` passes under the flags nibble
+#: ``nzcv`` (N Z C V, most significant first, as the RCPN CPSR stores it).
+_TRUTH = {
+    cond: tuple(_passes(cond, nzcv & 8 != 0, nzcv & 4 != 0, nzcv & 2 != 0, nzcv & 1 != 0) for nzcv in range(16))
+    for cond in Condition
+}
+
+
+def condition_passes_nzcv(condition, nzcv):
+    """Evaluate a condition code against a packed NZCV flags nibble."""
+    try:
+        return _TRUTH[condition][nzcv]
+    except KeyError:
+        raise ValueError("unknown condition code: %r" % (condition,)) from None
+
+
+def condition_passes(condition, flags):
+    """Evaluate a condition code against a :class:`ConditionFlags` value."""
+    return condition_passes_nzcv(condition, flags.nzcv)

@@ -20,6 +20,11 @@ def to_unsigned(value):
     return value & MASK32
 
 
+def pack_flags(n, z, c, v):
+    """Pack the four condition flags into an integer nibble (N Z C V)."""
+    return (8 if n else 0) | (4 if z else 0) | (2 if c else 0) | (1 if v else 0)
+
+
 @dataclass
 class ConditionFlags:
     """The four ARM-style condition flags.
@@ -59,6 +64,11 @@ class ConditionFlags:
         Follows the ARM convention where carry means "no borrow".
         """
         return self.update_add(a, (~b) & MASK32, carry_in)
+
+    @property
+    def nzcv(self):
+        """The flags packed as a nibble (see :func:`pack_flags`)."""
+        return pack_flags(self.n, self.z, self.c, self.v)
 
     def as_tuple(self):
         return (self.n, self.z, self.c, self.v)

@@ -10,33 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.isa.alu import alu_operate, apply_shift, multiply
+from repro.isa.alu import alu_operate, apply_shift, multiply, written_carry_overflow
 from repro.isa.conditions import condition_passes
 from repro.isa.flags import MASK32, ConditionFlags, to_unsigned
 from repro.isa.instructions import (
     Branch,
-    DataOpcode,
     DataProcessing,
     LoadStore,
     LoadStoreMultiple,
     Multiply,
+    ShiftType,
     System,
     SystemOp,
-)
-
-#: Logical data-processing opcodes write the barrel-shifter carry into C and
-#: leave V untouched when updating flags.
-_LOGICAL_OPCODES = frozenset(
-    (
-        DataOpcode.AND,
-        DataOpcode.EOR,
-        DataOpcode.TST,
-        DataOpcode.TEQ,
-        DataOpcode.ORR,
-        DataOpcode.MOV,
-        DataOpcode.BIC,
-        DataOpcode.MVN,
-    )
 )
 from repro.isa.registers import LR, NUM_REGISTERS, PC
 
@@ -88,24 +73,22 @@ def _operand2_value(instr, state):
     """Value and shifter carry of a data-processing second operand."""
     op2 = instr.operand2
     if op2.is_immediate:
-        value = op2.immediate_value
-        carry = state.flags.c if op2.rotate == 0 else bool(value >> 31)
-        return value, carry
+        # imm8 ROR #(2*rotate): the shifter yields bit 31 as a rotated
+        # immediate's carry-out and the old C for an unrotated one.
+        return apply_shift(op2.immediate & 0xFF, ShiftType.ROR, 2 * op2.rotate, state.flags.c)
     base = state.read(op2.rm)
     return apply_shift(base, op2.shift_type, op2.shift_amount, state.flags.c)
 
 
 def _execute_data_processing(instr, state):
+    flags = state.flags
     operand2, shifter_carry = _operand2_value(instr, state)
     operand1 = state.read(instr.rn) if instr.opcode.uses_rn else 0
-    result, n, z, c, v, writes = alu_operate(instr.opcode, operand1, operand2, state.flags.c)
-    is_logical = instr.opcode in _LOGICAL_OPCODES
+    result, n, z, c, v, writes = alu_operate(instr.opcode, operand1, operand2, flags.c)
     if instr.set_flags or not writes:
-        state.flags.n = n
-        state.flags.z = z
-        state.flags.c = shifter_carry if is_logical else c
-        if not is_logical:
-            state.flags.v = v
+        flags.n = n
+        flags.z = z
+        flags.c, flags.v = written_carry_overflow(instr.opcode, c, v, shifter_carry, flags.v)
     branch_taken = False
     if writes:
         state.write(instr.rd, result)

@@ -24,10 +24,14 @@ class SyntheticWorkloadGenerator:
     ``iterations`` times.  The ``jump`` category emits a computed PC write
     (``mov pc, r9``) over one wrong-path filler instruction — the only way
     to exercise a model's deep-redirect (writeback-time) control transfer,
-    which ordinary branches resolve too early to reach.
+    which ordinary branches resolve too early to reach.  The opt-in
+    ``datapath`` category emits a flag-setting logical operation on a
+    rotated immediate or a shifted register (``ands``/``orrs``/``eors``/
+    ``movs``) followed by a flag consumer (``adc``/``sbc``/``movcs``/
+    ``addvs``), so the shifter carry-out reaches architectural state.
     """
 
-    CATEGORIES = ("alu", "mul", "load", "store", "branch", "jump")
+    CATEGORIES = ("alu", "mul", "load", "store", "branch", "jump", "datapath")
 
     def __init__(self, mix=None, body_length=32, iterations=64, seed=1):
         self.mix = dict(mix or {"alu": 6, "mul": 1, "load": 2, "store": 1, "branch": 2})
@@ -53,6 +57,26 @@ class SyntheticWorkloadGenerator:
         if category == "alu":
             op = rng.choice(("add", "sub", "eor", "orr", "and"))
             return ["    %s %s, %s, %s" % (op, reg(), reg(), reg())]
+        if category == "datapath":
+            if rng.random() < 0.5:
+                # An 8-bit immediate rotated right by an even amount.
+                imm8, rotation = rng.randint(1, 255), 2 * rng.randint(1, 15)
+                operand = "#%d" % (((imm8 >> rotation) | (imm8 << (32 - rotation))) & 0xFFFFFFFF)
+            else:
+                shift = rng.choice(("lsl", "lsr", "asr", "ror"))
+                operand = "%s, %s #%d" % (reg(), shift, rng.randint(1, 31))
+            op = rng.choice(("ands", "orrs", "eors", "movs"))
+            registers = reg() if op == "movs" else "%s, %s" % (reg(), reg())
+            producer = "    %s %s, %s" % (op, registers, operand)
+            consumer = rng.choice(
+                (
+                    "    adc%s %s, %s, %s" % (rng.choice(("", "s")), reg(), reg(), reg()),
+                    "    sbc%s %s, %s, #%d" % (rng.choice(("", "s")), reg(), reg(), rng.randint(0, 64)),
+                    "    movcs %s, #%d" % (reg(), rng.randint(0, 255)),
+                    "    addvs %s, %s, #%d" % (reg(), reg(), rng.randint(1, 64)),
+                )
+            )
+            return [producer, consumer]
         if category == "mul":
             return ["    mul %s, %s, %s" % (reg(), reg(), reg())]
         if category == "load":

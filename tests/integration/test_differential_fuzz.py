@@ -1,7 +1,7 @@
 """Randomized differential testing of every registered processor model.
 
 The six paper kernels exercise fixed instruction sequences; this layer
-fuzzes the *mix*: eight seeded :class:`SyntheticWorkloadGenerator`
+fuzzes the *mix*: nine seeded :class:`SyntheticWorkloadGenerator`
 programs (ALU-heavy, branchy, memory-bound, multiply chains ...) run on
 every model the registry knows, on every engine backend, and every run
 is checked two ways:
@@ -42,6 +42,10 @@ FUZZ_MIXES = {
         seed=1708,
         mix={"alu": 4, "mul": 2, "load": 3, "store": 2, "branch": 3, "jump": 1},
     ),
+    # Flag-setting logical ops on rotated immediates and shifted registers,
+    # each followed by a carry/overflow consumer: the shifter carry-out
+    # becomes architectural state.
+    "datapath": dict(seed=1809, mix={"alu": 2, "datapath": 5, "branch": 1}),
 }
 
 BODY_LENGTH = 20
@@ -55,6 +59,7 @@ CATEGORY_CLASSES = {
     "store": "mem",
     "branch": "branch",
     "jump": "alu",  # mov pc, rN is a data-processing instruction
+    "datapath": "alu",
 }
 
 

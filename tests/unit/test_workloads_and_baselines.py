@@ -1,5 +1,7 @@
 """Unit tests for the workload kernels, the generator and the baseline simulators."""
 
+import hashlib
+
 import pytest
 
 from repro.baseline import (
@@ -91,6 +93,45 @@ def test_synthetic_generator_is_deterministic_per_seed():
     c = SyntheticWorkloadGenerator(seed=8).source()
     assert a == b
     assert a != c
+
+
+#: sha256 of ``source()`` for the default mix and for the mix perfbench's
+#: ``interp-dual-issue`` pool draws (``perfbench/suite.py``), recorded
+#: before the opt-in ``datapath`` category existed.  A new category must
+#: not change what the existing ones draw: the benchmark pool and its
+#: recorded expectations depend on these programs.
+PINNED_SOURCES = {
+    ("default", 1): "d273f1a442459cb5dfe1a6890e968c7a73b335ecc6b36803a8f01362a48bd1f6",
+    ("default", 7919): "8ae57c5a306ee72026d6d09a1167643e9e4684d40be32fa08cac856d4321298c",
+    ("perfbench", 1): "a01b7ef723a93ae13c9c8b8000ed7e7eba16c3d6ac505076cee6f856d89d478d",
+    ("perfbench", 7919): "6c0f9d06b386e832c091129f94cf49a8408e5d833f2a8064a43f45b095539111",
+}
+
+
+@pytest.mark.parametrize("mix,seed", sorted(PINNED_SOURCES))
+def test_synthetic_generator_draws_are_pinned(mix, seed):
+    if mix == "default":
+        generator = SyntheticWorkloadGenerator(seed=seed)
+    else:
+        generator = SyntheticWorkloadGenerator(
+            mix={"alu": 6, "mul": 1, "load": 2, "store": 1, "branch": 2, "jump": 1},
+            body_length=36,
+            iterations=12,
+            seed=seed,
+        )
+    digest = hashlib.sha256(generator.source().encode()).hexdigest()
+    assert digest == PINNED_SOURCES[mix, seed]
+
+
+def test_datapath_category_leaves_reserved_registers_alone():
+    source = SyntheticWorkloadGenerator(mix={"datapath": 1}, body_length=64, seed=5).source()
+    body = source.split("loop:")[1].split("subs r11")[0]
+    assert "ands" in body and "ror" in body and ("adc" in body or "sbc" in body)
+    for reserved in ("r8", "r9", "r11"):
+        assert reserved not in body
+    simulator = FunctionalSimulator()
+    simulator.load_program(assemble(source))
+    assert simulator.run(max_instructions=100_000).halted
 
 
 # -- baselines ----------------------------------------------------------------------
