@@ -21,10 +21,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 #: The paper's claim is generated at least as fast as SimpleScalar-style
-#: (1.0); the floor sits at 1.1 since five 10 s runs on a 2-vCPU x86_64 VM
-#: (Python 3.11.7) read 1.21-1.25.  Raise it as the generated engine gets
+#: (1.0); the floor sits at 1.3, at least 0.10 below the lowest of five
+#: 10 s runs on a 2-vCPU x86_64 VM (Python 3.11.7), which read 1.417,
+#: 1.444, 1.421, 1.457 and 1.411.  Raise it as the generated engine gets
 #: faster; never lower it.
-FLOOR = 1.1
+FLOOR = 1.3
 
 #: Seconds of timed simulation the benchmark runs.
 SECONDS = 10

@@ -61,7 +61,7 @@ Sub-packages
     tables, and driven from the ``python -m repro.campaign`` CLI.
 """
 
-__version__ = "1.18.0"
+__version__ = "1.19.0"
 
 __all__ = [
     "core",

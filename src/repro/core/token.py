@@ -175,20 +175,6 @@ def check_symbols(symbols, opclass):
             )
 
 
-def _init_decoded(self, instr, opclass, pc, seq):
-    # Token and InstructionToken state; the decoder's BindingPlan then fills
-    # the symbol slots and ``regrefs``.
-    self.ready_cycle = 0
-    self.delay_override = None
-    self.place = None
-    self.seq = seq
-    self.instr = instr
-    self.opclass = opclass
-    self.pc = pc
-    self.annotations = {}
-    self.squashed = False
-
-
 def _slot_operands(self):
     return {name: object.__getattribute__(self, name) for name in type(self).__slots__}
 
@@ -202,9 +188,11 @@ def token_class(symbols, opclass=None):
     Memoised on the ``symbols`` tuple, so every decoded word of an operation
     class shares one class.  Symbol access is then a slot read instead of a
     failed lookup plus :meth:`InstructionToken.__getattr__`.  ``operands``
-    becomes a read-only dictionary built from the slots.  ``opclass`` only
-    names the operation class in the :class:`ModelError` raised for a symbol
-    that would shadow a token attribute.
+    becomes a read-only dictionary built from the slots.  The decoder's
+    shape factories (:mod:`repro.core.decoder`) build its instances without
+    calling the class.  ``opclass`` only names the operation class in the
+    :class:`ModelError` raised for a symbol that would shadow a token
+    attribute.
     """
     symbols = tuple(symbols)
     cls = _token_classes.get(symbols)
@@ -215,7 +203,6 @@ def token_class(symbols, opclass=None):
             (InstructionToken,),
             {
                 "__slots__": symbols,
-                "__init__": _init_decoded,
                 "operands": property(_slot_operands),
             },
         )

@@ -11,7 +11,7 @@ symbol-name checks and the decoder's own token numbering.
 import pytest
 
 from repro.core import ModelError, RCPN, RegisterFile, RegRef
-from repro.core.decoder import BindingPlan, InstructionDecoder
+from repro.core.decoder import BindingPlan, DecodedTemplate, InstructionDecoder
 from repro.core.operands import Const
 from repro.core.operation_class import DecodeContext, OperationClass, SymbolKind
 from repro.core.token import InstructionToken, token_class
@@ -113,12 +113,13 @@ def test_uncached_decoder_yields_the_same_class_and_statistics():
     assert uncached.decoder.cache_info()["entries"] == 0
 
 
-def test_binding_plan_instantiates_into_a_given_token():
+def test_binding_plan_factory_builds_the_token():
     register = RegisterFile("gpr", 4).register(3)
     plan = BindingPlan({"d": RegRef(register), "imm": Const(9), "n": 2}, opclass="op")
-    token = plan.token_class(instr=None, opclass="op", pc=4, seq=17)
-    assert plan.instantiate(token) is token
-    assert token.seq == 17
+    template = DecodedTemplate(None, None, "op", plan)
+    token = template.make(template, 4, 17)
+    assert type(token) is token_class(("d", "imm", "n"))
+    assert token.seq == 17 and token.pc == 4 and token.opclass == "op"
     assert token.d.register is register
     assert token.d.token is token
     assert token.imm.value == 9 and token.n == 2
