@@ -2,54 +2,43 @@
 """The perf ledger's history: run the benchmark, append it, show what moved.
 
 Runs ``perfbench/run.py`` (untraced, end to end) for every workload
-``BENCHMARK.json`` declares, at one seed, and appends one JSON line per
-workload to the checked-in ``BENCH_ledger.jsonl``::
+``BENCHMARK.json`` declares, at the held-out seed and the benchmark's own
+run length, and appends one JSON line per workload to the checked-in
+``BENCH_ledger.jsonl``::
 
     {"record": {...the run's provenance...}, "metrics": {...}}
 
 For each workload it prints every end-to-end metric beside that workload's
-previous ledger line, with the relative change, and flags a change worse
-than the bound ``BENCHMARK.json`` fixes for the metric.  One run per side
-is a trend line, not a gain claim: a claim still needs interleaved pairs.
-Run from the repository root::
+previous clean ledger line at the same seed and run length, with the
+relative change, and flags a change worse than the bound
+``BENCHMARK.json`` fixes for the metric.  A run with failed operations is
+reported but not appended.  One run per side is a trend line, not a gain
+claim: a claim still needs interleaved pairs.  Run from the repository
+root::
 
-    python3 scripts/ledger.py --seed 7919
+    python3 scripts/ledger.py
 """
 
 from __future__ import annotations
 
-import argparse
+import importlib.util
 import json
-import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LEDGER = ROOT / "BENCH_ledger.jsonl"
 BENCHMARK = ROOT / "BENCHMARK.json"
+# perfbench's held-out seed: every ledger line is measured at it.
+SEED = 7919
 
 
-def run_workload(workload, seed, seconds):
-    """One untraced benchmark run of ``workload``: its ``{record, metrics}`` ledger entry."""
-    command = [
-        sys.executable,
-        str(ROOT / "perfbench" / "run.py"),
-        "--workload",
-        workload,
-        "--seconds",
-        str(seconds),
-        "--trace",
-        "0",
-    ]
-    if seed is not None:
-        command += ["--seed", str(seed)]
-    completed = subprocess.run(command, cwd=ROOT, check=True, stdout=subprocess.PIPE, text=True)
-    lines = completed.stdout.strip().splitlines()
-    record = next(line for line in reversed(lines) if line.startswith("record: "))
-    return {
-        "record": json.loads(record[len("record: "):]),
-        "metrics": json.loads(lines[-1])["metrics"],
-    }
+def load_report():
+    """``perfbench/report.py`` as a module, for its ``run`` (one benchmark process)."""
+    spec = importlib.util.spec_from_file_location("perfbench_report", ROOT / "perfbench" / "report.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def read_ledger(path):
@@ -59,10 +48,20 @@ def read_ledger(path):
     return [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
 
 
-def previous_entry(entries, workload):
-    """The latest entry recorded for ``workload``, or None."""
+def previous_entry(entries, record):
+    """The latest clean entry comparable with ``record``, or None.
+
+    Comparable means the same workload, seed and run length; clean means
+    no failed operations.
+    """
     for entry in reversed(entries):
-        if entry["record"]["workload"] == workload:
+        other = entry["record"]
+        if (
+            other["workload"] == record["workload"]
+            and other.get("seed") == record.get("seed")
+            and other.get("seconds") == record.get("seconds")
+            and not other.get("failures")
+        ):
             return entry
     return None
 
@@ -120,25 +119,24 @@ def format_rows(rows):
     return lines
 
 
-def main(argv=None):
+def main():
     benchmark = json.loads(BENCHMARK.read_text())
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=None, help="default: the benchmark's own")
-    parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"])
-    args = parser.parse_args(argv)
+    report = load_report()
     entries = read_ledger(LEDGER)
     for workload in (spec["name"] for spec in benchmark["workloads"]):
-        entry = run_workload(workload, args.seed, args.seconds)
-        previous = previous_entry(entries, workload)
+        record, result = report.run(workload, SEED, benchmark["run_seconds"], 0)
+        entry = {"record": record, "metrics": result["metrics"]}
+        previous = previous_entry(entries, record)
         print("%s (%s)" % (workload, describe(entry)))
-        if entry["record"]["failures"]:
-            print("  failed operations: %r" % entry["record"]["failures"])
         if previous is None:
-            print("  no previous ledger line")
+            print("  no previous ledger line at this seed and run length")
         else:
             print("  against the previous line (%s):" % describe(previous))
             rows = deltas(previous["metrics"], entry["metrics"], benchmark["end_to_end"])
             print("\n".join(format_rows(rows)))
+        if record["failures"]:
+            print("  failed operations, not appended: %r" % record["failures"])
+            continue
         with LEDGER.open("a") as handle:
             handle.write(json.dumps(entry, sort_keys=True) + "\n")
         entries.append(entry)

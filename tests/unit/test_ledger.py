@@ -70,25 +70,54 @@ def test_missing_none_or_zero_values_give_no_change(ledger):
     assert "n/a" in ledger.format_rows(rows)[1]
 
 
+def record(workload, seed=7919, seconds=20.0, failures=()):
+    return {"workload": workload, "seed": seed, "seconds": seconds, "failures": list(failures)}
+
+
 def test_the_previous_line_is_the_latest_of_its_workload(ledger, tmp_path):
     path = tmp_path / "ledger.jsonl"
     assert ledger.read_ledger(path) == []
     entries = [
-        {"record": {"workload": "a", "seed": 1}, "metrics": {}},
-        {"record": {"workload": "b", "seed": 1}, "metrics": {}},
-        {"record": {"workload": "a", "seed": 2}, "metrics": {}},
+        {"record": record("a"), "metrics": {}},
+        {"record": record("b"), "metrics": {}},
+        {"record": record("a"), "metrics": {}},
     ]
     path.write_text("\n".join(json.dumps(entry) for entry in entries) + "\n\n")
     assert ledger.read_ledger(path) == entries
-    assert ledger.previous_entry(entries, "a") is entries[2]
-    assert ledger.previous_entry(entries, "b") is entries[1]
-    assert ledger.previous_entry(entries, "c") is None
+    assert ledger.previous_entry(entries, record("a")) is entries[2]
+    assert ledger.previous_entry(entries, record("b")) is entries[1]
+    assert ledger.previous_entry(entries, record("c")) is None
+
+
+def test_the_previous_line_has_the_same_seed_and_run_length(ledger):
+    entries = [
+        {"record": record("a"), "metrics": {}},
+        {"record": record("a", seed=1), "metrics": {}},
+        {"record": record("a", seconds=10.0), "metrics": {}},
+    ]
+    assert ledger.previous_entry(entries, record("a")) is entries[0]
+    assert ledger.previous_entry(entries, record("a", seed=1)) is entries[1]
+    assert ledger.previous_entry(entries, record("a", seed=3)) is None
+
+
+def test_a_line_with_failed_operations_is_never_the_previous_line(ledger):
+    entries = [
+        {"record": record("a"), "metrics": {}},
+        {"record": record("a", failures=["crc32 on xscale"]), "metrics": {}},
+    ]
+    assert ledger.previous_entry(entries, record("a")) is entries[0]
+    assert ledger.previous_entry(entries[1:], record("a")) is None
 
 
 def test_the_checked_in_ledger_covers_every_workload_and_metric(ledger):
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     entries = ledger.read_ledger(ledger.LEDGER)
     for workload in benchmark["workloads"]:
-        entry = ledger.previous_entry(entries, workload["name"])
+        latest = record(workload["name"], ledger.SEED, float(benchmark["run_seconds"]))
+        entry = ledger.previous_entry(entries, latest)
         assert entry is not None, workload["name"]
         assert {spec["name"] for spec in benchmark["end_to_end"]} <= set(entry["metrics"])
+
+
+def test_the_runner_is_perfbenchs_own(ledger):
+    assert callable(ledger.load_report().run)
