@@ -10,13 +10,11 @@ Two claims, one deterministic and one measured:
   the executed source cannot differ because it is the same text.
 * **Throughput (measured).**  A generated engine built with a *disabled*
   ``TraceConfig`` runs within noise of one built with no config at all,
-  and the generated-over-interpreted speedup stays within the ballpark
-  the committed ``BENCH_fig10.json`` baseline records for this figure
-  (the CI trace-smoke step runs this as a regression gate).
+  and the generated-over-interpreted speedup stays above a stated floor
+  (:data:`SPEEDUP_FLOOR`; the CI trace-smoke step runs this as a
+  regression gate).
 """
 
-import json
-import os
 import time
 
 from repro.codegen import codegen_key
@@ -33,10 +31,22 @@ MODEL = "strongarm"
 KERNEL = "crc"
 ROUNDS = 3
 
-#: Tracing-off variants that must be indistinguishable from no config.
-OFF_TRACES = (None, TraceConfig(enabled=False), TraceConfig(categories=("cache",)))
+#: Tracing-off variants that must be indistinguishable from no config
+#: (a disabled config naming ``hostcost`` included).
+OFF_TRACES = (
+    None,
+    TraceConfig(enabled=False),
+    TraceConfig(categories=("cache",)),
+    TraceConfig(enabled=False, categories=("hostcost",)),
+)
 
-BASELINE_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_fig10.json")
+#: Generated over interpreted (best-of-3 kcycles/s) on strongarm/crc must
+#: stay at or above this.  Five runs at its introduction on a 2-vCPU
+#: x86_64 VM (Python 3.11.7) read 2.660, 2.884, 2.938, 2.402 and 2.669;
+#: the floor is half the lowest, rounded down, so a slower CI host keeps
+#: the same slack the earlier "half the committed BENCH_fig10.json ratio"
+#: check allowed (that check enforced 0.5 x 1.454 = 0.73).
+SPEEDUP_FLOOR = 1.2
 
 
 def _run_once(trace):
@@ -99,12 +109,7 @@ def test_disabled_trace_runs_within_noise_of_no_trace():
     )
 
 
-def test_generated_speedup_stays_near_committed_baseline():
-    with open(BASELINE_PATH, encoding="utf-8") as handle:
-        baseline = json.load(handle)
-    geomeans = baseline["kcycles_per_sec_geomean"]
-    baseline_ratio = geomeans["generated"] / geomeans["interpreted"]
-
+def test_generated_speedup_stays_above_floor():
     generated = _best_kcycles(None)
     interpreted_best = 0.0
     for _ in range(ROUNDS):
@@ -121,17 +126,17 @@ def test_generated_speedup_stays_near_committed_baseline():
 
     measured_ratio = generated / interpreted_best if interpreted_best else 0.0
     record_result(
-        "Tracing overhead - generated/interpreted speedup vs committed baseline",
+        "Tracing overhead - generated/interpreted speedup vs its floor",
         {
             "model": MODEL,
             "kernel": KERNEL,
             "measured_speedup": round(measured_ratio, 3),
-            "baseline_speedup": round(baseline_ratio, 3),
+            "floor": SPEEDUP_FLOOR,
         },
     )
     # Generous bound: hosts differ, but if tracing support halved the
     # generated backend's advantage something structural broke.
-    assert measured_ratio >= 0.5 * baseline_ratio, (
-        "generated/interpreted speedup %.3f fell below half the committed "
-        "baseline %.3f" % (measured_ratio, baseline_ratio)
+    assert measured_ratio >= SPEEDUP_FLOOR, (
+        "generated/interpreted speedup %.3f fell below its floor %.2f"
+        % (measured_ratio, SPEEDUP_FLOOR)
     )

@@ -12,7 +12,10 @@ For each workload it prints every end-to-end metric beside that workload's
 previous clean ledger line at the same seed and run length, with the
 relative change, and flags a change worse than the bound
 ``BENCHMARK.json`` fixes for the metric.  A run with failed operations is
-reported but not appended.  One run per side is a trend line, not a gain
+reported but not appended.  A run whose record has no commit
+(``git_sha: "unknown"``, measured outside a git checkout) is refused:
+the script exits non-zero without appending it, since a ledger line must
+tie its numbers to a commit.  One run per side is a trend line, not a gain
 claim: a claim still needs interleaved pairs.  Run from the repository
 root::
 
@@ -63,6 +66,15 @@ def previous_entry(entries, record):
             and not other.get("failures")
         ):
             return entry
+    return None
+
+
+def appendable(record):
+    """Why ``record`` may not be appended to the ledger, or ``None`` if it may."""
+    if record.get("git_sha", "unknown") == "unknown":
+        return "no commit (git_sha %r): run it from a git checkout" % record.get("git_sha")
+    if record.get("failures"):
+        return "failed operations: %r" % record["failures"]
     return None
 
 
@@ -123,6 +135,7 @@ def main():
     benchmark = json.loads(BENCHMARK.read_text())
     report = load_report()
     entries = read_ledger(LEDGER)
+    status = 0
     for workload in (spec["name"] for spec in benchmark["workloads"]):
         record, result = report.run(workload, SEED, benchmark["run_seconds"], 0)
         entry = {"record": record, "metrics": result["metrics"]}
@@ -134,13 +147,18 @@ def main():
             print("  against the previous line (%s):" % describe(previous))
             rows = deltas(previous["metrics"], entry["metrics"], benchmark["end_to_end"])
             print("\n".join(format_rows(rows)))
-        if record["failures"]:
-            print("  failed operations, not appended: %r" % record["failures"])
+        refusal = appendable(record)
+        if refusal is not None:
+            print("  not appended: %s" % refusal)
+            if record.get("git_sha", "unknown") == "unknown":
+                status = 2
             continue
         with LEDGER.open("a") as handle:
             handle.write(json.dumps(entry, sort_keys=True) + "\n")
         entries.append(entry)
-    return 0
+    if status:
+        sys.stderr.write("ledger: refused a record with no commit; nothing of it was appended\n")
+    return status
 
 
 if __name__ == "__main__":

@@ -81,6 +81,8 @@ _RULE_TABLE = (
          "TRF/TRS trace call sites do not match the requested trace categories"),
     Rule("SV007", "emit-report", "error",
          "embedded EMIT_REPORT disagrees with counts recovered from the source"),
+    Rule("SV008", "spliced-hooks", "error",
+         "a spliced guard or action differs from its hook template's rendering"),
     Rule("SV101", "schedule-coherent", "error",
          "interpreted backend: cached static schedule disagrees with a fresh derivation"),
 )

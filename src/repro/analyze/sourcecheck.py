@@ -5,11 +5,15 @@ implement the generation plan.  This pass removes the trust: it parses the
 emitted module with :mod:`ast` and re-derives, from the *text*, the plan
 the module actually implements — the place-segment order, the per-place
 operation-class dispatch branches, every firing-counter site, every
-issue/advance gate call, every ``TRF``/``TRS`` trace site — and compares
-each against an independent recomputation from the net and its static
-schedule (:func:`repro.codegen.runtime.guard_plan` /
-:func:`~repro.codegen.runtime.action_plan` and
-:meth:`~repro.core.scheduler.StaticSchedule.transitions_for`).
+issue/advance gate call, every ``TRF``/``TRS`` trace site, every spliced
+hook body — and compares each against an independent recomputation from
+the net and its static schedule (:func:`repro.codegen.runtime.guard_plan`
+/ :func:`~repro.codegen.runtime.action_plan`,
+:func:`~repro.codegen.runtime.splice_plan` and
+:meth:`~repro.core.scheduler.StaticSchedule.transitions_for`).  A spliced
+guard or action is re-rendered from the same hook template
+(:func:`repro.describe.templates.render`) and must appear at its site
+statement for statement (SV008).
 
 ``verify_backend`` extends the idea to the interpreted reference: its
 (possibly cache-hydrated) schedule is checked against a fresh derivation.
@@ -50,6 +54,8 @@ class _CycleFacts:
     """Everything the verifier reads out of one emitted cycle body."""
 
     def __init__(self, body, generator_names=()):
+        #: (transition name, enable test, fire statements) per attempt site.
+        self.attempts = list(_attempts(body))
         #: Place indices in segment order (one per ``_t = pN.tokens``).
         self.segment_order = []
         #: Per segment: list of (opclass, [fired transition names]) chains.
@@ -148,7 +154,10 @@ class _CycleFacts:
                 self.fire_counts[event[1]] += 1
                 if event[1] in self._generator_names:
                     self.generator_fires.append(event[1])
-                elif self.segments and self.segments[-1]:
+                elif self.segments:
+                    if not self.segments[-1]:
+                        # No ``_oc`` compare: an implicit dispatch segment.
+                        self.segments[-1].append((None, []))
                     self.segments[-1][-1][1].append(event[1])
             elif kind == "stall":
                 self.stall_sites += 1
@@ -159,6 +168,80 @@ class _CycleFacts:
                     self.trs_calls += 1
             elif kind == "gate":
                 self.gate_calls[(event[1], event[2])] += 1
+
+
+def _fire_name(node):
+    """The transition name of a ``tf['name'] += 1`` statement, else ``None``."""
+    if (
+        isinstance(node, ast.AugAssign)
+        and isinstance(node.target, ast.Subscript)
+        and isinstance(node.target.value, ast.Name)
+        and node.target.value.id == "tf"
+        and isinstance(node.target.slice, ast.Constant)
+    ):
+        return node.target.slice.value
+    return None
+
+
+def _attempts(loop):
+    """``(name, enable test, fire statements)`` of every attempt in ``loop``.
+
+    An attempt is an ``if``/``elif`` whose body opens with a firing
+    counter, or a generator's ``while`` loop whose body is
+    ``if not (test): break`` followed by the fire statements.
+    """
+    for node in ast.walk(loop):
+        if isinstance(node, ast.If) and node.body and _fire_name(node.body[0]):
+            yield _fire_name(node.body[0]), node.test, node.body
+        elif (
+            isinstance(node, ast.While)
+            and len(node.body) > 1
+            and isinstance(node.body[0], ast.If)
+            and isinstance(node.body[0].test, ast.UnaryOp)
+            and isinstance(node.body[0].test.op, ast.Not)
+            and _fire_name(node.body[1])
+        ):
+            yield _fire_name(node.body[1]), node.body[0].test.operand, node.body[1:]
+
+
+def _spliced_guard(test):
+    """The enable test's last conjunct, unwrapped from a hostcost timer."""
+    last = test.values[-1] if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And) else test
+    if (
+        isinstance(last, ast.Call)
+        and isinstance(last.func, ast.Name)
+        and last.func.id.startswith("hcg")
+        and len(last.args) == 2
+    ):
+        return last.args[1]
+    return last
+
+
+def _check_splices(net, facts, err):
+    """SV008: each spliced guard/action is its template's rendering, verbatim."""
+    from repro.codegen.runtime import inlined, splice_plan
+    from repro.describe.templates import render
+
+    rows, _env = splice_plan(net)
+    by_name = {t.name: (t, row) for t, row in zip(net.transitions, rows)}
+    for name, test, body in facts.attempts:
+        transition, (guard, action) = by_name.get(name, (None, (None, None)))
+        if transition is None:
+            continue
+        if inlined(transition, guard):
+            expected = ast.dump(ast.parse(render(guard, "splice").guard, mode="eval").body)
+            found = _spliced_guard(test)
+            if ast.dump(test) != expected and ast.dump(found) != expected:
+                err("SV008", "source:transition %r" % name,
+                    "spliced guard differs from the %r template's rendering" % guard.key)
+        if inlined(transition, action):
+            lines = render(action, "splice", transition.delay).action
+            expected = [ast.dump(node) for node in ast.parse("\n".join(lines)).body]
+            found = [ast.dump(node) for node in body]
+            width = len(expected)
+            if not any(found[i:i + width] == expected for i in range(len(found) - width + 1)):
+                err("SV008", "source:transition %r" % name,
+                    "spliced action differs from the %r template's rendering" % action.key)
 
 
 def _expected_plan(net, schedule):
@@ -186,9 +269,13 @@ def _expected_plan(net, schedule):
 
 
 def _expected_gates(net, occurrences):
-    """Per-variable expected gate/guard/action call-site counts."""
-    from repro.codegen.runtime import action_plan, guard_plan
+    """Per-variable expected gate/guard/action call-site counts.
 
+    A hook spliced into the source has no call site.
+    """
+    from repro.codegen.runtime import action_plan, guard_plan, inlined, splice_plan
+
+    rows, _env = splice_plan(net)
     expected = Counter()
     for index, transition in enumerate(net.transitions):
         occ = occurrences.get(transition.name, 0)
@@ -199,21 +286,28 @@ def _expected_gates(net, occurrences):
             expected[("c%d" % index, "may_issue")] += occ
         elif gkind == "advance":
             expected[("c%d" % index, "may_advance")] += occ
-        if gkind == "plain" or (gkind in ("issue", "advance") and gbase is not None):
+        if gbase is not None and not inlined(transition, rows[index][0]):
             expected[("g%d" % index, "")] += occ
         akind, abase, _acontrol, _aport = action_plan(transition)
         if akind == "issue":
             expected[("c%d" % index, "note_issue")] += occ
-        if akind == "plain" or (akind == "issue" and abase is not None):
+        if abase is not None and not inlined(transition, rows[index][1]):
             expected[("a%d" % index, "")] += occ
     return expected
 
 
-def _expected_stall_sites(dispatch):
-    """One stall per dispatch chain, plus the per-segment else branch."""
+def _expected_stall_sites(dispatch, implicit):
+    """One stall per dispatch chain, plus the per-segment else branch.
+
+    An implicit-dispatch place (``implicit`` holds their names) has one
+    chain and no else branch.
+    """
     total = 0
-    for _place, entries in dispatch:
-        total += len(entries) + 1 if entries else 1
+    for place, entries in dispatch:
+        if entries and place in implicit:
+            total += 1
+        else:
+            total += len(entries) + 1 if entries else 1
     return total
 
 
@@ -300,14 +394,20 @@ def verify_engine(engine, model=None):
             % (facts.segment_order, len(schedule.order) - 1))
 
     # -- SV002: dispatch branches match the schedule -----------------------
+    from repro.codegen.runtime import implicit_dispatch, splice_plan
+
+    implicit = implicit_dispatch(net, splice_plan(net)[0])
+    implicit_names = {place.name for place in schedule.order if id(place) in implicit}
     recovered = []
     for index, chains in enumerate(facts.segments):
-        place_name = (
-            expected_dispatch[index][0] if index < len(expected_dispatch) else "?"
-        )
+        place = schedule.order[index] if index < len(schedule.order) else None
+        place_name = place.name if place is not None else "?"
         recovered.append((
             place_name,
-            tuple((opclass, tuple(fires)) for opclass, fires in chains),
+            tuple(
+                (implicit.get(id(place)) if opclass is None else opclass, tuple(fires))
+                for opclass, fires in chains
+            ),
         ))
     if tuple(recovered) != expected_dispatch:
         for index, expected_entry in enumerate(expected_dispatch):
@@ -344,12 +444,15 @@ def verify_engine(engine, model=None):
                 err("SV005", "source:%s" % label,
                     "%d call site(s) emitted, %d required by the plan" % (got, want))
 
+    # -- SV008: spliced hook bodies are their templates' renderings -------
+    _check_splices(net, facts, err)
+
     # -- SV006: trace sites iff tracing was requested ----------------------
     categories = emit_trace_categories(options)
     traced_firing = "firing" in categories
     traced_stall = "stall" in categories
     total_fire_sites = sum(occurrences.values())
-    expected_stalls = _expected_stall_sites(expected_dispatch)
+    expected_stalls = _expected_stall_sites(expected_dispatch, implicit_names)
     if facts.stall_sites != expected_stalls:
         err("SV004", "source:stalls",
             "%d stall sites emitted, %d expected" % (facts.stall_sites, expected_stalls))

@@ -28,8 +28,8 @@ from repro.codegen.runtime import structure_digest
 
 #: Trace categories that change the emitted source (the others — squash,
 #: token, cache — ride the shared engine/memory methods and need no
-#: emitted call sites).
-EMISSION_TRACE_CATEGORIES = ("firing", "stall")
+#: emitted call sites; ``hostcost`` times the spliced hook sites).
+EMISSION_TRACE_CATEGORIES = ("firing", "stall", "hostcost")
 
 
 def emit_trace_categories(options):

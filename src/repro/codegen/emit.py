@@ -20,9 +20,19 @@ in which every static decision is already text —
   are unwrapped at emit time into direct arbiter calls with the port as a
   source literal (see :func:`repro.codegen.runtime.guard_plan`);
 * guard-free transitions fire with no call at all;
-* instruction tokens emitted by actions (fetch) are delivered by the
-  module's ``drain`` closure as field operations, through an
-  opclass → entry-place dict built once per binding.
+* the semantic hooks are spliced in: where a transition's guard or action
+  is a hook template's own closure (:func:`repro.codegen.runtime.
+  splice_plan`), the template's source — register-hazard protocol, decode
+  and L1 hits inline — takes the call's place, and the fetch template
+  delivers its token straight into the entry place;
+* what the templates prove dead is not emitted: the emission-queue drain
+  after a fire whose hooks are all spliced, the ``delay_override`` branch
+  where no spliced hook writes the token delay, and the operation-class
+  compare on places only one class can reach
+  (:func:`repro.codegen.runtime.implicit_dispatch`);
+* tokens emitted by called actions are delivered by the module's ``drain``
+  closure as field operations, through an opclass → entry-place dict built
+  once per binding.
 
 ``run_cycles(limit)`` also owns the per-cycle bookkeeping: it advances
 ``engine.cycle`` and ``stats.cycles`` every cycle and returns after the
@@ -49,7 +59,10 @@ branch: when an emission-relevant trace category is enabled
 ``TRF``/``TRS`` calls at exactly the interpreted engine's event sites and
 the memo key gains a ``trace=`` part; with tracing off the emitted source
 is byte-identical to a trace-unaware build and the key is unchanged, so
-the fast path is untouched.
+the fast path is untouched.  The ``hostcost`` category is an emission mode
+of the same kind: it wraps every spliced guard and action site in
+``perf_counter_ns`` accumulators (:class:`repro.codegen.runtime.HostCost`),
+so host time stays attributable per hook once the hooks are inlined.
 """
 
 from __future__ import annotations
@@ -60,9 +73,14 @@ from repro.codegen.cache import emit_trace_categories
 from repro.codegen.runtime import (
     action_plan,
     guard_plan,
+    implicit_dispatch,
+    inlined,
+    opaque_hooks,
+    splice_plan,
     structure_digest,
     transition_capacity_shape,
 )
+from repro.describe.templates import names_used, render
 
 
 @dataclass
@@ -142,6 +160,7 @@ def emit_module_source(net, schedule, options, key=None):
     trace_categories = emit_trace_categories(options)
     traced_firing = "firing" in trace_categories
     traced_stall = "stall" in trace_categories
+    hostcost = "hostcost" in trace_categories
 
     report = EmitReport()
     places = list(schedule.order)
@@ -166,14 +185,25 @@ def emit_module_source(net, schedule, options, key=None):
             if arc.place is not None:
                 reservation_places.add(id(arc.place))
 
+    splices, env = splice_plan(net)
+    env = env if env is not None else {}
+    implicit = implicit_dispatch(net, splices)
+    #: An opaque hook may set a token's delay on any transition — even a
+    #: guard that then fails — so it keeps every delay_override branch.
+    opaque = opaque_hooks(net, splices)
+
     emitted_transitions = set()
     used_stages = set()
     used_guards = set()
     used_actions = set()
     used_controls = set()
+    used_env = set()
+    hostcost_sites = {}  # (kind, hook key) -> accumulator variable
     need_pool = False
     need_res = False
     need_rbc = False
+    need_drain = False
+    need_delivery = False
 
     def classify(transition):
         index = transition_index[id(transition)]
@@ -211,23 +241,29 @@ def emit_module_source(net, schedule, options, key=None):
 
         conjuncts.extend(_capacity_conjuncts(net, shape, stage_var))
         gkind, gbase, _gcontrol, gport, gstage = guard_plan(transition)
-        if gkind == "plain":
-            used_guards.add(index)
-            conjuncts.append("g%d(%s, ctx)" % (index, token_expr))
-        elif gkind == "issue":
+        if gkind == "issue":
             used_controls.add(index)
             conjuncts.append("c%d.may_issue(%s, ctx, %r)" % (index, token_expr, gport))
-            if gbase is not None:
-                used_guards.add(index)
-                conjuncts.append("g%d(%s, ctx)" % (index, token_expr))
         elif gkind == "advance":
             used_controls.add(index)
             used_stages.add(id(gstage))
             conjuncts.append("c%d.may_advance(%s, %s)" % (index, token_expr, svar(gstage)))
-            if gbase is not None:
-                used_guards.add(index)
-                conjuncts.append("g%d(%s, ctx)" % (index, token_expr))
+        template = splices[index][0]
+        if inlined(transition, template):
+            rendering = render(template, "splice")
+            guard = rendering.guard
+            used_env.update(names_used(rendering.guard_names, env))
+            if hostcost:
+                conjuncts.append("%s(NS(), %s)" % (hostcost_var("guard", template.key), guard))
+            else:
+                conjuncts.append("(%s)" % guard)
+        elif gbase is not None:
+            used_guards.add(index)
+            conjuncts.append("g%d(%s, ctx)" % (index, token_expr))
         return conjuncts
+
+    def hostcost_var(kind, key):
+        return hostcost_sites.setdefault((kind, key), "hc%s%d" % (kind[0], len(hostcost_sites)))
 
     def fire_lines(transition, token_mode):
         """The fire rule, flattened to field operations.
@@ -236,19 +272,19 @@ def emit_module_source(net, schedule, options, key=None):
         source removal, reservation-input consumption, action, token
         deposit (or retire), reservation-output deposits, emission drain.
         """
-        nonlocal need_pool, need_res, need_rbc
+        nonlocal need_pool, need_res, need_rbc, need_drain, need_delivery
         index = transition_index[id(transition)]
         lines = ["tf[%r] += 1" % transition.name]
         if traced_firing:
             lines.append(
-                "TRF(cycle, %r, %s)" % (transition.name, "token" if token_mode else "None")
+                "TRF(cycle, %r, %s)" % (transition.name, "t" if token_mode else "None")
             )
 
         if token_mode:
             source = transition.source
             used_stages.add(id(source.stage))
-            lines.append("%s.tokens.remove(token)" % pvar(source))
-            lines.append("token.place = None")
+            lines.append("%s.tokens.remove(t)" % pvar(source))
+            lines.append("t.place = None")
             lines.append("%s._occupancy -= 1" % svar(source.stage))
 
         for arc in transition.reservation_inputs:
@@ -256,40 +292,60 @@ def emit_module_source(net, schedule, options, key=None):
             lines.append("pool.append(%s.take_reservation())" % pvar(arc.place))
 
         akind, abase, _acontrol, aport = action_plan(transition)
-        token_expr = "token" if token_mode else "None"
+        token_expr = "t" if token_mode else "None"
         if akind == "issue":
             used_controls.add(index)
             lines.append("c%d.note_issue(%s, ctx, %r)" % (index, token_expr, aport))
-            if abase is not None:
-                used_actions.add(index)
-                lines.append("a%d(%s, ctx)" % (index, token_expr))
-        elif akind == "plain":
+        template = splices[index][1]
+        inline = inlined(transition, template)
+        if inline:
+            rendering = render(template, "splice", transition.delay)
+            action = rendering.action
+            used_env.update(names_used(rendering.action_names, env))
+            need_delivery = need_delivery or template.emits
+            if hostcost:
+                lines.append("_hc = NS()")
+            lines.extend(action)
+            if hostcost:
+                lines.append("%s(_hc)" % hostcost_var("action", template.key))
+        elif abase is not None:
             used_actions.add(index)
             lines.append("a%d(%s, ctx)" % (index, token_expr))
+        # Only an opaque hook or a called emitting template queues an
+        # emission; a resident token's delay_override is None unless an
+        # opaque hook or this transition's action set it.
+        guard_template = splices[index][0]
+        called = (guard_plan(transition)[1] is not None and guard_template is None) or (
+            abase is not None and (template is None or (not inline and template.emits))
+        )
+        delay_written = opaque or (template is not None and template.writes_delay)
 
         target = transition.target_place
         if token_mode and not transition.consumes_token and target is not None:
             if target.is_end:
                 need_rbc = True
                 lines.append("stats.instructions += 1")
-                lines.append("rbc[token.opclass] += 1")
-                lines.append("token.place = None")
+                lines.append("rbc[t.opclass] += 1")
+                lines.append("t.place = None")
             else:
                 total = transition.delay + target.delay
-                lines.append("_d = token.delay_override")
-                lines.append("if _d is None:")
-                lines.append("    token.ready_cycle = cycle + %d" % total)
-                lines.append("else:")
-                lines.append("    token.delay_override = None")
-                if transition.delay:
-                    lines.append("    token.ready_cycle = cycle + %d + _d" % transition.delay)
+                if delay_written:
+                    lines.append("_d = t.delay_override")
+                    lines.append("if _d is None:")
+                    lines.append("    t.ready_cycle = cycle + %d" % total)
+                    lines.append("else:")
+                    lines.append("    t.delay_override = None")
+                    if transition.delay:
+                        lines.append("    t.ready_cycle = cycle + %d + _d" % transition.delay)
+                    else:
+                        lines.append("    t.ready_cycle = cycle + _d")
                 else:
-                    lines.append("    token.ready_cycle = cycle + _d")
-                lines.append("token.place = %s" % pvar(target))
+                    lines.append("t.ready_cycle = cycle + %d" % total)
+                lines.append("t.place = %s" % pvar(target))
                 used_stages.add(id(target.stage))
                 lines.append("%s._occupancy += 1" % svar(target.stage))
                 store = "pending" if target.two_list else "tokens"
-                lines.append("%s.%s.append(token)" % (pvar(target), store))
+                lines.append("%s.%s.append(t)" % (pvar(target), store))
 
         for arc in transition.reservation_outputs:
             place = arc.place
@@ -297,7 +353,7 @@ def emit_module_source(net, schedule, options, key=None):
                 continue  # a reservation retired into end simply vanishes
             need_pool = True
             need_res = True
-            producer = "token.seq" if token_mode else "None"
+            producer = "t.seq" if token_mode else "None"
             total = transition.delay + place.delay
             lines.append("if pool:")
             lines.append("    _r = pool.pop()")
@@ -315,10 +371,12 @@ def emit_module_source(net, schedule, options, key=None):
 
         # Emission drain: identical timing to the interpreted engine, which
         # drains the queue after *every* fire with the firing transition's
-        # delay.  The queue is usually empty; the check is one attr load.
-        lines.append("_q = engine._emission_queue")
-        lines.append("if _q:")
-        lines.append("    drain(_q, cycle, %d)" % transition.delay)
+        # delay.  Only a called hook can queue an emission.
+        if called:
+            need_drain = True
+            lines.append("_q = engine._emission_queue")
+            lines.append("if _q:")
+            lines.append("    drain(_q, cycle, %d)" % transition.delay)
         return lines
 
     # ---- walk the model once to build the per-place cycle bodies ---------
@@ -337,7 +395,7 @@ def emit_module_source(net, schedule, options, key=None):
     def emit_stall(indent, place_name):
         body.w(indent, "stats.stalls += 1")
         if traced_stall:
-            body.w(indent, "TRS(cycle, %r, token)" % place_name)
+            body.w(indent, "TRS(cycle, %r, t)" % place_name)
 
     def emit_attempt_chain(indent, candidates, token_expr, place_name):
         """One if/elif chain of inlined attempts, else a stall."""
@@ -354,6 +412,23 @@ def emit_module_source(net, schedule, options, key=None):
             first = False
         body.w(indent, "else:")
         emit_stall(indent + 1, place_name)
+
+    def emit_dispatch(inner, place, dispatch):
+        """The ready token's dispatch: on its operation class, unless implicit."""
+        if not dispatch:
+            emit_stall(inner, place.name)
+        elif id(place) in implicit:
+            emit_attempt_chain(inner, dispatch[0][1], "t", place.name)
+        else:
+            body.w(inner, "_oc = t.opclass")
+            first = True
+            for opclass, candidates in dispatch:
+                keyword = "if" if first else "elif"
+                body.w(inner, "%s _oc == %r:" % (keyword, opclass))
+                emit_attempt_chain(inner + 1, candidates, "t", place.name)
+                first = False
+            body.w(inner, "else:")
+            emit_stall(inner + 1, place.name)
 
     #: (place name, ((opclass, (transition names...)), ...)) per emitted
     #: place, nonempty entries only — the plan the source claims to
@@ -390,45 +465,21 @@ def emit_module_source(net, schedule, options, key=None):
             # A capacity-1 stage can hold at most one token across all of
             # its places, so the ready-snapshot list is replaced by a
             # direct look at the single stored token.
-            body.w(indent0 + 1, "token = _t[0]")
-            ready = "token.ready_cycle <= cycle"
+            body.w(indent0 + 1, "t = _t[0]")
+            ready = "t.ready_cycle <= cycle"
             if may_hold_reservations:
-                ready = "token.is_instruction and " + ready
+                ready = "t.is_instruction and " + ready
             body.w(indent0 + 1, "if %s:" % ready)
-            inner = indent0 + 2
-            if dispatch:
-                body.w(inner, "_oc = token.opclass")
-                first = True
-                for opclass, candidates in dispatch:
-                    keyword = "if" if first else "elif"
-                    body.w(inner, "%s _oc == %r:" % (keyword, opclass))
-                    emit_attempt_chain(inner + 1, candidates, "token", place.name)
-                    first = False
-                body.w(inner, "else:")
-                emit_stall(inner + 1, place.name)
-            else:
-                emit_stall(inner, place.name)
+            emit_dispatch(indent0 + 2, place, dispatch)
         else:
             if may_hold_reservations:
                 comp = "[t for t in _t if t.is_instruction and t.ready_cycle <= cycle]"
             else:
                 comp = "[t for t in _t if t.ready_cycle <= cycle]"
-            body.w(indent0 + 1, "for token in %s:" % comp)
-            body.w(indent0 + 2, "if token.place is not %s:" % pv)
+            body.w(indent0 + 1, "for t in %s:" % comp)
+            body.w(indent0 + 2, "if t.place is not %s:" % pv)
             body.w(indent0 + 3, "continue  # moved by an earlier firing this cycle")
-            inner = indent0 + 2
-            if dispatch:
-                body.w(inner, "_oc = token.opclass")
-                first = True
-                for opclass, candidates in dispatch:
-                    keyword = "if" if first else "elif"
-                    body.w(inner, "%s _oc == %r:" % (keyword, opclass))
-                    emit_attempt_chain(inner + 1, candidates, "token", place.name)
-                    first = False
-                body.w(inner, "else:")
-                emit_stall(inner + 1, place.name)
-            else:
-                emit_stall(inner, place.name)
+            emit_dispatch(indent0 + 2, place, dispatch)
 
     # Generator transitions (the instruction-independent sub-net).
     for transition in schedule.generator_transitions:
@@ -483,9 +534,21 @@ def emit_module_source(net, schedule, options, key=None):
     out.w(0, "def make_run_cycles(rt):")
     out.w(1, "engine = rt['engine']")
     out.w(1, "ctx = rt['ctx']")
-    out.w(1, "deposit = rt['deposit']")
-    out.w(1, "entry_places = rt['entry_places']")
-    out.w(1, "entry_place_for = rt['entry_place_for']")
+    if need_drain or need_delivery:
+        out.w(1, "deposit = rt['deposit']")
+        out.w(1, "entry_places = rt['entry_places']")
+        out.w(1, "entry_place_for = rt['entry_place_for']")
+    if need_delivery:
+        out.w(1, "trace_token = rt['trace_token']")
+    if used_env:
+        out.w(1, "H = rt['hook_env']")
+        for name in sorted(used_env):
+            out.w(1, "%s = H[%r]" % (name, name))
+    if hostcost_sites:
+        out.w(1, "NS = rt['perf_counter_ns']")
+        out.w(1, "HC = rt['hostcost']")
+        for (kind, key), var in hostcost_sites.items():
+            out.w(1, "%s = HC.%s(%r)" % (var, kind, key))
     if need_pool:
         out.w(1, "pool = rt['pool']")
     if need_res:
@@ -516,36 +579,37 @@ def emit_module_source(net, schedule, options, key=None):
     if options.collect_utilization:
         out.w(1, "_STAGES = tuple(S)")
     out.w(0, "")
-    # Token delivery for the emission drain: SimulationEngine._deposit +
-    # Place.deposit as field operations.  End places (retire), unlimited
-    # stages and full stages (CapacityError) take the engine's _deposit.
-    out.w(1, "def drain(queue, cycle, delay):")
-    out.w(2, "engine._emission_queue = []")
-    out.w(2, "stats = engine.stats")
-    out.w(2, "for token, place in queue:")
-    out.w(3, "if place is None:")
-    out.w(4, "place = entry_places.get(token.opclass)")
-    out.w(4, "if place is None:")
-    out.w(5, "place = entry_place_for(token.opclass)  # raises ModelError")
-    out.w(3, "stats.generated_tokens += 1")
-    out.w(3, "stage = place.stage")
-    out.w(3, "capacity = stage.capacity")
-    out.w(3, "if capacity is None or stage._occupancy >= capacity:")
-    out.w(4, "deposit(token, place, delay)")
-    out.w(4, "continue")
-    out.w(3, "residence = token.delay_override")
-    out.w(3, "if residence is None:")
-    out.w(4, "residence = place.delay")
-    out.w(3, "else:")
-    out.w(4, "token.delay_override = None")
-    out.w(3, "token.ready_cycle = cycle + delay + residence")
-    out.w(3, "token.place = place")
-    out.w(3, "stage._occupancy += 1")
-    out.w(3, "if place.two_list:")
-    out.w(4, "place.pending.append(token)")
-    out.w(3, "else:")
-    out.w(4, "place.tokens.append(token)")
-    out.w(0, "")
+    if need_drain:
+        # Token delivery for the emission drain: SimulationEngine._deposit +
+        # Place.deposit as field operations.  End places (retire), unlimited
+        # stages and full stages (CapacityError) take the engine's _deposit.
+        out.w(1, "def drain(queue, cycle, delay):")
+        out.w(2, "engine._emission_queue = []")
+        out.w(2, "stats = engine.stats")
+        out.w(2, "for token, place in queue:")
+        out.w(3, "if place is None:")
+        out.w(4, "place = entry_places.get(token.opclass)")
+        out.w(4, "if place is None:")
+        out.w(5, "place = entry_place_for(token.opclass)  # raises ModelError")
+        out.w(3, "stats.generated_tokens += 1")
+        out.w(3, "stage = place.stage")
+        out.w(3, "capacity = stage.capacity")
+        out.w(3, "if capacity is None or stage._occupancy >= capacity:")
+        out.w(4, "deposit(token, place, delay)")
+        out.w(4, "continue")
+        out.w(3, "residence = token.delay_override")
+        out.w(3, "if residence is None:")
+        out.w(4, "residence = place.delay")
+        out.w(3, "else:")
+        out.w(4, "token.delay_override = None")
+        out.w(3, "token.ready_cycle = cycle + delay + residence")
+        out.w(3, "token.place = place")
+        out.w(3, "stage._occupancy += 1")
+        out.w(3, "if place.two_list:")
+        out.w(4, "place.pending.append(token)")
+        out.w(3, "else:")
+        out.w(4, "place.tokens.append(token)")
+        out.w(0, "")
     out.w(1, "def run_cycles(limit):")
     out.w(2, "stats = engine.stats")
     out.w(2, "tf = stats.transition_firings")

@@ -5,10 +5,13 @@ references places, stages, guards and actions by index into flat lists.
 This module is the other half of that contract — it classifies each
 transition's guard, action and capacity check for the emitter and the
 source verifier (:func:`guard_plan`, :func:`action_plan`,
-:func:`transition_capacity_shape`), builds the index-aligned runtime
-lists for one engine (:func:`build_runtime`) and provides the structural
-digest (:func:`structure_digest`) that joins the module memo key, so a
-memoised module is never bound to a net with a different shape.
+:func:`transition_capacity_shape`), decides which hooks are spliced as
+template source (:func:`splice_plan`) and which places dispatch without
+an operation-class compare (:func:`implicit_dispatch`), builds the
+index-aligned runtime lists for one engine (:func:`build_runtime`) and
+provides the structural digest (:func:`structure_digest`) that joins the
+module memo key, so a memoised module is never bound to a net with a
+different shape.
 
 The classification exists because the multi-issue elaborator wraps guards
 and actions with issue/advance gates
@@ -23,9 +26,11 @@ calls.
 from __future__ import annotations
 
 import hashlib
+import time
 
 from repro.core.scheduler import structure_signature
 from repro.core.token import ReservationToken
+from repro.describe.templates import render, template_of
 
 
 def guard_plan(transition):
@@ -96,6 +101,78 @@ def transition_capacity_shape(transition):
     return ("multi", needed, tuple(stage.name for stage in transition.capacity_stages))
 
 
+def splice_plan(net):
+    """The hook templates behind ``net``'s transitions, and their constants.
+
+    Returns ``(rows, env)``: per transition of ``net`` one
+    ``(guard_template, action_template)`` pair, and the net's constants
+    (``net.hook_env``, set by the semantics that elaborated it).  An entry
+    is the template only when the transition's guard or action (unwrapped
+    from an issue/advance gate) *is* a closure
+    :func:`repro.describe.templates.bind` made over that env — identity,
+    so a wrapper around it counts as opaque — and ``None`` for an absent
+    or opaque hook.  :func:`inlined` says which entries the emitter
+    splices; the others it calls, knowing what they do.
+    """
+    env = getattr(net, "hook_env", None)
+    rows = tuple(
+        (template_of(guard_plan(t)[1], env), template_of(action_plan(t)[1], env))
+        for t in net.transitions
+    )
+    return rows, env
+
+
+def inlined(transition, template):
+    """True when the emitter splices ``template`` into ``transition``'s site.
+
+    Templates marked ``inline=False`` are called; so is a template that
+    reads the token ``t`` on a generator transition (which has none).
+    """
+    if template is None or not template.inline:
+        return False
+    if transition.is_generator:
+        rendering = render(template, "closure")
+        return "t" not in rendering.guard_names | rendering.action_names
+    return True
+
+
+def opaque_hooks(net, rows):
+    """True when some guard or action of ``net`` is not a hook template.
+
+    ``rows`` is :func:`splice_plan`'s.  An opaque hook may emit a token,
+    into any place, or set a token's delay.
+    """
+    return any(
+        (guard is None and guard_plan(transition)[1] is not None)
+        or (action is None and action_plan(transition)[1] is not None)
+        for transition, (guard, action) in zip(net.transitions, rows)
+    )
+
+
+def implicit_dispatch(net, rows):
+    """``{place id: opclass}`` for places dispatched without an opclass compare.
+
+    A place qualifies when its sub-net handles one operation class and
+    only its own sub-net's transitions deposit tokens into it, and no hook
+    of the net is opaque: the hook templates emit only to the entry place
+    of the emitted token's class, so nothing else can put a token of
+    another class there.
+    """
+    if opaque_hooks(net, rows):
+        return {}
+    foreign = {
+        id(transition.target_place)
+        for transition in net.transitions
+        if transition.target_place is not None
+        and transition.target_place.subnet is not transition.subnet
+    }
+    return {
+        id(place): place.subnet.opclasses[0]
+        for place in net.places.values()
+        if len(place.subnet.opclasses) == 1 and id(place) not in foreign
+    }
+
+
 def gate_signature(net):
     """Name-level summary of the gate classification of every transition.
 
@@ -125,7 +202,12 @@ def gate_signature(net):
 
 def structure_digest(net):
     """Digest of everything an emitted module bakes into its source."""
-    payload = repr((structure_signature(net), gate_signature(net)))
+    rows, _env = splice_plan(net)
+    spliced = tuple(
+        tuple(template.key if template is not None else None for template in row)
+        for row in rows
+    )
+    payload = repr((structure_signature(net), gate_signature(net), spliced))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -141,9 +223,13 @@ def build_runtime(engine):
         guards.append(gbase if gkind != "none" else None)
         actions.append(abase if akind != "none" else None)
         controls.append(gcontrol if gcontrol is not None else acontrol)
+    _rows, env = splice_plan(net)
+    tracer = getattr(engine, "tracer", None)
     return {
         "engine": engine,
         "ctx": engine.ctx,
+        # The constants the spliced hook templates read.
+        "hook_env": env if env is not None else {},
         "deposit": engine._deposit,
         "entry_place_for": net.entry_place_for,
         # opclass -> entry place, for the emission drain; classes without
@@ -165,4 +251,52 @@ def build_runtime(engine):
         # read them.
         "trace_firing": getattr(engine, "_trace_firing", None),
         "trace_stall": getattr(engine, "_trace_stall", None),
+        "trace_token": getattr(engine, "_trace_token", None),
+        "hostcost": HostCost(tracer.metrics) if getattr(tracer, "metrics", None) is not None else None,
+        "perf_counter_ns": time.perf_counter_ns,
     }
+
+
+class HostCost:
+    """Per-hook host-time accumulators of a ``hostcost`` emission.
+
+    Every spliced guard and action site of a module emitted with the
+    ``hostcost`` trace category reports its ``perf_counter_ns`` span here.
+    The counters live in the tracer's
+    :class:`~repro.observe.metrics.MetricsRegistry` as
+    ``hostcost.<hook>.<guard|action>.ns`` and ``.calls``; nothing enters
+    the event trace.
+    """
+
+    def __init__(self, registry):
+        self.registry = registry
+
+    def _counters(self, hook, kind):
+        prefix = "hostcost.%s.%s" % (hook, kind)
+        return (
+            self.registry.counter(prefix + ".ns", "host ns in the spliced %s of %s" % (kind, hook)),
+            self.registry.counter(prefix + ".calls", "spliced %s runs of %s" % (kind, hook)),
+        )
+
+    def guard(self, hook):
+        """``timed(start, result) -> result`` for one spliced guard."""
+        elapsed, calls = self._counters(hook, "guard")
+        clock = time.perf_counter_ns
+
+        def timed(start, result):
+            elapsed.value += clock() - start
+            calls.value += 1
+            return result
+
+        return timed
+
+    def action(self, hook):
+        """``timed(start)`` for one spliced action."""
+        elapsed, calls = self._counters(hook, "action")
+        clock = time.perf_counter_ns
+
+        def timed(start):
+            elapsed.value += clock() - start
+            calls.value += 1
+
+        return timed

@@ -197,23 +197,30 @@ class RegRef(Operand):
 
     def reserve_write(self):
         """Register this RegRef (and its instruction) as the pending writer."""
-        if not self.can_write():
+        # Field operations, not can_write() and the Register properties:
+        # the generated engine's hooks call this once per result.
+        register = self.register
+        writers = register.regfile.writers
+        writer = writers[register.index]
+        if writer is not None and writer is not self:
             raise HazardProtocolError(
                 "reserve_write() of %s while another write is pending; "
-                "guard the arc with can_write()" % self.register.name
+                "guard the arc with can_write()" % register.name
             )
-        self.register.writer = self
+        writers[register.index] = self
         self._reserved = True
 
     def writeback(self):
         """Commit the internal value to the register and clear the writer."""
+        register = self.register
         if not self._has_value:
             raise HazardProtocolError(
-                "writeback() of %s before a value was produced" % self.register.name
+                "writeback() of %s before a value was produced" % register.name
             )
-        self.register.value = self._value
-        if self.register.writer is self:
-            self.register.writer = None
+        regfile = register.regfile
+        regfile.data[register.index] = self._value
+        if regfile.writers[register.index] is self:
+            regfile.writers[register.index] = None
         self._reserved = False
 
     def release(self):

@@ -2,11 +2,28 @@
 
 Before this layer existed every processor model hand-wrote its guard/action
 closures; StrongARM and XScale each carried ~400 near-identical lines.  The
-:class:`ArmSemantics` object owns those closures once, bound to one
-elaborated model and parameterised by the spec's :class:`HazardSpec`
-(bypass states, flush sets), fetch discipline and predictor.  Transition
-specs reference them by *hook name* (``"alu.issue"``, ``"mem.access"`` ...)
-and the elaborator attaches them to the generated transitions.
+:class:`ArmSemantics` object owns those hooks once, bound to one elaborated
+model and parameterised by the spec's :class:`HazardSpec` (bypass states,
+flush sets), fetch discipline and predictor.  Transition specs reference
+them by *hook name* (``"alu.issue"``, ``"mem.access"`` ...) and the
+elaborator attaches them to the generated transitions.
+
+Every hook is a source template (:class:`~repro.describe.templates.
+HookTemplate`) in :data:`HOOK_TEMPLATES` and :data:`FETCH_TEMPLATES`: a
+guard expression and an action block over the token ``t``, ``ctx`` and
+the model's named constants, with the register-hazard protocol and the
+fetch path's services written as fragments
+(:mod:`repro.describe.templates`).  The interpreted engine runs each
+template as a closure (exec'd once per process, bound once per model);
+the generated engine splices the same text into its cycle loop, except
+for the templates marked ``inline=False``, whose closures it calls.  A
+plain callable passed to :meth:`ArmSemantics.register` — by a subclass,
+or a wrapper around a template's closure — is called, never spliced.
+
+The substrate helpers the templates call (``compute_alu``,
+``operands_ready`` ...) are looked up in this module when a model is
+built, so a rebinding of one of these names made before the build is what
+both renderings call.
 
 The hooks reproduce the original hand-wired models' observable behaviour
 exactly — the golden-statistics regression test
@@ -43,35 +60,496 @@ Hook catalogue (``guard``/``action`` contribution in parentheses):
 ``system.issue`` (g+a)     condition check, HALT/SWI effects
 ``system.retire`` (a)      syscall side effects, simulation stop
 ========================  =====================================================
+
+On BTB-predicted models the five issue hooks marked in
+:data:`RECOVERED_HOOKS` run :data:`RECOVERY` first: a BTB alias that
+redirected fetch after a non-branch is undone at issue.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
+from repro.describe.templates import HookTemplate, bind, compose, template_of
+from repro.isa.conditions import _TRUTH
 from repro.isa.instructions import SystemOp
 from repro.describe.substrate import (
     block_transfer_addresses,
     compute_alu,
     compute_memory_address,
     compute_multiply,
-    condition_holds,
     operand_read,
-    operand_ready,
     operands_ready,
-    token_flags_ready,
 )
+
+# The hooks no longer call these helpers (their steps are template
+# fragments), but perfbench/layers.py rebinds them here by name.
+from repro.describe.substrate import condition_holds, operand_ready, token_flags_ready  # noqa: F401
 
 #: A resolved hook: either field may be ``None``.
 Hook = namedtuple("Hook", ("guard", "action"))
 
+# ---------------------------------------------------------------------------
+# The hook templates
+# ---------------------------------------------------------------------------
+#
+# ``inline=False`` marks the hooks the generated engine calls instead of
+# splicing.  Their transitions fire rarely on the benchmark workloads
+# (at seed 7919: mul 3.7% of fig10 firings and none on small-cache,
+# system under 0.02%, block transfers and the Figure 5 variants none),
+# while splicing them too grew the emitted modules enough to put fig10's
+# peak RSS 3.1-3.7% above version 1.19.0's (no templates) in three
+# interleaved perfbench pairs, past the benchmark's 3% bound
+# (EXPERIMENTS.md).
+#
+# Guards are one expression; ``@pc_free()`` is the control interlock every
+# issue guard starts with: no issue while a PC write is in flight.  A
+# PC-writing instruction (``mov pc``, load-to-PC) holds a write reservation
+# on r15 from issue to writeback; everything fetched behind it is
+# wrong-path and will be squashed by the writeback redirect.  Blocking
+# younger *issue* until then keeps short-path instructions (branch
+# resolution, system ops) from completing — or performing side effects —
+# before the redirect reaches them.  The check is free on PC-write-free
+# code: r15 simply never has a pending writer.
+
+_ISSUE_ACTION = """
+@condition(_e)
+t.annotations["executed"] = _e
+if _e:
+{reads}
+    @reserve_write(t.d)
+    if t.writes_flags:
+        @reserve_write(t.fl)
+"""
+
+_MEMORY_ACCESS = """
+    @data_delay(t.delay_override, _a, not t.L)
+    if t.L:
+        {load}
+    else:
+        _v = t.r._value or 0
+        if t.byte:
+            MEMORY.write_byte(_a, _v & 0xFF)
+        else:
+            MEMORY.write_word(_a, _v)
+"""
+
+_LINK = """
+    @reserve_write(t.lr)
+    @set_value(t.lr, (t.pc + 4) & 0xFFFFFFFF)
+"""
+
+_TARGET = "_b = (t.pc + 8 + 4 * t.offset._value) & 0xFFFFFFFF"
+
+_BRANCH_GUARD = "@pc_free() and @flags_ready() and (not t.link or @can_write(t.lr))"
+
+_HOOKS = (
+    # ---- alu ----------------------------------------------------------
+    HookTemplate(
+        "alu.issue",
+        guard="""
+            @pc_free() and @flags_ready() and @ready(t.s1) and @ready(t.s2)
+            and @can_write(t.d) and (not t.writes_flags or @can_write(t.fl))
+        """,
+        action=_ISSUE_ACTION.format(reads="    @read(t.s1)\n    @read(t.s2)"),
+    ),
+    HookTemplate(
+        "alu.execute",
+        action="""
+if t.annotations.get("executed"):
+    _v, _f = COMPUTE_ALU(t)
+    if _v is not None:
+        @set_value(t.d, _v)
+    if _f is not None:
+        @set_value(t.fl, _f)
+    if t.writes_pc and _v is not None:
+        t.annotations["redirect"] = _v
+""",
+    ),
+    HookTemplate(
+        "alu.writeback",
+        action="""
+if t.annotations.get("executed"):
+    if @has_value(t.d):
+        @writeback(t.d)
+    if t.writes_flags and @has_value(t.fl):
+        @writeback(t.fl)
+    if "redirect" in t.annotations:
+        BACKEND_REDIRECT(ctx, t.annotations["redirect"], t)
+""",
+    ),
+    # Figure 5 restricted bypass: only s1, only from one state.
+    HookTemplate(
+        "alu.issue_bypass",
+        guard="""
+            @pc_free() and @flags_ready() and @can_read(t.s2) and @can_write(t.d)
+            and (not t.writes_flags or @can_write(t.fl)) and t.s1.can_read(S1_STATE)
+            and (_w := t.s1.register.writer) is not None and _w.has_value
+        """,
+        action=_ISSUE_ACTION.format(reads="    t.s1.read(S1_STATE)\n    t.s2.read()"),
+        inline=False,
+    ),
+    # ---- mul ----------------------------------------------------------
+    HookTemplate(
+        "mul.issue",
+        guard="""
+            @pc_free() and @flags_ready() and @ready(t.s1) and @ready(t.s2)
+            and @ready(t.acc) and @can_write(t.d) and (not t.writes_flags or @can_write(t.fl))
+        """,
+        action=_ISSUE_ACTION.format(
+            reads="    @read(t.s1)\n    @read(t.s2)\n    @read(t.acc)"
+        ),
+        inline=False,
+    ),
+    # The token delay models the data-dependent latency of the
+    # early-termination multiplier.
+    HookTemplate(
+        "mul.execute",
+        action="""
+if t.annotations.get("executed"):
+    _v, _f, t.delay_override = COMPUTE_MULTIPLY(t)
+    t.annotations["result"] = _v
+    t.annotations["flags"] = _f
+""",
+        inline=False,
+    ),
+    HookTemplate(
+        "mul.buffer",
+        action="""
+if t.annotations.get("executed"):
+    @set_value(t.d, t.annotations["result"])
+    if t.annotations["flags"] is not None:
+        @set_value(t.fl, t.annotations["flags"])
+""",
+        inline=False,
+    ),
+    HookTemplate(
+        "mul.writeback",
+        action="""
+if t.annotations.get("executed"):
+    @writeback(t.d)
+    if t.writes_flags and @has_value(t.fl):
+        @writeback(t.fl)
+""",
+        inline=False,
+    ),
+    # ---- mem ----------------------------------------------------------
+    HookTemplate(
+        "mem.issue",
+        guard="""
+            @pc_free() and @flags_ready() and @ready(t.base) and @ready(t.offset)
+            and (t.L or @ready(t.r)) and (not t.L or @can_write(t.r))
+            and (not t.updates_base or @can_write(t.base))
+        """,
+        action="""
+@condition(_e)
+t.annotations["executed"] = _e
+if _e:
+    @read(t.base)
+    @read(t.offset)
+    if t.L:
+        @reserve_write(t.r)
+    else:
+        @read(t.r)
+    if t.updates_base:
+        @reserve_write(t.base)
+""",
+    ),
+    HookTemplate(
+        "mem.agen",
+        action="""
+if t.annotations.get("executed"):
+    _a, _u = COMPUTE_MEMORY_ADDRESS(t)
+    t.annotations["address"] = _a
+    if t.updates_base:
+        # The updated base is an ALU-style result: make it available
+        # to dependents through the bypass network right away.
+        t.annotations["updated_base"] = _u
+        @set_value(t.base, _u)
+""",
+    ),
+    # Loads read now, in access order with the stores around them; the
+    # value is published at writeback.
+    HookTemplate(
+        "mem.access",
+        action="""
+if t.annotations.get("executed"):
+    _a = t.annotations["address"]""" + _MEMORY_ACCESS.format(
+            load='t.annotations["loaded"] = MEMORY.read_byte(_a) if t.byte else MEMORY.read_word(_a)'
+        ),
+    ),
+    HookTemplate(
+        "mem.writeback",
+        action="""
+if t.annotations.get("executed"):
+    if t.L:
+        _v = t.annotations["loaded"]
+        @set_value(t.r, _v)
+        @writeback(t.r)
+        if t.writes_pc:
+            BACKEND_REDIRECT(ctx, _v, t)
+    if t.updates_base:
+        @set_value(t.base, t.annotations["updated_base"])
+        @writeback(t.base)
+""",
+    ),
+    # Figure 5 variant: one transition performs address generation and
+    # the memory access; writeback only publishes the latched values.
+    HookTemplate(
+        "mem.access_combined",
+        action="""
+if t.annotations.get("executed"):
+    _a, _u = COMPUTE_MEMORY_ADDRESS(t)
+    t.annotations["address"] = _a
+    t.annotations["updated_base"] = _u""" + _MEMORY_ACCESS.format(
+            load="@set_value(t.r, MEMORY.read_byte(_a) if t.byte else MEMORY.read_word(_a))"
+        ),
+        inline=False,
+    ),
+    HookTemplate(
+        "mem.writeback_simple",
+        action="""
+if t.annotations.get("executed"):
+    if t.L:
+        @writeback(t.r)
+    if t.updates_base:
+        @set_value(t.base, t.annotations["updated_base"])
+        @writeback(t.base)
+""",
+        inline=False,
+    ),
+    # ---- memm ---------------------------------------------------------
+    HookTemplate(
+        "memm.issue",
+        guard="""
+            @pc_free() and @flags_ready() and @ready(t.base)
+            and (all(_x.can_write() for _x in t.regs) if t.L else OPERANDS_READY(t.regs, FWD))
+            and (not t.updates_base or @can_write(t.base))
+        """,
+        action="""
+@condition(_e)
+t.annotations["executed"] = _e
+if _e:
+    @read(t.base)
+    if t.L:
+        for _x in t.regs:
+            @reserve_write(_x)
+    else:
+        for _x in t.regs:
+            @read(_x)
+    if t.updates_base:
+        @reserve_write(t.base)
+""",
+        inline=False,
+    ),
+    HookTemplate(
+        "memm.agen",
+        action="""
+if t.annotations.get("executed"):
+    _a, _u = BLOCK_ADDRESSES(t)
+    t.annotations["addresses"] = _a
+    if t.updates_base:
+        t.annotations["updated_base"] = _u
+        @set_value(t.base, _u)
+""",
+        inline=False,
+    ),
+    # One transfer per cycle: the block occupies the memory stage for at
+    # least one cycle per register.
+    HookTemplate(
+        "memm.access",
+        action="""
+if t.annotations.get("executed"):
+    _a = t.annotations["addresses"]
+    _v = 0
+    for _i, _u in enumerate(_a):
+        _v += MEMORY.data_delay(_u, is_write=not t.L)
+        if not t.L:
+            MEMORY.write_word(_u, t.regs[_i]._value or 0)
+    if t.L:
+        t.annotations["loaded"] = [MEMORY.read_word(_u) for _u in _a]
+    t.delay_override = max(_v, len(_a))
+""",
+        inline=False,
+    ),
+    HookTemplate(
+        "memm.writeback",
+        action="""
+if t.annotations.get("executed"):
+    if t.L:
+        _a = None
+        for _i, _v in enumerate(t.annotations["loaded"]):
+            _x = t.regs[_i]
+            @set_value(_x, _v)
+            @writeback(_x)
+            if t.reg_indices[_i] == 15:
+                _a = _v
+        if _a is not None:
+            BACKEND_REDIRECT(ctx, _a, t)
+    if t.updates_base:
+        @set_value(t.base, t.annotations["updated_base"])
+        @writeback(t.base)
+""",
+        inline=False,
+    ),
+    # ---- branch -------------------------------------------------------
+    HookTemplate(
+        "branch.taken",
+        guard=_BRANCH_GUARD
+        + " and (not t.reads_flags or COND_TRUTH[t.cond][OPERAND_READ(t.fl, FWD)])",
+        action="""
+t.annotations["executed"] = True
+t.annotations["taken"] = True
+""" + _TARGET + """
+if PREDICTOR is not None:
+    PREDICTOR.record(t.pc, True)
+FRONT_FLUSH(ctx)
+CORE.fetch_pc = _b
+if t.link:""" + _LINK,
+    ),
+    HookTemplate(
+        "branch.not_taken",
+        guard=_BRANCH_GUARD,
+        action="""
+@condition(_e)
+t.annotations["executed"] = _e
+t.annotations["taken"] = False
+if PREDICTOR is not None:
+    PREDICTOR.record(t.pc, False)
+""",
+    ),
+    HookTemplate(
+        "branch.resolve",
+        guard=_BRANCH_GUARD,
+        action="""
+@condition(_e)
+""" + _TARGET + """
+_x = bool(t.annotations.get("predicted_taken"))
+t.annotations["executed"] = _e
+t.annotations["taken"] = _e
+PREDICTOR.record_outcome(_x, _e)
+PREDICTOR.update(t.pc, _e, _b)
+if _x != _e:
+    FRONT_FLUSH(ctx)
+    CORE.fetch_pc = _b if _e else (t.pc + 4) & 0xFFFFFFFF
+if _e and t.link:""" + _LINK,
+    ),
+    HookTemplate(
+        "branch.decode_fig5",
+        guard=_BRANCH_GUARD,
+        action="""
+@condition(_e)
+t.annotations["executed"] = True
+t.annotations["taken"] = _e
+if _e and t.link:""" + _LINK,
+        inline=False,
+    ),
+    HookTemplate(
+        "branch.resolve_fig5",
+        action="""
+if t.annotations.get("taken"):
+    """ + _TARGET + """
+    FRONT_FLUSH(ctx)
+    CORE.fetch_pc = _b
+    if t.link:
+        @writeback(t.lr)
+""",
+        inline=False,
+    ),
+    HookTemplate(
+        "branch.link_writeback",
+        action="""
+if t.annotations.get("taken") and t.link:
+    @writeback(t.lr)
+""",
+    ),
+    # ---- system -------------------------------------------------------
+    HookTemplate(
+        "system.issue",
+        guard="@pc_free() and @flags_ready()",
+        action="""
+@condition(_e)
+t.annotations["executed"] = _e
+if _e:
+    if t.op == SYSTEM_HALT:
+        CORE.halted = True
+        FRONT_FLUSH(ctx)
+        t.annotations["halt"] = True
+    elif t.op == SYSTEM_SWI:
+        t.annotations["syscall"] = t.imm
+""",
+        inline=False,
+    ),
+    HookTemplate(
+        "system.retire",
+        action="""
+if t.annotations.get("executed"):
+    if t.annotations.get("syscall") == 1:
+        _x = getattr(CORE, "output", None)
+        if _x is None:
+            CORE.output = _x = []
+        _x.append(GPR.data[0])
+    if t.annotations.get("halt"):
+        ctx.stop("halt")
+""",
+        inline=False,
+    ),
+)
+
+#: Every class hook's template, by hook name.
+HOOK_TEMPLATES = {template.key: template for template in _HOOKS}
+
+#: The issue hooks a BTB-predicted model prefixes with :data:`RECOVERY`.
+RECOVERED_HOOKS = ("alu.issue", "mul.issue", "mem.issue", "memm.issue", "system.issue")
+
+#: BTB-alias recovery: a BTB alias redirected fetch after a non-branch.
+RECOVERY = """
+if t.annotations.get("predicted_taken"):
+    BACKEND_REDIRECT(ctx, (t.pc + 4) & 0xFFFFFFFF, t)
+"""
+
+_FETCH = """
+@read_word(_w, _p)
+@decode(_x, _w, _p)
+@fetch_delay(_x.delay_override, _p)
+"""
+
+_DELIVER = """
+if ISSUE_CONTROL is not None:
+    ISSUE_CONTROL.note_fetch(_x)
+@emit(_x)
+"""
+
+#: The instruction-independent fetch transition, by fetch style.
+FETCH_TEMPLATES = {
+    "sequential": HookTemplate(
+        "fetch.sequential",
+        guard="not CORE.halted and (STALL_STAGE is None or STALL_STAGE._occupancy == 0)",
+        action="""
+_p = CORE.fetch_pc
+CORE.fetch_pc = (_p + 4) & 0xFFFFFFFF
+CORE.sequence += 1""" + _FETCH + _DELIVER,
+    ),
+    "btb": HookTemplate(
+        "fetch.btb",
+        guard="not CORE.halted",
+        action="""
+_p = CORE.fetch_pc
+_e, _f, _b = PREDICTOR.lookup(_p)""" + _FETCH + """
+_x.annotations["predicted_taken"] = _f = bool(_e and _f)
+CORE.fetch_pc = (_b if _f else _p + 4) & 0xFFFFFFFF
+CORE.sequence += 1""" + _DELIVER,
+    ),
+}
+
 
 class ArmSemantics:
-    """The shared ARM hook factories, bound to one elaborated model.
+    """The shared ARM hooks, bound to one elaborated model.
 
     Subclasses may :meth:`register` additional hooks (or override existing
     ones) before the elaborator resolves the spec's transitions; the
     elaborator accepts the class via its ``semantics_class`` argument.
+    ``env`` holds the named constants the hook templates read.
     """
 
     def __init__(self, spec, net, core, memory, decoder, predictor=None, issue_control=None):
@@ -93,8 +571,42 @@ class ArmSemantics:
         self.s1_forward_state = spec.hazards.s1_forward_state
         #: BTB-predicted models recover from alias redirects at issue time.
         self.predict_recovery = spec.predictor.kind == "btb"
+        #: The named constants the templates read, helpers included (looked
+        #: up now, see the module docstring).  Kept by the net too: the
+        #: emitter binds a spliced module's constants from it after
+        #: elaboration has dropped this object.
+        self.env = net.hook_env = dict(
+            COND_TRUTH=_TRUTH,
+            COMPUTE_ALU=compute_alu,
+            COMPUTE_MULTIPLY=compute_multiply,
+            COMPUTE_MEMORY_ADDRESS=compute_memory_address,
+            BLOCK_ADDRESSES=block_transfer_addresses,
+            OPERAND_READ=operand_read,
+            OPERANDS_READY=operands_ready,
+            SYSTEM_HALT=SystemOp.HALT,
+            SYSTEM_SWI=SystemOp.SWI,
+            FWD=self.forward_states,
+            GPR=net.register_files["gpr"],
+            CORE=core,
+            MEMORY=memory,
+            MAIN=memory.memory,
+            PERFECT_CACHES=memory.config.perfect_caches,
+            DECODER=decoder,
+            PREDICTOR=predictor,
+            ISSUE_CONTROL=issue_control,
+            S1_STATE=self.s1_forward_state,
+            STALL_STAGE=None,
+            FRONT_FLUSH=self.front_flush,
+            BACKEND_REDIRECT=self.backend_redirect,
+        )
         self._hooks = {}
         self._install_hooks()
+
+    def _install_hooks(self):
+        for name, template in HOOK_TEMPLATES.items():
+            if self.predict_recovery and name in RECOVERED_HOOKS:
+                template = _recovered(template)
+            self.register(name, *bind(template, self.env))
 
     # -- registry ------------------------------------------------------------
     def register(self, name, guard=None, action=None):
@@ -114,7 +626,8 @@ class ArmSemantics:
 
         At most one hook may contribute a guard; actions are chained in the
         order the hooks are listed (the StrongARM model runs issue and
-        execute semantics on one transition this way).
+        execute semantics on one transition this way).  Template actions
+        chain into one composed template, so the chain stays spliceable.
         """
         guards = [h.guard for h in map(self.hook, hook_names) if h.guard is not None]
         actions = [h.action for h in map(self.hook, hook_names) if h.action is not None]
@@ -127,6 +640,8 @@ class ArmSemantics:
             action = None
         elif len(actions) == 1:
             action = actions[0]
+        elif all(template_of(act, self.env) for act in actions):
+            action = bind(compose(template_of(act, self.env) for act in actions), self.env)[1]
         else:
             chain = tuple(actions)
 
@@ -135,6 +650,14 @@ class ArmSemantics:
                     act(token, ctx)
 
         return guard, action
+
+    # -- fetch ---------------------------------------------------------------
+    def fetch_hook(self, fetch_spec):
+        """The instruction-independent fetch transition's (guard, action)."""
+        template = FETCH_TEMPLATES["btb" if fetch_spec.style == "btb" else "sequential"]
+        if fetch_spec.style != "btb" and fetch_spec.stall_stage:
+            self.env["STALL_STAGE"] = self.net.stage(fetch_spec.stall_stage)
+        return bind(template, self.env)
 
     # -- control-transfer helpers -------------------------------------------
     def front_flush(self, ctx):
@@ -162,20 +685,6 @@ class ArmSemantics:
             for stage in self.redirect_flush_stages:
                 ctx.flush_stage(stage)
         self.core.redirect(target)
-
-    def _with_recovery(self, action):
-        """Prefix an issue action with BTB-alias recovery when predicted."""
-        if not self.predict_recovery:
-            return action
-        backend_redirect = self.backend_redirect
-
-        def recovered(t, ctx, _action=action):
-            if t.annotations.get("predicted_taken"):
-                # A BTB alias redirected fetch after a non-branch: recover.
-                backend_redirect(ctx, (t.pc + 4) & 0xFFFFFFFF, t)
-            _action(t, ctx)
-
-        return recovered
 
     # -- multi-issue gating ---------------------------------------------------
     def issue_gate(self, guard, action, port=None):
@@ -242,543 +751,15 @@ class ArmSemantics:
         gated_guard.stage = source_stage
         return gated_guard
 
-    # -- fetch ---------------------------------------------------------------
-    def fetch_hook(self, fetch_spec):
-        """The instruction-independent fetch transition's (guard, action)."""
-        core = self.core
-        memory = self.memory
-        decoder = self.decoder
-        issue_control = self.issue_control
 
-        if fetch_spec.style == "btb":
-            btb = self.predictor
+_RECOVERED = {}
 
-            def fetch_guard(_token, _ctx):
-                return not core.halted
 
-            def fetch_action(_token, ctx):
-                pc = core.fetch_pc
-                hit, predicted_taken, predicted_target = btb.lookup(pc)
-                word = memory.read_word(pc)
-                token = decoder.decode_word(word, pc=pc)
-                token.delay = memory.instruction_delay(pc)
-                token.annotations["predicted_taken"] = bool(hit and predicted_taken)
-                if hit and predicted_taken:
-                    core.redirect(predicted_target)
-                else:
-                    core.redirect(pc + 4)
-                core.sequence += 1
-                if issue_control is not None:
-                    issue_control.note_fetch(token)
-                ctx.emit(token)
-
-            return fetch_guard, fetch_action
-
-        stall_stage = (
-            self.net.stage(fetch_spec.stall_stage) if fetch_spec.stall_stage else None
+def _recovered(template):
+    """``template`` with :data:`RECOVERY` before its action (memoised)."""
+    recovered = _RECOVERED.get(template.key)
+    if recovered is None:
+        recovered = _RECOVERED[template.key] = template.prefixed(
+            template.key + "/recovery", RECOVERY
         )
-
-        if stall_stage is None:
-
-            def fetch_guard(_token, _ctx):
-                return not core.halted
-
-        else:
-
-            def fetch_guard(_token, _ctx):
-                return not core.halted and stall_stage.occupancy == 0
-
-        def fetch_action(_token, ctx):
-            pc = core.next_fetch()
-            word = memory.read_word(pc)
-            token = decoder.decode_word(word, pc=pc)
-            token.delay = memory.instruction_delay(pc)
-            if issue_control is not None:
-                issue_control.note_fetch(token)
-            ctx.emit(token)
-
-        return fetch_guard, fetch_action
-
-    # -- hook installation ---------------------------------------------------
-    def _install_hooks(self):
-        from repro.isa.registers import PC
-
-        FWD = self.forward_states
-        core = self.core
-        memory = self.memory
-        predictor = self.predictor
-        net = self.net
-        front_flush = self.front_flush
-        backend_redirect = self.backend_redirect
-        register = self.register
-        gpr = net.register_files["gpr"]
-
-        def pc_free():
-            """Control interlock: no issue while a PC write is in flight.
-
-            A PC-writing instruction (``mov pc``, load-to-PC) holds a write
-            reservation on r15 from issue to writeback; everything fetched
-            behind it is wrong-path and will be squashed by the writeback
-            redirect.  Blocking younger *issue* until then keeps short-path
-            instructions (branch resolution, system ops) from completing —
-            or performing side effects — before the redirect reaches them.
-            The check is free on PC-write-free code: r15 simply never has a
-            pending writer.
-            """
-            return gpr.writers[PC] is None
-
-        # ---- alu ----------------------------------------------------------
-        def alu_issue_guard(t, _ctx):
-            if not pc_free():
-                return False
-            if not token_flags_ready(t, FWD):
-                return False
-            if not operands_ready((t.s1, t.s2), FWD):
-                return False
-            if not t.d.can_write():
-                return False
-            if t.writes_flags and not t.fl.can_write():
-                return False
-            return True
-
-        def alu_issue_action(t, _ctx):
-            executed = condition_holds(t, FWD)
-            t.annotations["executed"] = executed
-            if not executed:
-                return
-            operand_read(t.s1, FWD)
-            operand_read(t.s2, FWD)
-            t.d.reserve_write()
-            if t.writes_flags:
-                t.fl.reserve_write()
-
-        def alu_execute_action(t, _ctx):
-            if not t.annotations.get("executed"):
-                return
-            result, flags = compute_alu(t)
-            if result is not None:
-                t.d.value = result
-            if flags is not None:
-                t.fl.value = flags
-            if t.writes_pc and result is not None:
-                t.annotations["redirect"] = result
-
-        def alu_writeback_action(t, ctx):
-            if not t.annotations.get("executed"):
-                return
-            if t.d.has_value:
-                t.d.writeback()
-            if t.writes_flags and t.fl.has_value:
-                t.fl.writeback()
-            if "redirect" in t.annotations:
-                backend_redirect(ctx, t.annotations["redirect"], t)
-
-        register("alu.issue", alu_issue_guard, self._with_recovery(alu_issue_action))
-        register("alu.execute", action=alu_execute_action)
-        register("alu.writeback", action=alu_writeback_action)
-
-        # Figure 5 restricted bypass: only s1, only from one state.
-        s1_state = self.s1_forward_state
-
-        def alu_bypass_guard(t, _ctx):
-            if not pc_free():
-                return False
-            if not token_flags_ready(t, FWD):
-                return False
-            if not t.s2.can_read():
-                return False
-            if not t.d.can_write():
-                return False
-            if t.writes_flags and not t.fl.can_write():
-                return False
-            if not t.s1.can_read(s1_state):
-                return False
-            writer = t.s1.register.writer
-            return writer is not None and writer.has_value
-
-        def alu_bypass_action(t, _ctx):
-            executed = condition_holds(t, FWD)
-            t.annotations["executed"] = executed
-            if not executed:
-                return
-            t.s1.read(s1_state)
-            t.s2.read()
-            t.d.reserve_write()
-            if t.writes_flags:
-                t.fl.reserve_write()
-
-        register("alu.issue_bypass", alu_bypass_guard, alu_bypass_action)
-
-        # ---- mul ----------------------------------------------------------
-        def mul_issue_guard(t, _ctx):
-            if not pc_free():
-                return False
-            if not token_flags_ready(t, FWD):
-                return False
-            if not operands_ready((t.s1, t.s2, t.acc), FWD):
-                return False
-            if not t.d.can_write():
-                return False
-            if t.writes_flags and not t.fl.can_write():
-                return False
-            return True
-
-        def mul_issue_action(t, _ctx):
-            executed = condition_holds(t, FWD)
-            t.annotations["executed"] = executed
-            if not executed:
-                return
-            operand_read(t.s1, FWD)
-            operand_read(t.s2, FWD)
-            operand_read(t.acc, FWD)
-            t.d.reserve_write()
-            if t.writes_flags:
-                t.fl.reserve_write()
-
-        def mul_execute_action(t, _ctx):
-            # The token delay models the data-dependent latency of the
-            # early-termination multiplier.
-            if not t.annotations.get("executed"):
-                return
-            result, flags, cycles = compute_multiply(t)
-            t.annotations["result"] = result
-            t.annotations["flags"] = flags
-            t.delay = cycles
-
-        def mul_buffer_action(t, _ctx):
-            if not t.annotations.get("executed"):
-                return
-            t.d.value = t.annotations["result"]
-            if t.annotations["flags"] is not None:
-                t.fl.value = t.annotations["flags"]
-
-        def mul_writeback_action(t, _ctx):
-            if not t.annotations.get("executed"):
-                return
-            t.d.writeback()
-            if t.writes_flags and t.fl.has_value:
-                t.fl.writeback()
-
-        register("mul.issue", mul_issue_guard, self._with_recovery(mul_issue_action))
-        register("mul.execute", action=mul_execute_action)
-        register("mul.buffer", action=mul_buffer_action)
-        register("mul.writeback", action=mul_writeback_action)
-
-        # ---- mem ----------------------------------------------------------
-        def mem_issue_guard(t, _ctx):
-            if not pc_free():
-                return False
-            if not token_flags_ready(t, FWD):
-                return False
-            sources = [t.base, t.offset]
-            if not t.L:
-                sources.append(t.r)
-            if not operands_ready(sources, FWD):
-                return False
-            if t.L and not t.r.can_write():
-                return False
-            if t.updates_base and not t.base.can_write():
-                return False
-            return True
-
-        def mem_issue_action(t, _ctx):
-            executed = condition_holds(t, FWD)
-            t.annotations["executed"] = executed
-            if not executed:
-                return
-            operand_read(t.base, FWD)
-            operand_read(t.offset, FWD)
-            if t.L:
-                t.r.reserve_write()
-            else:
-                operand_read(t.r, FWD)
-            if t.updates_base:
-                t.base.reserve_write()
-
-        def mem_agen_action(t, _ctx):
-            if not t.annotations.get("executed"):
-                return
-            address, updated = compute_memory_address(t)
-            t.annotations["address"] = address
-            if t.updates_base:
-                # The updated base is an ALU-style result: make it available
-                # to dependents through the bypass network right away.
-                t.annotations["updated_base"] = updated
-                t.base.value = updated
-
-        def mem_access_action(t, _ctx):
-            if not t.annotations.get("executed"):
-                return
-            address = t.annotations["address"]
-            t.delay = memory.data_delay(address, is_write=not t.L)
-            if t.L:
-                # Read now, in access order with the stores around it; the
-                # value is published at writeback (see mem_writeback_action).
-                t.annotations["loaded"] = (
-                    memory.read_byte(address) if t.byte else memory.read_word(address)
-                )
-            else:
-                value = t.r.value or 0
-                if t.byte:
-                    memory.write_byte(address, value & 0xFF)
-                else:
-                    memory.write_word(address, value)
-
-        def mem_writeback_action(t, ctx):
-            if not t.annotations.get("executed"):
-                return
-            if t.L:
-                value = t.annotations["loaded"]
-                t.r.value = value
-                t.r.writeback()
-                if t.writes_pc:
-                    backend_redirect(ctx, value, t)
-            if t.updates_base:
-                t.base.value = t.annotations["updated_base"]
-                t.base.writeback()
-
-        register("mem.issue", mem_issue_guard, self._with_recovery(mem_issue_action))
-        register("mem.agen", action=mem_agen_action)
-        register("mem.access", action=mem_access_action)
-        register("mem.writeback", action=mem_writeback_action)
-
-        # Figure 5 variant: one transition performs address generation and
-        # the memory access; writeback only publishes the latched values.
-        def mem_access_combined_action(t, _ctx):
-            if not t.annotations.get("executed"):
-                return
-            address, updated = compute_memory_address(t)
-            t.annotations["address"] = address
-            t.annotations["updated_base"] = updated
-            t.delay = memory.data_delay(address, is_write=not t.L)
-            if t.L:
-                t.r.value = memory.read_byte(address) if t.byte else memory.read_word(address)
-            else:
-                value = t.r.value or 0
-                if t.byte:
-                    memory.write_byte(address, value & 0xFF)
-                else:
-                    memory.write_word(address, value)
-
-        def mem_writeback_simple_action(t, _ctx):
-            if not t.annotations.get("executed"):
-                return
-            if t.L:
-                t.r.writeback()
-            if t.updates_base:
-                t.base.value = t.annotations["updated_base"]
-                t.base.writeback()
-
-        register("mem.access_combined", action=mem_access_combined_action)
-        register("mem.writeback_simple", action=mem_writeback_simple_action)
-
-        # ---- memm ---------------------------------------------------------
-        def memm_issue_guard(t, _ctx):
-            if not pc_free():
-                return False
-            if not token_flags_ready(t, FWD):
-                return False
-            if not operand_ready(t.base, FWD):
-                return False
-            if t.L:
-                if not all(reg.can_write() for reg in t.regs):
-                    return False
-            else:
-                if not operands_ready(t.regs, FWD):
-                    return False
-            if t.updates_base and not t.base.can_write():
-                return False
-            return True
-
-        def memm_issue_action(t, _ctx):
-            executed = condition_holds(t, FWD)
-            t.annotations["executed"] = executed
-            if not executed:
-                return
-            operand_read(t.base, FWD)
-            if t.L:
-                for reg in t.regs:
-                    reg.reserve_write()
-            else:
-                for reg in t.regs:
-                    operand_read(reg, FWD)
-            if t.updates_base:
-                t.base.reserve_write()
-
-        def memm_agen_action(t, _ctx):
-            if not t.annotations.get("executed"):
-                return
-            addresses, new_base = block_transfer_addresses(t)
-            t.annotations["addresses"] = addresses
-            if t.updates_base:
-                t.annotations["updated_base"] = new_base
-                t.base.value = new_base
-
-        def memm_access_action(t, _ctx):
-            if not t.annotations.get("executed"):
-                return
-            addresses = t.annotations["addresses"]
-            latency = 0
-            for index, address in enumerate(addresses):
-                latency += memory.data_delay(address, is_write=not t.L)
-                if not t.L:
-                    memory.write_word(address, t.regs[index].value or 0)
-            if t.L:
-                t.annotations["loaded"] = [memory.read_word(address) for address in addresses]
-            # One transfer per cycle: the block occupies the memory stage
-            # for at least one cycle per register.
-            t.delay = max(latency, len(addresses))
-
-        def memm_writeback_action(t, ctx):
-            if not t.annotations.get("executed"):
-                return
-            if t.L:
-                redirect = None
-                for index, value in enumerate(t.annotations["loaded"]):
-                    reg = t.regs[index]
-                    reg.value = value
-                    reg.writeback()
-                    if t.reg_indices[index] == 15:
-                        redirect = value
-                if redirect is not None:
-                    backend_redirect(ctx, redirect, t)
-            if t.updates_base:
-                t.base.value = t.annotations["updated_base"]
-                t.base.writeback()
-
-        register("memm.issue", memm_issue_guard, self._with_recovery(memm_issue_action))
-        register("memm.agen", action=memm_agen_action)
-        register("memm.access", action=memm_access_action)
-        register("memm.writeback", action=memm_writeback_action)
-
-        # ---- branch -------------------------------------------------------
-        def branch_taken_guard(t, _ctx):
-            if not pc_free():
-                return False
-            if not token_flags_ready(t, FWD):
-                return False
-            if t.link and not t.lr.can_write():
-                return False
-            return condition_holds(t, FWD)
-
-        def branch_taken_action(t, ctx):
-            t.annotations["executed"] = True
-            t.annotations["taken"] = True
-            target = (t.pc + 8 + 4 * t.offset.value) & 0xFFFFFFFF
-            if predictor is not None:
-                predictor.record(t.pc, True)
-            front_flush(ctx)
-            core.redirect(target)
-            if t.link:
-                t.lr.reserve_write()
-                t.lr.value = (t.pc + 4) & 0xFFFFFFFF
-
-        def branch_not_taken_guard(t, _ctx):
-            if not pc_free():
-                return False
-            if not token_flags_ready(t, FWD):
-                return False
-            if t.link and not t.lr.can_write():
-                return False
-            return True
-
-        def branch_not_taken_action(t, _ctx):
-            executed = condition_holds(t, FWD)
-            t.annotations["executed"] = executed
-            t.annotations["taken"] = False
-            if predictor is not None:
-                predictor.record(t.pc, False)
-
-        def branch_resolve_guard(t, _ctx):
-            if not pc_free():
-                return False
-            if not token_flags_ready(t, FWD):
-                return False
-            if t.link and not t.lr.can_write():
-                return False
-            return True
-
-        def branch_resolve_action(t, ctx):
-            executed = condition_holds(t, FWD)
-            taken = executed
-            target = (t.pc + 8 + 4 * t.offset.value) & 0xFFFFFFFF
-            fallthrough = (t.pc + 4) & 0xFFFFFFFF
-            predicted_taken = bool(t.annotations.get("predicted_taken"))
-            t.annotations["executed"] = executed
-            t.annotations["taken"] = taken
-
-            predictor.record_outcome(predicted_taken, taken)
-            predictor.update(t.pc, taken, target)
-            mispredicted = predicted_taken != taken
-            if mispredicted:
-                front_flush(ctx)
-                core.redirect(target if taken else fallthrough)
-            if taken and t.link:
-                t.lr.reserve_write()
-                t.lr.value = (t.pc + 4) & 0xFFFFFFFF
-
-        def branch_decode_fig5_guard(t, _ctx):
-            if not pc_free():
-                return False
-            if not token_flags_ready(t, FWD):
-                return False
-            if t.link and not t.lr.can_write():
-                return False
-            return True
-
-        def branch_decode_fig5_action(t, _ctx):
-            taken = condition_holds(t, FWD)
-            t.annotations["executed"] = True
-            t.annotations["taken"] = taken
-            if taken and t.link:
-                t.lr.reserve_write()
-                t.lr.value = (t.pc + 4) & 0xFFFFFFFF
-
-        def branch_resolve_fig5_action(t, ctx):
-            if t.annotations.get("taken"):
-                target = (t.pc + 8 + 4 * t.offset.value) & 0xFFFFFFFF
-                front_flush(ctx)
-                core.redirect(target)
-                if t.link:
-                    t.lr.writeback()
-
-        def branch_link_writeback_action(t, _ctx):
-            if t.annotations.get("taken") and t.link:
-                t.lr.writeback()
-
-        register("branch.taken", branch_taken_guard, branch_taken_action)
-        register("branch.not_taken", branch_not_taken_guard, branch_not_taken_action)
-        register("branch.resolve", branch_resolve_guard, branch_resolve_action)
-        register("branch.decode_fig5", branch_decode_fig5_guard, branch_decode_fig5_action)
-        register("branch.resolve_fig5", action=branch_resolve_fig5_action)
-        register("branch.link_writeback", action=branch_link_writeback_action)
-
-        # ---- system -------------------------------------------------------
-        def system_issue_guard(t, _ctx):
-            return pc_free() and token_flags_ready(t, FWD)
-
-        def system_issue_action(t, ctx):
-            executed = condition_holds(t, FWD)
-            t.annotations["executed"] = executed
-            if not executed:
-                return
-            if t.op == SystemOp.HALT:
-                core.halt()
-                front_flush(ctx)
-                t.annotations["halt"] = True
-            elif t.op == SystemOp.SWI:
-                t.annotations["syscall"] = t.imm
-
-        def system_retire_action(t, ctx):
-            if not t.annotations.get("executed"):
-                return
-            if t.annotations.get("syscall") == 1:
-                output = getattr(core, "output", None)
-                if output is None:
-                    core.output = output = []
-                output.append(net.register_files["gpr"].data[0])
-            if t.annotations.get("halt"):
-                ctx.stop("halt")
-
-        register("system.issue", system_issue_guard, self._with_recovery(system_issue_action))
-        register("system.retire", action=system_retire_action)
+    return recovered

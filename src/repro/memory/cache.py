@@ -169,6 +169,10 @@ class Cache:
         self.config = config
         self.backing = backing
         self.stats = CacheStatistics()
+        #: The geometry ``_locate`` divides by (the hook templates' inline
+        #: hit path reads them too).
+        self.line_bytes = config.line_bytes
+        self.set_count = config.num_sets
         self._sets = [_CacheSet() for _ in range(config.num_sets)]
         #: Optional trace callback ``(level, kind, address, latency)`` with
         #: kind in {"hit", "miss", "fill", "writeback"}.  Observation only —
@@ -185,9 +189,9 @@ class Cache:
         self.stats = CacheStatistics()
 
     def _locate(self, address):
-        line = address // self.config.line_bytes
-        index = line % self.config.num_sets
-        tag = line // self.config.num_sets
+        line = address // self.line_bytes
+        index = line % self.set_count
+        tag = line // self.set_count
         return self._sets[index], tag, index
 
     def access(self, address, is_write=False):

@@ -50,8 +50,16 @@ import json
 from collections import Counter, deque
 from dataclasses import dataclass
 
-#: Every event category the tracer knows, in canonical order.
+#: Every event category the tracer knows, in canonical order: the default
+#: :attr:`TraceConfig.categories`.
 TRACE_CATEGORIES = ("firing", "stall", "squash", "token", "cache")
+
+#: An opt-in category recording no events: the generated backend emits
+#: ``perf_counter_ns`` accumulators around every spliced hook site and
+#: sums them, per hook, into :attr:`Tracer.metrics` (see
+#: :class:`repro.codegen.runtime.HostCost`).  Host nanoseconds never enter
+#: the event trace, so traces of one run stay byte-identical.
+HOSTCOST = "hostcost"
 
 #: Field names of each category's (a, b, c, d) payload, for dict export.
 _FIELDS = {
@@ -78,7 +86,8 @@ class TraceConfig:
     * ``capacity`` — ring-buffer size in events; the oldest events are
       dropped once full (``Tracer.dropped`` counts them).  Sinks see every
       event regardless of capacity.
-    * ``categories`` — subset of :data:`TRACE_CATEGORIES` to record.
+    * ``categories`` — subset of :data:`TRACE_CATEGORIES` to record, plus
+      optionally :data:`HOSTCOST`.
     """
 
     enabled: bool = True
@@ -89,11 +98,11 @@ class TraceConfig:
         # JSON round-trips deliver lists; normalise so asdict/key folding
         # is stable and membership checks stay cheap.
         object.__setattr__(self, "categories", tuple(self.categories))
-        unknown = [c for c in self.categories if c not in TRACE_CATEGORIES]
+        unknown = [c for c in self.categories if c not in TRACE_CATEGORIES + (HOSTCOST,)]
         if unknown:
             raise ValueError(
                 "unknown trace categories %r; expected a subset of %r"
-                % (unknown, TRACE_CATEGORIES)
+                % (unknown, TRACE_CATEGORIES + (HOSTCOST,))
             )
         if not isinstance(self.capacity, int) or self.capacity < 1:
             raise ValueError("trace capacity %r must be a positive integer" % (self.capacity,))
@@ -125,6 +134,14 @@ class Tracer:
         self._total = 0
         self._sinks = []
         self._categories = frozenset(config.categories)
+        #: Per-hook host-time counters of a ``hostcost`` run, else ``None``.
+        self.metrics = None
+        if HOSTCOST in self._categories:
+            # Imported here: repro.observe.metrics is stdlib-only, but this
+            # module keeps its own import list stdlib-only too.
+            from repro.observe.metrics import MetricsRegistry
+
+            self.metrics = MetricsRegistry()
 
     # -- configuration ------------------------------------------------------
     def wants(self, category):

@@ -401,6 +401,30 @@ def _engine(model="example", trace=False):
     return build_processor(model, engine_options=EngineOptions(**options)).engine
 
 
+def _engine_calling_a_plain_guard():
+    """The example model with ``alu.issue``'s guard a plain callable.
+
+    An opaque hook is called, not spliced, and keeps every place's
+    operation-class dispatch, so the ``_oc`` compares and a ``gN(t, ctx)``
+    call site are there to tamper with.
+    """
+    from repro.describe import elaborate
+    from repro.describe.semantics import ArmSemantics
+    from repro.processors.example import example_spec
+
+    class PlainGuard(ArmSemantics):
+        def register(self, name, guard=None, action=None):
+            if name == "alu.issue":
+                template_guard = guard
+
+                def guard(t, ctx):
+                    return template_guard(t, ctx)
+
+            super().register(name, guard, action)
+
+    return elaborate(example_spec(), backend="generated", semantics_class=PlainGuard).engine
+
+
 def _tampered(engine, source):
     return types.SimpleNamespace(
         net=engine.net,
@@ -423,7 +447,8 @@ def test_sv001_constant_tamper_detected():
 
 
 def test_sv002_dispatch_branch_tamper_detected():
-    engine = _engine()
+    engine = _engine_calling_a_plain_guard()
+    assert verify_engine(engine) == []
     source = engine.source.replace("_oc == 'alu'", "_oc == 'mul'", 1)
     assert source != engine.source
     findings = verify_engine(_tampered(engine, source))
@@ -450,8 +475,8 @@ def test_sv004_missing_firing_site_detected():
 def test_sv005_stripped_gate_call_detected():
     import re
 
-    engine = _engine()
-    source = re.sub(r"\bg\d+\(token, ctx\)", "True", engine.source, count=1)
+    engine = _engine_calling_a_plain_guard()
+    source = re.sub(r"\bg\d+\(t, ctx\)", "True", engine.source, count=1)
     assert source != engine.source
     findings = verify_engine(_tampered(engine, source))
     assert "SV005" in rules_of(findings)

@@ -4,8 +4,8 @@ The byte-identity contract: with tracing off — no ``TraceConfig``, a
 disabled one, or one whose categories the emitter does not specialise on —
 the cache key and the emitted module source are exactly what a
 trace-unaware build produces.  Only enabling an emission-relevant category
-(``firing``/``stall``) changes the key and injects ``TRF``/``TRS`` call
-sites into the source.
+(``firing``/``stall``, or the opt-in ``hostcost``) changes the key and
+injects call sites into the source.
 """
 
 from repro.codegen import codegen_key
@@ -35,7 +35,7 @@ def net_and_schedule(model="arm7-mini"):
 
 
 def test_emit_trace_categories_only_reports_emission_relevant_ones():
-    assert EMISSION_TRACE_CATEGORIES == ("firing", "stall")
+    assert EMISSION_TRACE_CATEGORIES == ("firing", "stall", "hostcost")
     for options in OFF_OPTIONS:
         assert emit_trace_categories(options) == ()
     assert emit_trace_categories(TRACED) == ("firing", "stall")

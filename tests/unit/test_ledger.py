@@ -109,6 +109,14 @@ def test_a_line_with_failed_operations_is_never_the_previous_line(ledger):
     assert ledger.previous_entry(entries[1:], record("a")) is None
 
 
+def test_a_record_with_no_commit_is_refused(ledger):
+    clean = dict(record("a"), git_sha="0123abc")
+    assert ledger.appendable(clean) is None
+    assert "git_sha" in ledger.appendable(dict(clean, git_sha="unknown"))
+    assert "git_sha" in ledger.appendable(record("a"))
+    assert "failed" in ledger.appendable(dict(clean, failures=["crc32 on xscale"]))
+
+
 def test_the_checked_in_ledger_covers_every_workload_and_metric(ledger):
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     entries = ledger.read_ledger(ledger.LEDGER)

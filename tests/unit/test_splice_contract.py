@@ -1,0 +1,209 @@
+"""The splice contract between hook templates and the generated engine.
+
+The emitter pastes a hook template's source into the emitted cycle loop
+only where a transition's guard or action *is* that template's closure.
+Anything else — a wrapper that copies the closure's attributes (the way
+``perfbench/layers.py`` times hooks), a plain callable a ``semantics_class``
+subclass registers — must still be called, and both backends must still
+simulate bit-identically.  The verifier re-derives every spliced body from
+its template, templates compile once per process, and the ``hostcost``
+emission mode leaves the untimed source alone.
+"""
+
+import functools
+import types
+
+import pytest
+
+from repro.analyze.sourcecheck import verify_engine
+from repro.codegen import codegen_key
+from repro.codegen.emit import emit_module_source
+from repro.core.engine import EngineOptions, SimulationEngine
+from repro.describe import elaborate, templates
+from repro.describe.elaborate import elaborate_net
+from repro.describe.semantics import ArmSemantics
+from repro.observe.trace import TraceConfig
+from repro.processors import build_processor, get_spec
+from repro.workloads import get_workload
+
+MODEL = "strongarm"
+KERNEL = "crc"
+
+
+def summary(processor):
+    stats = processor.run()
+    return {
+        "cycles": stats.cycles,
+        "instructions": stats.instructions,
+        "stalls": stats.stalls,
+        "squashed": stats.squashed,
+        "firings": dict(stats.transition_firings),
+        "registers": [processor.register(i) for i in range(16)],
+        "memory": processor.memory.statistics_summary(),
+    }
+
+
+def run(processor):
+    processor.load_program(get_workload(KERNEL, scale=1).program)
+    return summary(processor)
+
+
+def wrapped_like_layer_tracer(fn, calls):
+    """``fn`` wrapped the way ``LayerTracer.wrap`` wraps a hook."""
+
+    def timed(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    return functools.update_wrapper(timed, fn)
+
+
+def counting_semantics(calls, hook="alu.execute", plain=False):
+    """An ``ArmSemantics`` whose ``hook`` action also counts its calls."""
+
+    class Counting(ArmSemantics):
+        def register(self, name, guard=None, action=None):
+            if name == hook and action is not None:
+                if plain:
+                    original = action
+
+                    def action(t, ctx):
+                        calls.append(1)
+                        original(t, ctx)
+
+                else:
+                    action = wrapped_like_layer_tracer(action, calls)
+            super().register(name, guard, action)
+
+    return Counting
+
+
+@pytest.mark.parametrize("plain", [False, True], ids=["update_wrapper", "plain-callable"])
+def test_a_hook_that_is_not_the_template_closure_is_called(plain):
+    reference = run(build_processor(MODEL, backend="interpreted"))
+    results = {}
+    for backend in ("interpreted", "generated"):
+        calls = []
+        processor = elaborate(
+            get_spec(MODEL), backend=backend, semantics_class=counting_semantics(calls, plain=plain)
+        )
+        results[backend] = run(processor)
+        # The alu.execute action runs on the alu.buffer transition.
+        assert len(calls) == results[backend]["firings"]["alu.buffer"] > 0
+        if backend == "generated":
+            index = [t.name for t in processor.net.transitions].index("alu.buffer")
+            assert "a%d(t, ctx)" % index in processor.engine.source
+            assert verify_engine(processor.engine) == []
+    assert results["interpreted"] == results["generated"] == reference
+
+
+def test_the_template_closure_itself_is_spliced_not_called():
+    processor = build_processor(MODEL, backend="generated")
+    index = [t.name for t in processor.net.transitions].index("alu.buffer")
+    assert "a%d(" % index not in processor.engine.source
+    assert "COMPUTE_ALU(t)" in processor.engine.source
+
+
+def _tampered(engine, source):
+    return types.SimpleNamespace(
+        net=engine.net,
+        options=engine.options,
+        schedule=engine.schedule,
+        module=engine.module,
+        source=source,
+    )
+
+
+@pytest.mark.parametrize(
+    "line, mutant",
+    [
+        ('t.annotations["executed"] = _e', 't.annotations["executed"] = True'),
+        ("GPR.writers[15] is None", "GPR.writers[14] is None"),
+        ("_cs.hits += 1", "_cs.hits += 2"),
+    ],
+    ids=["action", "guard", "fetch"],
+)
+def test_mutating_a_spliced_body_is_a_finding(line, mutant):
+    engine = build_processor(MODEL, backend="generated").engine
+    assert line in engine.source
+    findings = verify_engine(_tampered(engine, engine.source.replace(line, mutant, 1)))
+    assert "SV008" in {finding.rule for finding in findings}
+
+
+def test_building_a_model_again_execs_no_template():
+    build_processor(MODEL, backend="interpreted")
+    build_processor("xscale", backend="generated")
+    compiled = templates.COMPILES
+    for backend in ("interpreted", "generated"):
+        build_processor(MODEL, backend=backend)
+        build_processor("xscale", backend=backend)
+    assert templates.COMPILES == compiled
+
+
+HOSTCOST_OFF = (
+    EngineOptions(backend="generated"),
+    EngineOptions(backend="generated", trace=TraceConfig(enabled=False, categories=("hostcost",))),
+    EngineOptions(backend="generated", trace=TraceConfig(categories=("cache", "token"))),
+)
+
+
+def test_hostcost_off_leaves_source_and_key_byte_identical():
+    net, _decoder, _core, _memory, _semantics = elaborate_net(get_spec(MODEL))
+    schedule = SimulationEngine(net).schedule
+    sources = {emit_module_source(net, schedule, options)[0] for options in HOSTCOST_OFF}
+    keys = {codegen_key(net, options) for options in HOSTCOST_OFF}
+    assert len(sources) == 1 and len(keys) == 1
+    timed = EngineOptions(backend="generated", trace=TraceConfig(categories=("hostcost",)))
+    assert codegen_key(net, timed) not in keys
+    assert "NS()" not in sources.pop()
+
+
+def test_hostcost_times_each_spliced_hook_and_records_no_events():
+    timed = EngineOptions(
+        backend="generated", trace=TraceConfig(categories=("firing", "hostcost"))
+    )
+    plain = EngineOptions(backend="generated", trace=TraceConfig(categories=("firing",)))
+    timed_processor = build_processor(MODEL, engine_options=timed)
+    plain_processor = build_processor(MODEL, engine_options=plain)
+    assert run(timed_processor) == run(plain_processor)
+    assert timed_processor.tracer.events == plain_processor.tracer.events
+    snapshot = timed_processor.tracer.metrics.snapshot()
+    firings = timed_processor.stats.transition_firings
+    assert snapshot["hostcost.alu.execute.action.calls"]["value"] == firings["alu.buffer"]
+    assert snapshot["hostcost.fetch.sequential.action.calls"]["value"] == firings["fetch"]
+    assert snapshot["hostcost.alu.issue.guard.ns"]["value"] > 0
+    assert verify_engine(timed_processor.engine) == []
+
+
+@pytest.mark.parametrize("backend", ["interpreted", "generated"])
+def test_a_helper_rebound_before_the_build_is_called(backend, monkeypatch):
+    from repro.describe import semantics
+
+    calls = []
+    original = semantics.compute_alu
+
+    def counted(token):
+        calls.append(1)
+        return original(token)
+
+    monkeypatch.setattr(semantics, "compute_alu", counted)
+    processor = build_processor(MODEL, backend=backend)
+    result = run(processor)
+    assert len(calls) > 0
+    monkeypatch.undo()
+    assert result == run(build_processor(MODEL, backend=backend))
+
+
+@pytest.mark.parametrize("model", ["strongarm", "xscale", "strongarm-ds", "example"])
+def test_a_template_closure_is_spliced_unless_marked_called(model):
+    from repro.codegen.runtime import splice_plan
+
+    processor = build_processor(model, backend="generated")
+    source = processor.engine.source
+    rows, _env = splice_plan(processor.net)
+    for index, (transition, row) in enumerate(zip(processor.net.transitions, rows)):
+        if transition.is_generator:
+            continue
+        for template, call in zip(row, ("g%d(" % index, "a%d(" % index)):
+            if template is not None:
+                assert (call in source) == (not template.inline), (transition.name, template)
