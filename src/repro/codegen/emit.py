@@ -32,7 +32,12 @@ in which every static decision is already text —
   (:func:`repro.codegen.runtime.implicit_dispatch`);
 * tokens emitted by called actions are delivered by the module's ``drain``
   closure as field operations, through an opclass → entry-place dict built
-  once per binding.
+  once per binding;
+* a decoded token retiring into an end place goes back onto its decode
+  template's free list (:class:`repro.core.decoder.DecodedTemplate`), and
+  the fetch's ``@decode`` renews it for a later fetch of the same word, so
+  the steady state allocates no tokens.  Squashed tokens, which leave
+  through the engine's shared flush code, are left to the collector.
 
 ``run_cycles(limit)`` also owns the per-cycle bookkeeping: it advances
 ``engine.cycle`` and ``stats.cycles`` every cycle and returns after the
@@ -327,6 +332,11 @@ def emit_module_source(net, schedule, options, key=None):
                 lines.append("stats.instructions += 1")
                 lines.append("rbc[t.opclass] += 1")
                 lines.append("t.place = None")
+                # Retired: back to its decode-cache entry for the next
+                # fetch of the word (InstructionDecoder renews it).
+                lines.append("_tm = t.template")
+                lines.append("if _tm is not None:")
+                lines.append("    _tm.free.append(t)")
             else:
                 total = transition.delay + target.delay
                 if delay_written:

@@ -18,7 +18,15 @@ scheme generically:
   kinds.  Its source is written and exec'd once per shape per process.  It
   allocates the token and fresh :class:`~repro.core.operands.RegRef`
   objects without running an ``__init__`` and stores every slot directly,
-  so no field extraction, register lookup or per-symbol dispatch repeats.
+  so no field extraction, register lookup or per-symbol dispatch repeats;
+* ``renew(token, pc, seq)``, exec'd beside ``make``, recycles a retired
+  token of the same template: it resets only the dynamic slots (timing,
+  ``seq``, ``pc``, annotations, the squash flag and each RegRef's value)
+  and keeps the token, its RegRefs and ``regrefs``.  A token whose RegRef
+  still holds a write reservation is not reused; ``make`` builds a fresh
+  one.  The generated engine free-lists tokens at retire
+  (:attr:`DecodedTemplate.free`), so a fetch of a hot word allocates
+  nothing and leaves no token↔RegRef cycle for the garbage collector.
 
 The factory is the one construction path: with the cache off (the
 ablation) the decoder builds a template per fetch and calls the same
@@ -49,6 +57,17 @@ _FACTORY_HEAD = """def make(template, pc, seq):
     token.pc = pc
     token.annotations = {}
     token.squashed = False
+    token.template = template
+"""
+
+#: The renewal's lines after the reservation check: the dynamic slots.
+_RENEW_HEAD = """    token.ready_cycle = 0
+    token.delay_override = None
+    token.place = None
+    token.seq = seq
+    token.pc = pc
+    token.annotations = {}
+    token.squashed = False
 """
 
 #: A fresh RegRef ``r{i}`` of the register ``p{i}``, owned by ``token``.
@@ -69,10 +88,10 @@ exec("def new_regref(p0, token):\n%s    return r0\n" % _REGREF_SOURCE.format(i=0
 
 
 def _factory(cls, kinds):
-    """The memoised ``make(template, pc, seq)`` building ``cls`` tokens for ``kinds``."""
-    make = _factories.get((cls, kinds))
-    if make is not None:
-        return make
+    """The memoised ``(make, renew)`` pair of ``cls`` tokens for ``kinds``."""
+    pair = _factories.get((cls, kinds))
+    if pair is not None:
+        return pair
     names = ", ".join("p%d" % i for i in range(len(kinds)))
     source = [_FACTORY_HEAD, "    [%s] = template.payload\n" % names]
     regrefs = []
@@ -94,21 +113,55 @@ def _factory(cls, kinds):
             source.append("    token.%s = %s\n" % (symbol, value))
     regrefs = "".join(ref + ", " for ref in regrefs)
     source.append("    token.regrefs = (%s)\n    return token\n" % regrefs)
+    source.append(_renew_source(kinds))
     namespace = dict(_NAMESPACE, cls=cls, slots=[cls.__dict__[name] for name in cls.__slots__])
     exec("".join(source), namespace)
-    make = _factories[(cls, kinds)] = namespace["make"]
-    return make
+    pair = _factories[(cls, kinds)] = namespace["make"], namespace["renew"]
+    return pair
+
+
+def _renew_source(kinds):
+    """``renew(token, pc, seq)`` for tokens of ``kinds``: reset a retired token in place.
+
+    A RegRef still holding a write reservation is registered as a writer,
+    so such a token is left alone and a fresh one made instead.
+    """
+    fallback = "{0}template = token.template\n{0}return template.make(template, pc, seq)\n"
+    source = ["def renew(token, pc, seq):\n"]
+    if _REGISTER_LIST in kinds:  # the RegRef count varies with the word
+        source += [
+            "    regrefs = token.regrefs\n",
+            "    for ref in regrefs:\n",
+            "        if ref._reserved:\n",
+            fallback.format(" " * 12),
+            _RENEW_HEAD,
+            "    for ref in regrefs:\n",
+            "        ref._value = None\n",
+            "        ref._has_value = False\n",
+        ]
+    else:
+        refs = ["r%d" % i for i in range(kinds.count(_REGISTER))]
+        if refs:
+            source.append("    %s, = token.regrefs\n" % ", ".join(refs))
+            source.append("    if %s:\n" % " or ".join(ref + "._reserved" for ref in refs))
+            source.append(fallback.format(" " * 8))
+        source.append(_RENEW_HEAD)
+        for ref in refs:
+            source.append("    %s._value = None\n    %s._has_value = False\n" % (ref, ref))
+    source.append("    return token\n")
+    return "".join(source)
 
 
 class BindingPlan:
     """Partially evaluated operand binding for one static instruction.
 
     ``payload`` holds each bound operand's shared part in symbol order;
-    ``make`` is the token factory of the plan's shape.  ``opclass`` names
-    the operation class in symbol errors.
+    ``make`` is the token factory of the plan's shape and ``renew`` its
+    in-place reset of a retired token.  ``opclass`` names the operation
+    class in symbol errors.
     """
 
-    __slots__ = ("payload", "make")
+    __slots__ = ("payload", "make", "renew")
 
     def __init__(self, operands, opclass):
         kinds = []
@@ -128,13 +181,22 @@ class BindingPlan:
                 kinds.append(_SHARED)
                 payload.append(operand)
         self.payload = tuple(payload)
-        self.make = _factory(token_class(operands, opclass), tuple(kinds))
+        self.make, self.renew = _factory(token_class(operands, opclass), tuple(kinds))
 
 
 class DecodedTemplate:
-    """Cached decode result: ISA instruction, operation class, the plan's payload and factory."""
+    """Cached decode result: ISA instruction, operation class, the plan's payload and factory.
 
-    __slots__ = ("word", "instr", "opclass", "payload", "make")
+    ``free`` holds this word's retired tokens for reuse.  The generated
+    engine appends a token whose ``template`` is set when it retires, and
+    a later fetch of the word takes it back through ``renew``, so a hook
+    must not keep a decoded token after it retires: on that engine the
+    same object may come back as a later instruction.  The interpreted
+    engine never appends, and tokens of an uncached decode have no
+    ``template``.
+    """
+
+    __slots__ = ("word", "instr", "opclass", "payload", "make", "renew", "free")
 
     def __init__(self, word, instr, opclass, plan):
         self.word = word
@@ -142,6 +204,8 @@ class DecodedTemplate:
         self.opclass = opclass
         self.payload = plan.payload
         self.make = plan.make
+        self.renew = plan.renew
+        self.free = []
 
 
 class InstructionDecoder:
@@ -184,19 +248,27 @@ class InstructionDecoder:
         return DecodedTemplate(word, instr, opclass_name, BindingPlan(operands, opclass_name))
 
     def decode_word(self, word, pc=0):
-        """Decode ``word`` fetched from ``pc`` into an instruction token."""
-        if self.use_cache:
-            template = self._cache.get(word)
-            if template is None:
-                self.misses += 1
-                template = self._build_template(word)
-                self._cache[word] = template
-            else:
-                self.hits += 1
-        else:
+        """Decode ``word`` fetched from ``pc`` into an instruction token.
+
+        A cached word's retired token, if one is free, is renewed instead
+        of making a new one.
+        """
+        if not self.use_cache:
             self.misses += 1
             template = self._build_template(word)
-
+            token = template.make(template, pc, next(self._sequence))
+            token.template = None  # the template is this fetch's alone
+            return token
+        template = self._cache.get(word)
+        if template is None:
+            self.misses += 1
+            template = self._build_template(word)
+            self._cache[word] = template
+        else:
+            self.hits += 1
+        free = template.free
+        if free:
+            return template.renew(free.pop(), pc, next(self._sequence))
         return template.make(template, pc, next(self._sequence))
 
     def restart_sequence(self):

@@ -113,9 +113,15 @@ class Place:
         raise ValueError("no reservation token available in place %r" % self.name)
 
     def has_reservation(self):
-        return any(not token.is_instruction for token in self.tokens) or any(
-            not token.is_instruction for token in self.pending
-        )
+        # Plain loops, not any() over generators: guards call this every
+        # cycle a token waits on a reservation.
+        for token in self.tokens:
+            if not token.is_instruction:
+                return True
+        for token in self.pending:  # noqa: SIM110
+            if not token.is_instruction:
+                return True
+        return False
 
     def clear(self):
         """Remove every token (used by flushes and engine reset)."""

@@ -85,9 +85,18 @@ class InstructionToken(Token):
     from this class keeps its operands in a dictionary and resolves symbols
     through :meth:`__getattr__`.  ``regrefs`` is the token's RegRefs, with
     register lists flattened, in symbol order.
+
+    ``template`` is the :class:`~repro.core.decoder.DecodedTemplate` of a
+    token the decode cache made, else ``None``.  Lifetime: on the
+    generated engine a retired decoded token goes back to its template's
+    free list and is renewed, same object and same RegRefs, for a later
+    fetch of the same word.  A hook must not keep a decoded token (or one
+    of its RegRefs or its ``annotations``) after the token retires.
     """
 
-    __slots__ = ("instr", "opclass", "pc", "operands", "regrefs", "annotations", "squashed")
+    __slots__ = (
+        "instr", "opclass", "pc", "operands", "regrefs", "annotations", "squashed", "template",
+    )
 
     is_instruction = True
 
@@ -100,6 +109,7 @@ class InstructionToken(Token):
         self.regrefs = _flatten_regrefs(self.operands.values())
         self.annotations = {}
         self.squashed = False
+        self.template = None
 
     def __getattr__(self, name):
         # Only called when normal attribute lookup fails: resolve operation

@@ -495,6 +495,10 @@ def token_flags_ready(token, forward=()):
     return operand_ready(token.fl, forward)
 
 
+# The compute helpers read operands' ``_value`` field, which RegRef and
+# Const both have, instead of the ``value`` property: they run once per
+# executed instruction.
+
 def compute_alu(token):
     """Compute an ALU token's result and flags from its latched operands.
 
@@ -503,13 +507,13 @@ def compute_alu(token):
     ``reads_flags``), so the carry-in and the preserved overflow bit are
     available here.  Flags stay a packed NZCV nibble throughout.
     """
-    nzcv = token.fl.value if token.reads_flags else 0
+    nzcv = token.fl._value if token.reads_flags else 0
     carry_in = nzcv & 2
-    s2 = token.s2.value or 0
+    s2 = token.s2._value or 0
     shifter_carry = carry_in
     if token.shift_amount:
         s2, shifter_carry = apply_shift(s2, token.shift_type, token.shift_amount, carry_in)
-    result, n, z, c, v, writes = alu_operate(token.op, token.s1.value or 0, s2, carry_in)
+    result, n, z, c, v, writes = alu_operate(token.op, token.s1._value or 0, s2, carry_in)
     flags = None
     if token.set_flags:
         c, v = written_carry_overflow(token.op, c, v, shifter_carry, nzcv & 1)
@@ -519,22 +523,22 @@ def compute_alu(token):
 
 def compute_multiply(token):
     """Compute a multiply token's result; returns (result, flags_or_None, cycles)."""
-    accumulator = token.acc.value if not isinstance(token.acc, Const) else 0
-    s2 = token.s2.value or 0
-    result = multiply(token.s1.value or 0, s2, accumulator or 0)
+    accumulator = token.acc._value if not isinstance(token.acc, Const) else 0
+    s2 = token.s2._value or 0
+    result = multiply(token.s1._value or 0, s2, accumulator or 0)
     cycles = multiply_early_termination_cycles(s2)
     flags = None
     if token.set_flags:
         # N and Z from the result; C and V kept from the previous nibble.
-        previous = token.fl.value if token.reads_flags else 0
+        previous = token.fl._value if token.reads_flags else 0
         flags = pack_flags(result > 0x7FFFFFFF, result == 0, previous & 2, previous & 1)
     return result, flags, cycles
 
 
 def compute_memory_address(token, carry_in=False):
     """Effective address and updated base of a load/store token."""
-    base = token.base.value or 0
-    offset = token.offset.value or 0
+    base = token.base._value or 0
+    offset = token.offset._value or 0
     if token.shift_amount:
         offset, _ = apply_shift(offset, token.shift_type, token.shift_amount, carry_in)
     signed = offset if token.up else -offset
@@ -546,7 +550,7 @@ def compute_memory_address(token, carry_in=False):
 def block_transfer_addresses(token):
     """Word addresses touched by a block transfer and the updated base."""
     count = len(token.reg_indices)
-    base = token.base.value or 0
+    base = token.base._value or 0
     if token.up:
         start = base + (4 if token.before else 0)
         new_base = base + 4 * count

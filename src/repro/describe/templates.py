@@ -15,7 +15,8 @@ rendered:
 * expressions, expanded inline — ``@pc_free()``, ``@flags_ready()``,
   ``@ready(x)``, ``@can_read(x)``, ``@can_write(x)``, ``@has_value(x)``;
 * the fetch path's services, expanded inline (each a line of its own) —
-  ``@decode(var, word, pc)`` (decode-cache hit), ``@read_word(var, addr)``,
+  ``@decode(var, word, pc)`` (decode-cache hit, recycling a retired
+  token of the word when one is free), ``@read_word(var, addr)``,
   ``@fetch_delay(var, addr)`` and ``@data_delay(var, addr, is_write)``
   (L1 hit: counters and LRU order), ``@set_value(x, v)`` and
   ``@emit(token)``;
@@ -59,7 +60,7 @@ from repro.isa.registers import PC
 RESERVED_NAMES = frozenset((
     "cycle", "stats", "tf", "rbc", "fired", "limit", "engine", "pool", "drain",
     "deposit", "entry_places", "entry_place_for", "trace_token", "_t", "_oc",
-    "_d", "_q", "_r", "_n", "_st", "_stalls", "_hc",
+    "_d", "_q", "_r", "_n", "_st", "_stalls", "_hc", "_tm",
 ))
 
 _NAME = re.compile(r"\b[A-Za-z_]\w*\b")
@@ -122,14 +123,19 @@ _o._has_value = True
 
 
 def _decode(var, word, pc):
-    # InstructionDecoder.decode_word's cache hit, inline.
+    # InstructionDecoder.decode_word's cache hit, inline: a free-listed
+    # retired token of the word is renewed, else a new one made.
     return f"""
 _dc = DECODER._cache.get({word}) if DECODER.use_cache else None
 if _dc is None:
     {var} = DECODER.decode_word({word}, pc={pc})
 else:
     DECODER.hits += 1
-    {var} = _dc.make(_dc, {pc}, next(DECODER._sequence))
+    _df = _dc.free
+    if _df:
+        {var} = _dc.renew(_df.pop(), {pc}, next(DECODER._sequence))
+    else:
+        {var} = _dc.make(_dc, {pc}, next(DECODER._sequence))
 """
 
 

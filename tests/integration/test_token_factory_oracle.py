@@ -15,7 +15,15 @@ oracle's token built from the same bound operands, slot by slot:
   learning to fill it fails here;
 * shared operands (Consts, plain values) the very objects the binder made,
   shared by every instance of a cached word, while RegRefs never are;
-* ``regrefs`` in the oracle's order, holding the symbols' own RegRefs.
+* ``regrefs`` in the oracle's order, holding the symbols' own RegRefs;
+* ``template`` the word's decode-cache entry, or ``None`` for a token of
+  an uncached decode or a hand-built one.
+
+For every word the cached decoder's ``renew`` is checked too: a token
+dirtied the way the pipeline dirties it (place, timing, annotations,
+latched and produced values, the squash flag) renews to the same object
+with the same RegRefs, equal slot for slot to a fresh token of the word,
+while a token with a reserved RegRef is left alone for a fresh one.
 """
 
 import pytest
@@ -76,9 +84,10 @@ class OracleBindingPlan:
         return token
 
 
-def _init_decoded(self, instr, opclass, pc, seq):
+def _init_decoded(self, instr, opclass, pc, seq, template):
     # Token and InstructionToken state; the decoder's BindingPlan then fills
-    # the symbol slots and ``regrefs``.
+    # the symbol slots and ``regrefs``.  ``template`` is the slot the
+    # factories gained with token recycling.
     self.ready_cycle = 0
     self.delay_override = None
     self.place = None
@@ -88,12 +97,13 @@ def _init_decoded(self, instr, opclass, pc, seq):
     self.pc = pc
     self.annotations = {}
     self.squashed = False
+    self.template = template
 
 
-def oracle_token(operands, instr, opclass, pc, seq):
+def oracle_token(operands, instr, opclass, pc, seq, template=None):
     plan = OracleBindingPlan(operands, opclass)
     token = object.__new__(plan.token_class)
-    _init_decoded(token, instr, opclass, pc, seq)
+    _init_decoded(token, instr, opclass, pc, seq, template)
     return plan.instantiate(token)
 
 
@@ -218,10 +228,11 @@ def check_words(processor, words, bound):
                 assert len(bound) == 1
                 bound.append(bound[0])
             assert len(bound) == 2
+            template = decoder._cache[word] if decoder.use_cache else None
             for token, (instr, operands) in zip((first, second), bound):
                 assert token.instr is instr
                 assert_matches_oracle(
-                    token, oracle_token(operands, instr, token.opclass, pc, token.seq)
+                    token, oracle_token(operands, instr, token.opclass, pc, token.seq, template)
                 )
             first_refs = {id(ref) for ref in first.regrefs}
             assert not any(id(ref) in first_refs for ref in second.regrefs)
@@ -229,6 +240,52 @@ def check_words(processor, words, bound):
                 for name in type(first).__slots__:
                     if is_shared(getattr(first, name)):
                         assert getattr(second, name) is getattr(first, name)
+                check_renewal(template, first, pc)
+
+
+#: Where a dirtied token claims to reside.
+SOMEWHERE = object()
+
+
+def dirty(token):
+    """Leave ``token`` the way a pass through the pipeline leaves it."""
+    token.place = SOMEWHERE
+    token.ready_cycle = 1234
+    token.delay_override = 3
+    token.annotations["executed"] = True
+    token.squashed = True
+    for ref in token.regrefs:
+        ref._value = 0xDEADBEEF
+        ref._has_value = True
+
+
+def check_renewal(template, token, pc):
+    """``renew`` resets a dirtied token in place; a reserved one is replaced."""
+    refs = token.regrefs
+    operands = [getattr(token, name) for name in type(token).__slots__]
+    dirty(token)
+    seq = token.seq + 100
+    renewed = template.renew(token, pc + 8, seq)
+    assert renewed is token
+    assert renewed.regrefs is refs
+    assert all(getattr(renewed, name) is operand for name, operand in zip(type(token).__slots__, operands))
+    assert (renewed.pc, renewed.seq) == (pc + 8, seq)
+    assert_matches_oracle(renewed, template.make(template, pc + 8, seq))
+    if not refs:
+        return
+    # A write reservation makes the RegRef a register's pending writer: the
+    # token must not come back, whichever of its RegRefs holds it.
+    for ref in refs:
+        dirty(token)
+        ref.reserve_write()
+        try:
+            fresh = template.renew(token, pc + 12, seq + 1)
+            assert fresh is not token
+            assert not any(made is old for made in fresh.regrefs for old in refs)
+            assert_matches_oracle(fresh, template.make(template, pc + 12, seq + 1))
+            assert ref._reserved and token.squashed  # the reserved token is left as it was
+        finally:
+            ref.release()
 
 
 def decoded_words(model):
@@ -274,5 +331,6 @@ def test_keyword_symbols_and_mixed_lists_match_the_oracle():
     template = DecodedTemplate(0, "instr", "op", BindingPlan(operands, "op"))
     for seq in (5, 6):
         made = template.make(template, 0x40, seq)
-        assert_matches_oracle(made, oracle_token(operands, "instr", "op", 0x40, seq))
+        assert_matches_oracle(made, oracle_token(operands, "instr", "op", 0x40, seq, template))
         assert [ref.register.index for ref in made.regrefs] == [1, 2, 3, 0]
+        check_renewal(template, made, 0x40)
