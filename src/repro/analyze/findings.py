@@ -68,7 +68,7 @@ _RULE_TABLE = (
     # -- emitted-source verification (repro.analyze.sourcecheck) -----------
     Rule("SV001", "module-constants", "error",
          "emitted module header disagrees with the net (fingerprint, digest, places, "
-         "transitions), or the module lacks its single run_cycles cycle loop"),
+         "transitions), or the module lacks its single run_cycles cycle loop in a try/finally"),
     Rule("SV002", "dispatch-branches", "error",
          "emitted opclass dispatch branches disagree with the static schedule"),
     Rule("SV003", "place-order", "error",
@@ -83,6 +83,9 @@ _RULE_TABLE = (
          "embedded EMIT_REPORT disagrees with counts recovered from the source"),
     Rule("SV008", "spliced-hooks", "error",
          "a spliced guard or action differs from its hook template's rendering"),
+    Rule("SV009", "run-local-counters", "error",
+         "a run-local statistics counter is not zeroed on entry to run_cycles, or not "
+         "added into its own statistic exactly once in its finally"),
     Rule("SV101", "schedule-coherent", "error",
          "interpreted backend: cached static schedule disagrees with a fresh derivation"),
 )

@@ -6,7 +6,8 @@ emitted module with :mod:`ast` and re-derives, from the *text*, the plan
 the module actually implements — the place-segment order, the per-place
 operation-class dispatch branches, every firing-counter site, every
 issue/advance gate call, every ``TRF``/``TRS`` trace site, every spliced
-hook body — and compares each against an independent recomputation from
+hook body, every run-local counter's zeroing and write-back — and
+compares each against an independent recomputation from
 the net and its static schedule (:func:`repro.codegen.runtime.guard_plan`
 / :func:`~repro.codegen.runtime.action_plan`,
 :func:`~repro.codegen.runtime.splice_plan` and
@@ -22,9 +23,19 @@ statement for statement (SV008).
 from __future__ import annotations
 
 import ast
+import re
 from collections import Counter
 
 from repro.analyze.findings import finding
+
+#: A place segment opens with ``if pNt:``, the test of place N's token list.
+_SEGMENT = re.compile(r"p(\d+)t")
+#: ``tfN`` counts transition N's firings, ``rbcN`` retirements of class N.
+_FIRINGS = re.compile(r"tf(\d+)")
+_RETIRED = re.compile(r"rbc(\d+)")
+_STALLS = re.compile("stalls")
+#: The run-local counters that add into a statistic of the same name.
+_SCALAR_COUNTERS = ("stalls", "instructions", "generated_tokens")
 
 
 def _module_constants(tree):
@@ -50,13 +61,31 @@ def _find_function(tree, name):
     return None
 
 
-class _CycleFacts:
-    """Everything the verifier reads out of one emitted cycle body."""
+def _increment(node, pattern):
+    """The name of the counter ``node`` adds 1 to, if it matches ``pattern``."""
+    if (
+        isinstance(node, ast.AugAssign)
+        and isinstance(node.op, ast.Add)
+        and isinstance(node.target, ast.Name)
+        and pattern.fullmatch(node.target.id)
+        and isinstance(node.value, ast.Constant)
+        and node.value.value == 1
+    ):
+        return node.target.id
+    return None
 
-    def __init__(self, body, generator_names=()):
+
+class _CycleFacts:
+    """Everything the verifier reads out of one emitted cycle body.
+
+    ``transition_names`` maps a firing counter ``tfN`` to its transition.
+    """
+
+    def __init__(self, body, transition_names, generator_names=()):
+        self._names = tuple(transition_names)
         #: (transition name, enable test, fire statements) per attempt site.
-        self.attempts = list(_attempts(body))
-        #: Place indices in segment order (one per ``_t = pN.tokens``).
+        self.attempts = list(_attempts(body, self._names))
+        #: Place indices in segment order (one per ``if pNt:``).
         self.segment_order = []
         #: Per segment: list of (opclass, [fired transition names]) chains.
         self.segments = []
@@ -80,20 +109,13 @@ class _CycleFacts:
         events.sort(key=lambda item: (item[0], item[1]))
         self._fold(event for _line, _col, event in events)
 
-    @staticmethod
-    def _classify(node):
-        if isinstance(node, ast.Assign):
-            # `_t = pN.tokens` marks the start of one place segment.
-            if (
-                len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and node.targets[0].id == "_t"
-                and isinstance(node.value, ast.Attribute)
-                and node.value.attr == "tokens"
-                and isinstance(node.value.value, ast.Name)
-                and node.value.value.id.startswith("p")
-            ):
-                return ("place", int(node.value.value.id[1:]))
+    def _classify(self, node):
+        if isinstance(node, ast.If):
+            # `if pNt:` marks the start of one place segment.
+            if isinstance(node.test, ast.Name):
+                match = _SEGMENT.fullmatch(node.test.id)
+                if match:
+                    return ("place", int(match.group(1)))
         elif isinstance(node, ast.Compare):
             # `_oc == 'opclass'` opens one dispatch branch.
             if (
@@ -104,23 +126,13 @@ class _CycleFacts:
                 and isinstance(node.comparators[0], ast.Constant)
             ):
                 return ("oc", node.comparators[0].value)
-        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
-            target = node.target
-            # `tf['name'] += 1` is the firing counter of one attempt.
-            if (
-                isinstance(target, ast.Subscript)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "tf"
-                and isinstance(target.slice, ast.Constant)
-            ):
-                return ("fire", target.slice.value)
-            # `stats.stalls += 1` is one stall site.
-            if (
-                isinstance(target, ast.Attribute)
-                and target.attr == "stalls"
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "stats"
-            ):
+        elif isinstance(node, ast.AugAssign):
+            # `tfN += 1` is the firing counter of one attempt.
+            name = _fire_name(node, self._names)
+            if name is not None:
+                return ("fire", name)
+            # `stalls += 1` is one stall site.
+            if _increment(node, _STALLS):
                 return ("stall",)
         elif isinstance(node, ast.Call):
             func = node.func
@@ -170,38 +182,41 @@ class _CycleFacts:
                 self.gate_calls[(event[1], event[2])] += 1
 
 
-def _fire_name(node):
-    """The transition name of a ``tf['name'] += 1`` statement, else ``None``."""
-    if (
-        isinstance(node, ast.AugAssign)
-        and isinstance(node.target, ast.Subscript)
-        and isinstance(node.target.value, ast.Name)
-        and node.target.value.id == "tf"
-        and isinstance(node.target.slice, ast.Constant)
-    ):
-        return node.target.slice.value
-    return None
+def _fire_name(node, names):
+    """The transition name of a ``tfN += 1`` statement, else ``None``.
+
+    ``names`` is the module's transition names; a counter index outside
+    them reads as ``"tfN"``, which matches no transition.
+    """
+    counter = _increment(node, _FIRINGS)
+    if counter is None:
+        return None
+    index = int(counter[2:])
+    return names[index] if index < len(names) else counter
 
 
-def _attempts(loop):
+def _attempts(loop, names):
     """``(name, enable test, fire statements)`` of every attempt in ``loop``.
 
     An attempt is an ``if``/``elif`` whose body opens with a firing
-    counter, or a generator's ``while`` loop whose body is
+    counter, or a generator's ``while`` loop whose body holds
     ``if not (test): break`` followed by the fire statements.
     """
     for node in ast.walk(loop):
-        if isinstance(node, ast.If) and node.body and _fire_name(node.body[0]):
-            yield _fire_name(node.body[0]), node.test, node.body
-        elif (
-            isinstance(node, ast.While)
-            and len(node.body) > 1
-            and isinstance(node.body[0], ast.If)
-            and isinstance(node.body[0].test, ast.UnaryOp)
-            and isinstance(node.body[0].test.op, ast.Not)
-            and _fire_name(node.body[1])
-        ):
-            yield _fire_name(node.body[1]), node.body[0].test.operand, node.body[1:]
+        if isinstance(node, ast.If) and node.body and _fire_name(node.body[0], names):
+            yield _fire_name(node.body[0], names), node.test, node.body
+        elif isinstance(node, ast.While):
+            for index in range(len(node.body) - 1):
+                test = node.body[index]
+                name = _fire_name(node.body[index + 1], names)
+                if (
+                    name
+                    and isinstance(test, ast.If)
+                    and isinstance(test.test, ast.UnaryOp)
+                    and isinstance(test.test.op, ast.Not)
+                ):
+                    yield name, test.test.operand, node.body[index + 1:]
+                    break
 
 
 def _spliced_guard(test):
@@ -242,6 +257,63 @@ def _check_splices(net, facts, err):
             if not any(found[i:i + width] == expected for i in range(len(found) - width + 1)):
                 err("SV008", "source:transition %r" % name,
                     "spliced action differs from the %r template's rendering" % action.key)
+
+
+def _counter_statistic(name, net):
+    """The statistic counter ``name`` adds into, as normalised source."""
+    if name in _SCALAR_COUNTERS:
+        return "stats.%s" % name
+    for pattern, keys, holder in (
+        (_FIRINGS, [t.name for t in net.transitions], "tf"),
+        (_RETIRED, list(net.operation_classes), "rbc"),
+    ):
+        match = pattern.fullmatch(name)
+        if match and int(match.group(1)) < len(keys):
+            key = keys[int(match.group(1))]
+            return ast.unparse(ast.parse("%s[%r]" % (holder, key), mode="eval").body)
+    return None
+
+
+def _is_counter(name):
+    return name in _SCALAR_COUNTERS or bool(_FIRINGS.fullmatch(name) or _RETIRED.fullmatch(name))
+
+
+def _check_counters(net, run_cycles, trial, err):
+    """SV009: each run-local counter is zeroed before the loop and added
+    into its own statistic exactly once in the ``finally``.
+
+    The counters are the names the cycle loop increments, plus any the
+    entry zeroes; a ``+=`` of a counter in the ``finally`` to any other
+    target is a wrong write-back.
+    """
+    zeroed = set()
+    for node in run_cycles.body:
+        if node is trial:
+            break
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant) and node.value.value == 0:
+            zeroed.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    used = {
+        node.target.id
+        for node in ast.walk(trial)
+        if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name)
+    }
+    written = {}
+    for node in (node for statement in trial.finalbody for node in ast.walk(statement)):
+        if isinstance(node, ast.AugAssign) and isinstance(node.value, ast.Name):
+            written.setdefault(node.value.id, []).append(ast.unparse(node.target))
+    for name in sorted(name for name in (used | zeroed) if _is_counter(name)):
+        location = "source:counter %s" % name
+        if name not in zeroed:
+            err("SV009", location, "run-local counter is not zeroed on entry to run_cycles")
+        targets = written.get(name, [])
+        statistic = _counter_statistic(name, net)
+        if statistic is None:
+            err("SV009", location, "run-local counter names no statistic of this net")
+        elif len(targets) != 1:
+            err("SV009", location,
+                "added into a statistic %d times in the finally, expected once" % len(targets))
+        elif targets[0] != statistic:
+            err("SV009", location, "added into the wrong statistic in the finally")
 
 
 def _expected_plan(net, schedule):
@@ -378,14 +450,16 @@ def verify_engine(engine, model=None):
         err("SV001", "source:make_run_cycles",
             "emitted make_run_cycles does not define the inner run_cycles function")
         return findings
-    loops = [node for node in run_cycles.body if isinstance(node, ast.While)]
-    if len(loops) != 1:
+    tries = [node for node in run_cycles.body if isinstance(node, ast.Try)]
+    loops = [node for node in tries[0].body if isinstance(node, ast.While)] if len(tries) == 1 else []
+    if len(loops) != 1 or not tries[0].finalbody:
         err("SV001", "source:run_cycles",
-            "emitted run_cycles has %d top-level cycle loops, expected exactly 1"
-            % len(loops))
+            "emitted run_cycles has no single cycle loop in a try/finally")
         return findings
 
-    facts = _CycleFacts(loops[0], generator_names=expected_generators)
+    facts = _CycleFacts(
+        loops[0], [t.name for t in net.transitions], generator_names=expected_generators
+    )
 
     # -- SV003: place segments appear in schedule order --------------------
     if facts.segment_order != list(range(len(schedule.order))):
@@ -446,6 +520,9 @@ def verify_engine(engine, model=None):
 
     # -- SV008: spliced hook bodies are their templates' renderings -------
     _check_splices(net, facts, err)
+
+    # -- SV009: run-local counters zeroed on entry, added back once -------
+    _check_counters(net, run_cycles, tries[0], err)
 
     # -- SV006: trace sites iff tracing was requested ----------------------
     categories = emit_trace_categories(options)

@@ -37,14 +37,35 @@ in which every static decision is already text —
   template's free list (:class:`repro.core.decoder.DecodedTemplate`), and
   the fetch's ``@decode`` renews it for a later fetch of the same word, so
   the steady state allocates no tokens.  Squashed tokens, which leave
-  through the engine's shared flush code, are left to the collector.
+  through the engine's shared flush code, are left to the collector;
+* the loop's hot state lives in locals of ``run_cycles``: each place's
+  ``tokens`` (``pNt``) and ``pending`` (``pNp``) list is bound once in
+  ``make_run_cycles`` (places mutate them in place, never rebind them),
+  so an empty place costs one local load and a truth test, and a move is
+  one list call.
 
 ``run_cycles(limit)`` also owns the per-cycle bookkeeping: it advances
-``engine.cycle`` and ``stats.cycles`` every cycle and returns after the
-first idle cycle (noting ``engine._idle_stalls`` for the idle
-fast-forward), when ``limit`` is reached, or once a halt is requested —
-exactly the points at which ``SimulationEngine.run``'s checks can change
-their answer, so a whole busy stretch costs one call from the run loop.
+``engine.cycle`` every cycle and returns after the first idle cycle
+(noting ``engine._idle_stalls`` for the idle fast-forward), when
+``limit`` is reached, or once a halt is requested — exactly the points at
+which ``SimulationEngine.run``'s checks can change their answer, so a
+whole busy stretch costs one call from the run loop.
+
+The statistics counters are *run-local*: plain int locals zeroed on entry
+— one firing count per transition (``tfN``), one retirement count per
+operation class where the retire site's class is static (``rbcN``), and
+``stalls``, ``instructions`` and ``generated_tokens``.  One
+``try``/``finally`` around the cycle loop adds each into its statistic,
+once, however the stretch ends (an exception included), and sets
+``stats.cycles`` and ``engine._idle_cycles`` from the loop's ``cycle``.
+A key of ``transition_firings`` or ``retired_by_class`` appears only once
+its count is nonzero, as in the interpreted engine.  Before each call to
+a hook that may read ``ctx.stats`` — an opaque hook, or a template whose
+source names ``stats`` (:func:`reads_stats`) — the loop writes the
+counters back and zeroes them, so such a hook sees exact statistics; the
+built-in templates do not, and their models' loops write back only in the
+``finally``.  :mod:`repro.analyze.sourcecheck` (SV009) proves every
+counter zeroed on entry and added into the right statistic exactly once.
 
 The emitted module is net-object free — ``make_run_cycles(rt)`` binds the
 live places/stages/guards by index (:func:`repro.codegen.runtime.
@@ -86,6 +107,15 @@ from repro.codegen.runtime import (
     transition_capacity_shape,
 )
 from repro.describe.templates import names_used, render
+
+
+def reads_stats(template):
+    """True when a hook may read ``ctx.stats``.
+
+    ``template`` is the hook's template, ``None`` for an opaque hook, which
+    may read anything; a template reads them only if its source names them.
+    """
+    return template is None or template.reads_stats
 
 
 @dataclass
@@ -181,6 +211,15 @@ def emit_module_source(net, schedule, options, key=None):
     def svar(stage):
         return "s%d" % stage_index[id(stage)]
 
+    def tokens_var(place):
+        return "p%dt" % place_index[id(place)]
+
+    def store_var(place):
+        """The list a token deposited into ``place`` joins."""
+        return "p%d%s" % (place_index[id(place)], "p" if place.two_list else "t")
+
+    opclass_index = {opclass: index for index, opclass in enumerate(net.operation_classes)}
+
     #: Places that can ever hold a reservation token: only reservation
     #: output arcs deposit them, so this set is exact and lets the ready
     #: filter of every other place drop the ``is_instruction`` test.
@@ -267,19 +306,102 @@ def emit_module_source(net, schedule, options, key=None):
             conjuncts.append("g%d(%s, ctx)" % (index, token_expr))
         return conjuncts
 
+    #: Transitions whose guard may read ``ctx.stats``; none on the built-in models.
+    stats_guards = {
+        id(transition)
+        for transition, (guard, _action) in zip(transitions, splices)
+        if guard_plan(transition)[1] is not None and reads_stats(guard)
+    }
+
+    def static_retire_class(transition, opclass):
+        """The retiring token's class where the dispatch decided it
+        (``opclass``) and no hook may have changed it, else ``None``."""
+        template = splices[transition_index[id(transition)]][1]
+        if opaque or "opclass" in (getattr(template, "action", None) or ""):
+            return None
+        return opclass
+
+    def retires(transition):
+        target = transition.target_place
+        return not transition.consumes_token and target is not None and target.is_end
+
+    # ---- fix the run-local counters before the walk ----------------------
+    #: Per place: its nonempty dispatch entries, and the attempt chains the
+    #: cycle body emits for it as (opclass, candidates) — one chain with the
+    #: place's class for an implicit dispatch.
+    place_dispatch = []
+    retired_classes = set()
+    for place in places:
+        dispatch = []
+        for opclass in net.operation_classes:
+            candidates = schedule.transitions_for(place, opclass)
+            report.dispatch_entries += 1
+            if candidates:
+                report.nonempty_dispatch_entries += 1
+                dispatch.append((opclass, tuple(candidates)))
+        if dispatch and id(place) in implicit:
+            chains = [(implicit[id(place)], dispatch[0][1])]
+        else:
+            chains = dispatch
+        place_dispatch.append((place, dispatch, chains))
+        for opclass, candidates in chains:
+            for transition in candidates:
+                classify(transition)
+                if retires(transition):
+                    retired_classes.add(static_retire_class(transition, opclass))
+    for transition in schedule.generator_transitions:
+        classify(transition)
+    retired_classes.discard(None)
+
+    #: The run-local counters: (local, statistic it adds into).
+    counters = [
+        ("tf%d" % index, "tf[%r]" % transitions[index].name)
+        for index in sorted(emitted_transitions)
+    ]
+    counters += [(name, "stats.%s" % name) for name in ("stalls", "instructions", "generated_tokens")]
+    counters += [
+        ("rbc%d" % opclass_index[opclass], "rbc[%r]" % opclass)
+        for opclass in sorted(retired_classes, key=opclass_index.get)
+    ]
+
+    def write_back(zero):
+        """Add every counter into its statistic (and zero it, mid-stretch)."""
+        lines = []
+        for local, statistic in counters:
+            if local.startswith(("tf", "rbc")):
+                # A key appears only once its count is nonzero, as in
+                # the interpreted engine.
+                lines.append("if %s:" % local)
+                lines.append("    %s += %s" % (statistic, local))
+                if zero:
+                    lines.append("    %s = 0" % local)
+            else:
+                lines.append("%s += %s" % (statistic, local))
+                if zero:
+                    if local == "stalls":
+                        lines.append("_stalls -= stalls")  # keep the idle cycle's count
+                    lines.append("%s = 0" % local)
+        return lines
+
+    #: Statistics exact for a hook that may read them, written back before
+    #: its call.
+    mid_stretch = ["stats.cycles = cycle"] + write_back(zero=True)
+
     def hostcost_var(kind, key):
         return hostcost_sites.setdefault((kind, key), "hc%s%d" % (kind[0], len(hostcost_sites)))
 
-    def fire_lines(transition, token_mode):
+    def fire_lines(transition, token_mode, opclass=None):
         """The fire rule, flattened to field operations.
 
         Mirrors ``SimulationEngine.fire`` step for step: firing counter,
         source removal, reservation-input consumption, action, token
         deposit (or retire), reservation-output deposits, emission drain.
+        ``opclass`` is the firing token's operation class where the
+        dispatch decided it.
         """
         nonlocal need_pool, need_res, need_rbc, need_drain, need_delivery
         index = transition_index[id(transition)]
-        lines = ["tf[%r] += 1" % transition.name]
+        lines = ["tf%d += 1" % index]
         if traced_firing:
             lines.append(
                 "TRF(cycle, %r, %s)" % (transition.name, "t" if token_mode else "None")
@@ -288,7 +410,7 @@ def emit_module_source(net, schedule, options, key=None):
         if token_mode:
             source = transition.source
             used_stages.add(id(source.stage))
-            lines.append("%s.tokens.remove(t)" % pvar(source))
+            lines.append("%s.remove(t)" % tokens_var(source))
             lines.append("t.place = None")
             lines.append("%s._occupancy -= 1" % svar(source.stage))
 
@@ -303,6 +425,8 @@ def emit_module_source(net, schedule, options, key=None):
             lines.append("c%d.note_issue(%s, ctx, %r)" % (index, token_expr, aport))
         template = splices[index][1]
         inline = inlined(transition, template)
+        if abase is not None and reads_stats(template):
+            lines.extend(mid_stretch)
         if inline:
             rendering = render(template, "splice", transition.delay)
             action = rendering.action
@@ -328,10 +452,13 @@ def emit_module_source(net, schedule, options, key=None):
         target = transition.target_place
         if token_mode and not transition.consumes_token and target is not None:
             if target.is_end:
-                need_rbc = True
-                lines.append("stats.instructions += 1")
-                lines.append("rbc[t.opclass] += 1")
-                lines.append("t.place = None")
+                lines.append("instructions += 1")
+                retired = static_retire_class(transition, opclass)
+                if retired is not None:
+                    lines.append("rbc%d += 1" % opclass_index[retired])
+                else:
+                    need_rbc = True
+                    lines.append("rbc[t.opclass] += 1")
                 # Retired: back to its decode-cache entry for the next
                 # fetch of the word (InstructionDecoder renews it).
                 lines.append("_tm = t.template")
@@ -354,8 +481,7 @@ def emit_module_source(net, schedule, options, key=None):
                 lines.append("t.place = %s" % pvar(target))
                 used_stages.add(id(target.stage))
                 lines.append("%s._occupancy += 1" % svar(target.stage))
-                store = "pending" if target.two_list else "tokens"
-                lines.append("%s.%s.append(t)" % (pvar(target), store))
+                lines.append("%s.append(t)" % store_var(target))
 
         for arc in transition.reservation_outputs:
             place = arc.place
@@ -376,8 +502,7 @@ def emit_module_source(net, schedule, options, key=None):
             lines.append("_r.place = %s" % pvar(place))
             used_stages.add(id(place.stage))
             lines.append("%s._occupancy += 1" % svar(place.stage))
-            store = "pending" if place.two_list else "tokens"
-            lines.append("%s.%s.append(_r)" % (pvar(place), store))
+            lines.append("%s.append(_r)" % store_var(place))
 
         # Emission drain: identical timing to the interpreted engine, which
         # drains the queue after *every* fire with the firing transition's
@@ -391,51 +516,56 @@ def emit_module_source(net, schedule, options, key=None):
 
     # ---- walk the model once to build the per-place cycle bodies ---------
     body = _Writer()
-    indent0 = 3  # inside the cycle loop of `run_cycles` in `make_run_cycles`
+    indent0 = 4  # inside the cycle loop (in its `try`) of `run_cycles` in `make_run_cycles`
 
     # Two-list commits first, exactly like SimulationEngine.step.
     if schedule.two_list_places:
         body.w(indent0, "# -- two-list (master/slave) commits")
         for place in schedule.two_list_places:
-            pv = pvar(place)
-            body.w(indent0, "if %s.pending:" % pv)
-            body.w(indent0 + 1, "%s.tokens.extend(%s.pending)" % (pv, pv))
-            body.w(indent0 + 1, "%s.pending = []" % pv)
+            pending = store_var(place)
+            body.w(indent0, "if %s:" % pending)
+            body.w(indent0 + 1, "%s.extend(%s)" % (tokens_var(place), pending))
+            body.w(indent0 + 1, "%s.clear()" % pending)
 
     def emit_stall(indent, place_name):
-        body.w(indent, "stats.stalls += 1")
+        body.w(indent, "stalls += 1")
         if traced_stall:
             body.w(indent, "TRS(cycle, %r, t)" % place_name)
 
-    def emit_attempt_chain(indent, candidates, token_expr, place_name):
+    def emit_attempt_chain(indent, candidates, opclass, place_name):
         """One if/elif chain of inlined attempts, else a stall."""
         first = True
         for transition in candidates:
-            classify(transition)
-            conjuncts = enable_conjuncts(transition, token_expr)
+            conjuncts = enable_conjuncts(transition, "t")
             condition = " and ".join(conjuncts) if conjuncts else "True"
             keyword = "if" if first else "elif"
             body.w(indent, "%s %s:  # %s" % (keyword, condition, transition.name))
-            for line in fire_lines(transition, token_mode=True):
+            for line in fire_lines(transition, token_mode=True, opclass=opclass):
                 body.w(indent + 1, line)
             body.w(indent + 1, "fired += 1")
             first = False
         body.w(indent, "else:")
         emit_stall(indent + 1, place_name)
 
-    def emit_dispatch(inner, place, dispatch):
+    def emit_dispatch(inner, place, chains):
         """The ready token's dispatch: on its operation class, unless implicit."""
-        if not dispatch:
+        # Nothing fires between the dispatch and a failed guard, so one
+        # write-back covers every guard of the chains that read stats.
+        if any(id(t) in stats_guards for _opclass, candidates in chains for t in candidates):
+            for line in mid_stretch:
+                body.w(inner, line)
+        if not chains:
             emit_stall(inner, place.name)
         elif id(place) in implicit:
-            emit_attempt_chain(inner, dispatch[0][1], "t", place.name)
+            opclass, candidates = chains[0]
+            emit_attempt_chain(inner, candidates, opclass, place.name)
         else:
             body.w(inner, "_oc = t.opclass")
             first = True
-            for opclass, candidates in dispatch:
+            for opclass, candidates in chains:
                 keyword = "if" if first else "elif"
                 body.w(inner, "%s _oc == %r:" % (keyword, opclass))
-                emit_attempt_chain(inner + 1, candidates, "t", place.name)
+                emit_attempt_chain(inner + 1, candidates, opclass, place.name)
                 first = False
             body.w(inner, "else:")
             emit_stall(inner + 1, place.name)
@@ -445,15 +575,8 @@ def emit_module_source(net, schedule, options, key=None):
     #: implement, re-checked against the AST by repro.analyze.sourcecheck.
     dispatch_table = []
 
-    for place in places:
+    for place, dispatch, chains in place_dispatch:
         report.places_emitted += 1
-        dispatch = []
-        for opclass in net.operation_classes:
-            candidates = schedule.transitions_for(place, opclass)
-            report.dispatch_entries += 1
-            if candidates:
-                report.nonempty_dispatch_entries += 1
-                dispatch.append((opclass, tuple(candidates)))
         dispatch_table.append((
             place.name,
             tuple(
@@ -463,42 +586,44 @@ def emit_module_source(net, schedule, options, key=None):
         ))
 
         pv = pvar(place)
+        tokens = tokens_var(place)
         may_hold_reservations = id(place) in reservation_places
         single_token = place.stage.capacity == 1
         if single_token:
             report.single_token_places += 1
 
         body.w(indent0, "# -- place %r (stage %r)" % (place.name, place.stage.name))
-        body.w(indent0, "_t = %s.tokens" % pv)
-        body.w(indent0, "if _t:")
+        body.w(indent0, "if %s:" % tokens)
         if single_token:
             # A capacity-1 stage can hold at most one token across all of
             # its places, so the ready-snapshot list is replaced by a
             # direct look at the single stored token.
-            body.w(indent0 + 1, "t = _t[0]")
+            body.w(indent0 + 1, "t = %s[0]" % tokens)
             ready = "t.ready_cycle <= cycle"
             if may_hold_reservations:
                 ready = "t.is_instruction and " + ready
             body.w(indent0 + 1, "if %s:" % ready)
-            emit_dispatch(indent0 + 2, place, dispatch)
+            emit_dispatch(indent0 + 2, place, chains)
         else:
             if may_hold_reservations:
-                comp = "[t for t in _t if t.is_instruction and t.ready_cycle <= cycle]"
+                comp = "[t for t in %s if t.is_instruction and t.ready_cycle <= cycle]" % tokens
             else:
-                comp = "[t for t in _t if t.ready_cycle <= cycle]"
+                comp = "[t for t in %s if t.ready_cycle <= cycle]" % tokens
             body.w(indent0 + 1, "for t in %s:" % comp)
             body.w(indent0 + 2, "if t.place is not %s:" % pv)
             body.w(indent0 + 3, "continue  # moved by an earlier firing this cycle")
-            emit_dispatch(indent0 + 2, place, dispatch)
+            emit_dispatch(indent0 + 2, place, chains)
 
     # Generator transitions (the instruction-independent sub-net).
     for transition in schedule.generator_transitions:
-        classify(transition)
         conjuncts = enable_conjuncts(transition, "None")
         condition = " and ".join(conjuncts) if conjuncts else "True"
         limit = transition.max_firings_per_cycle
+        write_back_lines = mid_stretch if id(transition) in stats_guards else ()
         body.w(indent0, "# -- generator %r" % transition.name)
         if limit == 1:
+            for line in write_back_lines:
+                body.w(indent0, line)
             body.w(indent0, "if %s:" % condition)
             for line in fire_lines(transition, token_mode=False):
                 body.w(indent0 + 1, line)
@@ -506,6 +631,8 @@ def emit_module_source(net, schedule, options, key=None):
         else:
             body.w(indent0, "_n = 0")
             body.w(indent0, "while _n < %d:" % limit)
+            for line in write_back_lines:
+                body.w(indent0 + 1, line)
             body.w(indent0 + 1, "if not (%s):" % condition)
             body.w(indent0 + 2, "break")
             for line in fire_lines(transition, token_mode=False):
@@ -588,6 +715,11 @@ def emit_module_source(net, schedule, options, key=None):
         out.w(1, "c%d = C[%d]" % (index, index))
     if options.collect_utilization:
         out.w(1, "_STAGES = tuple(S)")
+    # Each place's lists, bound once: places mutate them in place.
+    for index, place in enumerate(places):
+        out.w(1, "p%dt = p%d.tokens" % (index, index))
+        if place.two_list:
+            out.w(1, "p%dp = p%d.pending" % (index, index))
     out.w(0, "")
     if need_drain:
         # Token delivery for the emission drain: SimulationEngine._deposit +
@@ -623,24 +755,33 @@ def emit_module_source(net, schedule, options, key=None):
     out.w(1, "def run_cycles(limit):")
     out.w(2, "stats = engine.stats")
     out.w(2, "tf = stats.transition_firings")
-    if need_rbc:
+    if need_rbc or retired_classes:
         out.w(2, "rbc = stats.retired_by_class")
-    out.w(2, "cycle = engine.cycle")
-    out.w(2, "while True:")
-    out.w(3, "fired = 0")
-    out.w(3, "_stalls = stats.stalls")
-    out.w(3, "engine._cycle_read = False")
+    out.w(2, "cycle = cycle0 = engine.cycle")
+    out.w(2, "idle0 = engine._idle_cycles")
+    for local, _statistic in counters:
+        out.w(2, "%s = 0" % local)
+    out.w(2, "try:")
+    out.w(3, "while True:")
+    out.w(4, "fired = 0")
+    out.w(4, "_stalls = stalls")
+    out.w(4, "engine._cycle_read = False")
     out.lines.extend(body.lines)
-    out.w(3, "cycle += 1")
-    out.w(3, "engine.cycle = cycle")
+    out.w(4, "cycle += 1")
+    out.w(4, "engine.cycle = cycle")
+    out.w(4, "if not fired:")
+    out.w(5, "break")
+    out.w(4, "if cycle >= limit or engine.halt_requested:")
+    out.w(5, "return fired")
+    out.w(2, "finally:")
     out.w(3, "stats.cycles = cycle")
-    out.w(3, "if not fired:")
-    out.w(4, "engine._idle_cycles += 1")
-    out.w(4, "engine._idle_stalls = stats.stalls - _stalls")
-    out.w(4, "return 0")
-    out.w(3, "engine._idle_cycles = 0")
-    out.w(3, "if cycle >= limit or engine.halt_requested:")
-    out.w(4, "return fired")
+    out.w(3, "if cycle != cycle0:")
+    out.w(4, "engine._idle_cycles = 0")
+    for line in write_back(zero=False):
+        out.w(3, line)
+    out.w(2, "engine._idle_cycles = idle0 + 1 if cycle == cycle0 + 1 else 1")
+    out.w(2, "engine._idle_stalls = stalls - _stalls")
+    out.w(2, "return 0")
     out.w(0, "")
     out.w(1, "return run_cycles")
 

@@ -8,19 +8,23 @@ it to this net's live objects
 ``run_cycles(limit)`` function.  The emitted loop owns the per-cycle
 bookkeeping too (cycle counters, idle accounting), so the shared run loop
 of :class:`~repro.core.engine.SimulationEngine` hands it whole busy
-stretches through :meth:`GeneratedEngine._advance`.  Everything else —
-the run loop's limit checks, halt/drain detection, flush and emission
-services — is inherited, and the statistics are bit-identical to the
-interpreted reference; only wall-clock time may differ.
+stretches through :meth:`GeneratedEngine._advance`.  The loop counts in
+locals and adds its counts into ``stats`` when a stretch ends (and
+before a call to a hook that may read them), so the statistics are exact
+whenever the run loop or such a hook looks.  Everything else — the run
+loop's limit checks, halt/drain detection, flush and emission services —
+is inherited, and the statistics are bit-identical to the interpreted
+reference; only wall-clock time may differ.
 
 The emitted cycle body is straight-line code over preallocated objects,
-so no active-place worklist is needed: an idle place costs one attribute
-load and a truth test.  A whole idle pipeline costs less still: after a
-cycle in which nothing fired, the engine jumps to the next cycle in which
-a resident token becomes ready (:meth:`GeneratedEngine._fast_forward`)
-and accounts the skipped cycles' stalls and occupancy in one go.
-Reservation tokens are pooled (the emitted fire bodies draw from
-``_reservation_pool``).
+so no active-place worklist is needed: an idle place costs one local load
+and a truth test (each place's token list is bound once, which is why
+places never rebind their lists).  A whole idle pipeline costs less
+still: after a cycle in which nothing fired, the engine jumps to the next
+cycle in which a resident token becomes ready
+(:meth:`GeneratedEngine._fast_forward`) and accounts the skipped cycles'
+stalls and occupancy in one go.  Reservation tokens are pooled (the
+emitted fire bodies draw from ``_reservation_pool``).
 
 Inspecting the generated code::
 
@@ -86,10 +90,10 @@ class GeneratedEngine(SimulationEngine):
 
         ``run_cycles`` simulates at least one cycle and returns after the
         first idle one, on reaching ``limit`` or once a halt is requested,
-        with the last cycle's firing count.  It keeps ``cycle``,
-        ``stats.cycles``, ``_idle_cycles`` and — for :meth:`_fast_forward`
-        — the idle cycle's stall count and ``_cycle_read`` exactly as
-        cycle-by-cycle stepping would.
+        with the last cycle's firing count.  On return it has left
+        ``cycle``, every statistic, ``_idle_cycles`` and — for
+        :meth:`_fast_forward` — the idle cycle's stall count and
+        ``_cycle_read`` exactly as cycle-by-cycle stepping would.
         """
         self._fired_this_cycle = self._run_cycles(limit)
 

@@ -140,6 +140,14 @@ class EngineContext:
     def stats(self):
         """The engine's statistics.
 
+        The counters are exact between the engine's stretches of cycles and
+        whenever a hook that may read them runs.  The generated engine keeps
+        them in locals of its cycle loop and adds them in at the end of a
+        stretch, and before each call to a hook that is not a template or
+        whose template source names ``stats``; a hook reaching the
+        statistics by another path (``engine.stats``, a saved reference)
+        may see them short mid-stretch.
+
         ``stats.cycles`` is not a clock for guards: reading it does not mark
         the step, so the generated engine may skip the idle cycles such a
         guard is waiting on.  Use :attr:`cycle`.

@@ -260,8 +260,8 @@ class RCPN:
         the :class:`~repro.describe.substrate.Processor` facade's business.
         """
         for place in self.places.values():
-            place.tokens = []
-            place.pending = []
+            place.tokens.clear()
+            place.pending.clear()
         for stage in self.stages.values():
             stage.reset()
         for regfile in self.register_files.values():

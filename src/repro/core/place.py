@@ -22,6 +22,9 @@ class Place:
     ``two_list`` places implement the master/slave (two-storage) scheme the
     paper describes for feedback places: tokens deposited during a cycle are
     buffered and only become visible at the next cycle boundary.
+
+    ``tokens`` and ``pending`` are created once and only ever mutated in
+    place: the generated engine binds both lists when it is built.
     """
 
     __slots__ = ("name", "stage", "subnet", "delay", "two_list", "tokens", "pending", "dispatch")
@@ -83,7 +86,7 @@ class Place:
         """Make tokens deposited last cycle visible (two-list commit)."""
         if self.pending:
             self.tokens.extend(self.pending)
-            self.pending = []
+            self.pending.clear()
 
     def ready_tokens(self, cycle):
         """Instruction and reservation tokens eligible for processing."""
@@ -125,12 +128,12 @@ class Place:
 
     def clear(self):
         """Remove every token (used by flushes and engine reset)."""
-        removed = list(self.tokens) + list(self.pending)
+        removed = self.tokens + self.pending
         for token in removed:
             token.place = None
         count = len(removed)
-        self.tokens = []
-        self.pending = []
+        self.tokens.clear()
+        self.pending.clear()
         if count:
             self.stage.release(count)
         return removed

@@ -58,10 +58,15 @@ from repro.isa.registers import PC
 #: Names of the emitted cycle loop's own state; a template temporary may
 #: not reuse one (the splice would clobber it).
 RESERVED_NAMES = frozenset((
-    "cycle", "stats", "tf", "rbc", "fired", "limit", "engine", "pool", "drain",
-    "deposit", "entry_places", "entry_place_for", "trace_token", "_t", "_oc",
-    "_d", "_q", "_r", "_n", "_st", "_stalls", "_hc", "_tm",
+    "cycle", "cycle0", "idle0", "stats", "tf", "rbc", "fired", "limit", "engine",
+    "pool", "drain", "deposit", "entry_places", "entry_place_for", "trace_token",
+    "stalls", "instructions", "generated_tokens", "_oc", "_d", "_q", "_r", "_n",
+    "_st", "_stalls", "_hc", "_tm",
 ))
+
+#: The loop's indexed names: run-local counters (``tf3``, ``rbc0``), place
+#: token lists (``p3t``, ``p3p``) and the bound places, stages and hooks.
+RESERVED_INDEXED = re.compile(r"(?:tf|rbc|[psgac])\d+[tp]?|hc[ga]\d+")
 
 _NAME = re.compile(r"\b[A-Za-z_]\w*\b")
 _STATEMENT = re.compile(r"^(\s*)@(\w+)\((.*)\)\s*$")
@@ -203,7 +208,7 @@ if _ep is None:
     _ep = entry_place_for({token}.opclass)
 if trace_token is not None:
     trace_token(cycle, {token}, None)
-stats.generated_tokens += 1
+generated_tokens += 1
 _es = _ep.stage
 if _es.capacity is None or _es._occupancy >= _es.capacity:
     deposit({token}, _ep, {delay})
@@ -294,7 +299,7 @@ class HookTemplate:
     it (see :mod:`repro.describe.semantics` for which hooks, and why).
     """
 
-    __slots__ = ("key", "guard", "action", "inline", "factory", "renderings")
+    __slots__ = ("key", "guard", "action", "inline", "factory", "renderings", "reads_stats")
 
     def __init__(self, key, guard=None, action=None, inline=True):
         self.key = key
@@ -304,6 +309,8 @@ class HookTemplate:
         self.renderings = {}
         self.guard = " ".join(line.strip() for line in guard.splitlines()).strip() if guard else None
         self.action = action.strip("\n") if action and action.strip() else None
+        #: True when the source names ``stats`` (``ctx.stats``, say).
+        self.reads_stats = "stats" in _NAME.findall("%s\n%s" % (self.guard or "", self.action or ""))
 
     @property
     def writes_delay(self):
@@ -347,13 +354,17 @@ def render(template, mode, delay=0):
 
     ``mode`` is ``"closure"`` or ``"splice"``; ``delay`` is the firing
     transition's delay, which only a spliced ``@emit`` reads.  Memoised on
-    the template.
+    the template.  The closure rendering, which is the template's own text,
+    is checked for temporaries that would clobber the loop's state; the
+    spliced ``@emit`` is the loop's own code and updates its counter.
     """
     rendering = template.renderings.get((mode, delay))
     if rendering is None:
         if mode == "closure":
             emit = _emit_queued
         else:
+            render(template, "closure")
+
             def emit(token):
                 return _emit_delivered(token, delay)
         guard = _expand_expression(template.guard) if template.guard else None
@@ -361,9 +372,10 @@ def render(template, mode, delay=0):
         guard_names = frozenset(_NAME.findall(guard or ""))
         action_text = "\n".join(action or ())
         action_names = frozenset(_NAME.findall(action_text))
-        clashes = sorted(
-            name for name in (guard_names | action_names) & RESERVED_NAMES
-            if re.search(r"\b%s\s*(?::=|=(?!=)|\+=|-=)" % re.escape(name), action_text + (guard or ""))
+        clashes = mode == "closure" and sorted(
+            name for name in guard_names | action_names
+            if (name in RESERVED_NAMES or RESERVED_INDEXED.fullmatch(name))
+            and re.search(r"\b%s\s*(?::=|=(?!=)|\+=|-=)" % re.escape(name), action_text + (guard or ""))
         )
         if clashes:
             raise ValueError(

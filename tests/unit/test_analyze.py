@@ -457,7 +457,7 @@ def test_sv002_dispatch_branch_tamper_detected():
 
 def test_sv003_place_order_tamper_detected():
     engine = _engine()
-    source = engine.source.replace("_t = p0.tokens", "_t = p99.tokens", 1)
+    source = engine.source.replace("if p0t:", "if p99t:", 1)
     assert source != engine.source
     findings = verify_engine(_tampered(engine, source))
     assert "SV003" in rules_of(findings)
@@ -465,7 +465,8 @@ def test_sv003_place_order_tamper_detected():
 
 def test_sv004_missing_firing_site_detected():
     engine = _engine()
-    source = engine.source.replace("tf['D_alu'] += 1", "pass", 1)
+    index = [t.name for t in engine.net.transitions].index("D_alu")
+    source = engine.source.replace("tf%d += 1" % index, "pass", 1)
     assert source != engine.source
     findings = verify_engine(_tampered(engine, source))
     assert "SV004" in rules_of(findings)
@@ -510,6 +511,40 @@ def test_sv007_emit_report_tamper_detected():
     assert source != engine.source
     findings = verify_engine(_tampered(engine, source))
     assert "SV007" in rules_of(findings)
+
+
+def _counter_tamper(line, mutant):
+    engine = _engine()
+    # The finally's lines sit at the try's indent + 4 (12 spaces).
+    source = engine.source.replace("\n" + line + "\n", "\n" + mutant + "\n", 1)
+    assert source != engine.source
+    return [f for f in verify_engine(_tampered(engine, source)) if f.rule == "SV009"]
+
+
+def test_sv009_dropped_write_back_detected():
+    index = [t.name for t in _engine().net.transitions].index("D_alu")
+    findings = _counter_tamper(
+        "            if tf%d:\n                tf['D_alu'] += tf%d" % (index, index),
+        "            if tf%d:\n                pass" % index,
+    )
+    assert [f.location for f in findings] == ["source:counter tf%d" % index]
+
+
+def test_sv009_dropped_zeroing_detected():
+    findings = _counter_tamper("        stalls = 0", "        pass")
+    assert [f.location for f in findings] == ["source:counter stalls"]
+
+
+def test_sv009_wrong_or_repeated_write_back_detected():
+    wrong = _counter_tamper(
+        "            stats.instructions += instructions", "            stats.stalls += instructions"
+    )
+    assert [f.location for f in wrong] == ["source:counter instructions"]
+    twice = _counter_tamper(
+        "            stats.stalls += stalls",
+        "            stats.stalls += stalls\n            stats.stalls += stalls",
+    )
+    assert [f.location for f in twice] == ["source:counter stalls"]
 
 
 # ---------------------------------------------------------------------------

@@ -207,3 +207,18 @@ def test_a_template_closure_is_spliced_unless_marked_called(model):
         for template, call in zip(row, ("g%d(" % index, "a%d(" % index)):
             if template is not None:
                 assert (call in source) == (not template.inline), (transition.name, template)
+
+
+@pytest.mark.parametrize("temporary", ["stalls", "instructions", "tf3", "rbc0", "p2t", "p2p", "cycle0"])
+def test_a_template_temporary_may_not_clobber_the_loop_state(temporary):
+    template = templates.HookTemplate("clobber/" + temporary, action="%s = 0" % temporary)
+    with pytest.raises(ValueError, match="clash"):
+        templates.render(template, "splice")
+
+
+def test_only_templates_naming_stats_need_a_write_back():
+    from repro.describe.semantics import FETCH_TEMPLATES, HOOK_TEMPLATES
+
+    reader = templates.HookTemplate("reader", action="_x = ctx.stats.cycles")
+    assert reader.reads_stats
+    assert not any(t.reads_stats for t in (*HOOK_TEMPLATES.values(), *FETCH_TEMPLATES.values()))
