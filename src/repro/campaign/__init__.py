@@ -15,8 +15,8 @@ generated-over-interpreted speedup) plus CSV/JSON exports.
 
 The layer is fault-tolerant end to end: each store append is one
 ``O_APPEND`` write plus ``fsync``, corrupt lines are quarantined instead
-of raised, failing runs are retried with backoff and persist as
-``"failed"`` records when their budget runs out, and ``compact``/``fsck``
+of raised, a run that raises persists as a ``"failed"`` record (re-executed,
+never served, by the next campaign), and ``compact``/``fsck``
 keep long-lived stores healthy (run ``compact`` between campaigns, not
 beside one; it also folds a store written before 1.17 into
 ``results.jsonl`` once).

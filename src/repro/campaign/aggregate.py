@@ -69,7 +69,7 @@ def result_rows(results):
 
 
 def failure_rows(results):
-    """One row per ``"failed"`` record: what failed, how often, and why."""
+    """One row per ``"failed"`` record: what failed and why."""
     rows = []
     for result in _as_results(results):
         if result.ok:
@@ -81,7 +81,6 @@ def failure_rows(results):
                 "workload": result.workload,
                 "scale": result.scale,
                 "engine": result.engine,
-                "attempts": result.attempts,
                 "error": result.error,
             }
         )

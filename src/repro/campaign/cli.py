@@ -63,18 +63,6 @@ def _grid_arguments(parser):
     parser.add_argument(
         "--max-instructions", type=int, default=None, help="per-run instruction budget"
     )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=0,
-        help="per-run retry budget before a run is recorded as failed",
-    )
-    parser.add_argument(
-        "--retry-backoff",
-        type=float,
-        default=0.1,
-        help="base seconds between retry rounds (doubles each round)",
-    )
 
 
 def _scales(value):
@@ -112,8 +100,6 @@ def _spec_from_args(args):
             repeats=args.repeats,
             max_cycles=args.max_cycles,
             max_instructions=args.max_instructions,
-            max_retries=args.max_retries,
-            retry_backoff_seconds=args.retry_backoff,
         )
         spec.validate()
     # Resolve registry names now, while we are still parsing arguments:
@@ -148,10 +134,7 @@ def _command_run(args, out):
 
     def progress(result):
         if not result.ok:
-            out.write(
-                "  [FAILED after %d attempt(s)] %s: %s\n"
-                % (result.attempts, result.run_id, result.error)
-            )
+            out.write("  [FAILED] %s: %s\n" % (result.run_id, result.error))
             out.flush()
             return
         origin = "store" if result.cached else "pid %d" % result.worker_pid
@@ -190,7 +173,7 @@ def _command_status(args, out):
             pending.append(run)
         elif hit.ok:
             done.append(run)
-        else:  # a stored failure row: a re-run will retry it
+        else:  # a stored failure row: a re-run re-executes it
             failed.append((run, hit))
             pending.append(run)
     out.write(
@@ -205,7 +188,7 @@ def _command_status(args, out):
         )
     )
     for run, hit in failed:
-        out.write("  failed %s (%d attempt(s)): %s\n" % (run.run_id, hit.attempts, hit.error))
+        out.write("  failed %s: %s\n" % (run.run_id, hit.error))
     for run in pending:
         out.write("  pending %s\n" % run.run_id)
     quarantined = store.quarantined()
@@ -267,7 +250,7 @@ def _command_report(args, out):
         out.write(aggregate.render(summary) + "\n")
     failures = aggregate.failure_rows(results)
     if failures:
-        out.write("\nfailed runs (retried on the next `run` against this store):\n")
+        out.write("\nfailed runs (re-executed by the next `run` against this store):\n")
         out.write(aggregate.render(failures) + "\n")
     caches = aggregate.cache_table(results, by=by)
     if caches:
@@ -378,8 +361,8 @@ def build_parser():
     run.add_argument(
         "--keep-going",
         action="store_true",
-        help="finish the whole grid (and every retry) before reporting "
-        "collected failures, instead of stopping at the first one",
+        help="finish the whole grid before reporting collected failures, "
+        "instead of stopping at the first one",
     )
     run.set_defaults(handler=_command_run)
 

@@ -19,17 +19,16 @@ multiprocessing guard), which the CLI and pytest entry points are.
 Workers never touch the store: they return results, and only the
 orchestrating process appends them to the store's ``results.jsonl``.
 
-Failures are first-class, not fatal.  A failing run is isolated and
-retried up to ``CampaignSpec.max_retries`` times with exponential backoff
-(``retry_backoff_seconds * 2**round`` between retry rounds).  A run that
-exhausts its budget becomes a ``"failed"`` record in the store — error
-and traceback included, visible in ``status``/``report`` — and the
-campaign raises a collected :class:`CampaignError`: immediately after the
-in-flight round by default, or only after the whole grid (and every
-retry) finished when ``keep_going=True`` (CLI ``--keep-going``).  Failed
+Failures are first-class, not fatal.  A run that raises is isolated on
+its worker, which returns it as a ``"failed"`` record — error and
+traceback included, visible in ``status``/``report`` — and the campaign
+raises a collected :class:`CampaignError`: at the first failed run by
+default, or only after the whole grid finished when ``keep_going=True``
+(CLI ``--keep-going``).  The simulator is deterministic, so a run is
+executed once per invocation: re-executing it would raise again.  Failed
 store records never satisfy a cache lookup, so re-running the campaign
-retries exactly the failed fingerprints and a success overwrites the
-failure row.
+(after fixing the fault) re-executes exactly the failed fingerprints and
+a success overwrites the failure row.
 """
 
 from __future__ import annotations
@@ -83,12 +82,9 @@ def build_run_processor(run):
     )
 
 
-def _result_for(run, processor, wall, campaign):
-    """Assemble the :class:`RunResult` for one completed run."""
-    stats = processor.stats
-    summary = stats.summary()
-    summary["retired_by_class"] = dict(stats.retired_by_class)
-    return RunResult(
+def _identity_fields(run, campaign):
+    """The :class:`RunResult` fields naming ``run``, stamped with this process's pid."""
+    return dict(
         fingerprint=run.fingerprint(),
         campaign=campaign,
         run_id=run.run_id,
@@ -98,6 +94,17 @@ def _result_for(run, processor, wall, campaign):
         engine=run.engine.label,
         backend=run.engine.backend,
         repeat=run.repeat,
+        worker_pid=os.getpid(),
+    )
+
+
+def _result_for(run, processor, wall, campaign):
+    """Assemble the :class:`RunResult` for one completed run."""
+    stats = processor.stats
+    summary = stats.summary()
+    summary["retired_by_class"] = dict(stats.retired_by_class)
+    return RunResult(
+        **_identity_fields(run, campaign),
         cycles=stats.cycles,
         instructions=stats.instructions,
         final_r0=processor.register(0),
@@ -106,7 +113,6 @@ def _result_for(run, processor, wall, campaign):
         stats=summary,
         generation=processor.generation_report.summary(),
         memory=processor.memory.statistics_summary(),
-        worker_pid=os.getpid(),
     )
 
 
@@ -129,40 +135,6 @@ def execute_run(run, campaign=""):
     return _result_for(run, processor, wall, campaign)
 
 
-@dataclass
-class _RunFailure:
-    """A worker-side exception, reduced to picklable data."""
-
-    run_id: str
-    error: str
-    details: str
-
-
-def _failure_result(run, failure, campaign, attempts):
-    """The persistent ``"failed"`` store record for an exhausted run."""
-    return RunResult(
-        fingerprint=run.fingerprint(),
-        campaign=campaign,
-        run_id=run.run_id,
-        processor=run.processor,
-        workload=run.workload,
-        scale=run.scale,
-        engine=run.engine.label,
-        backend=run.engine.backend,
-        repeat=run.repeat,
-        cycles=0,
-        instructions=0,
-        final_r0=0,
-        finish_reason="error",
-        wall_seconds=0.0,
-        worker_pid=os.getpid(),
-        kind=KIND_FAILED,
-        error=failure.error,
-        error_details=failure.details,
-        attempts=attempts,
-    )
-
-
 def _pool_init(sys_path):
     # Spawned workers start a fresh interpreter that knows nothing about a
     # PYTHONPATH=src-style parent; mirroring the parent's sys.path makes the
@@ -171,15 +143,21 @@ def _pool_init(sys_path):
 
 
 def _pool_worker(payload):
-    """Execute one run: its :class:`RunResult`, or a :class:`_RunFailure`."""
+    """Execute one run: its :class:`RunResult`, or its ``"failed"`` record."""
     run, campaign = payload
     try:
         return execute_run(run, campaign=campaign)
-    except Exception as error:  # isolated and retried by run_campaign
-        return _RunFailure(
-            run_id=run.run_id,
+    except Exception as error:  # isolated: the failure becomes a store row
+        return RunResult(
+            **_identity_fields(run, campaign),
+            cycles=0,
+            instructions=0,
+            final_r0=0,
+            finish_reason="error",
+            wall_seconds=0.0,
+            kind=KIND_FAILED,
             error="%s: %s" % (type(error).__name__, error),
-            details=traceback.format_exc(),
+            error_details=traceback.format_exc(),
         )
 
 
@@ -239,18 +217,17 @@ def run_campaign(
     ``store`` is a :class:`ResultStore`, a directory path, or ``None`` for
     a purely in-memory campaign.  Runs whose fingerprint the store already
     holds as a *successful* record are served from it without simulating
-    (a stored ``"failed"`` record is retried instead); everything else
+    (a stored ``"failed"`` record is re-executed instead); everything else
     executes on a pool of ``max_workers`` processes (default: one per host
     CPU, capped by the number of pending runs; ``1`` stays in-process).
     ``progress``, when given, is called as ``progress(result)`` after each
-    run completes, fails permanently, or is served from the store.
+    run completes, fails, or is served from the store.
 
-    Failure policy: failing runs are retried up to ``spec.max_retries`` times
-    with exponential backoff, and runs that exhaust the budget are
-    persisted as ``"failed"`` records before a collected
-    :class:`CampaignError` is raised.  ``keep_going=False`` (default)
-    stops launching further work once any run has permanently failed;
-    ``keep_going=True`` finishes the whole grid and every retry first.
+    Failure policy: a run that raises is persisted as a ``"failed"``
+    record, and a collected :class:`CampaignError` is raised once the
+    campaign stops.  ``keep_going=False`` (default) stops at the first
+    failed run — on a pool, leaving it terminates the runs still in
+    flight; ``keep_going=True`` finishes the whole grid first.
 
     ``metrics`` is an optional
     :class:`~repro.observe.metrics.MetricsRegistry` to record into (one is
@@ -282,11 +259,8 @@ def run_campaign(
     run_wall = registry.histogram(
         "campaign.run.wall_seconds", "per-run host wall-time of executed runs"
     )
-    retry_counter = registry.counter(
-        "campaign.run.retries", "budget-charged re-executions of failing runs"
-    )
     failure_counter = registry.counter(
-        "campaign.run.failures", "runs that exhausted their retry budget"
+        "campaign.run.failures", "runs that raised (persisted as failed rows)"
     )
 
     pending = []
@@ -304,10 +278,10 @@ def run_campaign(
             if progress is not None:
                 progress(hit)
         else:
-            if hit is not None:  # a stored failure row: retry, never serve
+            if hit is not None:  # a stored failure row: re-execute, never serve
                 registry.counter(
                     "campaign.store.failed_retried",
-                    "stored failure rows retried instead of served",
+                    "stored failure rows re-executed instead of served",
                 ).inc()
             store_misses.inc()
             pending.append((fingerprint, run))
@@ -317,12 +291,16 @@ def run_campaign(
     registry.gauge("campaign.units", "runs executed this invocation").set(len(pending))
     registry.gauge("campaign.workers.max", "worker-pool size").set(max_workers)
     fingerprint_of = {run.run_id: fp for fp, run in pending}
-    run_by_id = {run.run_id: run for _, run in pending}
     worker_runs = {}
+    failures = []
 
     def record(result):
         by_fingerprint[fingerprint_of[result.run_id]] = result
-        run_wall.observe(result.wall_seconds)
+        if result.ok:
+            run_wall.observe(result.wall_seconds)
+        else:
+            failure_counter.inc()
+            failures.append(result)
         worker_runs[result.worker_pid] = worker_runs.get(result.worker_pid, 0) + 1
         _record_generation_metrics(registry, result.generation)
         if store is not None:
@@ -330,57 +308,25 @@ def run_campaign(
         if progress is not None:
             progress(result)
 
-    attempts = {}  # run_id -> budget-charged re-executions so far
-    final_failures = []  # (run, _RunFailure) pairs past their budget
     with registry.timer(
         "campaign.phase.execute_seconds", "wall time executing pending runs"
-    ):
-        pending_runs = [run for _, run in pending]
-        round_index = 0
-        stop = False
-        while pending_runs and not stop:
-            next_runs = []
-            newly_final = []
-
-            def handle(out):
-                if not isinstance(out, _RunFailure):
-                    record(out)
-                    return
-                run = run_by_id[out.run_id]
-                used = attempts.get(out.run_id, 0)
-                if used < spec.max_retries:
-                    attempts[out.run_id] = used + 1
-                    retry_counter.inc()
-                    next_runs.append(run)
-                else:
-                    newly_final.append((run, out))
-
-            if max_workers <= 1 or len(pending_runs) == 1:
-                for run in pending_runs:
-                    handle(_pool_worker((run, spec.name)))
-                    if newly_final and not keep_going:
-                        stop = True
-                        break
-            else:
-                context = multiprocessing.get_context(mp_context)
-                payloads = [(run, spec.name) for run in pending_runs]
-                with context.Pool(
+    ), contextlib.ExitStack() as stack:
+        payloads = [(run, spec.name) for _, run in pending]
+        if max_workers <= 1 or len(payloads) <= 1:
+            outcomes = map(_pool_worker, payloads)
+        else:
+            pool = stack.enter_context(
+                multiprocessing.get_context(mp_context).Pool(
                     processes=max_workers,
                     initializer=_pool_init,
                     initargs=(list(sys.path),),
-                ) as pool:
-                    for out in pool.imap_unordered(_pool_worker, payloads):
-                        handle(out)
-                if newly_final and not keep_going:
-                    stop = True
-
-            final_failures.extend(newly_final)
-            if stop or not next_runs:
-                break
-            if spec.retry_backoff_seconds > 0:
-                time.sleep(spec.retry_backoff_seconds * (2**round_index))
-            pending_runs = next_runs
-            round_index += 1
+                )
+            )
+            outcomes = pool.imap_unordered(_pool_worker, payloads)
+        for result in outcomes:
+            record(result)
+            if not result.ok and not keep_going:
+                break  # leaving the pool's block terminates it
 
     if worker_runs:
         utilisation = registry.histogram(
@@ -391,16 +337,6 @@ def run_campaign(
         registry.gauge(
             "campaign.workers.used", "distinct worker processes that returned results"
         ).set(len(worker_runs))
-
-    for run, failure in final_failures:
-        failure_counter.inc()
-        failed = _failure_result(
-            run, failure, spec.name, attempts.get(run.run_id, 0) + 1
-        )
-        if store is not None:
-            store.append(failed)
-        if progress is not None:
-            progress(failed)
 
     wall = time.perf_counter() - start
     registry.gauge("campaign.wall_seconds", "total campaign wall time").set(wall)
@@ -413,18 +349,18 @@ def run_campaign(
     if store is not None:
         _persist_metrics(store, snapshot)
 
-    if final_failures:
+    if failures:
         lines = [
             "campaign %r: %d run(s) failed%s"
             % (
                 spec.name,
-                len(final_failures),
+                len(failures),
                 "" if keep_going else " (re-run with keep_going to finish the grid)",
             )
         ]
-        for _run, failure in final_failures:
+        for failure in failures:
             lines.append("  %s: %s" % (failure.run_id, failure.error))
-        lines.append(final_failures[0][1].details)
+        lines.append(failures[0].error_details)
         raise CampaignError("\n".join(lines))
 
     results = tuple(by_fingerprint[run.fingerprint()] for run in plan.runs)

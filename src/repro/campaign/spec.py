@@ -220,11 +220,6 @@ class CampaignSpec:
     * ``max_cycles`` / ``max_instructions`` — per-run simulation budgets;
     * ``repeats`` — how many times each grid point runs (each repeat is a
       distinct fingerprint, for wall-clock variance studies);
-    * ``max_retries`` — how many times the runner re-executes a failing
-      run before recording it as failed (the retry budget; retries sleep
-      ``retry_backoff_seconds * 2**round`` between rounds).  Execution
-      policy only: neither knob participates in run fingerprints, so
-      changing them never invalidates a store;
     * ``runs`` — explicit :class:`RunSpec`s appended verbatim after the grid.
 
     Pairings a model's ISA subset cannot execute are dropped at planning
@@ -239,8 +234,6 @@ class CampaignSpec:
     max_cycles: int = None
     max_instructions: int = None
     repeats: int = 1
-    max_retries: int = 0
-    retry_backoff_seconds: float = 0.1
     runs: tuple = ()
     description: str = ""
 
@@ -282,18 +275,6 @@ class CampaignSpec:
             problems.append("duplicate engine-variant labels: %s" % ", ".join(labels))
         if not isinstance(self.repeats, int) or self.repeats < 1:
             problems.append("bad repeats %r (need a positive integer)" % (self.repeats,))
-        if not isinstance(self.max_retries, int) or self.max_retries < 0:
-            problems.append(
-                "bad max_retries %r (need a non-negative integer)" % (self.max_retries,)
-            )
-        if (
-            not isinstance(self.retry_backoff_seconds, (int, float))
-            or self.retry_backoff_seconds < 0
-        ):
-            problems.append(
-                "bad retry_backoff_seconds %r (need a non-negative number)"
-                % (self.retry_backoff_seconds,)
-            )
         for run in self.runs:
             if not isinstance(run, RunSpec):
                 problems.append("explicit run %r is not a RunSpec" % (run,))
@@ -337,8 +318,6 @@ class CampaignSpec:
                 for variant in self.engine_variants()
             ],
             "repeats": self.repeats,
-            "max_retries": self.max_retries,
-            "retry_backoff_seconds": self.retry_backoff_seconds,
             "description": self.description,
         }
         if self.max_cycles is not None:
@@ -349,7 +328,11 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data):
-        """Rebuild a grid campaign from :meth:`to_dict` output (or CLI JSON)."""
+        """Rebuild a grid campaign from :meth:`to_dict` output (or CLI JSON).
+
+        Only known keys are read, so spec files written by older versions,
+        with knobs since retired, load unchanged.
+        """
         engines = []
         for entry in data.get("engines", ("interpreted",)):
             if isinstance(entry, str):
@@ -379,8 +362,6 @@ class CampaignSpec:
             max_cycles=data.get("max_cycles"),
             max_instructions=data.get("max_instructions"),
             repeats=data.get("repeats", 1),
-            max_retries=data.get("max_retries", 0),
-            retry_backoff_seconds=data.get("retry_backoff_seconds", 0.1),
             description=data.get("description", ""),
         )
         spec.validate()

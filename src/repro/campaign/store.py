@@ -32,10 +32,10 @@ with a :class:`ValueError` naming ``compact``, which folds it into
 ``results.jsonl`` once.
 
 Failed runs are persisted too: a :class:`RunResult` whose ``kind`` is
-``"failed"`` carries the error and traceback of a run that exhausted its
-retry budget, so ``status``/``report`` can show failure rows.  A failed
-record never satisfies a cache lookup in the runner — re-running the
-campaign retries the run, and a success overwrites the failure by the
+``"failed"`` carries the error and traceback of a run that raised, so
+``status``/``report`` can show failure rows.  A failed record never
+satisfies a cache lookup in the runner — re-running the campaign
+re-executes the run, and a success overwrites the failure by the
 last-line-wins rule.
 """
 
@@ -73,8 +73,9 @@ class RunResult:
 
     ``kind`` distinguishes successful ``"result"`` records from
     ``"failed"`` ones; a failed record holds the error summary and full
-    traceback in ``error``/``error_details`` and the number of
-    ``attempts`` the runner spent before giving up.
+    traceback in ``error``/``error_details``.  Unknown fields are dropped
+    on load, so rows written by older versions, with fields since retired,
+    still load.
     """
 
     fingerprint: str
@@ -99,7 +100,6 @@ class RunResult:
     kind: str = KIND_RESULT
     error: str = ""
     error_details: str = ""
-    attempts: int = 1
 
     @property
     def ok(self):

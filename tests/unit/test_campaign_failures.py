@@ -1,14 +1,17 @@
 """Failure isolation in the campaign runner (and its CLI surface).
 
-Failures are first-class: a failing run is retried with a budget
-(``CampaignSpec.max_retries``), runs that exhaust the budget persist as
-``"failed"`` store records (visible in ``status``/``report``, never
-served as cache hits), and ``keep_going`` finishes the whole grid before
-the collected :class:`CampaignError` is raised.
+Failures are first-class: a run that raises executes once and persists as
+a ``"failed"`` store record (visible in ``status``/``report``, never
+served as cache hits), the default stops the campaign — in process or on
+a pool — at the first failed run, and ``keep_going`` finishes the whole
+grid before the collected :class:`CampaignError` is raised.
 """
 
 import io
 import json
+import multiprocessing
+import os
+import time
 
 import pytest
 
@@ -21,28 +24,38 @@ from repro.campaign import (
 )
 from repro.campaign import runner as runner_module
 from repro.campaign.cli import main as cli_main
-from repro.observe.metrics import snapshot_value
+from repro.observe.metrics import MetricsRegistry, snapshot_value
+
+CRC = "arm7-mini/crc@1/interpreted"
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the pooled tests inject their executor into forked workers",
+)
 
 
-def _spec(workloads=("crc",), max_retries=0, **kwargs):
+def _spec(workloads=("crc",), **kwargs):
     return CampaignSpec(
         name="faulty",
         processors=("arm7-mini",),
         workloads=workloads,
         engines=("interpreted",),
-        max_retries=max_retries,
-        retry_backoff_seconds=0.0,  # tests must not sleep
         **kwargs,
     )
 
 
 class _FlakyExecutor:
-    """Delegate to the real ``execute_run`` after ``failures`` induced errors."""
+    """Delegate to the real ``execute_run`` after ``failures`` induced errors.
 
-    def __init__(self, real, fail_run_ids, failures):
+    ``delay`` seconds pass before each run that is not failed, so a pooled
+    failure arrives while its siblings are still in flight.
+    """
+
+    def __init__(self, real, fail_run_ids, failures, delay=0.0):
         self.real = real
         self.fail_run_ids = set(fail_run_ids)
         self.budget = {run_id: failures for run_id in self.fail_run_ids}
+        self.delay = delay
         self.calls = []
 
     def __call__(self, run, campaign=""):
@@ -50,14 +63,15 @@ class _FlakyExecutor:
         if self.budget.get(run.run_id, 0) > 0:
             self.budget[run.run_id] -= 1
             raise RuntimeError("injected fault in %s" % run.run_id)
+        time.sleep(self.delay)
         return self.real(run, campaign=campaign)
 
 
 @pytest.fixture
 def flaky(monkeypatch):
-    def install(fail_run_ids, failures):
+    def install(fail_run_ids, failures, delay=0.0):
         executor = _FlakyExecutor(
-            runner_module.execute_run, fail_run_ids, failures
+            runner_module.execute_run, fail_run_ids, failures, delay
         )
         monkeypatch.setattr(runner_module, "execute_run", executor)
         return executor
@@ -66,33 +80,49 @@ def flaky(monkeypatch):
 
 
 class TestRetries:
+    """A failing run gets no second attempt within its campaign; the next
+    campaign re-executes its stored failure."""
+
+    @needs_fork
     def test_transient_failure_is_retried_and_succeeds(self, flaky, tmp_path):
-        executor = flaky(["arm7-mini/crc@1/interpreted"], failures=2)
-        report = run_campaign(
-            _spec(max_retries=2), store=tmp_path / "store", max_workers=1
+        executor = flaky([CRC, "arm7-mini/adpcm@1/interpreted"], failures=99)
+        spec = _spec(workloads=("crc", "compress", "adpcm"))
+        with pytest.raises(CampaignError, match=r"2 run\(s\) failed"):
+            run_campaign(
+                spec, store=tmp_path / "store", max_workers=2, mp_context="fork",
+                keep_going=True,
+            )
+
+        executor.budget.clear()  # the fault clears before the next pool forks
+        clear = run_campaign(
+            spec, store=tmp_path / "store", max_workers=2, mp_context="fork"
         )
-        assert report.executed == 1
-        assert report.results[0].ok
-        assert executor.calls.count("arm7-mini/crc@1/interpreted") == 3
-        assert snapshot_value(report.metrics, "campaign.run.retries") == 2
-        assert snapshot_value(report.metrics, "campaign.run.failures") == 0
+        assert clear.executed == 2 and clear.cached == 1  # only the failures rerun
+        assert all(result.ok for result in clear.results)
+        assert snapshot_value(clear.metrics, "campaign.store.failed_retried") == 2
+        assert snapshot_value(clear.metrics, "campaign.run.failures") == 0
 
     def test_retry_budget_is_a_hard_ceiling(self, flaky, tmp_path):
-        executor = flaky(["arm7-mini/crc@1/interpreted"], failures=99)
-        with pytest.raises(CampaignError, match="injected fault"):
-            run_campaign(_spec(max_retries=2), store=tmp_path / "store", max_workers=1)
-        assert executor.calls.count("arm7-mini/crc@1/interpreted") == 3  # 1 + 2 retries
+        executor = flaky([CRC], failures=99)
+        for campaign in range(3):
+            with pytest.raises(CampaignError, match="injected fault"):
+                run_campaign(_spec(), store=tmp_path / "store", max_workers=1)
+            # One execution per campaign: no retry rounds pile up.
+            assert executor.calls == [CRC] * (campaign + 1)
+        store = ResultStore(tmp_path / "store")
+        assert len(store) == 1  # each failure row overwrote the last
+        assert not store.results()[0].ok
 
     def test_exhausted_run_persists_a_failed_record(self, flaky, tmp_path):
-        flaky(["arm7-mini/crc@1/interpreted"], failures=99)
+        executor = flaky(["arm7-mini/crc@1/interpreted"], failures=99)
         with pytest.raises(CampaignError):
-            run_campaign(_spec(max_retries=1), store=tmp_path / "store", max_workers=1)
+            run_campaign(_spec(), store=tmp_path / "store", max_workers=1)
+        assert executor.calls == ["arm7-mini/crc@1/interpreted"]  # executed once
         store = ResultStore(tmp_path / "store")
         assert len(store) == 1
         failed = store.results()[0]
         assert not failed.ok
         assert failed.kind == "failed"
-        assert failed.attempts == 2
         assert "injected fault" in failed.error
         assert "RuntimeError" in failed.error_details  # full traceback rides along
 
@@ -162,34 +192,128 @@ class TestKeepGoing:
         assert all(row["error"].startswith("RuntimeError") for row in rows)
 
 
+@needs_fork
+class TestPooledFailures:
+    def test_default_stops_a_pooled_campaign_at_the_first_failure(
+        self, flaky, tmp_path
+    ):
+        flaky([CRC], failures=99, delay=0.3)
+        spec = _spec(workloads=("crc", "compress", "adpcm", "blowfish"), repeats=2)
+        with pytest.raises(CampaignError, match="keep_going"):
+            run_campaign(
+                spec, store=tmp_path / "store", max_workers=2, mp_context="fork"
+            )
+        by_run = {result.run_id: result for result in ResultStore(tmp_path / "store").results()}
+        assert not by_run[CRC].ok
+        # 7 siblings were queued behind the failure; the pool was terminated.
+        assert sum(result.ok for result in by_run.values()) < 7
+
+    def test_failed_row_records_its_worker_and_no_wall_sample(self, flaky, tmp_path):
+        flaky([CRC], failures=99)
+        registry = MetricsRegistry()
+        with pytest.raises(CampaignError, match=r"1 run\(s\) failed"):
+            run_campaign(
+                _spec(workloads=("crc", "compress", "adpcm")),
+                store=tmp_path / "store",
+                max_workers=2,
+                mp_context="fork",
+                metrics=registry,
+                keep_going=True,
+            )
+        by_run = {result.run_id: result for result in ResultStore(tmp_path / "store").results()}
+        assert len(by_run) == 3
+        assert by_run[CRC].worker_pid not in (0, os.getpid())  # built on the worker
+        snapshot = registry.snapshot()
+        assert snapshot_value(snapshot, "campaign.run.failures") == 1
+        assert snapshot_value(snapshot, "campaign.run.wall_seconds") == 2  # successes only
+
+
 class TestSpecKnobs:
+    """The retired retry knobs, as spec-file input: read past, never kept."""
+
+    def _legacy(self, max_retries):
+        return CampaignSpec.from_dict(
+            {
+                **_spec(workloads=("crc", "compress")).to_dict(),
+                "max_retries": max_retries,
+                "retry_backoff_seconds": 0.0,
+            }
+        )
+
     def test_retry_knobs_round_trip_through_dict(self):
-        spec = _spec(max_retries=3)
-        rebuilt = CampaignSpec.from_dict(spec.to_dict())
-        assert rebuilt.max_retries == 3
-        assert rebuilt.retry_backoff_seconds == 0.0
+        legacy = self._legacy(3)
+        data = legacy.to_dict()
+        assert "max_retries" not in data
+        assert "retry_backoff_seconds" not in data
+        assert CampaignSpec.from_dict(data) == legacy
 
-    @pytest.mark.parametrize(
-        "kwargs,needle",
-        [
-            (dict(max_retries=-1), "bad max_retries"),
-            (dict(max_retries=1.5), "bad max_retries"),
-            (dict(retry_backoff_seconds=-0.1), "bad retry_backoff_seconds"),
-        ],
-    )
-    def test_bad_retry_knobs_are_rejected(self, kwargs, needle):
-        spec = CampaignSpec(name="x", processors=("strongarm",), **kwargs)
-        with pytest.raises(CampaignError, match=needle):
-            spec.validate()
-
-    def test_retry_knobs_do_not_change_fingerprints(self, tmp_path):
+    def test_retry_knobs_do_not_change_fingerprints(self):
         from repro.campaign import plan_campaign
 
-        lax = _spec(max_retries=0)
-        strict = _spec(max_retries=5)
-        assert (
-            plan_campaign(lax).fingerprints == plan_campaign(strict).fingerprints
+        lax = plan_campaign(self._legacy(0)).fingerprints
+        strict = plan_campaign(self._legacy(5)).fingerprints
+        plain = plan_campaign(_spec(workloads=("crc", "compress"))).fingerprints
+        assert lax == strict == plain
+
+
+class TestLegacyInputs:
+    """Spec files and store rows written while campaigns had retry rounds."""
+
+    LEGACY_KNOBS = {"max_retries": 3, "retry_backoff_seconds": 0.5}
+
+    def _data(self):
+        return _spec(workloads=("crc", "compress")).to_dict()
+
+    def test_spec_dict_with_retry_knobs_loads_unchanged(self):
+        from repro.campaign import plan_campaign
+
+        plain = CampaignSpec.from_dict(self._data())
+        legacy = CampaignSpec.from_dict({**self._data(), **self.LEGACY_KNOBS})
+        assert legacy == plain
+        assert plan_campaign(legacy).fingerprints == plan_campaign(plain).fingerprints
+
+    def test_run_accepts_a_spec_file_with_retry_knobs(self, tmp_path):
+        spec_path = tmp_path / "campaign.json"
+        spec_path.write_text(json.dumps({**self._data(), **self.LEGACY_KNOBS}))
+        out = io.StringIO()
+        code = cli_main(
+            ["run", "--spec", str(spec_path), "--store", str(tmp_path / "store"),
+             "--max-workers", "1"],
+            out,
         )
+        assert code == 0, out.getvalue()
+        assert "2 executed" in out.getvalue()
+
+    def test_failed_row_with_attempts_loads_and_renders(self, tmp_path):
+        store = tmp_path / "store"
+        grid = TestFailureCli.GRID
+        cli_main(["run", *grid, "--store", str(store), "--max-workers", "1"], io.StringIO())
+        results = store / "results.jsonl"
+        stored = [json.loads(line) for line in results.read_text().splitlines()]
+        row = next(entry for entry in stored if entry["run_id"] == CRC)
+        row.update(
+            kind="failed", cycles=0, instructions=0, final_r0=0, finish_reason="error",
+            error="RuntimeError: legacy fault", error_details="Traceback ...",
+            attempts=3,
+        )
+        with open(results, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(row) + "\n")
+
+        loaded = ResultStore(store)
+        assert not loaded.quarantined()
+        assert not loaded.get(row["fingerprint"]).ok
+        rows = failure_rows(loaded)
+        assert [(r["run_id"], r["error"]) for r in rows] == [(CRC, "RuntimeError: legacy fault")]
+
+        out = io.StringIO()
+        assert cli_main(["status", *grid, "--store", str(store)], out) == 2
+        assert "1 failed, 1 pending" in out.getvalue()
+        assert "failed %s: RuntimeError: legacy fault" % CRC in out.getvalue()
+
+        out = io.StringIO()
+        assert cli_main(["report", "--store", str(store)], out) == 0
+        assert "failed runs" in out.getvalue()
+        assert "legacy fault" in out.getvalue()
 
 
 class TestFailureCli:
@@ -198,7 +322,6 @@ class TestFailureCli:
         "--processors", "arm7-mini",
         "--workloads", "crc,compress",
         "--engines", "interpreted",
-        "--retry-backoff", "0",
     ]
 
     def _install_flaky(self, monkeypatch, run_ids, failures=99):
