@@ -75,8 +75,8 @@ _RULE_TABLE = (
          "emitted place segments are not in static-schedule order"),
     Rule("SV004", "firing-sites", "error",
          "emitted firing-counter sites disagree with the dispatch chains and generators"),
-    Rule("SV005", "gate-sites", "error",
-         "emitted issue/advance gate call sites disagree with the guard/action plan"),
+    Rule("SV005", "hook-call-sites", "error",
+         "emitted guard/action call sites disagree with the splice plan"),
     Rule("SV006", "trace-sites", "error",
          "TRF/TRS trace call sites do not match the requested trace categories"),
     Rule("SV007", "emit-report", "error",

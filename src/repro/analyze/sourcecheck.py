@@ -5,13 +5,11 @@ implement the generation plan.  This pass removes the trust: it parses the
 emitted module with :mod:`ast` and re-derives, from the *text*, the plan
 the module actually implements — the place-segment order, the per-place
 operation-class dispatch branches, every firing-counter site, every
-issue/advance gate call, every ``TRF``/``TRS`` trace site, every spliced
+called guard and action, every ``TRF``/``TRS`` trace site, every spliced
 hook body, every run-local counter's zeroing and write-back — and
 compares each against an independent recomputation from
-the net and its static schedule (:func:`repro.codegen.runtime.guard_plan`
-/ :func:`~repro.codegen.runtime.action_plan`,
-:func:`~repro.codegen.runtime.splice_plan` and
-:meth:`~repro.core.scheduler.StaticSchedule.transitions_for`).  A spliced
+the net and its static schedule (:func:`repro.codegen.runtime.splice_plan`
+and :meth:`~repro.core.scheduler.StaticSchedule.transitions_for`).  A spliced
 guard or action is re-rendered from the same hook template
 (:func:`repro.describe.templates.render`) and must appear at its site
 statement for statement (SV008).
@@ -98,7 +96,7 @@ class _CycleFacts:
         self.stall_sites = 0
         self.trf_calls = 0
         self.trs_calls = 0
-        self.gate_calls = Counter()  # (var, attr or "") -> count
+        self.hook_calls = Counter()  # gN / aN -> call sites
         self._generator_names = frozenset(generator_names)
 
         events = []
@@ -140,15 +138,7 @@ class _CycleFacts:
                 if func.id in ("TRF", "TRS"):
                     return ("trace", func.id)
                 if func.id[:1] in ("g", "a") and func.id[1:].isdigit():
-                    return ("gate", func.id, "")
-            elif (
-                isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id[:1] == "c"
-                and func.value.id[1:].isdigit()
-                and func.attr in ("may_issue", "may_advance", "note_issue")
-            ):
-                return ("gate", func.value.id, func.attr)
+                    return ("hook", func.id)
         return None
 
     def _fold(self, events):
@@ -178,8 +168,8 @@ class _CycleFacts:
                     self.trf_calls += 1
                 else:
                     self.trs_calls += 1
-            elif kind == "gate":
-                self.gate_calls[(event[1], event[2])] += 1
+            elif kind == "hook":
+                self.hook_calls[event[1]] += 1
 
 
 def _fire_name(node, names):
@@ -340,12 +330,12 @@ def _expected_plan(net, schedule):
     return tuple(dispatch), generators, occurrences
 
 
-def _expected_gates(net, occurrences):
-    """Per-variable expected gate/guard/action call-site counts.
+def _expected_hook_calls(net, occurrences):
+    """Expected call sites per guard (``gN``) and action (``aN``) variable.
 
     A hook spliced into the source has no call site.
     """
-    from repro.codegen.runtime import action_plan, guard_plan, inlined, splice_plan
+    from repro.codegen.runtime import inlined, splice_plan
 
     rows, _env = splice_plan(net)
     expected = Counter()
@@ -353,18 +343,10 @@ def _expected_gates(net, occurrences):
         occ = occurrences.get(transition.name, 0)
         if not occ:
             continue
-        gkind, gbase, _gcontrol, _gport, _gstage = guard_plan(transition)
-        if gkind == "issue":
-            expected[("c%d" % index, "may_issue")] += occ
-        elif gkind == "advance":
-            expected[("c%d" % index, "may_advance")] += occ
-        if gbase is not None and not inlined(transition, rows[index][0]):
-            expected[("g%d" % index, "")] += occ
-        akind, abase, _acontrol, _aport = action_plan(transition)
-        if akind == "issue":
-            expected[("c%d" % index, "note_issue")] += occ
-        if abase is not None and not inlined(transition, rows[index][1]):
-            expected[("a%d" % index, "")] += occ
+        if transition.guard is not None and not inlined(transition, rows[index][0]):
+            expected["g%d" % index] += occ
+        if transition.action is not None and not inlined(transition, rows[index][1]):
+            expected["a%d" % index] += occ
     return expected
 
 
@@ -507,15 +489,13 @@ def verify_engine(engine, model=None):
             "a generator firing site precedes a place segment; the generator "
             "section must trail every dispatch segment")
 
-    # -- SV005: gate call sites vs the guard/action plan -------------------
-    expected_gates = _expected_gates(net, occurrences)
-    if facts.gate_calls != expected_gates:
-        for key in sorted(set(facts.gate_calls) | set(expected_gates)):
-            got, want = facts.gate_calls.get(key, 0), expected_gates.get(key, 0)
+    # -- SV005: guard/action call sites vs the splice plan ----------------
+    expected_calls = _expected_hook_calls(net, occurrences)
+    if facts.hook_calls != expected_calls:
+        for var in sorted(set(facts.hook_calls) | set(expected_calls)):
+            got, want = facts.hook_calls.get(var, 0), expected_calls.get(var, 0)
             if got != want:
-                var, attr = key
-                label = "%s.%s" % (var, attr) if attr else var
-                err("SV005", "source:%s" % label,
+                err("SV005", "source:%s" % var,
                     "%d call site(s) emitted, %d required by the plan" % (got, want))
 
     # -- SV008: spliced hook bodies are their templates' renderings -------
@@ -558,16 +538,10 @@ def verify_engine(engine, model=None):
     if not isinstance(report, dict):
         err("SV007", "source:EMIT_REPORT", "missing or non-dict EMIT_REPORT")
     else:
-        from repro.codegen.runtime import guard_plan, transition_capacity_shape
+        from repro.codegen.runtime import transition_capacity_shape
 
-        emitted = {
-            name: transition
-            for transition in net.transitions
-            for name in (transition.name,)
-            if occurrences.get(name)
-        }
-        kinds = Counter(guard_plan(t)[0] for t in emitted.values())
-        shapes = Counter(transition_capacity_shape(t)[0] for t in emitted.values())
+        emitted = [t for t in net.transitions if occurrences.get(t.name)]
+        shapes = Counter(transition_capacity_shape(t)[0] for t in emitted)
         recomputed = {
             "transitions_compiled": len(set(facts.fire_counts)),
             "places_compiled": len(facts.segments),
@@ -575,9 +549,7 @@ def verify_engine(engine, model=None):
                 len(entries) for _place, entries in expected_dispatch
             ),
             "dispatch_entries": len(schedule.order) * len(net.operation_classes),
-            "guard_free_transitions": kinds.get("none", 0),
-            "issue_gated_transitions": kinds.get("issue", 0),
-            "advance_gated_transitions": kinds.get("advance", 0),
+            "guard_free_transitions": sum(t.guard is None for t in emitted),
             "capacity_free_transitions": shapes.get("free", 0),
             "single_stage_capacity_transitions": shapes.get("single", 0),
         }

@@ -9,7 +9,8 @@ that can be validated before anything runs and expanded deterministically
 Every :class:`RunSpec` has a stable content :meth:`~RunSpec.fingerprint`
 combining the processor-spec fingerprint, the workload identity (name,
 scale and a hash of its assembled source), the engine configuration, the
-run budgets and the ``repro`` version.  The fingerprint is the key of the
+run budgets and a digest of the ``repro`` package's source
+(:func:`source_digest`).  The fingerprint is the key of the
 :class:`~repro.campaign.store.ResultStore`: a campaign never re-executes a
 run whose fingerprint is already stored, which is what makes campaigns
 incremental and resumable.
@@ -18,8 +19,10 @@ incremental and resumable.
 from __future__ import annotations
 
 import difflib
+import functools
 import hashlib
 import json
+import pathlib
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import repro
@@ -29,6 +32,23 @@ from repro.describe.spec import PipelineSpec
 
 class CampaignError(ValueError):
     """A campaign description is inconsistent or a campaign run failed."""
+
+
+@functools.lru_cache(maxsize=None)
+def source_digest():
+    """sha256 of the ``repro`` package's ``.py`` files, computed once per process.
+
+    Each file enters as its path relative to the package, its length and
+    its bytes, in path order.  Any code change re-keys every stored run; a
+    version bump alone re-keys none.
+    """
+    root = pathlib.Path(repro.__file__).parent
+    digest = hashlib.sha256()
+    for relative in sorted(path.relative_to(root).as_posix() for path in root.rglob("*.py")):
+        data = (root / relative).read_bytes()
+        digest.update(b"%s\0%d\0" % (relative.encode("utf-8"), len(data)))
+        digest.update(data)
+    return digest.hexdigest()
 
 
 #: Sentinel accepted by the ``processors``/``workloads`` axes: expand to
@@ -169,7 +189,7 @@ class RunSpec:
     def identity(self):
         """Everything the simulated outcome (and cost) depends on, as data."""
         return {
-            "version": repro.__version__,
+            "source": source_digest(),
             "processor": _processor_fingerprint(self.processor, self.processor_spec),
             "workload": {
                 "name": self.workload,

@@ -16,15 +16,14 @@ in which every static decision is already text —
   preallocated place/stage objects (list ``append``/``remove``,
   ``_occupancy`` adjustments) instead of ``Place.deposit``/``remove``
   calls, with residence delays folded into literals;
-* issue/port budgets are specialised away: the multi-issue gate wrappers
-  are unwrapped at emit time into direct arbiter calls with the port as a
-  source literal (see :func:`repro.codegen.runtime.guard_plan`);
 * guard-free transitions fire with no call at all;
 * the semantic hooks are spliced in: where a transition's guard or action
   is a hook template's own closure (:func:`repro.codegen.runtime.
   splice_plan`), the template's source — register-hazard protocol, decode
   and L1 hits inline — takes the call's place, and the fetch template
-  delivers its token straight into the entry place;
+  delivers its token straight into the entry place.  The multi-issue
+  gates are template text of the hooks they gate, so the arbiter calls
+  are spliced with the issue port as a source literal;
 * what the templates prove dead is not emitted: the emission-queue drain
   after a fire whose hooks are all spliced, the ``delay_override`` branch
   where no spliced hook writes the token delay, and the operation-class
@@ -97,8 +96,6 @@ from dataclasses import dataclass
 
 from repro.codegen.cache import emit_trace_categories
 from repro.codegen.runtime import (
-    action_plan,
-    guard_plan,
     implicit_dispatch,
     inlined,
     opaque_hooks,
@@ -126,8 +123,6 @@ class EmitReport:
     guard_free_transitions: int = 0
     capacity_free_transitions: int = 0
     single_stage_capacity_transitions: int = 0
-    issue_gated_transitions: int = 0
-    advance_gated_transitions: int = 0
     dispatch_entries: int = 0
     nonempty_dispatch_entries: int = 0
     places_emitted: int = 0
@@ -140,8 +135,6 @@ class EmitReport:
             "guard_free_transitions": self.guard_free_transitions,
             "capacity_free_transitions": self.capacity_free_transitions,
             "single_stage_capacity_transitions": self.single_stage_capacity_transitions,
-            "issue_gated_transitions": self.issue_gated_transitions,
-            "advance_gated_transitions": self.advance_gated_transitions,
             "dispatch_entries": self.dispatch_entries,
             "nonempty_dispatch_entries": self.nonempty_dispatch_entries,
             "places_compiled": self.places_emitted,
@@ -240,7 +233,6 @@ def emit_module_source(net, schedule, options, key=None):
     used_stages = set()
     used_guards = set()
     used_actions = set()
-    used_controls = set()
     used_env = set()
     hostcost_sites = {}  # (kind, hook key) -> accumulator variable
     need_pool = False
@@ -254,13 +246,8 @@ def emit_module_source(net, schedule, options, key=None):
         if index not in emitted_transitions:
             emitted_transitions.add(index)
             report.transitions_emitted += 1
-            gkind = guard_plan(transition)[0]
-            if gkind == "none":
+            if transition.guard is None:
                 report.guard_free_transitions += 1
-            elif gkind == "issue":
-                report.issue_gated_transitions += 1
-            elif gkind == "advance":
-                report.advance_gated_transitions += 1
             shape = transition_capacity_shape(transition)
             if shape[0] == "free":
                 report.capacity_free_transitions += 1
@@ -284,14 +271,6 @@ def emit_module_source(net, schedule, options, key=None):
             return svar(stage)
 
         conjuncts.extend(_capacity_conjuncts(net, shape, stage_var))
-        gkind, gbase, _gcontrol, gport, gstage = guard_plan(transition)
-        if gkind == "issue":
-            used_controls.add(index)
-            conjuncts.append("c%d.may_issue(%s, ctx, %r)" % (index, token_expr, gport))
-        elif gkind == "advance":
-            used_controls.add(index)
-            used_stages.add(id(gstage))
-            conjuncts.append("c%d.may_advance(%s, %s)" % (index, token_expr, svar(gstage)))
         template = splices[index][0]
         if inlined(transition, template):
             rendering = render(template, "splice")
@@ -301,7 +280,7 @@ def emit_module_source(net, schedule, options, key=None):
                 conjuncts.append("%s(NS(), %s)" % (hostcost_var("guard", template.key), guard))
             else:
                 conjuncts.append("(%s)" % guard)
-        elif gbase is not None:
+        elif transition.guard is not None:
             used_guards.add(index)
             conjuncts.append("g%d(%s, ctx)" % (index, token_expr))
         return conjuncts
@@ -310,7 +289,7 @@ def emit_module_source(net, schedule, options, key=None):
     stats_guards = {
         id(transition)
         for transition, (guard, _action) in zip(transitions, splices)
-        if guard_plan(transition)[1] is not None and reads_stats(guard)
+        if transition.guard is not None and reads_stats(guard)
     }
 
     def static_retire_class(transition, opclass):
@@ -418,14 +397,9 @@ def emit_module_source(net, schedule, options, key=None):
             need_pool = True
             lines.append("pool.append(%s.take_reservation())" % pvar(arc.place))
 
-        akind, abase, _acontrol, aport = action_plan(transition)
-        token_expr = "t" if token_mode else "None"
-        if akind == "issue":
-            used_controls.add(index)
-            lines.append("c%d.note_issue(%s, ctx, %r)" % (index, token_expr, aport))
         template = splices[index][1]
         inline = inlined(transition, template)
-        if abase is not None and reads_stats(template):
+        if transition.action is not None and reads_stats(template):
             lines.extend(mid_stretch)
         if inline:
             rendering = render(template, "splice", transition.delay)
@@ -437,15 +411,15 @@ def emit_module_source(net, schedule, options, key=None):
             lines.extend(action)
             if hostcost:
                 lines.append("%s(_hc)" % hostcost_var("action", template.key))
-        elif abase is not None:
+        elif transition.action is not None:
             used_actions.add(index)
-            lines.append("a%d(%s, ctx)" % (index, token_expr))
+            lines.append("a%d(%s, ctx)" % (index, "t" if token_mode else "None"))
         # Only an opaque hook or a called emitting template queues an
         # emission; a resident token's delay_override is None unless an
         # opaque hook or this transition's action set it.
         guard_template = splices[index][0]
-        called = (guard_plan(transition)[1] is not None and guard_template is None) or (
-            abase is not None and (template is None or (not inline and template.emits))
+        called = (transition.guard is not None and guard_template is None) or (
+            transition.action is not None and (template is None or (not inline and template.emits))
         )
         delay_written = opaque or (template is not None and template.writes_delay)
 
@@ -700,8 +674,6 @@ def emit_module_source(net, schedule, options, key=None):
         out.w(1, "G = rt['guards']")
     if used_actions:
         out.w(1, "A = rt['actions']")
-    if used_controls:
-        out.w(1, "C = rt['controls']")
     for index in range(len(places)):
         out.w(1, "p%d = P[%d]" % (index, index))
     for index, stage in enumerate(stages):
@@ -711,8 +683,6 @@ def emit_module_source(net, schedule, options, key=None):
         out.w(1, "g%d = G[%d]" % (index, index))
     for index in sorted(used_actions):
         out.w(1, "a%d = A[%d]" % (index, index))
-    for index in sorted(used_controls):
-        out.w(1, "c%d = C[%d]" % (index, index))
     if options.collect_utilization:
         out.w(1, "_STAGES = tuple(S)")
     # Each place's lists, bound once: places mutate them in place.

@@ -3,9 +3,8 @@
 An emitted module (:mod:`repro.codegen.emit`) is *net-object free*: it
 references places, stages, guards and actions by index into flat lists.
 This module is the other half of that contract — it classifies each
-transition's guard, action and capacity check for the emitter and the
-source verifier (:func:`guard_plan`, :func:`action_plan`,
-:func:`transition_capacity_shape`), decides which hooks are spliced as
+transition's capacity check for the emitter and the source verifier
+(:func:`transition_capacity_shape`), decides which hooks are spliced as
 template source (:func:`splice_plan`) and which places dispatch without
 an operation-class compare (:func:`implicit_dispatch`), builds the
 index-aligned runtime lists for one engine (:func:`build_runtime`) and
@@ -13,14 +12,9 @@ provides the structural digest (:func:`structure_digest`) that joins the
 module memo key, so a memoised module is never bound to a net with a
 different shape.
 
-The classification exists because the multi-issue elaborator wraps guards
-and actions with issue/advance gates
-(:meth:`repro.describe.semantics.ArmSemantics.issue_gate`).  The wrappers
-carry their unwrapped parts as attributes, which lets the emitter replace
-the wrapper call with a direct arbiter call plus the base hook — the
-"issue/port budgets specialised away at emit time" optimisation.  Wrappers
-without the attributes (hand-rolled gates) degrade gracefully to plain
-calls.
+The multi-issue gates need no case here: they are hook templates
+(:meth:`repro.describe.semantics.ArmSemantics.issue_gate`), spliced or
+called like any other hook.
 """
 
 from __future__ import annotations
@@ -31,39 +25,6 @@ import time
 from repro.core.scheduler import structure_signature
 from repro.core.token import ReservationToken
 from repro.describe.templates import render, template_of
-
-
-def guard_plan(transition):
-    """Classify one transition's guard for emission.
-
-    Returns ``(kind, base, control, port, stage)`` where ``kind`` is one of
-    ``"none"``, ``"plain"``, ``"issue"`` or ``"advance"``.  ``base`` is the
-    unwrapped guard (may be ``None`` for a bare gate), ``control`` the
-    issue arbiter, ``port`` the issue-port literal and ``stage`` the
-    source stage of an advance gate.
-    """
-    guard = transition.guard
-    if guard is None:
-        return ("none", None, None, None, None)
-    if getattr(guard, "issue_gate", False) and hasattr(guard, "base_guard"):
-        return ("issue", guard.base_guard, guard.control, guard.port, None)
-    if getattr(guard, "advance_gate", False) and hasattr(guard, "base_guard"):
-        return ("advance", guard.base_guard, guard.control, None, guard.stage)
-    return ("plain", guard, None, None, None)
-
-
-def action_plan(transition):
-    """Classify one transition's action for emission.
-
-    Returns ``(kind, base, control, port)`` with ``kind`` in ``"none"``,
-    ``"plain"`` or ``"issue"``.
-    """
-    action = transition.action
-    if action is None:
-        return ("none", None, None, None)
-    if getattr(action, "issue_gate", False) and hasattr(action, "base_action"):
-        return ("issue", action.base_action, action.control, action.port)
-    return ("plain", action, None, None)
 
 
 def transition_capacity_shape(transition):
@@ -107,16 +68,15 @@ def splice_plan(net):
     Returns ``(rows, env)``: per transition of ``net`` one
     ``(guard_template, action_template)`` pair, and the net's constants
     (``net.hook_env``, set by the semantics that elaborated it).  An entry
-    is the template only when the transition's guard or action (unwrapped
-    from an issue/advance gate) *is* a closure
-    :func:`repro.describe.templates.bind` made over that env — identity,
-    so a wrapper around it counts as opaque — and ``None`` for an absent
-    or opaque hook.  :func:`inlined` says which entries the emitter
+    is the template only when the transition's guard or action *is* a
+    closure :func:`repro.describe.templates.bind` made over that env —
+    identity, so a wrapper around it counts as opaque — and ``None`` for
+    an absent or opaque hook.  :func:`inlined` says which entries the emitter
     splices; the others it calls, knowing what they do.
     """
     env = getattr(net, "hook_env", None)
     rows = tuple(
-        (template_of(guard_plan(t)[1], env), template_of(action_plan(t)[1], env))
+        (template_of(t.guard, env), template_of(t.action, env))
         for t in net.transitions
     )
     return rows, env
@@ -143,8 +103,8 @@ def opaque_hooks(net, rows):
     into any place, or set a token's delay.
     """
     return any(
-        (guard is None and guard_plan(transition)[1] is not None)
-        or (action is None and action_plan(transition)[1] is not None)
+        (guard is None and transition.guard is not None)
+        or (action is None and transition.action is not None)
         for transition, (guard, action) in zip(net.transitions, rows)
     )
 
@@ -173,57 +133,29 @@ def implicit_dispatch(net, rows):
     }
 
 
-def gate_signature(net):
-    """Name-level summary of the gate classification of every transition.
-
-    Part of :func:`structure_digest`: gates are *behaviour* and therefore
-    invisible to :func:`repro.core.scheduler.structure_signature`, but the
-    emitter bakes their ports and shapes into the source, so two nets that
-    differ only in gating must not share an emitted module.
-    """
-    rows = []
-    for transition in net.transitions:
-        gkind, gbase, _, gport, gstage = guard_plan(transition)
-        akind, abase, _, aport = action_plan(transition)
-        rows.append(
-            (
-                transition.name,
-                gkind,
-                gbase is not None,
-                gport,
-                gstage.name if gstage is not None else None,
-                akind,
-                abase is not None,
-                aport,
-            )
-        )
-    return tuple(rows)
-
-
 def structure_digest(net):
-    """Digest of everything an emitted module bakes into its source."""
+    """Digest of everything an emitted module bakes into its source.
+
+    Beside the net's structure, each transition's guard and action enter
+    as their template's key, ``"opaque"`` (a hook the module calls,
+    assuming it may do anything) or ``None`` (absent, so no call).
+    """
     rows, _env = splice_plan(net)
-    spliced = tuple(
-        tuple(template.key if template is not None else None for template in row)
-        for row in rows
+    hooks = tuple(
+        tuple(
+            None if hook is None else "opaque" if template is None else template.key
+            for hook, template in zip((transition.guard, transition.action), row)
+        )
+        for transition, row in zip(net.transitions, rows)
     )
-    payload = repr((structure_signature(net), gate_signature(net), spliced))
+    payload = repr((structure_signature(net), hooks))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def build_runtime(engine):
     """Build the binding dict an emitted module's ``make_run_cycles`` consumes."""
     net = engine.net
-    guards = []
-    actions = []
-    controls = []
-    for transition in net.transitions:
-        gkind, gbase, gcontrol, _gport, _gstage = guard_plan(transition)
-        akind, abase, acontrol, _aport = action_plan(transition)
-        guards.append(gbase if gkind != "none" else None)
-        actions.append(abase if akind != "none" else None)
-        controls.append(gcontrol if gcontrol is not None else acontrol)
-    _rows, env = splice_plan(net)
+    env = getattr(net, "hook_env", None)
     tracer = getattr(engine, "tracer", None)
     return {
         "engine": engine,
@@ -244,9 +176,8 @@ def build_runtime(engine):
         "ReservationToken": ReservationToken,
         "places": list(engine.schedule.order),
         "stages": list(net.stages.values()),
-        "guards": guards,
-        "actions": actions,
-        "controls": controls,
+        "guards": [transition.guard for transition in net.transitions],
+        "actions": [transition.action for transition in net.transitions],
         # Trace hooks for traced-emission modules; untraced modules never
         # read them.
         "trace_firing": getattr(engine, "_trace_firing", None),

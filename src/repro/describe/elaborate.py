@@ -73,9 +73,7 @@ def elaborate_net(spec, memory_config=None, use_decode_cache=True, semantics_cla
     issue = spec.issue
     issue_control = None
     if issue.multi:
-        issue_control = IssueControl(
-            issue.width, in_order=issue.in_order, port_limits=issue.port_limits()
-        )
+        issue_control = IssueControl(issue.width, port_limits=issue.port_limits())
         net.add_unit("issue_control", issue_control)
     port_of = issue.port_of()
 

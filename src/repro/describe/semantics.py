@@ -63,7 +63,10 @@ Hook catalogue (``guard``/``action`` contribution in parentheses):
 
 On BTB-predicted models the five issue hooks marked in
 :data:`RECOVERED_HOOKS` run :data:`RECOVERY` first: a BTB alias that
-redirected fetch after a non-branch is undone at issue.
+redirected fetch after a non-branch is undone at issue.  On multi-issue
+models the issue and advance gates (:data:`ISSUE_GATE`,
+:data:`ADVANCE_GATE`) are template text too, derived from the gated
+hook's template the same way (:meth:`ArmSemantics.issue_gate`).
 """
 
 from __future__ import annotations
@@ -543,6 +546,16 @@ CORE.sequence += 1""" + _DELIVER,
 }
 
 
+#: The multi-issue gates as template text: the issue gate's guard
+#: conjunct and action prefix, and the advance gate's guard conjunct.
+ISSUE_GATE = "ISSUE_CONTROL.may_issue(t, ctx, {port!r})"
+ISSUE_NOTE = "ISSUE_CONTROL.note_issue(t, ctx, {port!r})"
+ADVANCE_GATE = "ISSUE_CONTROL.may_advance(t, t.place.stage)"
+
+#: The template a gate derives from where the transition has no hook.
+BARE = HookTemplate("bare")
+
+
 class ArmSemantics:
     """The shared ARM hooks, bound to one elaborated model.
 
@@ -605,7 +618,7 @@ class ArmSemantics:
     def _install_hooks(self):
         for name, template in HOOK_TEMPLATES.items():
             if self.predict_recovery and name in RECOVERED_HOOKS:
-                template = _recovered(template)
+                template = _derived(template, "/recovery", RECOVERY)
             self.register(name, *bind(template, self.env))
 
     # -- registry ------------------------------------------------------------
@@ -688,78 +701,66 @@ class ArmSemantics:
 
     # -- multi-issue gating ---------------------------------------------------
     def issue_gate(self, guard, action, port=None):
-        """Wrap a resolved ``(guard, action)`` pair with the issue arbiter.
+        """Gate a resolved ``(guard, action)`` pair on the issue arbiter.
 
         The elaborator applies this to every transition leaving the issue
         stage of a multi-issue spec: the guard additionally requires
         :meth:`~repro.describe.substrate.IssueControl.may_issue` and the
         action books the slot via ``note_issue`` before the original
-        behaviour runs.  The wrapped guard carries an ``issue_gate`` marker
-        (so generation reports can count the gated transitions), plus the
-        unwrapped parts (``base_guard``/``base_action``, the arbiter and
-        the port) so the source-emitting backend
-        (:mod:`repro.codegen`) can specialise the gate away at emit time —
-        calling the arbiter and the original hook directly instead of
-        through this wrapper.
+        behaviour runs, with the port as a literal.  A hook template's
+        closure (or an absent hook) is gated as template text
+        (:data:`ISSUE_GATE`), so the generated engine splices the gate like
+        any other hook; any other callable is wrapped in a plain closure,
+        which it calls.
         """
+        suffix = "/issue" if port is None else "/issue@%s" % port
+        gate, note = ISSUE_GATE.format(port=port), ISSUE_NOTE.format(port=port)
         control = self.issue_control
-
-        if guard is None:
-            def gated_guard(t, ctx):
-                return control.may_issue(t, ctx, port)
-        else:
+        gated_guard = self._gated(guard, suffix, gate, note)[0]
+        if gated_guard is None:
             def gated_guard(t, ctx, _guard=guard):
                 return control.may_issue(t, ctx, port) and _guard(t, ctx)
-
-        if action is None:
-            def gated_action(t, ctx):
-                control.note_issue(t, ctx, port)
-        else:
+        gated_action = self._gated(action, suffix, gate, note)[1]
+        if gated_action is None:
             def gated_action(t, ctx, _action=action):
                 control.note_issue(t, ctx, port)
                 _action(t, ctx)
-
-        gated_guard.issue_gate = True
-        gated_guard.base_guard = guard
-        gated_guard.control = control
-        gated_guard.port = port
-        gated_action.issue_gate = True
-        gated_action.base_action = action
-        gated_action.control = control
-        gated_action.port = port
         return gated_guard, gated_action
 
     def advance_gate(self, guard, source_stage):
-        """Wrap a pre-issue transfer guard with the order-preserving rule.
+        """Gate a pre-issue transfer guard on the order-preserving rule.
 
         Applied by the elaborator to every transition of a multi-issue spec
         whose source stage precedes the issue stage on its path; see
-        :meth:`~repro.describe.substrate.IssueControl.may_advance`.
+        :meth:`~repro.describe.substrate.IssueControl.may_advance`.  The
+        template text (:data:`ADVANCE_GATE`) reads the source stage off the
+        token's place: both engines attempt a transition only on a token
+        still in its source place.
         """
-        control = self.issue_control
+        gated_guard = self._gated(guard, "/advance", ADVANCE_GATE)[0]
+        if gated_guard is None:
+            control = self.issue_control
 
-        if guard is None:
-            def gated_guard(t, _ctx):
-                return control.may_advance(t, source_stage)
-        else:
             def gated_guard(t, ctx, _guard=guard):
                 return control.may_advance(t, source_stage) and _guard(t, ctx)
-
-        gated_guard.advance_gate = True
-        gated_guard.base_guard = guard
-        gated_guard.control = control
-        gated_guard.stage = source_stage
         return gated_guard
 
+    def _gated(self, hook, suffix, guard, prefix=None):
+        """``(guard, action)`` closures of ``hook``'s template gated by
+        ``guard``/``prefix``; ``(None, None)`` for an opaque ``hook``."""
+        template = BARE if hook is None else template_of(hook, self.env)
+        if template is None:
+            return None, None
+        return bind(_derived(template, suffix, prefix, guard), self.env)
 
-_RECOVERED = {}
+
+_DERIVED = {}
 
 
-def _recovered(template):
-    """``template`` with :data:`RECOVERY` before its action (memoised)."""
-    recovered = _RECOVERED.get(template.key)
-    if recovered is None:
-        recovered = _RECOVERED[template.key] = template.prefixed(
-            template.key + "/recovery", RECOVERY
-        )
-    return recovered
+def _derived(template, suffix, prefix=None, guard=None):
+    """``template.prefixed(...)`` keyed ``template.key + suffix`` (memoised)."""
+    key = template.key + suffix
+    derived = _DERIVED.get(key)
+    if derived is None:
+        derived = _DERIVED[key] = template.prefixed(key, prefix, guard)
+    return derived

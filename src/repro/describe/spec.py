@@ -152,20 +152,19 @@ class IssueSpec:
     * ``stage`` — the stage instructions issue *out of* (required when
       ``width > 1``); every transition leaving a place of this stage is an
       issue point and consumes one slot of the per-cycle issue bandwidth.
-    * ``in_order`` — enforce program-order issue: a younger instruction may
-      not issue while an older one is still waiting, even when the two sit
-      in different places of the issue stage.  This is what generalises the
-      RegRef reservation protocol beyond the single-issue structural
-      guarantee (see :class:`HazardSpec`): reservations are taken in fetch
-      order at the gate, so a young instruction can never read registers or
-      flags before a stalled older writer has reserved them.
+      Issue is in program order: a younger instruction may not issue while
+      an older one is still waiting, even when the two sit in different
+      places of the issue stage.  This is what generalises the RegRef
+      reservation protocol beyond the single-issue structural guarantee
+      (see :class:`HazardSpec`): reservations are taken in fetch order at
+      the gate, so a young instruction can never read registers or flags
+      before a stalled older writer has reserved them.
     * ``ports`` — per-class structural issue constraints
       (:class:`IssuePortSpec`).
     """
 
     width: int = 1
     stage: str = None
-    in_order: bool = True
     ports: tuple = ()
 
     def __post_init__(self):
@@ -194,10 +193,10 @@ class HazardSpec:
     every path's issue/resolve hook should attach at the same distance from
     fetch (as in all shipped models), otherwise a young instruction can
     read registers or flags before a *stalled* older writer has reserved
-    them.  Multi-issue specs (``IssueSpec(width>1, in_order=True)``)
-    replace that structural assumption with an explicit program-order gate
-    at the issue stage, so reservations are taken in fetch order no matter
-    how the paths interleave.
+    them.  Multi-issue specs (``IssueSpec(width>1)``) replace that
+    structural assumption with an explicit program-order gate at the issue
+    stage, so reservations are taken in fetch order no matter how the
+    paths interleave.
 
     * ``forward_states`` — pipeline states whose pending results the bypass
       network may forward to the issue stage;

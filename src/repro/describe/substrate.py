@@ -96,18 +96,19 @@ class IssueControl:
     """Per-cycle issue-bandwidth arbiter of a multi-issue pipeline.
 
     Like :class:`ProcessorCore`, this is a non-pipeline unit referenced by
-    transition guards/actions (paper Section 3).  The elaborator attaches
-    one to every model whose :class:`~repro.describe.spec.IssueSpec` has
-    ``width > 1`` and wraps each issue-stage transition with
-    :meth:`~repro.describe.semantics.ArmSemantics.issue_gate`, which pairs
-    :meth:`may_issue` in the guard with :meth:`note_issue` in the action.
+    transition guards/actions (paper Section 3): the hook templates name it
+    ``ISSUE_CONTROL``.  The elaborator attaches one to every model whose
+    :class:`~repro.describe.spec.IssueSpec` has ``width > 1`` and gates
+    each issue-stage transition with
+    :meth:`~repro.describe.semantics.ArmSemantics.issue_gate`, which puts
+    :meth:`may_issue` in the guard and :meth:`note_issue` in the action.
 
     Three constraints are arbitrated:
 
     * at most ``width`` instructions issue per cycle;
     * each issue port's per-cycle budget (``port_limits``) is respected;
-    * with ``in_order``, an instruction may issue only when it is the
-      oldest live un-issued instruction in the machine — the fetch hooks
+    * an instruction may issue only when it is the oldest live un-issued
+      instruction in the machine (program order) — the fetch hooks
       register every instruction token in fetch order via
       :meth:`note_fetch`, and squashed tokens fall out of the queue lazily.
 
@@ -121,9 +122,8 @@ class IssueControl:
     #: so a bare engine reset cannot leak stale issue-window state.
     clears_with_net = True
 
-    def __init__(self, width, in_order=True, port_limits=None):
+    def __init__(self, width, port_limits=None):
         self.width = width
-        self.in_order = in_order
         self.port_limits = dict(port_limits or {})
         self.reset()
 
@@ -135,8 +135,7 @@ class IssueControl:
 
     def note_fetch(self, token):
         """Record a freshly fetched instruction token (program order)."""
-        if self.in_order:
-            self._program_order.append(token)
+        self._program_order.append(token)
 
     def _refresh(self, cycle):
         if cycle != self._cycle:
@@ -157,9 +156,7 @@ class IssueControl:
             return False
         if port is not None and self._port_issued.get(port, 0) >= self.port_limits[port]:
             return False
-        if self.in_order and self._oldest_live() is not token:
-            return False
-        return True
+        return self._oldest_live() is token
 
     def may_advance(self, token, source_stage):
         """Pre-issue transfer rule: no overtaking in the front end.
@@ -181,8 +178,6 @@ class IssueControl:
         co-resident evaluated later in the same cycle sees the stage clear
         and follows immediately.
         """
-        if not self.in_order:
-            return True
         seq = token.seq
         for place in source_stage.places:
             for resident in place.tokens:
@@ -199,9 +194,8 @@ class IssueControl:
         self._issued += 1
         if port is not None:
             self._port_issued[port] = self._port_issued.get(port, 0) + 1
-        if self.in_order:
-            token.annotations["issued"] = True
-            self._oldest_live()  # opportunistically drop the retired front
+        token.annotations["issued"] = True
+        self._oldest_live()  # opportunistically drop the retired front
 
 
 # ---------------------------------------------------------------------------

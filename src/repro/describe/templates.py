@@ -66,7 +66,7 @@ RESERVED_NAMES = frozenset((
 
 #: The loop's indexed names: run-local counters (``tf3``, ``rbc0``), place
 #: token lists (``p3t``, ``p3p``) and the bound places, stages and hooks.
-RESERVED_INDEXED = re.compile(r"(?:tf|rbc|[psgac])\d+[tp]?|hc[ga]\d+")
+RESERVED_INDEXED = re.compile(r"(?:tf|rbc|[psga])\d+[tp]?|hc[ga]\d+")
 
 _NAME = re.compile(r"\b[A-Za-z_]\w*\b")
 _STATEMENT = re.compile(r"^(\s*)@(\w+)\((.*)\)\s*$")
@@ -320,10 +320,17 @@ class HookTemplate:
     def emits(self):
         return self.action is not None and "@emit(" in self.action
 
-    def prefixed(self, key, prefix):
-        """This template with ``prefix`` run before its action."""
-        action = prefix.strip("\n") + "\n" + (self.action or "")
-        return HookTemplate(key, self.guard, action, self.inline)
+    def prefixed(self, key, prefix=None, guard=None):
+        """This template with ``prefix`` run before its action and ``guard``
+        tested before its guard."""
+        if guard is None:
+            guard = self.guard
+        elif self.guard is not None:
+            guard = "%s and (%s)" % (guard, self.guard)
+        action = self.action
+        if prefix is not None:
+            action = prefix.strip("\n") + "\n" + (action or "")
+        return HookTemplate(key, guard, action, self.inline)
 
     def __repr__(self):
         return "<HookTemplate %s>" % self.key

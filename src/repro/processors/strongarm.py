@@ -130,7 +130,6 @@ def strongarm_spec(issue_width=1, name="StrongARM", memory=None):
         issue = IssueSpec(
             width=issue_width,
             stage="DE",
-            in_order=True,
             ports=(IssuePortSpec("dmem", classes=("mem", "memm")),),
         )
         front_flush = FRONT_STAGES + ("DE",)

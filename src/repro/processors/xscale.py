@@ -122,7 +122,6 @@ def xscale_spec(
         issue_spec = IssueSpec(
             width=issue_width,
             stage=front_end[3],
-            in_order=True,
             ports=(
                 IssuePortSpec("dmem", classes=("mem", "memm")),
                 IssuePortSpec("mac", classes=("mul",)),

@@ -143,9 +143,9 @@ def test_fingerprint_is_stable_under_assembly_order(width, data):
 
     def build(hook_map, port_seq, flip_kwargs):
         if flip_kwargs:
-            issue = IssueSpec(ports=tuple(port_seq), in_order=True, stage="S2", width=width)
+            issue = IssueSpec(ports=tuple(port_seq), stage="S2", width=width)
         else:
-            issue = IssueSpec(width=width, stage="S2", in_order=True, ports=port_seq)
+            issue = IssueSpec(width=width, stage="S2", ports=port_seq)
         return PipelineSpec(
             name="PropPipe",
             stages=tuple(StageSpec(name, capacity=width) for name in STAGES),
@@ -166,12 +166,8 @@ def test_fingerprint_is_stable_under_assembly_order(width, data):
 @given(
     width=st.integers(min_value=2, max_value=4),
     other_width=st.integers(min_value=2, max_value=4),
-    in_order=st.booleans(),
 )
-def test_fingerprint_distinguishes_issue_content(width, other_width, in_order):
+def test_fingerprint_distinguishes_issue_content(width, other_width):
     base = spec_with_issue(IssueSpec(width=width, stage="S2")).fingerprint()
-    variant = spec_with_issue(
-        IssueSpec(width=other_width, stage="S2", in_order=in_order)
-    ).fingerprint()
-    same_content = other_width == width and in_order
-    assert (variant == base) == same_content
+    variant = spec_with_issue(IssueSpec(width=other_width, stage="S2")).fingerprint()
+    assert (variant == base) == (other_width == width)

@@ -222,6 +222,22 @@ class TestFingerprints:
         )
         assert inline.fingerprint() == named.fingerprint()
 
+    def test_fingerprint_keys_on_the_source_not_the_version(self, monkeypatch):
+        import repro
+        from repro.campaign import spec as campaign_spec
+
+        base = RunSpec(processor="strongarm", workload="crc").fingerprint()
+        monkeypatch.setattr(repro, "__version__", "0.0.0")
+        assert RunSpec(processor="strongarm", workload="crc").fingerprint() == base
+        monkeypatch.setattr(campaign_spec, "source_digest", lambda: "0" * 64)
+        assert RunSpec(processor="strongarm", workload="crc").fingerprint() != base
+
+    def test_source_digest_is_computed_once_per_process(self):
+        from repro.campaign.spec import source_digest
+
+        assert source_digest() is source_digest()
+        assert len(source_digest()) == 64
+
 
 # ---------------------------------------------------------------------------
 # ResultStore

@@ -93,6 +93,17 @@ def test_key_depends_on_the_structure():
     assert codegen_key(mutated, GENERATED) != codegen_key(fresh_net(), GENERATED)
 
 
+def test_digest_records_a_hook_that_appears():
+    from repro.codegen.runtime import structure_digest
+
+    net = fresh_net()
+    before = structure_digest(net)
+    transition = next(t for t in net.transitions if t.guard is None)
+    transition.guard = lambda t, ctx: True
+    # An opaque guard is called where no call was emitted before.
+    assert structure_digest(net) != before
+
+
 def test_key_depends_on_emit_relevant_options():
     net = fresh_net()
     base = codegen_key(net, GENERATED)

@@ -42,9 +42,11 @@ class FakeToken:
 
 
 def test_width_budget_resets_each_cycle():
-    control = IssueControl(width=2, in_order=False)
+    control = IssueControl(width=2)
     ctx = FakeCtx(cycle=7)
     a, b, c = FakeToken(), FakeToken(), FakeToken()
+    for token in (a, b, c):
+        control.note_fetch(token)
     assert control.may_issue(a, ctx)
     control.note_issue(a, ctx)
     assert control.may_issue(b, ctx)
@@ -55,18 +57,24 @@ def test_width_budget_resets_each_cycle():
 
 
 def test_port_budget_is_tracked_separately():
-    control = IssueControl(width=2, in_order=False, port_limits={"dmem": 1})
+    control = IssueControl(width=3, port_limits={"dmem": 1})
     ctx = FakeCtx()
-    first, second, third = FakeToken(), FakeToken(), FakeToken()
-    assert control.may_issue(first, ctx, "dmem")
-    control.note_issue(first, ctx, "dmem")
-    # The memory port is exhausted, but an unported instruction still fits.
-    assert not control.may_issue(second, ctx, "dmem")
-    assert control.may_issue(third, ctx)
+    load, alu, second_load = FakeToken(), FakeToken(), FakeToken()
+    for token in (load, alu, second_load):
+        control.note_fetch(token)
+    assert control.may_issue(load, ctx, "dmem")
+    control.note_issue(load, ctx, "dmem")
+    # An unported instruction still fits beside the load ...
+    assert control.may_issue(alu, ctx)
+    control.note_issue(alu, ctx)
+    # ... but the memory port is exhausted while width remains.
+    assert not control.may_issue(second_load, ctx, "dmem")
+    ctx.cycle = 1
+    assert control.may_issue(second_load, ctx, "dmem")
 
 
-def test_in_order_gate_tracks_fetch_order_and_squashes():
-    control = IssueControl(width=2, in_order=True)
+def test_issue_gate_tracks_fetch_order_and_squashes():
+    control = IssueControl(width=2)
     ctx = FakeCtx()
     old, middle, young = FakeToken(), FakeToken(), FakeToken()
     for token in (old, middle, young):
@@ -86,7 +94,7 @@ def test_may_advance_blocks_overtaking_within_a_stage():
     place.tokens = [old]
     place.pending = []
     net_stage.places = [place]
-    control = IssueControl(width=2, in_order=True)
+    control = IssueControl(width=2)
     assert control.may_advance(old, net_stage)
     assert not control.may_advance(young, net_stage)
     place.tokens = []
@@ -94,7 +102,7 @@ def test_may_advance_blocks_overtaking_within_a_stage():
 
 
 def test_reset_clears_cycle_and_order_state():
-    control = IssueControl(width=2, in_order=True, port_limits={"p": 1})
+    control = IssueControl(width=2, port_limits={"p": 1})
     ctx = FakeCtx()
     token = FakeToken()
     control.note_fetch(token)
@@ -192,9 +200,10 @@ def test_dependent_chain_gains_little_from_dual_issue():
     assert dual.cycles > 0.85 * single.cycles
 
 
-def test_issue_never_exceeds_width_in_any_cycle():
+@pytest.mark.parametrize("backend", ["interpreted", "generated"])
+def test_issue_never_exceeds_width_in_any_cycle(backend):
     spec = dual_issue_alu_spec(width=2)
-    processor = elaborate(spec)
+    processor = elaborate(spec, backend=backend)
     processor.load_program(assemble(looped(INDEPENDENT_ALUS)))
     control = processor.net.units["issue_control"]
 
@@ -218,7 +227,8 @@ def test_issue_never_exceeds_width_in_any_cycle():
     assert max(per_cycle.values()) == 2  # dual issue actually happened
 
 
-def test_memory_port_pairs_loads_with_alu_but_never_with_loads():
+@pytest.mark.parametrize("backend", ["interpreted", "generated"])
+def test_memory_port_pairs_loads_with_alu_but_never_with_loads(backend):
     """strongarm-ds pairs alu+load freely but never two memory ops."""
     pairs = "\n".join(
         "    ldr r%d, [r8, #%d]\n    add r7, r7, #1" % (i % 6, 4 * i) for i in range(8)
@@ -236,7 +246,7 @@ def test_memory_port_pairs_loads_with_alu_but_never_with_loads():
         original(self, token, ctx, port)
 
     def run(model):
-        processor = build_processor(model)
+        processor = build_processor(model, backend=backend)
         processor.load_program(assemble(source))
         stats = processor.run(max_cycles=100_000)
         assert stats.finish_reason == "halt"
@@ -377,20 +387,17 @@ def test_engine_reset_clears_issue_control():
 # -- generation reports --------------------------------------------------
 
 
-def test_generation_report_counts_issue_gated_transitions():
-    single = build_processor("strongarm", backend="generated")
-    assert single.generation_report.compilation["issue_gated_transitions"] == 0
+@pytest.mark.parametrize(
+    "model, issue, advance", [("strongarm", 0, 0), ("strongarm-ds", 7, 6), ("xscale-ds", 6, 18)]
+)
+def test_gates_are_guard_templates(model, issue, advance):
+    from repro.codegen.runtime import splice_plan
 
-    dual = build_processor("strongarm-ds", backend="generated")
-    gated = dual.generation_report.compilation["issue_gated_transitions"]
-    # alu/mul/mem/memm/system issue + branch.taken/branch.not_taken.
-    assert gated == 7
-
-    assert (
-        build_processor("xscale-ds", backend="generated")
-        .generation_report.compilation["issue_gated_transitions"]
-        > 0
-    )
+    net = build_processor(model).net
+    keys = [guard.key for guard, _action in splice_plan(net)[0] if guard is not None]
+    # strongarm-ds: alu/mul/mem/memm/system issue + branch.taken/branch.not_taken.
+    assert sum("/issue" in key for key in keys) == issue
+    assert sum(key.endswith("/advance") for key in keys) == advance
 
 
 def test_dual_issue_specs_fetch_width_wide():

@@ -10,6 +10,7 @@ its template, templates compile once per process, and the ``hostcost``
 emission mode leaves the untimed source alone.
 """
 
+import dataclasses
 import functools
 import types
 
@@ -93,6 +94,70 @@ def test_a_hook_that_is_not_the_template_closure_is_called(plain):
         if backend == "generated":
             index = [t.name for t in processor.net.transitions].index("alu.buffer")
             assert "a%d(t, ctx)" % index in processor.engine.source
+            assert verify_engine(processor.engine) == []
+    assert results["interpreted"] == results["generated"] == reference
+
+
+def opaque_gated_semantics(calls):
+    """``alu.issue`` as plain callables, and a plain ``probe.front`` guard."""
+
+    class Opaque(ArmSemantics):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+
+            def probe(t, ctx):
+                calls["probe.front"] += 1
+                return True
+
+            self.register("probe.front", guard=probe)
+
+        def register(self, name, guard=None, action=None):
+            if name == "alu.issue":
+                guard_template, action_template = guard, action
+
+                def guard(t, ctx):
+                    return guard_template(t, ctx)
+
+                def action(t, ctx):
+                    calls["alu.issue"] += 1
+                    action_template(t, ctx)
+
+            super().register(name, guard, action)
+
+    return Opaque
+
+
+def with_front_probe(spec):
+    """``spec`` with ``probe.front`` on the alu path's first (pre-issue) transition."""
+    paths = []
+    for path in spec.paths:
+        if path.opclass == "alu":
+            first, *rest = path.transitions
+            first = dataclasses.replace(first, hooks=first.hooks + ("probe.front",))
+            path = dataclasses.replace(path, transitions=(first, *rest))
+        paths.append(path)
+    return dataclasses.replace(spec, paths=tuple(paths))
+
+
+@pytest.mark.parametrize("model", ["strongarm-ds", "xscale-ds"])
+def test_a_gated_hook_that_is_not_a_template_is_called(model):
+    """The issue and advance gates wrap an opaque hook in a plain closure."""
+    reference = run(build_processor(model, backend="interpreted"))
+    spec = with_front_probe(get_spec(model))
+    alu_path = next(path for path in spec.paths if path.opclass == "alu")
+    results = {}
+    for backend in ("interpreted", "generated"):
+        calls = {"alu.issue": 0, "probe.front": 0}
+        processor = elaborate(spec, backend=backend, semantics_class=opaque_gated_semantics(calls))
+        results[backend] = run(processor)
+        assert calls["alu.issue"] > 0 and calls["probe.front"] > 0
+        if backend == "generated":
+            names = [t.name for t in processor.net.transitions]
+            front = names.index(alu_path.transitions[0].name)
+            issue = names.index(next(t.name for t in alu_path.transitions if "alu.issue" in t.hooks))
+            source = processor.engine.source
+            for call in ("g%d(t, ctx)" % issue, "a%d(t, ctx)" % issue, "g%d(t, ctx)" % front):
+                assert call in source
             assert verify_engine(processor.engine) == []
     assert results["interpreted"] == results["generated"] == reference
 
