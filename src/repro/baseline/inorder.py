@@ -48,7 +48,6 @@ class InOrderConfig:
     """Configuration of the fixed baseline simulator."""
 
     memory: MemorySystemConfig = field(default_factory=MemorySystemConfig)
-    branch_flush_depth: int = 2  # fetch + decode latches squashed on taken branches
     max_cycles: int = 10_000_000
 
 

@@ -35,8 +35,10 @@ from __future__ import annotations
 
 import contextlib
 import multiprocessing
+import multiprocessing.connection
 import os
 import sys
+import threading
 import time
 import traceback
 from dataclasses import dataclass
@@ -140,6 +142,17 @@ def _pool_init(sys_path):
     # PYTHONPATH=src-style parent; mirroring the parent's sys.path makes the
     # repro package importable however the orchestrator found it.
     sys.path[:] = sys_path
+    # A pool worker outlives an orchestrator killed by SIGKILL (nothing
+    # terminates the pool), and would finish a run nobody will store.
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        threading.Thread(target=_exit_with, args=(parent.sentinel,), daemon=True).start()
+
+
+def _exit_with(sentinel):
+    """Exit this worker as soon as the process behind ``sentinel`` is gone."""
+    multiprocessing.connection.wait([sentinel])
+    os._exit(1)
 
 
 def _pool_worker(payload):

@@ -359,9 +359,11 @@ class CampaignSpec:
                 engines.append(entry)
             elif isinstance(entry, dict):
                 options = dict(entry.get("options") or {})
-                # Spec files written while the lane-batched backend existed
-                # carry its batch width; run fingerprints never included it.
+                # Older spec files carry retired options that never changed
+                # a statistic: the lane-batched backend's batch width and
+                # the utilisation-sampling switch.
                 options.pop("lanes", None)
+                options.pop("collect_utilization", None)
                 if "backend" in entry and "backend" not in options:
                     options["backend"] = entry["backend"]
                 engines.append(

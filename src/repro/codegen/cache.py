@@ -9,10 +9,9 @@ depends only on
 * the net's structure and gating (:func:`repro.codegen.runtime.
   structure_digest`), so a net mutated after elaboration never shares a
   module with the clean build of its spec,
-* the emit-relevant engine options (``two_list_everywhere``,
-  ``collect_utilization`` and the emission-relevant trace categories —
-  run-length knobs like ``max_cycles``/``stall_limit`` are deliberately
-  excluded).
+* the emit-relevant engine options (``two_list_everywhere`` and the
+  emission-relevant trace categories — run-length knobs like
+  ``max_cycles``/``stall_limit`` are deliberately excluded).
 
 :func:`codegen_key` hashes those into the memo key.  Everything the emitted
 source depends on is in the key, so an entry can never be stale and there
@@ -63,7 +62,6 @@ def codegen_key(net, options):
         fingerprint,
         structure_digest(net),
         "twolist=%r" % options.two_list_everywhere,
-        "util=%r" % options.collect_utilization,
     ]
     trace_categories = emit_trace_categories(options)
     if trace_categories:

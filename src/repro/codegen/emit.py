@@ -29,9 +29,9 @@ in which every static decision is already text —
   where no spliced hook writes the token delay, and the operation-class
   compare on places only one class can reach
   (:func:`repro.codegen.runtime.implicit_dispatch`);
-* tokens emitted by called actions are delivered by the module's ``drain``
-  closure as field operations, through an opclass → entry-place dict built
-  once per binding;
+* tokens emitted by called actions are delivered by the engine's own
+  :meth:`~repro.core.engine.SimulationEngine.deliver_emissions`, the
+  method ``SimulationEngine.fire`` calls;
 * a decoded token retiring into an end place goes back onto its decode
   template's free list (:class:`repro.core.decoder.DecodedTemplate`), and
   the fetch's ``@decode`` renews it for a later fetch of the same word, so
@@ -238,7 +238,6 @@ def emit_module_source(net, schedule, options, key=None):
     need_pool = False
     need_res = False
     need_rbc = False
-    need_drain = False
     need_delivery = False
 
     def classify(transition):
@@ -378,7 +377,7 @@ def emit_module_source(net, schedule, options, key=None):
         ``opclass`` is the firing token's operation class where the
         dispatch decided it.
         """
-        nonlocal need_pool, need_res, need_rbc, need_drain, need_delivery
+        nonlocal need_pool, need_res, need_rbc, need_delivery
         index = transition_index[id(transition)]
         lines = ["tf%d += 1" % index]
         if traced_firing:
@@ -467,10 +466,9 @@ def emit_module_source(net, schedule, options, key=None):
             total = transition.delay + place.delay
             lines.append("if pool:")
             lines.append("    _r = pool.pop()")
-            lines.append("    _r.tag = %r" % transition.name)
             lines.append("    _r.delay_override = None")
             lines.append("else:")
-            lines.append("    _r = RES(tag=%r)" % transition.name)
+            lines.append("    _r = RES()")
             lines.append("_r.producer_seq = %s" % producer)
             lines.append("_r.ready_cycle = cycle + %d" % total)
             lines.append("_r.place = %s" % pvar(place))
@@ -478,14 +476,12 @@ def emit_module_source(net, schedule, options, key=None):
             lines.append("%s._occupancy += 1" % svar(place.stage))
             lines.append("%s.append(_r)" % store_var(place))
 
-        # Emission drain: identical timing to the interpreted engine, which
-        # drains the queue after *every* fire with the firing transition's
-        # delay.  Only a called hook can queue an emission.
+        # Emission delivery: the interpreted engine's own, after *every*
+        # fire with the firing transition's delay.  Only a called hook can
+        # queue an emission.
         if called:
-            need_drain = True
-            lines.append("_q = engine._emission_queue")
-            lines.append("if _q:")
-            lines.append("    drain(_q, cycle, %d)" % transition.delay)
+            lines.append("if engine._emission_queue:")
+            lines.append("    engine.deliver_emissions(%d)" % transition.delay)
         return lines
 
     # ---- walk the model once to build the per-place cycle bodies ---------
@@ -614,10 +610,6 @@ def emit_module_source(net, schedule, options, key=None):
             body.w(indent0 + 1, "_n += 1")
             body.w(indent0, "fired += _n")
 
-    if options.collect_utilization:
-        body.w(indent0, "for _st in _STAGES:")
-        body.w(indent0 + 1, "_st.occupancy_accumulator += _st._occupancy")
-
     # ---- assemble the module ---------------------------------------------
     out = _Writer()
     out.w(0, '"""Generated simulator cycle loop for model %r (repro.codegen).' % net.name)
@@ -645,11 +637,10 @@ def emit_module_source(net, schedule, options, key=None):
     out.w(0, "def make_run_cycles(rt):")
     out.w(1, "engine = rt['engine']")
     out.w(1, "ctx = rt['ctx']")
-    if need_drain or need_delivery:
+    if need_delivery:
         out.w(1, "deposit = rt['deposit']")
         out.w(1, "entry_places = rt['entry_places']")
         out.w(1, "entry_place_for = rt['entry_place_for']")
-    if need_delivery:
         out.w(1, "trace_token = rt['trace_token']")
     if used_env:
         out.w(1, "H = rt['hook_env']")
@@ -683,45 +674,12 @@ def emit_module_source(net, schedule, options, key=None):
         out.w(1, "g%d = G[%d]" % (index, index))
     for index in sorted(used_actions):
         out.w(1, "a%d = A[%d]" % (index, index))
-    if options.collect_utilization:
-        out.w(1, "_STAGES = tuple(S)")
     # Each place's lists, bound once: places mutate them in place.
     for index, place in enumerate(places):
         out.w(1, "p%dt = p%d.tokens" % (index, index))
         if place.two_list:
             out.w(1, "p%dp = p%d.pending" % (index, index))
     out.w(0, "")
-    if need_drain:
-        # Token delivery for the emission drain: SimulationEngine._deposit +
-        # Place.deposit as field operations.  End places (retire), unlimited
-        # stages and full stages (CapacityError) take the engine's _deposit.
-        out.w(1, "def drain(queue, cycle, delay):")
-        out.w(2, "engine._emission_queue = []")
-        out.w(2, "stats = engine.stats")
-        out.w(2, "for token, place in queue:")
-        out.w(3, "if place is None:")
-        out.w(4, "place = entry_places.get(token.opclass)")
-        out.w(4, "if place is None:")
-        out.w(5, "place = entry_place_for(token.opclass)  # raises ModelError")
-        out.w(3, "stats.generated_tokens += 1")
-        out.w(3, "stage = place.stage")
-        out.w(3, "capacity = stage.capacity")
-        out.w(3, "if capacity is None or stage._occupancy >= capacity:")
-        out.w(4, "deposit(token, place, delay)")
-        out.w(4, "continue")
-        out.w(3, "residence = token.delay_override")
-        out.w(3, "if residence is None:")
-        out.w(4, "residence = place.delay")
-        out.w(3, "else:")
-        out.w(4, "token.delay_override = None")
-        out.w(3, "token.ready_cycle = cycle + delay + residence")
-        out.w(3, "token.place = place")
-        out.w(3, "stage._occupancy += 1")
-        out.w(3, "if place.two_list:")
-        out.w(4, "place.pending.append(token)")
-        out.w(3, "else:")
-        out.w(4, "place.tokens.append(token)")
-        out.w(0, "")
     out.w(1, "def run_cycles(limit):")
     out.w(2, "stats = engine.stats")
     out.w(2, "tf = stats.transition_firings")

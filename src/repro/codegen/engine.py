@@ -23,8 +23,8 @@ places never rebind their lists).  A whole idle pipeline costs less
 still: after a cycle in which nothing fired, the engine jumps to the next
 cycle in which a resident token becomes ready
 (:meth:`GeneratedEngine._fast_forward`) and accounts the skipped cycles'
-stalls and occupancy in one go.  Reservation tokens are pooled (the
-emitted fire bodies draw from ``_reservation_pool``).
+stalls in one go.  Reservation tokens are pooled (the emitted fire bodies
+draw from ``_reservation_pool``).
 
 Inspecting the generated code::
 
@@ -109,9 +109,8 @@ class GeneratedEngine(SimulationEngine):
         through ``ready_cycle`` — unless one read ``ctx.cycle``, which sets
         ``_cycle_read`` and rules the skip out.  Every cycle before the
         earliest ``ready_cycle >= cycle`` of a resident token therefore
-        repeats the idle step exactly: same stalls, same occupancy, nothing
-        fired.  Those k cycles are accounted in one go, and counted in
-        ``skipped_cycles``.
+        repeats the idle step exactly: same stalls, nothing fired.  Those k
+        cycles are accounted in one go, and counted in ``skipped_cycles``.
 
         k is clamped so ``max_cycles`` and the ``stall_limit`` deadlock
         error trip on the same cycle, with the same text, as stepping
@@ -138,9 +137,6 @@ class GeneratedEngine(SimulationEngine):
         stats.cycles = self.cycle
         stats.stalls += skip * self._idle_stalls
         self._idle_cycles += skip
-        if self.options.collect_utilization:
-            for stage in self.net.stages.values():
-                stage.occupancy_accumulator += skip * stage._occupancy
 
     def reset(self):
         """Reset dynamic state while keeping the emitted cycle loop.

@@ -277,8 +277,3 @@ class InstructionDecoder:
 
     def cache_info(self):
         return {"hits": self.hits, "misses": self.misses, "entries": len(self._cache)}
-
-    def clear_cache(self):
-        self._cache.clear()
-        self.hits = 0
-        self.misses = 0

@@ -51,10 +51,9 @@ class EngineOptions:
 
     Which knobs apply to which backend:
 
-    * ``max_cycles``, ``stall_limit``, ``collect_utilization``,
-      ``two_list_everywhere`` — all backends (they shape the shared
-      :class:`~repro.core.scheduler.StaticSchedule` or the shared run
-      loop).
+    * ``max_cycles``, ``stall_limit``, ``two_list_everywhere`` — all
+      backends (they shape the shared
+      :class:`~repro.core.scheduler.StaticSchedule` or the shared run loop).
     * ``use_sorted_transitions`` — interpreted only.  It exists so the
       ablation benchmark can price the sorted-dispatch optimisation; the
       generated backend always bakes the sorted dispatch tables into its
@@ -62,10 +61,9 @@ class EngineOptions:
       source nor its codegen memo key.
 
     ``use_sorted_transitions`` and ``two_list_everywhere`` switch the two
-    paper optimisations off/on (Section 4); ``collect_utilization`` samples
-    per-stage occupancy each cycle (costs time, off by default);
-    ``stall_limit`` aborts runs in which nothing fires for that many
-    consecutive cycles (a modeling bug, reported as a deadlock).
+    paper optimisations off/on (Section 4); ``stall_limit`` aborts runs in
+    which nothing fires for that many consecutive cycles (a modeling bug,
+    reported as a deadlock).
 
     ``trace`` attaches a cycle-level event tracer
     (:class:`repro.observe.trace.TraceConfig`, or an equivalent dict from a
@@ -80,7 +78,6 @@ class EngineOptions:
     max_cycles: int = 10_000_000
     use_sorted_transitions: bool = True
     two_list_everywhere: bool = False
-    collect_utilization: bool = False
     stall_limit: int = 100_000
     backend: str = "interpreted"
     trace: object = None
@@ -394,18 +391,25 @@ class SimulationEngine:
         ):
             self._deposit(token, transition.target, transition.delay)
         for arc in transition.reservation_outputs:
-            reservation = ReservationToken(
-                tag=transition.name,
-                producer_seq=token.seq if token is not None else None,
-            )
+            reservation = ReservationToken(producer_seq=token.seq if token is not None else None)
             self._deposit(reservation, arc.place, transition.delay)
 
         if self._emission_queue:
-            emissions, self._emission_queue = self._emission_queue, []
-            for new_token, place in emissions:
-                destination = place if place is not None else self.net.entry_place_for(new_token.opclass)
-                self.stats.generated_tokens += 1
-                self._deposit(new_token, destination, transition.delay)
+            self.deliver_emissions(transition.delay)
+
+    def deliver_emissions(self, transition_delay):
+        """Deposit the tokens queued by ``ctx.emit`` during one fire.
+
+        Each goes to its given place, else to the entry place of its
+        operation class, with the firing transition's delay.  The generated
+        engine calls this after every fire whose hooks may emit and are not
+        spliced (the spliced fetch delivers its own token).
+        """
+        emissions, self._emission_queue = self._emission_queue, []
+        for new_token, place in emissions:
+            destination = place if place is not None else self.net.entry_place_for(new_token.opclass)
+            self.stats.generated_tokens += 1
+            self._deposit(new_token, destination, transition_delay)
 
     def _deposit(self, token, place, transition_delay):
         if place.is_end:
@@ -462,9 +466,6 @@ class SimulationEngine:
         for place in self.schedule.order:
             process_place(place)
         self._run_generators()
-        if self.options.collect_utilization:
-            for stage in self.net.stages.values():
-                stage.occupancy_accumulator += stage.occupancy
         self.cycle += 1
         self.stats.cycles = self.cycle
 
@@ -515,11 +516,6 @@ class SimulationEngine:
             if self._fired_this_cycle == 0:
                 self._fast_forward(limit)
         self.stats.wall_time_seconds += time.perf_counter() - start
-        if self.options.collect_utilization:
-            self.stats.stage_occupancy = {
-                name: (stage.occupancy_accumulator / self.cycle if self.cycle else 0.0)
-                for name, stage in self.net.stages.items()
-            }
         return self.stats
 
     def _advance(self, limit):

@@ -190,19 +190,8 @@ class RCPN:
             raise ModelError("sub-net %r has no entry place" % subnet.name)
         return subnet.entry_place
 
-    def instruction_independent_subnets(self):
-        return [s for s in self.subnets.values() if s.is_instruction_independent]
-
     def generator_transitions(self):
         return [t for t in self.transitions if t.is_generator]
-
-    def places_of_stage(self, stage):
-        stage = stage if isinstance(stage, PipelineStage) else self.stage(stage)
-        return list(stage.places)
-
-    def transitions_from(self, place):
-        place = self._resolve_place(place)
-        return [t for t in self.transitions if t.source is place]
 
     def complexity(self):
         """Structural size of the model (used by the Fig. 1/2 experiment)."""
@@ -252,7 +241,7 @@ class RCPN:
         return True
 
     def reset(self):
-        """Clear all dynamic state (tokens, stage occupancy, register writers).
+        """Clear all dynamic state (tokens, stage occupancy, register files).
 
         Units that are pure per-run bookkeeping (``clears_with_net = True``,
         e.g. the multi-issue :class:`~repro.describe.substrate.IssueControl`)
@@ -265,7 +254,7 @@ class RCPN:
         for stage in self.stages.values():
             stage.reset()
         for regfile in self.register_files.values():
-            regfile.writers = [None] * regfile.size
+            regfile.reset()
         for unit in self.units.values():
             if getattr(unit, "clears_with_net", False):
                 unit.reset()

@@ -52,19 +52,25 @@ class Operand:
 
 
 class RegisterFile:
-    """Backing storage for a set of registers plus their writer pointers."""
+    """Backing storage for a set of registers plus their writer pointers.
+
+    ``data`` and ``writers`` are created once and only ever mutated in
+    place (:meth:`reset` included), so code may bind either list once.
+    """
 
     def __init__(self, name, size, initial=0):
         if size <= 0:
             raise ValueError("register file size must be positive")
         self.name = name
         self.size = size
+        self.initial = initial
         self.data = [initial] * size
         self.writers = [None] * size
 
-    def reset(self, initial=0):
-        self.data = [initial] * self.size
-        self.writers = [None] * self.size
+    def reset(self):
+        """Every register back to the initial value, no pending writer."""
+        self.data[:] = [self.initial] * self.size
+        self.writers[:] = [None] * self.size
 
     def register(self, index, name=None):
         """Create a :class:`Register` view of slot ``index``."""

@@ -88,21 +88,6 @@ class Place:
             self.tokens.extend(self.pending)
             self.pending.clear()
 
-    def ready_tokens(self, cycle):
-        """Instruction and reservation tokens eligible for processing."""
-        return [token for token in self.tokens if token.ready_cycle <= cycle]
-
-    def ready_instruction_tokens(self, cycle):
-        """Only the instruction tokens eligible for processing this cycle."""
-        return [
-            token
-            for token in self.tokens
-            if token.is_instruction and token.ready_cycle <= cycle
-        ]
-
-    def reservation_tokens(self):
-        return [token for token in self.tokens if not token.is_instruction]
-
     def take_reservation(self):
         """Remove and return one reservation token (used when an arc consumes it)."""
         for token in self.tokens:

@@ -20,7 +20,7 @@ class PipelineStage:
     places assigned to the stage.
     """
 
-    __slots__ = ("name", "capacity", "delay", "places", "_occupancy", "occupancy_accumulator")
+    __slots__ = ("name", "capacity", "delay", "places", "_occupancy")
 
     def __init__(self, name, capacity=1, delay=1):
         if capacity is not None and capacity < 1:
@@ -32,7 +32,6 @@ class PipelineStage:
         self.delay = delay
         self.places = []
         self._occupancy = 0
-        self.occupancy_accumulator = 0
 
     @property
     def is_end(self):
@@ -63,7 +62,6 @@ class PipelineStage:
 
     def reset(self):
         self._occupancy = 0
-        self.occupancy_accumulator = 0
 
     def __repr__(self):
         cap = "inf" if self.unlimited else str(self.capacity)

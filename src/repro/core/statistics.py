@@ -26,7 +26,6 @@ class SimulationStatistics:
     wall_time_seconds: float = 0.0
     finished: bool = False
     finish_reason: str = ""
-    stage_occupancy: dict = field(default_factory=dict)
 
     @property
     def cpi(self):
@@ -34,12 +33,6 @@ class SimulationStatistics:
         if self.instructions == 0:
             return float("inf")
         return self.cycles / self.instructions
-
-    @property
-    def ipc(self):
-        if self.cycles == 0:
-            return 0.0
-        return self.instructions / self.cycles
 
     @property
     def cycles_per_second(self):
@@ -53,17 +46,6 @@ class SimulationStatistics:
         if self.wall_time_seconds <= 0:
             return 0.0
         return self.instructions / self.wall_time_seconds
-
-    def merge_unit_statistics(self, units):
-        """Attach statistics of non-pipeline units (caches, predictors)."""
-        collected = {}
-        for name, unit in units.items():
-            stats = getattr(unit, "statistics", None)
-            if callable(stats):
-                collected[name] = stats()
-            elif stats is not None:
-                collected[name] = stats
-        return collected
 
     def summary(self):
         """A plain dictionary convenient for reports and assertions."""

@@ -63,11 +63,10 @@ class ReservationToken(Token):
     the fetch guard it disables would block forever.
     """
 
-    __slots__ = ("tag", "producer_seq")
+    __slots__ = ("producer_seq",)
 
-    def __init__(self, tag=None, producer_seq=None):
+    def __init__(self, producer_seq=None):
         super().__init__()
-        self.tag = tag
         self.producer_seq = producer_seq
 
 

@@ -488,10 +488,7 @@ if _e:
         action="""
 if t.annotations.get("executed"):
     if t.annotations.get("syscall") == 1:
-        _x = getattr(CORE, "output", None)
-        if _x is None:
-            CORE.output = _x = []
-        _x.append(GPR.data[0])
+        CORE.output.append(GPR.data[0])
     if t.annotations.get("halt"):
         ctx.stop("halt")
 """,
@@ -530,8 +527,7 @@ FETCH_TEMPLATES = {
         guard="not CORE.halted and (STALL_STAGE is None or STALL_STAGE._occupancy == 0)",
         action="""
 _p = CORE.fetch_pc
-CORE.fetch_pc = (_p + 4) & 0xFFFFFFFF
-CORE.sequence += 1""" + _FETCH + _DELIVER,
+CORE.fetch_pc = (_p + 4) & 0xFFFFFFFF""" + _FETCH + _DELIVER,
     ),
     "btb": HookTemplate(
         "fetch.btb",
@@ -540,8 +536,7 @@ CORE.sequence += 1""" + _FETCH + _DELIVER,
 _p = CORE.fetch_pc
 _e, _f, _b = PREDICTOR.lookup(_p)""" + _FETCH + """
 _x.annotations["predicted_taken"] = _f = bool(_e and _f)
-CORE.fetch_pc = (_b if _f else _p + 4) & 0xFFFFFFFF
-CORE.sequence += 1""" + _DELIVER,
+CORE.fetch_pc = (_b if _f else _p + 4) & 0xFFFFFFFF""" + _DELIVER,
     ),
 }
 
@@ -603,7 +598,6 @@ class ArmSemantics:
             CORE=core,
             MEMORY=memory,
             MAIN=memory.memory,
-            PERFECT_CACHES=memory.config.perfect_caches,
             DECODER=decoder,
             PREDICTOR=predictor,
             ISSUE_CONTROL=issue_control,

@@ -308,8 +308,7 @@ class MemorySpec:
     * ``l2`` — an optional second level shared by the L1s: L1 misses fill
       from it and dirty L1 victims write back into it, so only L2 misses
       and L2 writebacks reach the fixed-latency memory;
-    * ``memory_latency`` — the flat backing-memory latency in cycles;
-    * ``perfect_caches`` — every access hits (and is *counted* as a hit).
+    * ``memory_latency`` — the flat backing-memory latency in cycles.
 
     The default ``MemorySpec()`` elaborates to exactly the memory system
     every pre-existing model was built with, so specs that do not mention
@@ -321,7 +320,6 @@ class MemorySpec:
     l1_unified: CacheLevelSpec = None
     l2: CacheLevelSpec = None
     memory_latency: int = 30
-    perfect_caches: bool = False
 
     def problems(self):
         """Every inconsistency of the hierarchy, as strings."""

@@ -56,29 +56,24 @@ def unpack_flags(value):
 # ---------------------------------------------------------------------------
 
 class ProcessorCore:
-    """Non-pipeline unit owning the fetch PC and the halt state.
+    """Non-pipeline unit owning the fetch PC, the halt state and the output.
 
     RCPN transitions reference it exactly like they reference the memory
     system or the branch predictor (paper Section 3: "A transition can
-    directly reference non-pipeline units").
+    directly reference non-pipeline units").  ``output`` collects the
+    values the program prints (``swi #1`` writes ``r0``); :meth:`reset`,
+    which :meth:`Processor.load_program` calls, empties it in place.
     """
 
     def __init__(self):
         self.fetch_pc = 0
         self.halted = False
-        self.sequence = 0  # fetch order, stamped into token annotations
+        self.output = []
 
     def reset(self, entry=0):
         self.fetch_pc = entry
         self.halted = False
-        self.sequence = 0
-
-    def next_fetch(self):
-        """Return the current fetch address and advance it sequentially."""
-        pc = self.fetch_pc
-        self.fetch_pc = (pc + 4) & 0xFFFFFFFF
-        self.sequence += 1
-        return pc
+        self.output.clear()
 
     def redirect(self, target):
         """Redirect fetching (taken branch / misprediction recovery)."""
@@ -683,7 +678,6 @@ def build_memory_config(memory_spec):
         icache=icache,
         dcache=dcache,
         memory_latency=memory_spec.memory_latency,
-        perfect_caches=memory_spec.perfect_caches,
         l2=cache_config(memory_spec.l2) if memory_spec.l2 is not None else None,
         unified_l1=memory_spec.l1_unified is not None,
     )

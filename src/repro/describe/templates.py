@@ -59,9 +59,9 @@ from repro.isa.registers import PC
 #: not reuse one (the splice would clobber it).
 RESERVED_NAMES = frozenset((
     "cycle", "cycle0", "idle0", "stats", "tf", "rbc", "fired", "limit", "engine",
-    "pool", "drain", "deposit", "entry_places", "entry_place_for", "trace_token",
-    "stalls", "instructions", "generated_tokens", "_oc", "_d", "_q", "_r", "_n",
-    "_st", "_stalls", "_hc", "_tm",
+    "pool", "deposit", "entry_places", "entry_place_for", "trace_token",
+    "stalls", "instructions", "generated_tokens", "_oc", "_d", "_r", "_n",
+    "_stalls", "_hc", "_tm",
 ))
 
 #: The loop's indexed names: run-local counters (``tf3``, ``rbc0``), place
@@ -156,7 +156,7 @@ def _cache_hit(cache, var, address, touch, miss):
     # Cache.access's hit path (counters, LRU order); the method otherwise.
     return f"""
 _cc = MEMORY.{cache}
-if PERFECT_CACHES or _cc.trace is not None:
+if _cc.trace is not None:
     {var} = {miss}
 else:
     _ln = {address} // _cc.line_bytes
@@ -200,8 +200,8 @@ def _emit_queued(token):
 
 
 def _emit_delivered(token, delay):
-    # SimulationEngine.queue_emission + the drain's Place.deposit as field
-    # operations, for an emission routed by operation class.
+    # SimulationEngine.queue_emission + deliver_emissions' Place.deposit as
+    # field operations, for an emission routed by operation class.
     return f"""
 _ep = entry_places.get({token}.opclass)
 if _ep is None:

@@ -13,8 +13,6 @@ from repro.memory.branch_predictor import (
     BranchPredictor,
     BranchTargetBuffer,
     StaticNotTakenPredictor,
-    StaticTakenPredictor,
-    BimodalPredictor,
 )
 
 __all__ = [
@@ -27,6 +25,4 @@ __all__ = [
     "BranchPredictor",
     "BranchTargetBuffer",
     "StaticNotTakenPredictor",
-    "StaticTakenPredictor",
-    "BimodalPredictor",
 ]

@@ -53,20 +53,6 @@ class StaticNotTakenPredictor(BranchPredictor):
         pass
 
 
-class StaticTakenPredictor(BranchPredictor):
-    """Always predicts taken (useful as an ablation)."""
-
-    def __init__(self):
-        self.predictions = 0
-        self.mispredictions = 0
-
-    def predict(self, address):
-        return True
-
-    def update(self, address, taken):
-        pass
-
-
 class BranchTargetBuffer:
     """A branch target buffer with two-bit direction counters.
 
@@ -129,39 +115,3 @@ class BranchTargetBuffer:
             "predictions": self.predictions,
             "mispredictions": self.mispredictions,
         }
-
-
-class BimodalPredictor(BranchPredictor):
-    """Two-bit saturating counters indexed by the branch address.
-
-    This approximates the XScale branch target buffer's direction predictor
-    (128 entries of 2-bit counters by default).
-    """
-
-    def __init__(self, entries=128, initial=1):
-        if entries <= 0 or entries & (entries - 1):
-            raise ValueError("entries must be a positive power of two")
-        self.entries = entries
-        self.initial = initial
-        self.counters = [initial] * entries
-        self.predictions = 0
-        self.mispredictions = 0
-
-    def reset(self):
-        self.counters = [self.initial] * self.entries
-        self.predictions = 0
-        self.mispredictions = 0
-
-    def _index(self, address):
-        return (address >> 2) & (self.entries - 1)
-
-    def predict(self, address):
-        return self.counters[self._index(address)] >= 2
-
-    def update(self, address, taken):
-        index = self._index(address)
-        counter = self.counters[index]
-        if taken:
-            self.counters[index] = min(3, counter + 1)
-        else:
-            self.counters[index] = max(0, counter - 1)

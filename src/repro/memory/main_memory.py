@@ -61,7 +61,3 @@ class MainMemory:
         the flat memory charges reads and writes identically.
         """
         return self.latency
-
-    def touched_words(self):
-        """Number of distinct words ever written (useful in tests)."""
-        return len(self._words)

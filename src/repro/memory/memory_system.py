@@ -41,7 +41,6 @@ class MemorySystemConfig:
         default_factory=lambda: CacheConfig(name="D$", miss_penalty=0)
     )
     memory_latency: int = 30
-    perfect_caches: bool = False
     l2: CacheConfig = None
     unified_l1: bool = False
 
@@ -97,11 +96,7 @@ class MemorySystem:
 
     def _build_caches(self):
         config = self.config
-        # Perfect caches never miss, so nothing would ever consult an L2;
-        # not building it keeps statistics truthful (no all-zero L2 row in
-        # reports for a cache that cannot be reached).
-        build_l2 = config.l2 is not None and not config.perfect_caches
-        self.l2 = Cache(config.l2, backing=self.memory) if build_l2 else None
+        self.l2 = Cache(config.l2, backing=self.memory) if config.l2 is not None else None
         backing = self.l2 if self.l2 is not None else self.memory
         if config.unified_l1:
             unified = Cache(config.dcache, backing=backing)
@@ -129,26 +124,12 @@ class MemorySystem:
         self.memory.load_program(program)
 
     # -- timing interface -----------------------------------------------------
-    def _perfect_access(self, cache, address):
-        # A perfect cache still *sees* the access: counting it as a hit
-        # keeps reported access counts and hit rates truthful instead of
-        # dividing campaign reports into misleading 0.0 rates.
-        cache.stats.accesses += 1
-        cache.stats.hits += 1
-        if cache.trace is not None:
-            cache.trace(cache.config.name, "hit", address, cache.config.hit_latency)
-        return cache.config.hit_latency
-
     def instruction_delay(self, address):
         """Latency of an instruction fetch at ``address``."""
-        if self.config.perfect_caches:
-            return self._perfect_access(self.icache, address)
         return self.icache.access(address, is_write=False)
 
     def data_delay(self, address, is_write=False):
         """Latency of a data access at ``address``."""
-        if self.config.perfect_caches:
-            return self._perfect_access(self.dcache, address)
         return self.dcache.access(address, is_write=is_write)
 
     # Paper-style alias used in the LoadStore sub-net example (Figure 5).
@@ -203,7 +184,6 @@ class MemorySystem:
             "memory_reads": self.memory.read_count,
             "memory_writes": self.memory.write_count,
             "unified_l1": self.config.unified_l1,
-            "perfect_caches": self.config.perfect_caches,
         }
         return summary
 
@@ -234,7 +214,4 @@ class MemorySystem:
         if self.l2 is not None:
             levels.append(dict(level(self.l2), role="l2"))
         levels.append({"name": "memory", "role": "memory", "latency": self.config.memory_latency})
-        if self.config.perfect_caches:
-            for entry in levels[:-1]:
-                entry["perfect"] = True
         return levels

@@ -94,6 +94,42 @@ class TestCampaignSpec:
         assert plan_campaign(rebuilt).fingerprints == plan_campaign(spec).fingerprints
         assert rebuilt.description == "documented"
 
+    def test_spec_dict_with_the_retired_utilisation_switch_plans_the_same_runs(self):
+        """Engine options written by ``to_dict`` while ``collect_utilization`` existed."""
+
+        def options(backend):
+            return {
+                "max_cycles": 10_000_000,
+                "use_sorted_transitions": True,
+                "two_list_everywhere": False,
+                "collect_utilization": False,
+                "stall_limit": 100_000,
+                "backend": backend,
+                "trace": None,
+            }
+
+        written = {
+            "name": "pre-retirement",
+            "processors": ["arm7-mini", "strongarm"],
+            "workloads": ["crc"],
+            "scales": [1],
+            "engines": [
+                {"label": backend, "options": options(backend), "use_decode_cache": True}
+                for backend in ("interpreted", "generated")
+            ],
+            "repeats": 1,
+            "description": "",
+        }
+        spec = CampaignSpec(
+            name="pre-retirement",
+            processors=("arm7-mini", "strongarm"),
+            workloads=("crc",),
+            engines=("interpreted", "generated"),
+        )
+        loaded = plan_campaign(CampaignSpec.from_dict(written))
+        assert loaded.run_ids() == plan_campaign(spec).run_ids()
+        assert loaded.fingerprints == plan_campaign(spec).fingerprints
+
     def test_enumeration_only_spec_is_valid(self):
         from repro.campaign import campaign_processors
 

@@ -4,13 +4,17 @@ Failures are first-class: a run that raises executes once and persists as
 a ``"failed"`` store record (visible in ``status``/``report``, never
 served as cache hits), the default stops the campaign — in process or on
 a pool — at the first failed run, and ``keep_going`` finishes the whole
-grid before the collected :class:`CampaignError` is raised.
+grid before the collected :class:`CampaignError` is raised.  An
+orchestrator killed outright takes its pool workers with it.
 """
 
 import io
 import json
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -476,3 +480,69 @@ class TestFailureCli:
         assert code == 0
         assert "1 from store" in out.getvalue()  # intact result re-served
         assert "1 executed" in out.getvalue()  # only the torn run re-ran
+
+
+#: An orchestrator whose two pool workers note their pid in ``argv[1]``
+#: and then stall, so they are mid-run whenever it is killed.
+_STALLING_ORCHESTRATOR = """
+import os, sys, time
+from repro.campaign import CampaignSpec, run_campaign
+from repro.campaign import runner
+
+def stall(run, campaign=""):
+    open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+    time.sleep(60)
+
+runner.execute_run = stall
+run_campaign(
+    CampaignSpec(
+        name="orphans", processors=("arm7-mini",), workloads=("crc", "compress"),
+        engines=("interpreted",),
+    ),
+    max_workers=2,
+    mp_context="fork",
+)
+"""
+
+
+def _running(pid):
+    """True while ``pid`` runs; a zombie awaiting its reaper counts as gone."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open("/proc/%d/stat" % pid) as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+@needs_fork
+def test_pool_workers_exit_when_the_orchestrator_is_killed(tmp_path):
+    import repro
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    orchestrator = subprocess.Popen(
+        [sys.executable, "-c", _STALLING_ORCHESTRATOR, str(tmp_path)], env=env
+    )
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and time.monotonic() < deadline:
+            assert orchestrator.poll() is None, "the orchestrator exited early"
+            time.sleep(0.05)
+            workers = [int(name) for name in os.listdir(tmp_path)]
+        assert len(workers) == 2
+
+        orchestrator.send_signal(signal.SIGKILL)
+        orchestrator.wait(timeout=10)
+        deadline = time.monotonic() + 5
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [pid for pid in workers if _running(pid)] == []
+    finally:
+        orchestrator.kill()
+        orchestrator.wait(timeout=10)
+        for pid in filter(_running, workers):  # outlived the orchestrator
+            os.kill(pid, signal.SIGKILL)

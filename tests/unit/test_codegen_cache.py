@@ -107,13 +107,8 @@ def test_digest_records_a_hook_that_appears():
 def test_key_depends_on_emit_relevant_options():
     net = fresh_net()
     base = codegen_key(net, GENERATED)
-    changed = [
-        EngineOptions(backend="generated", two_list_everywhere=True),
-        EngineOptions(backend="generated", collect_utilization=True),
-    ]
-    keys = [codegen_key(net, options) for options in changed]
-    assert base not in keys
-    assert len(set(keys)) == len(keys)
+    changed = codegen_key(net, EngineOptions(backend="generated", two_list_everywhere=True))
+    assert changed != base
 
 
 @pytest.mark.parametrize("model", processor_names())

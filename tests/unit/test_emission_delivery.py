@@ -1,10 +1,10 @@
 """Delivering emitted instruction tokens: ``ctx.emit`` on every backend.
 
 An action sends a new token into the pipeline with ``ctx.emit(token,
-place)``.  The interpreted engine delivers it through ``_deposit`` and
-``Place.deposit``; the generated engine's emitted ``drain`` does the same
-as field operations and hands end places and full stages back to
-``_deposit``.  Each case runs on both backends and must come out the same:
+place)``.  Both engines deliver it through
+``SimulationEngine.deliver_emissions``, which ``fire`` and the generated
+engine's called-hook sites share (``_deposit`` and ``Place.deposit``).
+Each case runs on both backends and must come out the same:
 a place given by name, an explicit two-list place, an end place (the token
 retires), a token carrying a delay override, a full stage
 (``CapacityError``) and an operation class no sub-net handles

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.memory import (
-    BimodalPredictor,
     BranchTargetBuffer,
     Cache,
     CacheConfig,
@@ -11,7 +10,6 @@ from repro.memory import (
     MemorySystem,
     MemorySystemConfig,
     StaticNotTakenPredictor,
-    StaticTakenPredictor,
 )
 
 
@@ -238,41 +236,6 @@ def test_memory_system_latencies_hit_vs_miss():
     assert hit == system.config.dcache.hit_latency
 
 
-def test_memory_system_perfect_cache_mode():
-    system = MemorySystem(MemorySystemConfig(perfect_caches=True))
-    assert system.data_delay(0x4000) == system.config.dcache.hit_latency
-    assert system.instruction_delay(0x4000) == system.config.icache.hit_latency
-
-
-def test_perfect_caches_count_accesses_as_hits():
-    # Regression: perfect caches used to bypass the statistics entirely,
-    # reporting zero accesses and a misleading 0.0 hit rate.
-    system = MemorySystem(MemorySystemConfig(perfect_caches=True))
-    for address in (0x0, 0x4, 0x1000):
-        system.instruction_delay(address)
-    system.data_delay(0x2000)
-    system.data_delay(0x2000, is_write=True)
-    stats = system.statistics()
-    assert stats["icache"].accesses == 3 and stats["icache"].hit_rate == 1.0
-    assert stats["dcache"].accesses == 2 and stats["dcache"].misses == 0
-    assert system.statistics_summary()["perfect_caches"] is True
-
-
-def test_perfect_caches_do_not_build_or_report_an_unreachable_l2():
-    # Perfect L1s never miss, so a declared L2 can never be consulted;
-    # reporting it would resurrect the all-zero-statistics lie.
-    system = MemorySystem(
-        MemorySystemConfig(
-            perfect_caches=True,
-            l2=CacheConfig(name="L2", size_bytes=4096, associativity=4, miss_penalty=0),
-        )
-    )
-    system.data_delay(0x1000)
-    assert system.l2 is None
-    assert "l2" not in system.statistics()
-    assert system.statistics_summary()["l2"] is None
-
-
 def test_memory_system_statistics_structure():
     system = MemorySystem()
     system.instruction_delay(0)
@@ -356,28 +319,9 @@ def test_reset_statistics_keeps_lines_warm_but_reset_colds_them():
 
 def test_static_predictors():
     not_taken = StaticNotTakenPredictor()
-    taken = StaticTakenPredictor()
     assert not_taken.predict(0) is False
-    assert taken.predict(0) is True
     assert not_taken.record(0x10, True) is False  # mispredicted
     assert not_taken.mispredictions == 1
-
-
-def test_bimodal_predictor_learns_direction():
-    predictor = BimodalPredictor(entries=16, initial=1)
-    address = 0x40
-    assert predictor.predict(address) is False
-    predictor.update(address, True)
-    predictor.update(address, True)
-    assert predictor.predict(address) is True
-    predictor.update(address, False)
-    predictor.update(address, False)
-    assert predictor.predict(address) is False
-
-
-def test_bimodal_predictor_rejects_bad_sizes():
-    with pytest.raises(ValueError):
-        BimodalPredictor(entries=10)
 
 
 def test_btb_miss_then_learn_target():
