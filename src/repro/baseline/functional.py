@@ -39,11 +39,10 @@ class FunctionalSimulator:
     production ISS does and keeps long kernel runs fast enough for tests.
     """
 
-    def __init__(self, memory=None, use_decode_cache=True):
+    def __init__(self, memory=None):
         self.memory = memory if memory is not None else MainMemory()
         self.state = CPUState()
         self.stats = FunctionalStatistics()
-        self.use_decode_cache = use_decode_cache
         self._decode_cache = {}
         self.output = []
 
@@ -52,8 +51,6 @@ class FunctionalSimulator:
         self.state.pc = program.entry
 
     def _decode(self, word):
-        if not self.use_decode_cache:
-            return decode(word)
         instr = self._decode_cache.get(word)
         if instr is None:
             instr = decode(word)

@@ -70,18 +70,10 @@ def build_run_processor(run):
     if run.processor_spec is not None:
         from repro.describe.elaborate import elaborate
 
-        return elaborate(
-            run.processor_spec,
-            engine_options=options,
-            use_decode_cache=run.engine.use_decode_cache,
-        )
+        return elaborate(run.processor_spec, engine_options=options)
     from repro.processors.registry import build_processor
 
-    return build_processor(
-        run.processor,
-        engine_options=options,
-        use_decode_cache=run.engine.use_decode_cache,
-    )
+    return build_processor(run.processor, engine_options=options)
 
 
 def _identity_fields(run, campaign):

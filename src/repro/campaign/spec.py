@@ -62,8 +62,7 @@ class EngineVariant:
 
     ``label`` names the variant in results and reports; ``options`` is the
     full :class:`~repro.core.engine.EngineOptions` (``None`` means the
-    defaults) and ``use_decode_cache`` is the builder-level decode-cache
-    knob the Section 4 ablation sweeps.  The plain backend strings
+    defaults).  The plain backend strings
     (``"interpreted"``/``"generated"``, see
     :data:`~repro.core.engine.ENGINE_BACKENDS`) are accepted anywhere a
     variant is and normalise to a variant of that backend with default
@@ -72,7 +71,6 @@ class EngineVariant:
 
     label: str
     options: EngineOptions = None
-    use_decode_cache: bool = True
 
     def resolved_options(self):
         """A private :class:`EngineOptions` copy (engines mutate nothing shared)."""
@@ -93,10 +91,7 @@ class EngineVariant:
         """
         options = asdict(self.options or EngineOptions())
         options.pop("trace", None)
-        return {
-            "options": options,
-            "use_decode_cache": self.use_decode_cache,
-        }
+        return {"options": options}
 
 
 def engine_variant(value):
@@ -333,7 +328,6 @@ class CampaignSpec:
                 {
                     "label": variant.label,
                     "options": asdict(variant.options or EngineOptions()),
-                    "use_decode_cache": variant.use_decode_cache,
                 }
                 for variant in self.engine_variants()
             ],
@@ -360,17 +354,22 @@ class CampaignSpec:
             elif isinstance(entry, dict):
                 options = dict(entry.get("options") or {})
                 # Older spec files carry retired options that never changed
-                # a statistic: the lane-batched backend's batch width and
-                # the utilisation-sampling switch.
-                options.pop("lanes", None)
-                options.pop("collect_utilization", None)
+                # a statistic: the lane-batched backend's batch width, the
+                # utilisation-sampling switch and the Section 4 switches
+                # (as is the entry's ``use_decode_cache``, never read).
+                for retired in (
+                    "lanes",
+                    "collect_utilization",
+                    "use_sorted_transitions",
+                    "two_list_everywhere",
+                ):
+                    options.pop(retired, None)
                 if "backend" in entry and "backend" not in options:
                     options["backend"] = entry["backend"]
                 engines.append(
                     EngineVariant(
                         label=entry.get("label") or options.get("backend", "interpreted"),
                         options=_engine_options(options),
-                        use_decode_cache=entry.get("use_decode_cache", True),
                     )
                 )
             else:

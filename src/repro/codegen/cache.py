@@ -6,11 +6,11 @@ depends only on
 
 * the spec fingerprint (``net.spec_fingerprint``, which also keys the
   schedule cache),
-* the net's structure and gating (:func:`repro.codegen.runtime.
-  structure_digest`), so a net mutated after elaboration never shares a
-  module with the clean build of its spec,
-* the emit-relevant engine options (``two_list_everywhere`` and the
-  emission-relevant trace categories — run-length knobs like
+* the net's structure, gating and two-list places
+  (:func:`repro.codegen.runtime.structure_digest`), so a net mutated
+  after elaboration never shares a module with the clean build of its
+  spec,
+* the emission-relevant trace categories (run-length knobs like
   ``max_cycles``/``stall_limit`` are deliberately excluded).
 
 :func:`codegen_key` hashes those into the memo key.  Everything the emitted
@@ -48,11 +48,11 @@ def emit_trace_categories(options):
 def codegen_key(net, options):
     """Memo key of ``net`` emitted under ``options``; ``None`` without a fingerprint.
 
-    Only the options that change the emitted *source* participate.
-    Emission-relevant trace categories join the key only when tracing is
-    on (see :func:`emit_trace_categories`), so every tracing-off
-    configuration shares one key.  Hand-built nets carry no spec
-    fingerprint and get no key: they are emitted fresh on every build.
+    Of the options, only the emission-relevant trace categories change
+    the emitted *source*; they join the key only when tracing is on (see
+    :func:`emit_trace_categories`), so every tracing-off configuration
+    shares one key.  Hand-built nets carry no spec fingerprint and get no
+    key: they are emitted fresh on every build.
     """
     fingerprint = getattr(net, "spec_fingerprint", None)
     if fingerprint is None:
@@ -61,7 +61,6 @@ def codegen_key(net, options):
         "repro.codegen",
         fingerprint,
         structure_digest(net),
-        "twolist=%r" % options.two_list_everywhere,
     ]
     trace_categories = emit_trace_categories(options)
     if trace_categories:

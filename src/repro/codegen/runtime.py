@@ -138,7 +138,9 @@ def structure_digest(net):
 
     Beside the net's structure, each transition's guard and action enter
     as their template's key, ``"opaque"`` (a hook the module calls,
-    assuming it may do anything) or ``None`` (absent, so no call).
+    assuming it may do anything) or ``None`` (absent, so no call), and
+    each place's ``two_list`` flag as the schedule left it (the emitter
+    binds a two-list place's ``pending`` list and commits it each cycle).
     """
     rows, _env = splice_plan(net)
     hooks = tuple(
@@ -148,7 +150,8 @@ def structure_digest(net):
         )
         for transition, row in zip(net.transitions, rows)
     )
-    payload = repr((structure_signature(net), hooks))
+    two_list = tuple(place.name for place in net.places.values() if place.two_list)
+    payload = repr((structure_signature(net), hooks, two_list))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

@@ -28,10 +28,10 @@ scheme generically:
   (:attr:`DecodedTemplate.free`), so a fetch of a hot word allocates
   nothing and leaves no token↔RegRef cycle for the garbage collector.
 
-The factory is the one construction path: with the cache off (the
-ablation) the decoder builds a template per fetch and calls the same
-factory.  The decoder numbers the tokens it makes (``token.seq``, fetch
-order), so two runs of one processor number their instructions identically.
+Every word is decoded and bound once, and the factory is the one
+construction path.  The decoder numbers the tokens it makes (``token.seq``,
+fetch order), so two runs of one processor number their instructions
+identically.
 """
 
 from __future__ import annotations
@@ -192,8 +192,7 @@ class DecodedTemplate:
     a later fetch of the word takes it back through ``renew``, so a hook
     must not keep a decoded token after it retires: on that engine the
     same object may come back as a later instruction.  The interpreted
-    engine never appends, and tokens of an uncached decode have no
-    ``template``.
+    engine never appends.
     """
 
     __slots__ = ("word", "instr", "opclass", "payload", "make", "renew", "free")
@@ -224,17 +223,17 @@ class InstructionDecoder:
     context:
         The :class:`~repro.core.operation_class.DecodeContext` handed to
         symbol binders.
-    use_cache:
-        Enables the decode cache / partial evaluation (on by default; the
-        ablation benchmark turns it off).
+
+    Each word is decoded and its operands bound once (the decode cache:
+    partial evaluation of the static instruction); ``hits``/``misses``
+    count the fetches it served and the words it decoded.
     """
 
-    def __init__(self, net, isa_decode, context, classify=None, use_cache=True):
+    def __init__(self, net, isa_decode, context, classify=None):
         self.net = net
         self.isa_decode = isa_decode
         self.context = context
         self.classify = classify or (lambda instr: instr.operation_class)
-        self.use_cache = use_cache
         self._cache = {}
         self._sequence = itertools.count()
         self.hits = 0
@@ -253,12 +252,6 @@ class InstructionDecoder:
         A cached word's retired token, if one is free, is renewed instead
         of making a new one.
         """
-        if not self.use_cache:
-            self.misses += 1
-            template = self._build_template(word)
-            token = template.make(template, pc, next(self._sequence))
-            token.template = None  # the template is this fetch's alone
-            return token
         template = self._cache.get(word)
         if template is None:
             self.misses += 1

@@ -3,8 +3,7 @@
 This is the paper's Section 4 engine: per-(place, type) transition lists are
 precomputed, places are evaluated in reverse topological order of the
 instruction flow, and only feedback places pay for two-list (master/slave)
-storage.  The engine options expose those optimisations individually so the
-ablation benchmarks can measure their effect.
+storage.  Every engine runs these optimisations; none has an off switch.
 """
 
 from __future__ import annotations
@@ -38,8 +37,7 @@ class EngineOptions:
 
     * ``"interpreted"`` — :class:`SimulationEngine` walks the static
       schedule each cycle, re-checking guards and capacities through the
-      generic enable/fire rules.  This is the reference implementation and
-      the ablation substrate.
+      generic enable/fire rules.  This is the reference implementation.
     * ``"generated"`` — :class:`repro.codegen.GeneratedEngine` emits the
       model as real Python source (a ``run_cycles`` loop around one
       straight-line cycle body with dispatch tables and capacity checks
@@ -49,21 +47,14 @@ class EngineOptions:
       Statistics are bit-identical to the interpreted backend; only
       wall-clock throughput differs.
 
-    Which knobs apply to which backend:
-
-    * ``max_cycles``, ``stall_limit``, ``two_list_everywhere`` — all
-      backends (they shape the shared
-      :class:`~repro.core.scheduler.StaticSchedule` or the shared run loop).
-    * ``use_sorted_transitions`` — interpreted only.  It exists so the
-      ablation benchmark can price the sorted-dispatch optimisation; the
-      generated backend always bakes the sorted dispatch tables into its
-      source at generation time, so the knob changes neither its emitted
-      source nor its codegen memo key.
-
-    ``use_sorted_transitions`` and ``two_list_everywhere`` switch the two
-    paper optimisations off/on (Section 4); ``stall_limit`` aborts runs in
-    which nothing fires for that many consecutive cycles (a modeling bug,
-    reported as a deadlock).
+    ``max_cycles`` and ``stall_limit`` apply to both backends (they shape
+    the shared run loop); ``stall_limit`` aborts runs in which nothing
+    fires for that many consecutive cycles (a modeling bug, reported as a
+    deadlock).  The Section 4 optimisations (sorted transition dispatch,
+    reverse-topological evaluation with two-list storage on feedback
+    places, the decode cache) have no switch: every engine runs them.  A
+    model asks for two-list storage on a further place with the place's
+    own ``two_list`` flag.
 
     ``trace`` attaches a cycle-level event tracer
     (:class:`repro.observe.trace.TraceConfig`, or an equivalent dict from a
@@ -76,8 +67,6 @@ class EngineOptions:
     """
 
     max_cycles: int = 10_000_000
-    use_sorted_transitions: bool = True
-    two_list_everywhere: bool = False
     stall_limit: int = 100_000
     backend: str = "interpreted"
     trace: object = None
@@ -209,11 +198,7 @@ class SimulationEngine:
         net.validate()
         self.net = net
         self.options = options or EngineOptions()
-        self.schedule = StaticSchedule(
-            net,
-            use_sorted_transitions=self.options.use_sorted_transitions,
-            two_list_everywhere=self.options.two_list_everywhere,
-        )
+        self.schedule = StaticSchedule(net)
         self.stats = SimulationStatistics()
         self.ctx = EngineContext(self)
         self.cycle = 0

@@ -86,7 +86,7 @@ def generate_simulator(net, options=None):
     else:
         engine = SimulationEngine(net, options=options)
     schedule = engine.schedule
-    dispatch = schedule.sorted_transitions or {}
+    dispatch = schedule.sorted_transitions
     fingerprint = getattr(net, "spec_fingerprint", None)
     memory = getattr(net, "units", {}).get("memory")
     describe_hierarchy = getattr(memory, "describe_hierarchy", None)

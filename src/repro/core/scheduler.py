@@ -182,7 +182,7 @@ class ScheduleBlueprint:
     def __init__(self, place_order, feedback_places, dispatch, generators):
         self.place_order = tuple(place_order)
         self.feedback_places = frozenset(feedback_places)
-        #: ``(place_name, opclass) -> tuple of transition names``, or None.
+        #: ``(place_name, opclass) -> tuple of transition names``.
         self.dispatch = dispatch
         self.generators = tuple(generators)
 
@@ -228,37 +228,35 @@ class GenerationCache:
 
 
 #: Process-wide schedule cache keyed by (spec fingerprint, structure
-#: signature, schedule options).
+#: signature).
 SCHEDULE_CACHE = GenerationCache()
 
 
 class StaticSchedule:
     """The result of the pre-simulation analysis, consumed by the engine.
 
-    For nets elaborated from a spec (``net.spec_fingerprint`` set) the
-    analysis is served from :data:`SCHEDULE_CACHE` when an identical spec
-    was scheduled before; ``from_cache`` records which way this instance
-    was built.
+    Every schedule carries both Section 4 optimisations: each place's
+    ``dispatch`` table (the sorted transitions of Figure 6) and two-list
+    storage on the feedback places, plus any place its model marked
+    ``two_list=True``.  For nets elaborated from a spec
+    (``net.spec_fingerprint`` set) the analysis is served from
+    :data:`SCHEDULE_CACHE` when an identical spec was scheduled before;
+    ``from_cache`` records which way this instance was built.
     """
 
-    def __init__(self, net, use_sorted_transitions=True, two_list_everywhere=False):
+    def __init__(self, net):
         self.net = net
-        self.use_sorted_transitions = use_sorted_transitions
         fingerprint = getattr(net, "spec_fingerprint", None)
         # The structure signature is part of the key, so a net mutated after
         # elaboration misses (and gets an entry of its own) instead of
         # replaying analysis of a structure it no longer has.
-        key = (
-            (fingerprint, structure_signature(net), use_sorted_transitions, two_list_everywhere)
-            if fingerprint is not None
-            else None
-        )
+        key = (fingerprint, structure_signature(net)) if fingerprint is not None else None
         blueprint = SCHEDULE_CACHE.lookup(key) if key is not None else None
         self.from_cache = blueprint is not None
         if blueprint is not None:
-            self._rehydrate(net, blueprint, two_list_everywhere)
+            self._rehydrate(net, blueprint)
         else:
-            self._derive(net, use_sorted_transitions, two_list_everywhere)
+            self._derive(net)
             if key is not None:
                 # Blueprints name transitions, so rehydration needs unique names.
                 transition_names = [t.name for t in net.transitions]
@@ -271,78 +269,50 @@ class StaticSchedule:
         )
 
     # -- fresh derivation ----------------------------------------------------
-    def _derive(self, net, use_sorted_transitions, two_list_everywhere):
+    def _derive(self, net):
         self.order = place_evaluation_order(net)
         feedback_places = mark_feedback_places(net, self.order)
         self.feedback_place_names = {p.name for p in feedback_places}
+        self._install(net, calculate_sorted_transitions(net))
+
+    def _install(self, net, sorted_transitions):
+        """Mark the two-list places and give every place its dispatch table."""
         for place in net.places.values():
-            if two_list_everywhere:
-                place.two_list = True
-            elif place.name in self.feedback_place_names:
+            if place.name in self.feedback_place_names:
                 place.two_list = True
         self.two_list_places = [p for p in net.places.values() if p.two_list]
-        self.sorted_transitions = (
-            calculate_sorted_transitions(net) if use_sorted_transitions else None
-        )
+        self.sorted_transitions = sorted_transitions
         for place in net.places.values():
-            if self.sorted_transitions is None:
-                place.dispatch = None
-            else:
-                place.dispatch = {
-                    opclass: self.sorted_transitions[(place.name, opclass)]
-                    for opclass in net.operation_classes
-                }
+            place.dispatch = {
+                opclass: sorted_transitions[(place.name, opclass)]
+                for opclass in net.operation_classes
+            }
 
     def _to_blueprint(self):
-        dispatch = None
-        if self.sorted_transitions is not None:
-            dispatch = {
-                key: tuple(t.name for t in transitions)
-                for key, transitions in self.sorted_transitions.items()
-            }
         return ScheduleBlueprint(
             place_order=(place.name for place in self.order),
             feedback_places=self.feedback_place_names,
-            dispatch=dispatch,
+            dispatch={
+                key: tuple(t.name for t in transitions)
+                for key, transitions in self.sorted_transitions.items()
+            },
             generators=(t.name for t in self.net.generator_transitions()),
         )
 
     # -- rehydration from a cached blueprint ---------------------------------
-    def _rehydrate(self, net, blueprint, two_list_everywhere):
-        places = net.places
+    def _rehydrate(self, net, blueprint):
         by_name = {t.name: t for t in net.transitions}
         self._transition_by_name = by_name
-        self.order = [places[name] for name in blueprint.place_order]
+        self.order = [net.places[name] for name in blueprint.place_order]
         self.feedback_place_names = set(blueprint.feedback_places)
-        for place in places.values():
-            if two_list_everywhere or place.name in self.feedback_place_names:
-                place.two_list = True
-        self.two_list_places = [p for p in places.values() if p.two_list]
-        if blueprint.dispatch is None:
-            self.sorted_transitions = None
-            for place in places.values():
-                place.dispatch = None
-        else:
-            self.sorted_transitions = {
+        self._install(
+            net,
+            {
                 key: tuple(by_name[name] for name in names)
                 for key, names in blueprint.dispatch.items()
-            }
-            for place in places.values():
-                place.dispatch = {
-                    opclass: self.sorted_transitions[(place.name, opclass)]
-                    for opclass in net.operation_classes
-                }
+            },
+        )
 
     def transitions_for(self, place, opclass):
         """Candidate transitions for an instruction token, in priority order."""
-        if place.dispatch is not None:
-            return place.dispatch.get(opclass, ())
-        # Unoptimised path (ablation): search and sort at every call.
-        subnet = self.net.subnet_for(opclass)
-        candidates = [
-            t
-            for t in self.net.transitions
-            if t.source is place and t.subnet is subnet
-        ]
-        candidates.sort(key=lambda t: t.priority)
-        return candidates
+        return place.dispatch.get(opclass, ())

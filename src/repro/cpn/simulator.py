@@ -2,8 +2,7 @@
 
 This is the generic, *slow* way of executing a Petri-net model: every step
 searches all transitions for enabled bindings (interleaving semantics).  The
-paper's point is that RCPN structure makes this search unnecessary; the
-ablation benchmark quantifies the difference on the same model.
+paper's point is that RCPN structure makes this search unnecessary.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ def _build_predictor(spec, net):
     return predictor
 
 
-def elaborate_net(spec, memory_config=None, use_decode_cache=True, semantics_class=ArmSemantics):
+def elaborate_net(spec, memory_config=None, semantics_class=ArmSemantics):
     """Elaborate ``spec`` into ``(net, decoder, core, memory, semantics)``.
 
     The memory hierarchy is built from the spec's declarative
@@ -67,7 +67,7 @@ def elaborate_net(spec, memory_config=None, use_decode_cache=True, semantics_cla
     for stage in spec.stages:
         net.add_stage(stage.name, capacity=stage.capacity, delay=stage.delay)
 
-    decoder = make_decoder(net, context, use_cache=use_decode_cache)
+    decoder = make_decoder(net, context)
 
     # -- multi-issue arbitration ------------------------------------------
     issue = spec.issue
@@ -166,7 +166,6 @@ def elaborate(
     spec,
     memory_config=None,
     engine_options=None,
-    use_decode_cache=True,
     backend=None,
     semantics_class=ArmSemantics,
 ):
@@ -183,7 +182,6 @@ def elaborate(
     net, decoder, core, memory, _ = elaborate_net(
         spec,
         memory_config=memory_config,
-        use_decode_cache=use_decode_cache,
         semantics_class=semantics_class,
     )
     options = resolve_engine_options(engine_options, backend)

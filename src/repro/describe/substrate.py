@@ -621,8 +621,9 @@ class Processor:
         emitted cycle loop) is kept.  Call
         :meth:`load_program` afterwards to restore the program image and
         the fetch PC.  The memory system gets a *full* reset — cold tags,
-        not just zeroed counters — so a reused processor never starts its
-        second run with a warm cache.  The decoder numbers instructions from
+        not just zeroed counters, and main memory emptied — so a reused
+        processor never starts its second run with a warm cache or with
+        the previous run's stores.  The decoder numbers instructions from
         0 again, so a traced re-run records the same events.
         """
         self.engine.reset()
@@ -713,6 +714,6 @@ def make_arm_model_parts(name, memory_config=None, operation_classes=None):
     return net, context, core, memory
 
 
-def make_decoder(net, context, use_cache=True):
+def make_decoder(net, context):
     """An :class:`InstructionDecoder` for the ARM ISA over ``net``."""
-    return InstructionDecoder(net, isa_decode, context, use_cache=use_cache)
+    return InstructionDecoder(net, isa_decode, context)

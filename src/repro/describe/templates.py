@@ -131,7 +131,7 @@ def _decode(var, word, pc):
     # InstructionDecoder.decode_word's cache hit, inline: a free-listed
     # retired token of the word is renewed, else a new one made.
     return f"""
-_dc = DECODER._cache.get({word}) if DECODER.use_cache else None
+_dc = DECODER._cache.get({word})
 if _dc is None:
     {var} = DECODER.decode_word({word}, pc={pc})
 else:

@@ -137,13 +137,16 @@ class MemorySystem:
         return self.data_delay(address, is_write)
 
     def reset(self):
-        """Restore the cold state: statistics cleared *and* every line invalid.
+        """Restore the cold state: statistics cleared, every line invalid, memory empty.
 
         This is what :meth:`~repro.describe.substrate.Processor.reset` needs
         for run-to-run bit-identity — a reused processor must not start its
-        second run with a warm cache.
+        second run with a warm cache, nor read back the previous run's
+        stores.  Load the program again afterwards.
         """
         self._build_caches()
+        # In place: the fetch and load templates read MAIN._words directly.
+        self.memory._words.clear()
         self.memory.reset_statistics()
 
     def reset_statistics(self):

@@ -100,9 +100,7 @@ def example_spec():
     )
 
 
-def build_example_processor(
-    memory_config=None, engine_options=None, use_decode_cache=True, backend=None
-):
+def build_example_processor(memory_config=None, engine_options=None, backend=None):
     """Build the Figure 4/5 example processor and its generated simulator.
 
     ``backend`` selects the engine ("interpreted"/"generated"), overriding
@@ -112,6 +110,5 @@ def build_example_processor(
         example_spec(),
         memory_config=memory_config,
         engine_options=engine_options,
-        use_decode_cache=use_decode_cache,
         backend=backend,
     )

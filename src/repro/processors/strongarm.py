@@ -158,9 +158,7 @@ def strongarm_spec(issue_width=1, name="StrongARM", memory=None):
     )
 
 
-def build_strongarm_processor(
-    memory_config=None, engine_options=None, use_decode_cache=True, backend=None
-):
+def build_strongarm_processor(memory_config=None, engine_options=None, backend=None):
     """Build the StrongARM model and generate its cycle-accurate simulator.
 
     ``backend`` selects the engine ("interpreted"/"generated"), overriding
@@ -170,6 +168,5 @@ def build_strongarm_processor(
         strongarm_spec(),
         memory_config=memory_config,
         engine_options=engine_options,
-        use_decode_cache=use_decode_cache,
         backend=backend,
     )

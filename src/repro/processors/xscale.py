@@ -153,9 +153,7 @@ def xscale_spec(
     )
 
 
-def build_xscale_processor(
-    memory_config=None, engine_options=None, use_decode_cache=True, backend=None
-):
+def build_xscale_processor(memory_config=None, engine_options=None, backend=None):
     """Build the XScale model and generate its cycle-accurate simulator.
 
     ``backend`` selects the engine ("interpreted"/"generated"), overriding
@@ -165,6 +163,5 @@ def build_xscale_processor(
         xscale_spec(),
         memory_config=memory_config,
         engine_options=engine_options,
-        use_decode_cache=use_decode_cache,
         backend=backend,
     )

@@ -1,6 +1,6 @@
 """Synthetic workload generation.
 
-Besides the six named kernels, tests and ablation benchmarks need programs
+Besides the six named kernels, tests and benchmarks need programs
 with a controllable instruction mix (e.g. "90% ALU, 10% branches" to stress
 the dispatch tables, or "50% loads" to stress the cache model).  The
 generator below emits assembly with the requested mix; programs always

@@ -2,8 +2,9 @@
 
 ``Processor.reset()`` followed by ``load_program()`` must clear what the
 previous run left behind: register values and flags (``RCPN.reset`` resets
-every register file in place) and the program's output
-(``ProcessorCore.reset`` empties it).  Each program runs once on a fresh
+every register file in place), the program's output
+(``ProcessorCore.reset`` empties it) and the data it stored
+(``MemorySystem.reset`` empties main memory).  Each program runs once on a fresh
 processor and twice on a reused one, on both backends, for a single- and a
 dual-issue model; the reused second run must match the fresh run.
 """
@@ -23,6 +24,19 @@ main:
     add r1, r1, #1
     addeq r2, r2, #5
     cmp r1, #3
+    halt
+""",
+        [1, 0],
+        [],
+    ),
+    # A leftover data word counts up with every run.
+    "memory": (
+        """
+main:
+    mov r4, #4096
+    ldr r1, [r4]
+    add r1, r1, #1
+    str r1, [r4]
     halt
 """,
         [1, 0],

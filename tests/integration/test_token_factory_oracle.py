@@ -6,8 +6,8 @@ built by generated factories, copied verbatim: a token class ``__init__``
 (``OracleBindingPlan`` here), which wrote each operand into its slot by
 name.  For every word decoded while the six
 kernels run on each registered model, and for assembled block transfers,
-a token made by a cached and by an uncached decoder must equal the
-oracle's token built from the same bound operands, slot by slot:
+a token made by a fresh decoder must equal the oracle's token built from
+the same bound operands, slot by slot:
 
 * the same token class and every token slot equal;
 * each RegRef equal to a fresh ``RegRef(register, token)``, back-pointer
@@ -16,10 +16,9 @@ oracle's token built from the same bound operands, slot by slot:
 * shared operands (Consts, plain values) the very objects the binder made,
   shared by every instance of a cached word, while RegRefs never are;
 * ``regrefs`` in the oracle's order, holding the symbols' own RegRefs;
-* ``template`` the word's decode-cache entry, or ``None`` for a token of
-  an uncached decode or a hand-built one.
+* ``template`` the word's decode-cache entry.
 
-For every word the cached decoder's ``renew`` is checked too: a token
+For every word the decoder's ``renew`` is checked too: a token
 dirtied the way the pipeline dirties it (place, timing, annotations,
 latched and produced values, the squash flag) renews to the same object
 with the same RegRefs, equal slot for slot to a fresh token of the word,
@@ -100,7 +99,7 @@ def _init_decoded(self, instr, opclass, pc, seq, template):
     self.template = template
 
 
-def oracle_token(operands, instr, opclass, pc, seq, template=None):
+def oracle_token(operands, instr, opclass, pc, seq, template):
     plan = OracleBindingPlan(operands, opclass)
     token = object.__new__(plan.token_class)
     _init_decoded(token, instr, opclass, pc, seq, template)
@@ -204,43 +203,30 @@ def bound(monkeypatch):
     return calls
 
 
-def decoders(processor):
-    """A fresh cached and a fresh uncached decoder of ``processor``'s model."""
-    decoder = processor.decoder
-    return [
-        InstructionDecoder(
-            decoder.net, decoder.isa_decode, decoder.context, decoder.classify, use_cache=use_cache
-        )
-        for use_cache in (True, False)
-    ]
-
-
 def check_words(processor, words, bound):
-    for decoder in decoders(processor):
-        for index, word in enumerate(words):
-            pc = 0x8000 + 4 * index
-            bound.clear()
-            first = decoder.decode_word(word, pc)
-            second = decoder.decode_word(word, pc)
-            assert second.seq == first.seq + 1
-            # The cached decoder binds once per word, the uncached one per fetch.
-            if decoder.use_cache:
-                assert len(bound) == 1
-                bound.append(bound[0])
-            assert len(bound) == 2
-            template = decoder._cache[word] if decoder.use_cache else None
-            for token, (instr, operands) in zip((first, second), bound):
-                assert token.instr is instr
-                assert_matches_oracle(
-                    token, oracle_token(operands, instr, token.opclass, pc, token.seq, template)
-                )
-            first_refs = {id(ref) for ref in first.regrefs}
-            assert not any(id(ref) in first_refs for ref in second.regrefs)
-            if decoder.use_cache:
-                for name in type(first).__slots__:
-                    if is_shared(getattr(first, name)):
-                        assert getattr(second, name) is getattr(first, name)
-                check_renewal(template, first, pc)
+    model = processor.decoder
+    decoder = InstructionDecoder(model.net, model.isa_decode, model.context, model.classify)
+    for index, word in enumerate(words):
+        pc = 0x8000 + 4 * index
+        bound.clear()
+        first = decoder.decode_word(word, pc)
+        second = decoder.decode_word(word, pc)
+        assert second.seq == first.seq + 1
+        # The decoder binds once per word; both tokens share that binding.
+        assert len(bound) == 1
+        instr, operands = bound[0]
+        template = decoder._cache[word]
+        for token in (first, second):
+            assert token.instr is instr
+            assert_matches_oracle(
+                token, oracle_token(operands, instr, token.opclass, pc, token.seq, template)
+            )
+        first_refs = {id(ref) for ref in first.regrefs}
+        assert not any(id(ref) in first_refs for ref in second.regrefs)
+        for name in type(first).__slots__:
+            if is_shared(getattr(first, name)):
+                assert getattr(second, name) is getattr(first, name)
+        check_renewal(template, first, pc)
 
 
 #: Where a dirtied token claims to reside.

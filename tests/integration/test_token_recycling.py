@@ -11,7 +11,7 @@ new token.  These tests pin the safety side of that contract:
   pending writer, is not squashed and is listed once;
 * the same runs on ``interpreted`` — the allocate-fresh oracle — leave
   every free list empty;
-* hand-built tokens and tokens of an uncached decode are never recycled;
+* hand-built tokens are never recycled;
 * on crc, fresh tokens are a small fraction of fetches.
 
 That recycling changes no statistic is the equivalence matrix's job
@@ -27,8 +27,8 @@ from repro.processors import build_processor, processor_names, supported_kernels
 from repro.workloads import get_workload, workload_names
 
 
-def run(model, kernel, backend, **kwargs):
-    processor = build_processor(model, backend=backend, **kwargs)
+def run(model, kernel, backend):
+    processor = build_processor(model, backend=backend)
     processor.load_program(get_workload(kernel, scale=1).program)
     stats = processor.run(max_cycles=2_000_000)
     assert stats.finish_reason == "halt"
@@ -80,25 +80,6 @@ def test_interpreted_engine_never_recycles(model):
         processor, _stats = run(model, kernel, "interpreted")
         assert processor.decoder._cache
         assert free_tokens(processor) == []
-
-
-def test_uncached_decodes_are_never_recycled(monkeypatch):
-    _cached, cached_stats = run("strongarm", "crc", "generated")
-    templates = []
-    original = InstructionDecoder._build_template
-
-    def recording(self, word):
-        template = original(self, word)
-        templates.append(template)
-        return template
-
-    monkeypatch.setattr(InstructionDecoder, "_build_template", recording)
-    processor, stats = run("strongarm", "crc", "generated", use_decode_cache=False)
-    assert processor.decoder._cache == {}
-    # One template per fetch, none of them ever handed a token back.
-    assert len(templates) == processor.decoder.misses > stats.instructions
-    assert all(not template.free for template in templates)
-    assert (stats.cycles, stats.instructions) == (cached_stats.cycles, cached_stats.instructions)
 
 
 def hand_built_net(count):

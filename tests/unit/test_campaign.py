@@ -84,7 +84,7 @@ class TestCampaignSpec:
             scales=(1, 2),
             engines=(
                 "interpreted",
-                EngineVariant("no-sort", EngineOptions(use_sorted_transitions=False)),
+                EngineVariant("tight", EngineOptions(stall_limit=500)),
             ),
             max_cycles=50_000,
             repeats=2,
@@ -95,7 +95,12 @@ class TestCampaignSpec:
         assert rebuilt.description == "documented"
 
     def test_spec_dict_with_the_retired_utilisation_switch_plans_the_same_runs(self):
-        """Engine options written by ``to_dict`` while ``collect_utilization`` existed."""
+        """Engine entries written by ``to_dict`` before the retired switches went.
+
+        They carry ``collect_utilization``, the Section 4 switches
+        ``use_sorted_transitions``/``two_list_everywhere`` and the entry's
+        ``use_decode_cache``.
+        """
 
         def options(backend):
             return {
@@ -245,7 +250,7 @@ class TestFingerprints:
         reoptioned = RunSpec(
             processor="strongarm",
             workload="crc",
-            engine=EngineVariant("renamed", EngineOptions(use_sorted_transitions=False)),
+            engine=EngineVariant("renamed", EngineOptions(stall_limit=500)),
         )
         assert reoptioned.fingerprint() != base.fingerprint()
 
@@ -754,6 +759,31 @@ class TestCli:
         assert "pending arm7-mini/crc@1/interpreted" in out.getvalue()
         out = io.StringIO()
         assert cli_main(["run", "--spec", spec_path, "--store", store, "--max-workers", "1"], out) == 0
+        assert "1 executed" in out.getvalue()
+
+    def test_spec_file_with_the_retired_section4_switches_runs(self, tmp_path):
+        """Spec files written while ``use_sorted_transitions`` and friends existed."""
+        spec_path = tmp_path / "campaign.json"
+        spec_path.write_text(json.dumps({
+            "name": "section4",
+            "processors": ["arm7-mini"],
+            "workloads": ["crc"],
+            "engines": [{
+                "label": "interpreted",
+                "options": {
+                    "backend": "interpreted",
+                    "use_sorted_transitions": False,
+                    "two_list_everywhere": True,
+                },
+                "use_decode_cache": False,
+            }],
+        }))
+        out = io.StringIO()
+        code = cli_main(
+            ["run", "--spec", str(spec_path), "--store", str(tmp_path / "store"), "--max-workers", "1"],
+            out,
+        )
+        assert code == 0, out.getvalue()
         assert "1 executed" in out.getvalue()
 
     def test_non_integer_scales_fail_cleanly(self, tmp_path):

@@ -4,22 +4,20 @@ The contract (see ``repro/codegen/cache.py``):
 
 * a cold build emits and executes the module source; a rebuild of the
   same model in the same process is a memo hit that re-emits nothing;
-* the key folds in the spec fingerprint, the net's structure digest and
-  the emit-relevant engine options, so a net of a different structure
-  never shares a module, while run-length knobs (``max_cycles``,
-  ``stall_limit``) and ``use_sorted_transitions`` (which changes no
-  emitted source) share one entry;
+* the key folds in the spec fingerprint, the net's structure digest
+  (two-list places included) and the emit-relevant trace categories
+  (pinned in ``test_codegen_trace.py``), so a net of a different
+  structure never shares a module, while run-length knobs
+  (``max_cycles``, ``stall_limit``) share one entry;
 * nothing is written to disk, whatever the environment says.
 """
 
 import os
 
-import pytest
-
 from repro.codegen import CODEGEN_CACHE, GeneratedEngine, ModuleCache, codegen_key
 from repro.core.engine import EngineOptions
 from repro.describe.elaborate import elaborate_net
-from repro.processors import build_processor, get_spec, processor_names
+from repro.processors import build_processor, get_spec
 
 GENERATED = EngineOptions(backend="generated")
 
@@ -104,25 +102,15 @@ def test_digest_records_a_hook_that_appears():
     assert structure_digest(net) != before
 
 
-def test_key_depends_on_emit_relevant_options():
+def test_digest_records_a_place_marked_two_list():
+    from repro.codegen.runtime import structure_digest
+
     net = fresh_net()
-    base = codegen_key(net, GENERATED)
-    changed = codegen_key(net, EngineOptions(backend="generated", two_list_everywhere=True))
-    assert changed != base
-
-
-@pytest.mark.parametrize("model", processor_names())
-def test_unsorted_dispatch_emits_the_same_module(model):
-    """``use_sorted_transitions`` is interpreted-only: same source, one entry."""
-    cache = ModuleCache()
-    default = GeneratedEngine(fresh_net(model), cache=cache)
-    unsorted = GeneratedEngine(
-        fresh_net(model),
-        EngineOptions(backend="generated", use_sorted_transitions=False),
-        cache=cache,
-    )
-    assert unsorted.source == default.source
-    assert unsorted.codegen_status == "memory"
+    before = structure_digest(net)
+    place = next(p for p in net.places.values() if not p.two_list)
+    place.two_list = True
+    # The module binds the place's pending list and commits it each cycle.
+    assert structure_digest(net) != before
 
 
 def test_key_ignores_run_length_knobs():

@@ -4,7 +4,8 @@ These tests build small hand-crafted nets (independent of the ARM models)
 and check the paper's mechanisms one at a time: the enable rule with stage
 capacities, delays on places/transitions/tokens, reservation tokens,
 priorities, the sorted-transition dispatch, reverse-topological evaluation
-order and two-list (feedback) places.
+order and two-list (feedback) places.  The sorted-transition table is also
+checked against a brute-force search on every registered model.
 """
 
 import pytest
@@ -22,6 +23,8 @@ from repro.core import (
     mark_feedback_places,
     place_evaluation_order,
 )
+from repro.describe.elaborate import elaborate_net
+from repro.processors import get_spec, processor_names
 
 
 def make_linear_net(num_tokens=3, stage_delay=1):
@@ -112,6 +115,19 @@ def test_sorted_transitions_table_orders_by_priority():
     names = [t.name for t in table[("op.A", "op")]]
     assert names == ["ab"]
     assert table[("op.end", "op")] == ()
+
+
+@pytest.mark.parametrize("model", processor_names())
+def test_sorted_transitions_match_a_brute_force_search(model):
+    """Figure 6's table holds, per (place, opclass), what a search at every call would find."""
+    net = elaborate_net(get_spec(model))[0]
+    table = calculate_sorted_transitions(net)
+    for place in net.places.values():
+        for opclass in net.operation_classes:
+            subnet = net.subnet_for(opclass)
+            found = [t for t in net.transitions if t.source is place and t.subnet is subnet]
+            found.sort(key=lambda t: t.priority)
+            assert table[(place.name, opclass)] == tuple(found)
 
 
 def test_place_evaluation_order_is_reverse_topological():
@@ -361,23 +377,6 @@ def test_engine_reset_clears_dynamic_state():
     assert engine.pipeline_empty()
     stats = engine.run(max_cycles=50)
     assert stats.instructions == 2
-
-
-def test_two_list_everywhere_option_preserves_cycle_counts():
-    net_a, _ = make_linear_net(num_tokens=4)
-    net_b, _ = make_linear_net(num_tokens=4)
-    default = SimulationEngine(net_a).run(max_cycles=100)
-    everywhere = SimulationEngine(net_b, EngineOptions(two_list_everywhere=True)).run(max_cycles=100)
-    assert default.cycles == everywhere.cycles
-    assert default.instructions == everywhere.instructions
-
-
-def test_unsorted_dispatch_option_preserves_results():
-    net_a, _ = make_linear_net(num_tokens=4)
-    net_b, _ = make_linear_net(num_tokens=4)
-    fast = SimulationEngine(net_a).run(max_cycles=100)
-    slow = SimulationEngine(net_b, EngineOptions(use_sorted_transitions=False)).run(max_cycles=100)
-    assert fast.cycles == slow.cycles
 
 
 def test_statistics_summary_fields():

@@ -17,7 +17,6 @@ from repro.core.operation_class import DecodeContext, OperationClass, SymbolKind
 from repro.core.token import InstructionToken, token_class
 from repro.isa import assemble
 from repro.processors import build_processor
-from repro.workloads import get_workload
 
 
 def decode(processor, source):
@@ -92,25 +91,6 @@ def test_each_dynamic_instance_gets_fresh_regrefs(strongarm):
     assert first.d.register is second.d.register
     assert first.op is second.op  # shared, immutable operands are not copied
     assert second.seq == first.seq + 1
-
-
-def test_uncached_decoder_yields_the_same_class_and_statistics():
-    cached = build_processor("strongarm")
-    uncached = build_processor("strongarm", use_decode_cache=False)
-    assert type(decode(cached, "add r1, r2, r3")) is type(decode(uncached, "add r1, r2, r3"))
-    assert type(decode(cached, "stmdb sp!, {r4, lr}")) is type(
-        decode(uncached, "stmdb sp!, {r4, lr}")
-    )
-    results = []
-    for processor in (cached, uncached):
-        processor.reset()
-        processor.load_program(get_workload("crc", scale=1).program)
-        stats = processor.run(max_cycles=2_000_000)
-        results.append(
-            (stats.cycles, stats.instructions, stats.stalls, dict(stats.transition_firings))
-        )
-    assert results[0] == results[1]
-    assert uncached.decoder.cache_info()["entries"] == 0
 
 
 def test_binding_plan_factory_builds_the_token():
