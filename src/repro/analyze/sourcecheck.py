@@ -25,6 +25,7 @@ import re
 from collections import Counter
 
 from repro.analyze.findings import finding
+from repro.describe.templates import FRONT_END_COUNTERS
 
 #: A place segment opens with ``if pNt:``, the test of place N's token list.
 _SEGMENT = re.compile(r"p(\d+)t")
@@ -224,7 +225,7 @@ def _spliced_guard(test):
 
 def _check_splices(net, facts, err):
     """SV008: each spliced guard/action is its template's rendering, verbatim."""
-    from repro.codegen.runtime import inlined, splice_plan
+    from repro.codegen.runtime import inlined, splice_plan, splice_site
     from repro.describe.templates import render
 
     rows, _env = splice_plan(net)
@@ -234,13 +235,14 @@ def _check_splices(net, facts, err):
         if transition is None:
             continue
         if inlined(transition, guard):
-            expected = ast.dump(ast.parse(render(guard, "splice").guard, mode="eval").body)
+            rendering = render(guard, "splice", splice_site(net, transition, guard))
+            expected = ast.dump(ast.parse(rendering.guard, mode="eval").body)
             found = _spliced_guard(test)
             if ast.dump(test) != expected and ast.dump(found) != expected:
                 err("SV008", "source:transition %r" % name,
                     "spliced guard differs from the %r template's rendering" % guard.key)
         if inlined(transition, action):
-            lines = render(action, "splice", transition.delay).action
+            lines = render(action, "splice", splice_site(net, transition, action)).action
             expected = [ast.dump(node) for node in ast.parse("\n".join(lines)).body]
             found = [ast.dump(node) for node in body]
             width = len(expected)
@@ -249,10 +251,12 @@ def _check_splices(net, facts, err):
                     "spliced action differs from the %r template's rendering" % action.key)
 
 
-def _counter_statistic(name, net):
-    """The statistic counter ``name`` adds into, as normalised source."""
+def _counter_statistics(name, net):
+    """The statistics counter ``name`` adds into, as normalised source."""
     if name in _SCALAR_COUNTERS:
-        return "stats.%s" % name
+        return ("stats.%s" % name,)
+    if name in FRONT_END_COUNTERS:
+        return FRONT_END_COUNTERS[name]
     for pattern, keys, holder in (
         (_FIRINGS, [t.name for t in net.transitions], "tf"),
         (_RETIRED, list(net.operation_classes), "rbc"),
@@ -260,21 +264,26 @@ def _counter_statistic(name, net):
         match = pattern.fullmatch(name)
         if match and int(match.group(1)) < len(keys):
             key = keys[int(match.group(1))]
-            return ast.unparse(ast.parse("%s[%r]" % (holder, key), mode="eval").body)
+            return (ast.unparse(ast.parse("%s[%r]" % (holder, key), mode="eval").body),)
     return None
 
 
 def _is_counter(name):
-    return name in _SCALAR_COUNTERS or bool(_FIRINGS.fullmatch(name) or _RETIRED.fullmatch(name))
+    return (
+        name in _SCALAR_COUNTERS
+        or name in FRONT_END_COUNTERS
+        or bool(_FIRINGS.fullmatch(name) or _RETIRED.fullmatch(name))
+    )
 
 
 def _check_counters(net, run_cycles, trial, err):
     """SV009: each run-local counter is zeroed before the loop and added
-    into its own statistic exactly once in the ``finally``.
+    into each of its statistics exactly once in the ``finally``.
 
     The counters are the names the cycle loop increments, plus any the
-    entry zeroes; a ``+=`` of a counter in the ``finally`` to any other
-    target is a wrong write-back.
+    entry zeroes: the statistics counters and the spliced front end's
+    (:data:`~repro.describe.templates.FRONT_END_COUNTERS`).  A ``+=`` of a
+    counter in the ``finally`` to any other target is a wrong write-back.
     """
     zeroed = set()
     for node in run_cycles.body:
@@ -296,13 +305,14 @@ def _check_counters(net, run_cycles, trial, err):
         if name not in zeroed:
             err("SV009", location, "run-local counter is not zeroed on entry to run_cycles")
         targets = written.get(name, [])
-        statistic = _counter_statistic(name, net)
-        if statistic is None:
+        statistics = _counter_statistics(name, net)
+        if statistics is None:
             err("SV009", location, "run-local counter names no statistic of this net")
-        elif len(targets) != 1:
+        elif len(targets) != len(statistics):
             err("SV009", location,
-                "added into a statistic %d times in the finally, expected once" % len(targets))
-        elif targets[0] != statistic:
+                "added into a statistic %d times in the finally, expected %d"
+                % (len(targets), len(statistics)))
+        elif sorted(targets) != sorted(statistics):
             err("SV009", location, "added into the wrong statistic in the finally")
 
 

@@ -20,10 +20,20 @@ in which every static decision is already text —
 * the semantic hooks are spliced in: where a transition's guard or action
   is a hook template's own closure (:func:`repro.codegen.runtime.
   splice_plan`), the template's source — register-hazard protocol, decode
-  and L1 hits inline — takes the call's place, and the fetch template
-  delivers its token straight into the entry place.  The multi-issue
-  gates are template text of the hooks they gate, so the arbiter calls
-  are spliced with the issue port as a source literal;
+  and L1 hits inline — takes the call's place, rendered for the site's
+  emit-time facts (:func:`repro.codegen.runtime.splice_site`).  The
+  multi-issue gates are template text of the hooks they gate, so the
+  arbiter calls are spliced with the issue port as a source literal and
+  the advance gate with its source stage's local;
+* the fetch is straight-line code: the model's absent stall stage and
+  issue control cost no test, the BTB lookup is inline, the L1I latency
+  passes to ``ready_cycle`` through a local, and the token goes straight
+  into its entry place (an operation class -> place table bound once)
+  where the capacity check proves the entry stage has room
+  (:func:`repro.codegen.runtime.entry_stage`), else through the engine's
+  checked deposit.  A fetch from the line the L1I accessed last
+  (``Cache.last_line``, its set's most recently used) counts a hit with
+  no set lookup or LRU update;
 * what the templates prove dead is not emitted: the emission-queue drain
   after a fire whose hooks are all spliced, the ``delay_override`` branch
   where no spliced hook writes the token delay, and the operation-class
@@ -53,9 +63,15 @@ whole busy stretch costs one call from the run loop.
 The statistics counters are *run-local*: plain int locals zeroed on entry
 — one firing count per transition (``tfN``), one retirement count per
 operation class where the retire site's class is static (``rbcN``), and
-``stalls``, ``instructions`` and ``generated_tokens``.  One
-``try``/``finally`` around the cycle loop adds each into its statistic,
-once, however the stretch ends (an exception included), and sets
+``stalls``, ``instructions`` and ``generated_tokens`` — and so are the
+spliced front end's counters of main-memory reads, decode-cache hits, L1I
+hits and BTB lookups and hits
+(:data:`repro.describe.templates.FRONT_END_COUNTERS`).  The objects the
+front end reads are bound once in ``make_run_cycles`` or, where a reset
+rebinds them (the caches, the BTB table, the decode sequence), on entry
+to ``run_cycles`` (:data:`repro.describe.templates.FRONT_END_LOCALS`).
+One ``try``/``finally`` around the cycle loop adds each counter into its
+statistics, once, however the stretch ends (an exception included), and sets
 ``stats.cycles`` and ``engine._idle_cycles`` from the loop's ``cycle``.
 A key of ``transition_firings`` or ``retired_by_class`` appears only once
 its count is nonzero, as in the interpreted engine.  Before each call to
@@ -100,10 +116,11 @@ from repro.codegen.runtime import (
     inlined,
     opaque_hooks,
     splice_plan,
+    splice_site,
     structure_digest,
     transition_capacity_shape,
 )
-from repro.describe.templates import names_used, render
+from repro.describe.templates import FRONT_END_COUNTERS, front_end_needs, names_used, render
 
 
 def reads_stats(template):
@@ -238,7 +255,6 @@ def emit_module_source(net, schedule, options, key=None):
     need_pool = False
     need_res = False
     need_rbc = False
-    need_delivery = False
 
     def classify(transition):
         index = transition_index[id(transition)]
@@ -271,8 +287,8 @@ def emit_module_source(net, schedule, options, key=None):
 
         conjuncts.extend(_capacity_conjuncts(net, shape, stage_var))
         template = splices[index][0]
-        if inlined(transition, template):
-            rendering = render(template, "splice")
+        if (index, 0) in spliced:
+            rendering = spliced[index, 0]
             guard = rendering.guard
             used_env.update(names_used(rendering.guard_names, env))
             if hostcost:
@@ -331,30 +347,46 @@ def emit_module_source(net, schedule, options, key=None):
         classify(transition)
     retired_classes.discard(None)
 
-    #: The run-local counters: (local, statistic it adds into).
+    #: (transition index, 0 for the guard or 1 for the action) -> the
+    #: splice rendering at its site, and every name those read (the front
+    #: end's loop locals and run-local counters among them).
+    spliced = {}
+    spliced_names = set()
+    for index in emitted_transitions:
+        for kind, template in enumerate(splices[index]):
+            if inlined(transitions[index], template):
+                rendering = spliced[index, kind] = render(
+                    template, "splice", splice_site(net, transitions[index], template)
+                )
+                spliced_names.update(rendering.guard_names | rendering.action_names)
+    front_end_counters, front_end_locals, needed = front_end_needs(spliced_names)
+    used_env.update(names_used(needed, env))
+
+    #: The run-local counters: (local, statistics it adds into).
     counters = [
-        ("tf%d" % index, "tf[%r]" % transitions[index].name)
+        ("tf%d" % index, ("tf[%r]" % transitions[index].name,))
         for index in sorted(emitted_transitions)
     ]
-    counters += [(name, "stats.%s" % name) for name in ("stalls", "instructions", "generated_tokens")]
+    counters += [(name, ("stats.%s" % name,)) for name in ("stalls", "instructions", "generated_tokens")]
     counters += [
-        ("rbc%d" % opclass_index[opclass], "rbc[%r]" % opclass)
+        ("rbc%d" % opclass_index[opclass], ("rbc[%r]" % opclass,))
         for opclass in sorted(retired_classes, key=opclass_index.get)
     ]
+    counters += [(name, FRONT_END_COUNTERS[name]) for name in front_end_counters]
 
     def write_back(zero):
-        """Add every counter into its statistic (and zero it, mid-stretch)."""
+        """Add every counter into its statistics (and zero it, mid-stretch)."""
         lines = []
-        for local, statistic in counters:
+        for local, statistics in counters:
             if local.startswith(("tf", "rbc")):
                 # A key appears only once its count is nonzero, as in
                 # the interpreted engine.
                 lines.append("if %s:" % local)
-                lines.append("    %s += %s" % (statistic, local))
+                lines.append("    %s += %s" % (statistics[0], local))
                 if zero:
                     lines.append("    %s = 0" % local)
             else:
-                lines.append("%s += %s" % (statistic, local))
+                lines.extend("%s += %s" % (statistic, local) for statistic in statistics)
                 if zero:
                     if local == "stalls":
                         lines.append("_stalls -= stalls")  # keep the idle cycle's count
@@ -377,7 +409,7 @@ def emit_module_source(net, schedule, options, key=None):
         ``opclass`` is the firing token's operation class where the
         dispatch decided it.
         """
-        nonlocal need_pool, need_res, need_rbc, need_delivery
+        nonlocal need_pool, need_res, need_rbc
         index = transition_index[id(transition)]
         lines = ["tf%d += 1" % index]
         if traced_firing:
@@ -397,14 +429,13 @@ def emit_module_source(net, schedule, options, key=None):
             lines.append("pool.append(%s.take_reservation())" % pvar(arc.place))
 
         template = splices[index][1]
-        inline = inlined(transition, template)
+        inline = (index, 1) in spliced
         if transition.action is not None and reads_stats(template):
             lines.extend(mid_stretch)
         if inline:
-            rendering = render(template, "splice", transition.delay)
+            rendering = spliced[index, 1]
             action = rendering.action
             used_env.update(names_used(rendering.action_names, env))
-            need_delivery = need_delivery or template.emits
             if hostcost:
                 lines.append("_hc = NS()")
             lines.extend(action)
@@ -637,15 +668,16 @@ def emit_module_source(net, schedule, options, key=None):
     out.w(0, "def make_run_cycles(rt):")
     out.w(1, "engine = rt['engine']")
     out.w(1, "ctx = rt['ctx']")
-    if need_delivery:
-        out.w(1, "deposit = rt['deposit']")
-        out.w(1, "entry_places = rt['entry_places']")
-        out.w(1, "entry_place_for = rt['entry_place_for']")
-        out.w(1, "trace_token = rt['trace_token']")
+    for name in ("deposit", "entry_places", "trace_token"):
+        if name in spliced_names:
+            out.w(1, "%s = rt[%r]" % (name, name))
     if used_env:
         out.w(1, "H = rt['hook_env']")
         for name in sorted(used_env):
             out.w(1, "%s = H[%r]" % (name, name))
+    for name, expression, per_stretch in front_end_locals:
+        if not per_stretch:
+            out.w(1, "%s = %s" % (name, expression))
     if hostcost_sites:
         out.w(1, "NS = rt['perf_counter_ns']")
         out.w(1, "HC = rt['hostcost']")
@@ -687,6 +719,9 @@ def emit_module_source(net, schedule, options, key=None):
         out.w(2, "rbc = stats.retired_by_class")
     out.w(2, "cycle = cycle0 = engine.cycle")
     out.w(2, "idle0 = engine._idle_cycles")
+    for name, expression, per_stretch in front_end_locals:
+        if per_stretch:
+            out.w(2, "%s = %s" % (name, expression))
     for local, _statistic in counters:
         out.w(2, "%s = 0" % local)
     out.w(2, "try:")

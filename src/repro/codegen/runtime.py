@@ -5,8 +5,9 @@ references places, stages, guards and actions by index into flat lists.
 This module is the other half of that contract — it classifies each
 transition's capacity check for the emitter and the source verifier
 (:func:`transition_capacity_shape`), decides which hooks are spliced as
-template source (:func:`splice_plan`) and which places dispatch without
-an operation-class compare (:func:`implicit_dispatch`), builds the
+template source (:func:`splice_plan`), with which emit-time facts each
+splice is rendered (:func:`splice_site`), and which places dispatch
+without an operation-class compare (:func:`implicit_dispatch`), builds the
 index-aligned runtime lists for one engine (:func:`build_runtime`) and
 provides the structural digest (:func:`structure_digest`) that joins the
 module memo key, so a memoised module is never bound to a net with a
@@ -24,7 +25,7 @@ import time
 
 from repro.core.scheduler import structure_signature
 from repro.core.token import ReservationToken
-from repro.describe.templates import render, template_of
+from repro.describe.templates import Site, render, template_of
 
 
 def transition_capacity_shape(transition):
@@ -133,6 +134,79 @@ def implicit_dispatch(net, rows):
     }
 
 
+def absent_constants(net):
+    """The names of ``net``'s hook constants bound to ``None``."""
+    env = getattr(net, "hook_env", None) or {}
+    return frozenset(name for name, value in env.items() if value is None)
+
+
+def entry_stage(net, transition, template):
+    """``(stage, two_list)`` of the entry place a token ``template``'s action
+    emits on ``transition`` joins, where the enable test proves it has room.
+
+    That holds when every sub-net's entry place lies in one stage and
+    shares one ``two_list`` flag, ``transition`` names that stage among
+    its capacity stages, deposits nothing else into it, and the action
+    emits exactly one token — the fetch transitions' shape.  Otherwise
+    ``None``: the emission goes through the engine's checked deposit.
+    """
+    if template is None or not template.emits_once:
+        return None
+    entries = [subnet.entry_place for subnet in net.subnets.values() if subnet.entry_place is not None]
+    stages = {id(place.stage): place.stage for place in entries}
+    flags = {place.two_list for place in entries}
+    if len(stages) != 1 or len(flags) != 1:
+        return None
+    (stage,) = stages.values()
+    if stage.capacity is None or not any(s is stage for s in transition.capacity_stages):
+        return None
+    deposits = [transition.target_place] + [arc.place for arc in transition.reservation_outputs]
+    if any(place is not None and place.stage is stage for place in deposits):
+        return None
+    return stage, flags.pop()
+
+
+def splice_site(net, transition, template):
+    """The :class:`~repro.describe.templates.Site` ``template`` is spliced
+    at on ``transition``: the facts of the net its rendering folds in.
+
+    Stage locals are named as the emitter binds them (``sN``, N the
+    stage's index in ``net.stages``).
+    """
+    stage_index = {id(stage): index for index, stage in enumerate(net.stages.values())}
+    source = transition.source
+    entry = entry_stage(net, transition, template)
+    return Site(
+        delay=transition.delay,
+        source_stage=None if source is None else "s%d" % stage_index[id(source.stage)],
+        entry=None if entry is None else (
+            "s%d" % stage_index[id(entry[0])], "pending" if entry[1] else "tokens"
+        ),
+        absent=absent_constants(net),
+    )
+
+
+class EntryPlaces(dict):
+    """Operation class -> entry place of the sub-net handling it.
+
+    A class without one is looked up with ``net.entry_place_for``, which
+    raises the :class:`~repro.core.exceptions.ModelError` the interpreted
+    delivery raises.
+    """
+
+    def __init__(self, net):
+        super().__init__(
+            (opclass, subnet.entry_place)
+            for subnet in net.subnets.values()
+            if subnet.entry_place is not None
+            for opclass in subnet.opclasses
+        )
+        self._lookup = net.entry_place_for
+
+    def __missing__(self, opclass):
+        return self._lookup(opclass)
+
+
 def structure_digest(net):
     """Digest of everything an emitted module bakes into its source.
 
@@ -140,7 +214,10 @@ def structure_digest(net):
     as their template's key, ``"opaque"`` (a hook the module calls,
     assuming it may do anything) or ``None`` (absent, so no call), and
     each place's ``two_list`` flag as the schedule left it (the emitter
-    binds a two-list place's ``pending`` list and commits it each cycle).
+    binds a two-list place's ``pending`` list and commits it each cycle),
+    each sub-net's entry place and the hook constants bound to ``None``
+    (the spliced fetch deposits into the entry place directly and folds
+    the absent constants' tests away).
     """
     rows, _env = splice_plan(net)
     hooks = tuple(
@@ -151,7 +228,11 @@ def structure_digest(net):
         for transition, row in zip(net.transitions, rows)
     )
     two_list = tuple(place.name for place in net.places.values() if place.two_list)
-    payload = repr((structure_signature(net), hooks, two_list))
+    entries = tuple(
+        (name, subnet.entry_place.name if subnet.entry_place is not None else None)
+        for name, subnet in net.subnets.items()
+    )
+    payload = repr((structure_signature(net), hooks, two_list, entries, sorted(absent_constants(net))))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -166,15 +247,8 @@ def build_runtime(engine):
         # The constants the spliced hook templates read.
         "hook_env": env if env is not None else {},
         "deposit": engine._deposit,
-        "entry_place_for": net.entry_place_for,
-        # opclass -> entry place, for the emission drain; classes without
-        # one fall back to entry_place_for and its ModelError.
-        "entry_places": {
-            opclass: subnet.entry_place
-            for subnet in net.subnets.values()
-            if subnet.entry_place is not None
-            for opclass in subnet.opclasses
-        },
+        # opclass -> entry place, for the spliced emissions.
+        "entry_places": EntryPlaces(net),
         "pool": engine._reservation_pool,
         "ReservationToken": ReservationToken,
         "places": list(engine.schedule.order),

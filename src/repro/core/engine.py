@@ -128,11 +128,13 @@ class EngineContext:
 
         The counters are exact between the engine's stretches of cycles and
         whenever a hook that may read them runs.  The generated engine keeps
-        them in locals of its cycle loop and adds them in at the end of a
-        stretch, and before each call to a hook that is not a template or
-        whose template source names ``stats``; a hook reaching the
-        statistics by another path (``engine.stats``, a saved reference)
-        may see them short mid-stretch.
+        them — and the counters of its spliced fetch: main-memory reads,
+        decode-cache hits, L1I accesses and hits, BTB lookups and hits — in
+        locals of its cycle loop and adds them in at the end of a stretch,
+        and before each call to a hook that is not a template or whose
+        template source names ``stats`` or one of those counters; a hook
+        reaching the statistics by another path (``engine.stats``, a saved
+        reference) may see them short mid-stretch.
 
         ``stats.cycles`` is not a clock for guards: reading it does not mark
         the step, so the generated engine may skip the idle cycles such a
@@ -266,7 +268,10 @@ class SimulationEngine:
         stage = stage if hasattr(stage, "places") else self.net.stage(stage)
         squashed = 0
         for place in stage.places:
-            squashed += self.flush_place(place, cause=stage.name)
+            # An empty place has nothing to squash (most of a front-end
+            # flush's places are empty).
+            if place.tokens or place.pending:
+                squashed += self.flush_place(place, cause=stage.name)
         return squashed
 
     def flush_younger(self, seq):

@@ -511,20 +511,21 @@ if t.annotations.get("predicted_taken"):
 _FETCH = """
 @read_word(_w, _p)
 @decode(_x, _w, _p)
-@fetch_delay(_x.delay_override, _p)
+@fetch_delay(_l, _p)
 """
 
+# The fetched token enters its class's entry place, residing there for the
+# L1I latency ``_l``.
 _DELIVER = """
-if ISSUE_CONTROL is not None:
-    ISSUE_CONTROL.note_fetch(_x)
-@emit(_x)
+@note_fetch(_x)
+@emit(_x, _l)
 """
 
 #: The instruction-independent fetch transition, by fetch style.
 FETCH_TEMPLATES = {
     "sequential": HookTemplate(
         "fetch.sequential",
-        guard="not CORE.halted and (STALL_STAGE is None or STALL_STAGE._occupancy == 0)",
+        guard="not CORE.halted and @stall_free()",
         action="""
 _p = CORE.fetch_pc
 CORE.fetch_pc = (_p + 4) & 0xFFFFFFFF""" + _FETCH + _DELIVER,
@@ -534,8 +535,8 @@ CORE.fetch_pc = (_p + 4) & 0xFFFFFFFF""" + _FETCH + _DELIVER,
         guard="not CORE.halted",
         action="""
 _p = CORE.fetch_pc
-_e, _f, _b = PREDICTOR.lookup(_p)""" + _FETCH + """
-_x.annotations["predicted_taken"] = _f = bool(_e and _f)
+@btb_lookup(_f, _b, _p)""" + _FETCH + """
+_x.annotations["predicted_taken"] = _f
 CORE.fetch_pc = (_b if _f else _p + 4) & 0xFFFFFFFF""" + _DELIVER,
     ),
 }
@@ -545,7 +546,7 @@ CORE.fetch_pc = (_b if _f else _p + 4) & 0xFFFFFFFF""" + _DELIVER,
 #: conjunct and action prefix, and the advance gate's guard conjunct.
 ISSUE_GATE = "ISSUE_CONTROL.may_issue(t, ctx, {port!r})"
 ISSUE_NOTE = "ISSUE_CONTROL.note_issue(t, ctx, {port!r})"
-ADVANCE_GATE = "ISSUE_CONTROL.may_advance(t, t.place.stage)"
+ADVANCE_GATE = "ISSUE_CONTROL.may_advance(t, @source_stage())"
 
 #: The template a gate derives from where the transition has no hook.
 BARE = HookTemplate("bare")
@@ -727,9 +728,10 @@ class ArmSemantics:
         Applied by the elaborator to every transition of a multi-issue spec
         whose source stage precedes the issue stage on its path; see
         :meth:`~repro.describe.substrate.IssueControl.may_advance`.  The
-        template text (:data:`ADVANCE_GATE`) reads the source stage off the
-        token's place: both engines attempt a transition only on a token
-        still in its source place.
+        template text (:data:`ADVANCE_GATE`) names the source stage with
+        the ``@source_stage()`` fragment: the closure reads it off the
+        token's place (both engines attempt a transition only on a token
+        still in its source place), the splice names the stage's local.
         """
         gated_guard = self._gated(guard, "/advance", ADVANCE_GATE)[0]
         if gated_guard is None:

@@ -13,13 +13,16 @@ The register-hazard protocol and the fetch path's services are template
 rendered:
 
 * expressions, expanded inline — ``@pc_free()``, ``@flags_ready()``,
-  ``@ready(x)``, ``@can_read(x)``, ``@can_write(x)``, ``@has_value(x)``;
+  ``@ready(x)``, ``@can_read(x)``, ``@can_write(x)``, ``@has_value(x)``,
+  ``@stall_free()`` (the fetch stall stage is empty) and
+  ``@source_stage()`` (the firing transition's source stage);
 * the fetch path's services, expanded inline (each a line of its own) —
+  ``@read_word(var, addr)``, ``@btb_lookup(taken, target, addr)``,
   ``@decode(var, word, pc)`` (decode-cache hit, recycling a retired
-  token of the word when one is free), ``@read_word(var, addr)``,
-  ``@fetch_delay(var, addr)`` and ``@data_delay(var, addr, is_write)``
-  (L1 hit: counters and LRU order), ``@set_value(x, v)`` and
-  ``@emit(token)``;
+  token of the word when one is free), ``@fetch_delay(var, addr)`` and
+  ``@data_delay(var, addr, is_write)`` (L1 hit: counters, LRU order and
+  the cache's ``last_line``), ``@note_fetch(token)``, ``@set_value(x, v)``
+  and ``@emit(token[, residence])``;
 * the protocol's effects — ``@read(x)``, ``@condition(var)``,
   ``@reserve_write(x)``, ``@writeback(x)`` — each one call:
   ``operand_read`` or the RegRef method, whose checks raise as before.
@@ -29,7 +32,7 @@ rendered:
 
 Each inline fragment keeps the checks of the code it replaces and falls
 back to the method for everything off its fast path (a decode-cache
-miss, an L1 miss, an attached cache trace, perfect caches).
+miss, an L1 miss, an attached cache trace).
 
 A template runs in one of two renderings:
 
@@ -38,8 +41,18 @@ A template runs in one of two renderings:
   process (:data:`COMPILES` counts it) and the resulting factory is called
   once per model; the interpreted engine calls the closures.
 * ``"splice"`` — :mod:`repro.codegen.emit` pastes the rendering into the
-  transition sites of the emitted cycle loop, where ``@emit`` delivers the
-  fetched token straight into its entry place instead of queueing it.
+  transition sites of the emitted cycle loop.  The rendering is made per
+  :data:`Site`, the facts the emitter knows at the site, and folds them
+  in: ``@stall_free()`` and ``@note_fetch`` drop their tests of a constant
+  the model binds to ``None``, ``@source_stage()`` names the stage's
+  local, and ``@emit`` deposits the fetched token straight into its entry
+  place (through an operation class -> place table) where the enable test
+  proves that stage has room.  The front end's fragments — ``@read_word``,
+  ``@decode``, ``@fetch_delay``, ``@btb_lookup`` — count into the loop's
+  run-local counters (:data:`FRONT_END_COUNTERS`) over objects the loop
+  binds once or per stretch (:data:`FRONT_END_LOCALS`), and
+  ``@fetch_delay`` takes a hit on the cache's ``last_line`` (its set's
+  most recently used line) with no set lookup or LRU update.
 
 The emitter splices only closures :func:`bind` made over the net's own
 constants, recognised by their code object (:func:`template_of`): a wrapper
@@ -50,23 +63,11 @@ subclass is called, never spliced.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import namedtuple
 
 from repro.isa.registers import PC
-
-#: Names of the emitted cycle loop's own state; a template temporary may
-#: not reuse one (the splice would clobber it).
-RESERVED_NAMES = frozenset((
-    "cycle", "cycle0", "idle0", "stats", "tf", "rbc", "fired", "limit", "engine",
-    "pool", "deposit", "entry_places", "entry_place_for", "trace_token",
-    "stalls", "instructions", "generated_tokens", "_oc", "_d", "_r", "_n",
-    "_stalls", "_hc", "_tm",
-))
-
-#: The loop's indexed names: run-local counters (``tf3``, ``rbc0``), place
-#: token lists (``p3t``, ``p3p``) and the bound places, stages and hooks.
-RESERVED_INDEXED = re.compile(r"(?:tf|rbc|[psga])\d+[tp]?|hc[ga]\d+")
 
 _NAME = re.compile(r"\b[A-Za-z_]\w*\b")
 _STATEMENT = re.compile(r"^(\s*)@(\w+)\((.*)\)\s*$")
@@ -76,6 +77,59 @@ _EXPRESSION = re.compile(r"@(\w+)\(([^()]*)\)")
 # ---------------------------------------------------------------------------
 # Fragments
 # ---------------------------------------------------------------------------
+
+#: What the emitter knows about one splice site when it emits the module
+#: (see :func:`render`): the firing transition's ``delay``; the local its
+#: source stage is bound to (``None`` on a generator); ``entry``, the
+#: ``(stage local, list attribute)`` an emitted token joins where the
+#: enable test proves the entry stage has room for it, else ``None``; and
+#: ``absent``, the model constants bound to ``None``.
+Site = namedtuple("Site", ("delay", "source_stage", "entry", "absent"), defaults=(0, None, None, frozenset()))
+
+#: The spliced front end's run-local counters, with the statistics each
+#: adds into when the loop writes its counters back (a spliced L1I hit is
+#: one access and one hit).
+FRONT_END_COUNTERS = {
+    "main_reads": ("MAIN.read_count",),
+    "decoder_hits": ("DECODER.hits",),
+    "l1i_hits": ("l1i.stats.accesses", "l1i.stats.hits"),
+    "btb_lookups": ("PREDICTOR.lookups",),
+    "btb_hits": ("PREDICTOR.hits",),
+}
+
+#: The spliced front end's other locals, in binding order, as ``(name,
+#: expression, per_stretch)``.  A reset rebinds the per-stretch objects
+#: (the memory system rebuilds its caches, the BTB its table, the decoder
+#: its sequence), so ``run_cycles`` binds those on entry; the others are
+#: only ever mutated in place and ``make_run_cycles`` binds them once.
+FRONT_END_LOCALS = (
+    ("main_words", "MAIN._words", False),
+    ("main_default", "MAIN.default_value", False),
+    ("decoder_cache", "DECODER._cache", False),
+    ("decoder_seq", "DECODER._sequence", True),
+    ("l1i", "MEMORY.icache", True),
+    ("l1i_traced", "l1i.trace is not None", True),
+    ("l1i_sets", "l1i._sets", True),
+    ("l1i_line", "l1i.line_bytes", True),
+    ("l1i_nsets", "l1i.set_count", True),
+    ("l1i_latency", "l1i.config.hit_latency", True),
+    ("btb_entries", "PREDICTOR.entries", True),
+)
+
+
+#: Names of the emitted cycle loop's own state; a template temporary may
+#: not reuse one (the splice would clobber it).
+RESERVED_NAMES = frozenset((
+    "cycle", "cycle0", "idle0", "stats", "tf", "rbc", "fired", "limit", "engine",
+    "pool", "deposit", "entry_places", "trace_token",
+    "stalls", "instructions", "generated_tokens", "_oc", "_d", "_r", "_n",
+    "_stalls", "_hc", "_tm",
+)) | frozenset(FRONT_END_COUNTERS) | frozenset(name for name, _expr, _stretch in FRONT_END_LOCALS)
+
+#: The loop's indexed names: run-local counters (``tf3``, ``rbc0``), place
+#: token lists (``p3t``, ``p3p``) and the bound places, stages and hooks.
+RESERVED_INDEXED = re.compile(r"(?:tf|rbc|[psga])\d+[tp]?|hc[ga]\d+")
+
 
 def _ready(x):
     return (
@@ -100,6 +154,17 @@ _EXPRESSION_FRAGMENTS = {
     "can_read": _can_write,
     "can_write": _can_write,
     "has_value": lambda x: "((_o := %s).register is None or _o._has_value)" % x,
+    "stall_free": lambda: "(STALL_STAGE is None or STALL_STAGE._occupancy == 0)",
+    # Both engines attempt a transition only on a token in its source place.
+    "source_stage": lambda: "t.place.stage",
+}
+
+#: Expression fragments whose splice rendering folds the site's facts.
+_SPLICED_EXPRESSIONS = {
+    "stall_free": lambda site: (
+        "True" if "STALL_STAGE" in site.absent else "STALL_STAGE._occupancy == 0"
+    ),
+    "source_stage": lambda site: site.source_stage or "t.place.stage",
 }
 
 
@@ -153,7 +218,8 @@ MAIN.read_count += 1
 
 
 def _cache_hit(cache, var, address, touch, miss):
-    # Cache.access's hit path (counters, LRU order); the method otherwise.
+    # Cache.access's hit path (counters, LRU order, last line); the method
+    # otherwise.
     return f"""
 _cc = MEMORY.{cache}
 if _cc.trace is not None:
@@ -167,6 +233,7 @@ else:
         _cs.accesses += 1
         _cs.hits += 1
 {touch}
+        _cc.last_line = _ln
         {var} = _cc.config.hit_latency
     else:
         {var} = {miss}
@@ -195,37 +262,26 @@ def _data_delay(var, address, is_write):
     )
 
 
-def _emit_queued(token):
-    return "ctx.emit(%s)" % token
-
-
-def _emit_delivered(token, delay):
-    # SimulationEngine.queue_emission + deliver_emissions' Place.deposit as
-    # field operations, for an emission routed by operation class.
+def _btb_lookup(taken, target, address):
+    # ``taken``: a BTB hit predicting taken; ``target`` is read only then.
     return f"""
-_ep = entry_places.get({token}.opclass)
-if _ep is None:
-    _ep = entry_place_for({token}.opclass)
-if trace_token is not None:
-    trace_token(cycle, {token}, None)
-generated_tokens += 1
-_es = _ep.stage
-if _es.capacity is None or _es._occupancy >= _es.capacity:
-    deposit({token}, _ep, {delay})
-else:
-    _er = {token}.delay_override
-    if _er is None:
-        _er = _ep.delay
-    else:
-        {token}.delay_override = None
-    {token}.ready_cycle = cycle + {delay} + _er
-    {token}.place = _ep
-    _es._occupancy += 1
-    if _ep.two_list:
-        _ep.pending.append({token})
-    else:
-        _ep.tokens.append({token})
+_e, {taken}, {target} = PREDICTOR.lookup({address})
+{taken} = bool(_e and {taken})
 """
+
+
+def _note_fetch(token):
+    return f"""
+if ISSUE_CONTROL is not None:
+    ISSUE_CONTROL.note_fetch({token})
+"""
+
+
+def _emit(token, delay=None):
+    # ``delay``, when given, is the token's residence in its entry place.
+    if delay is None:
+        return "ctx.emit(%s)" % token
+    return "%s.delay_override = %s\nctx.emit(%s)" % (token, delay, token)
 
 
 _STATEMENT_FRAGMENTS = {
@@ -238,7 +294,121 @@ _STATEMENT_FRAGMENTS = {
     "read_word": _read_word,
     "fetch_delay": _fetch_delay,
     "data_delay": _data_delay,
+    "btb_lookup": _btb_lookup,
+    "note_fetch": _note_fetch,
+    "emit": _emit,
 }
+
+
+# The splice renderings of the front end's fragments: the same steps over
+# the loop's own locals (FRONT_END_LOCALS) and run-local counters
+# (FRONT_END_COUNTERS), with the site's facts folded in.
+
+def _decode_spliced(site, var, word, pc):
+    return f"""
+_dc = decoder_cache.get({word})
+if _dc is None:
+    {var} = DECODER.decode_word({word}, pc={pc})
+else:
+    decoder_hits += 1
+    _df = _dc.free
+    if _df:
+        {var} = _dc.renew(_df.pop(), {pc}, next(decoder_seq))
+    else:
+        {var} = _dc.make(_dc, {pc}, next(decoder_seq))
+"""
+
+
+def _read_word_spliced(site, var, address):
+    return f"""
+main_reads += 1
+{var} = main_words.get({address} & 0xFFFFFFFC, main_default)
+"""
+
+
+def _fetch_delay_spliced(site, var, address):
+    # The latest access's line is its set's most recently used: a read of
+    # it hits and moves nothing (Cache.last_line).
+    return f"""
+_ln = {address} // l1i_line
+if l1i_traced:
+    {var} = MEMORY.instruction_delay({address})
+elif _ln == l1i.last_line:
+    l1i_hits += 1
+    {var} = l1i_latency
+else:
+    _cl = l1i_sets[_ln % l1i_nsets].lines
+    _ct = _ln // l1i_nsets
+    if _ct in _cl:
+        l1i_hits += 1
+        _cl[_ct] = _cl.pop(_ct)
+        l1i.last_line = _ln
+        {var} = l1i_latency
+    else:
+        {var} = MEMORY.instruction_delay({address})
+"""
+
+
+def _btb_lookup_spliced(site, taken, target, address):
+    # BranchTargetBuffer.lookup, inline.
+    return f"""
+btb_lookups += 1
+_be = btb_entries.get({address})
+if _be is None:
+    {taken} = False
+else:
+    btb_hits += 1
+    {target}, {taken} = _be
+    {taken} = {taken} >= 2
+"""
+
+
+def _note_fetch_spliced(site, token):
+    return "" if "ISSUE_CONTROL" in site.absent else "ISSUE_CONTROL.note_fetch(%s)" % token
+
+
+def _emit_spliced(site, token, delay=None):
+    # SimulationEngine.queue_emission + deliver_emissions, for an emission
+    # routed by operation class: straight into the entry place where the
+    # site proves it has room and the residence is given, else through the
+    # engine's own deposit (which checks capacity and retires into end).
+    lines = [
+        "_ep = entry_places[%s.opclass]" % token,
+        "if trace_token is not None:",
+        "    trace_token(cycle, %s, None)" % token,
+        "generated_tokens += 1",
+    ]
+    if site.entry is None or delay is None:
+        if delay is not None:
+            lines.append("%s.delay_override = %s" % (token, delay))
+        lines.append("deposit(%s, _ep, %d)" % (token, site.delay))
+    else:
+        stage, store = site.entry
+        ready = "cycle + %d + %s" % (site.delay, delay) if site.delay else "cycle + %s" % delay
+        lines += [
+            "%s.ready_cycle = %s" % (token, ready),
+            "%s.place = _ep" % token,
+            "%s._occupancy += 1" % stage,
+            "_ep.%s.append(%s)" % (store, token),
+        ]
+    return "\n".join(lines)
+
+
+_SPLICED_STATEMENTS = {
+    "decode": _decode_spliced,
+    "read_word": _read_word_spliced,
+    "fetch_delay": _fetch_delay_spliced,
+    "btb_lookup": _btb_lookup_spliced,
+    "note_fetch": _note_fetch_spliced,
+    "emit": _emit_spliced,
+}
+
+
+def _fragment(table, spliced, name, site):
+    """Fragment ``name``'s renderer: the splice form at a ``site``, else the closure form."""
+    if site is not None and name in spliced:
+        return functools.partial(spliced[name], site)
+    return table[name]
 
 
 def _split_args(text):
@@ -259,14 +429,15 @@ def _split_args(text):
     return args
 
 
-def _expand_expression(text):
+def _expand_expression(text, site=None):
     def replace(match):
-        return _EXPRESSION_FRAGMENTS[match.group(1)](*_split_args(match.group(2)))
+        fragment = _fragment(_EXPRESSION_FRAGMENTS, _SPLICED_EXPRESSIONS, match.group(1), site)
+        return fragment(*_split_args(match.group(2)))
 
     return _EXPRESSION.sub(replace, text)
 
 
-def _expand_block(text, emit):
+def _expand_block(text, site=None):
     """The statement lines of ``text`` with every fragment expanded."""
     lines = []
     for line in text.splitlines():
@@ -274,11 +445,11 @@ def _expand_block(text, emit):
             continue
         match = _STATEMENT.match(line)
         if match is None:
-            lines.append(_expand_expression(line))
+            lines.append(_expand_expression(line, site))
             continue
         indent, name, args = match.groups()
-        fragment = emit if name == "emit" else _STATEMENT_FRAGMENTS[name]
-        for inner in _expand_block(fragment(*_split_args(args)), emit):
+        fragment = _fragment(_STATEMENT_FRAGMENTS, _SPLICED_STATEMENTS, name, site)
+        for inner in _expand_block(fragment(*_split_args(args)), site):
             lines.append(indent + inner)
     return lines
 
@@ -286,6 +457,16 @@ def _expand_block(text, emit):
 # ---------------------------------------------------------------------------
 # Templates
 # ---------------------------------------------------------------------------
+
+#: Names through which a hook reads the statistics the emitted loop keeps
+#: run-local: ``stats``, the front end's counters' attributes and the
+#: units' reports of them.
+_STATISTICS_NAMES = frozenset(
+    ("stats", "statistics", "statistics_summary", "cache_info")
+) | frozenset(
+    statistic.rsplit(".", 1)[1] for statistics in FRONT_END_COUNTERS.values() for statistic in statistics
+)
+
 
 class HookTemplate:
     """One hook as source: a guard expression and/or an action block.
@@ -309,8 +490,11 @@ class HookTemplate:
         self.renderings = {}
         self.guard = " ".join(line.strip() for line in guard.splitlines()).strip() if guard else None
         self.action = action.strip("\n") if action and action.strip() else None
-        #: True when the source names ``stats`` (``ctx.stats``, say).
-        self.reads_stats = "stats" in _NAME.findall("%s\n%s" % (self.guard or "", self.action or ""))
+        #: True when the source names ``stats`` (``ctx.stats``, say), a
+        #: counter the spliced front end keeps run-local, or a report of them.
+        self.reads_stats = not _STATISTICS_NAMES.isdisjoint(
+            _NAME.findall("%s\n%s" % (self.guard or "", self.action or ""))
+        )
 
     @property
     def writes_delay(self):
@@ -319,6 +503,13 @@ class HookTemplate:
     @property
     def emits(self):
         return self.action is not None and "@emit(" in self.action
+
+    @property
+    def emits_once(self):
+        """True when every run of the action emits exactly one token: its
+        one ``@emit`` is a top-level statement (templates never return)."""
+        sites = [line for line in (self.action or "").splitlines() if "@emit(" in line]
+        return len(sites) == 1 and sites[0].startswith("@emit(")
 
     def prefixed(self, key, prefix=None, guard=None):
         """This template with ``prefix`` run before its action and ``guard``
@@ -356,26 +547,26 @@ _COMPOSED = {}
 Rendering = namedtuple("Rendering", ("guard", "action", "guard_names", "action_names"))
 
 
-def render(template, mode, delay=0):
+def render(template, mode, site=None):
     """The :data:`Rendering` of ``template`` in ``mode``.
 
-    ``mode`` is ``"closure"`` or ``"splice"``; ``delay`` is the firing
-    transition's delay, which only a spliced ``@emit`` reads.  Memoised on
-    the template.  The closure rendering, which is the template's own text,
-    is checked for temporaries that would clobber the loop's state; the
-    spliced ``@emit`` is the loop's own code and updates its counter.
+    ``mode`` is ``"closure"`` or ``"splice"``; ``site`` is the splice
+    site's :data:`Site` (the default knows nothing of the site), which
+    only the splice rendering reads.  Memoised on the template.  The
+    closure rendering, which is the template's own text, is checked for
+    temporaries that would clobber the loop's state; the splice forms of
+    the fragments are the loop's own code and update its counters.
     """
-    rendering = template.renderings.get((mode, delay))
+    if mode == "closure":
+        site = None
+    elif site is None:
+        site = Site()
+    rendering = template.renderings.get((mode, site))
     if rendering is None:
-        if mode == "closure":
-            emit = _emit_queued
-        else:
+        if mode != "closure":
             render(template, "closure")
-
-            def emit(token):
-                return _emit_delivered(token, delay)
-        guard = _expand_expression(template.guard) if template.guard else None
-        action = _expand_block(template.action, emit) if template.action else None
+        guard = _expand_expression(template.guard, site) if template.guard else None
+        action = _expand_block(template.action, site) if template.action else None
         guard_names = frozenset(_NAME.findall(guard or ""))
         action_text = "\n".join(action or ())
         action_names = frozenset(_NAME.findall(action_text))
@@ -388,13 +579,34 @@ def render(template, mode, delay=0):
             raise ValueError(
                 "template %s: temporaries %s clash with the emitted loop's state" % (template.key, clashes)
             )
-        rendering = template.renderings[mode, delay] = Rendering(guard, action, guard_names, action_names)
+        rendering = template.renderings[mode, site] = Rendering(guard, action, guard_names, action_names)
     return rendering
 
 
 def names_used(names, env):
     """The constants of ``env`` among ``names``, sorted."""
     return tuple(sorted(name for name in env if name in names))
+
+
+def front_end_needs(names):
+    """What a module whose splices read ``names`` binds for its front end.
+
+    Returns ``(counters, locals, needed)``: the names of the run-local
+    counters among ``names``, the :data:`FRONT_END_LOCALS` entries the
+    splices and the counters' write-backs read (in binding order), and
+    every name those read, the model constants included.
+    """
+    counters = [name for name in FRONT_END_COUNTERS if name in names]
+    needed = set(names)
+    for name in counters:
+        for statistic in FRONT_END_COUNTERS[name]:
+            needed.update(_NAME.findall(statistic))
+    bindings = []
+    for entry in reversed(FRONT_END_LOCALS):
+        if entry[0] in needed:
+            needed.update(_NAME.findall(entry[1]))
+            bindings.insert(0, entry)
+    return counters, bindings, needed
 
 
 # ---------------------------------------------------------------------------

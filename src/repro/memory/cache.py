@@ -174,6 +174,13 @@ class Cache:
         self.line_bytes = config.line_bytes
         self.set_count = config.num_sets
         self._sets = [_CacheSet() for _ in range(config.num_sets)]
+        #: The line number (``address // line_bytes``) of the latest access,
+        #: which is therefore the most recently used line of its set: a
+        #: read of it again hits and changes no LRU order.  ``None`` when
+        #: cold.  Set by :meth:`access`, :meth:`reset` and the hook
+        #: templates' inline hit paths, so the generated fetch can take
+        #: its same-line hit without a set lookup.
+        self.last_line = None
         #: Optional trace callback ``(level, kind, address, latency)`` with
         #: kind in {"hit", "miss", "fill", "writeback"}.  Observation only —
         #: counters and latencies are identical with or without it.
@@ -183,6 +190,7 @@ class Cache:
         """Restore the cold state: statistics cleared and every line invalid."""
         self.stats = CacheStatistics()
         self._sets = [_CacheSet() for _ in range(self.config.num_sets)]
+        self.last_line = None
 
     def reset_statistics(self):
         """Clear the counters only; resident lines stay warm."""
@@ -197,6 +205,8 @@ class Cache:
     def access(self, address, is_write=False):
         """Perform one access; returns the latency in cycles."""
         cache_set, tag, index = self._locate(address)
+        # A hit makes the line most recently used; a miss inserts it so.
+        self.last_line = address // self.line_bytes
         trace = self.trace
         self.stats.accesses += 1
         if cache_set.lookup(tag):

@@ -15,6 +15,12 @@ backends and the results must agree.
   and a spliced template — see identical values at every call;
 * each place keeps its list objects across flushes, two-list commits,
   ``reset()`` and a re-run.
+
+The spliced fetch counts the front end's work the same way: main-memory
+reads, decode-cache hits, L1I accesses and hits, and BTB lookups and hits
+are run-local too, written back with the statistics counters.  They must
+be exact at every stretch end (runs cut into 1000-cycle ``max_cycles``
+chunks, as perfbench drives them) and before every opaque hook.
 """
 
 import pytest
@@ -40,6 +46,22 @@ def snapshot(stats):
         stats.generated_tokens,
         dict(stats.transition_firings),
         dict(stats.retired_by_class),
+    )
+
+
+def front_end(processor):
+    """The counters the spliced fetch keeps run-local, read off their objects."""
+    memory = processor.memory
+    predictor = processor.net.hook_env["PREDICTOR"]
+    return (
+        memory.memory.read_count,
+        processor.decoder.hits,
+        processor.decoder.misses,
+        memory.icache.stats.accesses,
+        memory.icache.stats.hits,
+        memory.icache.stats.misses,
+        getattr(predictor, "lookups", None),
+        getattr(predictor, "hits", None),
     )
 
 
@@ -193,6 +215,33 @@ def test_a_spliced_template_reading_stats_sees_identical_values(model):
     assert results["interpreted"] == results["generated"]
 
 
+@pytest.mark.parametrize("model", ["strongarm", "xscale"])
+def test_a_spliced_template_reading_front_end_statistics_sees_identical_values(model):
+    record = "RECORD((MAIN.read_count, DECODER.hits, MEMORY.statistics_summary(), PREDICTOR.statistics))"
+
+    class Recording(ArmSemantics):
+        def _install_hooks(self):
+            self.env["RECORD"] = seen.append
+            super()._install_hooks()
+
+        def register(self, name, guard=None, action=None):
+            if name == "alu.writeback":
+                template = template_of(action, self.env)
+                guard, action = bind(template.prefixed(template.key + "/front-end", record), self.env)
+            super().register(name, guard, action)
+
+    results = {}
+    for backend in BACKENDS:
+        seen = []
+        processor = load(elaborate(get_spec(model), backend=backend, semantics_class=Recording))
+        if backend == "generated":
+            assert record in processor.engine.source  # spliced, not called
+        processor.run()
+        results[backend] = seen
+        assert seen
+    assert results["interpreted"] == results["generated"]
+
+
 def test_built_in_models_write_back_only_in_the_finally():
     source = build_processor("xscale", backend="generated").engine.source
     loop, final = source.split("try:", 1)[1].split("finally:")
@@ -225,3 +274,66 @@ def test_place_lists_are_the_same_objects_after_flushes_commits_and_reset(model)
         assert results["generated"][3] > 0  # squashes flushed places
     else:
         assert any(place.two_list for place in build_processor(model).net.places.values())
+
+
+def chunked(processor, chunk=1000):
+    """Run in ``chunk``-cycle ``max_cycles`` steps; the front end after each."""
+    seen, limit = [], chunk
+    while True:
+        stats = processor.run(max_cycles=limit)
+        seen.append((stats.cycles, front_end(processor)))
+        if stats.finish_reason != "max_cycles":
+            return seen
+        limit += chunk
+
+
+@pytest.mark.parametrize("model", ["strongarm", "xscale", "xscale-ds"])
+def test_front_end_counters_are_exact_at_every_chunk_end(model):
+    results = {}
+    for backend in BACKENDS:
+        processor = load(build_processor(model, backend=backend))
+        results[backend] = chunked(processor)
+        assert len(results[backend]) > 3
+    assert results["interpreted"] == results["generated"]
+    assert results["generated"][-1][1][1] > 0  # decode-cache hits counted
+
+
+def recording_front_end(processor, seen):
+    def wrap(base):
+        def hook(t, ctx):
+            seen.append((snapshot(ctx.stats), front_end(processor)))
+            if base is not None:
+                return base(t, ctx)
+            return True
+
+        return hook
+
+    return wrap
+
+
+@pytest.mark.parametrize("model", ["strongarm", "xscale"])
+def test_opaque_hooks_see_exact_front_end_counters(model):
+    results = {}
+    for backend in BACKENDS:
+        seen = []
+        processor = load(build_processor(model, backend=backend))
+        processor = rebound(
+            processor, backend,
+            wrap_action=recording_front_end(processor, seen),
+            wrap_guard=recording_front_end(processor, seen),
+        )
+        processor.run()
+        results[backend] = (seen, front_end(processor))
+        assert seen
+    assert results["interpreted"] == results["generated"]
+
+
+@pytest.mark.parametrize("model", ["strongarm", "xscale"])
+def test_the_spliced_fetch_calls_no_front_end_method_on_its_hit_paths(model):
+    source = build_processor(model, backend="generated").engine.source
+    for call in ("PREDICTOR.lookup(", "entry_places.get(", "DECODER.hits += 1", "_x.delay_override"):
+        assert call not in source, call
+    loop, final = source.split("try:", 1)[1].split("finally:")
+    assert "decoder_hits += 1" in loop and "DECODER.hits += decoder_hits" in final
+    assert "l1i.stats.hits += l1i_hits" in final
+    assert ("btb_lookups += 1" in loop) == (model == "xscale")

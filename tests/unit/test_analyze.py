@@ -513,8 +513,8 @@ def test_sv007_emit_report_tamper_detected():
     assert "SV007" in rules_of(findings)
 
 
-def _counter_tamper(line, mutant):
-    engine = _engine()
+def _counter_tamper(line, mutant, model="example"):
+    engine = _engine(model)
     # The finally's lines sit at the try's indent + 4 (12 spaces).
     source = engine.source.replace("\n" + line + "\n", "\n" + mutant + "\n", 1)
     assert source != engine.source
@@ -545,6 +545,41 @@ def test_sv009_wrong_or_repeated_write_back_detected():
         "            stats.stalls += stalls\n            stats.stalls += stalls",
     )
     assert [f.location for f in twice] == ["source:counter stalls"]
+
+
+def test_sv009_front_end_counters_checked():
+    # xscale splices its fetch: decode, L1I and BTB hits count run-locally.
+    dropped = _counter_tamper(
+        "            DECODER.hits += decoder_hits", "            pass", model="xscale"
+    )
+    assert [f.location for f in dropped] == ["source:counter decoder_hits"]
+    wrong = _counter_tamper(
+        "            l1i.stats.hits += l1i_hits", "            l1i.stats.misses += l1i_hits",
+        model="xscale",
+    )
+    assert [f.location for f in wrong] == ["source:counter l1i_hits"]
+    unzeroed = _counter_tamper("        btb_lookups = 0", "        pass", model="xscale")
+    assert [f.location for f in unzeroed] == ["source:counter btb_lookups"]
+
+
+@pytest.mark.parametrize(
+    "line, mutant",
+    [
+        ("l1i_hits += 1", "l1i_hits += 2"),
+        ("    btb_hits += 1", "    pass"),
+        ("_x.ready_cycle = cycle + _l", "_x.ready_cycle = cycle + 1 + _l"),
+        ("s1._occupancy += 1\n", "s2._occupancy += 1\n"),
+    ],
+    ids=["l1i-hit", "btb-hit", "entry-residence", "entry-stage"],
+)
+def test_sv008_spliced_fetch_tamper_detected(line, mutant):
+    engine = _engine("xscale")
+    assert verify_engine(engine) == []
+    fetch = engine.source.index("# -- generator 'fetch'")
+    head, tail = engine.source[:fetch], engine.source[fetch:]
+    assert line in tail
+    findings = verify_engine(_tampered(engine, head + tail.replace(line, mutant, 1)))
+    assert "SV008" in rules_of(findings)
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,25 @@ def test_flush_stage_squashes_tokens_and_releases_reservations():
     assert regfile.writers[0] is None
 
 
+def test_flush_stage_skips_empty_places(monkeypatch):
+    net, _ = make_linear_net(num_tokens=1)
+    engine = SimulationEngine(net)
+    flushed = []
+    original = SimulationEngine.flush_place
+
+    def recording(self, place, cause=None):
+        flushed.append(place.name)
+        return original(self, place, cause)
+
+    monkeypatch.setattr(SimulationEngine, "flush_place", recording)
+    assert engine.flush_stage("A") == 0
+    assert flushed == []
+    token = InstructionToken(instr=0, opclass="op")
+    net.place("op.A").deposit(token, ready_cycle=0, force=True)
+    assert engine.flush_stage("A") == 1
+    assert flushed == ["op.A"] and token.squashed
+
+
 def deadlock_message(backend):
     """The SimulationError text of a linear net whose B -> end never fires."""
     net, _ = make_linear_net(num_tokens=1)

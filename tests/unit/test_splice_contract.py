@@ -184,7 +184,7 @@ def _tampered(engine, source):
     [
         ('t.annotations["executed"] = _e', 't.annotations["executed"] = True'),
         ("GPR.writers[15] is None", "GPR.writers[14] is None"),
-        ("_cs.hits += 1", "_cs.hits += 2"),
+        ("l1i_hits += 1", "l1i_hits += 2"),
     ],
     ids=["action", "guard", "fetch"],
 )
@@ -193,6 +193,39 @@ def test_mutating_a_spliced_body_is_a_finding(line, mutant):
     assert line in engine.source
     findings = verify_engine(_tampered(engine, engine.source.replace(line, mutant, 1)))
     assert "SV008" in {finding.rule for finding in findings}
+
+
+@pytest.mark.parametrize("model", ["strongarm-ds", "xscale-ds"])
+def test_the_spliced_advance_gate_names_the_source_stage_local(model):
+    results = {}
+    for backend in ("interpreted", "generated"):
+        processor = build_processor(model, backend=backend)
+        if backend == "generated":
+            source = processor.engine.source
+            assert "ISSUE_CONTROL.may_advance(t, s" in source
+            assert "t.place.stage" not in source
+            assert verify_engine(processor.engine) == []
+        results[backend] = run(processor)
+    assert results["interpreted"] == results["generated"]
+
+
+def test_an_entry_stage_no_capacity_check_covers_takes_the_checked_deposit():
+    from repro.core import CapacityError, generate_simulator
+
+    errors = {}
+    for backend in ("interpreted", "generated"):
+        processor = build_processor(MODEL, backend=backend)
+        fetch = next(t for t in processor.net.transitions if t.is_generator)
+        fetch.capacity_stages = []
+        processor.engine, _report = generate_simulator(processor.net, EngineOptions(backend=backend))
+        if backend == "generated":
+            assert "deposit(_x, _ep, 0)" in processor.engine.source
+            assert verify_engine(processor.engine) == []
+        processor.load_program(get_workload(KERNEL, scale=1).program)
+        with pytest.raises(CapacityError) as error:
+            processor.run()
+        errors[backend] = (str(error.value), processor.engine.cycle, processor.memory.statistics_summary())
+    assert errors["interpreted"] == errors["generated"]
 
 
 def test_building_a_model_again_execs_no_template():
@@ -274,7 +307,9 @@ def test_a_template_closure_is_spliced_unless_marked_called(model):
                 assert (call in source) == (not template.inline), (transition.name, template)
 
 
-@pytest.mark.parametrize("temporary", ["stalls", "instructions", "tf3", "rbc0", "p2t", "p2p", "cycle0"])
+@pytest.mark.parametrize(
+    "temporary", ["stalls", "instructions", "tf3", "rbc0", "p2t", "p2p", "cycle0", "l1i_hits", "btb_entries"]
+)
 def test_a_template_temporary_may_not_clobber_the_loop_state(temporary):
     template = templates.HookTemplate("clobber/" + temporary, action="%s = 0" % temporary)
     with pytest.raises(ValueError, match="clash"):
