@@ -87,7 +87,8 @@ _RULE_TABLE = (
          "a run-local statistics counter is not zeroed on entry to run_cycles, or not "
          "added into its own statistic exactly once in its finally"),
     Rule("SV101", "schedule-coherent", "error",
-         "interpreted backend: cached static schedule disagrees with a fresh derivation"),
+         "interpreted backend: cached static schedule (order, dispatch, capacity plans) "
+         "disagrees with a fresh derivation"),
 )
 
 #: Rule id -> :class:`Rule`.

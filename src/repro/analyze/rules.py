@@ -315,7 +315,7 @@ def lint_net(net, model=None):
     }
     reachable = set(instruction_places)
     for transition in net.transitions:
-        target = transition.target_place
+        target = transition.target
         if target is not None:
             reachable.add(id(target))
             if not target.is_end:

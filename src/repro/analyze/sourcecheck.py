@@ -15,7 +15,9 @@ guard or action is re-rendered from the same hook template
 statement for statement (SV008).
 
 ``verify_backend`` extends the idea to the interpreted reference: its
-(possibly cache-hydrated) schedule is checked against a fresh derivation.
+(possibly cache-hydrated) schedule is checked against a fresh derivation,
+and each transition's capacity plan against the limits the enable rule's
+capacity clause, evaluated stage by stage, allows.
 """
 
 from __future__ import annotations
@@ -587,6 +589,69 @@ def verify_model(name, trace=False):
     return verify_engine(processor.engine, model=name)
 
 
+def _capacity_rule_allows(transition):
+    """The output-capacity clause of the enable rule, on the live occupancies.
+
+    Every stage the firing deposits into — the instruction token's target
+    and each reservation output — must have room for what it receives,
+    less the slot the token frees when it leaves a place of the same
+    stage (a generator has no token), and each capacity stage for one
+    more token.
+    """
+    source_stage = None if transition.is_generator else transition.source.stage
+    needed = {}
+    target = transition.target
+    if target is not None and not target.is_end:
+        needed[target.stage] = needed.get(target.stage, 0) + 1
+    for arc in transition.reservation_outputs:
+        place = arc.place
+        if place is not None and not place.is_end:
+            needed[place.stage] = needed.get(place.stage, 0) + arc.count
+    for stage, count in needed.items():
+        departing = 1 if stage is source_stage else 0
+        if not stage.has_room(count - departing):
+            return False
+    return all(stage.has_room() for stage in transition.capacity_stages)
+
+
+def _rule_limits(net, transition):
+    """``{stage name: max_occupancy}`` re-derived from the enable rule.
+
+    Each capacity-limited stage is filled one token at a time, the others
+    empty, up to the last occupancy the rule still allows; a stage the
+    rule never stops below its capacity is left out.  ``None`` when the
+    rule refuses with every stage empty.
+    """
+    if not _capacity_rule_allows(transition):
+        return None
+    limits = {}
+    for stage in net.stages.values():
+        if stage.capacity is None:
+            continue
+        occupancy = 0
+        while occupancy < stage.capacity:
+            stage._occupancy = occupancy + 1
+            if not _capacity_rule_allows(transition):
+                break
+            occupancy += 1
+        stage._occupancy = 0
+        if occupancy < stage.capacity:
+            limits[stage.name] = occupancy
+    return limits
+
+
+def _plan_limits(transition):
+    """``{stage name: max_occupancy}`` of the transition's static capacity
+    plan, in the form of :func:`_rule_limits`."""
+    limits = {}
+    for stage, limit in transition.capacity_plan:
+        if stage.capacity is None or limit < stage.capacity:
+            limits[stage.name] = min(limit, limits.get(stage.name, limit))
+    if any(limit < 0 for limit in limits.values()):
+        return None
+    return limits
+
+
 def verify_backend(name, backend):
     """Verify one backend: SV101 for interpreted, the AST pass otherwise."""
     if backend != "interpreted":
@@ -625,4 +690,13 @@ def verify_backend(name, backend):
                     "dispatch %r disagrees with a fresh search %r"
                     % (cached_names, [t.name for t in manual]),
                 ))
+    # The processor is fresh, so every stage is empty for the probes.
+    for transition in net.transitions:
+        planned, derived = _plan_limits(transition), _rule_limits(net, transition)
+        if planned != derived:
+            findings.append(finding(
+                "SV101", name, "schedule:transition %r" % transition.name,
+                "capacity plan %r disagrees with the enable rule's limits %r"
+                % (planned, derived),
+            ))
     return findings

@@ -172,24 +172,20 @@ class _Writer:
 
 
 def _capacity_conjuncts(net, shape, stage_var):
-    """Render one capacity shape as literal-comparison conjunct strings."""
+    """Render one capacity shape as literal-comparison conjunct strings.
+
+    A plain move's stage and a capacity stage are tested as
+    ``_occupancy < capacity``, a multi-deposit stage as
+    ``_occupancy <= max_occupancy``.
+    """
     conjuncts = []
     if shape[0] == "single":
-        stage = net.stages[shape[1]]
-        conjuncts.append("%s._occupancy < %d" % (stage_var(stage), stage.capacity))
+        conjuncts.append("%s._occupancy < %d" % (stage_var(net.stages[shape[1]]), shape[2] + 1))
     elif shape[0] == "multi":
-        for stage_name, count in shape[1]:
-            stage = net.stages[stage_name]
-            if stage.capacity is None or count <= 0:
-                continue  # unlimited, or the departing token frees the slot
-            conjuncts.append(
-                "%s._occupancy <= %d" % (stage_var(stage), stage.capacity - count)
-            )
-        for stage_name in shape[2]:
-            stage = net.stages[stage_name]
-            if stage.capacity is None:
-                continue
-            conjuncts.append("%s._occupancy < %d" % (stage_var(stage), stage.capacity))
+        for stage_name, limit in shape[1]:
+            conjuncts.append("%s._occupancy <= %d" % (stage_var(net.stages[stage_name]), limit))
+        for stage_name, limit in shape[2]:
+            conjuncts.append("%s._occupancy < %d" % (stage_var(net.stages[stage_name]), limit + 1))
     return conjuncts
 
 
@@ -316,7 +312,7 @@ def emit_module_source(net, schedule, options, key=None):
         return opclass
 
     def retires(transition):
-        target = transition.target_place
+        target = transition.target
         return not transition.consumes_token and target is not None and target.is_end
 
     # ---- fix the run-local counters before the walk ----------------------
@@ -453,7 +449,7 @@ def emit_module_source(net, schedule, options, key=None):
         )
         delay_written = opaque or (template is not None and template.writes_delay)
 
-        target = transition.target_place
+        target = transition.target
         if token_mode and not transition.consumes_token and target is not None:
             if target.is_end:
                 lines.append("instructions += 1")
@@ -728,7 +724,6 @@ def emit_module_source(net, schedule, options, key=None):
     out.w(3, "while True:")
     out.w(4, "fired = 0")
     out.w(4, "_stalls = stalls")
-    out.w(4, "engine._cycle_read = False")
     out.lines.extend(body.lines)
     out.w(4, "cycle += 1")
     out.w(4, "engine.cycle = cycle")

@@ -93,7 +93,7 @@ class GeneratedEngine(SimulationEngine):
         with the last cycle's firing count.  On return it has left
         ``cycle``, every statistic, ``_idle_cycles`` and — for
         :meth:`_fast_forward` — the idle cycle's stall count and
-        ``_cycle_read`` exactly as cycle-by-cycle stepping would.
+        ``_cycle_read_at`` exactly as cycle-by-cycle stepping would.
         """
         self._fired_this_cycle = self._run_cycles(limit)
 
@@ -106,11 +106,13 @@ class GeneratedEngine(SimulationEngine):
 
         Nothing fired, so no token moved, was deposited (no two-list place
         holds ``pending`` tokens) or was emitted, and guards see time only
-        through ``ready_cycle`` — unless one read ``ctx.cycle``, which sets
-        ``_cycle_read`` and rules the skip out.  Every cycle before the
-        earliest ``ready_cycle >= cycle`` of a resident token therefore
-        repeats the idle step exactly: same stalls, nothing fired.  Those k
-        cycles are accounted in one go, and counted in ``skipped_cycles``.
+        through ``ready_cycle`` — unless one read ``ctx.cycle`` in the idle
+        cycle, which stamps ``_cycle_read_at`` with that cycle and rules
+        the skip out (a read in an earlier, busy cycle does not).  Every
+        cycle before the earliest ``ready_cycle >= cycle`` of a resident
+        token therefore repeats the idle step exactly: same stalls, nothing
+        fired.  Those k cycles are accounted in one go, and counted in
+        ``skipped_cycles``.
 
         k is clamped so ``max_cycles`` and the ``stall_limit`` deadlock
         error trip on the same cycle, with the same text, as stepping
@@ -120,7 +122,7 @@ class GeneratedEngine(SimulationEngine):
         needs no clamp.  Stall tracing records one event per stalled token
         per cycle, so it turns the skip off.
         """
-        if self._cycle_read or self._trace_stall is not None:
+        if self._cycle_read_at == self.cycle - 1 or self._trace_stall is not None:
             return
         cycle = self.cycle
         skip = min(limit - cycle, self.options.stall_limit - self._idle_cycles)

@@ -31,36 +31,23 @@ from repro.describe.templates import Site, render, template_of
 def transition_capacity_shape(transition):
     """Classify one transition's output-capacity check for emission.
 
-    Returns ``("free",)`` (no check needed), ``("single", stage_name)`` (one
-    occupancy comparison) or ``("multi", ((stage_name, count), ...),
-    (capacity_stage_names, ...))`` (the general form).  It mirrors the
-    interpreted ``_output_capacity_available`` with the token-dependent
-    parts resolved statically (in token mode the token is never None).
+    Renders the transition's static plan
+    (:func:`repro.core.scheduler.capacity_plan`, which the schedule set),
+    the one statement of the rule both engines read.  Returns ``("free",)``
+    (no check needed), ``("single", stage_name, max_occupancy)`` (a plain
+    move's one occupancy comparison) or ``("multi", deposits, capacity)``
+    for a transition with reservation outputs or capacity stages, where
+    both are ``((stage_name, max_occupancy), ...)``: the plan's pairs for
+    the stages it deposits into, then for its capacity stages.
     """
-    token_mode = not transition.is_generator
-    source = transition.source
-    source_stage = source.stage if source is not None else None
-    target = transition.target_place
-    if not transition.reservation_outputs and not transition.capacity_stages:
-        if target is not None and not target.is_end:
-            stage = target.stage
-            if stage.capacity is not None and not (token_mode and stage is source_stage):
-                return ("single", stage.name)
-        return ("free",)
-    needed_map = {}
-    if target is not None and not target.is_end:
-        needed_map[target.stage] = needed_map.get(target.stage, 0) + 1
-    for arc in transition.reservation_outputs:
-        place = arc.place
-        if place is not None and not place.is_end:
-            needed_map[place.stage] = needed_map.get(place.stage, 0) + arc.count
-    # A token leaving its current stage frees one slot when it stays
-    # within the same stage; fold that adjustment into the counts.
-    needed = tuple(
-        (stage.name, count - (1 if (token_mode and stage is source_stage) else 0))
-        for stage, count in needed_map.items()
-    )
-    return ("multi", needed, tuple(stage.name for stage in transition.capacity_stages))
+    plan = transition.capacity_plan
+    split = len(plan) - sum(1 for stage in transition.capacity_stages if stage.capacity is not None)
+    deposits = tuple((stage.name, limit) for stage, limit in plan[:split])
+    if transition.reservation_outputs or transition.capacity_stages:
+        return ("multi", deposits, tuple((stage.name, limit) for stage, limit in plan[split:]))
+    if deposits:
+        return ("single",) + deposits[0]
+    return ("free",)
 
 
 def splice_plan(net):
@@ -122,10 +109,10 @@ def implicit_dispatch(net, rows):
     if opaque_hooks(net, rows):
         return {}
     foreign = {
-        id(transition.target_place)
+        id(transition.target)
         for transition in net.transitions
-        if transition.target_place is not None
-        and transition.target_place.subnet is not transition.subnet
+        if transition.target is not None
+        and transition.target.subnet is not transition.subnet
     }
     return {
         id(place): place.subnet.opclasses[0]
@@ -160,7 +147,7 @@ def entry_stage(net, transition, template):
     (stage,) = stages.values()
     if stage.capacity is None or not any(s is stage for s in transition.capacity_stages):
         return None
-    deposits = [transition.target_place] + [arc.place for arc in transition.reservation_outputs]
+    deposits = [transition.target] + [arc.place for arc in transition.reservation_outputs]
     if any(place is not None and place.stage is stage for place in deposits):
         return None
     return stage, flags.pop()

@@ -36,6 +36,7 @@ from repro.core.place import Place
 from repro.core.scheduler import (
     StaticSchedule,
     calculate_sorted_transitions,
+    capacity_plan,
     mark_feedback_places,
     place_evaluation_order,
     place_flow_graph,
@@ -78,6 +79,7 @@ __all__ = [
     "GenerationReport",
     "StaticSchedule",
     "calculate_sorted_transitions",
+    "capacity_plan",
     "place_evaluation_order",
     "place_flow_graph",
     "mark_feedback_places",

@@ -35,9 +35,10 @@ class EngineOptions:
     ``backend`` selects the execution strategy (validated on construction
     and on ``dataclasses.replace``):
 
-    * ``"interpreted"`` — :class:`SimulationEngine` walks the static
-      schedule each cycle, re-checking guards and capacities through the
-      generic enable/fire rules.  This is the reference implementation.
+    * ``"interpreted"`` — :class:`SimulationEngine` evaluates the
+      enable/fire rules each cycle against the static schedule (dispatch
+      tables, capacity plans), one cycle at a time.  This is the
+      reference implementation.
     * ``"generated"`` — :class:`repro.codegen.GeneratedEngine` emits the
       model as real Python source (a ``run_cycles`` loop around one
       straight-line cycle body with dispatch tables and capacity checks
@@ -113,14 +114,14 @@ class EngineContext:
     def cycle(self):
         """The current simulation cycle.
 
-        Reading it marks the engine for this step: a guard that looks at
-        the clock may change its answer from one idle cycle to the next, so
-        the generated engine never fast-forwards over a step that read it
-        (see :meth:`SimulationEngine._fast_forward`).
+        Reading it stamps the engine with the cycle it was read in: a guard
+        that looks at the clock may change its answer from one idle cycle
+        to the next, so the generated engine never fast-forwards over an
+        idle cycle that read it (see :meth:`SimulationEngine._fast_forward`).
         """
         engine = self._engine
-        engine._cycle_read = True
-        return engine.cycle
+        cycle = engine._cycle_read_at = engine.cycle
+        return cycle
 
     @property
     def stats(self):
@@ -209,7 +210,8 @@ class SimulationEngine:
         self._emission_queue = []
         self._fired_this_cycle = 0
         self._idle_cycles = 0
-        self._cycle_read = False
+        # The cycle in which ``ctx.cycle`` was last read (-1: never).
+        self._cycle_read_at = -1
         self.tracer = build_tracer(self.options.trace, engine=self)
         self._bind_trace_hooks()
 
@@ -314,51 +316,20 @@ class SimulationEngine:
         self.halt_reason = reason
 
     # -- enable / fire rules ---------------------------------------------------
-    def _output_capacity_available(self, transition, token):
-        """Check the 'output stages have enough capacity' part of the enable rule."""
-        source_stage = transition.source.stage if transition.source is not None else None
-        target = transition.target
-        # Fast path: the common case of a plain instruction move with no
-        # reservation outputs and no extra capacity requirements.
-        if not transition.reservation_outputs and not transition.capacity_stages:
-            if target is None or target.is_end:
-                return True
-            stage = target.stage
-            if stage.capacity is None or (token is not None and stage is source_stage):
-                return True
-            return stage.occupancy < stage.capacity
+    def is_enabled(self, transition, token):
+        """The paper's enable rule: tokens present, output capacity, guard true.
 
-        needed = {}
-        if target is not None and not target.is_end:
-            needed[target.stage] = needed.get(target.stage, 0) + 1
-        for arc in transition.reservation_outputs:
-            place = arc.place
-            if place is not None and not place.is_end:
-                needed[place.stage] = needed.get(place.stage, 0) + arc.count
-        for stage, count in needed.items():
-            # The instruction token leaving its current stage frees one slot
-            # if it stays within the same stage.
-            departing = 1 if (token is not None and stage is source_stage) else 0
-            if not stage.has_room(count - departing):
-                return False
-        for stage in transition.capacity_stages:
-            if not stage.has_room():
-                return False
-        return True
-
-    def _reservations_available(self, transition):
+        The output-capacity part reads the transition's static
+        :func:`~repro.core.scheduler.capacity_plan`.
+        """
         for arc in transition.reservation_inputs:
             if not arc.place.has_reservation():
                 return False
-        return True
-
-    def is_enabled(self, transition, token):
-        """The paper's enable rule: tokens present, output capacity, guard true."""
-        if not self._reservations_available(transition):
-            return False
-        if not self._output_capacity_available(transition, token):
-            return False
-        return transition.evaluate_guard(token, self.ctx)
+        for stage, max_occupancy in transition.capacity_plan:
+            if stage._occupancy > max_occupancy:
+                return False
+        guard = transition.guard
+        return guard is None or bool(guard(token, self.ctx))
 
     def fire(self, transition, token=None):
         """Fire an enabled transition, moving/creating tokens."""
@@ -367,19 +338,19 @@ class SimulationEngine:
         if self._trace_firing is not None:
             self._trace_firing(self.cycle, transition.name, token)
 
-        if token is not None and transition.source is not None:
-            transition.source.remove(token)
+        source = transition.source
+        if token is not None and source is not None:
+            source.remove(token)
         for arc in transition.reservation_inputs:
             arc.place.take_reservation()
 
-        transition.run_action(token, self.ctx)
+        action = transition.action
+        if action is not None:
+            action(token, self.ctx)
 
-        if (
-            token is not None
-            and not transition.consumes_token
-            and transition.target is not None
-        ):
-            self._deposit(token, transition.target, transition.delay)
+        target = transition.target
+        if token is not None and not transition.consumes_token and target is not None:
+            self._deposit(token, target, transition.delay)
         for arc in transition.reservation_outputs:
             reservation = ReservationToken(producer_seq=token.seq if token is not None else None)
             self._deposit(reservation, arc.place, transition.delay)
@@ -417,20 +388,20 @@ class SimulationEngine:
 
     # -- main loop ----------------------------------------------------------------
     def _process_place(self, place):
-        stored = place.tokens
-        if not stored:
-            return
+        """Try to move every ready instruction token of ``place`` (which
+        :meth:`step` calls only while the place holds tokens)."""
         cycle = self.cycle
-        tokens = [t for t in stored if t.is_instruction and t.ready_cycle <= cycle]
+        tokens = [t for t in place.tokens if t.is_instruction and t.ready_cycle <= cycle]
         if not tokens:
             return
-        transitions_for = self.schedule.transitions_for
+        dispatch = place.dispatch
+        is_enabled = self.is_enabled
         for token in tokens:
             if token.place is not place:
                 continue  # moved by an earlier firing in this cycle
             moved = False
-            for transition in transitions_for(place, token.opclass):
-                if self.is_enabled(transition, token):
+            for transition in dispatch.get(token.opclass, ()):
+                if is_enabled(transition, token):
                     self.fire(transition, token)
                     moved = True
                     break
@@ -454,7 +425,9 @@ class SimulationEngine:
                 place.commit_pending()
         process_place = self._process_place
         for place in self.schedule.order:
-            process_place(place)
+            # Most places are empty in most cycles: test before the call.
+            if place.tokens:
+                process_place(place)
         self._run_generators()
         self.cycle += 1
         self.stats.cycles = self.cycle
@@ -558,6 +531,7 @@ class SimulationEngine:
         self._emission_queue = []
         self._fired_this_cycle = 0
         self._idle_cycles = 0
+        self._cycle_read_at = -1
         if self.tracer is not None:
             self.tracer.clear()
             # net.reset() may have rebuilt unit internals (e.g. the memory

@@ -27,7 +27,9 @@ class Place:
     place: the generated engine binds both lists when it is built.
     """
 
-    __slots__ = ("name", "stage", "subnet", "delay", "two_list", "tokens", "pending", "dispatch")
+    __slots__ = (
+        "name", "stage", "subnet", "delay", "two_list", "is_end", "tokens", "pending", "dispatch",
+    )
 
     def __init__(self, name, stage, subnet=None, delay=None, two_list=False):
         self.name = name
@@ -35,6 +37,8 @@ class Place:
         self.subnet = subnet
         self.delay = stage.delay if delay is None else delay
         self.two_list = two_list
+        #: True for a place of the ``end`` stage: a token entering it retires.
+        self.is_end = stage.is_end
         self.tokens = []
         self.pending = []
         # Per-place dispatch table filled in by the simulator generator:
@@ -42,10 +46,6 @@ class Place:
         # order (the paper's sorted_transitions specialised per place).
         self.dispatch = None
         stage.places.append(self)
-
-    @property
-    def is_end(self):
-        return self.stage.is_end
 
     def occupancy(self):
         """Tokens stored in this place (visible plus buffered)."""
@@ -58,14 +58,15 @@ class Place:
         rule); ``force`` skips the check for engine-internal use such as
         initial marking.
         """
-        if not force and not self.stage.has_room():
+        stage = self.stage
+        capacity = stage.capacity
+        if not force and capacity is not None and stage._occupancy >= capacity:
             raise CapacityError(
-                "stage %r has no room for a token entering place %r"
-                % (self.stage.name, self.name)
+                "stage %r has no room for a token entering place %r" % (stage.name, self.name)
             )
         token.ready_cycle = ready_cycle
         token.place = self
-        self.stage.acquire()
+        stage._occupancy += 1
         if self.two_list:
             self.pending.append(token)
         else:

@@ -1,6 +1,6 @@
 """Static pre-simulation analysis of an RCPN model.
 
-This module implements the two engine optimisations the paper derives from
+This module implements the engine optimisations the paper derives from
 RCPN structure (Section 4):
 
 1. :func:`calculate_sorted_transitions` — the ``CalculateSortedTransitions``
@@ -11,8 +11,10 @@ RCPN structure (Section 4):
    ordered in reverse topological order of the instruction flow so tokens of
    the previous cycle are read before being overwritten; only places on
    feedback edges need the two-list (master/slave) storage scheme.
+3. :func:`capacity_plan` — each transition's output-capacity rule is
+   reduced once to occupancy limits on the stages it fills.
 
-Both analyses are pure functions of the model *structure*.  Models built by
+The analyses are pure functions of the model *structure*.  Models built by
 the declarative layer carry a stable content hash (``net.spec_fingerprint``,
 from :meth:`repro.describe.PipelineSpec.fingerprint`), which together with
 :func:`structure_signature` keys :data:`SCHEDULE_CACHE`: rebuilding the same
@@ -136,6 +138,47 @@ def mark_feedback_places(net, order=None):
     return [net.places[name] for name in sorted(feedback)]
 
 
+def capacity_plan(transition):
+    """The output-capacity part of ``transition``'s enable rule, resolved once.
+
+    The rule: every stage the firing deposits into — the instruction
+    token's target and each reservation output — must have room for what
+    it receives, less the slot the instruction token frees when it stays
+    within its own stage, and every one of ``capacity_stages`` must have
+    room for one more token.  A transition is in token mode when it is not
+    a generator; only then does a token depart.
+
+    Returns ``((stage, max_occupancy), ...)``: the transition may fire
+    only while ``stage._occupancy <= max_occupancy`` for every pair.  The
+    pairs of the deposit stages come first, in deposit order, then those
+    of the capacity stages.  Unlimited stages and deposits the departing
+    token covers need no test and have no pair (a stage never holds more
+    than its capacity, since :meth:`~repro.core.place.Place.deposit`
+    refuses).  Both engines read the plan: the interpreted enable rule
+    directly, the emitter as literal comparisons
+    (:func:`repro.codegen.runtime.transition_capacity_shape`).
+    """
+    source_stage = transition.source.stage if not transition.is_generator else None
+    needed = {}
+    target = transition.target
+    if target is not None and not target.is_end:
+        needed[target.stage] = 1
+    for arc in transition.reservation_outputs:
+        place = arc.place
+        if place is not None and not place.is_end:
+            needed[place.stage] = needed.get(place.stage, 0) + arc.count
+    plan = []
+    for stage, count in needed.items():
+        if stage is source_stage:
+            count -= 1
+        if stage.capacity is not None and count > 0:
+            plan.append((stage, stage.capacity - count))
+    for stage in transition.capacity_stages:
+        if stage.capacity is not None:
+            plan.append((stage, stage.capacity - 1))
+    return tuple(plan)
+
+
 def structure_signature(net):
     """A cheap, hashable summary of everything the cached blueprints depend on.
 
@@ -156,7 +199,7 @@ def structure_signature(net):
         (
             transition.name,
             transition.source.name if transition.source is not None else None,
-            transition.target_place.name if transition.target_place is not None else None,
+            transition.target.name if transition.target is not None else None,
             transition.priority,
             transition.consumes_token,
             tuple((arc.place.name, arc.count) for arc in transition.reservation_inputs),
@@ -276,7 +319,8 @@ class StaticSchedule:
         self._install(net, calculate_sorted_transitions(net))
 
     def _install(self, net, sorted_transitions):
-        """Mark the two-list places and give every place its dispatch table."""
+        """Mark the two-list places, give every place its dispatch table
+        and every transition its :func:`capacity_plan`."""
         for place in net.places.values():
             if place.name in self.feedback_place_names:
                 place.two_list = True
@@ -287,6 +331,8 @@ class StaticSchedule:
                 opclass: sorted_transitions[(place.name, opclass)]
                 for opclass in net.operation_classes
             }
+        for transition in net.transitions:
+            transition.capacity_plan = capacity_plan(transition)
 
     def _to_blueprint(self):
         return ScheduleBlueprint(

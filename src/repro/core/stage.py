@@ -20,7 +20,7 @@ class PipelineStage:
     places assigned to the stage.
     """
 
-    __slots__ = ("name", "capacity", "delay", "places", "_occupancy")
+    __slots__ = ("name", "capacity", "delay", "places", "is_end", "_occupancy")
 
     def __init__(self, name, capacity=1, delay=1):
         if capacity is not None and capacity < 1:
@@ -31,11 +31,9 @@ class PipelineStage:
         self.capacity = capacity
         self.delay = delay
         self.places = []
+        #: True for the virtual ``end`` stage instructions retire into.
+        self.is_end = name == END_STAGE_NAME
         self._occupancy = 0
-
-    @property
-    def is_end(self):
-        return self.name == END_STAGE_NAME
 
     @property
     def unlimited(self):
@@ -51,9 +49,6 @@ class PipelineStage:
         if self.unlimited:
             return True
         return self._occupancy + count <= self.capacity
-
-    def acquire(self, count=1):
-        self._occupancy += count
 
     def release(self, count=1):
         self._occupancy -= count

@@ -80,30 +80,29 @@ class Transition:
         self.priority = priority
         self.max_firings_per_cycle = max_firings_per_cycle
 
+        # ``source`` and ``target`` are plain attributes: the engines read
+        # them on every firing, and nothing re-points an arc once built.
+        self.source = source
         self.source_arc = None
         if source is not None:
             self.source_arc = InputArc(source, TokenKind.INSTRUCTION, priority=priority)
 
-        self.target_place = None
+        self.target = None
         self.consumes_token = False
         if target == Transition.CONSUME:
             self.consumes_token = True
         elif target is not None:
-            self.target_place = target
+            self.target = target
 
         self.reservation_inputs = [InputArc(p, TokenKind.RESERVATION) for p in consumes]
         self.reservation_outputs = [OutputArc(p, TokenKind.RESERVATION) for p in produces]
         self.capacity_stages = list(capacity_stages)
+        #: ``((stage, max_occupancy), ...)``: the output-capacity part of
+        #: the enable rule, set by the static schedule
+        #: (:func:`repro.core.scheduler.capacity_plan`).
+        self.capacity_plan = None
 
     # -- structural queries ----------------------------------------------
-    @property
-    def source(self):
-        return self.source_arc.place if self.source_arc is not None else None
-
-    @property
-    def target(self):
-        return self.target_place
-
     @property
     def is_generator(self):
         """True for transitions of the instruction-independent sub-net that
@@ -119,8 +118,8 @@ class Transition:
 
     def output_arcs(self):
         arcs = []
-        if self.target_place is not None:
-            arcs.append(OutputArc(self.target_place, TokenKind.INSTRUCTION))
+        if self.target is not None:
+            arcs.append(OutputArc(self.target, TokenKind.INSTRUCTION))
         elif self.is_generator and not self.consumes_token:
             arcs.append(OutputArc(None, TokenKind.INSTRUCTION))
         arcs.extend(self.reservation_outputs)
@@ -129,22 +128,12 @@ class Transition:
     def arc_count(self):
         return len(self.input_arcs()) + len(self.output_arcs())
 
-    # -- behaviour ---------------------------------------------------------
-    def evaluate_guard(self, token, ctx):
-        if self.guard is None:
-            return True
-        return bool(self.guard(token, ctx))
-
-    def run_action(self, token, ctx):
-        if self.action is not None:
-            self.action(token, ctx)
-
     def __repr__(self):
         src = self.source.name if self.source is not None else "∅"
         if self.consumes_token:
             dst = "∅"
-        elif self.target_place is not None:
-            dst = self.target_place.name
+        elif self.target is not None:
+            dst = self.target.name
         else:
             dst = "<routed>"
         return "<Transition %s: %s -> %s>" % (self.name, src, dst)

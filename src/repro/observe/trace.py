@@ -249,7 +249,7 @@ class Tracer:
             meta["places"][name] = place.stage.name if place.stage is not None else None
         for transition in net.transitions:
             source = transition.source
-            target = transition.target_place
+            target = transition.target
             meta["transitions"][transition.name] = {
                 "source": source.name if source is not None else None,
                 "source_stage": (

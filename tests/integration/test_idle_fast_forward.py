@@ -5,7 +5,8 @@ cycle in which a resident token becomes ready and accounts the skipped
 cycles in one go (``GeneratedEngine.skipped_cycles`` counts them).  The
 interpreted engine steps cycle by cycle and is the oracle: every statistic
 must agree, however a run is cut into ``run()`` calls, and when a guard
-reads ``ctx.cycle`` (a step that reads the clock is never skipped).  The
+reads ``ctx.cycle`` (an idle step that reads the clock is never skipped;
+a read in a busy step leaves the skip free).  The
 last tests check that the skip really engages, and that stall tracing
 turns it off.
 """
@@ -63,6 +64,59 @@ def test_a_step_that_reads_the_clock_is_never_skipped(backend):
     assert stats.finish_reason == "done"
     assert stats.cycles == 38
     assert stats.transition_firings["bend"] == 1
+
+
+def busy_clock_net(reads):
+    """fetch -> A -> B -> end with three tokens and a long residence in B.
+
+    ``ab`` reads ``ctx.cycle`` (into ``reads``) only when B has room, so
+    the clock is read in the busy cycles in which a token moves on, never
+    in the idle cycles in which it waits out B's delay.
+    """
+    net = RCPN("busy-clock")
+    net.add_stage("A", capacity=1, delay=1)
+    net.add_stage("B", capacity=1, delay=20)
+    net.add_operation_class(OperationClass("op", symbols={}))
+    gen = net.add_subnet("gen")
+    sub = net.add_subnet("op", opclasses=("op",))
+    place_a = net.add_place("A", sub, entry=True)
+    place_b = net.add_place("B", sub)
+    place_end = net.add_place("end", sub)
+    state = {"emitted": 0}
+
+    def fetch_guard(_t, _ctx):
+        return state["emitted"] < 3
+
+    def fetch_action(_t, ctx):
+        state["emitted"] += 1
+        ctx.emit(InstructionToken(instr=1, opclass="op", pc=0x100 + 4 * state["emitted"]))
+        if state["emitted"] == 3:
+            ctx.stop("done")
+
+    def ab_guard(_t, ctx):
+        reads.append(ctx.cycle)
+        return True
+
+    net.add_transition("fetch", gen, guard=fetch_guard, action=fetch_action, capacity_stages=["A"])
+    net.add_transition("ab", sub, source=place_a, target=place_b, guard=ab_guard)
+    net.add_transition("bend", sub, source=place_b, target=place_end)
+    return net
+
+
+def test_a_clock_read_in_a_busy_cycle_does_not_stop_the_skip():
+    results = {}
+    for backend in ENGINE_BACKENDS:
+        reads = []
+        engine, _report = generate_simulator(busy_clock_net(reads), EngineOptions(backend=backend))
+        stats = engine.run(max_cycles=10_000)
+        assert stats.finish_reason == "done"
+        assert len(reads) == 3
+        results[backend] = (
+            stats.cycles, stats.instructions, stats.stalls, dict(stats.transition_firings), reads,
+        )
+        if backend == "generated":
+            assert engine.skipped_cycles > 0
+    assert results["generated"] == results["interpreted"]
 
 
 def observable(processor, stats):

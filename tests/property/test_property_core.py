@@ -1,12 +1,16 @@
-"""Property-based tests for core invariants: multisets, the register protocol
-and the cache model."""
+"""Property-based tests for core invariants: multisets, the register protocol,
+the cache model and the static capacity plans."""
 
+from functools import lru_cache
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import RegRef, RegisterFile
 from repro.cpn import Multiset
 from repro.memory import Cache, CacheConfig
+from repro.processors.registry import build_processor, processor_names
 
 
 @given(st.lists(st.integers(0, 5)))
@@ -70,3 +74,76 @@ def test_repeated_accesses_to_small_working_set_eventually_hit(addresses):
         cache.access(address * 4)
     distinct_lines = {address * 4 // 32 for address in addresses}
     assert cache.stats.misses <= len(distinct_lines)
+
+
+def reference_output_capacity_available(transition, token):
+    """The output-capacity clause of the enable rule, evaluated per call.
+
+    The interpreted engine evaluated this body on every enable test before
+    the rule became a static plan; it is kept here as the reference.
+    """
+    source_stage = transition.source.stage if transition.source is not None else None
+    target = transition.target
+    # Fast path: the common case of a plain instruction move with no
+    # reservation outputs and no extra capacity requirements.
+    if not transition.reservation_outputs and not transition.capacity_stages:
+        if target is None or target.is_end:
+            return True
+        stage = target.stage
+        if stage.capacity is None or (token is not None and stage is source_stage):
+            return True
+        return stage.occupancy < stage.capacity
+
+    needed = {}
+    if target is not None and not target.is_end:
+        needed[target.stage] = needed.get(target.stage, 0) + 1
+    for arc in transition.reservation_outputs:
+        place = arc.place
+        if place is not None and not place.is_end:
+            needed[place.stage] = needed.get(place.stage, 0) + arc.count
+    for stage, count in needed.items():
+        # The instruction token leaving its current stage frees one slot
+        # if it stays within the same stage.
+        departing = 1 if (token is not None and stage is source_stage) else 0
+        if not stage.has_room(count - departing):
+            return False
+    for stage in transition.capacity_stages:
+        if not stage.has_room():
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def interpreted_net(model):
+    return build_processor(model, backend="interpreted").net
+
+
+def test_the_plans_cover_capacity_stages_and_reservation_outputs():
+    transitions = [t for model in processor_names() for t in interpreted_net(model).transitions]
+    assert any(t.is_generator and t.capacity_stages and t.capacity_plan for t in transitions)
+    taken = [t for t in transitions if t.name == "branch.taken"]
+    assert taken and all(t.reservation_outputs for t in taken)
+
+
+@pytest.mark.parametrize("model", processor_names())
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_the_static_capacity_plan_answers_as_the_per_call_rule(model, data):
+    """At any reachable occupancy (a stage never holds more than its
+    capacity: ``Place.deposit`` refuses), every transition's plan allows
+    a firing exactly when the per-call rule does."""
+    net = interpreted_net(model)
+    stages = list(net.stages.values())
+    try:
+        for stage in stages:
+            stage._occupancy = data.draw(
+                st.integers(0, stage.capacity if stage.capacity is not None else 8),
+                label=stage.name,
+            )
+        for transition in net.transitions:
+            token = None if transition.is_generator else object()
+            planned = all(stage._occupancy <= limit for stage, limit in transition.capacity_plan)
+            assert planned == reference_output_capacity_available(transition, token), transition.name
+    finally:
+        for stage in stages:
+            stage._occupancy = 0

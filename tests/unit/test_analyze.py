@@ -605,6 +605,42 @@ def test_sv101_schedule_divergence_detected(monkeypatch):
     assert "SV101" in rules_of(findings)
 
 
+@pytest.mark.parametrize("model", ["example", "strongarm"])
+def test_sv101_capacity_plan_divergence_detected(monkeypatch, model):
+    import repro.core.scheduler as scheduler
+
+    original = scheduler.capacity_plan
+
+    def loosened(transition):
+        # One more token admitted into every stage the transition fills.
+        return tuple((stage, limit + 1) for stage, limit in original(transition))
+
+    monkeypatch.setattr(scheduler, "capacity_plan", loosened)
+    findings = verify_backend(model, "interpreted")
+    assert "SV101" in rules_of(findings)
+    generator = "F" if model == "example" else "fetch"
+    assert any(
+        f.location == "schedule:transition %r" % generator for f in findings if f.rule == "SV101"
+    )
+
+
+def test_sv101_a_plan_without_its_reservation_output_is_a_finding(monkeypatch):
+    import repro.core.scheduler as scheduler
+
+    original = scheduler.capacity_plan
+
+    def no_reservation_stage(transition):
+        plan = original(transition)
+        if transition.reservation_outputs:
+            stall = transition.reservation_outputs[0].place.stage
+            plan = tuple(pair for pair in plan if pair[0] is not stall)
+        return plan
+
+    monkeypatch.setattr(scheduler, "capacity_plan", no_reservation_stage)
+    findings = [f for f in verify_backend("strongarm", "interpreted") if f.rule == "SV101"]
+    assert [f.location for f in findings] == ["schedule:transition 'branch.taken'"]
+
+
 # ---------------------------------------------------------------------------
 # Findings plumbing and CLI
 # ---------------------------------------------------------------------------
