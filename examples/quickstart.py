@@ -56,7 +56,7 @@ def main():
     generated_stats = generated.run()
     print()
     print("generated backend:", generated.backend)
-    print("compilation:", generated.generation_report.compilation)
+    print("codegen cache:", generated.generation_report.codegen_cache)
     print("cycles match interpreted run:", generated_stats.cycles == stats.cycles)
 
 

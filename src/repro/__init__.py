@@ -61,7 +61,7 @@ Sub-packages
     tables, and driven from the ``python -m repro.campaign`` CLI.
 """
 
-__version__ = "1.28.0"
+__version__ = "1.29.0"
 
 __all__ = [
     "core",

@@ -114,7 +114,8 @@ def _command_verify(args, out):
             combos += 1
             if args.trace and backend == "generated":
                 findings.extend(verify_model(name, trace=True))
-                combos += 1
+                findings.extend(verify_model(name, hostcost=True))
+                combos += 2
         per_model[name] = findings
     _maybe_write_metrics(
         args, [f for fs in per_model.values() for f in fs], per_model
@@ -201,7 +202,8 @@ def build_parser():
     verify.add_argument(
         "--trace",
         action="store_true",
-        help="also verify traced emission (TRF/TRS sites) for the generated backend",
+        help="also verify the generated backend's traced emission (TRF/TRS "
+        "sites) and its hostcost emission (timed spliced hooks)",
     )
     verify.set_defaults(handler=_command_verify)
 

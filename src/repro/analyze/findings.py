@@ -79,10 +79,9 @@ _RULE_TABLE = (
          "emitted guard/action call sites disagree with the splice plan"),
     Rule("SV006", "trace-sites", "error",
          "TRF/TRS trace call sites do not match the requested trace categories"),
-    Rule("SV007", "emit-report", "error",
-         "embedded EMIT_REPORT disagrees with counts recovered from the source"),
     Rule("SV008", "spliced-hooks", "error",
-         "a spliced guard or action differs from its hook template's rendering"),
+         "an enable test is not its reservation, capacity-plan and guard conjuncts in "
+         "order, or a spliced guard or action differs from its hook template's rendering"),
     Rule("SV009", "run-local-counters", "error",
          "a run-local statistics counter is not zeroed on entry to run_cycles, or not "
          "added into its own statistic exactly once in its finally"),

@@ -5,12 +5,14 @@ implement the generation plan.  This pass removes the trust: it parses the
 emitted module with :mod:`ast` and re-derives, from the *text*, the plan
 the module actually implements — the place-segment order, the per-place
 operation-class dispatch branches, every firing-counter site, every
-called guard and action, every ``TRF``/``TRS`` trace site, every spliced
-hook body, every run-local counter's zeroing and write-back — and
-compares each against an independent recomputation from
-the net and its static schedule (:func:`repro.codegen.runtime.splice_plan`
-and :meth:`~repro.core.scheduler.StaticSchedule.transitions_for`).  A spliced
-guard or action is re-rendered from the same hook template
+enable test, every called guard and action, every ``TRF``/``TRS`` trace
+site, every spliced hook body, every run-local counter's zeroing and
+write-back — and compares each against an independent recomputation from
+the net and its static schedule (:func:`repro.codegen.runtime.splice_plan`,
+:meth:`~repro.core.scheduler.StaticSchedule.transitions_for` and each
+transition's ``capacity_plan``).  An enable test must be the transition's
+reservation, capacity-plan and guard conjuncts in that order, and a
+spliced guard or action is re-rendered from the same hook template
 (:func:`repro.describe.templates.render`) and must appear at its site
 statement for statement (SV008).
 
@@ -212,37 +214,56 @@ def _attempts(loop, names):
                     break
 
 
-def _spliced_guard(test):
-    """The enable test's last conjunct, unwrapped from a hostcost timer."""
-    last = test.values[-1] if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And) else test
-    if (
+def _unwrap_hostcost(test):
+    """``test`` with its last conjunct unwrapped from a hostcost guard
+    timer, ``hcgN(NS(), guard)``."""
+    conjunction = isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And)
+    last = test.values[-1] if conjunction else test
+    if not (
         isinstance(last, ast.Call)
         and isinstance(last.func, ast.Name)
         and last.func.id.startswith("hcg")
         and len(last.args) == 2
     ):
-        return last.args[1]
-    return last
+        return test
+    if conjunction:
+        return ast.BoolOp(op=ast.And(), values=test.values[:-1] + [last.args[1]])
+    return last.args[1]
 
 
-def _check_splices(net, facts, err):
-    """SV008: each spliced guard/action is its template's rendering, verbatim."""
+def _check_splices(net, schedule, facts, err):
+    """SV008: each enable test is its transition's enable rule written out,
+    and each spliced guard/action its template's rendering, verbatim.
+
+    An enable test is, in order, one ``pN.has_reservation()`` per
+    reservation input, one ``sK._occupancy <= M`` per pair of the
+    transition's capacity plan, then the guard: its template's rendering
+    where spliced (unwrapped from a hostcost timer), a ``gI(...)`` call
+    where called.
+    """
     from repro.codegen.runtime import inlined, splice_plan, splice_site
     from repro.describe.templates import render
 
     rows, _env = splice_plan(net)
-    by_name = {t.name: (t, row) for t, row in zip(net.transitions, rows)}
+    by_name = {t.name: (index, t, row) for index, (t, row) in enumerate(zip(net.transitions, rows))}
+    place_index = {id(place): index for index, place in enumerate(schedule.order)}
+    stage_index = {id(stage): index for index, stage in enumerate(net.stages.values())}
     for name, test, body in facts.attempts:
-        transition, (guard, action) = by_name.get(name, (None, (None, None)))
+        index, transition, (guard, action) = by_name.get(name, (None, None, (None, None)))
         if transition is None:
             continue
+        conjuncts = [
+            "p%d.has_reservation()" % place_index[id(arc.place)] for arc in transition.reservation_inputs
+        ] + ["s%d._occupancy <= %d" % (stage_index[id(stage)], limit) for stage, limit in transition.capacity_plan]
         if inlined(transition, guard):
-            rendering = render(guard, "splice", splice_site(net, transition, guard))
-            expected = ast.dump(ast.parse(rendering.guard, mode="eval").body)
-            found = _spliced_guard(test)
-            if ast.dump(test) != expected and ast.dump(found) != expected:
-                err("SV008", "source:transition %r" % name,
-                    "spliced guard differs from the %r template's rendering" % guard.key)
+            conjuncts.append("(%s)" % render(guard, "splice", splice_site(net, transition, guard)).guard)
+        elif transition.guard is not None:
+            conjuncts.append("g%d(%s, ctx)" % (index, "None" if transition.is_generator else "t"))
+        expected = ast.parse(" and ".join(conjuncts) or "True", mode="eval").body
+        if ast.dump(_unwrap_hostcost(test)) != ast.dump(expected):
+            err("SV008", "source:transition %r" % name,
+                "enable test differs from the enable rule's reservation, capacity-plan "
+                "and guard conjuncts")
         if inlined(transition, action):
             lines = render(action, "splice", splice_site(net, transition, action)).action
             expected = [ast.dump(node) for node in ast.parse("\n".join(lines)).body]
@@ -510,8 +531,8 @@ def verify_engine(engine, model=None):
                 err("SV005", "source:%s" % var,
                     "%d call site(s) emitted, %d required by the plan" % (got, want))
 
-    # -- SV008: spliced hook bodies are their templates' renderings -------
-    _check_splices(net, facts, err)
+    # -- SV008: enable tests and spliced hook bodies, verbatim ------------
+    _check_splices(net, schedule, facts, err)
 
     # -- SV009: run-local counters zeroed on entry, added back once -------
     _check_counters(net, run_cycles, tries[0], err)
@@ -545,46 +566,24 @@ def verify_engine(engine, model=None):
         err("SV006", "source:TRACE_CATEGORIES",
             "tracing off but the module declares TRACE_CATEGORIES")
 
-    # -- SV007: the embedded EMIT_REPORT matches the recovered counts ------
-    report = constants.get("EMIT_REPORT")
-    if not isinstance(report, dict):
-        err("SV007", "source:EMIT_REPORT", "missing or non-dict EMIT_REPORT")
-    else:
-        from repro.codegen.runtime import transition_capacity_shape
-
-        emitted = [t for t in net.transitions if occurrences.get(t.name)]
-        shapes = Counter(transition_capacity_shape(t)[0] for t in emitted)
-        recomputed = {
-            "transitions_compiled": len(set(facts.fire_counts)),
-            "places_compiled": len(facts.segments),
-            "nonempty_dispatch_entries": sum(
-                len(entries) for _place, entries in expected_dispatch
-            ),
-            "dispatch_entries": len(schedule.order) * len(net.operation_classes),
-            "guard_free_transitions": sum(t.guard is None for t in emitted),
-            "capacity_free_transitions": shapes.get("free", 0),
-            "single_stage_capacity_transitions": shapes.get("single", 0),
-        }
-        for key, want in recomputed.items():
-            if report.get(key) != want:
-                err("SV007", "source:EMIT_REPORT[%s]" % key,
-                    "report says %r, source recovers %r" % (report.get(key), want))
-
     return findings
 
 
-def verify_model(name, trace=False):
+def verify_model(name, trace=False, hostcost=False):
     """Build one registered model on the generated backend and verify its source.
 
     ``trace=True`` requests firing+stall tracing, so the verifier proves
     the TRF/TRS sites appear; otherwise it proves they are absent.
+    ``hostcost=True`` emits with a host-time timer around every spliced
+    hook, which the verifier unwraps (SV008).
     """
     from repro.core.engine import EngineOptions
     from repro.processors.registry import build_processor
 
+    categories = (("firing", "stall") if trace else ()) + (("hostcost",) if hostcost else ())
     option_kwargs = {"backend": "generated"}
-    if trace:
-        option_kwargs["trace"] = {"categories": ("firing", "stall"), "capacity": 64}
+    if categories:
+        option_kwargs["trace"] = {"categories": categories, "capacity": 64}
     processor = build_processor(name, engine_options=EngineOptions(**option_kwargs))
     return verify_engine(processor.engine, model=name)
 

@@ -390,8 +390,7 @@ def _record_generation_metrics(registry, generation):
         registry.counter(
             "campaign.schedule_cache.%s" % status, "runs with this schedule-cache status"
         ).inc()
-    compilation = generation.get("compilation")
-    status = compilation.get("codegen_cache") if isinstance(compilation, dict) else None
+    status = generation.get("codegen_cache")
     if status:
         registry.counter(
             "campaign.codegen_cache.%s" % status, "runs with this codegen-cache status"

@@ -15,13 +15,12 @@ Layout:
 """
 
 from repro.codegen.cache import CODEGEN_CACHE, ModuleCache, codegen_key
-from repro.codegen.emit import EmitReport, emit_module_source
+from repro.codegen.emit import emit_module_source
 from repro.codegen.engine import GeneratedEngine
 from repro.codegen.runtime import build_runtime, structure_digest
 
 __all__ = [
     "CODEGEN_CACHE",
-    "EmitReport",
     "GeneratedEngine",
     "ModuleCache",
     "build_runtime",

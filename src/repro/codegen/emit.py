@@ -8,10 +8,10 @@ in which every static decision is already text —
 * the static schedule's dispatch tables appear as ``if/elif`` chains on
   the token's operation class, one inlined attempt per candidate
   transition in arc-priority order;
-* capacity checks are literal integer comparisons against the stage
-  capacities (``s3._occupancy < 2``), or absent entirely when the
-  emit-time shape analysis (:func:`repro.codegen.runtime.
-  transition_capacity_shape`) proves the transition capacity-free;
+* capacity checks are the transition's static capacity plan
+  (:func:`repro.core.scheduler.capacity_plan`) written out, one literal
+  comparison per pair (``s3._occupancy <= 1``), none for a plan without
+  pairs;
 * token movement is flattened to direct field operations on the
   preallocated place/stage objects (list ``append``/``remove``,
   ``_occupancy`` adjustments) instead of ``Place.deposit``/``remove``
@@ -108,8 +108,6 @@ so host time stays attributable per hook once the hooks are inlined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.codegen.cache import emit_trace_categories
 from repro.codegen.runtime import (
     implicit_dispatch,
@@ -118,7 +116,6 @@ from repro.codegen.runtime import (
     splice_plan,
     splice_site,
     structure_digest,
-    transition_capacity_shape,
 )
 from repro.describe.templates import FRONT_END_COUNTERS, front_end_needs, names_used, render
 
@@ -132,34 +129,6 @@ def reads_stats(template):
     return template is None or template.reads_stats
 
 
-@dataclass
-class EmitReport:
-    """Specialisation statistics of one emission."""
-
-    transitions_emitted: int = 0
-    guard_free_transitions: int = 0
-    capacity_free_transitions: int = 0
-    single_stage_capacity_transitions: int = 0
-    dispatch_entries: int = 0
-    nonempty_dispatch_entries: int = 0
-    places_emitted: int = 0
-    single_token_places: int = 0
-    source_lines: int = 0
-
-    def summary(self):
-        return {
-            "transitions_compiled": self.transitions_emitted,
-            "guard_free_transitions": self.guard_free_transitions,
-            "capacity_free_transitions": self.capacity_free_transitions,
-            "single_stage_capacity_transitions": self.single_stage_capacity_transitions,
-            "dispatch_entries": self.dispatch_entries,
-            "nonempty_dispatch_entries": self.nonempty_dispatch_entries,
-            "places_compiled": self.places_emitted,
-            "single_token_places": self.single_token_places,
-            "source_lines": self.source_lines,
-        }
-
-
 class _Writer:
     def __init__(self):
         self.lines = []
@@ -171,31 +140,13 @@ class _Writer:
         return "\n".join(self.lines) + "\n"
 
 
-def _capacity_conjuncts(net, shape, stage_var):
-    """Render one capacity shape as literal-comparison conjunct strings.
-
-    A plain move's stage and a capacity stage are tested as
-    ``_occupancy < capacity``, a multi-deposit stage as
-    ``_occupancy <= max_occupancy``.
-    """
-    conjuncts = []
-    if shape[0] == "single":
-        conjuncts.append("%s._occupancy < %d" % (stage_var(net.stages[shape[1]]), shape[2] + 1))
-    elif shape[0] == "multi":
-        for stage_name, limit in shape[1]:
-            conjuncts.append("%s._occupancy <= %d" % (stage_var(net.stages[stage_name]), limit))
-        for stage_name, limit in shape[2]:
-            conjuncts.append("%s._occupancy < %d" % (stage_var(net.stages[stage_name]), limit + 1))
-    return conjuncts
-
-
 def emit_module_source(net, schedule, options, key=None):
     """Emit the Python source of one model's generated simulator.
 
-    Returns ``(source, report)``.  The source defines
-    ``make_run_cycles(rt)`` returning ``run_cycles(limit) -> fired``, which
-    simulates cycles until the first idle one, ``limit`` or a halt request
-    and returns the last cycle's firing count; ``rt`` is the binding dict of
+    The source defines ``make_run_cycles(rt)`` returning
+    ``run_cycles(limit) -> fired``, which simulates cycles until the first
+    idle one, ``limit`` or a halt request and returns the last cycle's
+    firing count; ``rt`` is the binding dict of
     :func:`repro.codegen.runtime.build_runtime`.
     """
     trace_categories = emit_trace_categories(options)
@@ -203,7 +154,6 @@ def emit_module_source(net, schedule, options, key=None):
     traced_stall = "stall" in trace_categories
     hostcost = "hostcost" in trace_categories
 
-    report = EmitReport()
     places = list(schedule.order)
     stages = list(net.stages.values())
     transitions = list(net.transitions)
@@ -248,40 +198,23 @@ def emit_module_source(net, schedule, options, key=None):
     used_actions = set()
     used_env = set()
     hostcost_sites = {}  # (kind, hook key) -> accumulator variable
-    need_pool = False
     need_res = False
     need_rbc = False
-
-    def classify(transition):
-        index = transition_index[id(transition)]
-        if index not in emitted_transitions:
-            emitted_transitions.add(index)
-            report.transitions_emitted += 1
-            if transition.guard is None:
-                report.guard_free_transitions += 1
-            shape = transition_capacity_shape(transition)
-            if shape[0] == "free":
-                report.capacity_free_transitions += 1
-            elif shape[0] == "single":
-                report.single_stage_capacity_transitions += 1
 
     def enable_conjuncts(transition, token_expr):
         """The enable rule as an ordered list of conjunct expressions.
 
         Order matters and mirrors ``SimulationEngine.is_enabled``:
-        reservation inputs, then output capacity, then the guard.
+        reservation inputs, then one comparison per capacity plan pair,
+        then the guard.
         """
         index = transition_index[id(transition)]
         conjuncts = []
         for arc in transition.reservation_inputs:
             conjuncts.append("%s.has_reservation()" % pvar(arc.place))
-        shape = transition_capacity_shape(transition)
-
-        def stage_var(stage):
+        for stage, max_occupancy in transition.capacity_plan:
             used_stages.add(id(stage))
-            return svar(stage)
-
-        conjuncts.extend(_capacity_conjuncts(net, shape, stage_var))
+            conjuncts.append("%s._occupancy <= %d" % (svar(stage), max_occupancy))
         template = splices[index][0]
         if (index, 0) in spliced:
             rendering = spliced[index, 0]
@@ -325,9 +258,7 @@ def emit_module_source(net, schedule, options, key=None):
         dispatch = []
         for opclass in net.operation_classes:
             candidates = schedule.transitions_for(place, opclass)
-            report.dispatch_entries += 1
             if candidates:
-                report.nonempty_dispatch_entries += 1
                 dispatch.append((opclass, tuple(candidates)))
         if dispatch and id(place) in implicit:
             chains = [(implicit[id(place)], dispatch[0][1])]
@@ -336,11 +267,11 @@ def emit_module_source(net, schedule, options, key=None):
         place_dispatch.append((place, dispatch, chains))
         for opclass, candidates in chains:
             for transition in candidates:
-                classify(transition)
+                emitted_transitions.add(transition_index[id(transition)])
                 if retires(transition):
                     retired_classes.add(static_retire_class(transition, opclass))
     for transition in schedule.generator_transitions:
-        classify(transition)
+        emitted_transitions.add(transition_index[id(transition)])
     retired_classes.discard(None)
 
     #: (transition index, 0 for the guard or 1 for the action) -> the
@@ -405,7 +336,7 @@ def emit_module_source(net, schedule, options, key=None):
         ``opclass`` is the firing token's operation class where the
         dispatch decided it.
         """
-        nonlocal need_pool, need_res, need_rbc
+        nonlocal need_res, need_rbc
         index = transition_index[id(transition)]
         lines = ["tf%d += 1" % index]
         if traced_firing:
@@ -421,8 +352,7 @@ def emit_module_source(net, schedule, options, key=None):
             lines.append("%s._occupancy -= 1" % svar(source.stage))
 
         for arc in transition.reservation_inputs:
-            need_pool = True
-            lines.append("pool.append(%s.take_reservation())" % pvar(arc.place))
+            lines.append("%s.take_reservation()" % pvar(arc.place))
 
         template = splices[index][1]
         inline = (index, 1) in spliced
@@ -487,16 +417,9 @@ def emit_module_source(net, schedule, options, key=None):
             place = arc.place
             if place is None or place.is_end:
                 continue  # a reservation retired into end simply vanishes
-            need_pool = True
             need_res = True
-            producer = "t.seq" if token_mode else "None"
             total = transition.delay + place.delay
-            lines.append("if pool:")
-            lines.append("    _r = pool.pop()")
-            lines.append("    _r.delay_override = None")
-            lines.append("else:")
-            lines.append("    _r = RES()")
-            lines.append("_r.producer_seq = %s" % producer)
+            lines.append("_r = RES(%s)" % ("t.seq" if token_mode else "None"))
             lines.append("_r.ready_cycle = cycle + %d" % total)
             lines.append("_r.place = %s" % pvar(place))
             used_stages.add(id(place.stage))
@@ -573,7 +496,6 @@ def emit_module_source(net, schedule, options, key=None):
     dispatch_table = []
 
     for place, dispatch, chains in place_dispatch:
-        report.places_emitted += 1
         dispatch_table.append((
             place.name,
             tuple(
@@ -586,8 +508,6 @@ def emit_module_source(net, schedule, options, key=None):
         tokens = tokens_var(place)
         may_hold_reservations = id(place) in reservation_places
         single_token = place.stage.capacity == 1
-        if single_token:
-            report.single_token_places += 1
 
         body.w(indent0, "# -- place %r (stage %r)" % (place.name, place.stage.name))
         body.w(indent0, "if %s:" % tokens)
@@ -679,8 +599,6 @@ def emit_module_source(net, schedule, options, key=None):
         out.w(1, "HC = rt['hostcost']")
         for (kind, key), var in hostcost_sites.items():
             out.w(1, "%s = HC.%s(%r)" % (var, kind, key))
-    if need_pool:
-        out.w(1, "pool = rt['pool']")
     if need_res:
         out.w(1, "RES = rt['ReservationToken']")
     if traced_firing:
@@ -743,10 +661,4 @@ def emit_module_source(net, schedule, options, key=None):
     out.w(0, "")
     out.w(1, "return run_cycles")
 
-    # Embed the specialisation report so cache hits (which skip emission)
-    # can still describe the module they loaded.
-    report.source_lines = len(out.lines) + 2
-    out.w(0, "")
-    out.w(0, "EMIT_REPORT = %r" % (report.summary(),))
-
-    return out.source(), report
+    return out.source()

@@ -23,8 +23,7 @@ places never rebind their lists).  A whole idle pipeline costs less
 still: after a cycle in which nothing fired, the engine jumps to the next
 cycle in which a resident token becomes ready
 (:meth:`GeneratedEngine._fast_forward`) and accounts the skipped cycles'
-stalls in one go.  Reservation tokens are pooled (the emitted fire bodies
-draw from ``_reservation_pool``).
+stalls in one go.
 
 Inspecting the generated code::
 
@@ -55,16 +54,13 @@ class GeneratedEngine(SimulationEngine):
 
     def __init__(self, net, options=None, cache=None):
         super().__init__(net, options=options)
-        # Captured by the emitted fire bodies; mutate in place, never rebind.
-        self._reservation_pool = []
         self._cache = CODEGEN_CACHE if cache is None else cache
         self.codegen_status = "uncached"
 
         key = codegen_key(net, self.options)
 
         def emit():
-            source, _report = emit_module_source(net, self.schedule, self.options, key=key)
-            return source
+            return emit_module_source(net, self.schedule, self.options, key=key)
 
         if key is None:
             # Hand-built nets carry no fingerprint: emit fresh, skip the memo.
@@ -78,11 +74,6 @@ class GeneratedEngine(SimulationEngine):
         self._idle_stalls = 0
         # Cycles _fast_forward accounted without running them.
         self.skipped_cycles = 0
-
-    # -- engine-internal services overridden for the generated backend ------
-    def _recycle_reservation(self, token):
-        # Flushed reservation tokens go back to the free list.
-        self._reservation_pool.append(token)
 
     # -- main loop ----------------------------------------------------------
     def _advance(self, limit):
@@ -143,22 +134,10 @@ class GeneratedEngine(SimulationEngine):
     def reset(self):
         """Reset dynamic state while keeping the emitted cycle loop.
 
-        The bound ``run_cycles`` references the engine, places, stages, the
-        context and the reservation pool — all of which survive a reset —
-        so re-running a model costs no re-emission (the generated-backend
-        reset-reuse regression test pins this).
+        The bound ``run_cycles`` references the engine, places, stages and
+        the context — all of which survive a reset — so re-running a model
+        costs no re-emission (the generated-backend reset-reuse regression
+        test pins this).
         """
         super().reset()
-        self._reservation_pool.clear()
         self.skipped_cycles = 0
-
-    def compilation_summary(self):
-        """Emission statistics + cache provenance (for reports).
-
-        The counters come from the module's embedded ``EMIT_REPORT`` so
-        cache hits (which skip emission entirely) report the same numbers
-        as the cold build that produced the module.
-        """
-        summary = dict(getattr(self.module, "EMIT_REPORT", {}))
-        summary["codegen_cache"] = self.codegen_status
-        return summary

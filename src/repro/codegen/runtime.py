@@ -2,16 +2,14 @@
 
 An emitted module (:mod:`repro.codegen.emit`) is *net-object free*: it
 references places, stages, guards and actions by index into flat lists.
-This module is the other half of that contract — it classifies each
-transition's capacity check for the emitter and the source verifier
-(:func:`transition_capacity_shape`), decides which hooks are spliced as
-template source (:func:`splice_plan`), with which emit-time facts each
-splice is rendered (:func:`splice_site`), and which places dispatch
-without an operation-class compare (:func:`implicit_dispatch`), builds the
-index-aligned runtime lists for one engine (:func:`build_runtime`) and
-provides the structural digest (:func:`structure_digest`) that joins the
-module memo key, so a memoised module is never bound to a net with a
-different shape.
+This module is the other half of that contract — it decides which hooks
+are spliced as template source (:func:`splice_plan`), with which emit-time
+facts each splice is rendered (:func:`splice_site`), and which places
+dispatch without an operation-class compare (:func:`implicit_dispatch`),
+builds the index-aligned runtime lists for one engine
+(:func:`build_runtime`) and provides the structural digest
+(:func:`structure_digest`) that joins the module memo key, so a memoised
+module is never bound to a net with a different shape.
 
 The multi-issue gates need no case here: they are hook templates
 (:meth:`repro.describe.semantics.ArmSemantics.issue_gate`), spliced or
@@ -26,28 +24,6 @@ import time
 from repro.core.scheduler import structure_signature
 from repro.core.token import ReservationToken
 from repro.describe.templates import Site, render, template_of
-
-
-def transition_capacity_shape(transition):
-    """Classify one transition's output-capacity check for emission.
-
-    Renders the transition's static plan
-    (:func:`repro.core.scheduler.capacity_plan`, which the schedule set),
-    the one statement of the rule both engines read.  Returns ``("free",)``
-    (no check needed), ``("single", stage_name, max_occupancy)`` (a plain
-    move's one occupancy comparison) or ``("multi", deposits, capacity)``
-    for a transition with reservation outputs or capacity stages, where
-    both are ``((stage_name, max_occupancy), ...)``: the plan's pairs for
-    the stages it deposits into, then for its capacity stages.
-    """
-    plan = transition.capacity_plan
-    split = len(plan) - sum(1 for stage in transition.capacity_stages if stage.capacity is not None)
-    deposits = tuple((stage.name, limit) for stage, limit in plan[:split])
-    if transition.reservation_outputs or transition.capacity_stages:
-        return ("multi", deposits, tuple((stage.name, limit) for stage, limit in plan[split:]))
-    if deposits:
-        return ("single",) + deposits[0]
-    return ("free",)
 
 
 def splice_plan(net):
@@ -236,7 +212,6 @@ def build_runtime(engine):
         "deposit": engine._deposit,
         # opclass -> entry place, for the spliced emissions.
         "entry_places": EntryPlaces(net),
-        "pool": engine._reservation_pool,
         "ReservationToken": ReservationToken,
         "places": list(engine.schedule.order),
         "stages": list(net.stages.values()),

@@ -185,8 +185,8 @@ class SimulationEngine:
     This engine evaluates the generic enable/fire rules against the static
     schedule every cycle.  The generated backend
     (:class:`repro.codegen.GeneratedEngine`) subclasses it, overriding only
-    the per-cycle hot path (``_advance``/``step``, the idle fast-forward
-    and reservation recycling); the run loop, halt/drain logic and the
+    the per-cycle hot path (``_advance``/``step`` and the idle
+    fast-forward); the run loop, halt/drain logic and the
     :class:`EngineContext` services are shared, which is what keeps the
     backends drop-in interchangeable.
     Anything observable — every counter of
@@ -252,19 +252,8 @@ class SimulationEngine:
                 squashed += 1
                 if trace_squash is not None:
                     trace_squash(self.cycle, cause or place.name, token)
-            else:
-                self._recycle_reservation(token)
         self.stats.squashed += squashed
         return squashed
-
-    def _recycle_reservation(self, token):
-        """Hook for reclaiming a flushed reservation token.
-
-        The interpreted engine lets the garbage collector take it; the
-        generated engine overrides this to return the token to its free
-        list.  Keeping the flush logic itself in one place protects the
-        backends' bit-identical-statistics contract.
-        """
 
     def flush_stage(self, stage):
         stage = stage if hasattr(stage, "places") else self.net.stage(stage)
@@ -307,7 +296,6 @@ class SimulationEngine:
                     producer = getattr(token, "producer_seq", None)
                     if producer is not None and producer > seq:
                         place.remove(token)
-                        self._recycle_reservation(token)
         self.stats.squashed += squashed
         return squashed
 

@@ -17,8 +17,8 @@ returns a ready-to-run engine for the backend selected in
   fast path).
 
 :class:`GenerationReport` exposes the derived structures so tests and
-benchmarks can inspect them; for the generated backend it also carries
-the specialisation counters.
+benchmarks can inspect them; for the generated backend it also says where
+the emitted module came from.
 """
 
 from __future__ import annotations
@@ -39,12 +39,14 @@ class GenerationReport:
     dispatch_entries: int = 0
     nonempty_dispatch_entries: int = 0
     generator_transitions: list = field(default_factory=list)
-    #: Specialisation counters (generated backend only, else None).
-    compilation: dict = None
     #: Content hash of the pipeline spec (None for hand-built nets).
     spec_fingerprint: str = None
     #: "hit"/"miss" for fingerprinted models, "uncached" for hand-built nets.
     schedule_cache: str = "uncached"
+    #: Where the generated backend's module came from: "emitted" or
+    #: "memory" for fingerprinted models, "uncached" for hand-built nets;
+    #: None on the interpreted backend.
+    codegen_cache: str = None
     #: Cache-hierarchy geometry, level by level (None when the net carries
     #: no memory unit — e.g. the hand-built test nets).
     memory_hierarchy: list = None
@@ -59,11 +61,10 @@ class GenerationReport:
             "nonempty_dispatch_entries": self.nonempty_dispatch_entries,
             "generator_transitions": len(self.generator_transitions),
             "schedule_cache": self.schedule_cache,
+            "codegen_cache": self.codegen_cache,
         }
         if self.spec_fingerprint is not None:
             report["spec_fingerprint"] = self.spec_fingerprint
-        if self.compilation is not None:
-            report["compilation"] = dict(self.compilation)
         if self.memory_hierarchy is not None:
             report["memory_hierarchy"] = list(self.memory_hierarchy)
         return report
@@ -98,13 +99,11 @@ def generate_simulator(net, options=None):
         dispatch_entries=len(dispatch),
         nonempty_dispatch_entries=sum(1 for value in dispatch.values() if value),
         generator_transitions=[t.name for t in schedule.generator_transitions],
-        compilation=(
-            engine.compilation_summary() if options.backend != "interpreted" else None
-        ),
         spec_fingerprint=fingerprint,
         schedule_cache=(
             ("hit" if schedule.from_cache else "miss") if fingerprint is not None else "uncached"
         ),
+        codegen_cache=engine.codegen_status if options.backend == "generated" else None,
         memory_hierarchy=describe_hierarchy() if callable(describe_hierarchy) else None,
     )
     return engine, report

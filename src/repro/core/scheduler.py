@@ -155,8 +155,8 @@ def capacity_plan(transition):
     token covers need no test and have no pair (a stage never holds more
     than its capacity, since :meth:`~repro.core.place.Place.deposit`
     refuses).  Both engines read the plan: the interpreted enable rule
-    directly, the emitter as literal comparisons
-    (:func:`repro.codegen.runtime.transition_capacity_shape`).
+    directly, the emitter as one literal ``sK._occupancy <= M`` comparison
+    per pair (:func:`repro.codegen.emit.emit_module_source`).
     """
     source_stage = transition.source.stage if not transition.is_generator else None
     needed = {}
@@ -184,7 +184,7 @@ def structure_signature(net):
 
     Covers stages (capacity/delay), places (stage binding), and transitions
     (endpoints, priority, reservation arcs, capacity stages) — the inputs of
-    the schedule derivation and of the emitter's capacity-shape analysis.
+    the schedule derivation and of the capacity plans.
     Guards and actions are deliberately excluded: the blueprints never
     encode behaviour, only structure.  Building the signature is O(model
     size), far cheaper than the analyses it keys.

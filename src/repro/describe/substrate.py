@@ -107,10 +107,13 @@ class IssueControl:
       register every instruction token in fetch order via
       :meth:`note_fetch`, and squashed tokens fall out of the queue lazily.
 
-    All state is cycle-stamped and refreshed lazily from ``ctx.cycle``, so
-    every engine backend (they all share guards and actions)
-    observe identical arbitration — the bit-identical-statistics contract
-    between backends holds with no engine-specific code.
+    The per-cycle counters are cycle-stamped and refreshed lazily from
+    ``ctx.cycle``, so every engine backend (they all share guards and
+    actions) observes identical arbitration — the bit-identical-statistics
+    contract between backends holds with no engine-specific code.
+    :meth:`may_issue` reads the clock only while an issue is counted (with
+    none there is nothing to reset), so the generated engine's idle
+    fast-forward may skip a cycle in which a token waits at issue.
     """
 
     #: :meth:`repro.core.net.RCPN.reset` clears units carrying this flag,
@@ -146,9 +149,10 @@ class IssueControl:
 
     def may_issue(self, token, ctx, port=None):
         """Guard half of the gate: may ``token`` issue this cycle?"""
-        self._refresh(ctx.cycle)
-        if self._issued >= self.width:
-            return False
+        if self._issued:
+            self._refresh(ctx.cycle)
+            if self._issued >= self.width:
+                return False
         if port is not None and self._port_issued.get(port, 0) >= self.port_limits[port]:
             return False
         return self._oldest_live() is token

@@ -121,7 +121,7 @@ FRONT_END_LOCALS = (
 #: not reuse one (the splice would clobber it).
 RESERVED_NAMES = frozenset((
     "cycle", "cycle0", "idle0", "stats", "tf", "rbc", "fired", "limit", "engine",
-    "pool", "deposit", "entry_places", "trace_token",
+    "deposit", "entry_places", "trace_token",
     "stalls", "instructions", "generated_tokens", "_oc", "_d", "_r", "_n",
     "_stalls", "_hc", "_tm",
 )) | frozenset(FRONT_END_COUNTERS) | frozenset(name for name, _expr, _stretch in FRONT_END_LOCALS)

@@ -120,7 +120,7 @@ def test_generated_engine_reset_reuses_emitted_module():
     ``strongarm-c512`` + blowfish is the sweep point whose working set
     overflows the 512 B L1, so the second run only reproduces the first if
     ``reset()`` really restores the caches *and* the bound ``run_cycles``
-    loop (places, stages, reservation pool) survives untouched.
+    loop (places, stages, the context) survives untouched.
     """
     workload = get_workload("blowfish", scale=1)
     processor = build_processor("strongarm-c512", backend="generated")

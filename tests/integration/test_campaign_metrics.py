@@ -59,6 +59,14 @@ def test_report_metrics_snapshot_reflects_this_run(store_and_reports):
         assert snapshot_value(second.metrics, name) >= 0
 
 
+def test_generation_cache_counters_count_each_executed_run(store_and_reports):
+    _, first, _second = store_and_reports
+    schedule = [snapshot_value(first.metrics, "campaign.schedule_cache.%s" % s) for s in ("hit", "miss")]
+    codegen = [snapshot_value(first.metrics, "campaign.codegen_cache.%s" % s) for s in ("emitted", "memory")]
+    assert sum(schedule) == 2
+    assert sum(codegen) == 1  # the interpreted run has no emitted module
+
+
 def test_metrics_json_keeps_store_counters_cumulative(store_and_reports):
     store, first, second = store_and_reports
     persisted = read_metrics_json(metrics_path(ResultStore(store)))

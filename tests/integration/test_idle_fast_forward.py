@@ -7,14 +7,16 @@ interpreted engine steps cycle by cycle and is the oracle: every statistic
 must agree, however a run is cut into ``run()`` calls, and when a guard
 reads ``ctx.cycle`` (an idle step that reads the clock is never skipped;
 a read in a busy step leaves the skip free).  The
-last tests check that the skip really engages, and that stall tracing
-turns it off.
+last tests check that the skip really engages, on the multi-issue models
+too (their issue arbiter reads the clock only while an issue is counted),
+and that stall tracing turns it off.
 """
 
 import pytest
 
 from repro.core import EngineOptions, InstructionToken, OperationClass, RCPN, generate_simulator
 from repro.core.engine import ENGINE_BACKENDS
+from repro.describe.substrate import IssueControl
 from repro.observe.trace import TraceConfig
 from repro.processors import build_processor
 from repro.workloads import get_workload
@@ -157,6 +159,54 @@ def test_fast_forward_matches_the_cycle_by_cycle_oracle(model):
     assert reference["finish_reason"] == "halt"
     assert observable(*run_whole(model, "generated")) == reference
     assert observable(*run_in_chunks(model)) == reference
+
+
+class CountingClock:
+    """A ``ctx`` stand-in counting reads of ``cycle``."""
+
+    def __init__(self, cycle):
+        self.now = cycle
+        self.reads = 0
+
+    @property
+    def cycle(self):
+        self.reads += 1
+        return self.now
+
+
+def test_the_issue_arbiter_reads_the_clock_only_while_an_issue_is_counted():
+    control = IssueControl(width=2, port_limits={"alu": 1})
+    elder, younger = InstructionToken(instr=1, opclass="op"), InstructionToken(instr=2, opclass="op")
+    control.note_fetch(elder)
+    control.note_fetch(younger)
+    ctx = CountingClock(5)
+    assert control.may_issue(younger, ctx, "alu") is False  # not the oldest
+    assert control.may_issue(elder, ctx, "alu") is True
+    assert ctx.reads == 0
+    control.note_issue(elder, ctx, "alu")
+    assert control.may_issue(younger, ctx, "alu") is False  # the port is spent
+    assert control.may_issue(younger, ctx) is True
+    assert ctx.reads == 3
+    ctx.now = 6  # a new cycle: the counts reset on the next read
+    assert control.may_issue(younger, ctx, "alu") is True
+    control.note_issue(younger, ctx, "alu")
+    control.note_issue(younger, ctx)
+    assert control.may_issue(younger, ctx) is False  # the width is spent
+
+
+@pytest.mark.parametrize("model", ("strongarm-ds", "xscale-ds"))
+@pytest.mark.parametrize("kernel", ("blowfish", "compress"))
+def test_the_skip_engages_on_the_multi_issue_models(model, kernel):
+    runs = {}
+    for backend in ENGINE_BACKENDS:
+        processor = build_processor(model, backend=backend)
+        processor.load_program(get_workload(kernel, scale=1).program)
+        stats = processor.run()
+        runs[backend] = observable(processor, stats), [processor.register(i) for i in range(16)]
+        if backend == "generated":
+            # An arbiter reading the clock in every idle cycle left 62-129.
+            assert processor.engine.skipped_cycles >= 400
+    assert runs["generated"] == runs["interpreted"]
 
 
 def skipping_run(trace=None):

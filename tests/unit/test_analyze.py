@@ -394,6 +394,11 @@ def test_traced_emission_verifies_clean(model):
     assert verify_model(model, trace=True) == []
 
 
+@pytest.mark.parametrize("model", VERIFY_MODELS)
+def test_hostcost_emission_verifies_clean(model):
+    assert verify_model(model, hostcost=True) == []
+
+
 def _engine(model="example", trace=False):
     options = {"backend": "generated"}
     if trace:
@@ -501,18 +506,6 @@ def test_sv006_injected_trace_sites_detected():
     assert "SV006" in rules_of(findings)
 
 
-def test_sv007_emit_report_tamper_detected():
-    import re
-
-    engine = _engine()
-    source = re.sub(
-        r"('transitions_compiled': )\d+", r"\g<1>999", engine.source, count=1
-    )
-    assert source != engine.source
-    findings = verify_engine(_tampered(engine, source))
-    assert "SV007" in rules_of(findings)
-
-
 def _counter_tamper(line, mutant, model="example"):
     engine = _engine(model)
     # The finally's lines sit at the try's indent + 4 (12 spaces).
@@ -580,6 +573,26 @@ def test_sv008_spliced_fetch_tamper_detected(line, mutant):
     assert line in tail
     findings = verify_engine(_tampered(engine, head + tail.replace(line, mutant, 1)))
     assert "SV008" in rules_of(findings)
+
+
+@pytest.mark.parametrize("model", ["strongarm", "strongarm-ds"])
+@pytest.mark.parametrize("tamper", ["loosened", "dropped"])
+def test_sv008_capacity_conjunct_tamper_detected(model, tamper):
+    import re
+
+    engine = _engine(model)
+    assert verify_engine(engine) == []
+    # branch.taken tests its target stage, then the fetch-stall stage its
+    # reservation output fills.
+    line = next(line for line in engine.source.splitlines() if line.endswith("# branch.taken"))
+    conjunct = re.findall(r"s\d+\._occupancy <= \d+ and ", line)[-1]
+    if tamper == "loosened":
+        limit = int(re.search(r"<= (\d+)", conjunct).group(1))
+        mutant = line.replace(conjunct, conjunct.replace("<= %d" % limit, "<= %d" % (limit + 1)))
+    else:
+        mutant = line.replace(conjunct, "")
+    findings = verify_engine(_tampered(engine, engine.source.replace(line, mutant, 1)))
+    assert [(f.rule, f.location) for f in findings] == [("SV008", "source:transition 'branch.taken'")]
 
 
 # ---------------------------------------------------------------------------
@@ -681,6 +694,18 @@ def test_cli_verify_subset():
     document = json.loads(out.getvalue())
     assert document["backends"] == ["interpreted", "generated"]
     assert document["dirty"] == []
+
+
+def test_cli_verify_trace_covers_the_hostcost_emission(monkeypatch):
+    import repro.analyze.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "verify_backend", lambda name, backend: [])
+    monkeypatch.setattr(cli, "verify_model", lambda name, **kwargs: calls.append(kwargs) or [])
+    out = io.StringIO()
+    assert analyze_main(["verify", "example", "--trace", "--format", "json"], out=out) == 0
+    assert calls == [{"trace": True}, {"hostcost": True}]
+    assert json.loads(out.getvalue())["combinations"] == 4
 
 
 def test_cli_fail_on_threshold(monkeypatch):

@@ -66,7 +66,7 @@ def test_codegen_key_differs_per_emitted_category_set():
 
 def test_tracing_off_source_is_byte_identical():
     net, schedule = net_and_schedule()
-    sources = [emit_module_source(net, schedule, options)[0] for options in OFF_OPTIONS]
+    sources = [emit_module_source(net, schedule, options) for options in OFF_OPTIONS]
     assert sources[0] == sources[1] == sources[2]
     assert "TRF(" not in sources[0]
     assert "TRS(" not in sources[0]
@@ -75,8 +75,8 @@ def test_tracing_off_source_is_byte_identical():
 
 def test_traced_source_contains_trace_call_sites():
     net, schedule = net_and_schedule()
-    untraced = emit_module_source(net, schedule, OFF_OPTIONS[0])[0]
-    traced = emit_module_source(net, schedule, TRACED)[0]
+    untraced = emit_module_source(net, schedule, OFF_OPTIONS[0])
+    traced = emit_module_source(net, schedule, TRACED)
     assert traced != untraced
     assert "TRACE_CATEGORIES = ('firing', 'stall')" in traced
     assert "TRF = rt['trace_firing']" in traced

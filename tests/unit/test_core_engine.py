@@ -417,13 +417,12 @@ def test_generate_simulator_backend_selection():
     engine, report = generate_simulator(net, EngineOptions(backend="generated"))
     assert isinstance(engine, GeneratedEngine)
     assert report.backend == "generated"
-    assert report.compilation["transitions_compiled"] == 3
-    assert report.compilation["places_compiled"] == len(report.place_order)
+    assert report.codegen_cache == "uncached"  # a hand-built net skips the memo
 
     engine2, report2 = generate_simulator(make_linear_net()[0])
     assert type(engine2) is SimulationEngine
     assert report2.backend == "interpreted"
-    assert report2.compilation is None
+    assert report2.codegen_cache is None
 
 
 @pytest.mark.parametrize("stage_delay", [0, 1, 2])

@@ -176,7 +176,7 @@ def test_name_preserving_mutation_also_invalidates_cached_schedule():
     assert report.schedule_cache == "miss"
     # The structure digest is part of the codegen key: the mutated net gets
     # a module of its own.
-    assert report.compilation["codegen_cache"] == "emitted"
+    assert report.codegen_cache == "emitted"
 
 
 def test_elaborate_rejects_non_spec():
@@ -285,7 +285,7 @@ def test_rebuilding_a_spec_hits_the_generation_caches():
     again = elaborate(spec, backend="generated")
     assert first.generation_report.spec_fingerprint == spec.fingerprint()
     assert again.generation_report.schedule_cache == "hit"
-    assert again.generation_report.compilation["codegen_cache"] == "memory"
+    assert again.generation_report.codegen_cache == "memory"
     # The caches expose hit/miss counters for the benchmark harness.
     assert SCHEDULE_CACHE.stats()["hits"] >= 1
 

@@ -95,12 +95,12 @@ class TestGenerationReportCounters:
 
         first = build_processor("arm7-mini", backend="generated").generation_report
         assert first.schedule_cache == "miss"
-        assert first.compilation["codegen_cache"] == "emitted"
+        assert first.codegen_cache == "emitted"
         assert SCHEDULE_CACHE.stats()["misses"] >= 1
 
         second = build_processor("arm7-mini", backend="generated").generation_report
         assert second.schedule_cache == "hit"
-        assert second.compilation["codegen_cache"] == "memory"
+        assert second.codegen_cache == "memory"
         assert SCHEDULE_CACHE.stats()["hits"] >= 1
         assert second.spec_fingerprint == first.spec_fingerprint
 

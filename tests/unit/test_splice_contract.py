@@ -248,7 +248,7 @@ HOSTCOST_OFF = (
 def test_hostcost_off_leaves_source_and_key_byte_identical():
     net, _decoder, _core, _memory, _semantics = elaborate_net(get_spec(MODEL))
     schedule = SimulationEngine(net).schedule
-    sources = {emit_module_source(net, schedule, options)[0] for options in HOSTCOST_OFF}
+    sources = {emit_module_source(net, schedule, options) for options in HOSTCOST_OFF}
     keys = {codegen_key(net, options) for options in HOSTCOST_OFF}
     assert len(sources) == 1 and len(keys) == 1
     timed = EngineOptions(backend="generated", trace=TraceConfig(categories=("hostcost",)))
