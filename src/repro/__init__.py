@@ -18,16 +18,17 @@ Sub-packages
     ``EngineOptions(backend="generated")``: the model is emitted as real
     Python source — one straight-line per-cycle ``step()`` with dispatch
     tables, capacity literals and issue gating baked into the text —
-    ``exec``'d into a module and memoised in-process under the spec
-    fingerprint and the net's structure digest.
+    ``exec``'d into a module and memoised in-process under the net's
+    structure digest.
     Bit-identical statistics to the interpreted engine, higher throughput.
 ``repro.describe``
     The declarative pipeline-description layer: ``PipelineSpec`` and
     friends (pure data, validated, content-hashed), the shared ARM
     transition semantics and the elaborator that turns a spec into an
-    RCPN.  Every shipped processor model is a spec; the spec fingerprint
-    keys the simulator-generation caches so rebuilding a model reuses the
-    static analysis.
+    RCPN.  Every shipped processor model is a spec; the simulator-generation
+    caches key on the elaborated net's structure, so rebuilding a model
+    (or building another of the same structure) reuses the static
+    analysis and the emitted module.
 ``repro.cpn``
     A Colored Petri Net substrate with analysis tools and the RCPN -> CPN
     conversion.
@@ -61,7 +62,7 @@ Sub-packages
     tables, and driven from the ``python -m repro.campaign`` CLI.
 """
 
-__version__ = "1.29.0"
+__version__ = "1.30.0"
 
 __all__ = [
     "core",

@@ -66,17 +66,19 @@ _RULE_TABLE = (
     Rule("AN103", "net-unreachable-place", "warning",
          "an elaborated place is neither an entry nor any transition's output"),
     # -- emitted-source verification (repro.analyze.sourcecheck) -----------
-    Rule("SV001", "module-constants", "error",
-         "emitted module header disagrees with the net (fingerprint, digest, places, "
-         "transitions), or the module lacks its single run_cycles cycle loop in a try/finally"),
+    Rule("SV001", "module-shape", "error",
+         "emitted module does not define make_run_cycles, whose inner run_cycles "
+         "holds a single cycle loop in a try/finally"),
     Rule("SV002", "dispatch-branches", "error",
          "emitted opclass dispatch branches disagree with the static schedule"),
     Rule("SV003", "place-order", "error",
          "emitted place segments are not in static-schedule order"),
     Rule("SV004", "firing-sites", "error",
-         "emitted firing-counter sites disagree with the dispatch chains and generators"),
-    Rule("SV005", "hook-call-sites", "error",
-         "emitted guard/action call sites disagree with the splice plan"),
+         "emitted firing-counter sites disagree with the dispatch chains and generators, "
+         "or stall sites (stalls += 1) with one per dispatch chain plus each "
+         "segment's else branch"),
+    Rule("SV005", "action-call-sites", "error",
+         "emitted action call sites (aN) disagree with the splice plan"),
     Rule("SV006", "trace-sites", "error",
          "TRF/TRS trace call sites do not match the requested trace categories"),
     Rule("SV008", "spliced-hooks", "error",

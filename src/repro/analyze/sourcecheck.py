@@ -5,7 +5,8 @@ implement the generation plan.  This pass removes the trust: it parses the
 emitted module with :mod:`ast` and re-derives, from the *text*, the plan
 the module actually implements — the place-segment order, the per-place
 operation-class dispatch branches, every firing-counter site, every
-enable test, every called guard and action, every ``TRF``/``TRS`` trace
+enable test (a called guard's call among its conjuncts), every called
+action, every ``TRF``/``TRS`` trace
 site, every spliced hook body, every run-local counter's zeroing and
 write-back — and compares each against an independent recomputation from
 the net and its static schedule (:func:`repro.codegen.runtime.splice_plan`,
@@ -14,7 +15,10 @@ transition's ``capacity_plan``).  An enable test must be the transition's
 reservation, capacity-plan and guard conjuncts in that order, and a
 spliced guard or action is re-rendered from the same hook template
 (:func:`repro.describe.templates.render`) and must appear at its site
-statement for statement (SV008).
+statement for statement (SV008).  The module says nothing about itself
+(no header of names or keys), so every check reads code against the live
+net: that is what makes one module, memoised by structure, safe to share
+between nets.
 
 ``verify_backend`` extends the idea to the interpreted reference: its
 (possibly cache-hydrated) schedule is checked against a fresh derivation,
@@ -39,22 +43,6 @@ _RETIRED = re.compile(r"rbc(\d+)")
 _STALLS = re.compile("stalls")
 #: The run-local counters that add into a statistic of the same name.
 _SCALAR_COUNTERS = ("stalls", "instructions", "generated_tokens")
-
-
-def _module_constants(tree):
-    """Top-level literal ``NAME = <literal>`` assignments of the module."""
-    constants = {}
-    for node in tree.body:
-        if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-        ):
-            try:
-                constants[node.targets[0].id] = ast.literal_eval(node.value)
-            except ValueError:
-                continue
-    return constants
 
 
 def _find_function(tree, name):
@@ -101,7 +89,7 @@ class _CycleFacts:
         self.stall_sites = 0
         self.trf_calls = 0
         self.trs_calls = 0
-        self.hook_calls = Counter()  # gN / aN -> call sites
+        self.action_calls = Counter()  # aN -> call sites
         self._generator_names = frozenset(generator_names)
 
         events = []
@@ -142,8 +130,8 @@ class _CycleFacts:
             if isinstance(func, ast.Name):
                 if func.id in ("TRF", "TRS"):
                     return ("trace", func.id)
-                if func.id[:1] in ("g", "a") and func.id[1:].isdigit():
-                    return ("hook", func.id)
+                if func.id[:1] == "a" and func.id[1:].isdigit():
+                    return ("action", func.id)
         return None
 
     def _fold(self, events):
@@ -173,8 +161,8 @@ class _CycleFacts:
                     self.trf_calls += 1
                 else:
                     self.trs_calls += 1
-            elif kind == "hook":
-                self.hook_calls[event[1]] += 1
+            elif kind == "action":
+                self.action_calls[event[1]] += 1
 
 
 def _fire_name(node, names):
@@ -363,10 +351,12 @@ def _expected_plan(net, schedule):
     return tuple(dispatch), generators, occurrences
 
 
-def _expected_hook_calls(net, occurrences):
-    """Expected call sites per guard (``gN``) and action (``aN``) variable.
+def _expected_action_calls(net, occurrences):
+    """Expected call sites per called action (``aN``) variable.
 
-    A hook spliced into the source has no call site.
+    An action spliced into the source has no call site.  Called guards
+    need no count here: each is a conjunct of its enable test, which SV008
+    compares whole.
     """
     from repro.codegen.runtime import inlined, splice_plan
 
@@ -374,11 +364,7 @@ def _expected_hook_calls(net, occurrences):
     expected = Counter()
     for index, transition in enumerate(net.transitions):
         occ = occurrences.get(transition.name, 0)
-        if not occ:
-            continue
-        if transition.guard is not None and not inlined(transition, rows[index][0]):
-            expected["g%d" % index] += occ
-        if transition.action is not None and not inlined(transition, rows[index][1]):
+        if occ and transition.action is not None and not inlined(transition, rows[index][1]):
             expected["a%d" % index] += occ
     return expected
 
@@ -405,56 +391,20 @@ def verify_engine(engine, model=None):
     generation plan).  ``engine`` must be a
     :class:`repro.codegen.GeneratedEngine`.
     """
-    from repro.codegen.cache import codegen_key, emit_trace_categories
-    from repro.codegen.runtime import structure_digest
+    from repro.codegen.cache import emit_trace_categories
 
     net = engine.net
     model = model or net.name
-    options = engine.options
-    source = engine.source
-    module = engine.module
     findings = []
 
     def err(rule, location, message):
         findings.append(finding(rule, model, location, message))
 
-    tree = ast.parse(source)
-    constants = _module_constants(tree)
-
-    # -- SV001: header constants vs the live net ---------------------------
+    tree = ast.parse(engine.source)
     schedule = engine.schedule
-    expected_constants = {
-        "MODEL": net.name,
-        "SPEC_FINGERPRINT": getattr(net, "spec_fingerprint", None),
-        "STRUCTURE_DIGEST": structure_digest(net),
-        "PLACES": tuple(place.name for place in schedule.order),
-        "STAGES": tuple(net.stages),
-        "TRANSITIONS": tuple(t.name for t in net.transitions),
-        "CODEGEN_KEY": codegen_key(net, options),
-    }
-    for name, expected in expected_constants.items():
-        if name not in constants:
-            err("SV001", "source:%s" % name, "module constant missing from source")
-            continue
-        if constants[name] != expected:
-            err("SV001", "source:%s" % name,
-                "source declares %r but the net derives %r" % (constants[name], expected))
-        if getattr(module, name, None) != expected:
-            err("SV001", "module:%s" % name,
-                "executed module attribute %r disagrees with the net's %r"
-                % (getattr(module, name, None), expected))
-
     expected_dispatch, expected_generators, occurrences = _expected_plan(net, schedule)
-    declared_dispatch = constants.get("DISPATCH")
-    if declared_dispatch != expected_dispatch:
-        err("SV001", "source:DISPATCH",
-            "declared dispatch table disagrees with the static schedule")
-    if constants.get("GENERATORS") != expected_generators:
-        err("SV001", "source:GENERATORS",
-            "declared generators %r disagree with the schedule's %r"
-            % (constants.get("GENERATORS"), expected_generators))
 
-    # -- locate the cycle body ---------------------------------------------
+    # -- SV001: make_run_cycles -> run_cycles -> one loop in a try/finally --
     maker = _find_function(tree, "make_run_cycles")
     if maker is None:
         err("SV001", "source:make_run_cycles",
@@ -522,11 +472,11 @@ def verify_engine(engine, model=None):
             "a generator firing site precedes a place segment; the generator "
             "section must trail every dispatch segment")
 
-    # -- SV005: guard/action call sites vs the splice plan ----------------
-    expected_calls = _expected_hook_calls(net, occurrences)
-    if facts.hook_calls != expected_calls:
-        for var in sorted(set(facts.hook_calls) | set(expected_calls)):
-            got, want = facts.hook_calls.get(var, 0), expected_calls.get(var, 0)
+    # -- SV005: action call sites vs the splice plan ---------------------
+    expected_calls = _expected_action_calls(net, occurrences)
+    if facts.action_calls != expected_calls:
+        for var in sorted(set(facts.action_calls) | set(expected_calls)):
+            got, want = facts.action_calls.get(var, 0), expected_calls.get(var, 0)
             if got != want:
                 err("SV005", "source:%s" % var,
                     "%d call site(s) emitted, %d required by the plan" % (got, want))
@@ -538,7 +488,7 @@ def verify_engine(engine, model=None):
     _check_counters(net, run_cycles, tries[0], err)
 
     # -- SV006: trace sites iff tracing was requested ----------------------
-    categories = emit_trace_categories(options)
+    categories = emit_trace_categories(engine.options)
     traced_firing = "firing" in categories
     traced_stall = "stall" in categories
     total_fire_sites = sum(occurrences.values())
@@ -558,13 +508,6 @@ def verify_engine(engine, model=None):
     if not traced_stall and facts.trs_calls:
         err("SV006", "source:TRS",
             "tracing off but %d TRS call(s) emitted" % facts.trs_calls)
-    if categories and tuple(constants.get("TRACE_CATEGORIES", ())) != categories:
-        err("SV006", "source:TRACE_CATEGORIES",
-            "module declares %r, options request %r"
-            % (constants.get("TRACE_CATEGORIES"), categories))
-    if not categories and "TRACE_CATEGORIES" in constants:
-        err("SV006", "source:TRACE_CATEGORIES",
-            "tracing off but the module declares TRACE_CATEGORIES")
 
     return findings
 

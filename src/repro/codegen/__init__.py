@@ -4,7 +4,7 @@ The fast engine backend: this package emits the model as real Python
 source — a ``run_cycles(limit)`` loop around one straight-line cycle body
 with the dispatch tables, capacity literals and issue gating baked into
 the text — ``exec``s it into a module and memoises the module in-process
-under the spec fingerprint and the net's structure digest.
+under the net's structure digest, so nets of one structure share it.
 
 Layout:
 

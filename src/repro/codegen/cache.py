@@ -1,21 +1,22 @@
 """In-process memo of emitted simulator modules.
 
 Emitting and ``exec``-ing a model's source costs a few milliseconds, so a
-process does it once per (model, emit-relevant options).  The emitted code
-depends only on
+process does it once per (structure, emit-relevant options).  The emitted
+code is a function of
 
-* the spec fingerprint (``net.spec_fingerprint``, which also keys the
-  schedule cache),
-* the net's structure, gating and two-list places
-  (:func:`repro.codegen.runtime.structure_digest`), so a net mutated
-  after elaboration never shares a module with the clean build of its
-  spec,
+* the net's structure digest (:func:`repro.codegen.runtime.structure_digest`:
+  the structure signature the schedule cache keys on, the hook templates'
+  content, the two-list places, the entry places and the hook constants),
 * the emission-relevant trace categories (run-length knobs like
-  ``max_cycles``/``stall_limit`` are deliberately excluded).
+  ``max_cycles``/``stall_limit`` are deliberately excluded),
 
-:func:`codegen_key` hashes those into the memo key.  Everything the emitted
-source depends on is in the key, so an entry can never be stale and there
-is no recovery path.  Nothing is written to disk.
+and of nothing else, so :func:`codegen_key` hashes exactly those.  Every
+net is memoised, hand-built ones included, and nets of one structure
+share one module whatever their model name or spec.  An input missing
+from the digest would serve a module emitted for another net;
+:func:`repro.analyze.sourcecheck.verify_engine` (``python -m repro.analyze
+verify``) checks an engine's module, memo-served or fresh, against the live
+net it runs.  Nothing is written to disk.
 """
 
 from __future__ import annotations
@@ -46,35 +47,19 @@ def emit_trace_categories(options):
 
 
 def codegen_key(net, options):
-    """Memo key of ``net`` emitted under ``options``; ``None`` without a fingerprint.
+    """Memo key of ``net`` emitted under ``options``.
 
     Of the options, only the emission-relevant trace categories change
     the emitted *source*; they join the key only when tracing is on (see
     :func:`emit_trace_categories`), so every tracing-off configuration
-    shares one key.  Hand-built nets carry no spec fingerprint and get no
-    key: they are emitted fresh on every build.
+    shares one key.
     """
-    fingerprint = getattr(net, "spec_fingerprint", None)
-    if fingerprint is None:
-        return None
-    parts = [
-        "repro.codegen",
-        fingerprint,
-        structure_digest(net),
-    ]
+    parts = ["repro.codegen", structure_digest(net)]
     trace_categories = emit_trace_categories(options)
     if trace_categories:
         parts.append("trace=" + ",".join(trace_categories))
     payload = "|".join(parts)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:40]
-
-
-def exec_module(source, name):
-    """Compile and execute emitted ``source`` as a fresh module."""
-    module = types.ModuleType(name)
-    module.__source__ = source
-    exec(compile(source, "<%s>" % name, "exec"), module.__dict__)
-    return module
 
 
 class ModuleCache:
@@ -111,7 +96,11 @@ class ModuleCache:
         if module is not None:
             self.memory_hits += 1
             return module, "memory"
-        module = exec_module(emit_source(), "repro_codegen_" + key)
+        source = emit_source()
+        name = "repro_codegen_" + key
+        module = types.ModuleType(name)
+        module.__source__ = source
+        exec(compile(source, "<%s>" % name, "exec"), module.__dict__)
         self.emits += 1
         self._modules[key] = module
         return module, "emitted"

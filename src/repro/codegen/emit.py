@@ -82,11 +82,12 @@ built-in templates do not, and their models' loops write back only in the
 ``finally``.  :mod:`repro.analyze.sourcecheck` (SV009) proves every
 counter zeroed on entry and added into the right statistic exactly once.
 
-The emitted module is net-object free — ``make_run_cycles(rt)`` binds the
-live places/stages/guards by index (:func:`repro.codegen.runtime.
-build_runtime`) — so one emitted module is reusable for every rebuild of
-the same spec within a process, memoised under the spec fingerprint and
-the structure digest (:mod:`repro.codegen.cache`).
+The emitted module is code only — no module-level constants, no name of
+the model — and net-object free: ``make_run_cycles(rt)`` binds the live
+places/stages/guards by index (:func:`repro.codegen.runtime.
+build_runtime`).  So one emitted module serves every net of the same
+structure within a process, memoised under the structure digest
+(:mod:`repro.codegen.cache`).
 
 Observable behaviour is contractually bit-identical to the interpreted
 engine: same statistics counters, same attempt order, same stall
@@ -115,7 +116,6 @@ from repro.codegen.runtime import (
     opaque_hooks,
     splice_plan,
     splice_site,
-    structure_digest,
 )
 from repro.describe.templates import FRONT_END_COUNTERS, front_end_needs, names_used, render
 
@@ -140,7 +140,7 @@ class _Writer:
         return "\n".join(self.lines) + "\n"
 
 
-def emit_module_source(net, schedule, options, key=None):
+def emit_module_source(net, schedule, options):
     """Emit the Python source of one model's generated simulator.
 
     The source defines ``make_run_cycles(rt)`` returning
@@ -249,9 +249,9 @@ def emit_module_source(net, schedule, options, key=None):
         return not transition.consumes_token and target is not None and target.is_end
 
     # ---- fix the run-local counters before the walk ----------------------
-    #: Per place: its nonempty dispatch entries, and the attempt chains the
-    #: cycle body emits for it as (opclass, candidates) — one chain with the
-    #: place's class for an implicit dispatch.
+    #: Per place: the attempt chains the cycle body emits for it as
+    #: (opclass, candidates) — one chain with the place's class for an
+    #: implicit dispatch.
     place_dispatch = []
     retired_classes = set()
     for place in places:
@@ -264,7 +264,7 @@ def emit_module_source(net, schedule, options, key=None):
             chains = [(implicit[id(place)], dispatch[0][1])]
         else:
             chains = dispatch
-        place_dispatch.append((place, dispatch, chains))
+        place_dispatch.append((place, chains))
         for opclass, candidates in chains:
             for transition in candidates:
                 emitted_transitions.add(transition_index[id(transition)])
@@ -490,20 +490,7 @@ def emit_module_source(net, schedule, options, key=None):
             body.w(inner, "else:")
             emit_stall(inner + 1, place.name)
 
-    #: (place name, ((opclass, (transition names...)), ...)) per emitted
-    #: place, nonempty entries only — the plan the source claims to
-    #: implement, re-checked against the AST by repro.analyze.sourcecheck.
-    dispatch_table = []
-
-    for place, dispatch, chains in place_dispatch:
-        dispatch_table.append((
-            place.name,
-            tuple(
-                (opclass, tuple(t.name for t in candidates))
-                for opclass, candidates in dispatch
-            ),
-        ))
-
+    for place, chains in place_dispatch:
         pv = pvar(place)
         tokens = tokens_var(place)
         may_hold_reservations = id(place) in reservation_places
@@ -559,28 +546,6 @@ def emit_module_source(net, schedule, options, key=None):
 
     # ---- assemble the module ---------------------------------------------
     out = _Writer()
-    out.w(0, '"""Generated simulator cycle loop for model %r (repro.codegen).' % net.name)
-    out.w(0, "")
-    out.w(0, "Auto-generated source: do not edit.  Emitted once per process for")
-    out.w(0, "each spec fingerprint, structure digest and set of emit-relevant")
-    out.w(0, "engine options (see repro/codegen/cache.py).")
-    out.w(0, '"""')
-    out.w(0, "")
-    out.w(0, "CODEGEN_KEY = %r" % key)
-    out.w(0, "MODEL = %r" % net.name)
-    out.w(0, "SPEC_FINGERPRINT = %r" % getattr(net, "spec_fingerprint", None))
-    out.w(0, "STRUCTURE_DIGEST = %r" % structure_digest(net))
-    out.w(0, "PLACES = %r" % (tuple(place.name for place in places),))
-    out.w(0, "STAGES = %r" % (tuple(stage.name for stage in stages),))
-    out.w(0, "TRANSITIONS = %r" % (tuple(t.name for t in transitions),))
-    out.w(0, "DISPATCH = %r" % (tuple(dispatch_table),))
-    out.w(0, "GENERATORS = %r" % (
-        tuple(t.name for t in schedule.generator_transitions),
-    ))
-    if trace_categories:
-        out.w(0, "TRACE_CATEGORIES = %r" % (trace_categories,))
-    out.w(0, "")
-    out.w(0, "")
     out.w(0, "def make_run_cycles(rt):")
     out.w(1, "engine = rt['engine']")
     out.w(1, "ctx = rt['ctx']")

@@ -1,9 +1,9 @@
 """The generated (source-level) cycle-accurate engine.
 
 :class:`GeneratedEngine` is the run-time shell around an emitted module
-(:mod:`repro.codegen.emit`): construction obtains the module — from the
-in-process memo or a fresh emission (:mod:`repro.codegen.cache`) — binds
-it to this net's live objects
+(:mod:`repro.codegen.emit`): construction obtains the module from the
+in-process memo keyed by the net's structure (:mod:`repro.codegen.cache`),
+which emits it on a miss, binds it to this net's live objects
 (:func:`repro.codegen.runtime.build_runtime`) and keeps the resulting
 ``run_cycles(limit)`` function.  The emitted loop owns the per-cycle
 bookkeeping too (cycle counters, idle accounting), so the shared run loop
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from repro.core.engine import SimulationEngine
 
-from repro.codegen.cache import CODEGEN_CACHE, codegen_key, exec_module
+from repro.codegen.cache import CODEGEN_CACHE, codegen_key
 from repro.codegen.emit import emit_module_source
 from repro.codegen.runtime import build_runtime
 
@@ -46,8 +46,9 @@ class GeneratedEngine(SimulationEngine):
     ``cache`` defaults to the process-wide
     :data:`~repro.codegen.cache.CODEGEN_CACHE`; tests pass their own
     :class:`~repro.codegen.cache.ModuleCache` to observe cold/warm
-    behaviour in isolation.  Nets without a spec fingerprint (hand-built
-    test nets) are emitted fresh each time and never touch the memo.
+    behaviour in isolation.  Every net's module comes through the memo,
+    keyed by its structure (:func:`~repro.codegen.cache.codegen_key`), so
+    nets of one structure share one module.
     """
 
     backend = "generated"
@@ -55,21 +56,12 @@ class GeneratedEngine(SimulationEngine):
     def __init__(self, net, options=None, cache=None):
         super().__init__(net, options=options)
         self._cache = CODEGEN_CACHE if cache is None else cache
-        self.codegen_status = "uncached"
-
-        key = codegen_key(net, self.options)
-
-        def emit():
-            return emit_module_source(net, self.schedule, self.options, key=key)
-
-        if key is None:
-            # Hand-built nets carry no fingerprint: emit fresh, skip the memo.
-            module = exec_module(emit(), "repro_codegen_uncached")
-        else:
-            module, self.codegen_status = self._cache.module_for(key, emit)
-        self.module = module
-        self.source = module.__source__
-        self._run_cycles = module.make_run_cycles(build_runtime(self))
+        self.module, self.codegen_status = self._cache.module_for(
+            codegen_key(net, self.options),
+            lambda: emit_module_source(net, self.schedule, self.options),
+        )
+        self.source = self.module.__source__
+        self._run_cycles = self.module.make_run_cycles(build_runtime(self))
         # Stall count of the last idle cycle (see _fast_forward).
         self._idle_stalls = 0
         # Cycles _fast_forward accounted without running them.

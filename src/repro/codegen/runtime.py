@@ -8,8 +8,8 @@ facts each splice is rendered (:func:`splice_site`), and which places
 dispatch without an operation-class compare (:func:`implicit_dispatch`),
 builds the index-aligned runtime lists for one engine
 (:func:`build_runtime`) and provides the structural digest
-(:func:`structure_digest`) that joins the module memo key, so a memoised
-module is never bound to a net with a different shape.
+(:func:`structure_digest`) that keys the module memo, so a memoised
+module is bound only to nets of the shape it was emitted for.
 
 The multi-issue gates need no case here: they are hook templates
 (:meth:`repro.describe.semantics.ArmSemantics.issue_gate`), spliced or
@@ -173,19 +173,24 @@ class EntryPlaces(dict):
 def structure_digest(net):
     """Digest of everything an emitted module bakes into its source.
 
-    Beside the net's structure, each transition's guard and action enter
-    as their template's key, ``"opaque"`` (a hook the module calls,
-    assuming it may do anything) or ``None`` (absent, so no call), and
-    each place's ``two_list`` flag as the schedule left it (the emitter
-    binds a two-list place's ``pending`` list and commits it each cycle),
-    each sub-net's entry place and the hook constants bound to ``None``
-    (the spliced fetch deposits into the entry place directly and folds
-    the absent constants' tests away).
+    Beside the net's structure (:func:`~repro.core.scheduler.
+    structure_signature`), each transition's guard and action enter as
+    their template's content — key, guard text, action text and
+    ``inline`` — as ``"opaque"`` (a hook the module calls, assuming it may
+    do anything) or as ``None`` (absent, so no call); each place's
+    ``two_list`` flag as the schedule left it (the emitter binds a
+    two-list place's ``pending`` list and commits it each cycle), each
+    sub-net's entry place, and the names of the hook constants, with those
+    bound to ``None`` (the spliced fetch deposits into the entry place
+    directly and folds the absent constants' tests away).  The model's
+    name and spec do not enter: nets of one structure share one module.
     """
-    rows, _env = splice_plan(net)
+    rows, env = splice_plan(net)
     hooks = tuple(
         tuple(
-            None if hook is None else "opaque" if template is None else template.key
+            None if hook is None
+            else "opaque" if template is None
+            else (template.key, template.guard, template.action, template.inline)
             for hook, template in zip((transition.guard, transition.action), row)
         )
         for transition, row in zip(net.transitions, rows)
@@ -195,7 +200,8 @@ def structure_digest(net):
         (name, subnet.entry_place.name if subnet.entry_place is not None else None)
         for name, subnet in net.subnets.items()
     )
-    payload = repr((structure_signature(net), hooks, two_list, entries, sorted(absent_constants(net))))
+    constants = (sorted(env or ()), sorted(absent_constants(net)))
+    payload = repr((structure_signature(net), hooks, two_list, entries, constants))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

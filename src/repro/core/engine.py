@@ -43,8 +43,8 @@ class EngineOptions:
       model as real Python source (a ``run_cycles`` loop around one
       straight-line cycle body with dispatch tables and capacity checks
       inlined as code), ``exec``s it and memoises the module in-process
-      under the spec fingerprint and structure digest (the paper's
-      simulator generation).
+      under the net's structure digest, so nets of one structure share
+      it (the paper's simulator generation).
       Statistics are bit-identical to the interpreted backend; only
       wall-clock throughput differs.
 

@@ -12,7 +12,7 @@ returns a ready-to-run engine for the backend selected in
   generic :class:`~repro.core.engine.SimulationEngine` loop each cycle;
 * ``backend="generated"`` — the structures are emitted as Python *source*
   by :mod:`repro.codegen`, ``exec``'d into a module (memoised in-process
-  under the spec fingerprint and structure digest) and executed by
+  under the net's structure digest) and executed by
   :class:`~repro.codegen.GeneratedEngine` (the paper's generated-simulator
   fast path).
 
@@ -39,13 +39,14 @@ class GenerationReport:
     dispatch_entries: int = 0
     nonempty_dispatch_entries: int = 0
     generator_transitions: list = field(default_factory=list)
-    #: Content hash of the pipeline spec (None for hand-built nets).
+    #: Content hash of the pipeline spec (None for hand-built nets); reported
+    #: only, no cache keys on it.
     spec_fingerprint: str = None
-    #: "hit"/"miss" for fingerprinted models, "uncached" for hand-built nets.
-    schedule_cache: str = "uncached"
+    #: Whether the static schedule came from the structure-keyed memo:
+    #: "hit" or "miss", on every net.
+    schedule_cache: str = "miss"
     #: Where the generated backend's module came from: "emitted" or
-    #: "memory" for fingerprinted models, "uncached" for hand-built nets;
-    #: None on the interpreted backend.
+    #: "memory"; None on the interpreted backend.
     codegen_cache: str = None
     #: Cache-hierarchy geometry, level by level (None when the net carries
     #: no memory unit — e.g. the hand-built test nets).
@@ -88,7 +89,6 @@ def generate_simulator(net, options=None):
         engine = SimulationEngine(net, options=options)
     schedule = engine.schedule
     dispatch = schedule.sorted_transitions
-    fingerprint = getattr(net, "spec_fingerprint", None)
     memory = getattr(net, "units", {}).get("memory")
     describe_hierarchy = getattr(memory, "describe_hierarchy", None)
     report = GenerationReport(
@@ -99,10 +99,8 @@ def generate_simulator(net, options=None):
         dispatch_entries=len(dispatch),
         nonempty_dispatch_entries=sum(1 for value in dispatch.values() if value),
         generator_transitions=[t.name for t in schedule.generator_transitions],
-        spec_fingerprint=fingerprint,
-        schedule_cache=(
-            ("hit" if schedule.from_cache else "miss") if fingerprint is not None else "uncached"
-        ),
+        spec_fingerprint=getattr(net, "spec_fingerprint", None),
+        schedule_cache="hit" if schedule.from_cache else "miss",
         codegen_cache=engine.codegen_status if options.backend == "generated" else None,
         memory_hierarchy=describe_hierarchy() if callable(describe_hierarchy) else None,
     )

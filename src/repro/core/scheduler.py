@@ -14,13 +14,12 @@ RCPN structure (Section 4):
 3. :func:`capacity_plan` — each transition's output-capacity rule is
    reduced once to occupancy limits on the stages it fills.
 
-The analyses are pure functions of the model *structure*.  Models built by
-the declarative layer carry a stable content hash (``net.spec_fingerprint``,
-from :meth:`repro.describe.PipelineSpec.fingerprint`), which together with
-:func:`structure_signature` keys :data:`SCHEDULE_CACHE`: rebuilding the same
-spec re-uses the first build's analysis as a name-level
-:class:`ScheduleBlueprint`, rehydrated against the new net's objects instead
-of being re-derived.
+The analyses are pure functions of the model *structure*, so
+:func:`structure_signature` alone keys :data:`SCHEDULE_CACHE`: any net whose
+structure was scheduled before in the process — a rebuild of the same spec,
+another spec of the same shape, a hand-built net — re-uses that analysis as
+a :class:`ScheduleBlueprint`, rehydrated against the new net's objects
+instead of being re-derived.
 """
 
 from __future__ import annotations
@@ -180,26 +179,39 @@ def capacity_plan(transition):
 
 
 def structure_signature(net):
-    """A cheap, hashable summary of everything the cached blueprints depend on.
+    """A hashable summary of everything the schedule and the emitter read.
 
-    Covers stages (capacity/delay), places (stage binding), and transitions
-    (endpoints, priority, reservation arcs, capacity stages) — the inputs of
-    the schedule derivation and of the capacity plans.
-    Guards and actions are deliberately excluded: the blueprints never
-    encode behaviour, only structure.  Building the signature is O(model
-    size), far cheaper than the analyses it keys.
+    Covers the operation classes (in order), stages (capacity/delay),
+    sub-nets (their classes), places (stage, sub-net, delay) and
+    transitions (sub-net, endpoints, delay, priority, reservation arcs,
+    capacity stages, firing limit) — the inputs of the schedule
+    derivation and of the capacity plans.  It is the whole key of
+    :data:`SCHEDULE_CACHE`, so two nets with one signature get one
+    analysis.  Guards and actions are excluded: the blueprints never
+    encode behaviour, only structure (the emitter's digest adds them,
+    :func:`repro.codegen.runtime.structure_digest`).  Building the
+    signature is O(model size), far cheaper than the analyses it keys.
     """
+
+    def subnet_name(subnet):
+        return subnet.name if subnet is not None else None
+
+    opclasses = tuple(net.operation_classes)
     stages = tuple(
         (stage.name, stage.capacity, stage.delay) for stage in net.stages.values()
     )
+    subnets = tuple((name, subnet.opclasses) for name, subnet in net.subnets.items())
     places = tuple(
-        (place.name, place.stage.name, place.delay) for place in net.places.values()
+        (place.name, place.stage.name, subnet_name(place.subnet), place.delay)
+        for place in net.places.values()
     )
     transitions = tuple(
         (
             transition.name,
+            subnet_name(transition.subnet),
             transition.source.name if transition.source is not None else None,
             transition.target.name if transition.target is not None else None,
+            transition.delay,
             transition.priority,
             transition.consumes_token,
             tuple((arc.place.name, arc.count) for arc in transition.reservation_inputs),
@@ -209,15 +221,16 @@ def structure_signature(net):
         )
         for transition in net.transitions
     )
-    return (stages, places, transitions)
+    return (opclasses, stages, subnets, places, transitions)
 
 
 class ScheduleBlueprint:
-    """A :class:`StaticSchedule` reduced to names (net-object free).
+    """A :class:`StaticSchedule` reduced to names and indices (net-object free).
 
-    Blueprints are what :data:`SCHEDULE_CACHE` stores: place/transition
-    *names* instead of objects, so a blueprint derived from one build of a
-    spec can be rehydrated against any later build of the same spec.
+    Blueprints are what :data:`SCHEDULE_CACHE` stores: place *names* and
+    transition *indices* into ``net.transitions`` instead of objects, so a
+    blueprint derived from one net can be rehydrated against any net of
+    the same :func:`structure_signature`.
     """
 
     __slots__ = ("place_order", "feedback_places", "dispatch", "generators")
@@ -225,19 +238,19 @@ class ScheduleBlueprint:
     def __init__(self, place_order, feedback_places, dispatch, generators):
         self.place_order = tuple(place_order)
         self.feedback_places = frozenset(feedback_places)
-        #: ``(place_name, opclass) -> tuple of transition names``.
+        #: ``(place_name, opclass) -> tuple of transition indices``.
         self.dispatch = dispatch
         self.generators = tuple(generators)
 
 
 class GenerationCache:
-    """Fingerprint-keyed cache of generation-time blueprints, with counters.
+    """Structure-keyed cache of generation-time blueprints, with counters.
 
     Holds the static-schedule blueprints (:data:`SCHEDULE_CACHE`), keyed by
-    the spec content hash and the net's structure signature so only nets
-    of identical structure share entries.  Entries are
-    evicted least-recently-used beyond ``max_entries`` so design-space
-    sweeps over thousands of spec variants cannot grow memory unboundedly.
+    the net's :func:`structure_signature`, so only nets of identical
+    structure share entries.  Entries are evicted least-recently-used
+    beyond ``max_entries`` so design-space sweeps over thousands of spec
+    variants cannot grow memory unboundedly.
     """
 
     def __init__(self, max_entries=256):
@@ -270,8 +283,7 @@ class GenerationCache:
         return {"entries": len(self._entries), "hits": self.hits, "misses": self.misses}
 
 
-#: Process-wide schedule cache keyed by (spec fingerprint, structure
-#: signature).
+#: Process-wide schedule cache keyed by the structure signature.
 SCHEDULE_CACHE = GenerationCache()
 
 
@@ -281,41 +293,28 @@ class StaticSchedule:
     Every schedule carries both Section 4 optimisations: each place's
     ``dispatch`` table (the sorted transitions of Figure 6) and two-list
     storage on the feedback places, plus any place its model marked
-    ``two_list=True``.  For nets elaborated from a spec
-    (``net.spec_fingerprint`` set) the analysis is served from
-    :data:`SCHEDULE_CACHE` when an identical spec was scheduled before;
+    ``two_list=True``.  The analysis is served from :data:`SCHEDULE_CACHE`
+    when a net of the same structure was scheduled before in the process;
     ``from_cache`` records which way this instance was built.
     """
 
     def __init__(self, net):
         self.net = net
-        fingerprint = getattr(net, "spec_fingerprint", None)
-        # The structure signature is part of the key, so a net mutated after
-        # elaboration misses (and gets an entry of its own) instead of
-        # replaying analysis of a structure it no longer has.
-        key = (fingerprint, structure_signature(net)) if fingerprint is not None else None
-        blueprint = SCHEDULE_CACHE.lookup(key) if key is not None else None
+        key = structure_signature(net)
+        blueprint = SCHEDULE_CACHE.lookup(key)
         self.from_cache = blueprint is not None
         if blueprint is not None:
             self._rehydrate(net, blueprint)
         else:
             self._derive(net)
-            if key is not None:
-                # Blueprints name transitions, so rehydration needs unique names.
-                transition_names = [t.name for t in net.transitions]
-                if len(set(transition_names)) == len(transition_names):
-                    SCHEDULE_CACHE.store(key, self._to_blueprint())
-        self.generator_transitions = (
-            [self._transition_by_name[name] for name in blueprint.generators]
-            if blueprint is not None
-            else net.generator_transitions()
-        )
+            SCHEDULE_CACHE.store(key, self._to_blueprint())
 
     # -- fresh derivation ----------------------------------------------------
     def _derive(self, net):
         self.order = place_evaluation_order(net)
         feedback_places = mark_feedback_places(net, self.order)
         self.feedback_place_names = {p.name for p in feedback_places}
+        self.generator_transitions = net.generator_transitions()
         self._install(net, calculate_sorted_transitions(net))
 
     def _install(self, net, sorted_transitions):
@@ -335,27 +334,28 @@ class StaticSchedule:
             transition.capacity_plan = capacity_plan(transition)
 
     def _to_blueprint(self):
+        index = {id(t): i for i, t in enumerate(self.net.transitions)}
         return ScheduleBlueprint(
             place_order=(place.name for place in self.order),
             feedback_places=self.feedback_place_names,
             dispatch={
-                key: tuple(t.name for t in transitions)
+                key: tuple(index[id(t)] for t in transitions)
                 for key, transitions in self.sorted_transitions.items()
             },
-            generators=(t.name for t in self.net.generator_transitions()),
+            generators=(index[id(t)] for t in self.generator_transitions),
         )
 
     # -- rehydration from a cached blueprint ---------------------------------
     def _rehydrate(self, net, blueprint):
-        by_name = {t.name: t for t in net.transitions}
-        self._transition_by_name = by_name
+        transitions = net.transitions
         self.order = [net.places[name] for name in blueprint.place_order]
         self.feedback_place_names = set(blueprint.feedback_places)
+        self.generator_transitions = [transitions[i] for i in blueprint.generators]
         self._install(
             net,
             {
-                key: tuple(by_name[name] for name in names)
-                for key, names in blueprint.dispatch.items()
+                key: tuple(transitions[i] for i in indices)
+                for key, indices in blueprint.dispatch.items()
             },
         )
 

@@ -7,8 +7,8 @@ control), builds every place and transition the spec describes — resolving
 hook names through :class:`~repro.describe.semantics.ArmSemantics` — and
 wraps the result in the familiar :class:`~repro.describe.substrate.Processor`
 facade.  The spec's :meth:`~repro.describe.spec.PipelineSpec.fingerprint`
-is stamped onto the net (``net.spec_fingerprint``) so the static-schedule
-and codegen caches can recognise repeated builds of the same model.
+is stamped onto the net (``net.spec_fingerprint``) for reports; the
+static-schedule and codegen caches key on the net's structure, not on it.
 """
 
 from __future__ import annotations
@@ -148,16 +148,7 @@ def elaborate_net(spec, memory_config=None, semantics_class=ArmSemantics):
         if any(place_in_state(place, state) for state in spec.hazards.forward_states)
     )
 
-    fingerprint = spec.fingerprint()
-    if semantics_class is not ArmSemantics:
-        # Custom semantics change behaviour without changing the spec text;
-        # keep their cache entries separate.
-        fingerprint = "%s:%s.%s" % (
-            fingerprint,
-            semantics_class.__module__,
-            semantics_class.__qualname__,
-        )
-    net.spec_fingerprint = fingerprint
+    net.spec_fingerprint = spec.fingerprint()
     net.spec = spec
     return net, decoder, core, memory, semantics
 
@@ -175,9 +166,9 @@ def elaborate(
     selects the engine ("interpreted"/"generated", see
     :data:`~repro.core.engine.ENGINE_BACKENDS`), overriding
     ``engine_options.backend`` when given — the same contract as the
-    hand-written model builders it replaces.  The stamped
-    ``net.spec_fingerprint`` is what the generated backend's source cache
-    keys on, so rebuilding the same spec re-uses its emitted module.
+    hand-written model builders it replaces.  The generated backend's
+    module memo keys on the net's structure, so rebuilding the same spec —
+    or any spec of the same structure — re-uses its emitted module.
     """
     net, decoder, core, memory, _ = elaborate_net(
         spec,

@@ -10,9 +10,11 @@ turns the spec into an executable RCPN.
 
 Because a spec is plain data it can be validated before elaboration
 (:meth:`PipelineSpec.validate`) and hashed into a stable
-:meth:`PipelineSpec.fingerprint` that keys the simulator-generation caches
-(:mod:`repro.core.scheduler`, :mod:`repro.codegen.cache`): rebuilding the
-same spec reuses the static analysis of the first build.
+:meth:`PipelineSpec.fingerprint`, which campaign runs key on and the
+generation report carries.  The simulator-generation caches
+(:mod:`repro.core.scheduler`, :mod:`repro.codegen.cache`) key on the
+elaborated net's structure instead, so rebuilding the same spec reuses the
+static analysis and the emitted module of the first build.
 """
 
 from __future__ import annotations
@@ -429,7 +431,7 @@ class PipelineSpec:
         seen_opclasses = set()
         seen_subnets = {self.fetch.subnet}
         # Transition names must be globally unique (they key the statistics
-        # counters and the fingerprint-keyed generation caches); the fetch
+        # counters and the structure-keyed generation caches); the fetch
         # transition's name is taken before any path is examined.
         seen_transitions = {self.fetch.name}
         for path in self.paths:
@@ -633,9 +635,8 @@ class PipelineSpec:
         """Stable content hash of the description.
 
         Two specs share a fingerprint exactly when their declarative content
-        is identical, so the hash can key caches of structure-derived
-        artefacts (static schedules, emitted modules) across
-        repeated elaborations of the same model.
+        is identical.  Campaign runs key on it; the generation caches do
+        not (they key on the elaborated net's structure).
         """
         canonical = json.dumps(self.describe(), sort_keys=True, default=str)
         return hashlib.sha256(("rcpn-spec-v1:" + canonical).encode("utf-8")).hexdigest()

@@ -471,8 +471,10 @@ _STATISTICS_NAMES = frozenset(
 class HookTemplate:
     """One hook as source: a guard expression and/or an action block.
 
-    ``key`` names the template in structure digests (a composed template's
-    key joins its parts' keys with ``+``).  ``writes_delay`` and ``emits``
+    ``key`` names the template (a composed template's key joins its parts'
+    keys with ``+``); a structure digest records the template by its whole
+    content — key, guard, action and ``inline`` — so two templates of one
+    key never share an emitted module.  ``writes_delay`` and ``emits``
     are what the emitter may assume about the action: it writes ``t.delay``
     (the token's ``delay_override``) only if ``writes_delay``, and emits a
     token (routed by operation class) only if ``emits``.  ``inline=False``

@@ -413,21 +413,30 @@ def _engine_calling_a_plain_guard():
     operation-class dispatch, so the ``_oc`` compares and a ``gN(t, ctx)``
     call site are there to tamper with.
     """
+    return _engine_calling_a_plain("guard")
+
+
+def _engine_calling_a_plain(kind):
+    """The example model with ``alu.issue``'s ``kind`` ("guard" or
+    "action") a plain callable wrapping the template's closure."""
     from repro.describe import elaborate
     from repro.describe.semantics import ArmSemantics
     from repro.processors.example import example_spec
 
-    class PlainGuard(ArmSemantics):
+    class Plain(ArmSemantics):
         def register(self, name, guard=None, action=None):
             if name == "alu.issue":
-                template_guard = guard
+                hooks = {"guard": guard, "action": action}
+                template_hook = hooks[kind]
 
-                def guard(t, ctx):
-                    return template_guard(t, ctx)
+                def plain(t, ctx):
+                    return template_hook(t, ctx)
 
+                hooks[kind] = plain
+                guard, action = hooks["guard"], hooks["action"]
             super().register(name, guard, action)
 
-    return elaborate(example_spec(), backend="generated", semantics_class=PlainGuard).engine
+    return elaborate(example_spec(), backend="generated", semantics_class=Plain).engine
 
 
 def _tampered(engine, source):
@@ -435,20 +444,23 @@ def _tampered(engine, source):
         net=engine.net,
         options=engine.options,
         schedule=engine.schedule,
-        module=engine.module,
         source=source,
     )
 
 
-def test_sv001_constant_tamper_detected():
+@pytest.mark.parametrize(
+    "line, mutant",
+    [
+        ("    def run_cycles(limit):", "    def run_cycle(limit):"),
+        ("        finally:", "        except Exception:"),
+    ],
+)
+def test_sv001_module_shape_tamper_detected(line, mutant):
     engine = _engine()
-    source = engine.source.replace(
-        "MODEL = %r" % engine.net.name, "MODEL = 'someone-else'"
-    )
+    source = engine.source.replace("\n" + line + "\n", "\n" + mutant + "\n", 1)
     assert source != engine.source
     findings = verify_engine(_tampered(engine, source))
-    assert "SV001" in rules_of(findings)
-    assert any("MODEL" in f.location for f in findings)
+    assert [f.rule for f in findings] == ["SV001"]
 
 
 def test_sv002_dispatch_branch_tamper_detected():
@@ -479,13 +491,39 @@ def test_sv004_missing_firing_site_detected():
 
 
 def test_sv005_stripped_gate_call_detected():
+    """A stripped called guard is one finding: the enable test's (SV008).
+
+    SV005 counts only action call sites; a guard call is a conjunct of its
+    enable test, which SV008 compares whole.
+    """
     import re
 
     engine = _engine_calling_a_plain_guard()
+    assert verify_engine(engine) == []
     source = re.sub(r"\bg\d+\(t, ctx\)", "True", engine.source, count=1)
     assert source != engine.source
     findings = verify_engine(_tampered(engine, source))
-    assert "SV005" in rules_of(findings)
+    assert [f.rule for f in findings] == ["SV008"]
+    assert findings[0].location == "source:transition 'D_alu'"
+
+
+def test_sv005_stripped_action_call_detected():
+    import re
+
+    engine = _engine_calling_a_plain("action")
+    assert verify_engine(engine) == []
+    source, count = re.subn(r"\ba(\d+)\(t, ctx\)", "pass", engine.source, count=1)
+    assert count == 1
+    findings = verify_engine(_tampered(engine, source))
+    assert [f.rule for f in findings] == ["SV005"]
+
+
+def test_sv004_dropped_stall_site_detected():
+    engine = _engine()
+    source = engine.source.replace("stalls += 1", "pass", 1)
+    assert source != engine.source
+    findings = verify_engine(_tampered(engine, source))
+    assert [(f.rule, f.location) for f in findings] == [("SV004", "source:stalls")]
 
 
 def test_sv006_stripped_trace_sites_detected():

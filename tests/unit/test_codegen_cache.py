@@ -4,11 +4,13 @@ The contract (see ``repro/codegen/cache.py``):
 
 * a cold build emits and executes the module source; a rebuild of the
   same model in the same process is a memo hit that re-emits nothing;
-* the key folds in the spec fingerprint, the net's structure digest
-  (two-list places included) and the emit-relevant trace categories
-  (pinned in ``test_codegen_trace.py``), so a net of a different
-  structure never shares a module, while run-length knobs
-  (``max_cycles``, ``stall_limit``) share one entry;
+* the key is the net's structure digest (two-list places and hook
+  templates included) plus the emit-relevant trace categories (pinned in
+  ``test_codegen_trace.py``), so a net of a different structure never
+  shares a module, while nets of one structure share one whatever their
+  name or spec, and run-length knobs (``max_cycles``, ``stall_limit``)
+  share one entry;
+* every net is memoised, hand-built ones included;
 * nothing is written to disk, whatever the environment says.
 """
 
@@ -36,7 +38,7 @@ def test_cold_build_emits_the_module():
     engine = GeneratedEngine(net, cache=cache)
 
     assert engine.codegen_status == "emitted"
-    assert engine.module.CODEGEN_KEY == codegen_key(net, GENERATED)
+    assert engine.module.__name__ == "repro_codegen_" + codegen_key(net, GENERATED)
     assert engine.source == engine.module.__source__
     assert cache.stats() == {"entries": 1, "emits": 1, "memory_hits": 0}
 
@@ -79,10 +81,11 @@ def test_cleared_memo_re_emits_and_writes_nothing(tmp_path, monkeypatch):
 # -- the key ---------------------------------------------------------------
 
 
-def test_key_depends_on_the_spec_fingerprint():
+def test_key_ignores_the_model_name_and_spec_fingerprint():
     net_a, net_b = fresh_net(), fresh_net()
     net_a.spec_fingerprint, net_b.spec_fingerprint = "fp-a", "fp-b"
-    assert codegen_key(net_a, GENERATED) != codegen_key(net_b, GENERATED)
+    net_b.name = "another-model"
+    assert codegen_key(net_a, GENERATED) == codegen_key(net_b, GENERATED)
 
 
 def test_key_depends_on_the_structure():
@@ -120,36 +123,47 @@ def test_key_ignores_run_length_knobs():
     assert codegen_key(net, EngineOptions(backend="generated", stall_limit=7)) == base
 
 
-# -- borrowed fingerprints and the uncached path ---------------------------
+# -- sharing by structure ----------------------------------------------------
 
 
-def test_borrowed_fingerprint_with_another_structure_gets_its_own_module():
-    """A net claiming another spec's fingerprint cannot pick up its module."""
+def test_another_structure_gets_its_own_module():
     cache = ModuleCache()
-    donor = fresh_net("arm7-mini")
-    first = GeneratedEngine(donor, cache=cache)
-
-    impostor = fresh_net("strongarm")
-    impostor.spec_fingerprint = donor.spec_fingerprint
-    engine = GeneratedEngine(impostor, cache=cache)
+    first = GeneratedEngine(fresh_net("arm7-mini"), cache=cache)
+    engine = GeneratedEngine(fresh_net("strongarm"), cache=cache)
 
     assert engine.codegen_status == "emitted"
     assert engine.module is not first.module
-    assert engine.module.STRUCTURE_DIGEST != first.module.STRUCTURE_DIGEST
-    # The donor's entry is untouched.
+    # The first entry is untouched.
     rebuilt = GeneratedEngine(fresh_net("arm7-mini"), cache=cache)
     assert rebuilt.codegen_status == "memory"
     assert rebuilt.module is first.module
 
 
-def test_net_without_fingerprint_never_touches_the_memo():
+def test_models_of_one_structure_share_a_module():
+    """The 12 registered models fall into 7 structures: strongarm with its
+    -l2 and small-cache variants (they differ in the memory hierarchy
+    alone), xscale with xscale-l2, and each other model on its own."""
+    from repro.processors import processor_names
+
+    cache = ModuleCache()
+    engines = {name: GeneratedEngine(fresh_net(name), cache=cache) for name in processor_names()}
+
+    assert len(engines) == 12
+    assert cache.stats() == {"entries": 7, "emits": 7, "memory_hits": 5}
+    for variant in ("strongarm-l2", "strongarm-c512", "strongarm-c2k", "strongarm-c8k"):
+        assert engines[variant].module is engines["strongarm"].module
+    assert engines["xscale-l2"].module is engines["xscale"].module
+    assert not any(name in engine.source for name, engine in engines.items())
+
+
+def test_net_without_fingerprint_is_memoised():
     cache = ModuleCache()
     net = fresh_net()
     net.spec_fingerprint = None
 
     engine = GeneratedEngine(net, cache=cache)
+    rebuilt = GeneratedEngine(fresh_net(), cache=cache)
 
-    assert engine.codegen_status == "uncached"
-    assert engine.source  # still carries the emitted module text
-    assert engine.module.CODEGEN_KEY is None
-    assert cache.stats() == {"entries": 0, "emits": 0, "memory_hits": 0}
+    assert engine.codegen_status == "emitted"
+    assert rebuilt.codegen_status == "memory"
+    assert rebuilt.module is engine.module

@@ -70,7 +70,6 @@ def test_tracing_off_source_is_byte_identical():
     assert sources[0] == sources[1] == sources[2]
     assert "TRF(" not in sources[0]
     assert "TRS(" not in sources[0]
-    assert "TRACE_CATEGORIES" not in sources[0]
 
 
 def test_traced_source_contains_trace_call_sites():
@@ -78,7 +77,6 @@ def test_traced_source_contains_trace_call_sites():
     untraced = emit_module_source(net, schedule, OFF_OPTIONS[0])
     traced = emit_module_source(net, schedule, TRACED)
     assert traced != untraced
-    assert "TRACE_CATEGORIES = ('firing', 'stall')" in traced
     assert "TRF = rt['trace_firing']" in traced
     assert "TRS = rt['trace_stall']" in traced
     assert "TRF(cycle, " in traced

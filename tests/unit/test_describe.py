@@ -140,13 +140,14 @@ def test_branch_resolve_hook_requires_btb_predictor():
 
 
 def test_mutated_net_does_not_reuse_a_stale_cached_schedule():
-    # The fingerprint describes the spec; mutating the elaborated net must
-    # fall back to fresh derivation instead of rehydrating a stale blueprint.
+    # The caches key on the net's structure; mutating the elaborated net
+    # must fall back to fresh derivation instead of rehydrating the clean
+    # build's blueprint.
     from repro.core import EngineOptions, generate_simulator
     from repro.describe import elaborate_net
 
     spec = tiny_spec()
-    elaborate(spec)  # populate the caches for this fingerprint
+    elaborate(spec)  # populate the caches for this structure
 
     net, _, _, _, semantics = elaborate_net(spec)
     subnet = net.subnets["alu"]
@@ -305,11 +306,24 @@ def test_cached_rebuild_is_bit_identical():
     assert runs[0] == runs[1]
 
 
-def test_hand_built_nets_are_not_cached():
+def test_hand_built_nets_carry_no_fingerprint():
     from repro.core import RCPN
 
     net = RCPN("handmade")
     assert getattr(net, "spec_fingerprint", None) is None
+
+
+def test_custom_semantics_keep_the_spec_fingerprint():
+    """The fingerprint is a report of the spec; the caches never read it."""
+    from repro.describe import elaborate_net
+    from repro.describe.semantics import ArmSemantics
+
+    class Custom(ArmSemantics):
+        pass
+
+    spec = tiny_spec()
+    net = elaborate_net(spec, semantics_class=Custom)[0]
+    assert net.spec_fingerprint == spec.fingerprint()
 
 
 # -- elaborated structure ------------------------------------------------------

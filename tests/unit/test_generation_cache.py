@@ -3,7 +3,7 @@
 These pin the contract the campaign subsystem and the benchmark harness
 lean on: rebuilding a spec-defined model is cheap because the static
 schedule and the emitted module are served from in-process caches keyed on
-the spec fingerprint and the net's structure — and those caches must evict
+the net's structure alone — and those caches must evict
 least-recently-used, must never replay analysis of another structure
 against a mutated net, and must report hit/miss through
 :class:`~repro.core.generator.GenerationReport`.
@@ -104,9 +104,18 @@ class TestGenerationReportCounters:
         assert SCHEDULE_CACHE.stats()["hits"] >= 1
         assert second.spec_fingerprint == first.spec_fingerprint
 
-    def test_hand_built_nets_report_uncached(self):
-        from repro.core.generator import GenerationReport
+    def test_hand_built_nets_report_miss_then_hit(self):
+        from repro.core.engine import EngineOptions
+        from repro.core.generator import generate_simulator
+        from test_core_engine import make_linear_net
 
-        report = GenerationReport(model_name="hand-built")
-        assert report.schedule_cache == "uncached"
-        assert "schedule_cache" in report.summary()
+        SCHEDULE_CACHE.clear()
+        CODEGEN_CACHE.clear()
+        options = EngineOptions(backend="generated")
+
+        _, first = generate_simulator(make_linear_net()[0], options)
+        _, second = generate_simulator(make_linear_net()[0], options)
+
+        assert first.spec_fingerprint is None
+        assert (first.schedule_cache, first.codegen_cache) == ("miss", "emitted")
+        assert (second.schedule_cache, second.codegen_cache) == ("hit", "memory")
