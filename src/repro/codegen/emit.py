@@ -41,7 +41,7 @@ in which every static decision is already text —
   (:func:`repro.codegen.runtime.implicit_dispatch`);
 * tokens emitted by called actions are delivered by the engine's own
   :meth:`~repro.core.engine.SimulationEngine.deliver_emissions`, the
-  method ``SimulationEngine.fire`` calls;
+  method the interpreted engine's firings call;
 * a decoded token retiring into an end place goes back onto its decode
   template's free list (:class:`repro.core.decoder.DecodedTemplate`), and
   the fetch's ``@decode`` renews it for a later fetch of the same word, so
@@ -204,7 +204,7 @@ def emit_module_source(net, schedule, options):
     def enable_conjuncts(transition, token_expr):
         """The enable rule as an ordered list of conjunct expressions.
 
-        Order matters and mirrors ``SimulationEngine.is_enabled``:
+        Order matters and mirrors ``SimulationEngine.blocked_by``:
         reservation inputs, then one comparison per capacity plan pair,
         then the guard.
         """
@@ -330,7 +330,8 @@ def emit_module_source(net, schedule, options):
     def fire_lines(transition, token_mode, opclass=None):
         """The fire rule, flattened to field operations.
 
-        Mirrors ``SimulationEngine.fire`` step for step: firing counter,
+        Mirrors the interpreted firing (inline in ``SimulationEngine.step``,
+        ``_fire_generator`` in generator mode) step for step: firing counter,
         source removal, reservation-input consumption, action, token
         deposit (or retire), reservation-output deposits, emission drain.
         ``opclass`` is the firing token's operation class where the

@@ -4,6 +4,10 @@ This is the paper's Section 4 engine: per-(place, type) transition lists are
 precomputed, places are evaluated in reverse topological order of the
 instruction flow, and only feedback places pay for two-list (master/slave)
 storage.  Every engine runs these optimisations; none has an off switch.
+
+The interpreted engine runs a cycle in one frame: :meth:`SimulationEngine.step`
+tests each candidate's enable rule and moves the token inline, reading the
+static schedule (dispatch tables, capacity plans), and visits no end place.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.core.exceptions import SimulationError
+from repro.core.exceptions import CapacityError, SimulationError
 from repro.core.scheduler import StaticSchedule
 from repro.core.statistics import SimulationStatistics
 from repro.core.token import ReservationToken
@@ -183,7 +187,13 @@ class SimulationEngine:
     """Cycle-accurate simulator executing one RCPN model (interpreted backend).
 
     This engine evaluates the generic enable/fire rules against the static
-    schedule every cycle.  The generated backend
+    schedule every cycle, in one frame per cycle (:meth:`step`), and is the
+    oracle the generated backend is checked against: it allocates every
+    token fresh and keeps every check (a full stage raises
+    :class:`~repro.core.exceptions.CapacityError`, a stage's occupancy may
+    not go negative, a token must be in the place it leaves).  A deadlock
+    report names, for each resident token, the enable conjunct that blocks
+    it (:meth:`blocked_by`).  The generated backend
     (:class:`repro.codegen.GeneratedEngine`) subclasses it, overriding only
     the per-cycle hot path (``_advance``/``step`` and the idle
     fast-forward); the run loop, halt/drain logic and the
@@ -202,6 +212,8 @@ class SimulationEngine:
         self.net = net
         self.options = options or EngineOptions()
         self.schedule = StaticSchedule(net)
+        # Tokens never reside in an end place (_deposit retires them).
+        self._visit_order = tuple(place for place in self.schedule.order if not place.is_end)
         self.stats = SimulationStatistics()
         self.ctx = EngineContext(self)
         self.cycle = 0
@@ -276,14 +288,14 @@ class SimulationEngine:
         wrong-path taken branch must not leave its fetch-stall reservation
         behind, or fetch would stay disabled forever.  Redirects are rare,
         so the full place walk stays off the per-cycle hot path of both
-        backends.
+        backends, and it passes over the empty places.
         """
         squashed = 0
         trace_squash = self._trace_squash
         for place in self.net.places.values():
-            if place.is_end:
+            if place.is_end or not (place.tokens or place.pending):
                 continue
-            for token in place.all_tokens():
+            for token in place.tokens + place.pending:
                 if token.is_instruction:
                     if token.seq > seq:
                         place.remove(token)
@@ -304,45 +316,46 @@ class SimulationEngine:
         self.halt_reason = reason
 
     # -- enable / fire rules ---------------------------------------------------
-    def is_enabled(self, transition, token):
-        """The paper's enable rule: tokens present, output capacity, guard true.
+    def blocked_by(self, transition, token):
+        """The first conjunct of the paper's enable rule that fails, or ``None``.
 
-        The output-capacity part reads the transition's static
-        :func:`~repro.core.scheduler.capacity_plan`.
+        The conjuncts, in the order :meth:`step` tests them inline and the
+        emitter writes them: every reservation input holds a reservation
+        token, every ``(stage, max_occupancy)`` pair of the transition's
+        static :func:`~repro.core.scheduler.capacity_plan` holds, and the
+        guard is true.  A failure is ``("reservation", place)``,
+        ``("capacity", stage, max_occupancy)`` or ``("guard", transition)``.
+        The generator transitions are tested here, and the deadlock report
+        names what blocks each resident token with it.
         """
         for arc in transition.reservation_inputs:
             if not arc.place.has_reservation():
-                return False
+                return ("reservation", arc.place)
         for stage, max_occupancy in transition.capacity_plan:
             if stage._occupancy > max_occupancy:
-                return False
+                return ("capacity", stage, max_occupancy)
         guard = transition.guard
-        return guard is None or bool(guard(token, self.ctx))
+        if guard is not None and not guard(token, self.ctx):
+            return ("guard", transition)
+        return None
 
-    def fire(self, transition, token=None):
-        """Fire an enabled transition, moving/creating tokens."""
+    def _fire_generator(self, transition):
+        """Fire an enabled generator transition.
+
+        No instruction token moves: the action creates tokens with
+        ``ctx.emit``, delivered with the transition's delay.  :meth:`step`
+        fires the transitions that move a token inline.
+        """
         self.stats.transition_firings[transition.name] += 1
         self._fired_this_cycle += 1
         if self._trace_firing is not None:
-            self._trace_firing(self.cycle, transition.name, token)
-
-        source = transition.source
-        if token is not None and source is not None:
-            source.remove(token)
+            self._trace_firing(self.cycle, transition.name, None)
         for arc in transition.reservation_inputs:
             arc.place.take_reservation()
-
-        action = transition.action
-        if action is not None:
-            action(token, self.ctx)
-
-        target = transition.target
-        if token is not None and not transition.consumes_token and target is not None:
-            self._deposit(token, target, transition.delay)
+        if transition.action is not None:
+            transition.action(None, self.ctx)
         for arc in transition.reservation_outputs:
-            reservation = ReservationToken(producer_seq=token.seq if token is not None else None)
-            self._deposit(reservation, arc.place, transition.delay)
-
+            self._deposit(ReservationToken(), arc.place, transition.delay)
         if self._emission_queue:
             self.deliver_emissions(transition.delay)
 
@@ -375,50 +388,117 @@ class SimulationEngine:
             token.place = None
 
     # -- main loop ----------------------------------------------------------------
-    def _process_place(self, place):
-        """Try to move every ready instruction token of ``place`` (which
-        :meth:`step` calls only while the place holds tokens)."""
-        cycle = self.cycle
-        tokens = [t for t in place.tokens if t.is_instruction and t.ready_cycle <= cycle]
-        if not tokens:
-            return
-        dispatch = place.dispatch
-        is_enabled = self.is_enabled
-        for token in tokens:
-            if token.place is not place:
-                continue  # moved by an earlier firing in this cycle
-            moved = False
-            for transition in dispatch.get(token.opclass, ()):
-                if is_enabled(transition, token):
-                    self.fire(transition, token)
-                    moved = True
-                    break
-            if not moved:
-                self.stats.stalls += 1
-                if self._trace_stall is not None:
-                    self._trace_stall(cycle, place.name, token)
-
-    def _run_generators(self):
-        for transition in self.schedule.generator_transitions:
-            firings = 0
-            while firings < transition.max_firings_per_cycle and self.is_enabled(transition, None):
-                self.fire(transition, None)
-                firings += 1
-
     def step(self):
-        """Simulate one clock cycle (the body of the paper's Figure 8 loop)."""
+        """Simulate one clock cycle (the body of the paper's Figure 8 loop).
+
+        One frame runs the cycle.  It commits the two-list places, then
+        visits the places of ``schedule.order`` that are not end places (a
+        token entering an end place retires, so none resides there) and
+        skips the empty ones.  A visit takes a snapshot of the place's
+        tokens: a token deposited there during the visit waits for the next
+        cycle, and one that an earlier firing moved away is passed over.
+        For each ready instruction token it tests the enable rule of each
+        candidate transition inline, in :meth:`blocked_by`'s order, and
+        fires the first enabled one; a token with none stalls.  The
+        generator transitions come last.
+        """
         self._fired_this_cycle = 0
         for place in self.schedule.two_list_places:
             if place.pending:
                 place.commit_pending()
-        process_place = self._process_place
-        for place in self.schedule.order:
-            # Most places are empty in most cycles: test before the call.
-            if place.tokens:
-                process_place(place)
-        self._run_generators()
-        self.cycle += 1
-        self.stats.cycles = self.cycle
+        cycle = self.cycle
+        ctx = self.ctx
+        stats = self.stats
+        firings = stats.transition_firings
+        trace_firing = self._trace_firing
+        trace_stall = self._trace_stall
+        fired = 0
+        for place in self._visit_order:
+            tokens = place.tokens
+            if not tokens:
+                continue
+            dispatch = place.dispatch
+            for token in tokens[:]:
+                if token.place is not place or not token.is_instruction or token.ready_cycle > cycle:
+                    continue
+                # The first candidate whose enable rule holds: a ``break``
+                # out of a conjunct's loop is a failed conjunct, the one
+                # after the guard ends the search.
+                for transition in dispatch.get(token.opclass, ()):
+                    for arc in transition.reservation_inputs:
+                        if not arc.place.has_reservation():
+                            break
+                    else:
+                        for stage, max_occupancy in transition.capacity_plan:
+                            if stage._occupancy > max_occupancy:
+                                break
+                        else:
+                            guard = transition.guard
+                            if guard is None or guard(token, ctx):
+                                break
+                else:
+                    stats.stalls += 1
+                    if trace_stall is not None:
+                        trace_stall(cycle, place.name, token)
+                    continue
+
+                # Fire it: the token leaves with one scan of the list that
+                # holds it, and enters a target that is not an end place
+                # inline, with Place.remove's and Place.deposit's checks.
+                firings[transition.name] += 1
+                fired += 1
+                if trace_firing is not None:
+                    trace_firing(cycle, transition.name, token)
+                try:
+                    tokens.remove(token)
+                except ValueError:
+                    place.remove(token)  # a pending token, else ValueError
+                else:
+                    token.place = None
+                    stage = place.stage
+                    stage._occupancy -= 1
+                    if stage._occupancy < 0:
+                        raise RuntimeError("stage %r occupancy went negative" % stage.name)
+                for arc in transition.reservation_inputs:
+                    arc.place.take_reservation()
+                action = transition.action
+                if action is not None:
+                    action(token, ctx)
+                target = transition.target
+                if target is not None and not transition.consumes_token:
+                    if target.is_end:
+                        self._retire(token)
+                    else:
+                        residence = token.delay_override
+                        if residence is None:
+                            residence = target.delay
+                        else:
+                            token.delay_override = None
+                        stage = target.stage
+                        capacity = stage.capacity
+                        if capacity is not None and stage._occupancy >= capacity:
+                            raise CapacityError(
+                                "stage %r has no room for a token entering place %r"
+                                % (stage.name, target.name)
+                            )
+                        token.ready_cycle = cycle + transition.delay + residence
+                        token.place = target
+                        stage._occupancy += 1
+                        if target.two_list:
+                            target.pending.append(token)
+                        else:
+                            target.tokens.append(token)
+                for arc in transition.reservation_outputs:
+                    self._deposit(ReservationToken(producer_seq=token.seq), arc.place, transition.delay)
+                if self._emission_queue:
+                    self.deliver_emissions(transition.delay)
+        self._fired_this_cycle += fired
+        for transition in self.schedule.generator_transitions:
+            count = 0
+            while count < transition.max_firings_per_cycle and self.blocked_by(transition, None) is None:
+                self._fire_generator(transition)
+                count += 1
+        self.cycle = stats.cycles = cycle + 1
 
         if self._fired_this_cycle == 0:
             self._idle_cycles += 1
@@ -493,10 +573,15 @@ class SimulationEngine:
         """
 
     def _resident_tokens_report(self, limit=8):
-        """Name the instruction tokens still in the pipeline (deadlock message)."""
+        """Name the instruction tokens still in the pipeline (deadlock message).
+
+        Each is named with the first conjunct of the enable rule (see
+        :meth:`blocked_by`) that its first candidate transition fails.
+        """
         resident = [
-            "%s pc=%#x opclass=%s seq=%d ready_cycle=%d"
-            % (place.name, token.pc, token.opclass, token.seq, token.ready_cycle)
+            "%s pc=%#x opclass=%s seq=%d ready_cycle=%d%s"
+            % (place.name, token.pc, token.opclass, token.seq, token.ready_cycle,
+               self._blocking_note(place, token))
             for place in self.net.places.values()
             for token in place.tokens + place.pending
             if token.is_instruction
@@ -508,6 +593,19 @@ class SimulationEngine:
             ", ".join(resident[:limit]),
             " (+%d more)" % more if more > 0 else "",
         )
+
+    def _blocking_note(self, place, token):
+        """`` blocked by <conjunct>`` for ``token``'s first candidate transition."""
+        candidates = place.dispatch.get(token.opclass, ())
+        if not candidates:
+            return " (no candidate transition)"
+        blocked = self.blocked_by(candidates[0], token)
+        if blocked is None:
+            return ""
+        what = blocked[1].name
+        if blocked[0] == "capacity":
+            what += " (occupancy %d > max %d)" % (blocked[1]._occupancy, blocked[2])
+        return " blocked by %s %s" % (blocked[0], what)
 
     def reset(self):
         """Reset dynamic simulation state, keeping the static schedule."""

@@ -73,13 +73,20 @@ class Place:
             self.tokens.append(token)
 
     def remove(self, token):
-        """Take ``token`` out of this place (it is moving to another state)."""
-        if token in self.tokens:
+        """Take ``token`` out of this place (it is moving to another state).
+
+        One scan of the list that holds it: ``tokens`` first, then
+        ``pending``.  Raises :class:`ValueError` if neither holds it.
+        """
+        try:
             self.tokens.remove(token)
-        elif token in self.pending:
-            self.pending.remove(token)
-        else:
-            raise ValueError("token %r is not stored in place %r" % (token, self.name))
+        except ValueError:
+            try:
+                self.pending.remove(token)
+            except ValueError:
+                raise ValueError(
+                    "token %r is not stored in place %r" % (token, self.name)
+                ) from None
         token.place = None
         self.stage.release()
 
@@ -123,9 +130,6 @@ class Place:
         if count:
             self.stage.release(count)
         return removed
-
-    def all_tokens(self):
-        return list(self.tokens) + list(self.pending)
 
     def __repr__(self):
         return "<Place %s stage=%s tokens=%d pending=%d>" % (

@@ -176,7 +176,14 @@ class IssueControl:
         (places are evaluated in a fixed structural order), a younger
         co-resident evaluated later in the same cycle sees the stage clear
         and follows immediately.
+
+        ``token`` resides in ``source_stage`` when its guard runs, so a
+        stage holding one token (reservation tokens count) holds no elder
+        and the answer is ``True`` with no scan; otherwise every place of
+        the stage is scanned for an older instruction.
         """
+        if source_stage._occupancy <= 1:
+            return True
         seq = token.seq
         for place in source_stage.places:
             for resident in place.tokens:

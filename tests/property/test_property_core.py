@@ -1,14 +1,17 @@
 """Property-based tests for core invariants: multisets, the register protocol,
-the cache model and the static capacity plans."""
+the cache model, the static capacity plans and the multi-issue advance gate."""
 
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core import RegRef, RegisterFile
+from repro.core import InstructionToken, RegRef, RegisterFile, ReservationToken
+from repro.core.place import Place
+from repro.core.stage import PipelineStage
 from repro.cpn import Multiset
+from repro.describe.substrate import IssueControl
 from repro.memory import Cache, CacheConfig
 from repro.processors.registry import build_processor, processor_names
 
@@ -147,3 +150,56 @@ def test_the_static_capacity_plan_answers_as_the_per_call_rule(model, data):
     finally:
         for stage in stages:
             stage._occupancy = 0
+
+
+def full_scan_may_advance(token, source_stage):
+    """The advance gate before its one-resident short-cut: scan every
+    place of the stage for an older instruction."""
+    for place in source_stage.places:
+        for resident in place.tokens + place.pending:
+            if resident.is_instruction and resident.seq < token.seq:
+                return False
+    return True
+
+
+@given(
+    residents=st.lists(st.tuples(st.booleans(), st.integers(0, 2)), min_size=1, max_size=2),
+    seqs=st.permutations(range(4)),
+    gated=st.integers(0, 1),
+    commit=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_the_advance_gate_answers_as_the_full_scan(residents, seqs, gated, commit):
+    """Any reachable contents of a 2-wide stage: up to two residents,
+    instructions or reservation tokens, in the visible or the pending list
+    of a two-list place, elder or younger than the gated resident."""
+    stage = PipelineStage("D", capacity=2)
+    places = [Place("d%d" % index, stage, two_list=index == 1) for index in range(3)]
+    instructions = []
+    for (is_instruction, index), seq in zip(residents, seqs):
+        if is_instruction:
+            token = InstructionToken(instr=0, opclass="op")
+            token.seq = seq
+            instructions.append(token)
+        else:
+            token = ReservationToken(producer_seq=seq)
+        places[index].deposit(token, ready_cycle=0)
+    assume(instructions)
+    if commit:
+        places[1].commit_pending()
+    token = instructions[gated % len(instructions)]
+    assert IssueControl(width=2).may_advance(token, stage) == full_scan_may_advance(token, stage)
+
+
+def test_place_remove_takes_a_pending_token_and_refuses_an_absent_one():
+    stage = PipelineStage("D", capacity=2)
+    place = Place("d", stage, two_list=True)
+    visible, pending = InstructionToken(instr=0, opclass="op"), InstructionToken(instr=1, opclass="op")
+    place.deposit(visible, ready_cycle=0)
+    place.commit_pending()
+    place.deposit(pending, ready_cycle=0)
+    place.remove(pending)
+    assert (place.tokens, place.pending, pending.place, stage._occupancy) == ([visible], [], None, 1)
+    with pytest.raises(ValueError, match="not stored in place 'd'"):
+        place.remove(pending)
+    assert (place.tokens, stage._occupancy) == ([visible], 1)

@@ -368,6 +368,98 @@ def test_deadlocked_model_raises_simulation_error(backend):
     assert message == deadlock_message("interpreted")
 
 
+def test_a_place_visit_works_on_a_snapshot_of_its_tokens():
+    """Both ready tokens of a place move in one cycle, and a token
+    deposited into the place during its visit waits for the next cycle."""
+    from repro.core import OperationClass
+
+    net = RCPN("snapshot")
+    net.add_stage("A", capacity=3, delay=0)
+    net.add_stage("B", capacity=3, delay=0)
+    net.add_operation_class(OperationClass("op", symbols={}))
+    net.add_subnet("gen")
+    sub = net.add_subnet("op", opclasses=("op",))
+    place_a = net.add_place("A", sub, entry=True)
+    place_b = net.add_place("B", sub)
+    place_end = net.add_place("end", sub)
+
+    def echo(t, ctx):
+        if t.pc == 0:  # the first token sends a fresh one back into A
+            ctx.emit(InstructionToken(instr=2, opclass="op", pc=8), place=place_a)
+
+    net.add_transition("ab", sub, source=place_a, target=place_b, action=echo)
+    net.add_transition("bend", sub, source=place_b, target=place_end, guard=lambda _t, _ctx: False)
+    engine = SimulationEngine(net)
+    first, second = (InstructionToken(instr=i, opclass="op", pc=4 * i) for i in range(2))
+    place_a.deposit(first, ready_cycle=0)
+    place_a.deposit(second, ready_cycle=0)
+    engine.step()
+    assert place_b.tokens == [first, second]
+    assert [t.pc for t in place_a.tokens] == [8] and place_a.tokens[0].ready_cycle == 0
+
+
+def blocked_net(ab=None, bend=None):
+    """fetch -> A -> B -> end for one token, pc 0x100 and seq 1.
+
+    ``ab`` and ``bend`` are extra keyword arguments of the A -> B and
+    B -> end transitions; place ``x`` (stage X) is there for them to name.
+    """
+    from repro.core import OperationClass
+
+    net = RCPN("blocked")
+    for name in ("A", "B", "X"):
+        net.add_stage(name, capacity=1)
+    net.add_operation_class(OperationClass("op", symbols={}))
+    gen = net.add_subnet("gen")
+    sub = net.add_subnet("op", opclasses=("op",))
+    place_a = net.add_place("A", sub, entry=True)
+    place_b = net.add_place("B", sub)
+    place_end = net.add_place("end", sub)
+    net.add_place("X", sub, name="x")
+    state = {"fetched": 0}
+
+    def fetch_action(_t, ctx):
+        token = InstructionToken(instr=0, opclass="op", pc=0x100)
+        token.seq = 1  # not the process-wide counter: the text is compared
+        ctx.emit(token)
+        state["fetched"] += 1
+        ctx.stop("done")
+
+    net.add_transition("fetch", gen, guard=lambda _t, _ctx: not state["fetched"],
+                       action=fetch_action, capacity_stages=["A"])
+    net.add_transition("ab", sub, source=place_a, target=place_b, **(ab or {}))
+    net.add_transition("bend", sub, source=place_b, target=place_end, **(bend or {}))
+    return net
+
+
+#: cause -> (net builder, how the report explains the token stuck in B).
+BLOCKED = {
+    "reservation": (lambda: blocked_net(bend={"consumes": ["x"]}), "blocked by reservation x"),
+    "capacity": (
+        # A -> B parks a reservation in stage X, which B -> end needs free.
+        lambda: blocked_net(ab={"produces": ["x"]}, bend={"capacity_stages": ["X"]}),
+        "blocked by capacity X (occupancy 1 > max 0)",
+    ),
+    "guard": (lambda: blocked_net(bend={"guard": lambda _t, _ctx: False}), "blocked by guard bend"),
+}
+
+
+@pytest.mark.parametrize("cause", sorted(BLOCKED))
+def test_deadlock_report_names_the_first_failing_conjunct(cause):
+    build, explanation = BLOCKED[cause]
+    messages = {}
+    for backend in ("interpreted", "generated"):
+        engine, _report = generate_simulator(build(), EngineOptions(stall_limit=20, backend=backend))
+        with pytest.raises(SimulationError) as excinfo:
+            engine.run(max_cycles=1_000)
+        messages[backend] = str(excinfo.value)
+    message = messages["interpreted"]
+    assert message.startswith("no transition fired for 20 consecutive cycles at cycle ")
+    assert "resident instruction tokens: op.B pc=0x100 opclass=op seq=1 ready_cycle=" in message
+    assert message.endswith(explanation)
+    assert messages["generated"] == message
+
+
 def test_deadlock_report_caps_the_resident_token_list():
     net, _ = make_linear_net(num_tokens=1)
     engine = SimulationEngine(net)

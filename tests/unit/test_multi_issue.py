@@ -88,16 +88,20 @@ def test_issue_gate_tracks_fetch_order_and_squashes():
 
 
 def test_may_advance_blocks_overtaking_within_a_stage():
+    # The gate runs on a token resident in the stage, and the stage counts
+    # its residents in ``_occupancy``.
     net_stage = type("Stage", (), {})()
     place = type("Place", (), {})()
     old, young = FakeToken(), FakeToken()
-    place.tokens = [old]
+    place.tokens = [old, young]
     place.pending = []
     net_stage.places = [place]
+    net_stage._occupancy = 2
     control = IssueControl(width=2)
     assert control.may_advance(old, net_stage)
     assert not control.may_advance(young, net_stage)
-    place.tokens = []
+    place.tokens = [young]
+    net_stage._occupancy = 1
     assert control.may_advance(young, net_stage)
 
 
