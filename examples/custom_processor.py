@@ -9,13 +9,21 @@ hazard configuration — with all transition behaviour coming from the shared
 hook catalogue in ``repro.describe.semantics``.  No guards, no actions, no
 net wiring.
 
+Changing one behaviour is as short: an ``ArmSemantics`` subclass registers
+its own source template under a built-in hook's name and is passed to
+``elaborate`` as ``semantics_class``.  Here address generation takes three
+cycles; the variant is built after the stock EDU4 in the same process and
+runs its own text, not the stock one.
+
 Run with:  PYTHONPATH=src python examples/custom_processor.py
 """
 
 from repro.describe import (
-    FetchSpec, HazardSpec, PipelineSpec, PredictorSpec, StageSpec,
+    ArmSemantics, FetchSpec, HazardSpec, PipelineSpec, PredictorSpec, StageSpec,
     elaborate, linear_path,
 )
+from repro.describe.semantics import HOOK_TEMPLATES
+from repro.describe.templates import HookTemplate, bind
 from repro.workloads import get_workload
 
 STAGES = ("IF", "ID", "EX", "WB")
@@ -49,18 +57,38 @@ def edu4_spec():
     )
 
 
+class SlowAgen(ArmSemantics):
+    """The shared hooks, with address generation holding a load or store
+    in its stage for three cycles."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        stock = HOOK_TEMPLATES["mem.agen"]
+        slow = HookTemplate(stock.key, action=stock.action + "\nt.delay_override = 3")
+        self.register("mem.agen", *bind(slow, self.env))
+
+
+def run_crc(processor):
+    processor.load_program(get_workload("crc", scale=1).program)
+    stats = processor.run()
+    assert stats.finish_reason == "halt"
+    return stats
+
+
 def main():
     processor = elaborate(edu4_spec(), backend="generated")
     print("model:", processor.net)
     print("generated:", processor.generation_report.summary())
 
-    workload = get_workload("crc", scale=1)
-    processor.load_program(workload.program)
-    stats = processor.run()
+    stats = run_crc(processor)
     print("cycles:", stats.cycles, " instructions:", stats.instructions,
           " CPI: %.3f" % stats.cpi)
     print("r0 checksum:", processor.register(0))
-    assert stats.finish_reason == "halt"
+
+    slow = run_crc(elaborate(edu4_spec(), backend="generated", semantics_class=SlowAgen))
+    print("three-cycle agen: cycles:", slow.cycles, " CPI: %.3f" % slow.cpi)
+    assert slow.instructions == stats.instructions
+    assert slow.cycles != stats.cycles, "the mem.agen override did not take effect"
 
 
 if __name__ == "__main__":

@@ -62,7 +62,7 @@ Sub-packages
     tables, and driven from the ``python -m repro.campaign`` CLI.
 """
 
-__version__ = "1.31.0"
+__version__ = "1.32.0"
 
 __all__ = [
     "core",

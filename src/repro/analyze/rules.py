@@ -367,21 +367,13 @@ def lint_model(name, elaborated=True):
     from repro.processors.registry import get_spec
 
     spec = get_spec(name)
-    findings = []
-    if spec is not None:
-        findings.extend(lint_spec(spec, model=name))
-        if any(entry.severity == "error" for entry in findings):
-            return findings
-    if not elaborated:
+    findings = lint_spec(spec, model=name)
+    if not elaborated or any(entry.severity == "error" for entry in findings):
         return findings
     try:
         from repro.describe.elaborate import elaborate_net
-        from repro.processors.registry import build_processor
 
-        if spec is not None:
-            net, _decoder, _core, _memory, _semantics = elaborate_net(spec)
-        else:
-            net = build_processor(name).net
+        net, _decoder, _core, _memory, _semantics = elaborate_net(spec)
     except Exception as error:  # noqa: BLE001 - any elaboration failure is a finding
         findings.append(finding(
             "AN101", name, "net:elaborate",

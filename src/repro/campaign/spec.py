@@ -139,12 +139,7 @@ def _processor_fingerprint(name, inline_spec):
         return inline_spec.fingerprint()
     from repro.processors.registry import get_spec
 
-    spec = get_spec(name)
-    if spec is not None:
-        return spec.fingerprint()
-    # Legacy builder with no declarative spec: the name (plus the repro
-    # version already mixed into the fingerprint) is all the identity there is.
-    return "builder:" + name
+    return get_spec(name).fingerprint()
 
 
 @dataclass(frozen=True)

@@ -175,22 +175,23 @@ def structure_digest(net):
 
     Beside the net's structure (:func:`~repro.core.scheduler.
     structure_signature`), each transition's guard and action enter as
-    their template's content — key, guard text, action text and
-    ``inline`` — as ``"opaque"`` (a hook the module calls, assuming it may
-    do anything) or as ``None`` (absent, so no call); each place's
-    ``two_list`` flag as the schedule left it (the emitter binds a
-    two-list place's ``pending`` list and commits it each cycle), each
-    sub-net's entry place, and the names of the hook constants, with those
-    bound to ``None`` (the spliced fetch deposits into the entry place
-    directly and folds the absent constants' tests away).  The model's
-    name and spec do not enter: nets of one structure share one module.
+    their template (a value, whose repr is its whole content: key, guard
+    text, action text and ``inline``), as ``"opaque"`` (a hook the module
+    calls, assuming it may do anything) or as ``None`` (absent, so no
+    call); each place's ``two_list`` flag as the schedule left it (the
+    emitter binds a two-list place's ``pending`` list and commits it each
+    cycle), each sub-net's entry place, and the names of the hook
+    constants, with those bound to ``None`` (the spliced fetch deposits
+    into the entry place directly and folds the absent constants' tests
+    away).  The model's name and spec do not enter: nets of one structure
+    share one module.
     """
     rows, env = splice_plan(net)
     hooks = tuple(
         tuple(
             None if hook is None
             else "opaque" if template is None
-            else (template.key, template.guard, template.action, template.inline)
+            else template
             for hook, template in zip((transition.guard, transition.action), row)
         )
         for transition, row in zip(net.transitions, rows)

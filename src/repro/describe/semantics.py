@@ -14,11 +14,21 @@ guard expression and an action block over the token ``t``, ``ctx`` and
 the model's named constants, with the register-hazard protocol and the
 fetch path's services written as fragments
 (:mod:`repro.describe.templates`).  The interpreted engine runs each
-template as a closure (exec'd once per process, bound once per model);
-the generated engine splices the same text into its cycle loop, except
-for the templates marked ``inline=False``, whose closures it calls.  A
-plain callable passed to :meth:`ArmSemantics.register` — by a subclass,
-or a wrapper around a template's closure — is called, never spliced.
+template as a closure (exec'd once per distinct template content in a
+process, bound once per model); the generated engine splices the same
+text into its cycle loop, except for the templates marked
+``inline=False``, whose closures it calls.  A plain callable passed to
+:meth:`ArmSemantics.register` — by a subclass, or a wrapper around a
+template's closure — is called, never spliced.
+
+A template is known by its content, not its key: the templates a model
+derives (a composed action chain, the BTB recovery prefix, a multi-issue
+gate) are built anew on every build and share their compiled closures
+with every equal template built before.  So a subclass that registers
+its own template under a built-in hook's name — ``register("mem.agen",
+*bind(HookTemplate("mem.agen", action=...), self.env))`` — runs its text
+on both backends, in every chain and gate it enters, whatever model was
+built before it in the process.
 
 The substrate helpers the templates call (``compute_alu``,
 ``operands_ready`` ...) are looked up in this module when a model is
@@ -613,7 +623,7 @@ class ArmSemantics:
     def _install_hooks(self):
         for name, template in HOOK_TEMPLATES.items():
             if self.predict_recovery and name in RECOVERED_HOOKS:
-                template = _derived(template, "/recovery", RECOVERY)
+                template = template.prefixed(name + "/recovery", RECOVERY)
             self.register(name, *bind(template, self.env))
 
     # -- registry ------------------------------------------------------------
@@ -747,16 +757,4 @@ class ArmSemantics:
         template = BARE if hook is None else template_of(hook, self.env)
         if template is None:
             return None, None
-        return bind(_derived(template, suffix, prefix, guard), self.env)
-
-
-_DERIVED = {}
-
-
-def _derived(template, suffix, prefix=None, guard=None):
-    """``template.prefixed(...)`` keyed ``template.key + suffix`` (memoised)."""
-    key = template.key + suffix
-    derived = _DERIVED.get(key)
-    if derived is None:
-        derived = _DERIVED[key] = template.prefixed(key, prefix, guard)
-    return derived
+        return bind(template.prefixed(template.key + suffix, prefix, guard), self.env)

@@ -38,8 +38,9 @@ A template runs in one of two renderings:
 
 * ``"closure"`` — :func:`bind` turns it into a ``(guard, action)`` pair of
   closures over one model's constants.  The source is ``exec``'d once per
-  process (:data:`COMPILES` counts it) and the resulting factory is called
-  once per model; the interpreted engine calls the closures.
+  distinct template content in a process (:data:`COMPILES` counts it) and
+  the resulting factory is called once per model; the interpreted engine
+  calls the closures.
 * ``"splice"`` — :mod:`repro.codegen.emit` pastes the rendering into the
   transition sites of the emitted cycle loop.  The rendering is made per
   :data:`Site`, the facts the emitter knows at the site, and folds them
@@ -53,6 +54,13 @@ A template runs in one of two renderings:
   binds once or per stretch (:data:`FRONT_END_LOCALS`), and
   ``@fetch_delay`` takes a hit on the cache's ``last_line`` (its set's
   most recently used line) with no set lookup or LRU update.
+
+A template is known by its content alone (:class:`HookTemplate` is a
+value): its key, guard, action and ``inline`` flag.  Its renderings and
+its closure factory are memoised under that content, so a template built
+anew with the same text reuses them, and one of the same key with other
+text — a subclass's override of a built-in hook, say — gets its own,
+whatever was built before it in the process.
 
 The emitter splices only closures :func:`bind` made over the net's own
 constants, recognised by their code object (:func:`template_of`): a wrapper
@@ -468,35 +476,39 @@ _STATISTICS_NAMES = frozenset(
 )
 
 
-class HookTemplate:
+class HookTemplate(namedtuple("HookTemplate", ("key", "guard", "action", "inline"))):
     """One hook as source: a guard expression and/or an action block.
 
-    ``key`` names the template (a composed template's key joins its parts'
-    keys with ``+``); a structure digest records the template by its whole
-    content — key, guard, action and ``inline`` — so two templates of one
-    key never share an emitted module.  ``writes_delay`` and ``emits``
-    are what the emitter may assume about the action: it writes ``t.delay``
-    (the token's ``delay_override``) only if ``writes_delay``, and emits a
-    token (routed by operation class) only if ``emits``.  ``inline=False``
-    keeps the emitter calling the template's closure instead of splicing
-    it (see :mod:`repro.describe.semantics` for which hooks, and why).
+    A template is a value: two templates of equal ``key``, guard, action
+    and ``inline`` are equal and hash alike, and every memo keyed by a
+    template (its renderings, its closure factory) is keyed by that
+    content.  ``key`` names the template (a composed template's key joins
+    its parts' keys with ``+``); it names host-time counters and error
+    messages, but two templates of one key and other text are two
+    templates.  ``writes_delay`` and ``emits`` are what the emitter may
+    assume about the action: it writes ``t.delay`` (the token's
+    ``delay_override``) only if ``writes_delay``, and emits a token
+    (routed by operation class) only if ``emits``.  ``inline=False`` keeps
+    the emitter calling the template's closure instead of splicing it (see
+    :mod:`repro.describe.semantics` for which hooks, and why).
     """
 
-    __slots__ = ("key", "guard", "action", "inline", "factory", "renderings", "reads_stats")
+    __slots__ = ()
 
-    def __init__(self, key, guard=None, action=None, inline=True):
-        self.key = key
-        self.inline = inline
-        #: The closure factory and the renderings, made on first use.
-        self.factory = None
-        self.renderings = {}
-        self.guard = " ".join(line.strip() for line in guard.splitlines()).strip() if guard else None
-        self.action = action.strip("\n") if action and action.strip() else None
-        #: True when the source names ``stats`` (``ctx.stats``, say), a
-        #: counter the spliced front end keeps run-local, or a report of them.
-        self.reads_stats = not _STATISTICS_NAMES.isdisjoint(
-            _NAME.findall("%s\n%s" % (self.guard or "", self.action or ""))
+    def __new__(cls, key, guard=None, action=None, inline=True):
+        return super().__new__(
+            cls,
+            key,
+            " ".join(line.strip() for line in guard.splitlines()).strip() if guard else None,
+            action.strip("\n") if action and action.strip() else None,
+            inline,
         )
+
+    @property
+    def reads_stats(self):
+        """True when the source names ``stats`` (``ctx.stats``, say), a
+        counter the spliced front end keeps run-local, or a report of them."""
+        return not _STATISTICS_NAMES.isdisjoint(_NAME.findall("%s\n%s" % (self.guard or "", self.action or "")))
 
     @property
     def writes_delay(self):
@@ -525,23 +537,15 @@ class HookTemplate:
             action = prefix.strip("\n") + "\n" + (action or "")
         return HookTemplate(key, guard, action, self.inline)
 
-    def __repr__(self):
-        return "<HookTemplate %s>" % self.key
-
 
 def compose(templates):
     """One action-only template running ``templates``' actions in order."""
     templates = tuple(templates)
-    key = "+".join(template.key for template in templates)
-    cached = _COMPOSED.get(key)
-    if cached is None:
-        action = "\n".join(template.action for template in templates if template.action)
-        inline = all(template.inline for template in templates)
-        cached = _COMPOSED[key] = HookTemplate(key, action=action, inline=inline)
-    return cached
-
-
-_COMPOSED = {}
+    return HookTemplate(
+        "+".join(template.key for template in templates),
+        action="\n".join(template.action for template in templates if template.action),
+        inline=all(template.inline for template in templates),
+    )
 
 
 #: One rendering of a template: the guard expression and action lines
@@ -554,16 +558,17 @@ def render(template, mode, site=None):
 
     ``mode`` is ``"closure"`` or ``"splice"``; ``site`` is the splice
     site's :data:`Site` (the default knows nothing of the site), which
-    only the splice rendering reads.  Memoised on the template.  The
-    closure rendering, which is the template's own text, is checked for
-    temporaries that would clobber the loop's state; the splice forms of
-    the fragments are the loop's own code and update its counters.
+    only the splice rendering reads.  Memoised by content: template, mode
+    and site.  The closure rendering, which is the template's own text, is
+    checked for temporaries that would clobber the loop's state; the
+    splice forms of the fragments are the loop's own code and update its
+    counters.
     """
     if mode == "closure":
         site = None
     elif site is None:
         site = Site()
-    rendering = template.renderings.get((mode, site))
+    rendering = _RENDERINGS.get((template, mode, site))
     if rendering is None:
         if mode != "closure":
             render(template, "closure")
@@ -581,8 +586,11 @@ def render(template, mode, site=None):
             raise ValueError(
                 "template %s: temporaries %s clash with the emitted loop's state" % (template.key, clashes)
             )
-        rendering = template.renderings[mode, site] = Rendering(guard, action, guard_names, action_names)
+        rendering = _RENDERINGS[template, mode, site] = Rendering(guard, action, guard_names, action_names)
     return rendering
+
+
+_RENDERINGS = {}
 
 
 def names_used(names, env):
@@ -615,8 +623,12 @@ def front_end_needs(names):
 # Closure rendering
 # ---------------------------------------------------------------------------
 
-#: Templates ``exec``'d into closure factories so far in this process.
+#: Templates ``exec``'d into closure factories so far in this process:
+#: one per distinct template content.
 COMPILES = 0
+
+#: template -> its closure factory.
+_FACTORIES = {}
 
 #: code object -> template, for every closure body compiled so far.
 _TEMPLATE_CODES = {}
@@ -625,7 +637,7 @@ _MISSING = object()
 
 
 def _factory(template, env):
-    """``template``'s closure factory, compiled on first use.
+    """``template``'s closure factory, compiled on the first use of its content.
 
     The factory binds every constant the template reads as ``NAME =
     env[NAME]``, so the closures see the values ``env`` holds when the
@@ -633,8 +645,9 @@ def _factory(template, env):
     binds the same ones).
     """
     global COMPILES
-    if template.factory is not None:
-        return template.factory
+    factory = _FACTORIES.get(template)
+    if factory is not None:
+        return factory
     guard, action, guard_names, action_names = render(template, "closure")
     source = ["def bind(env):"]
     source.extend("    %s = env[%r]" % (name, name) for name in names_used(guard_names | action_names, env))
@@ -652,7 +665,7 @@ def _factory(template, env):
     namespace = {}
     exec(compile("\n".join(source) + "\n", "<hook %s>" % template.key, "exec"), namespace)
     COMPILES += 1
-    factory = template.factory = namespace["bind"]
+    factory = _FACTORIES[template] = namespace["bind"]
     for const in factory.__code__.co_consts:
         if isinstance(const, type(factory.__code__)):
             _TEMPLATE_CODES[const] = template

@@ -47,11 +47,7 @@ from repro.processors.variants import (
 )
 from repro.processors.xscale import build_xscale_processor, xscale_spec
 
-#: Model builders by name (legacy alias; prefer the registry functions).
-MODEL_BUILDERS = {name: get_entry(name).builder for name in processor_names()}
-
 __all__ = [
-    "MODEL_BUILDERS",
     "Processor",
     "ProcessorCore",
     "ProcessorEntry",

@@ -1,8 +1,11 @@
 """Processor registry: named pipeline models, mirroring the workload registry.
 
-Every entry couples a spec factory (the declarative
-:class:`~repro.describe.PipelineSpec` description) with the builder that
-elaborates it, so callers can either build a ready-to-run simulator
+A registered model is its spec: every entry holds a spec factory (a
+zero-argument callable returning the declarative
+:class:`~repro.describe.PipelineSpec`), and :func:`build_processor`
+elaborates that spec with the standard semantics, so the spec alone
+decides what a name builds — and a campaign keys a run on the spec's
+fingerprint.  Callers can build a ready-to-run simulator
 (:func:`build_processor`) or inspect/derive from the description itself
 (:func:`get_spec`).  Third-party code can :func:`register_processor` its own
 specs; the benchmark harness and the differential tests iterate
@@ -15,8 +18,8 @@ from dataclasses import dataclass
 
 from repro.core.exceptions import UnknownNameError
 from repro.describe import elaborate
-from repro.processors.example import build_example_processor, example_spec
-from repro.processors.strongarm import build_strongarm_processor, strongarm_spec
+from repro.processors.example import example_spec
+from repro.processors.strongarm import strongarm_spec
 from repro.processors.variants import (
     CACHE_SWEEP,
     arm7_mini_spec,
@@ -26,7 +29,7 @@ from repro.processors.variants import (
     xscale_ds_spec,
     xscale_l2_spec,
 )
-from repro.processors.xscale import build_xscale_processor, xscale_spec
+from repro.processors.xscale import xscale_spec
 
 #: Kernels every full-ISA model runs.  Models covering a subset of the ISA
 #: declare the subset explicitly in their registry entry.
@@ -35,10 +38,9 @@ FULL_ISA = None
 
 @dataclass(frozen=True)
 class ProcessorEntry:
-    """One registered model: its spec, builder and ISA coverage."""
+    """One registered model: its spec factory and ISA coverage."""
 
     name: str
-    builder: object
     spec_factory: object
     description: str = ""
     #: Workload names the model supports, or ``None`` for the full ISA.
@@ -53,29 +55,16 @@ class ProcessorEntry:
 _REGISTRY = {}
 
 
-def register_processor(
-    name, spec_factory=None, builder=None, description="", kernels=FULL_ISA,
-    lint=True,
-):
-    """Register a model under ``name``.
+def register_processor(name, spec_factory, description="", kernels=FULL_ISA, lint=True):
+    """Register the model ``spec_factory`` describes under ``name``.
 
-    Either a ``spec_factory`` (a zero-argument callable returning a
-    :class:`~repro.describe.PipelineSpec`) or an explicit ``builder`` must
-    be given; with only a spec factory, the builder elaborates the spec
-    with the standard semantics.
+    ``spec_factory`` is a zero-argument callable returning a
+    :class:`~repro.describe.PipelineSpec`.
     """
-    if spec_factory is None and builder is None:
-        raise ValueError("register_processor needs a spec_factory or a builder")
-    if builder is None:
-
-        def builder(**kwargs):
-            return elaborate(spec_factory(), **kwargs)
-
     entry = ProcessorEntry(
         name=name,
-        builder=builder,
         spec_factory=spec_factory,
-        description=description or (spec_factory().description if spec_factory else ""),
+        description=description or spec_factory().description,
         kernels=tuple(kernels) if kernels is not FULL_ISA else FULL_ISA,
         lint=bool(lint),
     )
@@ -97,14 +86,14 @@ def get_entry(name):
 
 
 def get_spec(name):
-    """The declarative spec of a registered model (None for legacy builders)."""
-    entry = get_entry(name)
-    return entry.spec_factory() if entry.spec_factory is not None else None
+    """The declarative spec of a registered model."""
+    return get_entry(name).spec_factory()
 
 
 def build_processor(name, **kwargs):
-    """Build the named model; kwargs go to the builder (backend=..., etc.)."""
-    return get_entry(name).builder(**kwargs)
+    """Elaborate the named model's spec; kwargs go to
+    :func:`~repro.describe.elaborate` (``backend=...``, etc.)."""
+    return elaborate(get_spec(name), **kwargs)
 
 
 def supported_kernels(name, all_kernels):
@@ -119,15 +108,12 @@ def supported_kernels(name, all_kernels):
 register_processor(
     "example",
     spec_factory=example_spec,
-    builder=build_example_processor,
     # The Figure 4/5 model implements only the alu/mem/branch/system
     # classes; these kernels use no multiply or block transfer.
     kernels=("blowfish", "compress", "crc"),
 )
-register_processor(
-    "strongarm", spec_factory=strongarm_spec, builder=build_strongarm_processor
-)
-register_processor("xscale", spec_factory=xscale_spec, builder=build_xscale_processor)
+register_processor("strongarm", spec_factory=strongarm_spec)
+register_processor("xscale", spec_factory=xscale_spec)
 register_processor("arm7-mini", spec_factory=arm7_mini_spec)
 register_processor("xscale-deep", spec_factory=xscale_deep_spec)
 register_processor("strongarm-ds", spec_factory=strongarm_ds_spec)

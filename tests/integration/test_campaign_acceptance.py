@@ -8,11 +8,13 @@ against the same store, execute **zero** simulations — every run served
 from the :class:`~repro.campaign.ResultStore` by content fingerprint.
 """
 
+import functools
+
 import pytest
 
 from repro.analysis.metrics import run_processor
 from repro.campaign import ALL, CampaignSpec, plan_campaign, run_campaign
-from repro.processors import get_entry, processor_names
+from repro.processors import build_processor, processor_names
 from repro.workloads import get_workload
 
 #: Three kernels every registered model (including the ISA-subset
@@ -54,7 +56,7 @@ def test_pool_statistics_are_bit_identical_to_direct_runs(pool_report):
     for run, result in zip(plan.runs, report.results):
         assert result.fingerprint == run.fingerprint()
         direct = run_processor(
-            get_entry(run.processor).builder,
+            functools.partial(build_processor, run.processor),
             get_workload(run.workload, scale=run.scale),
             backend=run.engine.backend,
         )

@@ -81,10 +81,7 @@ def required_opclasses(mix):
 def eligible_models(mix):
     models = []
     for name in processor_names():
-        spec = get_spec(name)
-        if spec is None:
-            continue  # legacy builder without a declarative class list
-        if required_opclasses(mix) <= set(spec.opclasses):
+        if required_opclasses(mix) <= set(get_spec(name).opclasses):
             models.append(name)
     return models
 

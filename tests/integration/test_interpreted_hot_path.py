@@ -4,9 +4,10 @@
 trusts each stage's ``_occupancy`` in its inline capacity test, and
 ``IssueControl.may_advance`` answers without a scan when the source stage
 holds one token.  These tests step the engine one cycle at a time and
-assert, after every cycle, the facts those short-cuts assume.  They also
-pin ``flush_younger``, which passes over empty places, against the full
-place walk it replaced.
+assert, after every cycle, the facts those short-cuts assume — on the
+generated engine too, whose emitted loop keeps the same ``_occupancy``
+books inline.  They also pin ``flush_younger``, which passes over empty
+places, against the full place walk it replaced.
 """
 
 import importlib.util
@@ -55,8 +56,9 @@ def check_invariants(engine):
 
 @pytest.mark.parametrize("program_name,program", PROGRAMS, ids=[name for name, _ in PROGRAMS])
 @pytest.mark.parametrize("model", MODELS)
-def test_invariants_hold_after_every_cycle(model, program_name, program):
-    processor = build_processor(model, backend="interpreted")
+@pytest.mark.parametrize("backend", ["interpreted", "generated"])
+def test_invariants_hold_after_every_cycle(backend, model, program_name, program):
+    processor = build_processor(model, backend=backend)
     processor.load_program(program)
     engine = processor.engine
     while not engine.finished():

@@ -54,7 +54,7 @@ def _rebind_action(net):
     template = template_of(transition.action, net.hook_env)
     other = HookTemplate(template.key, action=template.action + "\nt.delay_override = 2")
     _guard, transition.action = bind(other, net.hook_env)
-    assert template_of(transition.action, net.hook_env) is other
+    assert template_of(transition.action, net.hook_env) == other
 
 
 #: mutation -> True when it changes the structure the schedule reads.

@@ -303,7 +303,6 @@ def test_an101_elaboration_failure_is_a_finding(monkeypatch):
         "broken-hooks",
         registry.ProcessorEntry(
             name="broken-hooks",
-            builder=None,
             spec_factory=lambda: spec,
             lint=False,
         ),
@@ -754,7 +753,6 @@ def test_cli_fail_on_threshold(monkeypatch):
         "leaky",
         registry.ProcessorEntry(
             name="leaky",
-            builder=None,
             spec_factory=lambda: mini_spec(hazards=HazardSpec()),
             lint=False,
         ),

@@ -22,7 +22,7 @@ from repro.codegen.emit import emit_module_source
 from repro.core.engine import EngineOptions, SimulationEngine
 from repro.describe import elaborate, templates
 from repro.describe.elaborate import elaborate_net
-from repro.describe.semantics import ArmSemantics
+from repro.describe.semantics import HOOK_TEMPLATES, ArmSemantics
 from repro.observe.trace import TraceConfig
 from repro.processors import build_processor, get_spec
 from repro.workloads import get_workload
@@ -228,6 +228,16 @@ def test_an_entry_stage_no_capacity_check_covers_takes_the_checked_deposit():
     assert errors["interpreted"] == errors["generated"]
 
 
+class AgenOverride(ArmSemantics):
+    """``mem.agen`` replaced by a template of the same key and other text."""
+
+    def _install_hooks(self):
+        super()._install_hooks()
+        stock = HOOK_TEMPLATES["mem.agen"]
+        override = templates.HookTemplate(stock.key, action=stock.action + '\nt.annotations["agen-override"] = 1')
+        self.register("mem.agen", *templates.bind(override, self.env))
+
+
 def test_building_a_model_again_execs_no_template():
     build_processor(MODEL, backend="interpreted")
     build_processor("xscale", backend="generated")
@@ -236,6 +246,29 @@ def test_building_a_model_again_execs_no_template():
         build_processor(MODEL, backend=backend)
         build_processor("xscale", backend=backend)
     assert templates.COMPILES == compiled
+    # An override's text is new content: its first build compiles it (and
+    # the chains it enters), a rebuild on either backend compiles nothing.
+    elaborate(get_spec(MODEL), backend="interpreted", semantics_class=AgenOverride)
+    assert templates.COMPILES > compiled
+    compiled = templates.COMPILES
+    for backend in ("interpreted", "generated"):
+        elaborate(get_spec(MODEL), backend=backend, semantics_class=AgenOverride)
+    assert templates.COMPILES == compiled
+
+
+FIELDS = {"key": "value", "guard": "t.ready", "action": "_x = 1", "inline": True}
+CHANGED = {"key": "other", "guard": "t.busy", "action": "_x = 2", "inline": False}
+
+
+@pytest.mark.parametrize("field,other", CHANGED.items())
+def test_a_template_is_its_content(field, other):
+    one, two = templates.HookTemplate(**FIELDS), templates.HookTemplate(**FIELDS)
+    assert one is not two and one == two and hash(one) == hash(two)
+    assert templates.HookTemplate(**{**FIELDS, field: other}) != one
+    # Equal content shares one compiled closure factory.
+    compiled = templates.COMPILES
+    assert templates.bind(one, {})[1].__code__ is templates.bind(two, {})[1].__code__
+    assert templates.COMPILES <= compiled + 1
 
 
 HOSTCOST_OFF = (
@@ -317,7 +350,7 @@ def test_a_template_temporary_may_not_clobber_the_loop_state(temporary):
 
 
 def test_only_templates_naming_stats_need_a_write_back():
-    from repro.describe.semantics import FETCH_TEMPLATES, HOOK_TEMPLATES
+    from repro.describe.semantics import FETCH_TEMPLATES
 
     reader = templates.HookTemplate("reader", action="_x = ctx.stats.cycles")
     assert reader.reads_stats
