@@ -39,9 +39,9 @@ class GenerationReport:
     dispatch_entries: int = 0
     nonempty_dispatch_entries: int = 0
     generator_transitions: list = field(default_factory=list)
-    #: Content hash of the pipeline spec (None for hand-built nets); reported
-    #: only, no cache keys on it.
-    spec_fingerprint: str = None
+    #: The pipeline spec the net was elaborated from (None for hand-built
+    #: nets).
+    spec: object = field(default=None, repr=False)
     #: Whether the static schedule came from the structure-keyed memo:
     #: "hit" or "miss", on every net.
     schedule_cache: str = "miss"
@@ -51,6 +51,12 @@ class GenerationReport:
     #: Cache-hierarchy geometry, level by level (None when the net carries
     #: no memory unit — e.g. the hand-built test nets).
     memory_hierarchy: list = None
+
+    @property
+    def spec_fingerprint(self):
+        """Content hash of the pipeline spec (None for hand-built nets),
+        asked of the spec when read; reported only, no cache keys on it."""
+        return None if self.spec is None else self.spec.fingerprint()
 
     def summary(self):
         report = {
@@ -64,7 +70,7 @@ class GenerationReport:
             "schedule_cache": self.schedule_cache,
             "codegen_cache": self.codegen_cache,
         }
-        if self.spec_fingerprint is not None:
+        if self.spec is not None:
             report["spec_fingerprint"] = self.spec_fingerprint
         if self.memory_hierarchy is not None:
             report["memory_hierarchy"] = list(self.memory_hierarchy)
@@ -99,7 +105,7 @@ def generate_simulator(net, options=None):
         dispatch_entries=len(dispatch),
         nonempty_dispatch_entries=sum(1 for value in dispatch.values() if value),
         generator_transitions=[t.name for t in schedule.generator_transitions],
-        spec_fingerprint=getattr(net, "spec_fingerprint", None),
+        spec=getattr(net, "spec", None),
         schedule_cache="hit" if schedule.from_cache else "miss",
         codegen_cache=engine.codegen_status if options.backend == "generated" else None,
         memory_hierarchy=describe_hierarchy() if callable(describe_hierarchy) else None,

@@ -6,9 +6,10 @@ ARM substrate (register files, operation classes, memory system, fetch
 control), builds every place and transition the spec describes — resolving
 hook names through :class:`~repro.describe.semantics.ArmSemantics` — and
 wraps the result in the familiar :class:`~repro.describe.substrate.Processor`
-facade.  The spec's :meth:`~repro.describe.spec.PipelineSpec.fingerprint`
-is stamped onto the net (``net.spec_fingerprint``) for reports; the
-static-schedule and codegen caches key on the net's structure, not on it.
+facade.  The net keeps the spec it came from (``net.spec``); a report that
+wants the spec's :meth:`~repro.describe.spec.PipelineSpec.fingerprint`
+asks the spec for it, so a build hashes nothing.  The static-schedule and
+codegen caches key on the net's structure, not on the spec.
 """
 
 from __future__ import annotations
@@ -148,7 +149,6 @@ def elaborate_net(spec, memory_config=None, semantics_class=ArmSemantics):
         if any(place_in_state(place, state) for state in spec.hazards.forward_states)
     )
 
-    net.spec_fingerprint = spec.fingerprint()
     net.spec = spec
     return net, decoder, core, memory, semantics
 

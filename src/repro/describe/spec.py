@@ -11,7 +11,7 @@ turns the spec into an executable RCPN.
 Because a spec is plain data it can be validated before elaboration
 (:meth:`PipelineSpec.validate`) and hashed into a stable
 :meth:`PipelineSpec.fingerprint`, which campaign runs key on and the
-generation report carries.  The simulator-generation caches
+generation report reads.  The simulator-generation caches
 (:mod:`repro.core.scheduler`, :mod:`repro.codegen.cache`) key on the
 elaborated net's structure instead, so rebuilding the same spec reuses the
 static analysis and the emitted module of the first build.
@@ -636,10 +636,16 @@ class PipelineSpec:
 
         Two specs share a fingerprint exactly when their declarative content
         is identical.  Campaign runs key on it; the generation caches do
-        not (they key on the elaborated net's structure).
+        not (they key on the elaborated net's structure).  Hashed on the
+        first call and kept on this (immutable) instance; a
+        ``dataclasses.replace`` copy hashes its own content.
         """
-        canonical = json.dumps(self.describe(), sort_keys=True, default=str)
-        return hashlib.sha256(("rcpn-spec-v1:" + canonical).encode("utf-8")).hexdigest()
+        cached = self.__dict__.get("_fingerprint")
+        if cached is None:
+            canonical = json.dumps(self.describe(), sort_keys=True, default=str)
+            cached = hashlib.sha256(("rcpn-spec-v1:" + canonical).encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_fingerprint", cached)
+        return cached
 
 
 def linear_path(opclass, stages, hooks=None, names=None, subnet=None):

@@ -12,7 +12,8 @@ The assembler accepts a practical subset of the ARM assembly syntax:
 * block transfers: ``ldmia r0!, {r1, r2-r5}`` / ``stmdb sp!, {r4-r11, lr}``,
 * branches: ``b label``, ``bl label`` with condition suffixes,
 * system: ``swi #n``, ``halt``, ``nop``,
-* condition suffixes on every mnemonic (``addeq``, ``bne`` ...).
+* condition suffixes on every mnemonic (``addeq``, ``bne`` ..., and the
+  explicit always ``al``: ``bal`` is ``b``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import contextlib
 import re
 from dataclasses import dataclass, field
 
-from repro.isa.conditions import Condition, condition_from_suffix
+from repro.isa.conditions import Condition
 from repro.isa.encoding import encode
 from repro.isa.instructions import (
     Branch,
@@ -51,9 +52,6 @@ class AssemblerError(ValueError):
 
 _DATA_OPCODES = {op.name.lower(): op for op in DataOpcode}
 _SHIFT_NAMES = {s.name.lower(): s for s in ShiftType}
-_CONDITION_SUFFIXES = sorted(
-    (c.mnemonic_suffix for c in Condition if c is not Condition.AL), key=len, reverse=True
-)
 _LSM_MODES = {"ia": (False, True), "ib": (True, True), "da": (False, False), "db": (True, False)}
 # Stack aliases: full/empty descending/ascending for LDM/STM.
 _STACK_ALIASES_LDM = {"fd": "ia", "ed": "ib", "fa": "da", "ea": "db"}
@@ -121,74 +119,57 @@ def _parse_integer(token, symbols, line_number, line):
     raise AssemblerError("cannot parse integer or symbol %r" % token, line_number, line)
 
 
-def _split_mnemonic(mnemonic):
-    """Split a full mnemonic into (base, condition, flags-dict)."""
-    mnemonic = mnemonic.lower()
-
-    def try_cond(rest):
-        for suffix in _CONDITION_SUFFIXES:
-            if rest.startswith(suffix):
-                return condition_from_suffix(suffix), rest[len(suffix):]
-        return Condition.AL, rest
-
-    # Block transfers: ldm/stm + cond + addressing mode.
-    for base in ("ldm", "stm"):
-        if mnemonic.startswith(base) and len(mnemonic) > 3:
-            cond, rest = try_cond(mnemonic[3:])
-            if rest in _LSM_MODES:
-                return base, cond, {"mode": rest}
-            aliases = _STACK_ALIASES_LDM if base == "ldm" else _STACK_ALIASES_STM
-            if rest in aliases:
-                return base, cond, {"mode": aliases[rest]}
-
-    # Single transfers: ldr/str + cond + optional b.
+def _mnemonic_forms():
+    """Each base spelling mapped to ``(base, {flag or mode suffix: flags})``."""
+    forms = {}
+    for base, aliases in (("ldm", _STACK_ALIASES_LDM), ("stm", _STACK_ALIASES_STM)):
+        modes = {mode: {"mode": mode} for mode in _LSM_MODES}
+        modes.update((alias, {"mode": mode}) for alias, mode in aliases.items())
+        forms[base] = (base, modes)
     for base in ("ldr", "str"):
-        if mnemonic.startswith(base):
-            cond, rest = try_cond(mnemonic[3:])
-            if rest == "":
-                return base, cond, {"byte": False}
-            if rest == "b":
-                return base, cond, {"byte": True}
-
-    # Multiply.
+        forms[base] = (base, {"": {"byte": False}, "b": {"byte": True}})
     for base in ("mla", "mul"):
-        if mnemonic.startswith(base):
-            cond, rest = try_cond(mnemonic[3:])
-            if rest == "":
-                return base, cond, {"set_flags": False}
-            if rest == "s":
-                return base, cond, {"set_flags": True}
-
-    # System.
+        forms[base] = (base, {"": {"set_flags": False}, "s": {"set_flags": True}})
     for base in ("swi", "halt", "nop"):
-        if mnemonic.startswith(base):
-            cond, rest = try_cond(mnemonic[len(base):])
-            if rest == "":
-                return base, cond, {}
-
-    # Data processing.
+        forms[base] = (base, {"": {}})
     for name, opcode in _DATA_OPCODES.items():
-        if mnemonic.startswith(name):
-            cond, rest = try_cond(mnemonic[len(name):])
-            if rest == "":
-                return "dp", cond, {"opcode": opcode, "set_flags": not opcode.writes_rd}
-            if rest == "s":
-                return "dp", cond, {"opcode": opcode, "set_flags": True}
+        plain = {"opcode": opcode, "set_flags": not opcode.writes_rd}
+        forms[name] = ("dp", {"": plain, "s": {"opcode": opcode, "set_flags": True}})
+    forms["b"] = ("b", {"": {"link": False}})
+    forms["bl"] = ("b", {"": {"link": True}})
+    return forms
 
-    # Branches last so that "bl"/"bls"/"blt" resolve correctly: prefer the
-    # longest meaningful interpretation ("blt" is B with LT, "bls" is B with
-    # LS, "bleq" is BL with EQ, bare "bl" is branch-and-link).
-    if mnemonic.startswith("b"):
-        rest = mnemonic[1:]
-        cond, leftover = try_cond(rest)
-        if leftover == "":
-            return "b", cond, {"link": False}
-        if rest.startswith("l"):
-            cond, leftover = try_cond(rest[1:])
-            if leftover == "":
-                return "b", cond, {"link": True}
 
-    return None, None, None
+_MNEMONIC_FORMS = _mnemonic_forms()
+#: Condition suffixes, the explicit always ``al`` included.
+_CONDITIONS = {c.name.lower(): c for c in Condition}
+_UNKNOWN_MNEMONIC = (None, None, None)
+
+
+def _split_mnemonic(mnemonic):
+    """Split a full mnemonic into (base, condition, flags-dict); all None if unknown.
+
+    A mnemonic is a base spelling, an optional condition suffix and the
+    base's flag or addressing-mode suffix, in that order: ``addeqs``,
+    ``ldrneb``, ``ldmeqfd``, ``bleq``.  No string has two such readings
+    (``bls`` is B with LS, ``bleq`` BL with EQ), so the first spelling
+    length that reads the whole mnemonic gives its one reading.
+    """
+    mnemonic = mnemonic.lower()
+    for length in (1, 2, 3, 4):
+        form = _MNEMONIC_FORMS.get(mnemonic[:length])
+        if form is None:
+            continue
+        base, suffixes = form
+        rest = mnemonic[length:]
+        flags = suffixes.get(rest)
+        if flags is not None:
+            return base, Condition.AL, flags
+        cond = _CONDITIONS.get(rest[:2])
+        flags = suffixes.get(rest[2:])
+        if cond is not None and flags is not None:
+            return base, cond, flags
+    return _UNKNOWN_MNEMONIC
 
 
 def _parse_register(token, line_number, line):

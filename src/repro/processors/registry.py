@@ -1,20 +1,21 @@
 """Processor registry: named pipeline models, mirroring the workload registry.
 
-A registered model is its spec: every entry holds a spec factory (a
-zero-argument callable returning the declarative
-:class:`~repro.describe.PipelineSpec`), and :func:`build_processor`
-elaborates that spec with the standard semantics, so the spec alone
-decides what a name builds — and a campaign keys a run on the spec's
-fingerprint.  Callers can build a ready-to-run simulator
-(:func:`build_processor`) or inspect/derive from the description itself
-(:func:`get_spec`).  Third-party code can :func:`register_processor` its own
+A registered model is its spec: :func:`register_processor` calls the
+model's spec factory (a zero-argument callable returning the declarative
+:class:`~repro.describe.PipelineSpec`) once and keeps the frozen spec it
+returns.  :func:`get_spec` returns that one value and
+:func:`build_processor` elaborates it with the standard semantics, so the
+spec alone decides what a name builds and a build runs no factory — and
+a campaign keys a run on the spec's fingerprint.  Callers can build a
+ready-to-run simulator (:func:`build_processor`) or inspect/derive from
+the description itself (:func:`get_spec`).  Third-party code can :func:`register_processor` its own
 specs; the benchmark harness and the differential tests iterate
 :func:`processor_names` so registered models are exercised automatically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.exceptions import UnknownNameError
 from repro.describe import elaborate
@@ -38,7 +39,7 @@ FULL_ISA = None
 
 @dataclass(frozen=True)
 class ProcessorEntry:
-    """One registered model: its spec factory and ISA coverage."""
+    """One registered model: its spec (made once by its factory) and ISA coverage."""
 
     name: str
     spec_factory: object
@@ -50,6 +51,15 @@ class ProcessorEntry:
     #: ``lint=False`` so they do not fail the clean-registry check; the
     #: analyzer can still lint them when named explicitly.
     lint: bool = True
+    #: The spec ``spec_factory`` returned when the entry was made; every
+    #: build of the model elaborates this one value.
+    spec: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        spec = self.spec_factory()
+        object.__setattr__(self, "spec", spec)
+        if not self.description:
+            object.__setattr__(self, "description", spec.description)
 
 
 _REGISTRY = {}
@@ -59,12 +69,13 @@ def register_processor(name, spec_factory, description="", kernels=FULL_ISA, lin
     """Register the model ``spec_factory`` describes under ``name``.
 
     ``spec_factory`` is a zero-argument callable returning a
-    :class:`~repro.describe.PipelineSpec`.
+    :class:`~repro.describe.PipelineSpec`; it is called once, here.
+    Registering a name again replaces its spec.
     """
     entry = ProcessorEntry(
         name=name,
         spec_factory=spec_factory,
-        description=description or spec_factory().description,
+        description=description,
         kernels=tuple(kernels) if kernels is not FULL_ISA else FULL_ISA,
         lint=bool(lint),
     )
@@ -86,8 +97,8 @@ def get_entry(name):
 
 
 def get_spec(name):
-    """The declarative spec of a registered model."""
-    return get_entry(name).spec_factory()
+    """The declarative spec of a registered model (the same value every call)."""
+    return get_entry(name).spec
 
 
 def build_processor(name, **kwargs):

@@ -9,6 +9,8 @@ data evict each other; every statistic, the memory summary and the
 front-end counters must match the interpreted engine on every kernel.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.describe import elaborate
@@ -23,7 +25,7 @@ UNIFIED = MemorySpec(
 
 def unified(model, backend):
     spec = get_spec(model)
-    spec = type(spec)(**{**spec.__dict__, "name": spec.name + "-U512", "memory": UNIFIED})
+    spec = replace(spec, name=spec.name + "-U512", memory=UNIFIED)
     return elaborate(spec, backend=backend)
 
 

@@ -310,7 +310,7 @@ def test_hand_built_nets_carry_no_fingerprint():
     from repro.core import RCPN
 
     net = RCPN("handmade")
-    assert getattr(net, "spec_fingerprint", None) is None
+    assert getattr(net, "spec", None) is None
 
 
 def test_custom_semantics_keep_the_spec_fingerprint():
@@ -323,7 +323,7 @@ def test_custom_semantics_keep_the_spec_fingerprint():
 
     spec = tiny_spec()
     net = elaborate_net(spec, semantics_class=Custom)[0]
-    assert net.spec_fingerprint == spec.fingerprint()
+    assert net.spec is spec
 
 
 # -- elaborated structure ------------------------------------------------------
@@ -333,8 +333,8 @@ def test_elaborated_strongarm_structure_matches_spec():
     spec = strongarm_spec()
     processor = build_processor("strongarm")
     net = processor.net
-    assert net.spec_fingerprint == spec.fingerprint()
-    assert net.spec is not None and net.spec.name == "StrongARM"
+    assert net.spec.fingerprint() == spec.fingerprint()
+    assert net.spec.name == "StrongARM"
     # One sub-net per operation-class path plus the fetch sub-net.
     assert set(net.subnets) == {"fetch"} | {p.subnet_name for p in spec.paths}
     declared = {t.name for path in spec.paths for t in path.transitions}

@@ -12,7 +12,7 @@ against a mutated net, and must report hit/miss through
 from repro.codegen import CODEGEN_CACHE
 from repro.core.scheduler import SCHEDULE_CACHE, GenerationCache, StaticSchedule
 from repro.describe import elaborate_net
-from repro.processors import build_processor, strongarm_spec
+from repro.processors import build_processor, get_spec, strongarm_spec
 
 
 class TestGenerationCacheLRU:
@@ -102,7 +102,7 @@ class TestGenerationReportCounters:
         assert second.schedule_cache == "hit"
         assert second.codegen_cache == "memory"
         assert SCHEDULE_CACHE.stats()["hits"] >= 1
-        assert second.spec_fingerprint == first.spec_fingerprint
+        assert second.summary()["spec_fingerprint"] == get_spec("arm7-mini").fingerprint()
 
     def test_hand_built_nets_report_miss_then_hit(self):
         from repro.core.engine import EngineOptions
@@ -116,6 +116,7 @@ class TestGenerationReportCounters:
         _, first = generate_simulator(make_linear_net()[0], options)
         _, second = generate_simulator(make_linear_net()[0], options)
 
-        assert first.spec_fingerprint is None
+        assert first.spec is first.spec_fingerprint is None
+        assert "spec_fingerprint" not in first.summary()
         assert (first.schedule_cache, first.codegen_cache) == ("miss", "emitted")
         assert (second.schedule_cache, second.codegen_cache) == ("hit", "memory")
