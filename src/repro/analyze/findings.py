@@ -161,8 +161,8 @@ def record_rule_hits(metrics, findings):
     """Fold findings into rule-hit counters of a metrics registry.
 
     Increments ``analyze.rule.<id>`` per finding plus the per-severity
-    ``analyze.findings.<severity>`` totals, so lint sweeps surface in the
-    same :class:`repro.observe.MetricsRegistry` snapshots campaigns use.
+    ``analyze.findings.<severity>`` totals, so lint sweeps surface as a
+    :class:`repro.observe.MetricsRegistry` snapshot.
     """
     for entry in findings:
         metrics.counter(

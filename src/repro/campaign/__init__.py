@@ -15,11 +15,8 @@ generated-over-interpreted speedup) plus CSV/JSON exports.
 
 The layer is fault-tolerant end to end: each store append is one
 ``O_APPEND`` write plus ``fsync``, corrupt lines are quarantined instead
-of raised, a run that raises persists as a ``"failed"`` record (re-executed,
-never served, by the next campaign), and ``compact``/``fsck``
-keep long-lived stores healthy (run ``compact`` between campaigns, not
-beside one; it also folds a store written before 1.17 into
-``results.jsonl`` once).
+of raised, and a run that raises persists as a ``"failed"`` record
+(re-executed, never served, by the next campaign).
 
 The CLI mirrors the API::
 
@@ -27,8 +24,6 @@ The CLI mirrors the API::
         --engines interpreted,generated --store campaign-store --max-workers 4
     python -m repro.campaign status --store campaign-store
     python -m repro.campaign report --store campaign-store --csv results.csv
-    python -m repro.campaign compact --store campaign-store
-    python -m repro.campaign fsck --store campaign-store
 """
 
 from repro.campaign.aggregate import (
@@ -64,7 +59,6 @@ from repro.campaign.spec import (
     engine_variant,
 )
 from repro.campaign.store import (
-    CompactionReport,
     QuarantinedLine,
     ResultStore,
     RunResult,
@@ -76,7 +70,6 @@ __all__ = [
     "CampaignPlan",
     "CampaignReport",
     "CampaignSpec",
-    "CompactionReport",
     "EngineVariant",
     "QuarantinedLine",
     "ResultStore",

@@ -1,4 +1,4 @@
-"""Command-line interface: ``python -m repro.campaign run|status|report|compact|fsck``.
+"""Command-line interface: ``python -m repro.campaign run|status|report``.
 
 ``run`` executes a campaign (grid flags or a ``--spec`` JSON file) against
 a result store, ``status`` reports how much of a campaign the store
@@ -6,30 +6,19 @@ already holds, and ``report`` renders the aggregation tables (and exports
 CSV/JSON) from a store.  Every command is incremental by construction:
 pointing ``run`` at yesterday's store re-executes only the fingerprints
 that are missing or previously failed.
-
-``compact`` atomically rewrites a store's ``results.jsonl``, dropping
-duplicate-fingerprint lines and quarantined garbage (run it between
-campaigns: an append racing it can be lost); it also folds a store
-written before 1.17 (``shards/*.jsonl``), which every other command
-rejects, into ``results.jsonl`` once.  ``fsck`` reports store health —
-record counts, failure rows, and any corrupt lines the tolerant loader
-quarantined (exit 0 when clean, 2 when quarantined lines exist).  Both
-exit 1 when the store directory does not exist.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from repro.campaign import aggregate
 from repro.campaign.planner import plan_campaign
-from repro.campaign.runner import metrics_path, run_campaign
+from repro.campaign.runner import run_campaign
 from repro.campaign.spec import ALL, CampaignError, CampaignSpec
 from repro.campaign.store import ResultStore
-from repro.observe.metrics import read_metrics_json, render_metrics, snapshot_value, write_metrics_json
 
 
 def _split(value):
@@ -193,10 +182,7 @@ def _command_status(args, out):
         out.write("  pending %s\n" % run.run_id)
     quarantined = store.quarantined()
     if quarantined:
-        out.write(
-            "warning: %d corrupt line(s) quarantined; run fsck/compact\n"
-            % len(quarantined)
-        )
+        out.write("warning: %d corrupt line(s) quarantined\n" % len(quarantined))
     return 0 if not pending else 2
 
 
@@ -241,10 +227,7 @@ def _command_report(args, out):
     by = tuple(_split(args.group_by))
     quarantined = store.quarantined()
     if quarantined:
-        out.write(
-            "warning: %d corrupt line(s) quarantined by the loader; "
-            "run `compact` to shed them\n\n" % len(quarantined)
-        )
+        out.write("warning: %d corrupt line(s) quarantined by the loader\n\n" % len(quarantined))
     summary = aggregate.summarize(results, by=by)
     if summary:
         out.write(aggregate.render(summary) + "\n")
@@ -265,70 +248,12 @@ def _command_report(args, out):
         out.write("\nstatic analysis (spec-level lint of the campaigned models):\n")
         for line in lint_lines:
             out.write("  %s\n" % line)
-    metrics = read_metrics_json(metrics_path(store))
-    if metrics:
-        hits = int(snapshot_value(metrics, "campaign.store.hits", 0))
-        misses = int(snapshot_value(metrics, "campaign.store.misses", 0))
-        saved = snapshot_value(metrics, "campaign.store.saved_wall_seconds", 0.0)
-        out.write(
-            "\nstore cache (cumulative): %d hit(s), %d miss(es), "
-            "%.2fs of simulation wall time served from the store\n" % (hits, misses, saved)
-        )
-    if args.metrics:
-        if metrics:
-            out.write("\ncampaign metrics (last run; store counters cumulative):\n")
-            out.write(render_metrics(metrics) + "\n")
-        else:
-            out.write("\nstore %s holds no metrics.json yet (run a campaign first)\n" % store.path)
-    if args.metrics_json:
-        write_metrics_json(args.metrics_json, metrics or {})
-        out.write("\nwrote %d metric(s) to %s\n" % (len(metrics or {}), args.metrics_json))
     if args.csv:
         count = aggregate.to_csv(results, args.csv)
         out.write("\nwrote %d rows to %s\n" % (count, args.csv))
     if args.json:
         aggregate.to_json(results, args.json)
         out.write("wrote %d records to %s\n" % (len(results), args.json))
-    return 0
-
-
-def _existing_store(path, out):
-    """The store at ``path``, or ``None`` (after saying so) when it does not exist."""
-    if not os.path.isdir(path):
-        out.write("store %s does not exist\n" % path)
-        return None
-    return ResultStore(path)
-
-
-def _command_compact(args, out):
-    store = _existing_store(args.store, out)
-    if store is None:
-        return 1
-    report = store.compact()
-    out.write(
-        "compacted %s: %d result(s); dropped %d duplicate line(s) and %d "
-        "quarantined line(s)\n"
-        % (store.path, report.results, report.duplicates_dropped, report.quarantined_dropped)
-    )
-    return 0
-
-
-def _command_fsck(args, out):
-    store = _existing_store(args.store, out)
-    if store is None:
-        return 1
-    health = store.health()
-    out.write(
-        "store %(path)s: %(results)d record(s) (%(ok)d ok, %(failed)d failed), "
-        "%(quarantined)d quarantined line(s)\n" % health
-    )
-    for line in health["quarantined_lines"]:
-        out.write(
-            "  quarantined %(file)s:%(line)d (%(reason)s): %(sample)s\n" % line
-        )
-    if health["quarantined"]:
-        out.write("run `compact` to shed the quarantined lines\n")
-        return 2
     return 0
 
 
@@ -390,34 +315,8 @@ def build_parser():
     )
     report.add_argument("--csv", default=None, help="export flat rows as CSV")
     report.add_argument("--json", default=None, help="export full records as JSON")
-    report.add_argument(
-        "--metrics",
-        action="store_true",
-        help="render the campaign metrics table (phase timings, cache "
-        "counters, worker utilisation) from the store's metrics.json",
-    )
-    report.add_argument(
-        "--metrics-json",
-        default=None,
-        help="export the store's metrics snapshot as JSON",
-    )
     report.set_defaults(handler=_command_report)
 
-    compact = commands.add_parser(
-        "compact",
-        help="rewrite a store's results.jsonl without duplicate and quarantined "
-        "lines (folds a pre-1.17 sharded store); not beside a running campaign",
-    )
-    compact.add_argument("--store", required=True, help="result-store directory")
-    compact.set_defaults(handler=_command_compact)
-
-    fsck = commands.add_parser(
-        "fsck",
-        help="report store health: record counts, failure rows and "
-        "quarantined corrupt lines (exit 2 when any are present)",
-    )
-    fsck.add_argument("--store", required=True, help="result-store directory")
-    fsck.set_defaults(handler=_command_fsck)
     return parser
 
 

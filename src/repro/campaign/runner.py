@@ -46,22 +46,6 @@ from dataclasses import dataclass
 from repro.campaign.planner import plan_campaign
 from repro.campaign.spec import CampaignError, RunSpec
 from repro.campaign.store import KIND_FAILED, ResultStore, RunResult
-from repro.observe.metrics import (
-    MetricsRegistry,
-    merge_cumulative,
-    read_metrics_json,
-    write_metrics_json,
-)
-
-#: Store-level counters kept *cumulative* across campaign invocations when
-#: ``metrics.json`` is rewritten next to the result store.
-CUMULATIVE_STORE_METRICS = (
-    "campaign.store.hits",
-    "campaign.store.misses",
-    "campaign.store.saved_wall_seconds",
-)
-
-METRICS_FILENAME = "metrics.json"
 
 
 def build_run_processor(run):
@@ -177,9 +161,6 @@ class CampaignReport:
     cached: int = 0
     wall_seconds: float = 0.0
     store_path: str = None
-    #: :meth:`repro.observe.metrics.MetricsRegistry.snapshot` of this
-    #: invocation (phase timings, store hit rates, worker utilisation).
-    metrics: dict = None
 
     @property
     def skipped(self):
@@ -214,7 +195,6 @@ def run_campaign(
     max_workers=None,
     mp_context=None,
     progress=None,
-    metrics=None,
     keep_going=False,
 ):
     """Plan and execute ``spec``, returning a :class:`CampaignReport`.
@@ -233,40 +213,11 @@ def run_campaign(
     campaign stops.  ``keep_going=False`` (default) stops at the first
     failed run — on a pool, leaving it terminates the runs still in
     flight; ``keep_going=True`` finishes the whole grid first.
-
-    ``metrics`` is an optional
-    :class:`~repro.observe.metrics.MetricsRegistry` to record into (one is
-    created otherwise); the snapshot lands on ``CampaignReport.metrics``
-    and — when a store is used — is persisted as ``metrics.json`` next to
-    the store's ``results.jsonl``, with the store-level hit/miss/saved
-    counters kept cumulative across invocations.
     """
-    registry = metrics if metrics is not None else MetricsRegistry()
     start = time.perf_counter()
-    with registry.timer("campaign.phase.plan_seconds", "wall time spent planning"):
-        plan = plan_campaign(spec)
+    plan = plan_campaign(spec)
     store = _coerce_store(store)
-    with registry.timer(
-        "campaign.phase.store_load_seconds", "wall time loading the result store"
-    ):
-        stored = store.load() if store is not None else {}
-
-    store_hits = registry.counter(
-        "campaign.store.hits", "runs served from the result store"
-    )
-    store_misses = registry.counter(
-        "campaign.store.misses", "planned runs the store did not hold"
-    )
-    saved_wall = registry.counter(
-        "campaign.store.saved_wall_seconds",
-        "host wall-time of the stored runs served instead of re-executed",
-    )
-    run_wall = registry.histogram(
-        "campaign.run.wall_seconds", "per-run host wall-time of executed runs"
-    )
-    failure_counter = registry.counter(
-        "campaign.run.failures", "runs that raised (persisted as failed rows)"
-    )
+    stored = store.load() if store is not None else {}
 
     pending = []
     by_fingerprint = {}
@@ -274,48 +225,30 @@ def run_campaign(
     for run in plan.runs:
         fingerprint = run.fingerprint()
         hit = stored.get(fingerprint)
-        if hit is not None and hit.ok:
+        if hit is not None and hit.ok:  # a stored failure row is re-executed, never served
             hit.cached = True
             by_fingerprint[fingerprint] = hit
             cached += 1
-            store_hits.inc()
-            saved_wall.inc(max(hit.wall_seconds, 0.0))
             if progress is not None:
                 progress(hit)
         else:
-            if hit is not None:  # a stored failure row: re-execute, never serve
-                registry.counter(
-                    "campaign.store.failed_retried",
-                    "stored failure rows re-executed instead of served",
-                ).inc()
-            store_misses.inc()
             pending.append((fingerprint, run))
 
     if max_workers is None:
         max_workers = min(len(pending), os.cpu_count() or 1) or 1
-    registry.gauge("campaign.units", "runs executed this invocation").set(len(pending))
-    registry.gauge("campaign.workers.max", "worker-pool size").set(max_workers)
     fingerprint_of = {run.run_id: fp for fp, run in pending}
-    worker_runs = {}
     failures = []
 
     def record(result):
         by_fingerprint[fingerprint_of[result.run_id]] = result
-        if result.ok:
-            run_wall.observe(result.wall_seconds)
-        else:
-            failure_counter.inc()
+        if not result.ok:
             failures.append(result)
-        worker_runs[result.worker_pid] = worker_runs.get(result.worker_pid, 0) + 1
-        _record_generation_metrics(registry, result.generation)
         if store is not None:
             store.append(result)
         if progress is not None:
             progress(result)
 
-    with registry.timer(
-        "campaign.phase.execute_seconds", "wall time executing pending runs"
-    ), contextlib.ExitStack() as stack:
+    with contextlib.ExitStack() as stack:
         payloads = [(run, spec.name) for _, run in pending]
         if max_workers <= 1 or len(payloads) <= 1:
             outcomes = map(_pool_worker, payloads)
@@ -332,27 +265,7 @@ def run_campaign(
             record(result)
             if not result.ok and not keep_going:
                 break  # leaving the pool's block terminates it
-
-    if worker_runs:
-        utilisation = registry.histogram(
-            "campaign.worker.runs", "executed runs per worker process"
-        )
-        for count in worker_runs.values():
-            utilisation.observe(count)
-        registry.gauge(
-            "campaign.workers.used", "distinct worker processes that returned results"
-        ).set(len(worker_runs))
-
     wall = time.perf_counter() - start
-    registry.gauge("campaign.wall_seconds", "total campaign wall time").set(wall)
-    if store is not None:
-        registry.merge_counters(
-            {"campaign.store.quarantined_lines": len(store.quarantined())},
-            description="result-store health (skipped lines)",
-        )
-    snapshot = registry.snapshot()
-    if store is not None:
-        _persist_metrics(store, snapshot)
 
     if failures:
         lines = [
@@ -377,46 +290,7 @@ def run_campaign(
         cached=cached,
         wall_seconds=wall,
         store_path=store.path if store is not None else None,
-        metrics=snapshot,
     )
-
-
-def _record_generation_metrics(registry, generation):
-    """Fold one result's generation report into cache-status counters."""
-    if not isinstance(generation, dict):
-        return
-    status = generation.get("schedule_cache")
-    if status:
-        registry.counter(
-            "campaign.schedule_cache.%s" % status, "runs with this schedule-cache status"
-        ).inc()
-    status = generation.get("codegen_cache")
-    if status:
-        registry.counter(
-            "campaign.codegen_cache.%s" % status, "runs with this codegen-cache status"
-        ).inc()
-
-
-def metrics_path(store):
-    """Where a store's campaign metrics snapshot lives on disk."""
-    return os.path.join(store.path, METRICS_FILENAME)
-
-
-def _persist_metrics(store, snapshot):
-    """Write ``metrics.json`` next to the store's ``results.jsonl``.
-
-    Per-invocation metrics (phase timings, worker utilisation) are simply
-    overwritten; the store-level hit/miss/saved counters are
-    merged with the previous snapshot so ``report`` can show lifetime
-    cache value.  Best-effort: an unwritable store directory loses the
-    snapshot, never the campaign.
-    """
-    merged = {name: dict(entry) for name, entry in snapshot.items()}
-    previous = read_metrics_json(metrics_path(store))
-    merge_cumulative(merged, previous, CUMULATIVE_STORE_METRICS)
-    with contextlib.suppress(OSError):
-        os.makedirs(store.path, exist_ok=True)
-        write_metrics_json(metrics_path(store), merged)
 
 
 def run_single(

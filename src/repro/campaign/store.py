@@ -5,7 +5,8 @@ file, ``results.jsonl``: one line per completed run, keyed by the run's
 content fingerprint.  Appending is the only write operation, so a store
 survives interrupted campaigns (every line already written is a finished
 run) and re-running a campaign against the same store skips every
-fingerprint it already holds — incremental experiments for free.
+fingerprint it already holds — incremental experiments for free.  Any
+other file in the store directory is ignored.
 
 The layer is built to survive the failure modes a long-running sweep
 harness actually hits:
@@ -13,23 +14,13 @@ harness actually hits:
 * **Torn writes never brick a store.**  Each append is a single
   ``O_APPEND`` write followed by ``fsync``, and the loader *quarantines*
   corrupt or truncated lines — skip, count, report via
-  :meth:`ResultStore.health` — instead of raising.  A writer killed
+  :meth:`ResultStore.quarantined` — instead of raising.  A writer killed
   mid-append loses at most its own last line, and the next append seals
   that torn tail so the junk stays on a line of its own.
 * **Concurrent appends do not interleave.**  On POSIX, ``O_APPEND``
   places every ``write`` whole at the end of the file, so two campaigns
   appending to one store at once cannot splice their lines.  Duplicate
   fingerprints resolve deterministically: the last line wins.
-* **Stores are compactable.**  :meth:`ResultStore.compact` rewrites the
-  file atomically (temp file, ``fsync``, rename), dropping
-  duplicate-fingerprint lines and quarantined garbage.  An append that
-  races a ``compact`` can be lost, so do not compact beside a running
-  campaign; the store caches deterministic runs, so a lost line costs one
-  re-execution, never a wrong result.
-
-A store written before repro 1.17 (``shards/*.jsonl``) fails to load
-with a :class:`ValueError` naming ``compact``, which folds it into
-``results.jsonl`` once.
 
 Failed runs are persisted too: a :class:`RunResult` whose ``kind`` is
 ``"failed"`` carries the error and traceback of a run that raised, so
@@ -41,16 +32,11 @@ last-line-wins rule.
 
 from __future__ import annotations
 
-import contextlib
-import glob
 import json
 import os
-import shutil
 from dataclasses import asdict, dataclass, field
 
 RESULTS_FILENAME = "results.jsonl"
-#: Where stores written before repro 1.17 kept their lines (read by ``compact`` only).
-OLD_SHARDS_DIRNAME = "shards"
 
 #: Record kinds a store line may carry.
 KIND_RESULT = "result"
@@ -134,21 +120,11 @@ class RunResult:
 
 @dataclass(frozen=True)
 class QuarantinedLine:
-    """One store line the loader could not parse (and skipped)."""
+    """One ``results.jsonl`` line the loader could not parse (and skipped)."""
 
-    file: str
     line: int
     reason: str
     sample: str
-
-
-@dataclass(frozen=True)
-class CompactionReport:
-    """What :meth:`ResultStore.compact` did."""
-
-    results: int
-    duplicates_dropped: int
-    quarantined_dropped: int
 
 
 class ResultStore:
@@ -173,50 +149,35 @@ class ResultStore:
         return os.path.join(self.path, RESULTS_FILENAME)
 
     # -- loading --------------------------------------------------------------
-    def _load_file(self, path, index, quarantined):
-        """Fold one JSON-lines file into ``index``; returns its non-blank line count."""
-        try:
-            handle = open(path, encoding="utf-8")
-        except FileNotFoundError:
-            return 0
-        relative = os.path.relpath(path, self.path)
-        lines = 0
-        with handle:
-            for lineno, line in enumerate(handle, start=1):
-                text = line.strip()
-                if not text:
-                    continue
-                lines += 1
-                try:
-                    data = json.loads(text)
-                    if not isinstance(data, dict):
-                        raise ValueError("line is not a JSON object")
-                    result = RunResult.from_json_dict(data)
-                except Exception as error:  # corrupt/truncated: quarantine
-                    quarantined.append(
-                        QuarantinedLine(
-                            file=relative,
-                            line=lineno,
-                            reason="%s: %s" % (type(error).__name__, error),
-                            sample=text[:120],
-                        )
-                    )
-                    continue
-                index[result.fingerprint] = result
-        return lines
-
     def _ensure_loaded(self):
         if self._index is not None:
             return self._index
-        if os.path.isdir(os.path.join(self.path, OLD_SHARDS_DIRNAME)):
-            raise ValueError(
-                "store %s uses the sharded layout of repro < 1.17; fold it "
-                "into results.jsonl once with `python -m repro.campaign "
-                "compact --store %s`" % (self.path, self.path)
-            )
         index = {}
         quarantined = []
-        self._load_file(self.results_path, index, quarantined)
+        try:
+            with open(self.results_path, encoding="utf-8") as handle:
+                lines = handle.read().split("\n")
+        except FileNotFoundError:
+            lines = ()
+        for lineno, line in enumerate(lines, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                data = json.loads(text)
+                if not isinstance(data, dict):
+                    raise ValueError("line is not a JSON object")
+                result = RunResult.from_json_dict(data)
+            except Exception as error:  # corrupt/truncated: quarantine
+                quarantined.append(
+                    QuarantinedLine(
+                        line=lineno,
+                        reason="%s: %s" % (type(error).__name__, error),
+                        sample=text[:120],
+                    )
+                )
+                continue
+            index[result.fingerprint] = result
         self._index = index
         self._quarantined = tuple(quarantined)
         return index
@@ -260,66 +221,10 @@ class ResultStore:
             os.close(fd)
         index[result.fingerprint] = result
 
-    # -- health and compaction ------------------------------------------------
     def quarantined(self):
         """The :class:`QuarantinedLine`s the last load skipped."""
         self._ensure_loaded()
         return self._quarantined
-
-    def health(self):
-        """Store health as plain data (the ``fsck`` subcommand's payload)."""
-        index = self._ensure_loaded()
-        failed = sum(1 for result in index.values() if not result.ok)
-        return {
-            "path": self.path,
-            "results": len(index),
-            "ok": len(index) - failed,
-            "failed": failed,
-            "quarantined": len(self._quarantined),
-            "quarantined_lines": [asdict(line) for line in self._quarantined],
-        }
-
-    def compact(self):
-        """Rewrite ``results.jsonl`` cleanly; returns a :class:`CompactionReport`.
-
-        Compaction drops duplicate-fingerprint lines (keeping the last
-        write, like the loader) and sheds quarantined garbage.  The file
-        is rewritten atomically — temp file, ``fsync``, rename — so a
-        crash mid-compaction leaves only intact files behind, and the
-        surviving index is bit-identical to what :meth:`load` returned
-        before.  An append racing the rename can be lost: do not compact
-        beside a running campaign.
-
-        A store in the pre-1.17 sharded layout is folded here: the old
-        ``results.jsonl`` is read first and ``shards/*.jsonl`` after (so
-        a shard record wins over an older duplicate), then the shards,
-        ``store.json`` and the ``*.lock`` sidecars are removed.
-        """
-        shards_dir = os.path.join(self.path, OLD_SHARDS_DIRNAME)
-        paths = [self.results_path, *sorted(glob.glob(os.path.join(shards_dir, "*.jsonl")))]
-        index, quarantined = {}, []
-        raw_lines = sum(self._load_file(path, index, quarantined) for path in paths)
-
-        os.makedirs(self.path, exist_ok=True)
-        tmp = self.results_path + ".tmp.%d" % os.getpid()
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for result in index.values():
-                handle.write(json.dumps(result.to_json_dict(), sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.results_path)
-
-        shutil.rmtree(shards_dir, ignore_errors=True)
-        leftovers = glob.glob(os.path.join(self.path, "*.lock"))
-        for path in [os.path.join(self.path, "store.json"), *leftovers]:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(path)
-        self.refresh()
-        return CompactionReport(
-            results=len(index),
-            duplicates_dropped=max(raw_lines - len(quarantined) - len(index), 0),
-            quarantined_dropped=len(quarantined),
-        )
 
     # -- mapping-style access --------------------------------------------------
     def get(self, fingerprint):

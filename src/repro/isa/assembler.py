@@ -406,6 +406,43 @@ def _parse_instruction(mnemonic, operands, symbols, address, line_number, line):
     raise AssemblerError("unhandled mnemonic %r" % mnemonic, line_number, line)  # pragma: no cover
 
 
+_DIRECTIVES = frozenset((".org", ".equ", ".align", ".entry", ".word", ".space"))
+
+
+def _directive(state, line, line_number, raw_line):
+    """Apply one directive line (``.org``, ``.equ`` ...) to ``state``."""
+    parts = line.split(None, 1)
+    directive = parts[0].lower()
+    operand = parts[1].strip() if len(parts) > 1 else ""
+    if directive not in _DIRECTIVES:
+        raise AssemblerError("unknown directive", line_number, raw_line)
+    if not operand and directive != ".align":
+        raise AssemblerError("%s needs an operand" % directive, line_number, raw_line)
+    if directive == ".org":
+        state.location = _parse_integer(operand, state.symbols, line_number, raw_line)
+        if state.origin == 0 and not state.statements:
+            state.origin = state.location
+    elif directive == ".equ":
+        name, comma, value = operand.partition(",")
+        if not comma or not name.strip():
+            raise AssemblerError(".equ needs NAME, VALUE", line_number, raw_line)
+        state.symbols[name.strip()] = _parse_integer(value, state.symbols, line_number, raw_line)
+    elif directive == ".align":
+        while state.location % 4:
+            state.location += 1
+    elif directive == ".entry":
+        state.entry = operand
+    elif directive == ".word":
+        values = _split_operands(operand)
+        statement = _Statement(state.location, line_number, raw_line, "word", values, 4 * len(values))
+        state.statements.append(statement)
+        state.location += statement.size
+    else:  # .space
+        size = _parse_integer(operand, state.symbols, line_number, raw_line)
+        state.statements.append(_Statement(state.location, line_number, raw_line, "space", None, size))
+        state.location += size
+
+
 def _first_pass(source):
     """Collect labels, ``.equ`` symbols and statement addresses."""
     state = _ParserState()
@@ -424,38 +461,9 @@ def _first_pass(source):
         if not line:
             continue
 
-        lowered = line.lower()
-        if lowered.startswith(".org"):
-            state.location = _parse_integer(line.split(None, 1)[1], state.symbols, line_number, raw_line)
-            if state.origin == 0 and not state.statements:
-                state.origin = state.location
+        if line.startswith("."):
+            _directive(state, line, line_number, raw_line)
             continue
-        if lowered.startswith(".equ"):
-            body = line.split(None, 1)[1]
-            name, value = [part.strip() for part in body.split(",", 1)]
-            state.symbols[name] = _parse_integer(value, state.symbols, line_number, raw_line)
-            continue
-        if lowered.startswith(".align"):
-            while state.location % 4:
-                state.location += 1
-            continue
-        if lowered.startswith(".entry"):
-            state.entry = line.split(None, 1)[1].strip()
-            continue
-        if lowered.startswith(".word"):
-            values = _split_operands(line.split(None, 1)[1])
-            statement = _Statement(state.location, line_number, raw_line, "word", values, 4 * len(values))
-            state.statements.append(statement)
-            state.location += statement.size
-            continue
-        if lowered.startswith(".space"):
-            size = _parse_integer(line.split(None, 1)[1], state.symbols, line_number, raw_line)
-            statement = _Statement(state.location, line_number, raw_line, "space", None, size)
-            state.statements.append(statement)
-            state.location += size
-            continue
-        if lowered.startswith("."):
-            raise AssemblerError("unknown directive", line_number, raw_line)
 
         tokens = line.split(None, 1)
         mnemonic = tokens[0]

@@ -11,9 +11,9 @@ explicit, inspectable artifacts:
 * :func:`build_lifetimes` / :func:`render_pipeline` — fold a trace into
   per-instruction fetch→retire records and draw them as a Konata-style
   text pipeline diagram (``python -m repro.observe view``).
-* :class:`MetricsRegistry` — counters/gauges/histograms used by the
-  campaign runner for per-phase timing, store hit rates and worker
-  utilisation (``python -m repro.campaign report --metrics``).
+* :class:`MetricsRegistry` — counters and gauges: per-hook host time of
+  a ``hostcost`` trace (``Tracer.metrics``) and lint rule hits
+  (``python -m repro.analyze lint|verify --metrics-json``).
 """
 
 from repro.observe.lifetime import (
@@ -25,12 +25,7 @@ from repro.observe.lifetime import (
 from repro.observe.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
-    merge_cumulative,
-    read_metrics_json,
-    render_metrics,
-    snapshot_value,
     write_metrics_json,
 )
 from repro.observe.trace import (
@@ -59,11 +54,6 @@ __all__ = [
     "render_pipeline",
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
-    "merge_cumulative",
-    "read_metrics_json",
-    "render_metrics",
-    "snapshot_value",
     "write_metrics_json",
 ]

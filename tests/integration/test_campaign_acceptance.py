@@ -6,14 +6,21 @@ pool, (2) report per-run statistics bit-identical to direct
 :func:`repro.analysis.metrics.run_processor` calls, and (3) when re-run
 against the same store, execute **zero** simulations — every run served
 from the :class:`~repro.campaign.ResultStore` by content fingerprint.
+Tracing does not invalidate the store: ``EngineVariant.identity()``
+excludes the trace config, so a traced re-run is served entirely from it.
 """
 
+import dataclasses
 import functools
 
 import pytest
 
 from repro.analysis.metrics import run_processor
 from repro.campaign import ALL, CampaignSpec, plan_campaign, run_campaign
+from repro.campaign.cli import main as campaign_main
+from repro.campaign.spec import EngineVariant
+from repro.core.engine import EngineOptions
+from repro.observe.trace import TraceConfig
 from repro.processors import build_processor, processor_names
 from repro.workloads import get_workload
 
@@ -72,7 +79,47 @@ def test_rerun_executes_zero_simulations(pool_report):
     assert rerun.executed == 0
     assert rerun.cached == len(report.results)
     assert all(result.cached for result in rerun.results)
+    assert rerun.saved_wall_seconds == pytest.approx(
+        sum(result.wall_seconds for result in report.results)
+    )
     # Served results carry the exact simulated quantities of the first run.
     first = [(r.cycles, r.instructions, r.final_r0) for r in report.results]
     served = [(r.cycles, r.instructions, r.final_r0) for r in rerun.results]
     assert served == first
+
+
+def test_traced_rerun_is_served_entirely_from_store(pool_report):
+    store, report = pool_report
+    traced = dataclasses.replace(
+        ACCEPTANCE,
+        engines=tuple(
+            EngineVariant(label=backend, options=EngineOptions(backend=backend, trace=TraceConfig()))
+            for backend in ("interpreted", "generated")
+        ),
+    )
+    rerun = run_campaign(traced, store=store, max_workers=1)
+    assert rerun.executed == 0
+    assert rerun.cached == len(report.results)
+    served = [(r.engine, r.cycles) for r in rerun.results]
+    assert served == [(r.engine, r.cycles) for r in report.results]
+
+
+def test_run_cli_prints_store_cache_line(pool_report, capsys):
+    store, report = pool_report
+    code = campaign_main(
+        [
+            "run",
+            "--store",
+            str(store),
+            "--name",
+            ACCEPTANCE.name,
+            "--workloads",
+            ",".join(ACCEPTANCE.workloads),
+            "--engines",
+            "interpreted,generated",
+            "--expect-all-cached",
+        ]
+    )
+    assert code == 0
+    output = capsys.readouterr().out
+    assert "store cache: %d hit(s), 0 miss(es)" % len(report.results) in output

@@ -348,24 +348,24 @@ def test_all_registered_models_lint_clean():
 
 
 def test_lint_registered_records_metrics():
-    from repro.observe.metrics import MetricsRegistry, snapshot_value
+    from repro.observe.metrics import MetricsRegistry
 
     metrics = MetricsRegistry()
     lint_registered(names=("example",), metrics=metrics)
     snapshot = metrics.snapshot()
-    assert snapshot_value(snapshot, "analyze.models_clean") == 1
-    assert snapshot_value(snapshot, "analyze.models_dirty") == 0
+    assert snapshot["analyze.models_clean"]["value"] == 1
+    assert snapshot["analyze.models_dirty"]["value"] == 0
 
 
 def test_record_rule_hits_counts_by_rule_and_severity():
-    from repro.observe.metrics import MetricsRegistry, snapshot_value
+    from repro.observe.metrics import MetricsRegistry
 
     findings = lint_spec(mini_spec(hazards=HazardSpec()))
     metrics = MetricsRegistry()
     record_rule_hits(metrics, findings)
     snapshot = metrics.snapshot()
-    assert snapshot_value(snapshot, "analyze.rule.AN007") == 1
-    assert snapshot_value(snapshot, "analyze.findings.warning") == 1
+    assert snapshot["analyze.rule.AN007"]["value"] == 1
+    assert snapshot["analyze.findings.warning"]["value"] == 1
 
 
 def test_severity_helpers():

@@ -626,6 +626,44 @@ class TestCli:
         assert cli_main(["report", "--store", str(tmp_path / "empty")], out) == 1
         assert "no results" in out.getvalue()
 
+    @pytest.mark.parametrize("command", ["status", "report"])
+    def test_reading_a_missing_store_leaves_no_directory_behind(self, tmp_path, command):
+        store = tmp_path / "nowhere"
+        grid = self.GRID if command == "status" else []
+        cli_main([command, *grid, "--store", str(store)], io.StringIO())
+        assert not store.exists()
+
+    def test_help_lists_exactly_run_status_and_report(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            cli_main(["--help"], io.StringIO())
+        assert raised.value.code == 0
+        assert "{run,status,report}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compact"],
+            ["fsck"],
+            ["report", "--metrics"],
+            ["report", "--metrics-json", "metrics.json"],
+        ],
+        ids=["compact", "fsck", "report-metrics", "report-metrics-json"],
+    )
+    def test_retired_commands_and_options_are_rejected(self, tmp_path, capsys, argv):
+        store = tmp_path / "store"
+        cli_main(["run", *self.GRID, "--store", str(store), "--max-workers", "1"], io.StringIO())
+        with pytest.raises(SystemExit) as raised:
+            cli_main([*argv, "--store", str(store)], io.StringIO())
+        assert raised.value.code == 2
+        error = capsys.readouterr().err
+        assert "invalid choice" in error or "unrecognized arguments" in error
+        assert sorted(path.name for path in store.iterdir()) == ["results.jsonl"]
+
+    def test_run_campaign_takes_no_metrics_parameter(self):
+        import inspect
+
+        assert "metrics" not in inspect.signature(run_campaign).parameters
+
     def test_spec_file_round_trip(self, tmp_path):
         spec_path = tmp_path / "campaign.json"
         spec_path.write_text(

@@ -16,6 +16,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -28,7 +29,6 @@ from repro.campaign import (
 )
 from repro.campaign import runner as runner_module
 from repro.campaign.cli import main as cli_main
-from repro.observe.metrics import MetricsRegistry, snapshot_value
 
 CRC = "arm7-mini/crc@1/interpreted"
 
@@ -103,8 +103,6 @@ class TestRetries:
         )
         assert clear.executed == 2 and clear.cached == 1  # only the failures rerun
         assert all(result.ok for result in clear.results)
-        assert snapshot_value(clear.metrics, "campaign.store.failed_retried") == 2
-        assert snapshot_value(clear.metrics, "campaign.run.failures") == 0
 
     def test_retry_budget_is_a_hard_ceiling(self, flaky, tmp_path):
         executor = flaky([CRC], failures=99)
@@ -140,9 +138,6 @@ class TestRetries:
         clear = run_campaign(_spec(), store=tmp_path / "store", max_workers=1)
         assert clear.executed == 1 and clear.cached == 0  # retried, not served
         assert clear.results[0].ok
-        assert (
-            snapshot_value(clear.metrics, "campaign.store.failed_retried") == 1
-        )
 
         # The success overwrote the failure row: the store now serves it.
         warm = run_campaign(_spec(), store=tmp_path / "store", max_workers=1)
@@ -214,22 +209,19 @@ class TestPooledFailures:
 
     def test_failed_row_records_its_worker_and_no_wall_sample(self, flaky, tmp_path):
         flaky([CRC], failures=99)
-        registry = MetricsRegistry()
         with pytest.raises(CampaignError, match=r"1 run\(s\) failed"):
             run_campaign(
                 _spec(workloads=("crc", "compress", "adpcm")),
                 store=tmp_path / "store",
                 max_workers=2,
                 mp_context="fork",
-                metrics=registry,
                 keep_going=True,
             )
         by_run = {result.run_id: result for result in ResultStore(tmp_path / "store").results()}
         assert len(by_run) == 3
         assert by_run[CRC].worker_pid not in (0, os.getpid())  # built on the worker
-        snapshot = registry.snapshot()
-        assert snapshot_value(snapshot, "campaign.run.failures") == 1
-        assert snapshot_value(snapshot, "campaign.run.wall_seconds") == 2  # successes only
+        assert by_run[CRC].wall_seconds == 0.0
+        assert all(result.wall_seconds > 0 for result in by_run.values() if result.ok)
 
 
 class TestSpecKnobs:
@@ -378,81 +370,89 @@ class TestFailureCli:
         # The healthy sibling still aggregates normally.
         assert "compress" in message
 
-    def test_compact_and_fsck_round_trip(self, tmp_path):
+    def test_torn_tail_is_quarantined_served_around_and_sealed(self, tmp_path):
         store = str(tmp_path / "store")
         cli_main(
             ["run", *self.GRID, "--store", store, "--max-workers", "1"], io.StringIO()
         )
         # Tear a line to simulate a killed writer.
-        with open(tmp_path / "store" / "results.jsonl", "a", encoding="utf-8") as handle:
+        results = tmp_path / "store" / "results.jsonl"
+        with open(results, "a", encoding="utf-8") as handle:
             handle.write('{"half a line')
 
         out = io.StringIO()
-        assert cli_main(["fsck", "--store", store], out) == 2
-        assert "1 quarantined line(s)" in out.getvalue()
+        assert cli_main(["status", *self.GRID, "--store", store], out) == 0
+        assert "warning: 1 corrupt line(s) quarantined" in out.getvalue()
 
         out = io.StringIO()
-        assert cli_main(["compact", "--store", store], out) == 0
-        assert "quarantined" in out.getvalue()
+        assert cli_main(["report", "--store", store], out) == 0
+        assert "warning: 1 corrupt line(s) quarantined" in out.getvalue()
 
-        out = io.StringIO()
-        assert cli_main(["fsck", "--store", store], out) == 0
-        assert "0 quarantined line(s)" in out.getvalue()
-
-        # The compacted store still serves the whole campaign from cache.
+        # Both intact runs are still served from the store.
         out = io.StringIO()
         code = cli_main(
             ["run", *self.GRID, "--store", store, "--max-workers", "1",
              "--expect-all-cached"],
             out,
         )
-        assert code == 0
+        assert code == 0, out.getvalue()
 
-    def test_fsck_on_a_missing_store_fails_cleanly(self, tmp_path):
-        out = io.StringIO()
-        assert cli_main(["fsck", "--store", str(tmp_path / "nowhere")], out) == 1
-        assert "does not exist" in out.getvalue()
+        # The next append seals the torn tail: the junk stays on its own
+        # line and the records on either side of it still parse.
+        target = ResultStore(store)
+        target.append(replace(target.results()[0], fingerprint="f" * 64))
+        lines = results.read_text(encoding="utf-8").splitlines()
+        assert lines[-2] == '{"half a line'
+        json.loads(lines[-3])
+        assert json.loads(lines[-1])["fingerprint"] == "f" * 64
+        reloaded = ResultStore(store)
+        assert len(reloaded) == 3
+        assert len(reloaded.quarantined()) == 1
 
-    def test_compact_on_a_missing_store_fails_cleanly(self, tmp_path):
-        out = io.StringIO()
-        assert cli_main(["compact", "--store", str(tmp_path / "nowhere")], out) == 1
-        assert "does not exist" in out.getvalue()
-        assert not (tmp_path / "nowhere").exists()
-
-    def test_sharded_store_from_before_1_17_is_refused_then_folded_by_compact(
-        self, tmp_path
-    ):
+    def test_store_from_before_1_17_is_ignored_and_its_runs_re_executed(self, tmp_path):
         store = tmp_path / "store"
         cli_main(
             ["run", *self.GRID, "--store", str(store), "--max-workers", "1"], io.StringIO()
         )
-        # Rebuild the old layout by hand: the first record also sits, newer,
-        # in shards/000.jsonl, next to the store.json meta and a lock sidecar.
-        lines = (store / "results.jsonl").read_text().splitlines()
-        newer = json.loads(lines[0])
-        newer["wall_seconds"] = 123.0
-        (store / "shards").mkdir()
-        (store / "shards" / "000.jsonl").write_text(json.dumps(newer) + "\n")
-        (store / "shards" / "000.jsonl.lock").write_text("")
-        (store / "store.json").write_text('{"layout_version": 1, "shard_count": 16}\n')
-        assert (store / "metrics.json").exists()
-
-        for command in (["status", *self.GRID], ["run", *self.GRID, "--max-workers", "1"]):
-            out = io.StringIO()
-            assert cli_main([*command, "--store", str(store)], out) == 1
-            assert "compact --store %s" % store in out.getvalue()
-
-        assert cli_main(["compact", "--store", str(store)], io.StringIO()) == 0
-        assert sorted(path.name for path in store.iterdir()) == ["metrics.json", "results.jsonl"]
-        assert len((store / "results.jsonl").read_text().splitlines()) == len(lines)
-        assert ResultStore(store).get(newer["fingerprint"]).wall_seconds == 123.0
+        # Rebuild the old layout by hand: every record in shards/000.jsonl,
+        # next to the store.json meta and a lock sidecar, no results.jsonl.
+        old = tmp_path / "old"
+        (old / "shards").mkdir(parents=True)
+        (store / "results.jsonl").rename(old / "shards" / "000.jsonl")
+        (old / "shards" / "000.jsonl.lock").write_text("")
+        (old / "store.json").write_text('{"layout_version": 1, "shard_count": 16}\n')
 
         out = io.StringIO()
+        assert cli_main(["status", *self.GRID, "--store", str(old)], out) == 2
+        assert "0 stored, 0 failed, 2 pending" in out.getvalue()
+        assert "warning" not in out.getvalue()
+
+        out = io.StringIO()
+        code = cli_main(["run", *self.GRID, "--store", str(old), "--max-workers", "1"], out)
+        assert code == 0
+        assert "2 executed, 0 from store" in out.getvalue()
+        # The old files stay where they were, untouched and unread.
+        assert sorted(path.name for path in old.iterdir()) == [
+            "results.jsonl", "shards", "store.json",
+        ]
+        assert len(ResultStore(old)) == 2
         code = cli_main(
-            ["run", *self.GRID, "--store", str(store), "--max-workers", "1", "--expect-all-cached"],
-            out,
+            ["run", *self.GRID, "--store", str(old), "--max-workers", "1",
+             "--expect-all-cached"],
+            io.StringIO(),
         )
         assert code == 0
+
+    def test_a_campaign_writes_only_results_jsonl(self, monkeypatch, tmp_path):
+        self._install_flaky(monkeypatch, ["arm7-mini/crc@1/interpreted"])
+        store = tmp_path / "store"
+        for _ in range(2):  # a failing and then a succeeding invocation
+            cli_main(
+                ["run", *self.GRID, "--store", str(store), "--max-workers", "1",
+                 "--keep-going"],
+                io.StringIO(),
+            )
+            assert [path.name for path in store.iterdir()] == ["results.jsonl"]
 
     def test_resumed_campaign_after_worker_crash_serves_intact_results(
         self, tmp_path

@@ -155,6 +155,27 @@ def test_directives_word_space_equ_org():
     assert program.symbols["BASE"] == 0x100
 
 
+@pytest.mark.parametrize(
+    "directive",
+    [".org", ".entry", ".word", ".space", ".equ FOO", ".alignx", ".wordy 5"],
+)
+def test_malformed_directive_is_an_assembler_error_with_its_line(directive):
+    with pytest.raises(AssemblerError) as raised:
+        assemble("main: mov r0, #1\n    %s\n    halt" % directive)
+    assert raised.value.line_number == 2
+
+
+@pytest.mark.parametrize(
+    "upper,lower",
+    [(".WORD 5, 6", ".word 5, 6"), (".Space 8", ".space 8"), (".ALIGN", ".align")],
+)
+def test_directive_names_match_whatever_their_case(upper, lower):
+    template = "main: mov r0, #1\n    .space 2\n    %s\nafter:\n    halt"
+    shouted, plain = assemble(template % upper), assemble(template % lower)
+    assert shouted.words == plain.words
+    assert shouted.symbols["after"] == plain.symbols["after"]
+
+
 def test_labels_and_entry_selection():
     program = assemble("""
     data: .word 5

@@ -12,14 +12,7 @@ import json
 import pytest
 
 from repro.observe.lifetime import InstructionLifetime, build_lifetimes, render_pipeline
-from repro.observe.metrics import (
-    MetricsRegistry,
-    merge_cumulative,
-    read_metrics_json,
-    render_metrics,
-    snapshot_value,
-    write_metrics_json,
-)
+from repro.observe.metrics import MetricsRegistry, write_metrics_json
 from repro.observe.trace import (
     TRACE_CATEGORIES,
     TraceConfig,
@@ -273,57 +266,17 @@ def test_registry_get_or_create_and_kind_conflicts():
     assert registry.counter("x") is registry.counter("x")
     with pytest.raises(TypeError, match="already registered"):
         registry.gauge("x")
-    assert "x" in registry
-    assert registry.names() == ["x"]
 
 
-def test_histogram_summary_statistics():
+def test_snapshot_records_each_metric_with_its_kind_and_description():
     registry = MetricsRegistry()
-    histogram = registry.histogram("h")
-    for value in (1.0, 3.0, 2.0):
-        histogram.observe(value)
-    snap = histogram.snapshot()
-    assert snap["count"] == 3
-    assert snap["min"] == 1.0 and snap["max"] == 3.0
-    assert snap["mean"] == pytest.approx(2.0)
-
-
-def test_timer_accumulates_elapsed_seconds():
-    registry = MetricsRegistry()
-    with registry.timer("t"):
-        pass
-    with registry.timer("t"):
-        pass
-    assert registry.counter("t").value >= 0
-
-
-def test_snapshot_value_handles_all_kinds():
-    registry = MetricsRegistry()
-    registry.counter("c").inc(4)
-    registry.gauge("g").set(7)
-    registry.histogram("h").observe(1.0)
+    registry.gauge("g", "a gauge").set(7)
+    registry.counter("c", "a counter").inc(4)
+    registry.gauge("g").set(9)  # a gauge keeps its last value
     snapshot = registry.snapshot()
-    assert snapshot_value(snapshot, "c") == 4
-    assert snapshot_value(snapshot, "g") == 7
-    assert snapshot_value(snapshot, "h") == 1  # histogram -> sample count
-    assert snapshot_value(snapshot, "missing", default=-1) == -1
-    assert snapshot_value(None, "missing", default=-1) == -1
-
-
-def test_merge_cumulative_folds_counters_only():
-    registry = MetricsRegistry()
-    registry.counter("campaign.store.hits").inc(2)
-    registry.gauge("campaign.units").set(5)
-    snapshot = registry.snapshot()
-    previous = {
-        "campaign.store.hits": {"type": "counter", "value": 3},
-        "campaign.units": {"type": "gauge", "value": 99},
-        "campaign.store.misses": {"type": "counter", "value": 7},
-    }
-    merged = merge_cumulative(snapshot, previous, ("campaign.store.hits", "campaign.units"))
-    assert merged["campaign.store.hits"]["value"] == 5
-    assert merged["campaign.units"]["value"] == 5  # gauges never accumulate
-    assert "campaign.store.misses" not in merged  # absent in current snapshot
+    assert list(snapshot) == ["c", "g"]
+    assert snapshot["c"] == {"type": "counter", "description": "a counter", "value": 4}
+    assert snapshot["g"] == {"type": "gauge", "description": "a gauge", "value": 9}
 
 
 def test_metrics_json_round_trip(tmp_path):
@@ -331,26 +284,11 @@ def test_metrics_json_round_trip(tmp_path):
     registry.counter("c").inc(1)
     path = tmp_path / "metrics.json"
     write_metrics_json(str(path), registry.snapshot())
-    assert read_metrics_json(str(path)) == registry.snapshot()
-    assert read_metrics_json(str(tmp_path / "missing.json")) is None
-    (tmp_path / "bad.json").write_text("not json", encoding="utf-8")
-    assert read_metrics_json(str(tmp_path / "bad.json")) is None
-
-
-def test_render_metrics_table_lists_every_metric():
-    registry = MetricsRegistry()
-    registry.counter("c").inc(2)
-    registry.gauge("g").set(1.5)
-    registry.histogram("h").observe(4.0)
-    table = render_metrics(registry.snapshot())
-    assert "metric" in table and "counter" in table
-    assert "1.5000" in table
-    assert "count=1" in table
+    assert json.loads(path.read_text(encoding="utf-8")) == registry.snapshot()
 
 
 def test_metrics_snapshot_is_json_serialisable():
     registry = MetricsRegistry()
     registry.counter("c").inc()
     registry.gauge("g").set(None)
-    registry.histogram("h")
     json.dumps(registry.snapshot())

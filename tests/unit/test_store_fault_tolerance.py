@@ -4,9 +4,8 @@ The store must survive everything a long-running sweep harness throws at
 it: writers killed mid-append (truncated JSON lines), duplicate
 fingerprints from racing campaigns, and genuinely concurrent writer
 processes.  The contract under test: **loading never raises** (corrupt
-lines are quarantined, counted and reported), ``O_APPEND`` appends from
-two processes never interleave, and ``compact`` rewrites any mess into a
-clean ``results.jsonl`` with a bit-identical index.
+lines are quarantined, counted and reported), and ``O_APPEND`` appends
+from two processes never interleave.
 """
 
 import json
@@ -243,9 +242,7 @@ class TestQuarantine:
         assert len(quarantined) == 1
         assert isinstance(quarantined[0], QuarantinedLine)
         assert quarantined[0].reason
-        health = reloaded.health()
-        assert health["quarantined"] == 1
-        assert health["results"] == 1
+        assert len(reloaded) == 1
 
     def test_blank_lines_are_not_quarantined(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -256,128 +253,17 @@ class TestQuarantine:
         assert len(reloaded) == 1
         assert reloaded.quarantined() == ()
 
-
-# ---------------------------------------------------------------------------
-# Compaction
-# ---------------------------------------------------------------------------
-
-
-class TestCompaction:
-    def test_compact_drops_duplicates_and_quarantined_lines(self, tmp_path):
+    def test_other_files_in_the_store_directory_are_ignored(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        store.append(_result("aa" * 32, cycles=100))
-        store.append(_result("bb" * 32, cycles=200))
-        store.append(_result("aa" * 32, cycles=300))  # duplicate, last wins
-        with open(tmp_path / "store" / RESULTS_FILENAME, "a", encoding="utf-8") as handle:
-            handle.write('{"torn...\n')
+        store.append(_result("aa" * 32))
+        shards = tmp_path / "store" / "shards"  # the layout of repro < 1.17
+        shards.mkdir()
+        (shards / "000.jsonl").write_text(json.dumps(_result("bb" * 32).to_json_dict()) + "\n")
+        (tmp_path / "store" / "store.json").write_text("{}")
 
-        fresh = ResultStore(tmp_path / "store")
-        before = fresh.load()  # index with the corruption quarantined
-        report = fresh.compact()
-        assert report.duplicates_dropped == 1
-        assert report.quarantined_dropped == 1
-        assert report.results == 2
-
-        after = ResultStore(tmp_path / "store")
-        # The acceptance bar: the post-compaction index is bit-identical.
-        assert after.load() == before
-        assert after.quarantined() == ()
-        assert after.health()["quarantined"] == 0
-        # Exactly one line per surviving result remains on disk.
-        assert len((tmp_path / "store" / RESULTS_FILENAME).read_text().splitlines()) == 2
-
-    def test_compact_of_an_empty_store_is_harmless(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        report = store.compact()
-        assert report.results == 0
-        assert len(store) == 0
-
-    def test_compact_keeps_first_position_order_and_leaves_no_temp_file(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        for name, cycles in (("aa", 1), ("bb", 2), ("cc", 3), ("aa", 4)):
-            store.append(_result(name * 32, cycles=cycles))
-        store.compact()
-        assert os.listdir(tmp_path / "store") == [RESULTS_FILENAME]
-        on_disk = [json.loads(line) for line in _lines(tmp_path / "store")]
-        assert [(data["fingerprint"], data["cycles"]) for data in on_disk] == [
-            ("aa" * 32, 4),
-            ("bb" * 32, 2),
-            ("cc" * 32, 3),
-        ]
-
-
-# ---------------------------------------------------------------------------
-# Stores in the sharded layout of repro < 1.17
-# ---------------------------------------------------------------------------
-
-
-def _old_sharded_store(path, legacy, shards):
-    """Hand-write a pre-1.17 store: ``results.jsonl``, ``shards/NNN.jsonl``,
-    ``store.json`` and a ``.lock`` sidecar per shard."""
-    _legacy_store(path, legacy)
-    shards_dir = os.path.join(path, "shards")
-    os.makedirs(shards_dir)
-    for number, results in enumerate(shards):
-        name = "%03d.jsonl" % number
-        with open(os.path.join(shards_dir, name), "w", encoding="utf-8") as handle:
-            for result in results:
-                handle.write(json.dumps(result.to_json_dict(), sort_keys=True) + "\n")
-        open(os.path.join(path, name + ".lock"), "w").close()
-    with open(os.path.join(path, "store.json"), "w", encoding="utf-8") as handle:
-        json.dump({"shard_count": 16}, handle)
-
-
-class TestOldShardedLayout:
-    def test_loading_a_sharded_store_raises_with_the_compact_hint(self, tmp_path):
-        _old_sharded_store(tmp_path / "store", [_result("aa" * 32)], [[_result("bb" * 32)]])
-        store = ResultStore(tmp_path / "store")
-        with pytest.raises(ValueError, match="compact --store"):
-            store.load()
-        with pytest.raises(ValueError, match="sharded layout"):
-            len(store)
-
-    def test_shard_record_wins_over_stale_legacy_duplicate(self, tmp_path):
-        # Chronology of an old mixed store: the legacy line predates the
-        # shards, the shard line is the newer append, so it wins the fold.
-        _old_sharded_store(
-            tmp_path / "store",
-            [_result("aa" * 32, cycles=100)],
-            [[_result("aa" * 32, cycles=999)]],
-        )
-        store = ResultStore(tmp_path / "store")
-        report = store.compact()
-        assert report.results == 1
-        assert report.duplicates_dropped == 1
         reloaded = ResultStore(tmp_path / "store")
-        assert len(reloaded) == 1
-        assert reloaded.get("aa" * 32).cycles == 999
-
-    def test_compact_folds_every_shard_into_results_jsonl(self, tmp_path):
-        legacy = [_result(_hex_fingerprint(index + 1)) for index in range(3)]
-        shards = [
-            [_result(_hex_fingerprint(index + 4)) for index in range(2)],
-            [_result(_hex_fingerprint(index + 6)) for index in range(4)],
-        ]
-        _old_sharded_store(tmp_path / "store", legacy, shards)
-        with open(tmp_path / "store" / "shards" / "001.jsonl", "a", encoding="utf-8") as handle:
-            handle.write('{"torn...\n')
-
-        report = ResultStore(tmp_path / "store").compact()
-        assert report.results == 9
-        assert report.quarantined_dropped == 1
-        reloaded = ResultStore(tmp_path / "store")
-        assert reloaded.results() == tuple(legacy + shards[0] + shards[1])
+        assert reloaded.fingerprints() == ("aa" * 32,)
         assert reloaded.quarantined() == ()
-
-    def test_compact_removes_stale_shard_files(self, tmp_path):
-        _old_sharded_store(
-            tmp_path / "store",
-            [_result("aa" * 32)],
-            [[_result("bb" * 32)], [_result("cc" * 32)]],
-        )
-        ResultStore(tmp_path / "store").compact()
-        assert os.listdir(tmp_path / "store") == [RESULTS_FILENAME]
-        assert len(_lines(tmp_path / "store")) == 3
 
 
 # ---------------------------------------------------------------------------
