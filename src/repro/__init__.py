@@ -62,7 +62,7 @@ Sub-packages
     tables, and driven from the ``python -m repro.campaign`` CLI.
 """
 
-__version__ = "1.34.0"
+__version__ = "1.35.0"
 
 __all__ = [
     "core",

@@ -75,13 +75,14 @@ def _render(out, per_model, args, extra=None):
     return 1 if exceeds(findings, args.fail_on) else 0
 
 
-def _maybe_write_metrics(args, findings, per_model):
+def _maybe_write_metrics(args, per_model):
+    """``--metrics-json``: rule hits and clean/dirty model gauges."""
     if not getattr(args, "metrics_json", None):
         return
     from repro.observe.metrics import MetricsRegistry, write_metrics_json
 
     metrics = MetricsRegistry()
-    record_rule_hits(metrics, findings)
+    record_rule_hits(metrics, [entry for findings in per_model.values() for entry in findings])
     metrics.gauge("analyze.models_clean", "models with no findings").set(
         sum(1 for fs in per_model.values() if not fs)
     )
@@ -94,9 +95,7 @@ def _maybe_write_metrics(args, findings, per_model):
 def _command_lint(args, out):
     names = _resolve_models(args)
     per_model = lint_registered(names=names, elaborated=not args.spec_only)
-    _maybe_write_metrics(
-        args, [f for fs in per_model.values() for f in fs], per_model
-    )
+    _maybe_write_metrics(args, per_model)
     return _render(out, per_model, args)
 
 
@@ -117,9 +116,7 @@ def _command_verify(args, out):
                 findings.extend(verify_model(name, hostcost=True))
                 combos += 2
         per_model[name] = findings
-    _maybe_write_metrics(
-        args, [f for fs in per_model.values() for f in fs], per_model
-    )
+    _maybe_write_metrics(args, per_model)
     return _render(
         out, per_model, args,
         extra={"backends": list(backends), "combinations": combos},

@@ -87,6 +87,9 @@ _RULE_TABLE = (
     Rule("SV009", "run-local-counters", "error",
          "a run-local statistics counter is not zeroed on entry to run_cycles, or not "
          "added into its own statistic exactly once in its finally"),
+    Rule("SV010", "issue-gates", "error",
+         "an emitted issue or advance gate, or an issue's booking, is not the "
+         "transition's issue plan written out"),
     Rule("SV101", "schedule-coherent", "error",
          "interpreted backend: cached static schedule (order, dispatch, capacity plans) "
          "disagrees with a fresh derivation"),

@@ -24,7 +24,7 @@ hit counts into a :class:`repro.observe.MetricsRegistry`.
 
 from __future__ import annotations
 
-from repro.analyze.findings import finding, record_rule_hits
+from repro.analyze.findings import finding
 from repro.core.exceptions import ModelError
 from repro.describe.spec import (
     CacheLevelSpec,
@@ -384,12 +384,12 @@ def lint_model(name, elaborated=True):
     return findings
 
 
-def lint_registered(names=None, elaborated=True, metrics=None):
+def lint_registered(names=None, elaborated=True):
     """Lint every (or the named) lint-enabled registered models.
 
-    Returns ``{model: [Finding, ...]}`` in registry order.  With
-    ``metrics`` (a :class:`repro.observe.MetricsRegistry`), rule hit counts
-    and per-model clean/dirty gauges are recorded.
+    Returns ``{model: [Finding, ...]}`` in registry order.  The command
+    line's ``--metrics-json`` records rule hits and clean/dirty gauges
+    from it.
     """
     from repro.processors.registry import get_entry, processor_names
 
@@ -401,12 +401,4 @@ def lint_registered(names=None, elaborated=True, metrics=None):
     results = {}
     for name in names:
         results[name] = lint_model(name, elaborated=elaborated)
-    if metrics is not None:
-        clean = sum(1 for findings in results.values() if not findings)
-        metrics.gauge("analyze.models_clean", "models with no findings").set(clean)
-        metrics.gauge(
-            "analyze.models_dirty", "models with at least one finding"
-        ).set(len(results) - clean)
-        for findings in results.values():
-            record_rule_hits(metrics, findings)
     return results

@@ -15,7 +15,9 @@ transition's ``capacity_plan``).  An enable test must be the transition's
 reservation, capacity-plan and guard conjuncts in that order, and a
 spliced guard or action is re-rendered from the same hook template
 (:func:`repro.describe.templates.render`) and must appear at its site
-statement for statement (SV008).  The module says nothing about itself
+statement for statement (SV008); an issue or advance gate must be the
+transition's issue plan written out, and an issue's booking must appear
+among its fire statements (SV010).  The module says nothing about itself
 (no header of names or keys), so every check reads code against the live
 net: that is what makes one module, memoised by structure, safe to share
 between nets.
@@ -219,15 +221,56 @@ def _unwrap_hostcost(test):
     return last.args[1]
 
 
+def _gate_source(transition, svar, ports):
+    """SV010: the transition's issue plan as ``(conjuncts, booking)`` source."""
+    gate = transition.issue_plan
+    if gate is None:
+        return [], []
+    if gate[0] == "advance":
+        stage = svar(gate[1])
+        return ["(%s._occupancy <= 1 or (_q := t.prev) is None or _q.seq >= t.seq"
+                " or _q.place is None or _q.place.stage is not %s)" % (stage, stage)], []
+    conjuncts, booking = ["iss < %d" % gate[2]], ["iss += 1"]
+    if gate[1] is not None:
+        conjuncts.append("iss%d < %d" % (ports.index(gate[1]), gate[3]))
+        booking.append("iss%d += 1" % ports.index(gate[1]))
+    conjuncts.append('((_q := t.prev) is None or "issued" in _q.annotations or _q.squashed or _q.seq >= t.seq)')
+    booking += ['t.annotations["issued"] = True', "t.prev = None"]
+    return conjuncts, booking
+
+
+def _dumps(sources):
+    """The statements of ``sources``, dumped."""
+    return [ast.dump(node) for source in sources for node in ast.parse(source).body]
+
+
+def _conjunct_dumps(test):
+    """The top-level conjuncts of an enable test, dumped."""
+    conjunction = isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And)
+    return [ast.dump(node) for node in (test.values if conjunction else [test])]
+
+
+def _enable_test_differs(err, name):
+    err("SV008", "source:transition %r" % name,
+        "enable test differs from the enable rule's reservation, capacity-plan "
+        "and guard conjuncts")
+
+
+def _contains(found, expected):
+    width = len(expected)
+    return any(found[i:i + width] == expected for i in range(len(found) - width + 1))
+
+
 def _check_splices(net, schedule, facts, err):
-    """SV008: each enable test is its transition's enable rule written out,
-    and each spliced guard/action its template's rendering, verbatim.
+    """SV008/SV010: each enable test is its transition's enable rule written
+    out, and each spliced guard/action its template's rendering, verbatim.
 
     An enable test is, in order, one ``pN.has_reservation()`` per
     reservation input, one ``sK._occupancy <= M`` per pair of the
-    transition's capacity plan, then the guard: its template's rendering
-    where spliced (unwrapped from a hostcost timer), a ``gI(...)`` call
-    where called.
+    transition's capacity plan, the issue plan's gate (SV010, which also
+    finds an issue's booking among the fire statements), then the guard:
+    its template's rendering where spliced (unwrapped from a hostcost
+    timer), a ``gI(...)`` call where called.
     """
     from repro.codegen.runtime import inlined, splice_plan, splice_site
     from repro.describe.templates import render
@@ -236,6 +279,10 @@ def _check_splices(net, schedule, facts, err):
     by_name = {t.name: (index, t, row) for index, (t, row) in enumerate(zip(net.transitions, rows))}
     place_index = {id(place): index for index, place in enumerate(schedule.order)}
     stage_index = {id(stage): index for index, stage in enumerate(net.stages.values())}
+    ports = sorted({
+        t.issue_plan[1] for t in net.transitions
+        if t.issue_plan is not None and t.issue_plan[0] == "issue" and t.issue_plan[1] is not None
+    })
     for name, test, body in facts.attempts:
         index, transition, (guard, action) = by_name.get(name, (None, None, (None, None)))
         if transition is None:
@@ -243,21 +290,34 @@ def _check_splices(net, schedule, facts, err):
         conjuncts = [
             "p%d.has_reservation()" % place_index[id(arc.place)] for arc in transition.reservation_inputs
         ] + ["s%d._occupancy <= %d" % (stage_index[id(stage)], limit) for stage, limit in transition.capacity_plan]
+        gate, booking = _gate_source(transition, lambda stage: "s%d" % stage_index[id(stage)], ports)
+        guards = []
         if inlined(transition, guard):
-            conjuncts.append("(%s)" % render(guard, "splice", splice_site(net, transition, guard)).guard)
+            guards.append("(%s)" % render(guard, "splice", splice_site(net, transition, guard)).guard)
         elif transition.guard is not None:
-            conjuncts.append("g%d(%s, ctx)" % (index, "None" if transition.is_generator else "t"))
-        expected = ast.parse(" and ".join(conjuncts) or "True", mode="eval").body
-        if ast.dump(_unwrap_hostcost(test)) != ast.dump(expected):
-            err("SV008", "source:transition %r" % name,
-                "enable test differs from the enable rule's reservation, capacity-plan "
-                "and guard conjuncts")
+            guards.append("g%d(%s, ctx)" % (index, "None" if transition.is_generator else "t"))
+        expected = ast.parse(" and ".join(conjuncts + gate + guards) or "True", mode="eval").body
+        test = _unwrap_hostcost(test)
+        if not gate:
+            if ast.dump(test) != ast.dump(expected):
+                _enable_test_differs(err, name)
+        else:
+            # The gate sits between the capacity pairs and the guard: after
+            # the pairs where those are intact, else counted back from the
+            # guard.
+            expected, found = _conjunct_dumps(expected), _conjunct_dumps(test)
+            end = len(found) - len(guards)
+            start = len(conjuncts) if found[:len(conjuncts)] == expected[:len(conjuncts)] else end - len(gate)
+            if found[start:end] != expected[len(conjuncts):len(conjuncts) + len(gate)] or (
+                booking and not _contains([ast.dump(node) for node in body], _dumps(booking))
+            ):
+                err("SV010", "source:transition %r" % name,
+                    "issue gate or booking differs from the transition's issue plan")
+            if found[:start] + found[end:] != expected[:len(conjuncts)] + expected[len(conjuncts) + len(gate):]:
+                _enable_test_differs(err, name)
         if inlined(transition, action):
             lines = render(action, "splice", splice_site(net, transition, action)).action
-            expected = [ast.dump(node) for node in ast.parse("\n".join(lines)).body]
-            found = [ast.dump(node) for node in body]
-            width = len(expected)
-            if not any(found[i:i + width] == expected for i in range(len(found) - width + 1)):
+            if not _contains([ast.dump(node) for node in body], _dumps(["\n".join(lines)])):
                 err("SV008", "source:transition %r" % name,
                     "spliced action differs from the %r template's rendering" % action.key)
 
@@ -481,7 +541,7 @@ def verify_engine(engine, model=None):
                 err("SV005", "source:%s" % var,
                     "%d call site(s) emitted, %d required by the plan" % (got, want))
 
-    # -- SV008: enable tests and spliced hook bodies, verbatim ------------
+    # -- SV008/SV010: enable tests, issue gates, spliced hook bodies -------
     _check_splices(net, schedule, facts, err)
 
     # -- SV009: run-local counters zeroed on entry, added back once -------

@@ -21,10 +21,13 @@ in which every static decision is already text —
   is a hook template's own closure (:func:`repro.codegen.runtime.
   splice_plan`), the template's source — register-hazard protocol, decode
   and L1 hits inline — takes the call's place, rendered for the site's
-  emit-time facts (:func:`repro.codegen.runtime.splice_site`).  The
-  multi-issue gates are template text of the hooks they gate, so the
-  arbiter calls are spliced with the issue port as a source literal and
-  the advance gate with its source stage's local;
+  emit-time facts (:func:`repro.codegen.runtime.splice_site`);
+* a multi-issue gate is the transition's issue plan
+  (:func:`repro.core.scheduler.issue_plan`) written out between the
+  capacity comparisons and the guard: the cycle's issue counts are loop
+  locals (``iss``, and ``issN`` per port) zeroed at the top of each
+  cycle, the program-order test reads the token's link ``t.prev``, and an
+  issue books itself before the action runs;
 * the fetch is straight-line code: the model's absent stall stage and
   issue control cost no test, the BTB lookup is inline, the L1I latency
   passes to ``ready_cycle`` through a local, and the token goes straight
@@ -176,6 +179,10 @@ def emit_module_source(net, schedule, options):
 
     opclass_index = {opclass: index for index, opclass in enumerate(net.operation_classes)}
 
+    #: The issue ports, each counted in local ``issN`` (N its index here).
+    gates = [t.issue_plan for t in transitions if t.issue_plan is not None]
+    ports = sorted({gate[1] for gate in gates if gate[0] == "issue" and gate[1] is not None})
+
     #: Places that can ever hold a reservation token: only reservation
     #: output arcs deposit them, so this set is exact and lets the ready
     #: filter of every other place drop the ``is_instruction`` test.
@@ -206,7 +213,7 @@ def emit_module_source(net, schedule, options):
 
         Order matters and mirrors ``SimulationEngine.blocked_by``:
         reservation inputs, then one comparison per capacity plan pair,
-        then the guard.
+        then the issue plan's gate, then the guard.
         """
         index = transition_index[id(transition)]
         conjuncts = []
@@ -215,6 +222,20 @@ def emit_module_source(net, schedule, options):
         for stage, max_occupancy in transition.capacity_plan:
             used_stages.add(id(stage))
             conjuncts.append("%s._occupancy <= %d" % (svar(stage), max_occupancy))
+        gate = transition.issue_plan
+        if gate is not None and gate[0] == "advance":
+            used_stages.add(id(gate[1]))
+            conjuncts.append(
+                "(%s._occupancy <= 1 or (_q := t.prev) is None or _q.seq >= t.seq"
+                " or _q.place is None or _q.place.stage is not %s)" % (svar(gate[1]), svar(gate[1]))
+            )
+        elif gate is not None:
+            conjuncts.append("iss < %d" % gate[2])
+            if gate[1] is not None:
+                conjuncts.append("iss%d < %d" % (ports.index(gate[1]), gate[3]))
+            conjuncts.append(
+                '((_q := t.prev) is None or "issued" in _q.annotations or _q.squashed or _q.seq >= t.seq)'
+            )
         template = splices[index][0]
         if (index, 0) in spliced:
             rendering = spliced[index, 0]
@@ -354,6 +375,14 @@ def emit_module_source(net, schedule, options):
 
         for arc in transition.reservation_inputs:
             lines.append("%s.take_reservation()" % pvar(arc.place))
+
+        gate = transition.issue_plan
+        if gate is not None and gate[0] == "issue":
+            lines.append("iss += 1")
+            if gate[1] is not None:
+                lines.append("iss%d += 1" % ports.index(gate[1]))
+            lines.append('t.annotations["issued"] = True')
+            lines.append("t.prev = None")
 
         template = splices[index][1]
         inline = (index, 1) in spliced
@@ -608,6 +637,10 @@ def emit_module_source(net, schedule, options):
     out.w(3, "while True:")
     out.w(4, "fired = 0")
     out.w(4, "_stalls = stalls")
+    if any(gate[0] == "issue" for gate in gates):
+        out.w(4, "iss = 0")
+    for index in range(len(ports)):
+        out.w(4, "iss%d = 0" % index)
     out.lines.extend(body.lines)
     out.w(4, "cycle += 1")
     out.w(4, "engine.cycle = cycle")

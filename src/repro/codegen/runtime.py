@@ -10,10 +10,6 @@ builds the index-aligned runtime lists for one engine
 (:func:`build_runtime`) and provides the structural digest
 (:func:`structure_digest`) that keys the module memo, so a memoised
 module is bound only to nets of the shape it was emitted for.
-
-The multi-issue gates need no case here: they are hook templates
-(:meth:`repro.describe.semantics.ArmSemantics.issue_gate`), spliced or
-called like any other hook.
 """
 
 from __future__ import annotations
@@ -137,11 +133,9 @@ def splice_site(net, transition, template):
     stage's index in ``net.stages``).
     """
     stage_index = {id(stage): index for index, stage in enumerate(net.stages.values())}
-    source = transition.source
     entry = entry_stage(net, transition, template)
     return Site(
         delay=transition.delay,
-        source_stage=None if source is None else "s%d" % stage_index[id(source.stage)],
         entry=None if entry is None else (
             "s%d" % stage_index[id(entry[0])], "pending" if entry[1] else "tokens"
         ),

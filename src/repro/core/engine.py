@@ -7,7 +7,8 @@ storage.  Every engine runs these optimisations; none has an off switch.
 
 The interpreted engine runs a cycle in one frame: :meth:`SimulationEngine.step`
 tests each candidate's enable rule and moves the token inline, reading the
-static schedule (dispatch tables, capacity plans), and visits no end place.
+static schedule (dispatch tables, capacity and issue plans), and visits no
+end place.
 """
 
 from __future__ import annotations
@@ -214,6 +215,8 @@ class SimulationEngine:
         self.schedule = StaticSchedule(net)
         # Tokens never reside in an end place (_deposit retires them).
         self._visit_order = tuple(place for place in self.schedule.order if not place.is_end)
+        #: The multi-issue arbiter the issue plans' gates count in.
+        self._issue_control = net.units.get("issue_control")
         self.stats = SimulationStatistics()
         self.ctx = EngineContext(self)
         self.cycle = 0
@@ -322,11 +325,15 @@ class SimulationEngine:
         The conjuncts, in the order :meth:`step` tests them inline and the
         emitter writes them: every reservation input holds a reservation
         token, every ``(stage, max_occupancy)`` pair of the transition's
-        static :func:`~repro.core.scheduler.capacity_plan` holds, and the
+        static :func:`~repro.core.scheduler.capacity_plan` holds, its
+        :func:`~repro.core.scheduler.issue_plan` gate is open (the
+        :class:`~repro.describe.substrate.IssueControl` rules), and the
         guard is true.  A failure is ``("reservation", place)``,
-        ``("capacity", stage, max_occupancy)`` or ``("guard", transition)``.
-        The generator transitions are tested here, and the deadlock report
-        names what blocks each resident token with it.
+        ``("capacity", stage, max_occupancy)``, ``("issue", transition,
+        "width" | "port" | "order")``, ``("advance", stage)`` or
+        ``("guard", transition)``.  The generator transitions are tested
+        here, and the deadlock report names what blocks each resident
+        token with it.
         """
         for arc in transition.reservation_inputs:
             if not arc.place.has_reservation():
@@ -334,6 +341,18 @@ class SimulationEngine:
         for stage, max_occupancy in transition.capacity_plan:
             if stage._occupancy > max_occupancy:
                 return ("capacity", stage, max_occupancy)
+        gate = transition.issue_plan
+        if gate is not None:
+            control = self._issue_control
+            if gate[0] == "advance":
+                if not control.may_advance(token, gate[1]):
+                    return gate
+            elif control._issued >= gate[2]:
+                return ("issue", transition, "width")
+            elif gate[1] is not None and control._port_issued[gate[1]] >= gate[3]:
+                return ("issue", transition, "port")
+            elif not control.may_issue(token, self.ctx):
+                return ("issue", transition, "order")
         guard = transition.guard
         if guard is not None and not guard(token, self.ctx):
             return ("guard", transition)
@@ -356,8 +375,22 @@ class SimulationEngine:
             transition.action(None, self.ctx)
         for arc in transition.reservation_outputs:
             self._deposit(ReservationToken(), arc.place, transition.delay)
-        if self._emission_queue:
-            self.deliver_emissions(transition.delay)
+        # deliver_emissions, with _deposit and Place.deposit inline.
+        emissions, self._emission_queue = self._emission_queue, []
+        for token, place in emissions:
+            place = place if place is not None else self.net.entry_place_for(token.opclass)
+            self.stats.generated_tokens += 1
+            stage = place.stage
+            if place.is_end:
+                self._retire(token)
+            elif stage.capacity is not None and stage._occupancy >= stage.capacity:
+                raise CapacityError("stage %r has no room for a token entering place %r" % (stage.name, place.name))
+            else:
+                residence, token.delay_override = token.delay_override, None
+                token.ready_cycle = self.cycle + transition.delay + (place.delay if residence is None else residence)
+                token.place = place
+                stage._occupancy += 1
+                (place.pending if place.two_list else place.tokens).append(token)
 
     def deliver_emissions(self, transition_delay):
         """Deposit the tokens queued by ``ctx.emit`` during one fire.
@@ -399,13 +432,17 @@ class SimulationEngine:
         cycle, and one that an earlier firing moved away is passed over.
         For each ready instruction token it tests the enable rule of each
         candidate transition inline, in :meth:`blocked_by`'s order, and
-        fires the first enabled one; a token with none stalls.  The
+        fires the first enabled one, booking an issue in the arbiter,
+        whose counts it zeroes first; a token with none stalls.  The
         generator transitions come last.
         """
         self._fired_this_cycle = 0
         for place in self.schedule.two_list_places:
             if place.pending:
                 place.commit_pending()
+        control = self._issue_control
+        if control is not None and control._issued:
+            control.new_cycle()
         cycle = self.cycle
         ctx = self.ctx
         stats = self.stats
@@ -422,8 +459,8 @@ class SimulationEngine:
                 if token.place is not place or not token.is_instruction or token.ready_cycle > cycle:
                     continue
                 # The first candidate whose enable rule holds: a ``break``
-                # out of a conjunct's loop is a failed conjunct, the one
-                # after the guard ends the search.
+                # out of a conjunct's loop or a ``continue`` is a failed
+                # conjunct, the ``break`` after the guard ends the search.
                 for transition in dispatch.get(token.opclass, ()):
                     for arc in transition.reservation_inputs:
                         if not arc.place.has_reservation():
@@ -433,6 +470,23 @@ class SimulationEngine:
                             if stage._occupancy > max_occupancy:
                                 break
                         else:
+                            gate = transition.issue_plan
+                            if gate is None:
+                                pass
+                            elif gate[0] == "issue":
+                                if control._issued >= gate[2] or (
+                                    gate[1] is not None and control._port_issued[gate[1]] >= gate[3]
+                                ):
+                                    continue
+                                prev = token.prev
+                                if not (prev is None or "issued" in prev.annotations
+                                        or prev.squashed or prev.seq >= token.seq):
+                                    continue
+                            elif gate[1]._occupancy > 1:
+                                prev = token.prev
+                                if (prev is not None and prev.seq < token.seq
+                                        and prev.place is not None and prev.place.stage is gate[1]):
+                                    continue
                             guard = transition.guard
                             if guard is None or guard(token, ctx):
                                 break
@@ -461,6 +515,13 @@ class SimulationEngine:
                         raise RuntimeError("stage %r occupancy went negative" % stage.name)
                 for arc in transition.reservation_inputs:
                     arc.place.take_reservation()
+                gate = transition.issue_plan
+                if gate is not None and gate[0] == "issue":
+                    control._issued += 1
+                    if gate[1] is not None:
+                        control._port_issued[gate[1]] += 1
+                    token.annotations["issued"] = True
+                    token.prev = None
                 action = transition.action
                 if action is not None:
                     action(token, ctx)
@@ -605,6 +666,8 @@ class SimulationEngine:
         what = blocked[1].name
         if blocked[0] == "capacity":
             what += " (occupancy %d > max %d)" % (blocked[1]._occupancy, blocked[2])
+        elif blocked[0] == "issue":
+            what += " (%s)" % blocked[2]
         return " blocked by %s %s" % (blocked[0], what)
 
     def reset(self):

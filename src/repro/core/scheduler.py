@@ -12,7 +12,9 @@ RCPN structure (Section 4):
    the previous cycle are read before being overwritten; only places on
    feedback edges need the two-list (master/slave) storage scheme.
 3. :func:`capacity_plan` — each transition's output-capacity rule is
-   reduced once to occupancy limits on the stages it fills.
+   reduced once to occupancy limits on the stages it fills;
+   :func:`issue_plan` gives each transition of a multi-issue model its
+   issue or advance gate.
 
 The analyses are pure functions of the model *structure*, so
 :func:`structure_signature` alone keys :data:`SCHEDULE_CACHE`: any net whose
@@ -178,14 +180,42 @@ def capacity_plan(transition):
     return tuple(plan)
 
 
+def issue_plan(transition, issue):
+    """The multi-issue gate in ``transition``'s enable rule, resolved once.
+
+    ``issue`` is the net's :class:`~repro.describe.spec.IssueSpec`
+    (``net.spec.issue``).  With ``issue.width > 1`` a transition leaving a
+    place of the issue stage gets ``("issue", port, width, limit)`` (its
+    class's port and that port's per-cycle limit, ``None`` for none), one
+    leaving a stage its sub-net visits before that gets ``("advance",
+    stage)``, any other ``None``; the rules are
+    :class:`~repro.describe.substrate.IssueControl`'s.  The interpreted
+    engine tests the plan between the capacity pairs and the guard, and
+    the emitter writes it there.
+    """
+    if issue is None or not issue.multi or transition.is_generator:
+        return None
+    source = transition.source
+    if source.stage.name == issue.stage:
+        port = issue.port_of().get(transition.subnet.opclasses[0])
+        return ("issue", port, issue.width, issue.port_limits().get(port))
+    for place in transition.subnet.places:
+        if place.stage.name == issue.stage:
+            return None
+        if place.stage is source.stage:
+            return ("advance", source.stage)
+    return None
+
+
 def structure_signature(net):
     """A hashable summary of everything the schedule and the emitter read.
 
     Covers the operation classes (in order), stages (capacity/delay),
     sub-nets (their classes), places (stage, sub-net, delay) and
     transitions (sub-net, endpoints, delay, priority, reservation arcs,
-    capacity stages, firing limit) — the inputs of the schedule
-    derivation and of the capacity plans.  It is the whole key of
+    capacity stages, firing limit) and the issue discipline — the inputs
+    of the schedule derivation and of the capacity and issue plans.  It
+    is the whole key of
     :data:`SCHEDULE_CACHE`, so two nets with one signature get one
     analysis.  Guards and actions are excluded: the blueprints never
     encode behaviour, only structure (the emitter's digest adds them,
@@ -221,7 +251,9 @@ def structure_signature(net):
         )
         for transition in net.transitions
     )
-    return (opclasses, stages, subnets, places, transitions)
+    issue = getattr(getattr(net, "spec", None), "issue", None)
+    issue = (issue.width, issue.stage, issue.ports) if issue is not None and issue.multi else None
+    return (opclasses, stages, subnets, places, transitions, issue)
 
 
 class ScheduleBlueprint:
@@ -319,7 +351,8 @@ class StaticSchedule:
 
     def _install(self, net, sorted_transitions):
         """Mark the two-list places, give every place its dispatch table
-        and every transition its :func:`capacity_plan`."""
+        and every transition its :func:`capacity_plan` and
+        :func:`issue_plan`."""
         for place in net.places.values():
             if place.name in self.feedback_place_names:
                 place.two_list = True
@@ -330,8 +363,10 @@ class StaticSchedule:
                 opclass: sorted_transitions[(place.name, opclass)]
                 for opclass in net.operation_classes
             }
+        issue = getattr(getattr(net, "spec", None), "issue", None)
         for transition in net.transitions:
             transition.capacity_plan = capacity_plan(transition)
+            transition.issue_plan = issue_plan(transition, issue)
 
     def _to_blueprint(self):
         index = {id(t): i for i, t in enumerate(self.net.transitions)}

@@ -91,10 +91,16 @@ class InstructionToken(Token):
     free list and is renewed, same object and same RegRefs, for a later
     fetch of the same word.  A hook must not keep a decoded token (or one
     of its RegRefs or its ``annotations``) after the token retires.
+
+    ``prev`` is set only by a multi-issue model's arbiter
+    (:meth:`~repro.describe.substrate.IssueControl.note_fetch`): the
+    nearest earlier-fetched token not squashed at this token's fetch,
+    ``None`` once this token issues.  Nothing else sets or reads it.
     """
 
     __slots__ = (
         "instr", "opclass", "pc", "operands", "regrefs", "annotations", "squashed", "template",
+        "prev", "__weakref__",
     )
 
     is_instruction = True

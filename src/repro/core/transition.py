@@ -101,6 +101,9 @@ class Transition:
         #: the enable rule, set by the static schedule
         #: (:func:`repro.core.scheduler.capacity_plan`).
         self.capacity_plan = None
+        #: The multi-issue gate, ``None`` for none, set by the static
+        #: schedule (:func:`repro.core.scheduler.issue_plan`).
+        self.issue_plan = None
 
     # -- structural queries ----------------------------------------------
     @property

@@ -76,7 +76,6 @@ def elaborate_net(spec, memory_config=None, semantics_class=ArmSemantics):
     if issue.multi:
         issue_control = IssueControl(issue.width, port_limits=issue.port_limits())
         net.add_unit("issue_control", issue_control)
-    port_of = issue.port_of()
 
     semantics = semantics_class(
         spec,
@@ -111,26 +110,10 @@ def elaborate_net(spec, memory_config=None, semantics_class=ArmSemantics):
         places["end"] = net.add_place("end", subnet)
         for extra in path.extra_places:
             places[extra.key] = net.add_place(extra.stage, subnet, name=extra.name)
-        pre_issue = (
-            set(path.stages[: path.stages.index(issue.stage)])
-            if issue_control is not None
-            else set()
-        )
+        # The issue and advance gates are not hooks: the static schedule
+        # derives them from spec.issue (repro.core.scheduler.issue_plan).
         for tspec in path.transitions:
             guard, action = semantics.resolve(tspec.hooks)
-            if issue_control is not None:
-                source_stage = places[tspec.source].stage
-                if source_stage.name == issue.stage:
-                    # Every transition leaving the issue stage is an issue
-                    # point: gate it on the per-cycle issue bandwidth (and
-                    # the class's port, if one constrains it).
-                    guard, action = semantics.issue_gate(
-                        guard, action, port_of.get(path.opclass)
-                    )
-                elif source_stage.name in pre_issue:
-                    # Front-end transfers must not overtake an older
-                    # instruction (in-order issue).
-                    guard = semantics.advance_gate(guard, source_stage)
             net.add_transition(
                 tspec.name,
                 subnet,

@@ -73,10 +73,9 @@ Hook catalogue (``guard``/``action`` contribution in parentheses):
 
 On BTB-predicted models the five issue hooks marked in
 :data:`RECOVERED_HOOKS` run :data:`RECOVERY` first: a BTB alias that
-redirected fetch after a non-branch is undone at issue.  On multi-issue
-models the issue and advance gates (:data:`ISSUE_GATE`,
-:data:`ADVANCE_GATE`) are template text too, derived from the gated
-hook's template the same way (:meth:`ArmSemantics.issue_gate`).
+redirected fetch after a non-branch is undone at issue.  The multi-issue
+gates are not hooks but schedule data
+(:func:`repro.core.scheduler.issue_plan`).
 """
 
 from __future__ import annotations
@@ -552,15 +551,6 @@ CORE.fetch_pc = (_b if _f else _p + 4) & 0xFFFFFFFF""" + _DELIVER,
 }
 
 
-#: The multi-issue gates as template text: the issue gate's guard
-#: conjunct and action prefix, and the advance gate's guard conjunct.
-ISSUE_GATE = "ISSUE_CONTROL.may_issue(t, ctx, {port!r})"
-ISSUE_NOTE = "ISSUE_CONTROL.note_issue(t, ctx, {port!r})"
-ADVANCE_GATE = "ISSUE_CONTROL.may_advance(t, @source_stage())"
-
-#: The template a gate derives from where the transition has no hook.
-BARE = HookTemplate("bare")
-
 
 class ArmSemantics:
     """The shared ARM hooks, bound to one elaborated model.
@@ -578,7 +568,6 @@ class ArmSemantics:
         self.memory = memory
         self.decoder = decoder
         self.predictor = predictor
-        self.issue_control = issue_control
         #: Places whose pending results the bypass network forwards: every
         #: place whose name or stage name is in ``spec.hazards.forward_states``.
         #: No place exists yet, so :func:`~repro.describe.elaborate.elaborate_net`
@@ -703,58 +692,3 @@ class ArmSemantics:
             for stage in self.redirect_flush_stages:
                 ctx.flush_stage(stage)
         self.core.redirect(target)
-
-    # -- multi-issue gating ---------------------------------------------------
-    def issue_gate(self, guard, action, port=None):
-        """Gate a resolved ``(guard, action)`` pair on the issue arbiter.
-
-        The elaborator applies this to every transition leaving the issue
-        stage of a multi-issue spec: the guard additionally requires
-        :meth:`~repro.describe.substrate.IssueControl.may_issue` and the
-        action books the slot via ``note_issue`` before the original
-        behaviour runs, with the port as a literal.  A hook template's
-        closure (or an absent hook) is gated as template text
-        (:data:`ISSUE_GATE`), so the generated engine splices the gate like
-        any other hook; any other callable is wrapped in a plain closure,
-        which it calls.
-        """
-        suffix = "/issue" if port is None else "/issue@%s" % port
-        gate, note = ISSUE_GATE.format(port=port), ISSUE_NOTE.format(port=port)
-        control = self.issue_control
-        gated_guard = self._gated(guard, suffix, gate, note)[0]
-        if gated_guard is None:
-            def gated_guard(t, ctx, _guard=guard):
-                return control.may_issue(t, ctx, port) and _guard(t, ctx)
-        gated_action = self._gated(action, suffix, gate, note)[1]
-        if gated_action is None:
-            def gated_action(t, ctx, _action=action):
-                control.note_issue(t, ctx, port)
-                _action(t, ctx)
-        return gated_guard, gated_action
-
-    def advance_gate(self, guard, source_stage):
-        """Gate a pre-issue transfer guard on the order-preserving rule.
-
-        Applied by the elaborator to every transition of a multi-issue spec
-        whose source stage precedes the issue stage on its path; see
-        :meth:`~repro.describe.substrate.IssueControl.may_advance`.  The
-        template text (:data:`ADVANCE_GATE`) names the source stage with
-        the ``@source_stage()`` fragment: the closure reads it off the
-        token's place (both engines attempt a transition only on a token
-        still in its source place), the splice names the stage's local.
-        """
-        gated_guard = self._gated(guard, "/advance", ADVANCE_GATE)[0]
-        if gated_guard is None:
-            control = self.issue_control
-
-            def gated_guard(t, ctx, _guard=guard):
-                return control.may_advance(t, source_stage) and _guard(t, ctx)
-        return gated_guard
-
-    def _gated(self, hook, suffix, guard, prefix=None):
-        """``(guard, action)`` closures of ``hook``'s template gated by
-        ``guard``/``prefix``; ``(None, None)`` for an opaque ``hook``."""
-        template = BARE if hook is None else template_of(hook, self.env)
-        if template is None:
-            return None, None
-        return bind(template.prefixed(template.key + suffix, prefix, guard), self.env)

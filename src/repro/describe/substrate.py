@@ -21,7 +21,6 @@ This module provides what every ARM7-family model needs:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import replace
 
 from repro.core.decoder import InstructionDecoder
@@ -88,32 +87,25 @@ class ProcessorCore:
 # ---------------------------------------------------------------------------
 
 class IssueControl:
-    """Per-cycle issue-bandwidth arbiter of a multi-issue pipeline.
+    """The multi-issue arbiter's state: program-order links and issue counts.
 
-    Like :class:`ProcessorCore`, this is a non-pipeline unit referenced by
-    transition guards/actions (paper Section 3): the hook templates name it
-    ``ISSUE_CONTROL``.  The elaborator attaches one to every model whose
-    :class:`~repro.describe.spec.IssueSpec` has ``width > 1`` and gates
-    each issue-stage transition with
-    :meth:`~repro.describe.semantics.ArmSemantics.issue_gate`, which puts
-    :meth:`may_issue` in the guard and :meth:`note_issue` in the action.
-
-    Three constraints are arbitrated:
-
-    * at most ``width`` instructions issue per cycle;
-    * each issue port's per-cycle budget (``port_limits``) is respected;
-    * an instruction may issue only when it is the oldest live un-issued
-      instruction in the machine (program order) — the fetch hooks
-      register every instruction token in fetch order via
-      :meth:`note_fetch`, and squashed tokens fall out of the queue lazily.
-
-    The per-cycle counters are cycle-stamped and refreshed lazily from
-    ``ctx.cycle``, so every engine backend (they all share guards and
-    actions) observes identical arbitration — the bit-identical-statistics
-    contract between backends holds with no engine-specific code.
-    :meth:`may_issue` reads the clock only while an issue is counted (with
-    none there is nothing to reset), so the generated engine's idle
-    fast-forward may skip a cycle in which a token waits at issue.
+    A non-pipeline unit (paper Section 3) the elaborator attaches to every
+    model whose :class:`~repro.describe.spec.IssueSpec` has ``width > 1``;
+    the fetch hooks register each fetched token with :meth:`note_fetch`
+    (``ISSUE_CONTROL``).  Both engines test each transition's gate
+    (:func:`~repro.core.scheduler.issue_plan`) inline by these methods'
+    rules: at most ``width`` issues per cycle and ``port_limits[port]``
+    per port; an instruction issues only once its link ``token.prev`` (its
+    nearest predecessor in fetch order not squashed at its fetch) is gone,
+    squashed or issued; and no token leaves a front-end stage while an
+    elder resides in it (:meth:`may_advance`).  A link is *gone* when it
+    is ``None`` or names a token of a later (or this same) fetch: the
+    generated engine renews a retired token for a later fetch of its word.
+    An issue cuts the issued token's link, so a retired token pins
+    nothing.  The engine zeroes the counts at each cycle's start
+    (:meth:`new_cycle`, or loop locals in the emitted engine), never from
+    the clock, so the idle fast-forward may skip a cycle in which a token
+    waits at issue.
     """
 
     #: :meth:`repro.core.net.RCPN.reset` clears units carrying this flag,
@@ -126,36 +118,33 @@ class IssueControl:
         self.reset()
 
     def reset(self):
-        self._cycle = -1
+        self._last = None
+        self.new_cycle()
+
+    def new_cycle(self):
+        """Zero the cycle's issue counts."""
         self._issued = 0
-        self._port_issued = {}
-        self._program_order = deque()
+        self._port_issued = dict.fromkeys(self.port_limits, 0)
 
     def note_fetch(self, token):
-        """Record a freshly fetched instruction token (program order)."""
-        self._program_order.append(token)
-
-    def _refresh(self, cycle):
-        if cycle != self._cycle:
-            self._cycle = cycle
-            self._issued = 0
-            self._port_issued = {}
-
-    def _oldest_live(self):
-        order = self._program_order
-        while order and (order[0].squashed or "issued" in order[0].annotations):
-            order.popleft()
-        return order[0] if order else None
+        """Link a freshly fetched instruction token to its predecessor."""
+        prev = self._last
+        while prev is not None and prev.squashed:
+            prev = prev.prev
+        token.prev = prev
+        self._last = token
 
     def may_issue(self, token, ctx, port=None):
-        """Guard half of the gate: may ``token`` issue this cycle?"""
-        if self._issued:
-            self._refresh(ctx.cycle)
-            if self._issued >= self.width:
-                return False
-        if port is not None and self._port_issued.get(port, 0) >= self.port_limits[port]:
+        """The issue gate: width, then port, then program order.
+
+        ``ctx`` is not read: the engine zeroes the counts each cycle.
+        """
+        if self._issued >= self.width:
             return False
-        return self._oldest_live() is token
+        if port is not None and self._port_issued[port] >= self.port_limits[port]:
+            return False
+        prev = token.prev
+        return prev is None or "issued" in prev.annotations or prev.squashed or prev.seq >= token.seq
 
     def may_advance(self, token, source_stage):
         """Pre-issue transfer rule: no overtaking in the front end.
@@ -164,44 +153,26 @@ class IssueControl:
         instruction still resides in that stage.  Anything weaker
         deadlocks the in-order issue gate: a younger instruction that
         overtakes a stalled elder (e.g. one waiting out an i-cache miss)
-        can saturate the downstream stages, none of which may issue before
-        the stranded elder, which in turn cannot advance into the stages
-        the youngsters hold.  Keeping every stage order-preserving makes
-        the front end behave like a real in-order machine — fetch backs up
-        behind the miss — and guarantees the oldest un-issued instruction
-        always has a clear path to the issue stage.
-
-        Within one cycle the rule still transfers up to ``width``
-        instructions across a stage boundary: once the elder's place fires
-        (places are evaluated in a fixed structural order), a younger
-        co-resident evaluated later in the same cycle sees the stage clear
-        and follows immediately.
-
-        ``token`` resides in ``source_stage`` when its guard runs, so a
-        stage holding one token (reservation tokens count) holds no elder
-        and the answer is ``True`` with no scan; otherwise every place of
-        the stage is scanned for an older instruction.
+        can fill the downstream stages, none of which may issue before the
+        stranded elder, which in turn cannot advance.  Within one cycle up
+        to ``width`` instructions still cross a stage boundary: once the
+        elder moves on, a younger co-resident evaluated later sees it gone.
+        As every front-end stage keeps fetch order, the one elder to look
+        for is the link: the stage holds none when it holds at most one
+        token (``token`` itself) or the link is gone or resides elsewhere.
         """
         if source_stage._occupancy <= 1:
             return True
-        seq = token.seq
-        for place in source_stage.places:
-            for resident in place.tokens:
-                if resident.is_instruction and resident.seq < seq:
-                    return False
-            for resident in place.pending:
-                if resident.is_instruction and resident.seq < seq:
-                    return False
-        return True
+        prev = token.prev
+        return prev is None or prev.seq >= token.seq or prev.place is None or prev.place.stage is not source_stage
 
     def note_issue(self, token, ctx, port=None):
-        """Action half of the gate: account for ``token`` issuing now."""
-        self._refresh(ctx.cycle)
+        """Book ``token``'s issue: count it and cut its link."""
         self._issued += 1
         if port is not None:
-            self._port_issued[port] = self._port_issued.get(port, 0) + 1
+            self._port_issued[port] += 1
         token.annotations["issued"] = True
-        self._oldest_live()  # opportunistically drop the retired front
+        token.prev = None
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,8 @@ The register-hazard protocol and the fetch path's services are template
 rendered:
 
 * expressions, expanded inline — ``@pc_free()``, ``@flags_ready()``,
-  ``@ready(x)``, ``@can_read(x)``, ``@can_write(x)``, ``@has_value(x)``,
-  ``@stall_free()`` (the fetch stall stage is empty) and
-  ``@source_stage()`` (the firing transition's source stage);
+  ``@ready(x)``, ``@can_read(x)``, ``@can_write(x)``, ``@has_value(x)``
+  and ``@stall_free()`` (the fetch stall stage is empty);
 * the fetch path's services, expanded inline (each a line of its own) —
   ``@read_word(var, addr)``, ``@btb_lookup(taken, target, addr)``,
   ``@decode(var, word, pc)`` (decode-cache hit, recycling a retired
@@ -45,8 +44,7 @@ A template runs in one of two renderings:
   transition sites of the emitted cycle loop.  The rendering is made per
   :data:`Site`, the facts the emitter knows at the site, and folds them
   in: ``@stall_free()`` and ``@note_fetch`` drop their tests of a constant
-  the model binds to ``None``, ``@source_stage()`` names the stage's
-  local, and ``@emit`` deposits the fetched token straight into its entry
+  the model binds to ``None``, and ``@emit`` deposits the fetched token straight into its entry
   place (through an operation class -> place table) where the enable test
   proves that stage has room.  The front end's fragments — ``@read_word``,
   ``@decode``, ``@fetch_delay``, ``@btb_lookup`` — count into the loop's
@@ -87,12 +85,11 @@ _EXPRESSION = re.compile(r"@(\w+)\(([^()]*)\)")
 # ---------------------------------------------------------------------------
 
 #: What the emitter knows about one splice site when it emits the module
-#: (see :func:`render`): the firing transition's ``delay``; the local its
-#: source stage is bound to (``None`` on a generator); ``entry``, the
+#: (see :func:`render`): the firing transition's ``delay``; ``entry``, the
 #: ``(stage local, list attribute)`` an emitted token joins where the
 #: enable test proves the entry stage has room for it, else ``None``; and
 #: ``absent``, the model constants bound to ``None``.
-Site = namedtuple("Site", ("delay", "source_stage", "entry", "absent"), defaults=(0, None, None, frozenset()))
+Site = namedtuple("Site", ("delay", "entry", "absent"), defaults=(0, None, frozenset()))
 
 #: The spliced front end's run-local counters, with the statistics each
 #: adds into when the loop writes its counters back (a spliced L1I hit is
@@ -131,12 +128,13 @@ RESERVED_NAMES = frozenset((
     "cycle", "cycle0", "idle0", "stats", "tf", "rbc", "fired", "limit", "engine",
     "deposit", "entry_places", "trace_token",
     "stalls", "instructions", "generated_tokens", "_oc", "_d", "_r", "_n",
-    "_stalls", "_hc", "_tm",
+    "_stalls", "_hc", "_tm", "iss", "_q",
 )) | frozenset(FRONT_END_COUNTERS) | frozenset(name for name, _expr, _stretch in FRONT_END_LOCALS)
 
-#: The loop's indexed names: run-local counters (``tf3``, ``rbc0``), place
-#: token lists (``p3t``, ``p3p``) and the bound places, stages and hooks.
-RESERVED_INDEXED = re.compile(r"(?:tf|rbc|[psga])\d+[tp]?|hc[ga]\d+")
+#: The loop's indexed names: run-local counters (``tf3``, ``rbc0``,
+#: ``iss0``), place token lists (``p3t``, ``p3p``) and the bound places,
+#: stages and hooks.
+RESERVED_INDEXED = re.compile(r"(?:tf|rbc|iss|[psga])\d+[tp]?|hc[ga]\d+")
 
 
 def _ready(x):
@@ -163,8 +161,6 @@ _EXPRESSION_FRAGMENTS = {
     "can_write": _can_write,
     "has_value": lambda x: "((_o := %s).register is None or _o._has_value)" % x,
     "stall_free": lambda: "(STALL_STAGE is None or STALL_STAGE._occupancy == 0)",
-    # Both engines attempt a transition only on a token in its source place.
-    "source_stage": lambda: "t.place.stage",
 }
 
 #: Expression fragments whose splice rendering folds the site's facts.
@@ -172,7 +168,6 @@ _SPLICED_EXPRESSIONS = {
     "stall_free": lambda site: (
         "True" if "STALL_STAGE" in site.absent else "STALL_STAGE._occupancy == 0"
     ),
-    "source_stage": lambda site: site.source_stage or "t.place.stage",
 }
 
 
@@ -525,17 +520,9 @@ class HookTemplate(namedtuple("HookTemplate", ("key", "guard", "action", "inline
         sites = [line for line in (self.action or "").splitlines() if "@emit(" in line]
         return len(sites) == 1 and sites[0].startswith("@emit(")
 
-    def prefixed(self, key, prefix=None, guard=None):
-        """This template with ``prefix`` run before its action and ``guard``
-        tested before its guard."""
-        if guard is None:
-            guard = self.guard
-        elif self.guard is not None:
-            guard = "%s and (%s)" % (guard, self.guard)
-        action = self.action
-        if prefix is not None:
-            action = prefix.strip("\n") + "\n" + (action or "")
-        return HookTemplate(key, guard, action, self.inline)
+    def prefixed(self, key, prefix):
+        """This template with ``prefix`` run before its action."""
+        return HookTemplate(key, self.guard, prefix.strip("\n") + "\n" + (self.action or ""), self.inline)
 
 
 def compose(templates):

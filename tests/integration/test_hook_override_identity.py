@@ -9,9 +9,9 @@ model in the same process must still run its own text, on both backends:
 
 * ``mem.agen`` on ``strongarm`` (chained after ``mem.issue``) with a
   three-cycle residence: crc runs 7,643 cycles, not the stock 7,403;
-* ``alu.issue`` on ``strongarm-ds``, where the issue gate derives the
-  gated action from the hook's template: that template, and on
-  ``generated`` the emitted module, carries the override's text.
+* ``alu.issue`` on ``strongarm-ds``, an issue point: the transition's
+  action, and on ``generated`` the emitted module, carries the
+  override's text (the issue gate is schedule data, not a hook).
 """
 
 import pytest
@@ -65,7 +65,7 @@ def test_gated_issue_override_after_a_stock_build(backend):
     gated = [
         template
         for template in (template_of(t.action, net.hook_env) for t in net.transitions)
-        if template is not None and template.key.startswith("alu.issue/issue")
+        if template is not None and template.key.startswith("alu.issue")
     ]
     assert gated and all(ISSUE_OVERRIDE in template.action for template in gated)
     if backend == "generated":

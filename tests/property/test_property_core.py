@@ -4,7 +4,7 @@ the cache model, the static capacity plans and the multi-issue advance gate."""
 from functools import lru_cache
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import InstructionToken, RegRef, RegisterFile, ReservationToken
@@ -162,33 +162,53 @@ def full_scan_may_advance(token, source_stage):
     return True
 
 
-@given(
-    residents=st.lists(st.tuples(st.booleans(), st.integers(0, 2)), min_size=1, max_size=2),
-    seqs=st.permutations(range(4)),
-    gated=st.integers(0, 1),
-    commit=st.booleans(),
-)
-@settings(max_examples=200, deadline=None)
-def test_the_advance_gate_answers_as_the_full_scan(residents, seqs, gated, commit):
-    """Any reachable contents of a 2-wide stage: up to two residents,
-    instructions or reservation tokens, in the visible or the pending list
-    of a two-list place, elder or younger than the gated resident."""
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_the_advance_gate_answers_as_the_full_scan(data):
+    """Any reachable state of an in-order front end.  Tokens enter through
+    ``note_fetch`` in fetch (seq) order, in groups after each of which a
+    redirect may squash the youngest live ones; the live tokens then sit
+    in fetch order, elders furthest along (the advance gate keeps every
+    front-end stage in order): retired, issued into the stage after the
+    gated 2-wide stage ``D``, in ``D``, in the stage before it.  ``D``
+    holds one or two instructions and up to two residents in all,
+    reservation tokens included, in the visible or the pending list of a
+    two-list place.  The issued tokens went through ``note_issue``."""
+    control = IssueControl(width=2)
+    live = []
+    for _group in range(data.draw(st.integers(1, 3), label="groups")):
+        for _fetch in range(data.draw(st.integers(1, 3), label="fetched")):
+            token = InstructionToken(instr=0, opclass="op")
+            control.note_fetch(token)
+            live.append(token)
+        squashed = data.draw(st.integers(0, len(live)), label="squashed")
+        for token in live[len(live) - squashed:]:
+            token.squashed = True
+        live = live[:len(live) - squashed]
+    if not live:
+        live.append(InstructionToken(instr=0, opclass="op"))
+        control.note_fetch(live[0])
+    issued = data.draw(st.integers(0, len(live) - 1), label="issued")
+    retired = data.draw(st.integers(0, issued), label="retired")
+    resident = data.draw(st.integers(1, min(2, len(live) - issued)), label="in D")
+    reservations = data.draw(st.integers(0, 2 - resident), label="reservations")
     stage = PipelineStage("D", capacity=2)
     places = [Place("d%d" % index, stage, two_list=index == 1) for index in range(3)]
-    instructions = []
-    for (is_instruction, index), seq in zip(residents, seqs):
-        if is_instruction:
-            token = InstructionToken(instr=0, opclass="op")
-            token.seq = seq
-            instructions.append(token)
-        else:
-            token = ReservationToken(producer_seq=seq)
-        places[index].deposit(token, ready_cycle=0)
-    assume(instructions)
-    if commit:
+    upstream = Place("f", PipelineStage("F", capacity=None))
+    downstream = Place("x", PipelineStage("X", capacity=None))
+    for token in live[:issued]:
+        control.note_issue(token, None)
+    for token in live[retired:issued]:
+        downstream.deposit(token, ready_cycle=0)
+    in_d = live[issued:issued + resident]
+    for token in in_d + [ReservationToken() for _ in range(reservations)]:
+        places[data.draw(st.integers(0, 2), label="place")].deposit(token, ready_cycle=0)
+    for token in live[issued + resident:]:
+        upstream.deposit(token, ready_cycle=0)
+    if data.draw(st.booleans(), label="commit"):
         places[1].commit_pending()
-    token = instructions[gated % len(instructions)]
-    assert IssueControl(width=2).may_advance(token, stage) == full_scan_may_advance(token, stage)
+    for token in in_d:
+        assert control.may_advance(token, stage) == full_scan_may_advance(token, stage)
 
 
 def test_place_remove_takes_a_pending_token_and_refuses_an_absent_one():

@@ -347,12 +347,11 @@ def test_all_registered_models_lint_clean():
     assert dirty == {}
 
 
-def test_lint_registered_records_metrics():
-    from repro.observe.metrics import MetricsRegistry
-
-    metrics = MetricsRegistry()
-    lint_registered(names=("example",), metrics=metrics)
-    snapshot = metrics.snapshot()
+@pytest.mark.parametrize("command", ["lint", "verify"])
+def test_cli_metrics_count_clean_and_dirty_models(command, tmp_path):
+    path = tmp_path / "metrics.json"
+    assert analyze_main([command, "example", "--metrics-json", str(path)], out=io.StringIO()) == 0
+    snapshot = json.loads(path.read_text())
     assert snapshot["analyze.models_clean"]["value"] == 1
     assert snapshot["analyze.models_dirty"]["value"] == 0
 
@@ -630,6 +629,36 @@ def test_sv008_capacity_conjunct_tamper_detected(model, tamper):
         mutant = line.replace(conjunct, "")
     findings = verify_engine(_tampered(engine, engine.source.replace(line, mutant, 1)))
     assert [(f.rule, f.location) for f in findings] == [("SV008", "source:transition 'branch.taken'")]
+
+
+@pytest.mark.parametrize(
+    "model, line_end, old, new",
+    [
+        ("strongarm-ds", "# mem.issue", "iss < 2", "iss < 3"),
+        ("strongarm-ds", "# mem.issue", "iss0 < 1 and ", ""),
+        ("strongarm-ds", "# alu.issue", '"issued" in _q.annotations', "_q.place is None"),
+        ("xscale-ds", "# alu.F1_F2", "_q.place.stage is not s", "_q.place.stage is s"),
+    ],
+    ids=["width", "port-dropped", "order", "advance"],
+)
+def test_sv010_issue_gate_tamper_detected(model, line_end, old, new):
+    engine = _engine(model)
+    assert verify_engine(engine) == []
+    line = next(line for line in engine.source.splitlines() if line.endswith(line_end))
+    assert old in line
+    findings = verify_engine(_tampered(engine, engine.source.replace(line, line.replace(old, new, 1), 1)))
+    assert {(f.rule, f.location) for f in findings} == {("SV010", "source:transition %r" % line_end[2:])}
+
+
+@pytest.mark.parametrize("booking", ["iss += 1", "iss0 += 1", "t.prev = None"])
+def test_sv010_dropped_issue_booking_detected(booking):
+    engine = _engine("strongarm-ds")
+    source = engine.source
+    site = source.index("# mem.issue")
+    at = source.index(booking, site)
+    tampered = source[:at] + "pass" + source[at + len(booking):]
+    findings = verify_engine(_tampered(engine, tampered))
+    assert ("SV010", "source:transition 'mem.issue'") in {(f.rule, f.location) for f in findings}
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ flush and what the elaborator/compiler derive from an IssueSpec.
 
 import pytest
 
+from repro.codegen.runtime import splice_plan
+from repro.core.engine import EngineOptions
 from repro.describe import (
     FetchSpec,
     HazardSpec,
@@ -19,6 +21,7 @@ from repro.describe import (
     linear_path,
 )
 from repro.isa.assembler import assemble
+from repro.observe.trace import TraceConfig
 from repro.processors import build_processor, strongarm_ds_spec, xscale_ds_spec
 
 
@@ -53,6 +56,8 @@ def test_width_budget_resets_each_cycle():
     control.note_issue(b, ctx)
     assert not control.may_issue(c, ctx)  # budget spent
     ctx.cycle = 8
+    assert not control.may_issue(c, ctx)  # the clock alone resets nothing
+    control.new_cycle()  # the engine starts a cycle
     assert control.may_issue(c, ctx)  # fresh cycle, fresh budget
 
 
@@ -69,7 +74,7 @@ def test_port_budget_is_tracked_separately():
     control.note_issue(alu, ctx)
     # ... but the memory port is exhausted while width remains.
     assert not control.may_issue(second_load, ctx, "dmem")
-    ctx.cycle = 1
+    control.new_cycle()
     assert control.may_issue(second_load, ctx, "dmem")
 
 
@@ -87,36 +92,64 @@ def test_issue_gate_tracks_fetch_order_and_squashes():
     assert control.may_issue(young, ctx)
 
 
+class FakeStage:
+    def __init__(self, occupancy):
+        self._occupancy = occupancy
+
+
+class FakePlace:
+    def __init__(self, stage):
+        self.stage = stage
+
+
 def test_may_advance_blocks_overtaking_within_a_stage():
-    # The gate runs on a token resident in the stage, and the stage counts
-    # its residents in ``_occupancy``.
-    net_stage = type("Stage", (), {})()
-    place = type("Place", (), {})()
-    old, young = FakeToken(), FakeToken()
-    place.tokens = [old, young]
-    place.pending = []
-    net_stage.places = [place]
-    net_stage._occupancy = 2
+    # Tokens enter through note_fetch in fetch order; the gate runs on a
+    # token resident in the stage, which counts its residents in
+    # ``_occupancy`` (a reservation token keeps it at 2 below).
+    stage, downstream = FakeStage(occupancy=2), FakeStage(occupancy=1)
     control = IssueControl(width=2)
-    assert control.may_advance(old, net_stage)
-    assert not control.may_advance(young, net_stage)
-    place.tokens = [young]
-    net_stage._occupancy = 1
-    assert control.may_advance(young, net_stage)
+    old, young = FakeToken(), FakeToken()
+    for token in (old, young):
+        control.note_fetch(token)
+        token.place = FakePlace(stage)
+    assert control.may_advance(old, stage)
+    assert not control.may_advance(young, stage)
+    old.place = FakePlace(downstream)  # the elder moved on
+    assert control.may_advance(young, stage)
+    old.place = None  # ... and retired
+    assert control.may_advance(young, stage)
+    stage._occupancy = 1  # alone in its stage: no link is read
+    young.prev = old
+    old.place = FakePlace(stage)
+    assert control.may_advance(young, stage)
 
 
 def test_reset_clears_cycle_and_order_state():
     control = IssueControl(width=2, port_limits={"p": 1})
     ctx = FakeCtx()
-    token = FakeToken()
-    control.note_fetch(token)
-    control.note_issue(token, ctx, "p")
+    issued, waiting = FakeToken(), FakeToken()
+    control.note_fetch(issued)
+    control.note_issue(issued, ctx, "p")
+    control.note_fetch(waiting)  # never issues: it would block a successor
     control.reset()
     assert control._issued == 0
-    assert not control._program_order
     fresh = FakeToken()
     control.note_fetch(fresh)
-    assert control.may_issue(fresh, ctx)
+    assert control.may_issue(fresh, ctx, "p")
+
+
+def test_a_squashed_predecessor_does_not_block_its_successor():
+    control = IssueControl(width=2)
+    ctx = FakeCtx()
+    elder, wrong_path, successor = FakeToken(), FakeToken(), FakeToken()
+    control.note_fetch(elder)
+    control.note_fetch(wrong_path)
+    assert not control.may_issue(wrong_path, ctx)
+    wrong_path.squashed = True  # a redirect squashed it before the next fetch
+    control.note_fetch(successor)
+    assert successor.prev is elder  # linked past the squashed token
+    control.note_issue(elder, ctx)
+    assert control.may_issue(successor, ctx)
 
 
 # -- elaboration --------------------------------------------------------------
@@ -204,31 +237,35 @@ def test_dependent_chain_gains_little_from_dual_issue():
     assert dual.cycles > 0.85 * single.cycles
 
 
+def traced(backend):
+    """Engine options recording every firing, to read the issues off."""
+    return EngineOptions(backend=backend, trace=TraceConfig(categories=("firing",), capacity=1_000_000))
+
+
+def issues_per_cycle(processor):
+    """``{cycle: [opclass, ...]}`` of every issue (a firing of an issue
+    point, as the transitions' issue plans name them), from the trace."""
+    issue_points = {
+        t.name for t in processor.net.transitions if t.issue_plan is not None and t.issue_plan[0] == "issue"
+    }
+    assert processor.tracer.dropped == 0
+    per_cycle = {}
+    for _category, cycle, name, _seq, opclass, _pc in processor.tracer.events:
+        if name in issue_points:
+            per_cycle.setdefault(cycle, []).append(opclass)
+    return per_cycle
+
+
 @pytest.mark.parametrize("backend", ["interpreted", "generated"])
 def test_issue_never_exceeds_width_in_any_cycle(backend):
     spec = dual_issue_alu_spec(width=2)
-    processor = elaborate(spec, backend=backend)
+    processor = elaborate(spec, engine_options=traced(backend))
     processor.load_program(assemble(looped(INDEPENDENT_ALUS)))
-    control = processor.net.units["issue_control"]
-
-    issued_per_cycle = []
-    original = IssueControl.note_issue
-
-    def counting(self, token, ctx, port=None):
-        issued_per_cycle.append(ctx.cycle)
-        original(self, token, ctx, port)
-
-    IssueControl.note_issue = counting
-    try:
-        processor.run(max_cycles=10_000)
-    finally:
-        IssueControl.note_issue = original
-    per_cycle = {}
-    for cycle in issued_per_cycle:
-        per_cycle[cycle] = per_cycle.get(cycle, 0) + 1
+    processor.run(max_cycles=10_000)
+    per_cycle = [len(classes) for classes in issues_per_cycle(processor).values()]
     assert per_cycle, "nothing issued"
-    assert max(per_cycle.values()) <= control.width
-    assert max(per_cycle.values()) == 2  # dual issue actually happened
+    assert max(per_cycle) <= spec.issue.width
+    assert max(per_cycle) == 2  # dual issue actually happened
 
 
 @pytest.mark.parametrize("backend", ["interpreted", "generated"])
@@ -242,30 +279,17 @@ def test_memory_port_pairs_loads_with_alu_but_never_with_loads(backend):
         "    subs r11, r11, #1\n    bgt loop\n    halt\n" % pairs
     )
 
-    issued = []
-    original = IssueControl.note_issue
-
-    def recording(self, token, ctx, port=None):
-        issued.append((ctx.cycle, token.opclass))
-        original(self, token, ctx, port)
-
-    def run(model):
-        processor = build_processor(model, backend=backend)
+    def run(model, **kwargs):
+        processor = build_processor(model, **kwargs)
         processor.load_program(assemble(source))
         stats = processor.run(max_cycles=100_000)
         assert stats.finish_reason == "halt"
-        return stats
+        return processor, stats
 
-    IssueControl.note_issue = recording
-    try:
-        dual = run("strongarm-ds")
-    finally:
-        IssueControl.note_issue = original
-    single = run("strongarm")
+    processor, dual = run("strongarm-ds", engine_options=traced(backend))
+    _, single = run("strongarm", backend=backend)
 
-    per_cycle = {}
-    for cycle, opclass in issued:
-        per_cycle.setdefault(cycle, []).append(opclass)
+    per_cycle = issues_per_cycle(processor)
     dual_cycles = [classes for classes in per_cycle.values() if len(classes) == 2]
     # Dual issue happens a lot on this stream ...
     assert len(dual_cycles) > 100
@@ -380,12 +404,35 @@ def test_flush_younger_squashes_by_program_order():
     assert net.place("alu.DE").tokens == [tokens[0]]
 
 
+def test_a_link_to_a_recycled_token_counts_as_gone():
+    """The generated engine renews a retired token for a later fetch of its
+    word, which may be the very next fetch: the link names the token
+    itself, or a token of a later fetch, and gates nothing."""
+    control = IssueControl(width=2)
+    ctx = FakeCtx()
+    token = FakeToken()
+    control.note_fetch(token)
+    control.note_issue(token, ctx)
+    token.seq, token.annotations = FakeToken().seq, {}  # renewed for the next fetch
+    control.note_fetch(token)
+    assert token.prev is token
+    token.place = FakePlace(FakeStage(occupancy=2))
+    assert control.may_issue(token, ctx)
+    assert control.may_advance(token, token.place.stage)
+    younger = FakeToken()
+    control.note_fetch(younger)
+    token.seq, token.annotations = FakeToken().seq, {}  # retired, renewed again
+    assert control.may_issue(younger, ctx)
+
+
 def test_engine_reset_clears_issue_control():
     processor = build_processor("strongarm-ds")
     control = processor.net.units["issue_control"]
-    control.note_fetch(FakeToken())
+    control.note_fetch(FakeToken())  # never issues: it would block a successor
     processor.engine.reset()  # net.reset clears clears_with_net units
-    assert not control._program_order
+    fresh = FakeToken()
+    control.note_fetch(fresh)
+    assert control.may_issue(fresh, FakeCtx())
 
 
 # -- generation reports --------------------------------------------------
@@ -394,14 +441,19 @@ def test_engine_reset_clears_issue_control():
 @pytest.mark.parametrize(
     "model, issue, advance", [("strongarm", 0, 0), ("strongarm-ds", 7, 6), ("xscale-ds", 6, 18)]
 )
-def test_gates_are_guard_templates(model, issue, advance):
-    from repro.codegen.runtime import splice_plan
-
+def test_gates_are_schedule_data(model, issue, advance):
     net = build_processor(model).net
-    keys = [guard.key for guard, _action in splice_plan(net)[0] if guard is not None]
+    kinds = [t.issue_plan[0] for t in net.transitions if t.issue_plan is not None]
     # strongarm-ds: alu/mul/mem/memm/system issue + branch.taken/branch.not_taken.
-    assert sum("/issue" in key for key in keys) == issue
-    assert sum(key.endswith("/advance") for key in keys) == advance
+    assert kinds.count("issue") == issue
+    assert kinds.count("advance") == advance
+    # The gates are not hooks: the guards and actions are the hooks' own.
+    assert not any(
+        template.key.endswith(("/issue", "/advance")) or "/issue@" in template.key
+        for row in splice_plan(net)[0]
+        for template in row
+        if template is not None
+    )
 
 
 def test_dual_issue_specs_fetch_width_wide():

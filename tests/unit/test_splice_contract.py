@@ -141,7 +141,8 @@ def with_front_probe(spec):
 
 @pytest.mark.parametrize("model", ["strongarm-ds", "xscale-ds"])
 def test_a_gated_hook_that_is_not_a_template_is_called(model):
-    """The issue and advance gates wrap an opaque hook in a plain closure."""
+    """An opaque hook on an issue point or a front-end transfer is called;
+    its issue or advance gate is written inline before the call."""
     reference = run(build_processor(model, backend="interpreted"))
     spec = with_front_probe(get_spec(model))
     alu_path = next(path for path in spec.paths if path.opclass == "alu")
@@ -196,13 +197,14 @@ def test_mutating_a_spliced_body_is_a_finding(line, mutant):
 
 
 @pytest.mark.parametrize("model", ["strongarm-ds", "xscale-ds"])
-def test_the_spliced_advance_gate_names_the_source_stage_local(model):
+def test_the_emitted_advance_gate_names_the_source_stage_local(model):
     results = {}
     for backend in ("interpreted", "generated"):
         processor = build_processor(model, backend=backend)
         if backend == "generated":
             source = processor.engine.source
-            assert "ISSUE_CONTROL.may_advance(t, s" in source
+            assert "_q.place.stage is not s" in source
+            assert "ISSUE_CONTROL.may_" not in source  # no arbiter call
             assert "t.place.stage" not in source
             assert verify_engine(processor.engine) == []
         results[backend] = run(processor)
